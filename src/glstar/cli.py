@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .errors import (
     ConditionFailed,
     ConfigError,
     GlStarError,
+    InvalidInput,
     ParseError,
 )
 from .functions import from_spec
@@ -87,6 +89,10 @@ def parse_config(text: str) -> StarConfig:
             cfg.samples = int(raw["samples"])
         except (TypeError, ValueError):
             bad("samples", "must be an integer")
+    try:
+        ver.check_sampling(cfg.samples, cfg.tol)
+    except InvalidInput as exc:
+        problems.append(str(exc))
     hand = raw.get("handedness", "right")
     if hand not in ("left", "right"):
         bad("handedness", "must be 'left' or 'right'")
@@ -165,20 +171,21 @@ def run_all_checks(star, cfg: StarConfig, selected=None):
             raise ConfigError(f"unknown checks: {','.join(unknown)}",
                               field="--checks")
         names = [n for n in names if n in selected]
+    ver.check_sampling(cfg.samples, cfg.tol)
+    size = lambda default: default if cfg.samples is None else cfg.samples  # noqa: E731
     geo = [n for n in names if n in ver.GEOMETRY_CHECKS]
     reports = ver.run_star_checks(star, checks=geo, samples=cfg.samples,
                                   tol=cfg.tol, seed=cfg.seed) if geo else []
     if any(n in names for n in KLEIN_CHECKS):
         p = par.make_parallelism(star)
         if "zero_secants" in names:
-            reports.append(par.check_zero_secants(
-                p.hfd, n=cfg.samples or 200, seed=cfg.seed))
+            reports.append(par.check_zero_secants(p.hfd, n=size(200),
+                                                  seed=cfg.seed))
         if "hfd" in names:
-            reports.append(par.check_hfd(p, n=cfg.samples or 100,
-                                         seed=cfg.seed))
+            reports.append(par.check_hfd(p, n=size(100), seed=cfg.seed))
         if "torus_fixes_classes" in names:
-            reports.append(par.check_torus_fixes_classes(
-                p.es, n=cfg.samples or 50, seed=cfg.seed))
+            reports.append(par.check_torus_fixes_classes(p.es, n=size(50),
+                                                         seed=cfg.seed))
     return reports
 
 
@@ -211,32 +218,40 @@ def cmd_construct(cfg: StarConfig, out=None) -> int:
 
 
 def _line_rows(star, n: int):
-    """(t, theta, sphere chord) rows on a grid of about n samples."""
+    """(t, theta, sphere chord) rows on a grid of about n samples, t-major:
+    an (m, 8) array."""
     n_theta = 16
     n_t = max(2, n // n_theta)
-    rows = []
-    for t in np.linspace(0.0, 1.0, n_t):
-        for th in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
-            q, m = star.sphere_chord(np.array([t]), np.array([th]))
-            rows.append((t, th, *q[0], *m[0]))
-    return rows
+    t, th = np.meshgrid(np.linspace(0.0, 1.0, n_t),
+                        np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False),
+                        indexing="ij")
+    t, th = t.ravel(), th.ravel()
+    q, m = star.sphere_chord(t, th)
+    return np.column_stack([t, th, q, m])
+
+
+def _rows_text(rows, field="{:.17g}", sep=",", prefix=""):
+    """One line per row of a 2-d array, each value formatted by ``field``
+    (the default matches _g17)."""
+    line = prefix + sep.join([field] * rows.shape[1]) + "\n"
+    return (line * len(rows)).format(*rows.ravel().tolist())
 
 
 def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                out=None) -> int:
     out = out or sys.stdout
+    ver.check_sampling(cfg.samples)
     try:
         star = build_star(cfg)
     except (ConditionFailed, GlStarError) as exc:
         print(f"CONSTRUCTION FAILED: {exc}", file=out)
         return 2
-    n = cfg.samples or 512
+    n = 512 if cfg.samples is None else cfg.samples
     try:
         if lines:
             with open(lines, "w", newline="\n") as fh:
                 fh.write("t,theta,x1,y1,z1,x2,y2,z2\n")
-                for row in _line_rows(star, n):
-                    fh.write(",".join(_g17(v) for v in row) + "\n")
+                fh.write(_rows_text(_line_rows(star, n)))
             print(f"wrote {lines}", file=out)
         if mesh:
             if star.profile is None:
@@ -251,24 +266,21 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                         continue
                     verts, faces = surface_mesh(entry, 24, 48)
                     fh.write(f"o surface_t{t:.3f}\n")
-                    for v in verts:
-                        fh.write("v " + " ".join(_g17(c) for c in v) + "\n")
-                    for f in faces:
-                        fh.write("f {} {} {}\n".format(*(f + 1 + offset)))
+                    fh.write(_rows_text(verts, sep=" ", prefix="v "))
+                    fh.write(_rows_text(faces + 1 + offset, field="{}",
+                                        sep=" ", prefix="f "))
                     offset += len(verts)
             print(f"wrote {mesh}", file=out)
         if hfd:
             p = par.make_parallelism(star)
             rows = _line_rows(star, n)
+            spans = p.hfd.span_at(rows[:, 0], rows[:, 1])
             with open(hfd, "w", newline="\n") as fh:
                 fh.write("t,theta," +
                          ",".join(f"a{i}" for i in range(1, 7)) + "," +
                          ",".join(f"b{i}" for i in range(1, 7)) + "\n")
-                for row in rows:
-                    span = p.hfd.span_at(np.array([row[0]]),
-                                         np.array([row[1]]))[0]
-                    vals = (row[0], row[1], *span[0], *span[1])
-                    fh.write(",".join(_g17(v) for v in vals) + "\n")
+                fh.write(_rows_text(np.column_stack(
+                    [rows[:, :2], spans.reshape(len(rows), 12)])))
             print(f"wrote {hfd}", file=out)
     except OSError as exc:
         print(f"IO ERROR: {exc}", file=out)
@@ -324,6 +336,22 @@ DEMO_CONFIG = ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
                '"s":{"kind":"phi_r","r":2.0}}')
 
 
+# argparse reads a value that starts with "-" and a digit or "." as an
+# option unless it is attached with "=": a negative coordinate or number.
+_VALUE_OPTIONS = ("--point", "--line", "--samples", "--tol", "--seed")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="glstar",
@@ -360,7 +388,8 @@ def main(argv=None) -> int:
     p_demo = sub.add_parser("demo", help="verify the built-in example")
     add_common(p_demo)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "demo":
             text = DEMO_CONFIG
@@ -376,7 +405,8 @@ def main(argv=None) -> int:
             cfg.tol = args.tol
         if args.seed is not None:
             cfg.seed = args.seed
-    except (ParseError, ConfigError) as exc:
+        ver.check_sampling(cfg.samples, cfg.tol)
+    except (ParseError, ConfigError, InvalidInput) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -61,10 +61,10 @@ def _hand_sign_fn(hand):
     raise InvalidInput("handedness must be a Handedness or a callable of t")
 
 
-def _validate_cone_rule(hand_sign, c_of_t, name="handedness"):
+def _validate_cone_rule(hand_sign, profile, name="handedness"):
     """Regulus choice may only switch at cone parameters."""
     t = _interior_t_grid
-    c = np.asarray(c_of_t(t), float)
+    c = profile.coefficients(t)[2]
     s = np.asarray(hand_sign(t), float)
     cone = c <= 1e-9 * (1.0 + np.abs(c).max())
     switches = np.nonzero(np.diff(s) != 0)[0]
@@ -146,20 +146,16 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None,
                 f"(2): t^2(1+a^2)/a^2 = {v:.6g} at t={tk:g}, not within "
                 f"{band:.0%} of 1", witness=tk)
 
-    def c_of_t(tt):
+    def abc(tt):
         tt = np.asarray(tt, float)
         aa = np.asarray(a_fn(tt), float)
         c2 = aa * aa - tt * tt * (1.0 + aa * aa)
-        return np.sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
+        cc = np.sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
+        return aa, np.zeros_like(tt), cc
 
     hand_sign = _hand_sign_fn(handedness)
-    _validate_cone_rule(hand_sign, c_of_t)
-    profile = RotationalProfile(
-        a_of_t=lambda tt: np.asarray(a_fn(tt), float),
-        b_of_t=lambda tt: np.zeros_like(np.asarray(tt, float)),
-        c_of_t=c_of_t,
-        handedness_sign=hand_sign,
-    )
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
+    _validate_cone_rule(hand_sign, profile)
     sig = RotationalSigma(profile.meridian_image,
                           z_of_t=lambda tt: -np.asarray(tt, float),
                           t_of_z=lambda z: -np.asarray(z, float))
@@ -252,6 +248,41 @@ def _t_s_of_a(a, bv, cv):
     return (bv + root) / (a * a + 1.0), (root - bv) / (a * a + 1.0)
 
 
+def _circle_probes(b_fn, c_fn):
+    """Unit-circle points (x, z), x > 0, on the surfaces H_a of 16 slopes
+    a in [1e-2, 1e2]; the equator and the poles are left out."""
+    probe = np.geomspace(1e-2, 1e2, 16)
+    pt, ps = _t_s_of_a(probe, np.asarray(b_fn(probe), float),
+                       np.asarray(c_fn(probe), float))
+    z = np.concatenate([pt, -ps])
+    z = z[~((np.abs(z) < 1e-9) | (np.abs(z) >= 1.0))]
+    return np.sqrt(1.0 - z * z), z
+
+
+def _exterior_probes():
+    """Meridian points (x, z) of a 10 x 16 grid on or outside the unit
+    circle, x-major."""
+    X, Z = np.meshgrid(np.linspace(0.15, 2.0, 10),
+                       np.concatenate([np.linspace(0.1, 1.8, 8),
+                                       -np.linspace(0.1, 1.8, 8)]),
+                       indexing="ij")
+    X, Z = X.ravel(), Z.ravel()
+    keep = ~(X * X + Z * Z < 1.0)
+    return X[keep], Z[keep]
+
+
+def _surface_fn(b_fn, c_fn, x, z):
+    """a |-> a^2 x_k^2 - (z_k - b(a))^2 - c(a)^2 for probe k: its positive
+    roots count the surfaces H_a through the meridian point (x_k, 0, z_k)."""
+    def F(a, k):
+        a = np.asarray(a, float)
+        xk, zk = x[k], z[k]
+        return (a * a * xk * xk
+                - (zk - np.asarray(b_fn(a), float)) ** 2
+                - np.asarray(c_fn(a), float) ** 2)
+    return F
+
+
 def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
              band: float = LIMIT_BAND, extra_tags=()) -> GlStar:
     """Rotational star from coefficient functions b(a), c(a) >= 0 on (0, inf).
@@ -286,39 +317,25 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed("(3): the height t(a) of H_a on the circle is "
                               "not increasing", witness=float(ag[i]))
 
-    def surface_fn(x, z):
-        def F(a):
-            a = np.asarray(a, float)
-            return (a * a * x * x
-                    - (z - np.asarray(b_fn(a), float)) ** 2
-                    - np.asarray(c_fn(a), float) ** 2)
-        return F
+    x, z = _circle_probes(b_fn, c_fn)
+    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
+                                 n_probes=x.size)
+    bad = np.nonzero(counts != 1)[0]
+    if bad.size:
+        i = bad[0]
+        raise ConditionFailed(
+            f"(3): circle point lies on {counts[i]} surfaces H_a, expected 1",
+            witness=(float(x[i]), float(z[i])))
 
-    probe = np.geomspace(1e-2, 1e2, 16)
-    pb = np.asarray(b_fn(probe), float)
-    pc = np.asarray(c_fn(probe), float)
-    pt, ps = _t_s_of_a(probe, pb, pc)
-    for z in np.concatenate([pt, -ps]):
-        if abs(z) < 1e-9 or abs(z) >= 1.0:
-            continue
-        x = np.sqrt(1.0 - z * z)
-        n = positive_root_count(surface_fn(x, z))
-        if n != 1:
-            raise ConditionFailed(
-                f"(3): circle point lies on {n} surfaces H_a, expected 1",
-                witness=(float(x), float(z)))
-
-    xs = np.linspace(0.15, 2.0, 10)
-    zs = np.concatenate([np.linspace(0.1, 1.8, 8), -np.linspace(0.1, 1.8, 8)])
-    for x in xs:
-        for z in zs:
-            if x * x + z * z < 1.0:
-                continue
-            n = positive_root_count(surface_fn(x, z))
-            if n > 1:
-                raise ConditionFailed(
-                    f"(4): exterior point lies on {n} surfaces H_a",
-                    witness=(float(x), float(z)))
+    x, z = _exterior_probes()
+    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
+                                 n_probes=x.size)
+    bad = np.nonzero(counts > 1)[0]
+    if bad.size:
+        i = bad[0]
+        raise ConditionFailed(
+            f"(4): exterior point lies on {counts[i]} surfaces H_a",
+            witness=(float(x[i]), float(z[i])))
 
     def t_at_log_a(u):
         a = np.exp(np.asarray(u, float))
@@ -327,26 +344,18 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
 
     t_inverse = TabulatedInverse(t_at_log_a, np.log(1e-9), np.log(1e9))
 
-    def a_of_t(tt):
-        return np.exp(t_inverse.solve(tt))
+    def abc(tt):
+        a = np.exp(t_inverse.solve(tt))
+        return a, np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
     def z_of_t(tt):
         tt = np.atleast_1d(np.asarray(tt, float))
-        a = a_of_t(tt)
+        a = np.exp(t_inverse.solve(tt))
         return -tt + 2.0 * np.asarray(b_fn(a), float) / (1.0 + a * a)
 
     hand_sign = _hand_sign_fn(hand)
-
-    def c_of_t(tt):
-        return np.asarray(c_fn(a_of_t(tt)), float)
-
-    _validate_cone_rule(hand_sign, c_of_t)
-    profile = RotationalProfile(
-        a_of_t=a_of_t,
-        b_of_t=lambda tt: np.asarray(b_fn(a_of_t(tt)), float),
-        c_of_t=c_of_t,
-        handedness_sign=hand_sign,
-    )
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
+    _validate_cone_rule(hand_sign, profile)
 
     def z_at_log_a(u):
         a = np.exp(np.asarray(u, float))
@@ -415,16 +424,14 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed("(2): a^2/(a^2+1) - ts >= (a^2+1)((t-s)/2)^2 "
                               "fails", witness=float(ag[i]))
 
-    xs = np.linspace(0.15, 2.0, 10)
-    zs = np.concatenate([np.linspace(0.1, 1.8, 8), -np.linspace(0.1, 1.8, 8)])
-    for x in xs:
-        for z in zs:
-            if x * x + z * z < 1.0:
-                continue
-            n = positive_root_count(lambda a: h_value(t_fn, s_fn, x, z, a))
-            if n > 1:
-                raise ConditionFailed(
-                    f"(3): h_{{x,z}} has {n} positive roots", witness=(x, z))
+    x, z = _exterior_probes()
+    counts = positive_root_count(
+        lambda a, k: h_value(t_fn, s_fn, x[k], z[k], a), n_probes=x.size)
+    bad = np.nonzero(counts > 1)[0]
+    if bad.size:
+        i = bad[0]
+        raise ConditionFailed(f"(3): h_{{x,z}} has {counts[i]} positive roots",
+                              witness=(x[i], z[i]))
 
     def b_fn(a):
         a = np.asarray(a, float)

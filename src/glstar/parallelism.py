@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMeet,
+    EvalError,
     HfdViolation,
     NotZeroSecant,
     SearchFailed,
@@ -33,7 +34,7 @@ from .projgeom import (
     PLine,
     QuadricForm,
     Subspace,
-    _nullspace_rows,
+    _orth_rows,
     join_batch,
     klein_lift,
     line_points,
@@ -109,16 +110,16 @@ class HfdLineSet:
         t = np.atleast_1d(np.asarray(t, float))
         th = np.broadcast_to(np.asarray(theta, float), t.shape)
         A, B = self.es.star.chord(t, th)
-        # polar within U of span{A, B}: null directions of the 2x4 pairing
-        out = np.empty((t.size, 2, 6))
-        for i in range(t.size):
-            Ad = np.concatenate([A[i, 1:4], A[i, :1]])
-            Bd = np.concatenate([B[i, 1:4], B[i, :1]])
-            N = _nullspace_rows(np.vstack([Ad @ _S4, Bd @ _S4]))
-            ext = np.zeros((2, 6))
-            ext[:, :4] = N
-            out[i] = ext @ _D.T
-        return out
+        # polar within U of span{A, B}: null directions of the 2x4 pairing,
+        # the last two right singular vectors when the chord has rank 2
+        d = [1, 2, 3, 0]
+        _, s, vt = np.linalg.svd(np.stack([A[:, d] @ _S4, B[:, d] @ _S4],
+                                          axis=1))
+        if np.any(s[:, 1] <= 1e-10 * s[:, 0]):
+            raise EvalError("star chord with coincident endpoints")
+        ext = np.zeros((t.size, 2, 6))
+        ext[:, :, :4] = vt[:, 2:]
+        return ext @ _D.T
 
     def line_subspace(self, t, theta=0.0) -> Subspace:
         return Subspace.span(self.span_at(t, theta)[0])
@@ -163,7 +164,9 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     S = Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    sig = signature_on(_KLEIN, S)
+    # an orthonormal basis: the RREF basis can have entries far above 1
+    # and push an eigenvalue below the signature cutoff
+    sig = signature_on(_KLEIN, Subspace(_orth_rows(S.basis)))
     if sig not in ((2, 0, 0), (0, 2, 0)):
         raise NotZeroSecant(f"line meets the Klein quadric (signature {sig})")
     W = polar(S, _KLEIN)

@@ -136,19 +136,24 @@ class StarLineSearch:
         piecewise-linear ingredients have derivative kinks that can throw a
         raw Newton step out of the basin)."""
         r1, r2 = self._probe
+        W5 = np.tile(W, (5, 1))
 
         def F(tt, th):
-            rej = self._rejections(W, np.clip(tt, 0.0, 1.0), th)
-            return np.stack([rej @ r1, rej @ r2], axis=-1)
+            """Probe residuals at the centre and the four stencil points,
+            all in one evaluation of the star."""
+            tt = np.concatenate([tt, tt + fd, tt - fd, tt, tt])
+            th = np.concatenate([th, th, th, th + fd, th - fd])
+            rej = self._rejections(W5, np.clip(tt, 0.0, 1.0), th)
+            return np.stack([rej @ r1, rej @ r2], axis=-1).reshape(5, -1, 2)
 
         best_t = t.copy()
         best_th = theta.copy()
         best_r = self.residual_at(W, t, theta)
         step_cap = 0.1
         for _ in range(iters):
-            f0 = F(t, theta)
-            Jt = (F(t + fd, theta) - F(t - fd, theta)) / (2 * fd)
-            Jh = (F(t, theta + fd) - F(t, theta - fd)) / (2 * fd)
+            f0, ft_hi, ft_lo, fh_hi, fh_lo = F(t, theta)
+            Jt = (ft_hi - ft_lo) / (2 * fd)
+            Jh = (fh_hi - fh_lo) / (2 * fd)
             # solve (J^T J + eps I) d = -J^T f, 2x2 closed form
             a = Jt[:, 0] ** 2 + Jt[:, 1] ** 2
             b = Jt[:, 0] * Jh[:, 0] + Jt[:, 1] * Jh[:, 1]

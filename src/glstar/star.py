@@ -119,11 +119,12 @@ class SurfaceEntry:
 @dataclass(frozen=True)
 class RotationalProfile:
     """t in (0, 1) -> surface coefficients, with the axis at t=1 and the
-    horizontal star through the origin at t=0."""
+    horizontal star through the origin at t=0.
 
-    a_of_t: Callable
-    b_of_t: Callable
-    c_of_t: Callable
+    ``abc`` maps an array of t to the arrays (a, b, c) in one evaluation.
+    """
+
+    abc: Callable
     handedness_sign: Callable = field(default=None)  # t -> +-1 (right/left)
 
     def __post_init__(self):
@@ -132,10 +133,8 @@ class RotationalProfile:
                                lambda t: np.ones_like(np.asarray(t, float)))
 
     def coefficients(self, t):
-        t = np.asarray(t, float)
-        return (np.asarray(self.a_of_t(t), float),
-                np.asarray(self.b_of_t(t), float),
-                np.asarray(self.c_of_t(t), float))
+        return tuple(np.asarray(v, float)
+                     for v in self.abc(np.asarray(t, float)))
 
     def entry_at(self, t: float) -> SurfaceEntry:
         t = float(t)
@@ -210,10 +209,7 @@ class RotationalProfile:
             s = -np.sign(m[:, 1])
             return np.where(s == 0.0, 1.0, s)
 
-        return cls(a_of_t=lambda t: abc(t)[0],
-                   b_of_t=lambda t: abc(t)[1],
-                   c_of_t=lambda t: abc(t)[2],
-                   handedness_sign=hand_sign)
+        return cls(abc=abc, handedness_sign=hand_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +377,10 @@ def surface_mesh(entry: SurfaceEntry, n_u: int = 32, n_v: int = 64,
     Z, TH = np.meshgrid(zs, thetas, indexing="ij")
     R = np.repeat(r[:, None], n_v, axis=1)
     verts = np.stack([R * np.cos(TH), R * np.sin(TH), Z], axis=-1).reshape(-1, 3)
-    faces = []
-    for i in range(n_u - 1):
-        for j in range(n_v):
-            j2 = (j + 1) % n_v
-            a = i * n_v + j
-            b = i * n_v + j2
-            c = (i + 1) * n_v + j
-            d = (i + 1) * n_v + j2
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    return verts, np.asarray(faces, dtype=int)
+    # quad (i, j) has corners a, b (ring i) over c, d (ring i+1) and splits
+    # into the triangles (a, b, d) and (a, d, c)
+    a = np.arange(n_u - 1)[:, None] * n_v + np.arange(n_v)[None, :]
+    b = a - np.arange(n_v) + (np.arange(n_v) + 1) % n_v
+    c, d = a + n_v, b + n_v
+    faces = np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
+    return verts, faces

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .projgeom import (
     QuadricForm,
     Side,
@@ -111,6 +112,26 @@ def _chord_meet_point(A1, B1, A2, B2, tol=1e-6):
     return vt[-1]
 
 
+def _chord_meet_points(A1, B1, A2, B2, tol=1e-6):
+    """_chord_meet_point row by row, in stacked SVDs: (W, found), with found
+    False where the two lines miss each other."""
+    def dual(A, B):
+        _, s, vt = np.linalg.svd(np.stack([A, B], axis=1))
+        return vt[:, 2:], s[:, 1] > 1e-10 * s[:, 0]
+
+    N1, rank2_1 = dual(A1, B1)
+    N2, rank2_2 = dual(A2, B2)
+    _, s, vt = np.linalg.svd(np.concatenate([N1, N2], axis=1))
+    W, found = vt[:, -1], s[:, -1] <= tol
+    # a chord of two numerically equal points has a 3-dimensional dual
+    for i in np.nonzero(~(rank2_1 & rank2_2))[0]:
+        w = _chord_meet_point(A1[i], B1[i], A2[i], B2[i])
+        found[i] = w is not None
+        if found[i]:
+            W[i] = w
+    return W, found
+
+
 def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
                            tol: float = 1e-8, seed: int = 0) -> CheckReport:
     """Sampled line pairs may only meet inside the sphere (or on it, at a
@@ -127,16 +148,14 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     g = klein_form_batch(K1, K2)
     norms = np.linalg.norm(K1, axis=1) * np.linalg.norm(K2, axis=1)
     flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))[0]
+    pairs = flagged[~_same_line(K1[flagged], K2[flagged])]
+    W, found = _chord_meet_points(A1[pairs], B1[pairs], A2[pairs], B2[pairs])
+    pairs, W = pairs[found], W[found]
+    interior = (np.sum(W @ _SPHERE.matrix * W, axis=1)
+                / np.sum(W * W, axis=1)) < -1e-6
     worst = 0.0
     witness = None
-    n_meet = 0
-    for i in flagged:
-        if _same_line(K1[i], K2[i]):
-            continue
-        w = _chord_meet_point(A1[i], B1[i], A2[i], B2[i])
-        if w is None:
-            continue
-        n_meet += 1
+    for i, w in zip(pairs[~interior], W[~interior]):
         side = point_side(w, _SPHERE, tol=1e-6)
         if side is Side.INTERIOR:
             continue
@@ -152,9 +171,11 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
                        witness, n_pairs)
 
 
-def _same_line(k1, k2, tol=1e-9):
-    c = abs(float(np.dot(k1, k2))) / (np.linalg.norm(k1) * np.linalg.norm(k2))
-    return 1.0 - min(c, 1.0) < tol
+def _same_line(K1, K2, tol=1e-9):
+    """Rows where the Plücker vectors K1 and K2 are parallel within tol."""
+    c = np.abs(np.sum(K1 * K2, axis=-1)) / (np.linalg.norm(K1, axis=-1)
+                                            * np.linalg.norm(K2, axis=-1))
+    return 1.0 - np.minimum(c, 1.0) < tol
 
 
 def _near_shared_endpoint(w, chord1, chord2, tol=1e-3):
@@ -268,50 +289,62 @@ def descartes_bound(coeffs) -> int:
 
 
 def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
-                        cluster_rtol: float = 1e-6) -> int:
-    """Count positive roots of a scalar function over a log-spaced grid.
+                        cluster_rtol: float = 1e-6, n_probes: int | None = None):
+    """Count positive roots of scalar functions over a log-spaced grid.
 
     ``fn`` is a vectorized callable of a, or a descending polynomial
     coefficient sequence (then the grid count is checked against the
-    Descartes bound).  Sign-change brackets are refined by bisection and
-    near-coincident roots are clustered.
+    Descartes bound); either is one probe and the count comes back as an
+    int.  With ``n_probes``, ``fn(a, k)`` evaluates probe k at a (the index
+    and point arrays broadcast together) and the counts of all probes come
+    back as an int array.  The sign-change brackets of all probes are
+    refined together by bisection, each until it is narrow enough, and
+    near-coincident roots of a probe are clustered.
     """
     bound = None
-    if not callable(fn):
-        coeffs = np.asarray(fn, float)
-        bound = descartes_bound(coeffs)
-        fn = lambda a: np.polyval(coeffs, np.asarray(a, float))
+    if n_probes is None:
+        if not callable(fn):
+            coeffs = np.asarray(fn, float)
+            bound = descartes_bound(coeffs)
+            one = lambda a: np.polyval(coeffs, np.asarray(a, float))
+        else:
+            one = fn
+        fn = lambda a, k: np.asarray(one(np.ravel(a)), float).reshape(np.shape(a))
+    n = 1 if n_probes is None else int(n_probes)
     if a_grid is None:
         a_grid = np.geomspace(1e-4, 1e4, 512)
-    v = np.asarray(fn(a_grid), float)
-    if not np.any(v):
-        return 0
-    zero = v == 0.0
-    roots = list(a_grid[zero])
+    a_grid = np.asarray(a_grid, float)
+    v = np.asarray(fn(a_grid[None, :], np.arange(n)[:, None]), float)
+    v = np.broadcast_to(v, (n, a_grid.size))
     s = np.sign(v)
-    for i in range(len(a_grid) - 1):
-        if s[i] * s[i + 1] < 0:
-            lo, hi = a_grid[i], a_grid[i + 1]
-            flo = v[i]
-            while hi - lo > refine_tol * max(1.0, hi):
-                mid = 0.5 * (lo + hi)
-                fm = float(np.asarray(fn(np.array([mid])))[0])
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if np.sign(fm) == np.sign(flo):
-                    lo = mid
-                    flo = fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    roots.sort()
-    count = 0
-    last = None
-    for r in roots:
-        if last is None or (r - last) > cluster_rtol * max(1.0, r):
-            count += 1
-        last = r
+    zk, zi = np.nonzero(v == 0.0)
+    bk, bi = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+    lo, hi, flo = a_grid[bi], a_grid[bi + 1], v[bk, bi]
+    active = np.nonzero(hi - lo > refine_tol * np.maximum(1.0, hi))[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        fm = np.asarray(fn(mid, bk[active]), float)
+        zero = fm == 0.0
+        same = ~zero & (np.sign(fm) == np.sign(flo[active]))
+        lo[active] = np.where(zero | same, mid, lo[active])
+        hi[active] = np.where(same, hi[active], mid)
+        flo[active] = np.where(same, fm, flo[active])
+        narrow = hi[active] - lo[active] <= refine_tol * np.maximum(1.0, hi[active])
+        active = active[~(zero | narrow)]
+    # roots sorted per probe; a root opens a new cluster unless it lies
+    # within cluster_rtol of the previous root of the same probe
+    rk = np.concatenate([zk, bk])
+    r = np.concatenate([a_grid[zi], 0.5 * (lo + hi)])
+    order = np.lexsort((r, rk))
+    rk, r = rk[order], r[order]
+    new = np.ones(r.size, bool)
+    new[1:] = (rk[1:] != rk[:-1]) | (r[1:] - r[:-1]
+                                     > cluster_rtol * np.maximum(1.0, r[1:]))
+    counts = np.bincount(rk[new], minlength=n)
+    counts[~np.any(v, axis=1)] = 0
+    if n_probes is not None:
+        return counts
+    count = int(counts[0])
     if bound is not None and count > bound:
         raise AssertionError(
             f"grid root count {count} exceeds the Descartes bound {bound}")
@@ -373,35 +406,47 @@ def applicable_checks(star: GlStar):
     return names
 
 
+def check_sampling(samples: int | None = None, tol: float | None = None):
+    """Raise InvalidInput unless samples (when given) is at least 1 and tol
+    (when given) is finite and positive."""
+    if samples is not None and samples < 1:
+        raise InvalidInput(f"samples must be at least 1, got {samples}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInput(f"tol must be finite and positive, got {tol}")
+
+
 def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
                     tol: float | None = None, seed: int = 0):
-    """Run the named checks (default: all applicable ones) in a fixed order."""
+    """Run the named checks (default: all applicable ones) in a fixed order.
+
+    ``samples`` and ``tol``, when given, replace every check's default."""
+    check_sampling(samples, tol)
+    n = lambda default: default if samples is None else samples  # noqa: E731
+    eps = lambda default: default if tol is None else tol  # noqa: E731
     names = list(checks) if checks else applicable_checks(star)
     reports = []
     search = None
     for name in names:
         if name == "involution":
-            reports.append(check_involution(star, n=samples or 1000,
-                                            tol=tol or 1e-9))
+            reports.append(check_involution(star, n=n(1000), tol=eps(1e-9)))
         elif name == "fixed_point_free":
-            reports.append(check_fixed_point_free(star, n=samples or 1000))
+            reports.append(check_fixed_point_free(star, n=n(1000)))
         elif name == "no_exterior_meet":
-            reports.append(check_no_exterior_meet(star, n_pairs=samples or 5000,
-                                                  tol=tol or 1e-8, seed=seed))
+            reports.append(check_no_exterior_meet(star, n_pairs=n(5000),
+                                                  tol=eps(1e-8), seed=seed))
         elif name == "coverage":
             if search is None:
                 search = StarLineSearch(star)
-            reports.append(check_coverage(star, n_points=samples or 200,
-                                          tol=tol or 1e-8, seed=seed,
+            reports.append(check_coverage(star, n_points=n(200),
+                                          tol=eps(1e-8), seed=seed,
                                           search=search))
         elif name == "rotational":
-            reports.append(check_rotational(star, n=samples or 100,
-                                            tol=tol or 1e-9, seed=seed))
+            reports.append(check_rotational(star, n=n(100), tol=eps(1e-9),
+                                            seed=seed))
         elif name == "axial":
-            reports.append(check_axial(star, n=samples or 256, tol=tol or 1e-8))
+            reports.append(check_axial(star, n=n(256), tol=eps(1e-8)))
         elif name == "symmetric":
-            reports.append(check_symmetric(star, n=samples or 256,
-                                           tol=tol or 1e-8))
+            reports.append(check_symmetric(star, n=n(256), tol=eps(1e-8)))
         else:
             raise ValueError(f"unknown check {name!r}")
     return reports

@@ -6,14 +6,16 @@ import pytest
 
 from glstar.cli import (
     DEMO_CONFIG,
+    build_star,
     cmd_construct,
     cmd_export,
     cmd_parallel,
     cmd_verify,
     main,
     parse_config,
+    run_all_checks,
 )
-from glstar.errors import ConfigError, ParseError
+from glstar.errors import ConfigError, InvalidInput, ParseError
 from glstar.projgeom import join, projective_distance
 
 BUILTIN_CFG = ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
@@ -255,3 +257,77 @@ def test_parse_collects_all_violations():
     msg = str(err.value)
     assert "fg.f" in msg and "fg.g" in msg
     assert "eps" in msg and "handedness" in msg
+
+
+# --- input boundary --------------------------------------------------------------
+
+
+def _config_file(tmp_path, text='{"family":"clifford"}'):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_main_negative_point_coordinate(tmp_path, capsys):
+    cfg = _config_file(tmp_path)
+    line = "0,0,-1;0,0,1"
+    assert main(["parallel", "--config", cfg, "--line", line,
+                 "--point", "-0.03,1,0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["parallel", "--config", cfg, f"--line={line}",
+                 "--point=-0.03,1,0"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
+def test_main_negative_line_coordinate(tmp_path, capsys):
+    cfg = _config_file(tmp_path)
+    assert main(["parallel", "--config", cfg, "--line", "-0.1,0,0;1,0,0",
+                 "--point", "0,0.5,0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["parallel", "--config", cfg, "--line=-0.1,0,0;1,0,0",
+                 "--point=0,0.5,0"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", [
+    ["--samples", "0"], ["--samples", "-5"], ["--tol", "0"], ["--tol", "-1e-9"],
+    ["--tol", "nan"], ["--tol", "inf"],
+])
+def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
+    assert main(["verify", "--config", _config_file(tmp_path), *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG ERROR") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields", [
+    '"samples":0', '"samples":-5', '"tol":0', '"tol":-1', '"tol":NaN',
+    '"tol":Infinity',
+])
+def test_config_rejects_bad_samples_and_tol(tmp_path, capsys, fields):
+    text = '{"family":"clifford",' + fields + '}'
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    assert main(["verify", "--config", _config_file(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG ERROR") and err.count("\n") == 1
+
+
+def test_zero_samples_is_not_replaced_by_defaults(tmp_path):
+    cfg = parse_config('{"family":"clifford"}')
+    cfg.samples = 0
+    star = build_star(cfg)
+    with pytest.raises(InvalidInput):
+        run_all_checks(star, cfg, selected=["zero_secants"])
+    with pytest.raises(InvalidInput):
+        cmd_export(cfg, lines=str(tmp_path / "x.csv"), out=io.StringIO())
+
+
+def test_fixed_fault_query_answered_on_fg(tmp_path, capsys):
+    cfg = _config_file(tmp_path, '{"family":"fg","f":{"kind":"power","p":2},'
+                                 '"g":{"kind":"affine","a":1,"b":-1},"eps":-1}')
+    assert main(["parallel", "--config", cfg,
+                 "--line=0.165440,0.119572,-0.168525;"
+                 "-0.472403,1.092162,-0.405832",
+                 "--point=-0.037437,0.588276,-0.462042"]) == 0
+    assert "QUERY FAILED" not in capsys.readouterr().out

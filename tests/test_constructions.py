@@ -69,9 +69,10 @@ def test_symmetric_moebius_c_squared():
     star = symmetric_star(moebius01())
     t = np.linspace(0.05, 0.9, 40)
     # c(t)^2 = 2 t^3 / (1 - t), worked out from a = t/(1-t)
-    assert np.allclose(star.profile.c_of_t(t) ** 2, 2 * t ** 3 / (1 - t),
-                       atol=1e-12)
-    assert np.isclose(star.profile.c_of_t(np.array([0.5]))[0] ** 2, 0.5)
+    assert np.allclose(star.profile.coefficients(t)[2] ** 2,
+                       2 * t ** 3 / (1 - t), atol=1e-12)
+    assert np.isclose(star.profile.coefficients(np.array([0.5]))[2][0] ** 2,
+                      0.5)
 
 
 def test_symmetric_height_mirror():
@@ -149,8 +150,10 @@ def test_eqn_matches_symmetric_profiles():
     star = eqn_star(lambda a: np.zeros_like(np.asarray(a, float)), c_of_a)
     ref = symmetric_star(m)
     t = np.linspace(0.05, 0.95, 30)
-    assert np.allclose(star.profile.a_of_t(t), ref.profile.a_of_t(t), atol=1e-9)
-    assert np.allclose(star.profile.c_of_t(t), ref.profile.c_of_t(t), atol=1e-9)
+    a, _, c = star.profile.coefficients(t)
+    a_ref, _, c_ref = ref.profile.coefficients(t)
+    assert np.allclose(a, a_ref, atol=1e-9)
+    assert np.allclose(c, c_ref, atol=1e-9)
     assert "symmetric" in star.tags
 
 
@@ -176,18 +179,40 @@ def test_eqn_rejects_condition_one():
                  lambda a: np.zeros_like(np.asarray(a, float)))
 
 
+def test_eqn_rejects_circle_point_on_two_surfaces():
+    # the first of the circle probes that lies on more than one H_a
+    a = lambda a: np.asarray(a, float)  # noqa: E731
+    with pytest.raises(ConditionFailed) as err:
+        eqn_star(lambda x: -0.6 * a(x) ** 2 / (1 + a(x)) ** 2,
+                 lambda x: 0.5 * a(x) ** 2 / np.sqrt(1 + a(x) ** 2))
+    assert str(err.value) == (
+        "(3): circle point lies on 2 surfaces H_a, expected 1 (witness: "
+        "(0.49875629765019475, -0.8667422659327687))")
+
+
+def test_eqn_rejects_exterior_point_on_two_surfaces():
+    # the first exterior probe, x-major, on more than one H_a
+    a = lambda a: np.asarray(a, float)  # noqa: E731
+    wave = lambda x: np.sin(0.44 * np.log(a(x)) + 1.53)  # noqa: E731
+    with pytest.raises(ConditionFailed) as err:
+        eqn_star(lambda x: 0.6 * a(x) ** 4 / (1 + a(x) ** 3) / (1 + a(x))
+                 * (1 + 0.8 * wave(x)),
+                 lambda x: 0.25 * a(x) ** 2 / np.sqrt(1 + a(x) ** 2)
+                 * (1 + 0.5 * np.cos(0.44 * np.log(a(x)))))
+    assert str(err.value) == ("(4): exterior point lies on 2 surfaces H_a "
+                              "(witness: (0.15, 1.0714285714285714))")
+
+
 # --- param -------------------------------------------------------------------
 
 
 def test_param_builtin_coefficients():
     star = builtin_example()
     # at a = 1: t = 0.625, s = 0.6, b = 0.025, c^2 = 0.249375
-    t = star.profile.a_of_t  # a(t) inverse sanity: t(1) = 0.625
-    assert np.isclose(t(np.array([0.625]))[0], 1.0, atol=1e-9)
-    assert np.isclose(star.profile.b_of_t(np.array([0.625]))[0], 0.025,
-                      atol=1e-12)
-    assert np.isclose(star.profile.c_of_t(np.array([0.625]))[0] ** 2,
-                      0.249375, atol=1e-12)
+    a, b, c = star.profile.coefficients(np.array([0.625]))
+    assert np.isclose(a[0], 1.0, atol=1e-9)  # a(t) inverse sanity: t(1) = 0.625
+    assert np.isclose(b[0], 0.025, atol=1e-12)
+    assert np.isclose(c[0] ** 2, 0.249375, atol=1e-12)
 
 
 def test_param_symmetric_when_equal():
@@ -370,10 +395,9 @@ def test_example_sequence_matches_builtin_at_knots():
     assert len(seq) == 13
     star = parabola_star(seq)
     # a = 1 is a knot: interpolation is exact there
-    assert np.isclose(star.profile.b_of_t(np.array([0.625]))[0], 0.025,
-                      atol=1e-12)
-    assert np.isclose(star.profile.c_of_t(np.array([0.625]))[0] ** 2,
-                      0.249375, atol=1e-12)
+    _, b, c = star.profile.coefficients(np.array([0.625]))
+    assert np.isclose(b[0], 0.025, atol=1e-12)
+    assert np.isclose(c[0] ** 2, 0.249375, atol=1e-12)
 
 
 def test_parabola_refinement_approaches_builtin():
@@ -481,11 +505,11 @@ def test_param_equal_heights_matches_symmetric_reparametrization():
     left = param_star(phi, phi)
     right = symmetric_star(lambda t: np.asarray(phi.inverse(t), float))
     ts = np.linspace(0.05, 0.95, 30)
-    assert np.max(np.abs(left.profile.b_of_t(ts))) < 1e-9
-    assert np.allclose(left.profile.a_of_t(ts), right.profile.a_of_t(ts),
-                       atol=1e-8)
-    assert np.allclose(left.profile.c_of_t(ts), right.profile.c_of_t(ts),
-                       atol=1e-8)
+    a, b, c = left.profile.coefficients(ts)
+    a_ref, _, c_ref = right.profile.coefficients(ts)
+    assert np.max(np.abs(b)) < 1e-9
+    assert np.allclose(a, a_ref, atol=1e-8)
+    assert np.allclose(c, c_ref, atol=1e-8)
 
 
 def test_handedness_switch_rules():

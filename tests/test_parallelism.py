@@ -11,11 +11,13 @@ from glstar.parallelism import (
     check_zero_secants,
     class_from_hfd_line,
     dim_parallelism,
+    embed_star,
     make_parallelism,
     parallel_class_of,
     parallel_through,
     span_singular_values,
     spread_line_through,
+    star_to_hfd,
     torus_action,
 )
 from glstar.projgeom import (
@@ -135,6 +137,37 @@ def test_class_rejects_secant_line():
     span = np.vstack([X_AXIS.p, Z_AXIS.p])
     with pytest.raises(NotZeroSecant):
         class_from_hfd_line(PAR_CLIFF.es, span)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 5e-3])
+def test_class_of_h_line_near_horizontal_star(seven_stars, t):
+    # the RREF basis of these H-lines has entries up to about 2e4, which
+    # once pushed the Klein form's eigenvalue ratio below the cutoff
+    for name, star in seven_stars.items():
+        hfd = star_to_hfd(embed_star(star))
+        for theta in (0.0, 1.0, 4.0):
+            cls = class_from_hfd_line(hfd.es, hfd.span_at(t, theta)[0])
+            assert signature_on(KLEIN, cls.W) == (1, 3, 0), (name, theta)
+
+
+FIXED_LINE = join((1.0, 0.165440, 0.119572, -0.168525),
+                  (1.0, -0.472403, 1.092162, -0.405832))
+FIXED_POINT = np.array([1.0, -0.037437, 0.588276, -0.462042])
+
+
+@pytest.mark.parametrize("name", ["fg", "latitudinal", "clifford-off"])
+def test_parallel_through_class_near_horizontal_star(seven_stars, name):
+    # the class of FIXED_LINE has its star line at t of about 1e-4
+    par = make_parallelism(seven_stars[name])
+    M = parallel_through(par, FIXED_POINT, FIXED_LINE)
+    assert abs(klein_form(M.p, M.p)) < 1e-12 * float(M.p @ M.p)
+    span = np.vstack([pt.coords for pt in line_points(M)])
+    rej = FIXED_POINT - span.T @ np.linalg.lstsq(span.T, FIXED_POINT,
+                                                 rcond=None)[0]
+    assert np.linalg.norm(rej) < 1e-9
+    a, b = line_points(FIXED_LINE)
+    back = parallel_through(par, a.coords + 0.7 * b.coords, M)
+    assert projective_distance(back.p, FIXED_LINE.p) < 1e-8
 
 
 def test_spread_line_through_own_point():

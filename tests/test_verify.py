@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from glstar.constructions import (
     builtin_example,
@@ -10,6 +11,7 @@ from glstar.constructions import (
     pencil_from_mu,
     symmetric_star,
 )
+from glstar.errors import InvalidInput
 from glstar.functions import affine, as_fn1, moebius01, phi_r, power
 from glstar.search import StarLineSearch
 from glstar.star import GlStar, rotate_z
@@ -239,6 +241,15 @@ def test_run_star_checks_subset():
     reports = run_star_checks(BUILTIN, checks=["involution", "coverage"],
                               samples=60)
     assert [r.name for r in reports] == ["involution", "coverage"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 0}, {"samples": -5}, {"tol": 0.0}, {"tol": -1e-9},
+    {"tol": float("nan")}, {"tol": float("inf")},
+])
+def test_run_star_checks_rejects_bad_samples_and_tol(kwargs):
+    with pytest.raises(InvalidInput):
+        run_star_checks(SYMM, checks=["involution"], **kwargs)
 
 
 def test_render_format():
