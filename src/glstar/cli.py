@@ -76,21 +76,24 @@ def parse_config(text: str) -> StarConfig:
     def bad(field, message):
         problems.append(f"{field}: {message}")
 
+    # json reads 1e400 as inf, which int() cannot take, and long integer
+    # literals as ints, which float() cannot take: both raise OverflowError
+    # (and the finite-number tests on center and parabolas keep them out)
     try:
         cfg.tol = float(raw.get("tol", 1e-9))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         bad("tol", "must be a number")
     try:
         cfg.seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         bad("seed", "must be an integer")
     if "samples" in raw:
         try:
             cfg.samples = int(raw["samples"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             bad("samples", "must be an integer")
     try:
-        ver.check_sampling(cfg.samples, cfg.tol)
+        ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     except InvalidInput as exc:
         problems.append(str(exc))
     hand = raw.get("handedness", "right")
@@ -116,7 +119,8 @@ def parse_config(text: str) -> StarConfig:
     if family == "clifford":
         center = raw.get("center", [0.0, 0.0, 0.0])
         if (not isinstance(center, (list, tuple)) or len(center) != 3
-                or not all(isinstance(v, (int, float)) for v in center)):
+                or not all(isinstance(v, (int, float))
+                           and abs(v) <= sys.float_info.max for v in center)):
             bad("center", "must be a 3-vector")
         else:
             cfg.center = tuple(float(v) for v in center)
@@ -130,7 +134,8 @@ def parse_config(text: str) -> StarConfig:
         rows = raw.get("parabolas")
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, (list, tuple)) and len(r) == 3
-                           and all(isinstance(v, (int, float)) for v in r)
+                           and all(isinstance(v, (int, float))
+                                   and abs(v) <= sys.float_info.max for v in r)
                            for r in rows)):
             bad("parabola.parabolas", "must be a list of [alpha, beta, gamma]")
         else:
@@ -171,7 +176,7 @@ def run_all_checks(star, cfg: StarConfig, selected=None):
             raise ConfigError(f"unknown checks: {','.join(unknown)}",
                               field="--checks")
         names = [n for n in names if n in selected]
-    ver.check_sampling(cfg.samples, cfg.tol)
+    ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     size = lambda default: default if cfg.samples is None else cfg.samples  # noqa: E731
     geo = [n for n in names if n in ver.GEOMETRY_CHECKS]
     reports = ver.run_star_checks(star, checks=geo, samples=cfg.samples,
@@ -197,8 +202,12 @@ def cmd_verify(cfg: StarConfig, checks=None, out=None) -> int:
         print(f"CONSTRUCTION FAILED: {exc}", file=out)
         return 2
     reports = run_all_checks(star, cfg, selected=checks)
-    for r in reports:
-        print(r.render(), file=out)
+    # the requested checks in the requested order, each inapplicable one
+    # on a SKIP line
+    ran = {r.name: r for r in reports}
+    for name in dict.fromkeys(checks) if checks else ran:
+        print(ran[name].render() if name in ran else
+              f"CHECK {name}: SKIP not applicable to this star", file=out)
     ok = sum(r.passed for r in reports)
     status = "PASS" if ok == len(reports) else "FAIL"
     print(f"RESULT: {status} ({ok}/{len(reports)})", file=out)
@@ -379,8 +388,6 @@ def main(argv=None) -> int:
     p_export.add_argument("--lines", metavar="OUT.csv")
     p_export.add_argument("--mesh", metavar="OUT.obj")
     p_export.add_argument("--hfd", metavar="OUT.csv")
-    p_export.add_argument("--out", default=None,
-                          help="default path for --lines when omitted")
     p_parallel = sub.add_parser("parallel", help="answer a parallel query")
     add_common(p_parallel)
     p_parallel.add_argument("--line", required=True, metavar="x,y,z;x,y,z")
@@ -405,7 +412,7 @@ def main(argv=None) -> int:
             cfg.tol = args.tol
         if args.seed is not None:
             cfg.seed = args.seed
-        ver.check_sampling(cfg.samples, cfg.tol)
+        ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     except (ParseError, ConfigError, InvalidInput) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
@@ -421,12 +428,11 @@ def main(argv=None) -> int:
             checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         return cmd_verify(cfg, checks=checks)
     if args.command == "export":
-        lines = args.lines or args.out
-        if not (lines or args.mesh or args.hfd):
+        if not (args.lines or args.mesh or args.hfd):
             print("CONFIG ERROR: nothing to export (use --lines/--mesh/--hfd)",
                   file=sys.stderr)
             return 2
-        return cmd_export(cfg, lines=lines, mesh=args.mesh, hfd=args.hfd)
+        return cmd_export(cfg, lines=args.lines, mesh=args.mesh, hfd=args.hfd)
     if args.command == "parallel":
         return cmd_parallel(cfg, args.line, args.point)
     return 2  # pragma: no cover

@@ -21,6 +21,7 @@ from .star import (
     RotationalProfile,
     RotationalSigma,
     meridian_point,
+    on_unit_sphere,
 )
 
 T_GRID_SIZE = 1024
@@ -87,19 +88,13 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
     if np.linalg.norm(c) >= 1.0:
         raise InvalidCenter(f"center {c.tolist()} is not strictly interior")
 
-    def sig(q):
-        q = np.asarray(q, float)
-        single = q.ndim == 1
-        Q = np.atleast_2d(q)
-        norms = np.linalg.norm(Q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise InvalidInput("sigma expects points on the unit sphere")
-        Q = Q / norms[:, None]
+    @on_unit_sphere
+    def sig(Q):
         d = c[None, :] - Q
         lam = 2.0 * (1.0 - Q @ c) / np.sum(d * d, axis=1)
         out = Q + lam[:, None] * d
         out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return out[0] if single else out
+        return out
 
     on_axis = c[0] == 0.0 and c[1] == 0.0
     tags = ()
@@ -109,7 +104,7 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
         if c[2] == 0.0:
             tags += ("symmetric",)
         profile = RotationalProfile.from_meridian(
-            lambda t: np.atleast_2d(sig(meridian_point(np.asarray(t, float)))))
+            lambda t: sig(meridian_point(t)))
     label = "clifford({:g},{:g},{:g})".format(*c)
     return GlStar(label=label, sigma_fn=sig, profile=profile, tags=tags)
 
@@ -541,22 +536,15 @@ def pencil_from_mu(mu) -> GlPencil:
 def latitudinal(pencil: GlPencil, label=None) -> GlStar:
     """Rotate a symmetric pencil about Z: every line meets the axis."""
 
-    def sig(q):
-        q = np.asarray(q, float)
-        single = q.ndim == 1
-        Q = np.atleast_2d(q)
-        norms = np.linalg.norm(Q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise InvalidInput("sigma expects points on the unit sphere")
-        Q = Q / norms[:, None]
+    @on_unit_sphere
+    def sig(Q):
         r = np.hypot(Q[:, 0], Q[:, 1])
         theta = np.arctan2(Q[:, 1], Q[:, 0])
         beta = np.arctan2(Q[:, 2], r)
         b2 = pencil.sigma1_angle(beta)
         x = np.cos(b2)
-        out = np.stack([x * np.cos(theta), x * np.sin(theta), np.sin(b2)],
-                       axis=-1)
-        return out[0] if single else out
+        return np.stack([x * np.cos(theta), x * np.sin(theta), np.sin(b2)],
+                        axis=-1)
 
     def mer(t):
         t = np.atleast_1d(np.asarray(t, float))

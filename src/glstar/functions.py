@@ -217,11 +217,12 @@ def from_spec(spec, path="fn") -> Fn1:
     if not isinstance(spec, dict):
         raise ConfigError("function spec must be an object", field=path)
     kind = spec.get("kind")
-    if kind not in _FACTORIES:
+    if not isinstance(kind, str) or kind not in _FACTORIES:
         raise ConfigError(f"unknown function kind {kind!r}", field=path)
     try:
         return _FACTORIES[kind](spec)
-    except (InvalidInput, ConditionFailed, ConfigError, TypeError, ValueError) as exc:
+    except (InvalidInput, ConditionFailed, ConfigError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ConfigError(str(exc), field=path) from exc
 
 

@@ -121,9 +121,6 @@ class HfdLineSet:
         ext[:, :, :4] = vt[:, 2:]
         return ext @ _D.T
 
-    def line_subspace(self, t, theta=0.0) -> Subspace:
-        return Subspace.span(self.span_at(t, theta)[0])
-
     def samples(self, n: int, seed: int = 0):
         """(n, 2, 6) spans at seeded random parameters."""
         rng = np.random.default_rng(seed)
@@ -208,10 +205,9 @@ class Parallelism:
         return self.es.star
 
 
-def make_parallelism(star: GlStar, grid: int = 64) -> Parallelism:
+def make_parallelism(star: GlStar) -> Parallelism:
     es = embed_star(star)
-    return Parallelism(es=es, hfd=star_to_hfd(es),
-                       search=StarLineSearch(star, grid, grid))
+    return Parallelism(es=es, hfd=star_to_hfd(es), search=StarLineSearch(star))
 
 
 def _hits_for_lines(par: Parallelism, K, tol: float = 1e-8):
@@ -273,21 +269,15 @@ def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0,
 def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckReport:
     """Every sampled H-line must avoid K: the restricted form is definite,
     i.e. the restricted quadratic has negative discriminant."""
-    spans = hfd.samples(n, seed=seed)
-    worst = np.inf
-    witness = None
-    for i in range(n):
-        S = spans[i]
-        G = S @ _KLEIN.matrix @ S.T
-        # disc = g(A,B)^2 - g(A,A) g(B,B) < 0  <=>  det of the Gram > 0
-        disc = G[0, 1] ** 2 - G[0, 0] * G[1, 1]
-        margin = -disc / max(np.abs(G).max() ** 2, 1e-300)
-        if margin < worst:
-            worst = float(margin)
-            witness = (i,)
-    passed = worst > 1e-12
-    return CheckReport("zero_secants", bool(passed), worst,
-                       witness if not passed else None, n)
+    S = hfd.samples(n, seed=seed)
+    G = S @ _KLEIN.matrix @ S.transpose(0, 2, 1)
+    # disc = g(A,B)^2 - g(A,A) g(B,B) < 0  <=>  det of the Gram > 0
+    disc = G[:, 0, 1] ** 2 - G[:, 0, 0] * G[:, 1, 1]
+    margin = -disc / np.maximum(np.abs(G).max(axis=(1, 2)) ** 2, 1e-300)
+    i = int(np.argmin(margin))
+    passed = margin[i] > 1e-12
+    return CheckReport("zero_secants", bool(passed), float(margin[i]),
+                       (i,) if not passed else None, n)
 
 
 def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
@@ -322,26 +312,23 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
                               tol: float = 1e-9) -> CheckReport:
     """The circle acting on C is a g-isometry and fixes every H-line
     (hence every parallel class) setwise."""
-    hfd = star_to_hfd(es)
-    spans = hfd.samples(n, seed=seed)
-    worst = 0.0
-    witness = None
+    S = star_to_hfd(es).samples(n, seed=seed)
+    Q = S / np.linalg.norm(S, axis=2, keepdims=True)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    tau = np.stack([torus_action(theta) for theta in thetas])
     G = _KLEIN.matrix
-    for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
-        tau = torus_action(theta)
-        iso_res = float(np.abs(tau.T @ G @ tau - G).max())
-        if iso_res > 1e-12:
-            return CheckReport("torus_fixes_classes", False, iso_res,
-                               (theta,), n * n_theta)
-        for i in range(n):
-            S = spans[i]
-            Q = S / np.linalg.norm(S, axis=1, keepdims=True)
-            mapped = Q @ tau.T
-            rej = mapped - (mapped @ Q.T) @ Q
-            r = float(np.linalg.norm(rej, axis=1).max())
-            if r > worst:
-                worst = r
-                witness = (float(theta), i)
-    passed = worst < tol
-    return CheckReport("torus_fixes_classes", bool(passed), worst,
-                       witness if not passed else None, n * n_theta)
+    iso = np.abs(tau.transpose(0, 2, 1) @ G @ tau - G).max(axis=(1, 2))
+    broken = np.nonzero(iso > 1e-12)[0]
+    if broken.size:
+        k = broken[0]
+        return CheckReport("torus_fixes_classes", False, float(iso[k]),
+                           (thetas[k],), n * n_theta)
+    # mapped[k, i] = Q[i] tau_k^T, rejected from the row space of Q[i]
+    mapped = Q @ tau.transpose(0, 2, 1)[:, None]
+    rej = mapped - (mapped @ Q.transpose(0, 2, 1)) @ Q
+    r = np.linalg.norm(rej, axis=-1).max(axis=-1)
+    k, i = np.unravel_index(np.argmax(r), r.shape)
+    passed = r[k, i] < tol
+    return CheckReport("torus_fixes_classes", bool(passed), float(r[k, i]),
+                       (float(thetas[k]), int(i)) if not passed else None,
+                       n * n_theta)

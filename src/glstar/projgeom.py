@@ -71,9 +71,6 @@ class HPoint:
         """Projective dimension of the ambient space (3 or 5)."""
         return self.coords.shape[0] - 1
 
-    def normalized(self) -> "HPoint":
-        return normalize(self)
-
     def __eq__(self, other):
         if not isinstance(other, HPoint):
             return NotImplemented
@@ -131,10 +128,6 @@ class PLine:
     def plucker_residual_of(v) -> float:
         v = np.asarray(v, float)
         return float(v[0] * v[3] + v[1] * v[4] + v[2] * v[5])
-
-    @property
-    def plucker_residual(self) -> float:
-        return self.plucker_residual_of(self.p)
 
     def __eq__(self, other):
         if not isinstance(other, PLine):
@@ -525,16 +518,19 @@ def second_intersection(L, q, F: QuadricForm | None = None,
 def lines_meet_point(L1, L2, tol: float = 1e-6) -> HPoint | None:
     """Common point of two coplanar lines of P^3, or None if they are skew.
 
-    A point lies on both lines iff it is killed by the orthogonal
+    Each line is a PLine (or Plücker vector) or a pair (A, B) of spanning
+    points.  A point lies on both lines iff it is killed by the orthogonal
     complements of both spans; the smallest singular value of that stacked
     system measures how close the lines come to meeting.
     """
-    A1, B1 = (pt.coords for pt in line_points(L1))
-    A2, B2 = (pt.coords for pt in line_points(L2))
-    N1 = _nullspace_rows(np.vstack([A1, B1]))
-    N2 = _nullspace_rows(np.vstack([A2, B2]))
-    M = np.vstack([N1, N2])
-    _, s, vt = np.linalg.svd(M)
+    def span(L):
+        if isinstance(L, PLine) or np.asarray(L, float).ndim == 1:
+            return np.vstack([pt.coords for pt in line_points(L)])
+        return np.vstack(L)
+
+    N1 = _nullspace_rows(span(L1))
+    N2 = _nullspace_rows(span(L2))
+    _, s, vt = np.linalg.svd(np.vstack([N1, N2]))
     if s[-1] > tol:
         return None
     return normalize(vt[-1])

@@ -22,6 +22,11 @@ from .star import GlStar
 
 _TWO_PI = 2.0 * np.pi
 
+# Coarse grid over (t, theta) and the seed of the two Newton probe vectors.
+_GRID_T = 64
+_GRID_THETA = 64
+_PROBE_SEED = 0
+
 
 @dataclass(frozen=True)
 class LineHit:
@@ -36,16 +41,13 @@ class LineHit:
 class StarLineSearch:
     """Reusable residual-grid machinery for one star."""
 
-    def __init__(self, star: GlStar, grid_t: int = 64, grid_theta: int = 64,
-                 seed: int = 0):
+    def __init__(self, star: GlStar):
         self.star = star
-        self.grid_t = grid_t
-        self.grid_theta = grid_theta
-        self._ts = np.linspace(0.0, 1.0, grid_t)
-        self._ths = np.linspace(0.0, _TWO_PI, grid_theta, endpoint=False)
+        self._ts = np.linspace(0.0, 1.0, _GRID_T)
+        self._ths = np.linspace(0.0, _TWO_PI, _GRID_THETA, endpoint=False)
         T, TH = np.meshgrid(self._ts, self._ths, indexing="ij")
         self._U1, self._U2 = self._chord_frames(T.ravel(), TH.ravel())
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_PROBE_SEED)
         r = rng.normal(size=(2, 4))
         self._probe = r / np.linalg.norm(r, axis=1, keepdims=True)
 
@@ -71,7 +73,8 @@ class StarLineSearch:
         return np.linalg.norm(self._rejections(W, t, theta), axis=-1)
 
     def coarse_residuals(self, W):
-        """Residual of each w against the whole grid: (m, grid_t*grid_theta)."""
+        """Residual of each w against the whole grid, shape
+        (m, _GRID_T * _GRID_THETA)."""
         W = np.atleast_2d(np.asarray(W, float))
         W = W / np.linalg.norm(W, axis=-1, keepdims=True)
         r2 = 1.0 - (W @ self._U1.T) ** 2 - (W @ self._U2.T) ** 2
@@ -87,14 +90,14 @@ class StarLineSearch:
         unconditionally because that plateau can shadow the basin of
         near-polar solutions.
         """
-        R = r.reshape(self.grid_t, self.grid_theta)
+        R = r.reshape(_GRID_T, _GRID_THETA)
         up = np.roll(R, -1, axis=1)
         dn = np.roll(R, 1, axis=1)
         le = np.vstack([R[:1], R[:-1]])
         ri = np.vstack([R[1:], R[-1:]])
         is_min = (R <= up) & (R <= dn) & (R <= le) & (R <= ri) & (R < coarse_cut)
         idx = np.argwhere(is_min)
-        last = self.grid_t - 1
+        last = _GRID_T - 1
         on_plateau = idx[:, 0] == last
         if np.any(on_plateau):
             keep = idx[~on_plateau]
@@ -271,8 +274,8 @@ class StarLineSearch:
         t = np.asarray(cand_t)
         theta = np.asarray(cand_th)
         Wc = W[owners]
-        h_t = np.full_like(t, 1.5 / max(self.grid_t - 1, 1))
-        h_th = np.full_like(theta, 1.5 * _TWO_PI / self.grid_theta)
+        h_t = np.full_like(t, 1.5 / (_GRID_T - 1))
+        h_th = np.full_like(theta, 1.5 * _TWO_PI / _GRID_THETA)
         t, theta, res = self._refine(Wc, t, theta, h_t, h_th, tol)
         theta = np.mod(theta, _TWO_PI)
         A, B = self.star.chord(t, theta)

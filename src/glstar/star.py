@@ -20,17 +20,19 @@ meridian image of a profile star closed-form.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import EvalError, InvalidInput
-from .functions import bisect_monotone
 from .projgeom import PLine, join
 
 _T_EPS = 1e-12
 _CONE_TOL = 1e-9
+# Grid of t on which the completion checks the meridian image height.
+_HEIGHT_TABLE_SIZE = 2048
 
 
 class Handedness(enum.Enum):
@@ -76,6 +78,25 @@ def fibonacci_sphere(n: int):
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=-1)
 
 
+def on_unit_sphere(batch_fn):
+    """Wrap a map of unit vectors, rows (n, 3) -> (n, 3), so that it takes
+    one point (3,) or a batch (n, 3), rejects points off the unit sphere and
+    gets the rows scaled to unit length.  Works on methods too."""
+
+    @functools.wraps(batch_fn)
+    def fn(*args):
+        *head, q = args
+        q = np.asarray(q, float)
+        Q = np.atleast_2d(q)
+        norms = np.linalg.norm(Q, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-6):
+            raise InvalidInput("sigma expects points on the unit sphere")
+        out = batch_fn(*head, Q / norms[:, None])
+        return out[0] if q.ndim == 1 else out
+
+    return fn
+
+
 def homogenize(q):
     """Affine sphere points (..., 3) -> homogeneous (..., 4)."""
     q = np.asarray(q, float)
@@ -118,14 +139,18 @@ class SurfaceEntry:
 
 @dataclass(frozen=True)
 class RotationalProfile:
-    """t in (0, 1) -> surface coefficients, with the axis at t=1 and the
-    horizontal star through the origin at t=0.
+    """t in (0, 1) -> surface coefficients, with the axis at t=1 and, unless
+    the meridian map says otherwise, the horizontal star through the origin
+    at t=0.
 
     ``abc`` maps an array of t to the arrays (a, b, c) in one evaluation.
+    ``meridian``, set by ``from_meridian``, is the meridian map the profile
+    was fitted to; it then gives the meridian image at the ends t=0, t=1.
     """
 
     abc: Callable
     handedness_sign: Callable = field(default=None)  # t -> +-1 (right/left)
+    meridian: Callable | None = None
 
     def __post_init__(self):
         if self.handedness_sign is None:
@@ -142,11 +167,17 @@ class RotationalProfile:
             raise InvalidInput("profile parameter must lie in [0, 1]")
         if t >= 1.0 - _T_EPS:
             return SurfaceEntry("axis")
+        meets_axis = False
         if t <= _T_EPS:
-            return SurfaceEntry("horizontal_star")
+            m = self.meridian_image(np.zeros(1))[0]
+            if abs(m[2]) <= _CONE_TOL:
+                return SurfaceEntry("horizontal_star")
+            # the chord from p_0 = (1, 0, 0) meets Z when m[1] = 0: a cone,
+            # however far rounding takes the fitted c from 0
+            t, meets_axis = 0.0, abs(m[1]) <= _CONE_TOL
         a, b, c = (float(np.asarray(v).ravel()[0])
                    for v in self.coefficients(np.array([t])))
-        if c <= _CONE_TOL * max(a, 1.0):
+        if meets_axis or c <= _CONE_TOL * max(a, 1.0):
             return SurfaceEntry("cone", a=a, b=b, c=0.0)
         hand = Handedness.RIGHT if self.handedness_sign(np.array([t]))[0] > 0 \
             else Handedness.LEFT
@@ -158,9 +189,13 @@ class RotationalProfile:
         out = np.empty(t.shape + (3,))
         lo = t <= _T_EPS
         hi = t >= 1.0 - _T_EPS
-        out[lo] = (-1.0, 0.0, 0.0)
-        out[hi] = (0.0, 0.0, -1.0)
-        mid = ~(lo | hi)
+        ends = lo | hi
+        if self.meridian is None:
+            out[lo] = (-1.0, 0.0, 0.0)
+            out[hi] = (0.0, 0.0, -1.0)
+        elif np.any(ends):
+            out[ends] = self.meridian(hi[ends].astype(float))
+        mid = ~ends
         if np.any(mid):
             tm = t[mid]
             a, b, c = self.coefficients(tm)
@@ -187,10 +222,14 @@ class RotationalProfile:
         yields (a, b, c).
         """
 
+        def mer(t):
+            return np.atleast_2d(meridian_image(np.atleast_1d(
+                np.asarray(t, float))))
+
         def abc(t):
             t = np.atleast_1d(np.asarray(t, float))
             xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-            m = np.atleast_2d(meridian_image(t))
+            m = mer(t)
             d0 = m[:, 0] - xt
             d1 = m[:, 1]
             dz = m[:, 2] - t
@@ -205,11 +244,10 @@ class RotationalProfile:
             return a, b, np.sqrt(c2)
 
         def hand_sign(t):
-            m = np.atleast_2d(meridian_image(np.atleast_1d(np.asarray(t, float))))
-            s = -np.sign(m[:, 1])
+            s = -np.sign(mer(t)[:, 1])
             return np.where(s == 0.0, 1.0, s)
 
-        return cls(abc=abc, handedness_sign=hand_sign)
+        return cls(abc=abc, handedness_sign=hand_sign, meridian=mer)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +265,9 @@ class RotationalSigma:
     return the rotated base point.
     """
 
-    def __init__(self, meridian_image, z_of_t=None, t_of_z=None,
-                 table_size: int = 2048):
+    def __init__(self, meridian_image, z_of_t, t_of_z):
         self._meridian_image = meridian_image
-        if z_of_t is None:
-            z_of_t = lambda t: np.asarray(meridian_image(t))[..., 2]
-        self._z_of_t = z_of_t
-        ts = np.linspace(0.0, 1.0, table_size)
+        ts = np.linspace(0.0, 1.0, _HEIGHT_TABLE_SIZE)
         zs = np.asarray(z_of_t(ts), float)
         if not (abs(zs[0]) < 1e-7 and abs(zs[-1] + 1.0) < 1e-7):
             raise EvalError("meridian image height must run from 0 to -1")
@@ -245,19 +279,8 @@ class RotationalSigma:
     def meridian_image(self, t):
         return self._meridian_image(np.asarray(t, float))
 
-    def _invert_height(self, z):
-        if self._t_of_z is not None:
-            return np.asarray(self._t_of_z(z), float)
-        return bisect_monotone(self._z_of_t, z, 0.0, 1.0)
-
-    def __call__(self, q):
-        q = np.asarray(q, float)
-        single = q.ndim == 1
-        Q = np.atleast_2d(q)
-        norms = np.linalg.norm(Q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise InvalidInput("sigma expects points on the unit sphere")
-        Q = Q / norms[:, None]
+    @on_unit_sphere
+    def __call__(self, Q):
         qz = np.clip(Q[:, 2], -1.0, 1.0)
         theta = np.arctan2(Q[:, 1], Q[:, 0])
         out = np.empty_like(Q)
@@ -267,12 +290,12 @@ class RotationalSigma:
             out[upper] = rotate_z(m, theta[upper])
         lower = ~upper
         if np.any(lower):
-            t = self._invert_height(qz[lower])
+            t = np.asarray(self._t_of_z(qz[lower]), float)
             m = self.meridian_image(t)
             psi = theta[lower] - np.arctan2(m[:, 1], m[:, 0])
             out[lower] = rotate_z(meridian_point(t), psi)
         out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return out[0] if single else out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +331,6 @@ class GlStar:
         """Homogeneous endpoint pairs of the star lines, shape (n, 4) each."""
         q, m = self.sphere_chord(t, theta)
         return homogenize(q), homogenize(m)
-
-    def is_rotational(self) -> bool:
-        return "rotational" in self.tags
-
-
-def sigma(star: GlStar, q):
-    return star.sigma(q)
-
-
-def line_through(star: GlStar, q) -> PLine:
-    return star.line_through(q)
 
 
 def meridian_line(profile, t: float) -> PLine:

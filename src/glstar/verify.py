@@ -1,15 +1,12 @@
 """Numerical property checkers for star axioms and symmetry classes.
 
 Every check is deterministic for a fixed seed and returns a CheckReport.
-Sample sets are partitioned and may be evaluated by a small thread pool
-(GLSTAR_THREADS caps the worker count); reductions are order-independent
-so reports are reproducible bit for bit.
+Each check evaluates its whole sample set in one batched pass, so reports
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +15,9 @@ from .errors import InvalidInput
 from .projgeom import (
     QuadricForm,
     Side,
-    _nullspace_rows,
     join_batch,
     klein_form_batch,
+    lines_meet_point,
     normalize,
     point_side,
 )
@@ -49,26 +46,6 @@ class CheckReport:
         return line
 
 
-def _workers() -> int:
-    env = os.environ.get("GLSTAR_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _pmap(fn, chunks):
-    w = _workers()
-    if w <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, chunks))
-
-
-def _chunked(arr, parts=None):
-    parts = parts or _workers()
-    return [c for c in np.array_split(arr, parts) if len(c)]
-
-
 # ---------------------------------------------------------------------------
 # Star axiom checks
 
@@ -76,11 +53,7 @@ def _chunked(arr, parts=None):
 def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckReport:
     """max |sigma(sigma(q)) - q| over a Fibonacci sphere grid."""
     grid = fibonacci_sphere(n)
-
-    def residuals(q):
-        return np.linalg.norm(star.sigma(star.sigma(q)) - q, axis=-1)
-
-    res = np.concatenate(_pmap(residuals, _chunked(grid)))
+    res = np.linalg.norm(star.sigma(star.sigma(grid)) - grid, axis=-1)
     i = int(np.argmax(res))
     return CheckReport("involution", bool(res[i] < tol), float(res[i]),
                        tuple(grid[i]) if res[i] >= tol else None, n)
@@ -92,28 +65,15 @@ def check_fixed_point_free(star: GlStar, n: int = 1000,
 
     max_residual reports the margin (the minimum displacement)."""
     grid = fibonacci_sphere(n)
-
-    def displacement(q):
-        return np.linalg.norm(star.sigma(q) - q, axis=-1)
-
-    disp = np.concatenate(_pmap(displacement, _chunked(grid)))
+    disp = np.linalg.norm(star.sigma(grid) - grid, axis=-1)
     i = int(np.argmin(disp))
     return CheckReport("fixed_point_free", bool(disp[i] > threshold),
                        float(disp[i]),
                        tuple(grid[i]) if disp[i] <= threshold else None, n)
 
 
-def _chord_meet_point(A1, B1, A2, B2, tol=1e-6):
-    N1 = _nullspace_rows(np.vstack([A1, B1]))
-    N2 = _nullspace_rows(np.vstack([A2, B2]))
-    _, s, vt = np.linalg.svd(np.vstack([N1, N2]))
-    if s[-1] > tol:
-        return None
-    return vt[-1]
-
-
 def _chord_meet_points(A1, B1, A2, B2, tol=1e-6):
-    """_chord_meet_point row by row, in stacked SVDs: (W, found), with found
+    """lines_meet_point row by row, in stacked SVDs: (W, found), with found
     False where the two lines miss each other."""
     def dual(A, B):
         _, s, vt = np.linalg.svd(np.stack([A, B], axis=1))
@@ -125,10 +85,10 @@ def _chord_meet_points(A1, B1, A2, B2, tol=1e-6):
     W, found = vt[:, -1], s[:, -1] <= tol
     # a chord of two numerically equal points has a 3-dimensional dual
     for i in np.nonzero(~(rank2_1 & rank2_2))[0]:
-        w = _chord_meet_point(A1[i], B1[i], A2[i], B2[i])
+        w = lines_meet_point((A1[i], B1[i]), (A2[i], B2[i]), tol=tol)
         found[i] = w is not None
         if found[i]:
-            W[i] = w
+            W[i] = w.coords
     return W, found
 
 
@@ -209,11 +169,10 @@ def exterior_samples(n: int, seed: int = 0, infinity_fraction: float = 0.1):
 
 
 def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
-                   seed: int = 0, search: StarLineSearch | None = None) -> CheckReport:
+                   seed: int = 0) -> CheckReport:
     """Every sampled exterior point must lie on exactly one star line."""
     W = exterior_samples(n_points, seed=seed)
-    search = search or StarLineSearch(star)
-    hits = search.find_batch(W, tol=tol)
+    hits = StarLineSearch(star).find_batch(W, tol=tol)
     counts = np.array([len(h) for h in hits])
     bad = np.nonzero(counts != 1)[0]
     max_res = max((h[0].residual for h in hits if h), default=0.0)
@@ -406,13 +365,18 @@ def applicable_checks(star: GlStar):
     return names
 
 
-def check_sampling(samples: int | None = None, tol: float | None = None):
-    """Raise InvalidInput unless samples (when given) is at least 1 and tol
-    (when given) is finite and positive."""
+def check_sampling(samples: int | None = None, tol: float | None = None,
+                   seed: int | None = None):
+    """Raise InvalidInput unless samples (when given) is at least 1, tol
+    (when given) is finite and positive and seed (when given) is an
+    integer of at least 0."""
     if samples is not None and samples < 1:
         raise InvalidInput(f"samples must be at least 1, got {samples}")
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
+    if seed is not None and not (isinstance(seed, (int, np.integer))
+                                 and seed >= 0):
+        raise InvalidInput(f"seed must be an integer of at least 0, got {seed}")
 
 
 def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
@@ -420,12 +384,11 @@ def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
     """Run the named checks (default: all applicable ones) in a fixed order.
 
     ``samples`` and ``tol``, when given, replace every check's default."""
-    check_sampling(samples, tol)
+    check_sampling(samples, tol, seed)
     n = lambda default: default if samples is None else samples  # noqa: E731
     eps = lambda default: default if tol is None else tol  # noqa: E731
     names = list(checks) if checks else applicable_checks(star)
     reports = []
-    search = None
     for name in names:
         if name == "involution":
             reports.append(check_involution(star, n=n(1000), tol=eps(1e-9)))
@@ -435,11 +398,8 @@ def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
             reports.append(check_no_exterior_meet(star, n_pairs=n(5000),
                                                   tol=eps(1e-8), seed=seed))
         elif name == "coverage":
-            if search is None:
-                search = StarLineSearch(star)
             reports.append(check_coverage(star, n_points=n(200),
-                                          tol=eps(1e-8), seed=seed,
-                                          search=search))
+                                          tol=eps(1e-8), seed=seed))
         elif name == "rotational":
             reports.append(check_rotational(star, n=n(100), tol=eps(1e-9),
                                             seed=seed))

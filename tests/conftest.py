@@ -13,6 +13,15 @@ from glstar.constructions import (
 )
 from glstar.functions import affine, as_fn1, moebius01, power
 
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/test_properties.py needs it
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("glstar", derandomize=True, database=None)
+    settings.load_profile("glstar")
+
 
 @pytest.fixture(scope="session")
 def seven_stars():

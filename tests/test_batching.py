@@ -1,6 +1,8 @@
 """Batched evaluation gives the row-by-row results bit for bit, and the
 batched root counter gives the counts of the one-probe form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,15 @@ from glstar.constructions import (
     example_parabola_sequence,
     parabola_star,
 )
-from glstar.parallelism import _D, make_parallelism
+from glstar.parallelism import (
+    _D,
+    _KLEIN,
+    check_torus_fixes_classes,
+    check_zero_secants,
+    make_parallelism,
+    star_to_hfd,
+    torus_action,
+)
 from glstar.projgeom import _nullspace_rows
 from glstar.star import meridian_point, rotate_z
 from glstar.verify import positive_root_count
@@ -64,6 +74,66 @@ def test_span_at_batch_equals_rows(seven_stars):
         spans = make_parallelism(star).hfd.span_at(rows[:, 0], rows[:, 1])
         ref = np.array([_span_by_row(star, t, th) for t, th in rows[:, :2]])
         np.testing.assert_array_equal(spans, ref, err_msg=name)
+
+
+def _zero_secants_by_row(hfd, n=200, seed=0):
+    """Smallest Gram margin of the sampled H-lines, one span at a time:
+    (margin, row)."""
+    spans = hfd.samples(n, seed=seed)
+    worst, witness = np.inf, None
+    for i in range(n):
+        G = spans[i] @ _KLEIN.matrix @ spans[i].T
+        disc = G[0, 1] ** 2 - G[0, 0] * G[1, 1]
+        margin = -disc / max(np.abs(G).max() ** 2, 1e-300)
+        if margin < worst:
+            worst, witness = float(margin), (i,)
+    return worst, witness
+
+
+def _torus_by_row(es, n=50, n_theta=16, seed=0):
+    """Largest torus rejection, one angle and one span at a time:
+    (rejection, (theta, row))."""
+    spans = star_to_hfd(es).samples(n, seed=seed)
+    worst, witness = 0.0, None
+    for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
+        tau = torus_action(theta)
+        for i in range(n):
+            Q = spans[i] / np.linalg.norm(spans[i], axis=1, keepdims=True)
+            mapped = Q @ tau.T
+            rej = mapped - (mapped @ Q.T) @ Q
+            r = float(np.linalg.norm(rej, axis=1).max())
+            if r > worst:
+                worst, witness = r, (float(theta), i)
+    return worst, witness
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_klein_checks_equal_rows(seven_stars, seed):
+    for name, star in seven_stars.items():
+        P = make_parallelism(star)
+        worst, _ = _zero_secants_by_row(P.hfd, seed=seed)
+        r = check_zero_secants(P.hfd, seed=seed)
+        assert r.passed and r.max_residual == worst, name
+        worst, witness = _torus_by_row(P.es, seed=seed)
+        r = check_torus_fixes_classes(P.es, seed=seed)
+        assert r.passed and r.max_residual == worst, name
+        # with tol 0 every rejection fails and the report names the worst
+        r = check_torus_fixes_classes(P.es, seed=seed, tol=0.0)
+        assert (r.max_residual, r.witness) == (worst, witness), name
+
+
+def test_zero_secants_witness_equals_rows(seven_stars):
+    # a 2-secant in every fifth row, all with the same margin: the first
+    # of them is the witness
+    P = make_parallelism(seven_stars["fg"])
+    spans = P.hfd.samples(40, seed=2).copy()
+    bad = np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0]])
+    for i in range(3, 40, 5):
+        spans[i] = bad * (1.0 + 0.1 * i)
+    stub = SimpleNamespace(samples=lambda n, seed=0: spans[:n])
+    r = check_zero_secants(stub, n=40)
+    assert not r.passed
+    assert (r.max_residual, r.witness) == _zero_secants_by_row(stub, n=40)
 
 
 def _root_count_by_bracket(fn, a_grid, refine_tol=1e-12, cluster_rtol=1e-6):

@@ -239,18 +239,6 @@ def test_demo_config_is_builtin():
     assert json.loads(DEMO_CONFIG)["family"] == "param"
 
 
-def test_reports_independent_of_thread_count(monkeypatch):
-    cfg = parse_config(BUILTIN_CFG)
-    cfg.samples = 60
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("GLSTAR_THREADS", threads)
-        buf = io.StringIO()
-        cmd_verify(cfg, checks=["involution", "fixed_point_free"], out=buf)
-        outs.append(buf.getvalue())
-    assert outs[0] == outs[1]
-
-
 def test_parse_collects_all_violations():
     with pytest.raises(ConfigError) as err:
         parse_config('{"family":"fg","eps":3,"handedness":"up"}')
@@ -291,7 +279,7 @@ def test_main_negative_line_coordinate(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [
     ["--samples", "0"], ["--samples", "-5"], ["--tol", "0"], ["--tol", "-1e-9"],
-    ["--tol", "nan"], ["--tol", "inf"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"],
 ])
 def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
     assert main(["verify", "--config", _config_file(tmp_path), *option]) == 2
@@ -302,7 +290,9 @@ def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
 
 @pytest.mark.parametrize("fields", [
     '"samples":0', '"samples":-5', '"tol":0', '"tol":-1', '"tol":NaN',
-    '"tol":Infinity',
+    '"tol":Infinity', '"seed":-1', '"seed":1e400', '"samples":1e400',
+    '"tol":1e400',
+    pytest.param('"center":[1' + '0' * 400 + ',0,0]', id="center-10^400"),
 ])
 def test_config_rejects_bad_samples_and_tol(tmp_path, capsys, fields):
     text = '{"family":"clifford",' + fields + '}'
@@ -331,3 +321,30 @@ def test_fixed_fault_query_answered_on_fg(tmp_path, capsys):
                  "-0.472403,1.092162,-0.405832",
                  "--point=-0.037437,0.588276,-0.462042"]) == 0
     assert "QUERY FAILED" not in capsys.readouterr().out
+
+
+def test_run_all_checks_rejects_negative_seed():
+    cfg = parse_config('{"family":"clifford"}')
+    cfg.seed = -1
+    with pytest.raises(InvalidInput):
+        run_all_checks(build_star(cfg), cfg, selected=["zero_secants"])
+
+
+def test_inapplicable_check_is_reported_as_skipped():
+    # clifford((0, 0, 0.5)) is rotational and axial, not symmetric
+    cfg = parse_config('{"family":"clifford","center":[0,0,0.5],"samples":40}')
+    out = io.StringIO()
+    assert cmd_verify(cfg, checks=["symmetric", "involution"], out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "CHECK symmetric: SKIP not applicable to this star"
+    assert lines[1].startswith("CHECK involution: PASS")
+    assert lines[2] == "RESULT: PASS (1/1)"
+    out = io.StringIO()
+    cmd_verify(cfg, out=out)
+    assert "SKIP" not in out.getvalue()
+
+
+def test_export_out_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["export", "--config", _config_file(tmp_path),
+              "--out", str(tmp_path / "x.csv")])

@@ -543,6 +543,8 @@ def test_axis_and_horizontal_lines_for_all_rotational_families():
     for star in _profile_stars():
         assert projective_distance(meridian_line(star, 1.0).p, Z.p) < 1e-9
         assert projective_distance(meridian_line(star, 0.0).p, X.p) < 1e-9
+        assert star.profile.entry_at(0.0).kind == "horizontal_star"
+        assert star.profile.entry_at(1.0).kind == "axis"
         # north pole chord is the axis
         L = star.line_through(np.array([0.0, 0.0, 1.0]))
         assert projective_distance(L.p, Z.p) < 1e-9

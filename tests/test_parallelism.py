@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,18 @@ def test_double_polar_round_trip():
 def test_zero_secants():
     assert check_zero_secants(PAR_CLIFF.hfd, n=100).passed
     assert check_zero_secants(PAR_BUILTIN.hfd, n=100).passed
+
+
+def test_zero_secants_fails_on_two_secant():
+    # X and the line with Plücker vector e4 (the line at infinity in the
+    # plane x = 0) are skew: the span of their Klein points meets K twice
+    spans = PAR_BUILTIN.hfd.samples(30, seed=4).copy()
+    spans[17] = [X_AXIS.p, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+    assert klein_form(spans[17, 0], spans[17, 1]) != 0.0
+    stub = SimpleNamespace(samples=lambda n, seed=0: spans[:n])
+    r = check_zero_secants(stub, n=30)
+    assert not r.passed and r.witness == (17,)
+    assert r.max_residual < 0.0
 
 
 # --- classes and spreads -----------------------------------------------------------

@@ -52,6 +52,20 @@ def test_meridian_line_endpoints():
     assert projective_distance(meridian_line(s, 1.0).p, Z_AXIS.p) < 1e-9
 
 
+def test_off_origin_axial_clifford_profile_ends():
+    # the t=0 chord runs from p_0 = (1, 0, 0) through the centre on Z
+    star = clifford((0.0, 0.0, 0.4))
+    p0 = meridian_point(0.0)
+    m0 = star.sigma(p0)
+    np.testing.assert_array_equal(star.profile.meridian_image(0.0)[0], m0)
+    chord = join(homogenize(p0), homogenize(m0))
+    assert projective_distance(meridian_line(star, 0.0).p, chord.p) < 1e-12
+    entry = star.profile.entry_at(0.0)
+    assert entry.kind == "cone" and abs(entry.b - 0.4) < 1e-12
+    np.testing.assert_array_equal(star.profile.meridian_image(1.0)[0],
+                                  star.sigma(meridian_point(1.0)))
+
+
 def test_meridian_line_on_surface():
     # a(t) = t/(1-t): at t = 1/2 the line lies on x^2+y^2-z^2 = 1/2
     s = symmetric_star(moebius01())
@@ -156,7 +170,8 @@ def test_rotational_sigma_rejects_increasing_height():
                               np.zeros_like(np.asarray(t)),
                               np.asarray(t)], axis=-1)
     with pytest.raises(EvalError):
-        RotationalSigma(bad)
+        RotationalSigma(bad, z_of_t=lambda t: np.asarray(t, float),
+                        t_of_z=lambda z: np.asarray(z, float))
 
 
 def test_sigma_rejects_off_sphere():

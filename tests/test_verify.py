@@ -245,7 +245,7 @@ def test_run_star_checks_subset():
 
 @pytest.mark.parametrize("kwargs", [
     {"samples": 0}, {"samples": -5}, {"tol": 0.0}, {"tol": -1e-9},
-    {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"seed": -1}, {"seed": 1.5},
 ])
 def test_run_star_checks_rejects_bad_samples_and_tol(kwargs):
     with pytest.raises(InvalidInput):
@@ -257,3 +257,24 @@ def test_render_format():
     text = r.render()
     assert text.startswith("CHECK involution: PASS max_residual=")
     assert "samples=50" in text
+
+
+def test_check_sampling_accepts_numpy_seed():
+    from glstar.verify import check_sampling
+    check_sampling(seed=np.int64(3))
+    with pytest.raises(InvalidInput):
+        check_sampling(seed=np.int64(-3))
+
+
+def test_coverage_fails_on_vertical_chord_star():
+    # (x, y, z) -> (x, y, -z): its chords are vertical, so exterior points
+    # off the cylinder x^2 + y^2 <= 1 lie on no star line
+    flip = np.array([1.0, 1.0, -1.0])
+    star = GlStar(label="vertical-chord",
+                  sigma_fn=lambda q: np.asarray(q, float) * flip)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = check_coverage(star, n_points=40)
+    # a failing coverage report carries the witness point's line count
+    assert not r.passed and r.max_residual == 0.0
+    w = np.asarray(r.witness)
+    assert w[1] ** 2 + w[2] ** 2 > w[0] ** 2  # off the cylinder
