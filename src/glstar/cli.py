@@ -167,14 +167,19 @@ def build_star(cfg: StarConfig):
 KLEIN_CHECKS = ("zero_secants", "hfd", "torus_fixes_classes")
 
 
+def check_names(selected):
+    """Raise ConfigError unless every selected name is a known check."""
+    unknown = [s for s in selected if s not in ver.GEOMETRY_CHECKS
+               and s not in KLEIN_CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown checks: {','.join(unknown)}",
+                          field="--checks")
+
+
 def run_all_checks(star, cfg: StarConfig, selected=None):
     names = ver.applicable_checks(star) + list(KLEIN_CHECKS)
     if selected:
-        unknown = [s for s in selected if s not in ver.GEOMETRY_CHECKS
-                   and s not in KLEIN_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks: {','.join(unknown)}",
-                              field="--checks")
+        check_names(selected)
         names = [n for n in names if n in selected]
     ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     size = lambda default: default if cfg.samples is None else cfg.samples  # noqa: E731
@@ -413,6 +418,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
+        checks = None
+        if getattr(args, "checks", None):
+            checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+            check_names(checks)
     except (ParseError, ConfigError, InvalidInput) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
@@ -423,9 +432,6 @@ def main(argv=None) -> int:
     if args.command == "construct":
         return cmd_construct(cfg)
     if args.command in ("verify", "demo"):
-        checks = None
-        if getattr(args, "checks", None):
-            checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         return cmd_verify(cfg, checks=checks)
     if args.command == "export":
         if not (args.lines or args.mesh or args.hfd):

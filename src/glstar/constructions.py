@@ -106,7 +106,8 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
         profile = RotationalProfile.from_meridian(
             lambda t: sig(meridian_point(t)))
     label = "clifford({:g},{:g},{:g})".format(*c)
-    return GlStar(label=label, sigma_fn=sig, profile=profile, tags=tags)
+    return GlStar(label=label, sigma_fn=sig, profile=profile, tags=tags,
+                  center=tuple(c.tolist()))
 
 
 # ---------------------------------------------------------------------------

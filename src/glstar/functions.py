@@ -4,7 +4,9 @@ Star constructions are parametrized by increasing bijections between real
 intervals.  ``Fn1`` wraps a vectorized evaluator together with its domain
 and an inverse (closed-form where available, monotone bisection otherwise),
 and the factories below provide the named families understood by the CLI
-config format.
+config format.  ``bracket_roots`` finds the roots of many scalar functions
+on a common grid; the root counts of the constructions and the star-line
+search both use it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,60 @@ def bisect_monotone(fn, target, lo, hi, iters: int = 90):
         hi = np.where(go_right, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
+
+
+def bracket_roots(fn, grid, values, rtol: float = 1e-12,
+                  cluster_rtol: float = 1e-6):
+    """Roots of n scalar functions (probes) located on a common grid.
+
+    ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
+    evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
+    sign changes between neighbouring grid points of all probes are refined
+    together by Illinois regula falsi, each until its bracket is narrower
+    than ``rtol * max(1, |x|)``.  A root within ``cluster_rtol`` of the
+    previous root of its probe is the same root, and a probe that is zero
+    on the whole grid has none.  Returns (k, x), sorted by probe, then root.
+    """
+    grid = np.asarray(grid, float)
+    v = np.asarray(values, float)
+    s = np.sign(v)
+    zk, zi = np.nonzero(v == 0.0)
+    bk, bi = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+    lo, hi = grid[bi], grid[bi + 1]
+    flo, fhi = v[bk, bi], v[bk, bi + 1]
+    root = 0.5 * (lo + hi)
+    moved = np.zeros(bk.size)  # +1: lo moved last step, -1: hi moved
+    active = np.nonzero(hi - lo > rtol * np.maximum(1.0, np.abs(hi)))[0]
+    while active.size:
+        a = active
+        x = (lo[a] * fhi[a] - hi[a] * flo[a]) / (fhi[a] - flo[a])
+        x = np.where((x > lo[a]) & (x < hi[a]), x, 0.5 * (lo[a] + hi[a]))
+        # a bracket of two neighbouring floats has no point inside
+        stuck = (x <= lo[a]) | (x >= hi[a])
+        fx = np.asarray(fn(x, bk[a]), float)
+        zero = fx == 0.0
+        up = ~zero & (np.sign(fx) == np.sign(flo[a]))
+        down = ~zero & ~up
+        # Illinois: an end kept twice in a row has its value halved
+        fhi[a] = np.where(up & (moved[a] > 0), 0.5 * fhi[a], fhi[a])
+        flo[a] = np.where(down & (moved[a] < 0), 0.5 * flo[a], flo[a])
+        lo[a] = np.where(up, x, lo[a])
+        flo[a] = np.where(up, fx, flo[a])
+        hi[a] = np.where(down, x, hi[a])
+        fhi[a] = np.where(down, fx, fhi[a])
+        moved[a] = np.where(up, 1.0, -1.0)
+        root[a] = np.where(zero, x, 0.5 * (lo[a] + hi[a]))
+        narrow = hi[a] - lo[a] <= rtol * np.maximum(1.0, np.abs(hi[a]))
+        active = a[~(zero | narrow | stuck)]
+    k = np.concatenate([zk, bk])
+    x = np.concatenate([grid[zi], root])
+    order = np.lexsort((x, k))
+    k, x = k[order], x[order]
+    new = np.ones(x.size, bool)
+    new[1:] = (k[1:] != k[:-1]) | (x[1:] - x[:-1]
+                                   > cluster_rtol * np.maximum(1.0, np.abs(x[1:])))
+    keep = new & np.any(v, axis=1)[k]
+    return k[keep], x[keep]
 
 
 class TabulatedInverse:

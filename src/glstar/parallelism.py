@@ -34,12 +34,12 @@ from .projgeom import (
     PLine,
     QuadricForm,
     Subspace,
+    _nullspace_rows,
     _orth_rows,
     join_batch,
     klein_lift,
     line_points,
     meet,
-    polar,
     signature_on,
 )
 from .search import StarLineSearch
@@ -161,12 +161,15 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     S = Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    # an orthonormal basis: the RREF basis can have entries far above 1
-    # and push an eigenvalue below the signature cutoff
-    sig = signature_on(_KLEIN, Subspace(_orth_rows(S.basis)))
+    # orthonormal bases for h and its polar: an RREF basis can have entries
+    # far above 1 (up to 1e9 for H-lines next to the axis), which push an
+    # eigenvalue below the signature cutoff and make the polar's null space
+    # keep a fifth vector
+    O = Subspace(_orth_rows(S.basis))
+    sig = signature_on(_KLEIN, O)
     if sig not in ((2, 0, 0), (0, 2, 0)):
         raise NotZeroSecant(f"line meets the Klein quadric (signature {sig})")
-    W = polar(S, _KLEIN)
+    W = Subspace(_nullspace_rows(O.basis @ _KLEIN.matrix))
     if signature_on(_KLEIN, W) not in ELLIPTIC_SIGNATURES:
         raise NotZeroSecant("polar 3-space does not cut an elliptic quadric")
     return ParallelClass(es=es, h_span=S.basis.copy(), W=W)

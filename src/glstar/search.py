@@ -3,29 +3,49 @@
 A star line is the chord from q = R_theta(p_t) to sigma(q); a homogeneous
 point w of P^3 lies on it exactly when w sits in the 2-dim span of the
 chord's endpoints.  The residual ||w - proj_span(w)|| / ||w|| is zero
-precisely there, so finding all star lines through w is a 2-d root hunt
-over (t, theta) in [0,1] x [0,2pi): a coarse grid, a local zoom around
-each grid minimum, a finite-difference Newton polish, then clustering of
-hits that name the same line (the parameter chart is degenerate along
-t=0, where theta and theta+pi give one line, and t=1, where every theta
-gives the axis).
+precisely there, and every path below reports each line it finds with its
+residual against the star's own chord(t, theta), so a sigma that disagrees
+with the star's structure finds no line.  The path follows that structure:
+
+- A star with a rotational profile a(t)^2 r^2 - (z - b(t))^2 = c(t)^2 has
+  one star line through w for each root t of the covering function
+  F_w(t) = a^2 (w1^2 + w2^2) - (w3 - b w0)^2 - c^2 w0^2 (at w0 = 0 the
+  asymptotic cone), which ``bracket_roots`` finds on a fixed t grid for all
+  points at once.  theta then follows in closed form: the azimuth of w minus
+  the azimuth of the chord's point at the height of w (its direction at
+  infinity when w is).
+- A Clifford star's line through w is the join of w and the centre.
+- Any other sigma gets a 2-d root hunt over (t, theta) in [0,1] x [0,2pi):
+  a coarse grid, a local zoom around each grid minimum, a finite-difference
+  Newton polish, then clustering of hits that name the same line (the
+  parameter chart is degenerate along t=0, where theta and theta+pi give
+  one line, and t=1, where every theta gives the axis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .functions import bracket_roots
 from .projgeom import join_batch, projective_distance
 from .star import GlStar
 
 _TWO_PI = 2.0 * np.pi
 
-# Coarse grid over (t, theta) and the seed of the two Newton probe vectors.
+# The t grid of the covering function: its roots are refined to rounding
+# level, so each line is as accurate as the profile it comes from.
+_PROFILE_T = np.linspace(0.0, 1.0, 257)
+_ROOT_RTOL = 1e-15
+
+# Coarse grid over (t, theta) and the two Newton probe vectors of the 2-d
+# search.
 _GRID_T = 64
 _GRID_THETA = 64
-_PROBE_SEED = 0
+_PROBE = np.random.default_rng(0).normal(size=(2, 4))
+_PROBE /= np.linalg.norm(_PROBE, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -38,36 +58,109 @@ class LineHit:
     k: np.ndarray  # (6,)
 
 
+def _frames(A, B):
+    """Orthonormal bases (U1, U2) of the spans of the rows of A and B."""
+    U1 = A / np.linalg.norm(A, axis=-1, keepdims=True)
+    Bp = B - np.sum(B * U1, axis=-1, keepdims=True) * U1
+    U2 = Bp / np.linalg.norm(Bp, axis=-1, keepdims=True)
+    return U1, U2
+
+
+def _reject(W, U1, U2):
+    """Rejection of each unit w from the span of its frame; rows aligned."""
+    W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+    rej = W - np.sum(W * U1, axis=-1, keepdims=True) * U1
+    rej -= np.sum(rej * U2, axis=-1, keepdims=True) * U2
+    return rej
+
+
+def _covering(a, b, c, W):
+    """The covering function of the rows of W at profile coefficients
+    (a, b, c), over 1 + a^2: -w3^2 at the horizontal star a = b = c = 0."""
+    a2 = a * a
+    return (a2 * (W[..., 1] ** 2 + W[..., 2] ** 2)
+            - (W[..., 3] - b * W[..., 0]) ** 2
+            - (c * W[..., 0]) ** 2) / (1.0 + a2)
+
+
+def _chord_azimuths(W, A, B):
+    """theta with R_theta (chord A v B) through w, for w on the chord's
+    surface of revolution: the chord's point X at the height of w (at
+    infinity when w is), or its direction when the whole chord is at that
+    height, turned onto w."""
+    u = B[:, 3] * W[:, 0] - B[:, 0] * W[:, 3]
+    v = A[:, 0] * W[:, 3] - A[:, 3] * W[:, 0]
+    X = u[:, None] * A + v[:, None] * B
+    flat = (u == 0.0) & (v == 0.0)
+    X[flat] = A[flat] - B[flat]
+    s = np.sign(W[:, 0] * X[:, 0] + W[:, 3] * X[:, 3])
+    s[s == 0.0] = 1.0
+    theta = np.arctan2(s * W[:, 2], s * W[:, 1]) - np.arctan2(X[:, 2], X[:, 1])
+    return np.mod(theta, _TWO_PI)
+
+
 class StarLineSearch:
-    """Reusable residual-grid machinery for one star."""
+    """Star lines through points, by the path the star's structure allows."""
 
     def __init__(self, star: GlStar):
         self.star = star
-        self._ts = np.linspace(0.0, 1.0, _GRID_T)
-        self._ths = np.linspace(0.0, _TWO_PI, _GRID_THETA, endpoint=False)
-        T, TH = np.meshgrid(self._ts, self._ths, indexing="ij")
-        self._U1, self._U2 = self._chord_frames(T.ravel(), TH.ravel())
-        rng = np.random.default_rng(_PROBE_SEED)
-        r = rng.normal(size=(2, 4))
-        self._probe = r / np.linalg.norm(r, axis=1, keepdims=True)
 
-    # -- residual machinery --------------------------------------------------
+    # -- exact paths ---------------------------------------------------------
+
+    @cached_property
+    def _profile_table(self):
+        """Profile coefficients (a, b, c) on _PROFILE_T but its last point,
+        with the profile's t=0 entry at t=0."""
+        profile = self.star.profile
+        end = profile.entry_at(0.0)
+        return tuple(np.concatenate([[v0], v]) for v0, v in zip(
+            (end.a, end.b, end.c), profile.coefficients(_PROFILE_T[1:-1])))
+
+    def _profile_params(self, W):
+        """(owner, t, theta) of every root of every covering function."""
+        W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+        # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
+        # below rounding w is on the axis, which no t short of 1 resolves
+        r2 = W[:, 1] ** 2 + W[:, 2] ** 2
+        V = np.column_stack([_covering(*self._profile_table, W[:, None, :]),
+                             np.where(r2 > np.finfo(float).eps, r2, 0.0)])
+        owner, t = bracket_roots(
+            lambda t, k: _covering(*self.star.profile.coefficients(t), W[k]),
+            _PROFILE_T, V, rtol=_ROOT_RTOL)
+        A, B = self.star.chord(t)
+        return owner, t, _chord_azimuths(W[owner], A, B)
+
+    def _center_params(self, W):
+        """(owner, t, theta) of the chord through w and the centre: its
+        sphere point of larger height is R_theta p_t (t < 0 when both lie
+        below z = 0, as for a centre below the equator)."""
+        c = np.asarray(self.star.center, float)
+        d = W[:, 1:] - W[:, :1] * c
+        dd = np.sum(d * d, axis=1)
+        cd = d @ c
+        root = np.sqrt(cd * cd - dd * (c @ c - 1.0))
+        s = (-cd + np.where(d[:, 2] > 0.0, root, -root)) / dd
+        q = c + s[:, None] * d
+        return (np.arange(W.shape[0]), q[:, 2],
+                np.mod(np.arctan2(q[:, 1], q[:, 0]), _TWO_PI))
+
+    # -- 2-d search for a star with no structure ------------------------------
+
+    @cached_property
+    def _coarse_grid(self):
+        """(t, theta) axes of the coarse grid and its chord frames."""
+        ts = np.linspace(0.0, 1.0, _GRID_T)
+        ths = np.linspace(0.0, _TWO_PI, _GRID_THETA, endpoint=False)
+        T, TH = np.meshgrid(ts, ths, indexing="ij")
+        return (ts, ths) + self._chord_frames(T.ravel(), TH.ravel())
 
     def _chord_frames(self, t, theta):
         """Orthonormal bases (U1, U2) of the chord spans, rows (n, 4)."""
-        A, B = self.star.chord(t, theta)
-        U1 = A / np.linalg.norm(A, axis=-1, keepdims=True)
-        Bp = B - np.sum(B * U1, axis=-1, keepdims=True) * U1
-        U2 = Bp / np.linalg.norm(Bp, axis=-1, keepdims=True)
-        return U1, U2
+        return _frames(*self.star.chord(t, theta))
 
     def _rejections(self, W, t, theta):
         """Rejection of each w from its chord span; W, t, theta aligned."""
-        U1, U2 = self._chord_frames(t, theta)
-        W = W / np.linalg.norm(W, axis=-1, keepdims=True)
-        rej = W - np.sum(W * U1, axis=-1, keepdims=True) * U1
-        rej -= np.sum(rej * U2, axis=-1, keepdims=True) * U2
-        return rej
+        return _reject(W, *self._chord_frames(t, theta))
 
     def residual_at(self, W, t, theta):
         return np.linalg.norm(self._rejections(W, t, theta), axis=-1)
@@ -75,9 +168,10 @@ class StarLineSearch:
     def coarse_residuals(self, W):
         """Residual of each w against the whole grid, shape
         (m, _GRID_T * _GRID_THETA)."""
+        _, _, U1, U2 = self._coarse_grid
         W = np.atleast_2d(np.asarray(W, float))
         W = W / np.linalg.norm(W, axis=-1, keepdims=True)
-        r2 = 1.0 - (W @ self._U1.T) ** 2 - (W @ self._U2.T) ** 2
+        r2 = 1.0 - (W @ U1.T) ** 2 - (W @ U2.T) ** 2
         return np.sqrt(np.clip(r2, 0.0, None))
 
     # -- candidate extraction -------------------------------------------------
@@ -138,7 +232,7 @@ class StarLineSearch:
         guarded: only the best iterate per candidate survives (profiles with
         piecewise-linear ingredients have derivative kinks that can throw a
         raw Newton step out of the basin)."""
-        r1, r2 = self._probe
+        r1, r2 = _PROBE
         W5 = np.tile(W, (5, 1))
 
         def F(tt, th):
@@ -253,14 +347,9 @@ class StarLineSearch:
             r[sel] = rb[improved]
         return t, theta, r
 
-    # -- public API ----------------------------------------------------------
-
-    def find_batch(self, W, tol: float = 1e-8):
-        """All star lines through each homogeneous point (rows of W).
-
-        Returns one list of clustered LineHits per point.
-        """
-        W = np.atleast_2d(np.asarray(W, float))
+    def _grid_search(self, W, tol):
+        """Clustered hits per point from grid minima, refined."""
+        ts, ths, _, _ = self._coarse_grid
         R = self.coarse_residuals(W)
         owners = []
         cand_t = []
@@ -268,8 +357,8 @@ class StarLineSearch:
         for i in range(W.shape[0]):
             idx = self._grid_minima(R[i])
             owners.extend([i] * idx.shape[0])
-            cand_t.extend(self._ts[idx[:, 0]])
-            cand_th.extend(self._ths[idx[:, 1]])
+            cand_t.extend(ts[idx[:, 0]])
+            cand_th.extend(ths[idx[:, 1]])
         owners = np.asarray(owners)
         t = np.asarray(cand_t)
         theta = np.asarray(cand_th)
@@ -286,6 +375,29 @@ class StarLineSearch:
             hits = [LineHit(float(t[j]), float(theta[j]), float(res[j]), K[j])
                     for j in sel]
             out[i] = _cluster(hits)
+        return out
+
+    # -- public API ----------------------------------------------------------
+
+    def find_batch(self, W, tol: float = 1e-8):
+        """All star lines through each homogeneous point (rows of W).
+
+        Returns one list of LineHits per point, best residual first.
+        """
+        W = np.atleast_2d(np.asarray(W, float))
+        if self.star.center is not None:
+            owner, t, theta = self._center_params(W)
+        elif self.star.profile is not None:
+            owner, t, theta = self._profile_params(W)
+        else:
+            return self._grid_search(W, tol)
+        A, B = self.star.chord(t, theta)
+        res = np.linalg.norm(_reject(W[owner], *_frames(A, B)), axis=-1)
+        K = join_batch(A, B)
+        out = [[] for _ in range(W.shape[0])]
+        for j in sorted(np.nonzero(res < tol)[0], key=res.__getitem__):
+            out[owner[j]].append(LineHit(float(t[j]), float(theta[j]),
+                                         float(res[j]), K[j]))
         return out
 
     def find(self, w, tol: float = 1e-8):

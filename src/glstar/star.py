@@ -304,12 +304,14 @@ class RotationalSigma:
 
 @dataclass(frozen=True)
 class GlStar:
-    """A generalized line star: involution of S^2 plus optional profile."""
+    """A generalized line star: involution of S^2 plus optional profile,
+    and the centre that every line passes through for a Clifford star."""
 
     label: str
     sigma_fn: Callable
     profile: RotationalProfile | None = None
     tags: tuple[str, ...] = ()
+    center: tuple[float, float, float] | None = None
 
     def sigma(self, q):
         """Image of q under the involution; accepts (3,) or (n, 3)."""

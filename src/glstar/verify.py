@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .functions import bracket_roots
 from .projgeom import (
     QuadricForm,
     Side,
@@ -256,9 +257,7 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
     Descartes bound); either is one probe and the count comes back as an
     int.  With ``n_probes``, ``fn(a, k)`` evaluates probe k at a (the index
     and point arrays broadcast together) and the counts of all probes come
-    back as an int array.  The sign-change brackets of all probes are
-    refined together by bisection, each until it is narrow enough, and
-    near-coincident roots of a probe are clustered.
+    back as an int array.  The roots are located by ``bracket_roots``.
     """
     bound = None
     if n_probes is None:
@@ -274,33 +273,9 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
         a_grid = np.geomspace(1e-4, 1e4, 512)
     a_grid = np.asarray(a_grid, float)
     v = np.asarray(fn(a_grid[None, :], np.arange(n)[:, None]), float)
-    v = np.broadcast_to(v, (n, a_grid.size))
-    s = np.sign(v)
-    zk, zi = np.nonzero(v == 0.0)
-    bk, bi = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
-    lo, hi, flo = a_grid[bi], a_grid[bi + 1], v[bk, bi]
-    active = np.nonzero(hi - lo > refine_tol * np.maximum(1.0, hi))[0]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        fm = np.asarray(fn(mid, bk[active]), float)
-        zero = fm == 0.0
-        same = ~zero & (np.sign(fm) == np.sign(flo[active]))
-        lo[active] = np.where(zero | same, mid, lo[active])
-        hi[active] = np.where(same, hi[active], mid)
-        flo[active] = np.where(same, fm, flo[active])
-        narrow = hi[active] - lo[active] <= refine_tol * np.maximum(1.0, hi[active])
-        active = active[~(zero | narrow)]
-    # roots sorted per probe; a root opens a new cluster unless it lies
-    # within cluster_rtol of the previous root of the same probe
-    rk = np.concatenate([zk, bk])
-    r = np.concatenate([a_grid[zi], 0.5 * (lo + hi)])
-    order = np.lexsort((r, rk))
-    rk, r = rk[order], r[order]
-    new = np.ones(r.size, bool)
-    new[1:] = (rk[1:] != rk[:-1]) | (r[1:] - r[:-1]
-                                     > cluster_rtol * np.maximum(1.0, r[1:]))
-    counts = np.bincount(rk[new], minlength=n)
-    counts[~np.any(v, axis=1)] = 0
+    k, _ = bracket_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)),
+                         rtol=refine_tol, cluster_rtol=cluster_rtol)
+    counts = np.bincount(k, minlength=n)
     if n_probes is not None:
         return counts
     count = int(counts[0])

@@ -235,6 +235,15 @@ def test_main_bad_config_file(tmp_path, capsys):
     assert "CONFIG ERROR" in capsys.readouterr().err
 
 
+def test_main_unknown_check(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"family":"clifford"}')
+    assert main(["verify", "--config", str(path), "--checks", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG ERROR") and "bogus" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_demo_config_is_builtin():
     assert json.loads(DEMO_CONFIG)["family"] == "param"
 

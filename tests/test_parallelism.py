@@ -153,10 +153,11 @@ def test_class_rejects_secant_line():
         class_from_hfd_line(PAR_CLIFF.es, span)
 
 
-@pytest.mark.parametrize("t", [1e-4, 1e-3, 5e-3])
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-3, 5e-3, 1.0 - 1e-6])
 def test_class_of_h_line_near_horizontal_star(seven_stars, t):
     # the RREF basis of these H-lines has entries up to about 2e4, which
-    # once pushed the Klein form's eigenvalue ratio below the cutoff
+    # once pushed the Klein form's eigenvalue ratio below the cutoff and,
+    # near both ends of t, gave the polar a fifth null vector
     for name, star in seven_stars.items():
         hfd = star_to_hfd(embed_star(star))
         for theta in (0.0, 1.0, 4.0):
