@@ -20,6 +20,7 @@ from .star import (
     Handedness,
     RotationalProfile,
     RotationalSigma,
+    _snap_radicand,
     meridian_point,
     on_unit_sphere,
 )
@@ -31,15 +32,6 @@ LIMIT_BAND = 0.05
 LIMIT_POINTS = (1e-2, 1e-3, 1e-4)
 
 _interior_t_grid = np.linspace(0.0, 1.0, T_GRID_SIZE + 2)[1:-1]
-
-
-def _snap_radicand(value, scale):
-    """Clamp a radicand computed by cancellation: values below a few ulps of
-    the cancelling terms are exact zeros of the underlying expression (the
-    square root would otherwise turn rounding noise into sqrt(eps))."""
-    snap = 32.0 * np.finfo(float).eps * np.asarray(scale, float)
-    value = np.asarray(value, float)
-    return np.where(value <= snap, 0.0, value)
 
 
 def _a_grid():

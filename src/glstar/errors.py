@@ -48,7 +48,9 @@ class EvalError(GlStarError):
 
 
 class SearchFailed(GlStarError):
-    """A grid search found no admissible solution."""
+    """A search has no answer: no star line through a point a query needs,
+    or no way to search a star with no centre, no profile and a sigma that
+    does not commute with rotations about Z."""
 
 
 class HfdViolation(GlStarError):

@@ -286,7 +286,8 @@ def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckRep
 def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
               tol: float = 1e-8) -> CheckReport:
     """For random lines of P^3, the tangent hyperplane of the Klein point
-    contains exactly one H-line (one search cluster)."""
+    contains exactly one H-line (one star line through the projected
+    point)."""
     rng = np.random.default_rng(seed)
     P1 = rng.normal(size=(n, 4))
     P2 = rng.normal(size=(n, 4))

@@ -97,6 +97,28 @@ def on_unit_sphere(batch_fn):
     return fn
 
 
+def rotation_defect(sigma, n: int = 100, seed: int = 0):
+    """How far sigma is from commuting with rotations about Z: random unit
+    points q, angles theta and |sigma(R_theta q) - R_theta sigma(q)| for
+    each, fixed by the seed."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 3))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    th = rng.uniform(0.0, 2.0 * np.pi, n)
+    res = np.linalg.norm(sigma(rotate_z(q, th)) - rotate_z(sigma(q), th),
+                         axis=-1)
+    return q, th, res
+
+
+def _snap_radicand(value, scale):
+    """Clamp a radicand computed by cancellation: values below a few ulps of
+    the cancelling terms are exact zeros of the underlying expression (the
+    square root would otherwise turn rounding noise into sqrt(eps))."""
+    snap = 32.0 * np.finfo(float).eps * np.asarray(scale, float)
+    value = np.asarray(value, float)
+    return np.where(value <= snap, 0.0, value)
+
+
 def homogenize(q):
     """Affine sphere points (..., 3) -> homogeneous (..., 4)."""
     q = np.asarray(q, float)
@@ -240,7 +262,7 @@ class RotationalProfile:
             A = np.maximum(A, 1e-300)
             a = 1.0 / np.sqrt(A)
             b = -B / (2.0 * A)
-            c2 = np.clip(C / A - b * b, 0.0, None)
+            c2 = _snap_radicand(C / A - b * b, C / A + b * b)
             return a, b, np.sqrt(c2)
 
         def hand_sign(t):

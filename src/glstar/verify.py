@@ -23,7 +23,7 @@ from .projgeom import (
     point_side,
 )
 from .search import StarLineSearch
-from .star import GlStar, fibonacci_sphere, meridian_point, rotate_z
+from .star import GlStar, fibonacci_sphere, meridian_point, rotation_defect
 
 _SPHERE = QuadricForm.unit_sphere()
 
@@ -187,12 +187,7 @@ def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
 def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
                      seed: int = 0) -> CheckReport:
     """sigma commutes with rotations about Z on random (theta, q)."""
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n, 3))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    th = rng.uniform(0.0, 2.0 * np.pi, n)
-    res = np.linalg.norm(star.sigma(rotate_z(q, th)) -
-                         rotate_z(star.sigma(q), th), axis=-1)
+    q, th, res = rotation_defect(star.sigma, n, seed)
     i = int(np.argmax(res))
     return CheckReport("rotational", bool(res[i] < tol), float(res[i]),
                        tuple(q[i]) + (float(th[i]),) if res[i] >= tol else None,

@@ -342,6 +342,14 @@ def test_latitudinal_axial():
     assert set(star.tags) == {"rotational", "axial"}
 
 
+def test_latitudinal_profile_has_no_hyperboloid():
+    # every line meets Z, so every surface of the fitted profile is a cone
+    # (or an end): the fit's c^2 is rounding noise that must read as 0
+    prof = latitudinal(quad_pencil()).profile
+    kinds = {prof.entry_at(float(t)).kind for t in np.linspace(0.0, 1.0, 1001)}
+    assert kinds <= {"cone", "horizontal_star", "axis"}
+
+
 # --- parabola sequences ---------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glstar.constructions import builtin_example, clifford, symmetric_star
-from glstar.errors import HfdViolation, NotZeroSecant
+from glstar.errors import HfdViolation, NotZeroSecant, SearchFailed
 from glstar.functions import moebius01
 from glstar.parallelism import (
     _D,
@@ -27,13 +27,15 @@ from glstar.projgeom import (
     Subspace,
     join,
     klein_form,
-    klein_lift,
     line_points,
     polar,
     projective_distance,
     signature_on,
 )
-from glstar.star import GlStar
+from glstar.search import StarLineSearch
+from glstar.verify import check_coverage
+
+from bad_stars import apex_star, exterior_center_star
 
 KLEIN = QuadricForm.klein()
 SPHERE = QuadricForm.unit_sphere()
@@ -305,33 +307,28 @@ def test_check_hfd_passes():
     assert check_hfd(PAR_BUILTIN, n=40).passed
 
 
-def exterior_center_star():
-    c = np.array([1.5, 0.0, 0.0])
-
-    def sig(q):
-        q = np.atleast_2d(np.asarray(q, float))
-        d = c[None, :] - q
-        lam = 2.0 * (1.0 - q @ c) / np.sum(d * d, axis=1)
-        out = q + lam[:, None] * d
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return out if np.asarray(q).ndim > 1 else out[0]
-
-    return GlStar("exterior-center", sig)
-
-
 def test_hfd_violation_detected():
-    # chords re-aimed at an exterior point: the tangent hyperplane of a line
-    # whose U-projection is that point contains many polar images
-    fake = make_parallelism(exterior_center_star())
-    es = fake.es
-    w = np.array([1.0, 1.5, 0.0, 0.0])
-    val = float(w @ SPHERE.matrix @ w)  # = 1.25, exterior
-    k = es.iso(w) + np.sqrt(val) * _D[:, 4]
-    assert abs(klein_form(k, k)) < 1e-12
-    L, _ = klein_lift(k)
+    # cones with apexes rising from 0.3 to 0.4 cross outside the sphere: the
+    # tangent hyperplane of the witness line holds the H-lines of two of them
+    fake = make_parallelism(apex_star(lambda t: 0.3 + 0.1 * t))
+    report = check_hfd(fake)
+    assert not report.passed
+    assert report.max_residual == 2.0
     with pytest.raises(HfdViolation):
-        parallel_class_of(fake, L)
-    assert not check_hfd(fake, n=30).passed
+        parallel_class_of(fake, np.asarray(report.witness))
+
+
+def test_non_rotational_star_without_structure_fails_search():
+    # no centre, no profile and a sigma that does not commute with rotations
+    # about Z: the search has no path for it and says so, never a PASS
+    star = exterior_center_star()
+    fake = make_parallelism(star)
+    with pytest.raises(SearchFailed):
+        StarLineSearch(star).find_batch(np.array([[1.0, 2.0, 0.0, 0.0]]))
+    with pytest.raises(SearchFailed):
+        check_coverage(star)
+    with pytest.raises(SearchFailed):
+        parallel_class_of(fake, Z_AXIS)
 
 
 # --- torus action -----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The star-line search: the covering-function and Clifford-join paths
-against the 2-d search, at the edges of the parameter chart, and on stars
-whose structure disagrees with their sigma."""
+against the 2-d search of tests/grid_search.py, at the edges of the
+parameter chart, and on stars whose structure disagrees with their sigma."""
 
 import numpy as np
 import pytest
@@ -12,18 +12,16 @@ from glstar.constructions import (
     parabola_star,
     symmetric_star,
 )
+from glstar.errors import SearchFailed
 from glstar.functions import moebius01
 from glstar.parallelism import check_hfd, embed_star, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
 from glstar.search import StarLineSearch
-from glstar.star import (
-    GlStar,
-    RotationalProfile,
-    meridian_point,
-    on_unit_sphere,
-    rotate_z,
-)
+from glstar.star import GlStar
 from glstar.verify import check_coverage, exterior_samples
+
+from bad_stars import apex_star
+from grid_search import GridSearch
 
 
 def _query_points(star):
@@ -39,13 +37,22 @@ def test_exact_paths_match_the_2d_search(seven_stars):
     for name, star in seven_stars.items():
         W = _query_points(star)
         exact = StarLineSearch(star).find_batch(W)
-        # the same sigma with no profile and no centre takes the 2-d search
-        grid = StarLineSearch(GlStar(star.label, sigma_fn=star.sigma_fn)
-                              ).find_batch(W)
-        assert [len(h) for h in exact] == [len(h) for h in grid], name
-        for i, (e, g) in enumerate(zip(exact, grid)):
-            for he, hg in zip(e, g):
-                assert projective_distance(he.k, hg.k) < 1e-12, (name, i)
+        # the same sigma with no profile and no centre: the search fits the
+        # profile of its meridian map, and has no path for a non-rotational
+        # sigma
+        bare = GlStar(star.label, sigma_fn=star.sigma_fn)
+        if "rotational" in star.tags:
+            derived = StarLineSearch(bare).find_batch(W)
+        else:
+            with pytest.raises(SearchFailed):
+                StarLineSearch(bare).find_batch(W)
+            derived = exact
+        grid = GridSearch(bare).find_batch(W)
+        for other in (derived, grid):
+            assert [len(h) for h in exact] == [len(h) for h in other], name
+            for i, (e, g) in enumerate(zip(exact, other)):
+                for he, hg in zip(e, g):
+                    assert projective_distance(he.k, hg.k) < 1e-12, (name, i)
 
 
 EDGE_STARS = {
@@ -93,30 +100,10 @@ def test_profile_with_a_foreign_sigma_covers_nothing():
     assert report.max_residual == 0.0
 
 
-def _apex_star(apex_height):
-    """The chords through p_t and the axis point (0, 0, apex_height(t)),
-    sigma and profile from the same meridian map (on the upper hemisphere,
-    the part the search uses)."""
-    def mer(t):
-        p = meridian_point(np.atleast_1d(np.asarray(t, float)))
-        apex = np.zeros_like(p)
-        apex[:, 2] = apex_height(p[:, 2])
-        d = apex - p
-        lam = -2.0 * np.sum(p * d, axis=1) / np.sum(d * d, axis=1)
-        return p + lam[:, None] * d
-
-    @on_unit_sphere
-    def sig(Q):
-        return rotate_z(mer(Q[:, 2]), np.arctan2(Q[:, 1], Q[:, 0]))
-
-    return GlStar("apex", sigma_fn=sig,
-                  profile=RotationalProfile.from_meridian(mer))
-
-
 def test_crossing_profile_covers_twice():
     # cones with apexes rising from 0.3 to 0.4: where two of them cross
     # outside the sphere, a point lies on a line of each
-    star = _apex_star(lambda t: 0.3 + 0.1 * t)
+    star = apex_star(lambda t: 0.3 + 0.1 * t)
     report = check_coverage(star)
     assert not report.passed
     assert report.max_residual == 2.0
