@@ -271,6 +271,25 @@ def _surface_fn(b_fn, c_fn, x, z):
     return F
 
 
+def _log_a_inverse(fn):
+    """Inverse of u = log a |-> fn(u), a height of H_a: tabulated for a in
+    [1e-9, 1e9] and, for targets between 0 and the table's first value,
+    solved by the family's limit t(a)/a -> 1 and s(a)/a -> 1 as a -> 0
+    (hypotheses (1) and (2)): fn(u) is proportional to a there."""
+    table = TabulatedInverse(fn, np.log(1e-9), np.log(1e9))
+    u0 = table.u[0]
+    v0 = float(np.asarray(fn(table.u[:1]), float)[0])
+
+    def solve(y):
+        u = table.solve(y)
+        ratio = np.atleast_1d(np.asarray(y, float)) / v0
+        tail = (ratio > 0.0) & (ratio < 1.0)
+        return np.where(tail, u0 + np.log(ratio, out=np.zeros_like(ratio),
+                                          where=tail), u)
+
+    return solve
+
+
 def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
              band: float = LIMIT_BAND, extra_tags=()) -> GlStar:
     """Rotational star from coefficient functions b(a), c(a) >= 0 on (0, inf).
@@ -330,15 +349,15 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         return _t_s_of_a(a, np.asarray(b_fn(a), float),
                          np.asarray(c_fn(a), float))[0]
 
-    t_inverse = TabulatedInverse(t_at_log_a, np.log(1e-9), np.log(1e9))
+    log_a_of_t = _log_a_inverse(t_at_log_a)
 
     def abc(tt):
-        a = np.exp(t_inverse.solve(tt))
+        a = np.exp(log_a_of_t(tt))
         return a, np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
     def z_of_t(tt):
         tt = np.atleast_1d(np.asarray(tt, float))
-        a = np.exp(t_inverse.solve(tt))
+        a = np.exp(log_a_of_t(tt))
         return -tt + 2.0 * np.asarray(b_fn(a), float) / (1.0 + a * a)
 
     hand_sign = _hand_sign_fn(hand)
@@ -351,10 +370,10 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         cc = np.asarray(c_fn(a), float)
         return -_t_s_of_a(a, bb, cc)[0] + 2.0 * bb / (1.0 + a * a)
 
-    z_inverse = TabulatedInverse(z_at_log_a, np.log(1e-9), np.log(1e9))
+    log_a_of_z = _log_a_inverse(z_at_log_a)
 
     def t_of_z(z):
-        return t_at_log_a(z_inverse.solve(z))
+        return t_at_log_a(log_a_of_z(z))
 
     sig = RotationalSigma(profile.meridian_image, z_of_t=z_of_t, t_of_z=t_of_z)
     tags = ("rotational",) + tuple(extra_tags)

@@ -138,9 +138,17 @@ class PLine:
 
 
 def _plucker(x) -> np.ndarray:
+    """Plücker vector(s) of a PLine, of Plücker vector(s) (..., 6) or of a
+    tuple (A, B) of spanning points (..., 4)."""
     if isinstance(x, PLine):
         return x.p
-    return _vec(x)
+    if isinstance(x, tuple) and len(x) == 2:
+        return join_batch(*(p.coords if isinstance(p, HPoint) else p
+                            for p in x))
+    v = np.asarray(x, dtype=float)
+    if v.shape[-1:] != (6,):
+        raise InvalidInput(f"Plücker vectors must have 6 entries, got {v.shape}")
+    return v
 
 
 def join(a, b, tol: float = DEFAULT_TOL) -> PLine:
@@ -189,13 +197,7 @@ def klein_form(k1, k2) -> float:
     Vanishes on (k, k) exactly when k is the image of an actual line, and on
     (k1, k2) exactly when the two lines intersect.
     """
-    v1 = _plucker(k1)
-    v2 = _plucker(k2)
-    return 0.5 * float(
-        v1[0] * v2[3] + v1[3] * v2[0]
-        + v1[1] * v2[4] + v1[4] * v2[1]
-        + v1[2] * v2[5] + v1[5] * v2[2]
-    )
+    return float(klein_form_batch(_vec(_plucker(k1)), _vec(_plucker(k2))))
 
 
 def klein_form_batch(K1, K2):
@@ -209,23 +211,21 @@ def klein_form_batch(K1, K2):
 
 
 def plucker_matrix(k) -> np.ndarray:
-    """Antisymmetric 4x4 matrix whose column space is the line with Plücker
-    coordinates k (for k on the Klein quadric)."""
-    p01, p02, p03, p23, p31, p12 = _plucker(k)
-    return np.array(
-        [
-            [0.0, p01, p02, p03],
-            [-p01, 0.0, p12, -p31],
-            [-p02, -p12, 0.0, p23],
-            [-p03, p31, -p23, 0.0],
-        ]
-    )
+    """Antisymmetric 4x4 matrix A B^T - B A^T of the line joining A and B,
+    whose column space is the line with Plücker coordinates k (for k on the
+    Klein quadric); stacked (..., 6) give (..., 4, 4).  The matrix of the
+    swapped vector (p23, p31, p12, p01, p02, p03) is the dual one, whose
+    kernel is the line."""
+    k = _plucker(k)
+    M = np.zeros(k.shape[:-1] + (4, 4))
+    M[..., [0, 0, 0, 2, 3, 1], [1, 2, 3, 3, 1, 2]] = k
+    return M - np.swapaxes(M, -1, -2)
 
 
 def klein_lift(k, tol: float = DEFAULT_TOL):
     """Invert the Klein embedding: returns ``(line, (a, b))`` where a, b are
     two spanning points and joining them re-embeds to k projectively."""
-    v = _plucker(k)
+    v = _vec(_plucker(k))
     n2 = float(np.dot(v, v))
     if n2 == 0.0:
         raise InvalidInput("zero Klein vector")
@@ -515,22 +515,40 @@ def second_intersection(L, q, F: QuadricForm | None = None,
     return pts[0] if d[0] > d[1] else pts[1]
 
 
-def lines_meet_point(L1, L2, tol: float = 1e-6) -> HPoint | None:
+def lines_meet_point(L1, L2, tol: float = 1e-6):
     """Common point of two coplanar lines of P^3, or None if they are skew.
 
-    Each line is a PLine (or Plücker vector) or a pair (A, B) of spanning
-    points.  A point lies on both lines iff it is killed by the orthogonal
-    complements of both spans; the smallest singular value of that stacked
-    system measures how close the lines come to meeting.
-    """
-    def span(L):
-        if isinstance(L, PLine) or np.asarray(L, float).ndim == 1:
-            return np.vstack([pt.coords for pt in line_points(L)])
-        return np.vstack(L)
+    Each line is a PLine, a Plücker vector or a tuple (A, B) of spanning
+    points.  Stacked lines, (n, 6) vectors or tuples of two (n, 4) arrays,
+    give (W, found) for all n pairs at once, W (n, 4) unnormalized.
 
-    N1 = _nullspace_rows(span(L1))
-    N2 = _nullspace_rows(span(L2))
-    _, s, vt = np.linalg.svd(np.vstack([N1, N2]))
-    if s[-1] > tol:
-        return None
-    return normalize(vt[-1])
+    Closed form: lines meeting in W inside the plane pi have Plücker
+    matrix L1 times dual matrix L2* equal to W pi^T, so W is its largest
+    column.  They meet when the smaller principal angle theta of their
+    spans in R^4 has sqrt(1 - cos theta) <= tol.  For unit Plücker vectors
+    and the larger angle theta', |k1 . k2| = cos theta cos theta' and
+    2 |klein_form(k1, k2)| = sin theta sin theta' give both sines without
+    cancellation.  A pair of equal points spans no line, and equal lines
+    (theta' within tol too) have no single common point: None.
+    """
+    K1, K2 = _plucker(L1), _plucker(L2)
+    n1 = np.linalg.norm(K1, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(K2, axis=-1, keepdims=True)
+    k1 = np.divide(K1, n1, out=np.zeros_like(K1), where=n1 > 0.0)
+    k2 = np.divide(K2, n2, out=np.zeros_like(K2), where=n2 > 0.0)
+    P = plucker_matrix(k1) @ plucker_matrix(k2[..., [3, 4, 5, 0, 1, 2]])
+    col = np.argmax(np.sum(P * P, axis=-2), axis=-1)
+    W = np.take_along_axis(P, col[..., None, None], axis=-1)[..., 0]
+    c = np.abs(np.sum(k1 * k2, axis=-1))
+    d = 2.0 * np.abs(klein_form_batch(k1, k2))
+    sin2 = np.minimum(1.0, 0.5 * (np.sqrt(np.maximum((1 + d) ** 2 - c * c, 0))
+                                  + np.sqrt(np.maximum((1 - d) ** 2 - c * c, 0))))
+    sin1 = np.minimum(1.0, np.divide(d, sin2, out=np.zeros_like(d),
+                                     where=sin2 > 0.0))
+    one_minus_cos = lambda x: x * x / (1.0 + np.sqrt(1.0 - x * x))  # noqa: E731
+    found = ((n1[..., 0] > 0.0) & (n2[..., 0] > 0.0)
+             & (one_minus_cos(sin1) <= tol * tol)
+             & (one_minus_cos(sin2) > tol * tol))
+    if W.ndim > 1:
+        return W, found
+    return normalize(W) if found else None

@@ -301,6 +301,55 @@ def test_lines_meet_point():
     assert lines_meet_point(X_AXIS, skew) is None
 
 
+def _on_line(w, A, B):
+    return np.linalg.matrix_rank(np.vstack([w, A, B]), tol=1e-9) == 2
+
+
+def test_lines_meet_point_from_endpoint_pairs():
+    A1, B1 = np.array([1.0, 0, 0, 0]), np.array([1.0, 2, 1, 0])
+    A2, B2 = np.array([1.0, 0, 1, 0]), np.array([1.0, 2, 0, 0])
+    w = lines_meet_point((A1, B1), (A2, B2))
+    assert projective_distance(w.coords, [1, 1, 0.5, 0]) < 1e-15
+    assert lines_meet_point((HPoint(A1), HPoint(B1)), X_AXIS) == HPoint(A1)
+
+
+def test_lines_meet_point_at_infinity():
+    # two parallel lines in the direction (1, 1, 0) meet at infinity
+    w = lines_meet_point(((1, 0, 0, 0), (1, 1, 1, 0)),
+                         ((1, 0, 0, 1), (1, 1, 1, 1)))
+    assert projective_distance(w.coords, [0, 1, 1, 0]) < 1e-15
+
+
+@pytest.mark.parametrize("L2", [
+    ((1.0, 0, 0, 0), (1.0, 0, 0, 0)),  # coincident endpoints
+    ((1.0, 0, 0, 0), (2.0, 0, 0, 0)),  # projectively equal endpoints
+    ((1.0, 3, 0, 0), (1.0, -1, 0, 0)),  # the same line from other points
+    join((1, 1, 1, 0), (1, 1, 1, 1)),  # skew
+], ids=["coincident", "proportional", "identical", "skew"])
+def test_lines_meet_point_without_a_single_common_point(L2):
+    # the suite turns every RuntimeWarning into an error
+    assert lines_meet_point(X_AXIS, L2) is None
+    assert lines_meet_point(L2, X_AXIS) is None
+
+
+def test_lines_meet_point_stacked_matches_single_pairs():
+    r = rng()
+    A1, B1, A2 = r.normal(size=(3, 50, 4))
+    # every second line 2 passes through a point of line 1
+    u = r.normal(size=(50, 1))
+    B2 = np.where(np.arange(50)[:, None] % 2 == 0, A1 + u * B1,
+                  r.normal(size=(50, 4)))
+    W, found = lines_meet_point((A1, B1), (A2, B2))
+    assert found.tolist() == [i % 2 == 0 for i in range(50)]
+    for i in range(50):
+        w = lines_meet_point((A1[i], B1[i]), (A2[i], B2[i]))
+        assert (w is None) == (not found[i])
+        if found[i]:
+            assert projective_distance(w.coords, W[i]) < 1e-15
+            assert projective_distance(W[i], A1[i] + u[i] * B1[i]) < 1e-12
+            assert _on_line(W[i], A2[i], B2[i])
+
+
 def test_line_points_span_line():
     a, b = line_points(Z_AXIS)
     assert projective_distance(join(a, b).p, Z_AXIS.p) < 1e-12

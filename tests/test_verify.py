@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glstar import verify
 from glstar.constructions import (
     builtin_example,
     builtin_h_numerator_coeffs,
@@ -11,8 +12,9 @@ from glstar.constructions import (
     pencil_from_mu,
     symmetric_star,
 )
-from glstar.errors import InvalidInput
+from glstar.errors import EvalError, InvalidInput
 from glstar.functions import affine, as_fn1, moebius01, phi_r, power
+from glstar.projgeom import lines_meet_point, projective_distance
 from glstar.search import StarLineSearch
 from glstar.star import GlStar, rotate_z
 from glstar.verify import (
@@ -31,6 +33,7 @@ from glstar.verify import (
 )
 
 from bad_stars import exterior_center_star
+from meet_reference import chord_meet_points, flagged_chords, no_exterior_meet
 
 BUILTIN = builtin_example()
 SYMM = symmetric_star(moebius01())
@@ -92,6 +95,85 @@ def test_no_exterior_meet_violation():
     w = np.asarray(r.witness[3:])
     w = w / w[0]
     assert np.allclose(w[1:], [1.5, 0, 0], atol=1e-6)
+
+
+def _sides(W):
+    """-1 interior, 0 on, 1 exterior: the sphere value of W against 1e-6."""
+    v = (W[:, 1:] ** 2).sum(axis=1) - W[:, 0] ** 2
+    v = v / (W * W).sum(axis=1)
+    return np.where(v < -1e-6, -1, np.where(v > 1e-6, 1, 0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("name", ["clifford", "symmetric", "fg", "builtin",
+                                  "latitudinal", "parabola", "clifford-off",
+                                  "exterior-center"])
+def test_closed_form_meets_match_the_svd_reference(seven_stars, name, seed):
+    star = (exterior_center_star() if name == "exterior-center"
+            else seven_stars[name])
+    _, (A1, B1, A2, B2), pairs = flagged_chords(star, seed=seed)
+    chords = (A1[pairs], B1[pairs]), (A2[pairs], B2[pairs])
+    W, found = lines_meet_point(*chords)
+    W_ref, found_ref = chord_meet_points(*chords[0], *chords[1])
+    assert np.array_equal(found, found_ref)
+    W, W_ref = W[found], W_ref[found]
+    assert np.array_equal(_sides(W), _sides(W_ref))
+    assert max((projective_distance(w, v) for w, v in zip(W, W_ref)),
+               default=0.0) < 1e-12
+    report, ref = check_no_exterior_meet(star, seed=seed), no_exterior_meet(
+        star, seed=seed)
+    if ref.passed:
+        assert report == ref
+    else:
+        # every pair meets at (1.5, 0, 0): their values tie up to rounding,
+        # so the first maximum may fall on another pair
+        assert not report.passed
+        assert abs(report.max_residual - ref.max_residual) < 1e-12
+        assert projective_distance(report.witness[3:], ref.witness[3:]) < 1e-12
+
+
+class _PlanarChords:
+    """Chords in the plane y = 0 given by endpoint maps of t (theta is
+    ignored, so every pair of lines meets)."""
+
+    def __init__(self, first, second):
+        self.first, self.second = first, second
+
+    def chord(self, t, theta=0.0):
+        t = np.asarray(t, float)
+        return self.first(t), self.second(t)
+
+
+def _xz(x, z):
+    return np.stack([np.ones_like(x), x, np.zeros_like(x), z], axis=1)
+
+
+def test_chords_sharing_a_sphere_point_do_not_violate():
+    # every chord runs from (1, 0, 0) to another point of the circle
+    phi = lambda t: 0.5 + 2.0 * t  # noqa: E731
+    star = _PlanarChords(lambda t: _xz(np.ones_like(t), np.zeros_like(t)),
+                         lambda t: _xz(np.cos(phi(t)), np.sin(phi(t))))
+    report = check_no_exterior_meet(star, n_pairs=500)
+    assert report.passed and report.max_residual == 0.0
+    assert report == no_exterior_meet(star, n_pairs=500)
+
+
+def test_meets_just_outside_the_sphere_violate():
+    # lines tangent to the circle at angles in [0, 0.09]: two of them meet
+    # at distance 1 / cos(half their angle) <= 1.001 from the centre, next
+    # to both tangency points, but off the sphere
+    al = lambda t: 0.09 * t  # noqa: E731
+    star = _PlanarChords(
+        lambda t: _xz(np.cos(al(t)), np.sin(al(t))),
+        lambda t: _xz(np.cos(al(t)) - np.sin(al(t)),
+                      np.sin(al(t)) + np.cos(al(t))))
+    report = check_no_exterior_meet(star, n_pairs=500)
+    ref = no_exterior_meet(star, n_pairs=500)
+    assert not report.passed
+    assert 1e-6 < report.max_residual < 1.1e-3
+    assert report.witness[:3] == ref.witness[:3]
+    assert abs(report.max_residual - ref.max_residual) < 1e-15
+    assert np.allclose(report.witness[3:], ref.witness[3:], rtol=0, atol=1e-12)
 
 
 # --- coverage --------------------------------------------------------------------
@@ -222,6 +304,12 @@ def test_run_star_checks_order_and_repeatability():
     names = [r.name for r in reports1]
     assert names == ["involution", "fixed_point_free", "no_exterior_meet",
                      "coverage", "rotational", "symmetric"]
+
+
+def test_positive_root_count_beyond_the_descartes_bound(monkeypatch):
+    monkeypatch.setattr(verify, "descartes_bound", lambda coeffs: 0)
+    with pytest.raises(EvalError, match="exceeds the Descartes bound 0"):
+        positive_root_count([1.0, -3.0, 2.0])
 
 
 def test_run_star_checks_subset():
