@@ -2,11 +2,14 @@
 
 Star constructions are parametrized by increasing bijections between real
 intervals.  ``Fn1`` wraps a vectorized evaluator together with its domain
-and an inverse (closed-form where available, monotone bisection otherwise),
+and an inverse (closed-form where available, else ``bisect_monotone``),
 and the factories below provide the named families understood by the CLI
-config format.  ``bracket_roots`` finds the roots of many scalar functions
-on a common grid; the root counts of the constructions and the star-line
-search both use it.
+config format.  Every root refinement runs on one batched kernel,
+``_illinois`` (Illinois regula falsi on sign-change brackets): the roots
+of many scalar functions on a common grid (``bracket_roots``, used by the
+root counts of the constructions and by the star-line search), the
+tabulated inverses of the eqn-family heights (``TabulatedInverse``) and
+the generic inverse (``bisect_monotone``).
 """
 
 from __future__ import annotations
@@ -18,31 +21,78 @@ import numpy as np
 
 from .errors import ConditionFailed, ConfigError, InvalidInput
 
-MONOTONE_GRID = 1024
+# Inverses are refined to a few ulps of the solution.
+_INVERSE_RTOL = 2e-15
+# bisect_monotone's table, built per call: each target starts from 1/128 of
+# the interval
+_BISECT_TABLE = 129
 
 
-def bisect_monotone(fn, target, lo, hi, iters: int = 90):
+def _illinois(fn, lo, hi, flo, fhi, rtol):
+    """Roots of a batch of brackets by Illinois regula falsi.
+
+    Bracket i is [lo[i], hi[i]] with values flo[i], fhi[i] at its ends, and
+    ``fn(x, i)`` evaluates brackets i at x (aligned arrays).  Each step
+    evaluates the secant point of the newest end b and the end a of the
+    other sign; when the point falls on b's side, a is kept and its value
+    halved (the Illinois rule).  A point on or outside an end is moved
+    0.5 * rtol * max(1, |hi|) inside it, so an end that is already a root
+    closes its bracket at the next evaluation.  The step is the midpoint
+    instead when the bracket is not half as wide as three steps before, as
+    on a flat stretch where the secant only crawls, or an end value is
+    infinite: every four steps at least halve a bracket.  A bracket is done
+    when fn is zero at b or the bracket is no wider than
+    rtol * max(1, |hi|) (rtol above 2**-52, so that the move leaves the
+    end).  Its root is the end with the smaller |fn|, which is also the
+    answer of a bracket without a sign change, such as a target outside a
+    table's range.  Done brackets leave the batch, so each step works on the
+    open ones only.
+    """
+    root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
+    i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
+    a, fa, b, fb = lo[i], flo[i], hi[i], fhi[i]
+    ga = fa  # a's own value; fa is the one the secant sees
+    w1 = w2 = w3 = np.full(i.size, np.inf)  # widths one to three steps back
+    while i.size:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        w, tol = hi - lo, rtol * np.maximum(1.0, np.abs(hi))
+        done = (fb == 0.0) | ~(w > tol)
+        if done.any():
+            d = np.flatnonzero(done)
+            root[i[d]] = np.where(np.abs(ga[d]) < np.abs(fb[d]), a[d], b[d])
+            keep = np.flatnonzero(~done)
+            i, a, fa, ga, b, fb, lo, hi, tol, w, w1, w2, w3 = (
+                v[keep] for v in (i, a, fa, ga, b, fb, lo, hi, tol, w, w1, w2, w3))
+            if not i.size:
+                break
+        df = fb - fa
+        with np.errstate(invalid="ignore"):
+            x = b - fb * (b - a) / df
+        mid = (w > 0.5 * w3) | ~np.isfinite(df)
+        if mid.any():
+            x = np.where(mid, 0.5 * (lo + hi), x)
+        half = 0.5 * tol
+        x = np.where(x <= lo, lo + half, np.where(x >= hi, hi - half, x))
+        fx = np.asarray(fn(x, i), float)
+        flip = (fx < 0.0) != (fb < 0.0)
+        a = np.where(flip, b, a)
+        ga = np.where(flip, fb, ga)
+        fa = np.where(flip, fb, 0.5 * fa)
+        b, fb = x, fx
+        w1, w2, w3 = w, w1, w2
+    return root
+
+
+def bisect_monotone(fn, target, lo, hi):
     """Solve fn(x) = target for a monotone fn on [lo, hi], vectorized.
 
-    ``target`` may be an array; returns an array of the same shape.
+    ``target`` may be an array; returns an array of the same shape.  A
+    ``TabulatedInverse`` on a small table, built for the call, does the
+    work; a target outside fn's range gets the nearer end.
     """
     t = np.asarray(target, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    lo = np.full_like(t, float(lo))
-    hi = np.full_like(t, float(hi))
-    increasing = fn(hi[:1])[0] >= fn(lo[:1])[0]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        v = np.asarray(fn(mid), float)
-        if increasing:
-            go_right = v < t
-        else:
-            go_right = v > t
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
+    out = TabulatedInverse(fn, lo, hi, size=_BISECT_TABLE).solve(t)
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def bracket_roots(fn, grid, values, rtol: float = 1e-12,
@@ -52,42 +102,18 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12,
     ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
     evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
     sign changes between neighbouring grid points of all probes are refined
-    together by Illinois regula falsi, each until its bracket is narrower
-    than ``rtol * max(1, |x|)``.  A root within ``cluster_rtol`` of the
-    previous root of its probe is the same root, and a probe that is zero
-    on the whole grid has none.  Returns (k, x), sorted by probe, then root.
+    together by ``_illinois`` to ``rtol``.  A root within ``cluster_rtol``
+    of the previous root of its probe is the same root, and a probe that is
+    zero on the whole grid has none.  Returns (k, x), sorted by probe, then
+    root.
     """
     grid = np.asarray(grid, float)
     v = np.asarray(values, float)
     s = np.sign(v)
     zk, zi = np.nonzero(v == 0.0)
     bk, bi = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
-    lo, hi = grid[bi], grid[bi + 1]
-    flo, fhi = v[bk, bi], v[bk, bi + 1]
-    root = 0.5 * (lo + hi)
-    moved = np.zeros(bk.size)  # +1: lo moved last step, -1: hi moved
-    active = np.nonzero(hi - lo > rtol * np.maximum(1.0, np.abs(hi)))[0]
-    while active.size:
-        a = active
-        x = (lo[a] * fhi[a] - hi[a] * flo[a]) / (fhi[a] - flo[a])
-        x = np.where((x > lo[a]) & (x < hi[a]), x, 0.5 * (lo[a] + hi[a]))
-        # a bracket of two neighbouring floats has no point inside
-        stuck = (x <= lo[a]) | (x >= hi[a])
-        fx = np.asarray(fn(x, bk[a]), float)
-        zero = fx == 0.0
-        up = ~zero & (np.sign(fx) == np.sign(flo[a]))
-        down = ~zero & ~up
-        # Illinois: an end kept twice in a row has its value halved
-        fhi[a] = np.where(up & (moved[a] > 0), 0.5 * fhi[a], fhi[a])
-        flo[a] = np.where(down & (moved[a] < 0), 0.5 * flo[a], flo[a])
-        lo[a] = np.where(up, x, lo[a])
-        flo[a] = np.where(up, fx, flo[a])
-        hi[a] = np.where(down, x, hi[a])
-        fhi[a] = np.where(down, fx, fhi[a])
-        moved[a] = np.where(up, 1.0, -1.0)
-        root[a] = np.where(zero, x, 0.5 * (lo[a] + hi[a]))
-        narrow = hi[a] - lo[a] <= rtol * np.maximum(1.0, np.abs(hi[a]))
-        active = a[~(zero | narrow | stuck)]
+    root = _illinois(lambda x, i: fn(x, bk[i]), grid[bi], grid[bi + 1],
+                     v[bk, bi], v[bk, bi + 1], rtol)
     k = np.concatenate([zk, bk])
     x = np.concatenate([grid[zi], root])
     order = np.lexsort((x, k))
@@ -101,8 +127,10 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12,
 
 class TabulatedInverse:
     """Fast inverse of a monotone function on [lo, hi]: a value table gives
-    a tight starting bracket, regula falsi (with bracket maintenance)
-    finishes.  Built once, solved many times on arrays."""
+    each target its starting bracket, and ``_illinois`` refines it until fn
+    is within an ulp of the target or the bracket is a few ulps wide.  A
+    target outside the table's range gets the nearer end.  Built once,
+    solved many times on arrays."""
 
     def __init__(self, fn, lo: float, hi: float, size: int = 8193):
         self.fn = fn
@@ -111,29 +139,22 @@ class TabulatedInverse:
         self.increasing = bool(v[-1] >= v[0])
         self._v = v if self.increasing else -v
 
-    def solve(self, target, iters: int = 10):
+    def solve(self, target):
         t = np.atleast_1d(np.asarray(target, float))
-        ts = t if self.increasing else -t
+        ts = (t if self.increasing else -t).ravel()
         idx = np.clip(np.searchsorted(self._v, ts), 1, self.u.size - 1)
-        lo, hi = self.u[idx - 1], self.u[idx]
-        flo = self._v[idx - 1] - ts
-        fhi = self._v[idx] - ts
         sgn = 1.0 if self.increasing else -1.0
-        def falsi(lo, hi, flo, fhi):
-            denom = fhi - flo
-            safe = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-            return np.where(np.abs(denom) > 1e-300,
-                            (lo * fhi - hi * flo) / safe, 0.5 * (lo + hi))
+        ulp = np.spacing(np.abs(ts))
 
-        for _ in range(iters):
-            mid = np.clip(falsi(lo, hi, flo, fhi), lo, hi)
-            fm = sgn * np.asarray(self.fn(mid), float) - ts
-            go_hi = fm < 0.0
-            lo = np.where(go_hi, mid, lo)
-            flo = np.where(go_hi, fm, flo)
-            hi = np.where(go_hi, hi, mid)
-            fhi = np.where(go_hi, fhi, fm)
-        return np.clip(falsi(lo, hi, flo, fhi), self.u[0], self.u[-1])
+        def residual(x, i):
+            # within an ulp of the target is a root: on a flat stretch the
+            # residual is rounding noise long before the bracket is narrow
+            r = sgn * np.asarray(self.fn(x), float) - ts[i]
+            return np.where(np.abs(r) <= ulp[i], 0.0, r)
+
+        u = _illinois(residual, self.u[idx - 1], self.u[idx],
+                      self._v[idx - 1] - ts, self._v[idx] - ts, _INVERSE_RTOL)
+        return u.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -150,7 +171,8 @@ class Fn1:
         return self.fn(np.asarray(x, dtype=float))
 
     def inverse(self, y):
-        """Preimage under the (monotone) function; bisection fallback."""
+        """Preimage under the (monotone) function; ``bisect_monotone`` when
+        there is no closed form."""
         if self.inv is not None:
             return self.inv(np.asarray(y, dtype=float))
         lo, hi = self.domain

@@ -54,10 +54,13 @@ class LineHit:
 
 
 def _frames(A, B):
-    """Orthonormal bases (U1, U2) of the spans of the rows of A and B."""
+    """Orthonormal bases (U1, U2) of the spans of the rows of A and B.  The
+    chord of a fixed point of sigma (B a multiple of A) spans no line: its
+    U2, and so its residual, is NaN and it gives no hit."""
     U1 = A / np.linalg.norm(A, axis=-1, keepdims=True)
     Bp = B - np.sum(B * U1, axis=-1, keepdims=True) * U1
-    U2 = Bp / np.linalg.norm(Bp, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        U2 = Bp / np.linalg.norm(Bp, axis=-1, keepdims=True)
     return U1, U2
 
 

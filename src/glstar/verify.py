@@ -81,7 +81,8 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     points W of all flagged pairs in one closed-form pass.  A meet with
     sphere value W^T S W / |W|^2 above 0 is a violation unless it lies on
     the sphere (within 1e-6) at an endpoint of both chords.  The witness is
-    the first pair of largest value."""
+    the first pair whose value is within 1e-12 * max(1, largest) of the
+    largest."""
     rng = np.random.default_rng(seed)
     t = rng.random(n_pairs)
     s = rng.random(n_pairs)
@@ -103,7 +104,10 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     bad = np.nonzero((val > 0.0) & ~excused)[0]
     if bad.size == 0:
         return CheckReport("no_exterior_meet", True, 0.0, None, n_pairs)
-    j = bad[np.argmax(val[bad])]
+    # values within rounding of the largest tie: the first of them is the
+    # witness, however the meets were computed
+    top = val[bad]
+    j = bad[np.argmax(top >= top.max() - 1e-12 * max(1.0, top.max()))]
     i = pairs[j]
     witness = (float(t[i]), float(s[i]), float(th[i]),
                *(normalize(W[j]).coords + 0.0))  # + 0.0: no signed zeros

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glstar import constructions
 from glstar.constructions import (
     ParabolaSeq,
     builtin_example,
@@ -20,7 +21,16 @@ from glstar.constructions import (
     symmetric_star,
 )
 from glstar.errors import ConditionFailed, InvalidCenter, InvalidInput
-from glstar.functions import affine, as_fn1, identity, moebius01, neg_circle, phi_r, power
+from glstar.functions import (
+    affine,
+    as_fn1,
+    identity,
+    moebius01,
+    neg_circle,
+    phi_r,
+    power,
+    table,
+)
 from glstar.star import meridian_point
 from glstar.verify import check_axial, descartes_bound
 
@@ -231,6 +241,34 @@ def test_param_inequality_at_one():
     rhs = 2.0 * ((t - s) / 2.0) ** 2
     assert np.isclose(lhs, 0.125) and np.isclose(rhs, 0.0003125)
     assert lhs >= rhs
+
+
+def test_eqn_probe_counts_are_pinned(monkeypatch):
+    # hypotheses (3) and (4) of builtin and parabola: every circle probe
+    # and every exterior probe lies on exactly one surface H_a (param_star
+    # counts the exterior roots of h_{x,z} before delegating to eqn_star)
+    from glstar import verify
+    counts = []
+
+    def recording(*args, **kwargs):
+        counts.append(verify.positive_root_count(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(constructions, "positive_root_count", recording)
+    builtin_example()
+    parabola_star(example_parabola_sequence())
+    assert [c.size for c in counts] == [130, 32, 130, 32, 130]
+    assert all(np.all(c == 1) for c in counts)
+
+
+def test_symmetric_rejects_the_tabulated_wrong_limit():
+    # a(t) = 2t / sqrt(1 - t^2) tabulated: t^2 (1 + a^2) / a^2 -> 1/4
+    t = np.array([0.0, 1e-4, 1e-3, 1e-2, *np.linspace(0.05, 0.95, 19),
+                  0.99, 0.9995])
+    with pytest.raises(ConditionFailed) as err:
+        symmetric_star(table(t, 2.0 * t / np.sqrt(1.0 - t * t)))
+    assert str(err.value) == ("(2): t^2(1+a^2)/a^2 = 0.250075 at t=0.01, "
+                              "not within 5% of 1 (witness: 0.01)")
 
 
 def test_param_rejects_non_homeomorphism():

@@ -198,6 +198,30 @@ def test_tabulated_inverse_undoes_the_height_table(height_tables, k, frac):
 
 
 @pytest.mark.parametrize("k", range(4))
+def test_tabulated_inverse_is_exact_to_rounding(height_tables, k):
+    # heights spread over the whole table, to 4 ulps of max(1, |y|) (the
+    # heights lie in (-1, 1)); out of range the table's ends, as before
+    table = height_tables[k]
+    v = table._v if table.increasing else -table._v
+    y = np.linspace(v[0], v[-1], 4001)[1:-1]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "fn", lambda x, f=table.fn: calls.append(1) or f(x))
+        u = table.solve(y)
+    # near |y| = 1 the heights are flat: rounding noise spans many ulps of
+    # u, and a residual within an ulp of y ends the refinement there
+    assert len(calls) <= 10
+    err = np.abs(np.asarray(table.fn(u), float) - y)
+    assert np.all(err <= 4.0 * np.spacing(np.maximum(1.0, np.abs(y))))
+    # and nearly all within 4 ulps of y itself (not all: near a = 1e-9 one
+    # ulp of u = log a moves y by up to 16 ulps of y)
+    assert np.mean(err <= 4.0 * np.spacing(np.abs(y))) >= 0.998
+    below, above = (v[0] - 0.5, v[-1] + 0.5) if table.increasing \
+        else (v[0] + 0.5, v[-1] - 0.5)
+    assert table.solve([below, above]).tolist() == [table.u[0], table.u[-1]]
+
+
+@pytest.mark.parametrize("k", range(4))
 def test_height_inverse_below_the_table_follows_the_limit(height_tables, k):
     # below a = 1e-9 the heights are proportional to a up to O(a)
     solve = constructions._log_a_inverse(height_tables[k].fn)

@@ -13,7 +13,7 @@ from glstar.constructions import (
     symmetric_star,
 )
 from glstar.errors import SearchFailed
-from glstar.functions import moebius01
+from glstar.functions import bracket_roots, moebius01
 from glstar.parallelism import check_hfd, embed_star, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
 from glstar.search import StarLineSearch
@@ -128,3 +128,21 @@ def test_eqn_star_coverage_over_check_seeds(build):
     failed = [seed for seed in range(5000, 5040)
               if not check_coverage(star, seed=seed).passed]
     assert failed == []
+
+
+def test_symmetric_coverage_search_refines_in_few_rounds(monkeypatch):
+    # every round of the root refinement is one call of the covering
+    # function; an end that is already a root must not leave a bisection
+    # tail that keeps the batch looping
+    from glstar import search
+    rounds = []
+
+    def counted(fn, *args, **kwargs):
+        def fn_counted(x, k):
+            rounds.append(np.size(x))
+            return fn(x, k)
+        return bracket_roots(fn_counted, *args, **kwargs)
+
+    monkeypatch.setattr(search, "bracket_roots", counted)
+    assert check_coverage(symmetric_star(moebius01())).passed
+    assert 0 < len(rounds) <= 10

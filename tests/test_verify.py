@@ -97,6 +97,29 @@ def test_no_exterior_meet_violation():
     assert np.allclose(w[1:], [1.5, 0, 0], atol=1e-6)
 
 
+# (t, s, theta) of the first sampled pair: all pairs meet at (1.5, 0, 0)
+FIRST_EXTERIOR_CENTER_PAIR = {
+    0: (0.6369616873214543, 0.885204221978855, 3.5688926959634197),
+    1: (0.5118216247002567, 0.041629954629513355, 3.5947730012243566),
+    3: (0.08564916714362436, 0.38629682765473694, 1.3371503785203103),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_no_exterior_meet_witness_is_the_first_tied_pair(seed):
+    # the flagged pairs' values tie up to rounding (within 4e-13), so the
+    # witness is the first of them however the meets are computed
+    star = exterior_center_star()
+    (t, s, th), (A1, B1, A2, B2), pairs = flagged_chords(star, seed=seed)
+    W, found = chord_meet_points(A1[pairs], B1[pairs], A2[pairs], B2[pairs])
+    i = pairs[found][0]
+    report = check_no_exterior_meet(star, seed=seed)
+    assert report.witness[:3] == (t[i], s[i], th[i])
+    assert report.witness[:3] == FIRST_EXTERIOR_CENTER_PAIR[seed]
+    w = np.asarray(report.witness[3:])
+    assert np.allclose(w[1:] / w[0], [1.5, 0.0, 0.0], atol=1e-12)
+
+
 def _sides(W):
     """-1 interior, 0 on, 1 exterior: the sphere value of W against 1e-6."""
     v = (W[:, 1:] ** 2).sum(axis=1) - W[:, 0] ** 2
