@@ -302,10 +302,10 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
     return 0
 
 
-def _parse_affine_point(text: str):
+def _parse_affine_point(text: str, field: str = "--point"):
     parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError("expected x,y,z", field="--point")
+    if len(parts) != 3 or not all(np.isfinite(parts)):
+        raise ConfigError("expected x,y,z, three finite numbers", field=field)
     return np.array([1.0, *parts])
 
 
@@ -313,7 +313,7 @@ def _parse_affine_line(text: str) -> PLine:
     halves = text.split(";")
     if len(halves) != 2:
         raise ConfigError("expected x,y,z;x,y,z", field="--line")
-    return join(_parse_affine_point(halves[0]), _parse_affine_point(halves[1]))
+    return join(*(_parse_affine_point(h, field="--line") for h in halves))
 
 
 def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,

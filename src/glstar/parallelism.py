@@ -14,6 +14,12 @@ of the corresponding embedded star chord.  Finding the parallel class of
 a line is therefore the same search as finding the star line through a
 point, which the gl-star property makes unique (the projection is never
 interior: g(k,k) = 0 forces a nonnegative sphere-form value).
+
+The spread line through a point p of P^3 is closed form: p v x is in the
+class of h = span{h1, h2} when g(p v x, h_i) = 0, that is when x lies on
+the planes pi_i = P*(h_i) p of the dual Plücker matrices P*.  Its Plücker
+vector is the swapped join of pi_1 and pi_2, which are independent because
+no vector of span h lies on K (P*(a h1 + b h2) p = 0 puts p on that line).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
     DegenerateMeet,
     EvalError,
     HfdViolation,
+    InvalidInput,
     NotZeroSecant,
     SearchFailed,
 )
@@ -37,31 +44,22 @@ from .projgeom import (
     _nullspace_rows,
     _orth_rows,
     join_batch,
-    klein_lift,
-    line_points,
-    meet,
+    plucker_matrix,
     signature_on,
 )
 from .search import StarLineSearch
 from .star import GlStar
-from .verify import CheckReport
+from .verify import CheckReport, check_sampling
 
 _KLEIN = QuadricForm.klein()
 
-
-def _derived_basis() -> np.ndarray:
-    """Columns: a g-orthogonal basis with g-values (1,1,1,-1,-1,-1), built
-    from the dual coordinate pairing (sums then differences)."""
-    D = np.zeros((6, 6))
-    for i in range(3):
-        D[i, i] = D[i + 3, i] = 1.0       # d_{i+1} = e_i + e_{i+3}
-        D[i, i + 3] = 1.0                 # d_{i+4} = e_i - e_{i+3}
-        D[i + 3, i + 3] = -1.0
-    return D
-
-_D = _derived_basis()
+# Columns d1..d6, a g-orthogonal basis with g-values (1,1,1,-1,-1,-1):
+# d_i = e_i + e_{i+3} and d_{i+3} = e_i - e_{i+3} (+ 0.0: no signed zeros)
+_D = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) + 0.0
 _D_INV = _D.T / 2.0  # columns are orthogonal of squared length 2
 _S4 = np.diag([1.0, 1.0, 1.0, -1.0])
+# the dual (swapped) Plücker vector: 2 g(k, l) = k . l[_SWAP]
+_SWAP = [3, 4, 5, 0, 1, 2]
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,7 @@ class EmbeddedStar:
     def project_sphere_coords(self, k):
         """g-orthogonal projection of Klein vectors onto U, expressed back
         in sphere coordinates (w0, w1, w2, w3)."""
-        k = np.asarray(k, float)
-        kd = k @ _D_INV.T
+        kd = np.asarray(k, float) @ _D_INV.T
         return np.concatenate([kd[..., 3:4], kd[..., 0:3]], axis=-1)
 
     def chord_span_6d(self, t, theta=0.0):
@@ -94,9 +91,8 @@ class EmbeddedStar:
 
 
 def embed_star(star: GlStar) -> EmbeddedStar:
-    U = Subspace.span(_D.T[:4])
-    C = Subspace.span(_D.T[4:])
-    return EmbeddedStar(star=star, basis=_D, U=U, C=C)
+    return EmbeddedStar(star=star, basis=_D, U=Subspace.span(_D.T[:4]),
+                        C=Subspace.span(_D.T[4:]))
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,15 @@ class ParallelClass:
     """A regular spread: the 3-space W = polar(h) and its line evaluator."""
 
     es: EmbeddedStar
-    h_span: np.ndarray  # (2, 6)
+    h_span: np.ndarray  # (2, 6), orthonormal rows
     W: Subspace
 
     def contains_klein(self, k, tol: float = 1e-7) -> bool:
-        return self.W.contains(np.asarray(k, float), tol=tol)
+        # the rows of 2 G h_span (G is half a permutation) are orthonormal
+        # and span W's complement: 2 |h G k| is k's rejection from W
+        k = np.asarray(k, float)
+        return bool(2.0 * np.linalg.norm(self.h_span @ _KLEIN.matrix @ k)
+                    <= tol * np.linalg.norm(k))
 
     def same_as(self, other: "ParallelClass", tol: float = 1e-7) -> bool:
         return self.W.same_as(other.W, tol=tol)
@@ -161,10 +161,8 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     S = Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    # orthonormal bases for h and its polar: an RREF basis can have entries
-    # far above 1 (up to 1e9 for H-lines next to the axis), which push an
-    # eigenvalue below the signature cutoff and make the polar's null space
-    # keep a fifth vector
+    # orthonormal bases for h and its polar: RREF entries up to 1e9 (next
+    # to the axis) push an eigenvalue below the signature cutoff
     O = Subspace(_orth_rows(S.basis))
     sig = signature_on(_KLEIN, O)
     if sig not in ((2, 0, 0), (0, 2, 0)):
@@ -172,27 +170,19 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     W = Subspace(_nullspace_rows(O.basis @ _KLEIN.matrix))
     if signature_on(_KLEIN, W) not in ELLIPTIC_SIGNATURES:
         raise NotZeroSecant("polar 3-space does not cut an elliptic quadric")
-    return ParallelClass(es=es, h_span=S.basis.copy(), W=W)
+    return ParallelClass(es=es, h_span=O.basis, W=W)
 
 
 def spread_line_through(cls: ParallelClass, p) -> PLine:
-    """The unique line of the spread through a point of P^3."""
+    """The unique line of the spread through a point of P^3: the meet of
+    the planes P*(h_i) p (see the module docstring)."""
     pv = p.coords if isinstance(p, HPoint) else np.asarray(p, float)
-    order = np.argsort(-np.abs(pv))
-    for attempt in range(2):
-        # Klein vectors of three independent lines through p span the
-        # alpha-plane of p; meet it with W.
-        basis_idx = [i for i in order if i != order[attempt]][:3] \
-            if attempt else [i for i in order[1:]]
-        E = np.eye(4)[basis_idx]
-        K = join_batch(np.broadcast_to(pv, (3, 4)), E)
-        Ap = Subspace.span(K)
-        M = meet(Ap, cls.W)
-        if M.rank == 1:
-            line, _ = klein_lift(M.basis[0], tol=1e-6)
-            return line
-    raise DegenerateMeet(
-        f"alpha-plane meets the class 3-space in dimension {M.rank}, not 1")
+    planes = plucker_matrix(cls.h_span[:, _SWAP]) @ pv
+    k = join_batch(planes[0], planes[1])[_SWAP]
+    if not np.linalg.norm(k) > 1e-12 * float(pv @ pv):  # h_span orthonormal
+        raise DegenerateMeet(
+            "the two planes of the spread line through p are dependent")
+    return PLine(k)
 
 
 @dataclass(frozen=True)
@@ -213,6 +203,13 @@ def make_parallelism(star: GlStar) -> Parallelism:
     return Parallelism(es=es, hfd=star_to_hfd(es), search=StarLineSearch(star))
 
 
+def _finite(v, what: str) -> np.ndarray:
+    v = np.asarray(v, float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidInput(f"{what} has non-finite coordinates")
+    return v
+
+
 def _hits_for_lines(par: Parallelism, K, tol: float = 1e-8):
     """Search hits (per Klein vector row) for the star line whose H-member
     lies in each tangent hyperplane."""
@@ -226,7 +223,7 @@ def _hits_for_lines(par: Parallelism, K, tol: float = 1e-8):
 def parallel_class_of(par: Parallelism, L, tol: float = 1e-8) -> ParallelClass:
     """Parallel class of a line of P^3: exactly one H-line sits inside the
     tangent hyperplane of its Klein point."""
-    k = L.p if isinstance(L, PLine) else np.asarray(L, float)
+    k = _finite(L.p if isinstance(L, PLine) else L, "line")
     hits = _hits_for_lines(par, k[None, :], tol=tol)[0]
     if len(hits) == 0:
         raise SearchFailed("no H-line found in the tangent hyperplane")
@@ -238,13 +235,16 @@ def parallel_class_of(par: Parallelism, L, tol: float = 1e-8) -> ParallelClass:
 
 
 def parallel_through(par: Parallelism, p, L, tol: float = 1e-8) -> PLine:
-    """The unique line parallel to L through p (L itself when p is on L)."""
-    pv = p.coords if isinstance(p, HPoint) else np.asarray(p, float)
-    a, b = line_points(L)
-    span = np.vstack([a.coords, b.coords])
-    rej = pv - span.T @ np.linalg.lstsq(span.T, pv, rcond=None)[0]
+    """The unique line parallel to L through p (L itself when p is on L).
+
+    p is on L when |P*(L) p| < 1e-9 |p| for unit L: P*(L) kills L and is
+    an isometry on its complement, so this is p's rejection from L."""
+    pv = _finite(p.coords if isinstance(p, HPoint) else p, "point")
+    k = _finite(L.p if isinstance(L, PLine) else L, "line")
+    L = L if isinstance(L, PLine) else PLine(k)
+    rej = plucker_matrix(k[_SWAP] / np.linalg.norm(k)) @ pv
     if np.linalg.norm(rej) < 1e-9 * np.linalg.norm(pv):
-        return L if isinstance(L, PLine) else PLine(np.asarray(L, float))
+        return L
     cls = parallel_class_of(par, L, tol=tol)
     return spread_line_through(cls, pv)
 
@@ -263,15 +263,15 @@ def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0,
                     cutoff: float = 1e-8) -> int:
     """Projective dimension of the span of the H family."""
     if n < 10:
-        raise ValueError("need at least 10 samples")
+        raise InvalidInput("need at least 10 samples")
     s = span_singular_values(hfd, n=n, seed=seed)
-    rank = int(np.sum(s > cutoff * s[0]))
-    return rank - 1
+    return int(np.sum(s > cutoff * s[0])) - 1
 
 
 def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckReport:
     """Every sampled H-line must avoid K: the restricted form is definite,
     i.e. the restricted quadratic has negative discriminant."""
+    check_sampling(n, seed=seed)
     S = hfd.samples(n, seed=seed)
     G = S @ _KLEIN.matrix @ S.transpose(0, 2, 1)
     # disc = g(A,B)^2 - g(A,A) g(B,B) < 0  <=>  det of the Gram > 0
@@ -288,10 +288,8 @@ def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
     """For random lines of P^3, the tangent hyperplane of the Klein point
     contains exactly one H-line (one star line through the projected
     point)."""
-    rng = np.random.default_rng(seed)
-    P1 = rng.normal(size=(n, 4))
-    P2 = rng.normal(size=(n, 4))
-    K = join_batch(P1, P2)
+    check_sampling(n, tol, seed)
+    K = join_batch(*np.random.default_rng(seed).normal(size=(2, n, 4)))
     hits = _hits_for_lines(par, K, tol=tol)
     counts = np.array([len(h) for h in hits])
     bad = np.nonzero(counts != 1)[0]
@@ -316,6 +314,7 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
                               tol: float = 1e-9) -> CheckReport:
     """The circle acting on C is a g-isometry and fixes every H-line
     (hence every parallel class) setwise."""
+    check_sampling(min(n, n_theta), seed=seed)  # tol 0: report the worst
     S = star_to_hfd(es).samples(n, seed=seed)
     Q = S / np.linalg.norm(S, axis=2, keepdims=True)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)

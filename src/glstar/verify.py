@@ -358,5 +358,5 @@ def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
         elif name == "symmetric":
             reports.append(check_symmetric(star, n=n(256), tol=eps(1e-8)))
         else:
-            raise ValueError(f"unknown check {name!r}")
+            raise InvalidInput(f"unknown check {name!r}")
     return reports

@@ -1,17 +1,24 @@
 """The stacked-SVD chord meet and the per-pair loop of check_no_exterior_meet,
 kept as the reference for the closed-form kernel ``lines_meet_point`` and
-the batched check that replaced them in the library."""
+the batched check that replaced them in the library; and the alpha-plane
+spread line, the reference for the two-plane closed form of
+``parallelism.spread_line_through``."""
 
 import numpy as np
 
+from glstar.errors import DegenerateMeet
 from glstar.projgeom import (
+    HPoint,
     PLine,
     QuadricForm,
     Side,
+    Subspace,
     _nullspace_rows,
     join_batch,
     klein_form_batch,
+    klein_lift,
     line_points,
+    meet,
     normalize,
     point_side,
 )
@@ -118,3 +125,23 @@ def no_exterior_meet(star, n_pairs=5000, tol=1e-8, seed=0):
                        *np.asarray(normalize(w).coords))
     return CheckReport("no_exterior_meet", witness is None, float(worst),
                        witness, n_pairs)
+
+
+def alpha_plane_spread_line(cls, p) -> PLine:
+    """The unique line of the spread through a point of P^3."""
+    pv = p.coords if isinstance(p, HPoint) else np.asarray(p, float)
+    order = np.argsort(-np.abs(pv))
+    for attempt in range(2):
+        # Klein vectors of three independent lines through p span the
+        # alpha-plane of p; meet it with W.
+        basis_idx = [i for i in order if i != order[attempt]][:3] \
+            if attempt else [i for i in order[1:]]
+        E = np.eye(4)[basis_idx]
+        K = join_batch(np.broadcast_to(pv, (3, 4)), E)
+        Ap = Subspace.span(K)
+        M = meet(Ap, cls.W)
+        if M.rank == 1:
+            line, _ = klein_lift(M.basis[0], tol=1e-6)
+            return line
+    raise DegenerateMeet(
+        f"alpha-plane meets the class 3-space in dimension {M.rank}, not 1")

@@ -312,6 +312,23 @@ def test_config_rejects_bad_samples_and_tol(tmp_path, capsys, fields):
     assert err.startswith("CONFIG ERROR") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("query,field", [
+    (["--point=nan,0,0", "--line=0,0,-1;0,0,1"], "--point"),
+    (["--point=inf,0,0", "--line=0,0,-1;0,0,1"], "--point"),
+    (["--point=0,1e400,0", "--line=0,0,-1;0,0,1"], "--point"),
+    (["--point=1,0,0", "--line=nan,0,0;1,1,1"], "--line"),
+    (["--point=1,0,0", "--line=0,0,0;1,-inf,1"], "--line"),
+])
+def test_main_parallel_rejects_non_finite_coordinates(tmp_path, capsys, query,
+                                                      field):
+    assert main(["parallel", "--config", _config_file(tmp_path), *query]) == 2
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert text.startswith(f"CONFIG ERROR: {field}: expected x,y,z")
+    assert text.count("\n") == 1
+    assert "Traceback" not in text
+
+
 def test_zero_samples_is_not_replaced_by_defaults(tmp_path):
     cfg = parse_config('{"family":"clifford"}')
     cfg.samples = 0

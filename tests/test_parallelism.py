@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from glstar.constructions import builtin_example, clifford, symmetric_star
-from glstar.errors import HfdViolation, NotZeroSecant, SearchFailed
+from glstar.errors import (
+    DegenerateMeet,
+    HfdViolation,
+    InvalidInput,
+    NotZeroSecant,
+    SearchFailed,
+)
 from glstar.functions import moebius01
 from glstar.parallelism import (
     _D,
+    ParallelClass,
     check_hfd,
     check_torus_fixes_classes,
     check_zero_secants,
@@ -25,7 +32,9 @@ from glstar.parallelism import (
 from glstar.projgeom import (
     QuadricForm,
     Subspace,
+    _orth_rows,
     join,
+    join_batch,
     klein_form,
     line_points,
     polar,
@@ -36,6 +45,7 @@ from glstar.search import StarLineSearch
 from glstar.verify import check_coverage
 
 from bad_stars import apex_star, exterior_center_star
+from meet_reference import alpha_plane_spread_line
 
 KLEIN = QuadricForm.klein()
 SPHERE = QuadricForm.unit_sphere()
@@ -229,6 +239,84 @@ def test_spread_disjointness():
         assert g > 1e-8 * np.linalg.norm(L1.p) * np.linalg.norm(L2.p)
 
 
+# --- spread lines: the two-plane closed form against the alpha-plane meet ----
+
+
+def _line_distance(k, l):
+    k = k / np.linalg.norm(k)
+    l = l / np.linalg.norm(l)
+    return float(np.linalg.norm(l - (l @ k) * k))
+
+
+def _rejection(p, k):
+    """Distance of p from the line k, relative to |p|: p minus its
+    least-squares fit by two spanning points."""
+    span = np.vstack([pt.coords for pt in line_points(k)])
+    rej = p - span.T @ np.linalg.lstsq(span.T, p, rcond=None)[0]
+    return float(np.linalg.norm(rej) / np.linalg.norm(p))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_spread_lines_match_the_alpha_plane_reference(seven_stars, seed):
+    rng = np.random.default_rng(seed)
+    for name, star in seven_stars.items():
+        par = make_parallelism(star)
+        ts = [1e-6, 1e-4, 0.999, 1.0 - 1e-6, *rng.random(3)]
+        for t in ts:
+            h = par.hfd.span_at(t, rng.uniform(0.0, 2.0 * np.pi))[0]
+            cls = class_from_hfd_line(par.es, h)
+            for p in rng.normal(size=(4, 4)):
+                L = spread_line_through(cls, p)
+                ref = alpha_plane_spread_line(cls, p)
+                assert _line_distance(L.p, ref.p) <= 1e-10, (name, t)
+                assert _rejection(p, L) <= 1e-10, (name, t)
+                k = L.p / np.linalg.norm(L.p)
+                for row in cls.h_span:
+                    assert abs(klein_form(k, row)) <= 1e-12, (name, t)
+
+
+def test_spread_line_through_a_point_on_an_h_row_is_degenerate():
+    # an h row that is a real line through p kills the first plane P*(h1) p
+    p = np.array([1.0, 0.3, -0.2, 0.5])
+    h1 = join_batch(p, np.array([0.2, 1.0, 0.4, -0.7]))
+    h2 = PAR_BUILTIN.hfd.span_at(0.4, 1.0)[0, 1]
+    stub = ParallelClass(es=PAR_BUILTIN.es,
+                         h_span=np.vstack([h1 / np.linalg.norm(h1), h2]),
+                         W=None)
+    with pytest.raises(DegenerateMeet):
+        spread_line_through(stub, p)
+    with pytest.raises(DegenerateMeet):
+        spread_line_through(stub, 1e-30 * p)
+
+
+def test_class_h_span_is_orthonormal():
+    for t in (1e-6, 0.5, 1.0 - 1e-6):
+        cls = class_from_hfd_line(PAR_BUILTIN.es,
+                                  PAR_BUILTIN.hfd.span_at(t, 0.3)[0])
+        assert np.abs(cls.h_span @ cls.h_span.T - np.eye(2)).max() < 1e-14
+
+
+def test_contains_klein_matches_w_contains(seven_stars):
+    rng = np.random.default_rng(4)
+    for name, star in seven_stars.items():
+        par = make_parallelism(star)
+        for t in (1e-6, 0.3, 1.0 - 1e-6):
+            cls = class_from_hfd_line(par.es, par.hfd.span_at(t, 2.0)[0])
+            Q = _orth_rows(cls.W.basis)
+            for k in rng.normal(size=(5, 6)):
+                # the closed form is W's rejection, and both tests agree on
+                # either side of it
+                rej = np.linalg.norm(k - Q.T @ (Q @ k)) / np.linalg.norm(k)
+                closed = 2.0 * np.linalg.norm(
+                    cls.h_span @ KLEIN.matrix @ k) / np.linalg.norm(k)
+                assert abs(closed - rej) < 1e-14, name
+                for tol in (rej * (1 - 1e-9), rej * (1 + 1e-9)):
+                    assert cls.contains_klein(k, tol=tol) == \
+                        cls.W.contains(k, tol=tol), name
+            L = spread_line_through(cls, rng.normal(size=4))
+            assert cls.contains_klein(L.p) and cls.W.contains(L.p, tol=1e-7)
+
+
 # --- parallel queries ----------------------------------------------------------------
 
 
@@ -242,6 +330,33 @@ def test_parallel_class_contains_query_line():
 def test_parallel_through_point_on_line():
     out = parallel_through(PAR_BUILTIN, np.array([1.0, 0, 0, 0.5]), Z_AXIS)
     assert projective_distance(out.p, Z_AXIS.p) < 1e-12
+
+
+def test_parallel_through_on_line_threshold():
+    # p is on L when its rejection from L is below 1e-9 |p|
+    a, b = np.array([1.0, 0.2, 0.1, 0.4]), np.array([0.3, -1.0, 0.5, 0.2])
+    L = join(a, b)
+    n = np.linalg.svd(np.vstack([a, b]))[2][2]  # unit normal to the span
+    for eps, on in ((0.5e-9, True), (2e-9, False)):
+        p = a + 0.7 * b
+        p = p + eps * np.linalg.norm(p) * n
+        assert abs(_rejection(p, L) - eps) < 1e-3 * eps
+        out = parallel_through(PAR_BUILTIN, p, L)
+        assert (out is L) == on
+        assert _rejection(p, out) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_queries_reject_non_finite_input(bad):
+    p = np.array([1.0, bad, 0.0, 0.0])
+    k = Z_AXIS.p.copy()
+    k[1] = bad
+    with pytest.raises(InvalidInput, match="point"):
+        parallel_through(PAR_BUILTIN, p, Z_AXIS)
+    with pytest.raises(InvalidInput, match="line"):
+        parallel_through(PAR_BUILTIN, np.array([1.0, 1.0, 0.0, 0.0]), k)
+    with pytest.raises(InvalidInput, match="line"):
+        parallel_class_of(PAR_BUILTIN, k)
 
 
 def test_parallel_through_clifford():
@@ -294,6 +409,13 @@ def test_dim_symmetric_three():
     assert dim_parallelism(par.hfd) == 3
 
 
+def test_dim_parallelism_needs_ten_samples():
+    with pytest.raises(InvalidInput, match="need at least 10 samples"):
+        dim_parallelism(PAR_BUILTIN.hfd, n=9)
+    with pytest.raises(ValueError):  # InvalidInput is a ValueError
+        dim_parallelism(PAR_BUILTIN.hfd, n=0)
+
+
 def test_rank_gap():
     s = span_singular_values(PAR_BUILTIN.hfd, n=60)
     assert s[3] / max(s[4], 1e-300) > 1e6
@@ -305,6 +427,25 @@ def test_rank_gap():
 def test_check_hfd_passes():
     assert check_hfd(PAR_CLIFF, n=40).passed
     assert check_hfd(PAR_BUILTIN, n=40).passed
+
+
+@pytest.mark.parametrize("check,kwargs", [
+    (lambda **kw: check_hfd(PAR_CLIFF, **kw), {"n": 0}),
+    (lambda **kw: check_hfd(PAR_CLIFF, **kw), {"n": -3}),
+    (lambda **kw: check_hfd(PAR_CLIFF, **kw), {"seed": -1}),
+    (lambda **kw: check_hfd(PAR_CLIFF, **kw), {"tol": 0.0}),
+    (lambda **kw: check_zero_secants(PAR_CLIFF.hfd, **kw), {"n": 0}),
+    (lambda **kw: check_zero_secants(PAR_CLIFF.hfd, **kw), {"seed": -1}),
+    (lambda **kw: check_torus_fixes_classes(PAR_CLIFF.es, **kw), {"n": 0}),
+    (lambda **kw: check_torus_fixes_classes(PAR_CLIFF.es, **kw),
+     {"n_theta": 0}),
+    (lambda **kw: check_torus_fixes_classes(PAR_CLIFF.es, **kw),
+     {"seed": -1}),
+])
+def test_klein_checks_validate_sampling(check, kwargs):
+    # never a PASS on no samples, nor numpy's own error
+    with pytest.raises(InvalidInput):
+        check(**kwargs)
 
 
 def test_hfd_violation_detected():

@@ -350,6 +350,13 @@ def test_run_star_checks_rejects_bad_samples_and_tol(kwargs):
         run_star_checks(SYMM, checks=["involution"], **kwargs)
 
 
+def test_run_star_checks_rejects_unknown_check():
+    with pytest.raises(InvalidInput, match="unknown check 'bogus'"):
+        run_star_checks(SYMM, checks=["bogus"])
+    with pytest.raises(ValueError):  # InvalidInput is a ValueError
+        run_star_checks(SYMM, checks=["bogus"])
+
+
 def test_render_format():
     r = check_involution(clifford(), n=50)
     text = r.render()
