@@ -164,39 +164,21 @@ def build_star(cfg: StarConfig):
     raise ConfigError(f"unhandled family {cfg.family}")  # pragma: no cover
 
 
-KLEIN_CHECKS = ("zero_secants", "hfd", "torus_fixes_classes")
-
-
 def check_names(selected):
     """Raise ConfigError unless every selected name is a known check."""
-    unknown = [s for s in selected if s not in ver.GEOMETRY_CHECKS
-               and s not in KLEIN_CHECKS]
+    unknown = [s for s in selected if s not in ver.CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {','.join(unknown)}",
                           field="--checks")
 
 
 def run_all_checks(star, cfg: StarConfig, selected=None):
-    names = ver.applicable_checks(star) + list(KLEIN_CHECKS)
+    names = ver.applicable_checks(star) + list(ver.KLEIN_CHECKS)
     if selected:
         check_names(selected)
         names = [n for n in names if n in selected]
-    ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
-    size = lambda default: default if cfg.samples is None else cfg.samples  # noqa: E731
-    geo = [n for n in names if n in ver.GEOMETRY_CHECKS]
-    reports = ver.run_star_checks(star, checks=geo, samples=cfg.samples,
-                                  tol=cfg.tol, seed=cfg.seed) if geo else []
-    if any(n in names for n in KLEIN_CHECKS):
-        p = par.make_parallelism(star)
-        if "zero_secants" in names:
-            reports.append(par.check_zero_secants(p.hfd, n=size(200),
-                                                  seed=cfg.seed))
-        if "hfd" in names:
-            reports.append(par.check_hfd(p, n=size(100), seed=cfg.seed))
-        if "torus_fixes_classes" in names:
-            reports.append(par.check_torus_fixes_classes(p.es, n=size(50),
-                                                         seed=cfg.seed))
-    return reports
+    return ver.run_star_checks(star, checks=names, samples=cfg.samples,
+                               tol=cfg.tol, seed=cfg.seed)
 
 
 def cmd_verify(cfg: StarConfig, checks=None, out=None) -> int:
@@ -328,7 +310,7 @@ def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,
         L = _parse_affine_line(line_text)
         p = _parse_affine_point(point_text)
     except (ConfigError, ValueError) as exc:
-        print(f"CONFIG ERROR: {exc}", file=out)
+        print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
     try:
         result = par.parallel_through(par.make_parallelism(star), p, L)

@@ -438,7 +438,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
     if bad.size:
         i = bad[0]
         raise ConditionFailed(f"(3): h_{{x,z}} has {counts[i]} positive roots",
-                              witness=(x[i], z[i]))
+                              witness=(float(x[i]), float(z[i])))
 
     def b_fn(a):
         a = np.asarray(a, float)

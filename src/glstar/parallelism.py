@@ -264,6 +264,7 @@ def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0,
     """Projective dimension of the span of the H family."""
     if n < 10:
         raise InvalidInput("need at least 10 samples")
+    check_sampling(seed=seed)
     s = span_singular_values(hfd, n=n, seed=seed)
     return int(np.sum(s > cutoff * s[0])) - 1
 

@@ -2,7 +2,8 @@
 
 Every check is deterministic for a fixed seed and returns a CheckReport.
 Each check evaluates its whole sample set in one batched pass, so reports
-are reproducible bit for bit.
+are reproducible bit for bit.  ``_SUITE`` is the one table of the ten
+checks (seven here, three Klein checks in ``parallelism``) in report order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class CheckReport:
 
 def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckReport:
     """max |sigma(sigma(q)) - q| over a Fibonacci sphere grid."""
+    check_sampling(n, tol)
     grid = fibonacci_sphere(n)
     res = np.linalg.norm(star.sigma(star.sigma(grid)) - grid, axis=-1)
     i = int(np.argmax(res))
@@ -63,6 +65,7 @@ def check_fixed_point_free(star: GlStar, n: int = 1000,
     """min |sigma(q) - q| over the grid; must stay above the threshold.
 
     max_residual reports the margin (the minimum displacement)."""
+    check_sampling(n)
     grid = fibonacci_sphere(n)
     disp = np.linalg.norm(star.sigma(grid) - grid, axis=-1)
     i = int(np.argmin(disp))
@@ -83,6 +86,7 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     the sphere (within 1e-6) at an endpoint of both chords.  The witness is
     the first pair whose value is within 1e-12 * max(1, largest) of the
     largest."""
+    check_sampling(n_pairs, tol, seed)
     rng = np.random.default_rng(seed)
     t = rng.random(n_pairs)
     s = rng.random(n_pairs)
@@ -152,6 +156,7 @@ def exterior_samples(n: int, seed: int = 0, infinity_fraction: float = 0.1):
 def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
                    seed: int = 0) -> CheckReport:
     """Every sampled exterior point must lie on exactly one star line."""
+    check_sampling(n_points, tol, seed)
     W = exterior_samples(n_points, seed=seed)
     hits = StarLineSearch(star).find_batch(W, tol=tol)
     counts = np.array([len(h) for h in hits])
@@ -167,6 +172,7 @@ def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
 def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
                      seed: int = 0) -> CheckReport:
     """sigma commutes with rotations about Z on random (theta, q)."""
+    check_sampling(n, tol, seed)
     q, th, res = rotation_defect(star.sigma, n, seed)
     i = int(np.argmax(res))
     return CheckReport("rotational", bool(res[i] < tol), float(res[i]),
@@ -177,6 +183,7 @@ def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
 def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
     """(i) every sampled star line meets Z; (ii) the reflection about the
     plane y=0 commutes with sigma."""
+    check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     A, B = star.chord(t, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
     K = join_batch(A, B)
@@ -201,6 +208,7 @@ def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
 
 def check_symmetric(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
     """Heights satisfy z(sigma(p_t)) = -t along the meridian."""
+    check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     m = star.sigma(meridian_point(t))
     res = np.abs(m[:, 2] + t)
@@ -300,19 +308,47 @@ def check_pz_monotone(t_fn, s_fn, z_grid=None, n_samples: int = 256,
 # ---------------------------------------------------------------------------
 # Suite runner
 
-GEOMETRY_CHECKS = ("involution", "fixed_point_free", "no_exterior_meet",
-                   "coverage", "rotational", "axial", "symmetric")
+def _given(**kw):
+    """The keyword arguments that are not None (the rest keep defaults)."""
+    return {k: v for k, v in kw.items() if v is not None}
+
+
+# The checks in report order, by name: the star tag each needs (None: any
+# star), whether it is a Klein check (run on the star's parallelism P) and
+# call(star or P, samples, tol, seed), which looks the check up on its
+# module when it runs, so that a wrapper put on the attribute sees the call.
+_SUITE = {
+    "involution": (None, False, lambda s, n, tol, seed:
+        check_involution(s, **_given(n=n, tol=tol))),
+    "fixed_point_free": (None, False, lambda s, n, tol, seed:
+        check_fixed_point_free(s, **_given(n=n))),
+    "no_exterior_meet": (None, False, lambda s, n, tol, seed:
+        check_no_exterior_meet(s, seed=seed, **_given(n_pairs=n, tol=tol))),
+    "coverage": (None, False, lambda s, n, tol, seed:
+        check_coverage(s, seed=seed, **_given(n_points=n, tol=tol))),
+    "rotational": ("rotational", False, lambda s, n, tol, seed:
+        check_rotational(s, seed=seed, **_given(n=n, tol=tol))),
+    "axial": ("axial", False, lambda s, n, tol, seed:
+        check_axial(s, **_given(n=n, tol=tol))),
+    "symmetric": ("symmetric", False, lambda s, n, tol, seed:
+        check_symmetric(s, **_given(n=n, tol=tol))),
+    "zero_secants": (None, True, lambda P, n, tol, seed:
+        _par.check_zero_secants(P.hfd, seed=seed, **_given(n=n))),
+    "hfd": (None, True, lambda P, n, tol, seed:
+        _par.check_hfd(P, seed=seed, **_given(n=n, tol=tol))),
+    "torus_fixes_classes": (None, True, lambda P, n, tol, seed:
+        _par.check_torus_fixes_classes(
+            P.es, seed=seed, **_given(n=n, tol=tol))),
+}
+CHECKS = tuple(_SUITE)
+GEOMETRY_CHECKS = tuple(k for k, (_, klein, _) in _SUITE.items() if not klein)
+KLEIN_CHECKS = tuple(k for k, (_, klein, _) in _SUITE.items() if klein)
 
 
 def applicable_checks(star: GlStar):
-    names = ["involution", "fixed_point_free", "no_exterior_meet", "coverage"]
-    if "rotational" in star.tags:
-        names.append("rotational")
-    if "axial" in star.tags:
-        names.append("axial")
-    if "symmetric" in star.tags:
-        names.append("symmetric")
-    return names
+    """The star checks (no Klein check) that apply to the star."""
+    return [name for name, (tag, klein, _) in _SUITE.items()
+            if not klein and (tag is None or tag in star.tags)]
 
 
 def check_sampling(samples: int | None = None, tol: float | None = None,
@@ -331,32 +367,19 @@ def check_sampling(samples: int | None = None, tol: float | None = None,
 
 def run_star_checks(star: GlStar, checks=None, samples: int | None = None,
                     tol: float | None = None, seed: int = 0):
-    """Run the named checks (default: all applicable ones) in a fixed order.
+    """Run the named checks (default: the applicable star checks) in the
+    order given; the Klein checks share one make_parallelism(star).
 
     ``samples`` and ``tol``, when given, replace every check's default."""
     check_sampling(samples, tol, seed)
-    n = lambda default: default if samples is None else samples  # noqa: E731
-    eps = lambda default: default if tol is None else tol  # noqa: E731
-    names = list(checks) if checks else applicable_checks(star)
-    reports = []
+    names = applicable_checks(star) if checks is None else list(checks)
     for name in names:
-        if name == "involution":
-            reports.append(check_involution(star, n=n(1000), tol=eps(1e-9)))
-        elif name == "fixed_point_free":
-            reports.append(check_fixed_point_free(star, n=n(1000)))
-        elif name == "no_exterior_meet":
-            reports.append(check_no_exterior_meet(star, n_pairs=n(5000),
-                                                  tol=eps(1e-8), seed=seed))
-        elif name == "coverage":
-            reports.append(check_coverage(star, n_points=n(200),
-                                          tol=eps(1e-8), seed=seed))
-        elif name == "rotational":
-            reports.append(check_rotational(star, n=n(100), tol=eps(1e-9),
-                                            seed=seed))
-        elif name == "axial":
-            reports.append(check_axial(star, n=n(256), tol=eps(1e-8)))
-        elif name == "symmetric":
-            reports.append(check_symmetric(star, n=n(256), tol=eps(1e-8)))
-        else:
+        if name not in _SUITE:
             raise InvalidInput(f"unknown check {name!r}")
-    return reports
+    P = (_par.make_parallelism(star) if any(_SUITE[n][1] for n in names)
+         else None)
+    return [call(P if klein else star, samples, tol, seed)
+            for _, klein, call in map(_SUITE.get, names)]
+
+
+from . import parallelism as _par  # noqa: E402  (it imports this module)

@@ -3,6 +3,7 @@ each check fail."""
 
 import numpy as np
 
+from glstar.constructions import clifford
 from glstar.star import (
     GlStar,
     RotationalProfile,
@@ -46,3 +47,28 @@ def exterior_center_star():
         return out if np.asarray(q).ndim > 1 else out[0]
 
     return GlStar("exterior-center", sig)
+
+
+def corrupted_involution_star():
+    """Clifford's antipodal map followed by a turn of 0.01 about Z: not an
+    involution."""
+    base = clifford()
+    return GlStar("corrupted", lambda q: rotate_z(base.sigma(q), 0.01))
+
+
+def vertical_chord_star():
+    """(x, y, z) -> (x, y, -z): the equator is fixed, and exterior points
+    off the cylinder x^2 + y^2 <= 1 lie on no (vertical) star line."""
+    flip = np.array([1.0, 1.0, -1.0])
+    return GlStar("vertical-chord", lambda q: np.asarray(q, float) * flip)
+
+
+def near_identity_star():
+    """q -> normalize(q + 1e-5 e_x): every chord is nearly a tangent, so
+    its H-line nearly touches the Klein quadric."""
+    @on_unit_sphere
+    def sig(Q):
+        out = Q + np.array([1e-5, 0.0, 0.0])
+        return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+    return GlStar("near-identity", sig)

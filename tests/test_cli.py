@@ -198,11 +198,12 @@ def test_cmd_parallel_clifford_parallel_of_z():
     assert np.linalg.norm(rej) < 1e-8
 
 
-def test_cmd_parallel_bad_line_spec():
+def test_cmd_parallel_bad_line_spec(capsys):
     cfg = parse_config('{"family":"clifford"}')
-    out = io.StringIO()
-    assert cmd_parallel(cfg, "0,0,-1", "1,0,0", out=out) == 2
-    assert "CONFIG ERROR" in out.getvalue()
+    assert cmd_parallel(cfg, "0,0,-1", "1,0,0") == 2
+    captured = capsys.readouterr()
+    assert "CONFIG ERROR" in captured.err
+    assert captured.out == ""
 
 
 # --- main entry ------------------------------------------------------------------
@@ -323,7 +324,8 @@ def test_main_parallel_rejects_non_finite_coordinates(tmp_path, capsys, query,
                                                       field):
     assert main(["parallel", "--config", _config_file(tmp_path), *query]) == 2
     captured = capsys.readouterr()
-    text = captured.out + captured.err
+    assert captured.out == ""
+    text = captured.err
     assert text.startswith(f"CONFIG ERROR: {field}: expected x,y,z")
     assert text.count("\n") == 1
     assert "Traceback" not in text
@@ -347,6 +349,17 @@ def test_fixed_fault_query_answered_on_fg(tmp_path, capsys):
                  "-0.472403,1.092162,-0.405832",
                  "--point=-0.037437,0.588276,-0.462042"]) == 0
     assert "QUERY FAILED" not in capsys.readouterr().out
+
+
+def test_main_tol_reaches_the_klein_checks(tmp_path, capsys):
+    cfg = _config_file(tmp_path)
+    assert main(["verify", "--config", cfg, "--checks",
+                 "torus_fixes_classes,involution,hfd", "--tol", "1e-20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "CHECK torus_fixes_classes", "CHECK involution", "CHECK hfd"]
+    assert all(": FAIL " in line for line in lines[:3])
+    assert lines[3] == "RESULT: FAIL (0/3)"
 
 
 def test_run_all_checks_rejects_negative_seed():

@@ -261,6 +261,27 @@ def test_eqn_probe_counts_are_pinned(monkeypatch):
     assert all(np.all(c == 1) for c in counts)
 
 
+def test_param_root_count_witness_is_plain_floats(monkeypatch):
+    # a second root on the first exterior probe of hypothesis (3): the
+    # witness prints as floats, not as numpy reprs
+    from glstar import verify
+    calls = []
+
+    def two_roots_first(*args, **kwargs):
+        counts = verify.positive_root_count(*args, **kwargs)
+        if not calls:
+            counts[0] = 2
+        calls.append(counts)
+        return counts
+
+    monkeypatch.setattr(constructions, "positive_root_count", two_roots_first)
+    with pytest.raises(ConditionFailed) as err:
+        param_star(phi_r(1.5), phi_r(2.0))
+    assert str(err.value) == ("(3): h_{x,z} has 2 positive roots "
+                              "(witness: (0.15, 1.0714285714285714))")
+    assert len(calls) == 1
+
+
 def test_symmetric_rejects_the_tabulated_wrong_limit():
     # a(t) = 2t / sqrt(1 - t^2) tabulated: t^2 (1 + a^2) / a^2 -> 1/4
     t = np.array([0.0, 1e-4, 1e-3, 1e-2, *np.linspace(0.05, 0.95, 19),

@@ -441,6 +441,7 @@ def test_check_hfd_passes():
      {"n_theta": 0}),
     (lambda **kw: check_torus_fixes_classes(PAR_CLIFF.es, **kw),
      {"seed": -1}),
+    (lambda **kw: dim_parallelism(PAR_CLIFF.hfd, **kw), {"seed": -1}),
 ])
 def test_klein_checks_validate_sampling(check, kwargs):
     # never a PASS on no samples, nor numpy's own error

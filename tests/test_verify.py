@@ -16,7 +16,7 @@ from glstar.errors import EvalError, InvalidInput
 from glstar.functions import affine, as_fn1, moebius01, phi_r, power
 from glstar.projgeom import lines_meet_point, projective_distance
 from glstar.search import StarLineSearch
-from glstar.star import GlStar, rotate_z
+from glstar.star import GlStar
 from glstar.verify import (
     check_axial,
     check_coverage,
@@ -32,7 +32,13 @@ from glstar.verify import (
     run_star_checks,
 )
 
-from bad_stars import exterior_center_star
+from bad_stars import (
+    apex_star,
+    corrupted_involution_star,
+    exterior_center_star,
+    near_identity_star,
+    vertical_chord_star,
+)
 from meet_reference import chord_meet_points, flagged_chords, no_exterior_meet
 
 BUILTIN = builtin_example()
@@ -41,11 +47,6 @@ LAT = latitudinal(pencil_from_mu(
     as_fn1(lambda th: np.asarray(th) ** 2 * (2 / np.pi),
            domain=(0.0, np.pi / 2))))
 FG = fg_star(power(2), affine(1, -1), eps=-1)
-
-
-def corrupted_involution_star():
-    base = clifford()
-    return GlStar("corrupted", lambda q: rotate_z(base.sigma(q), 0.01))
 
 
 # --- involution / fixed points -------------------------------------------------
@@ -339,6 +340,7 @@ def test_run_star_checks_subset():
     reports = run_star_checks(BUILTIN, checks=["involution", "coverage"],
                               samples=60)
     assert [r.name for r in reports] == ["involution", "coverage"]
+    assert run_star_checks(BUILTIN, checks=[]) == []
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -355,6 +357,94 @@ def test_run_star_checks_rejects_unknown_check():
         run_star_checks(SYMM, checks=["bogus"])
     with pytest.raises(ValueError):  # InvalidInput is a ValueError
         run_star_checks(SYMM, checks=["bogus"])
+
+
+@pytest.mark.parametrize("check,kwargs", [
+    (check_involution, {"n": 0}), (check_involution, {"tol": float("nan")}),
+    (check_fixed_point_free, {"n": 0}),
+    (check_no_exterior_meet, {"n_pairs": 0}),
+    (check_no_exterior_meet, {"tol": 0.0}),
+    (check_no_exterior_meet, {"seed": -1}),
+    (check_coverage, {"n_points": 0}), (check_coverage, {"tol": -1e-8}),
+    (check_coverage, {"seed": -1}),
+    (check_rotational, {"n": 0}), (check_rotational, {"tol": float("inf")}),
+    (check_rotational, {"seed": 1.5}),
+    (check_axial, {"n": 0}), (check_axial, {"tol": float("nan")}),
+    (check_symmetric, {"n": 0}), (check_symmetric, {"tol": 0.0}),
+])
+def test_star_checks_validate_sampling(check, kwargs):
+    # never a PASS on no samples, a FAIL on a nan tolerance, nor numpy's
+    # own error
+    with pytest.raises(InvalidInput):
+        check(SYMM, **kwargs)
+
+
+# A star that each check must reject, by check name
+KNOWN_BAD = {
+    "involution": corrupted_involution_star,
+    "fixed_point_free": vertical_chord_star,
+    "no_exterior_meet": exterior_center_star,
+    "coverage": vertical_chord_star,
+    "rotational": lambda: clifford((0.5, 0.0, 0.0)),
+    "axial": builtin_example,
+    "symmetric": builtin_example,
+    "zero_secants": near_identity_star,
+    "hfd": lambda: apex_star(lambda t: 0.3 + 0.1 * t),
+    # no star fails it yet: the circle it rotates fixes every H-line
+    "torus_fixes_classes": corrupted_involution_star,
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the torus check cannot fail "
+                            "until it is rebuilt on the automorphism algebra"))
+    if name == "torus_fixes_classes" else name
+    for name in verify.CHECKS])
+def test_every_check_fails_on_its_known_bad_star(name):
+    [report] = run_star_checks(KNOWN_BAD[name](), checks=[name])
+    assert report.name == name
+    assert not report.passed and report.witness is not None
+
+
+def test_run_star_checks_reaches_klein_checks():
+    # samples and tol reach the Klein checks as well
+    reports = run_star_checks(clifford(), checks=["hfd", "involution",
+                                                  "torus_fixes_classes"],
+                              samples=20, tol=1e-20)
+    assert [r.name for r in reports] == ["hfd", "involution",
+                                         "torus_fixes_classes"]
+    assert [r.samples_used for r in reports] == [20, 20, 20 * 16]
+    assert not any(r.passed for r in reports)
+
+
+def test_run_star_checks_calls_the_module_attributes(monkeypatch):
+    # wrappers put on the module attributes (as a tracer does) see every
+    # call, and the Klein checks share one parallelism
+    from glstar import parallelism
+    calls = []
+
+    def recorder(module, name):
+        original = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    recorder(verify, "check_coverage")
+    recorder(parallelism, "check_hfd")
+    recorder(parallelism, "make_parallelism")
+    reports = run_star_checks(SYMM, checks=["coverage", "hfd"], samples=10)
+    assert [r.name for r in reports] == ["coverage", "hfd"]
+    assert calls == ["make_parallelism", "check_coverage", "check_hfd"]
+    calls.clear()
+    run_star_checks(SYMM, checks=["zero_secants", "hfd"], samples=10)
+    assert calls == ["make_parallelism", "check_hfd"]
+    calls.clear()
+    run_star_checks(SYMM, checks=["involution", "coverage"], samples=10)
+    assert calls == ["check_coverage"]
 
 
 def test_render_format():
@@ -374,10 +464,7 @@ def test_check_sampling_accepts_numpy_seed():
 def test_coverage_fails_on_vertical_chord_star():
     # (x, y, z) -> (x, y, -z): its chords are vertical, so exterior points
     # off the cylinder x^2 + y^2 <= 1 lie on no star line
-    flip = np.array([1.0, 1.0, -1.0])
-    star = GlStar(label="vertical-chord",
-                  sigma_fn=lambda q: np.asarray(q, float) * flip)
-    r = check_coverage(star, n_points=40)
+    r = check_coverage(vertical_chord_star(), n_points=40)
     # a failing coverage report carries the witness point's line count
     assert not r.passed and r.max_residual == 0.0
     w = np.asarray(r.witness)
