@@ -13,6 +13,7 @@ significant digits so reports and exports round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -228,9 +229,16 @@ def _line_rows(star, n: int):
 
 def _rows_text(rows, field="{:.17g}", sep=",", prefix=""):
     """One line per row of a 2-d array, each value formatted by ``field``
-    (the default matches _g17)."""
-    line = prefix + sep.join([field] * rows.shape[1]) + "\n"
-    return (line * len(rows)).format(*rows.ravel().tolist())
+    (the default matches _g17).  Each distinct value is formatted once, all
+    in one ``str.format`` call (no number's text holds a newline); floats
+    are told apart by their bits, so -0.0 and every NaN keep their text."""
+    flat = rows.ravel()
+    keys = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array("\n".join([field] * distinct.size).format(
+        *distinct.view(flat.dtype).tolist()).split("\n"), dtype=object)
+    line = prefix + sep.join(["%s"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(text[inverse].tolist())
 
 
 def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
@@ -279,7 +287,7 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                     [rows[:, :2], spans.reshape(len(rows), 12)])))
             print(f"wrote {hfd}", file=out)
     except OSError as exc:
-        print(f"IO ERROR: {exc}", file=out)
+        print(f"IO ERROR: {exc}", file=sys.stderr)
         return 2
     return 0
 
@@ -348,7 +356,10 @@ def _attach_negative_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="glstar",
         description="Construct, verify and query generalized line stars "
@@ -381,7 +392,11 @@ def main(argv=None) -> int:
     p_parallel.add_argument("--point", required=True, metavar="x,y,z")
     p_demo = sub.add_parser("demo", help="verify the built-in example")
     add_common(p_demo)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(_attach_negative_values(
         sys.argv[1:] if argv is None else argv))
     try:

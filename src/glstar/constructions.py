@@ -301,6 +301,24 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
     """
     b_fn = as_fn1(b, domain=(0.0, np.inf))
     c_fn = as_fn1(c, domain=(0.0, np.inf))
+    bv = _check_eqn_1_to_3(b_fn, c_fn, band)
+
+    x, z = _exterior_probes()
+    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
+                                 n_probes=x.size)
+    bad = np.nonzero(counts > 1)[0]
+    if bad.size:
+        i = bad[0]
+        raise ConditionFailed(
+            f"(4): exterior point lies on {counts[i]} surfaces H_a",
+            witness=(float(x[i]), float(z[i])))
+    return _build_eqn_star(b_fn, c_fn, bv, hand, label or "eqn_star",
+                           extra_tags)
+
+
+def _check_eqn_1_to_3(b_fn, c_fn, band):
+    """Hypotheses (1)-(3) of eqn_star, all but the exterior probes (4).
+    Returns b on the a-grid."""
     ag = _a_grid()
     bv = np.asarray(b_fn(ag), float)
     cv = np.asarray(c_fn(ag), float)
@@ -333,17 +351,11 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed(
             f"(3): circle point lies on {counts[i]} surfaces H_a, expected 1",
             witness=(float(x[i]), float(z[i])))
+    return bv
 
-    x, z = _exterior_probes()
-    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
-                                 n_probes=x.size)
-    bad = np.nonzero(counts > 1)[0]
-    if bad.size:
-        i = bad[0]
-        raise ConditionFailed(
-            f"(4): exterior point lies on {counts[i]} surfaces H_a",
-            witness=(float(x[i]), float(z[i])))
 
+def _build_eqn_star(b_fn, c_fn, bv, hand, label, extra_tags) -> GlStar:
+    """The star of validated coefficient functions; bv is b on the a-grid."""
     def t_at_log_a(u):
         a = np.exp(np.asarray(u, float))
         return _t_s_of_a(a, np.asarray(b_fn(a), float),
@@ -379,7 +391,7 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
     tags = ("rotational",) + tuple(extra_tags)
     if float(np.max(np.abs(bv))) < 1e-12 and "symmetric" not in tags:
         tags += ("symmetric",)
-    return GlStar(label=label or "eqn_star", sigma_fn=sig, profile=profile,
+    return GlStar(label=label, sigma_fn=sig, profile=profile,
                   tags=tags)
 
 
@@ -440,6 +452,16 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed(f"(3): h_{{x,z}} has {counts[i]} positive roots",
                               witness=(float(x[i]), float(z[i])))
 
+    # h_{x,z} counts the same roots as eqn_star's exterior probe (4) on the
+    # same probes, so only (1)-(3) of eqn_star are left to check
+    b_fn, c_fn = _param_coefficients(t_fn, s_fn)
+    return _build_eqn_star(
+        b_fn, c_fn, _check_eqn_1_to_3(b_fn, c_fn, band), hand,
+        label or f"param({t_fn.describe()},{s_fn.describe()})", ())
+
+
+def _param_coefficients(t_fn, s_fn):
+    """b(a) and c(a) of the surfaces H_a with circle heights t(a), -s(a)."""
     def b_fn(a):
         a = np.asarray(a, float)
         return (a * a + 1.0) * (np.asarray(t_fn(a), float)
@@ -453,9 +475,8 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
                                       + a * a * ((tt - ss) / 2.0) ** 2)
         return np.sqrt(np.clip(c2, 0.0, None))
 
-    return eqn_star(b_fn, c_fn, hand=hand,
-                    label=label or f"param({t_fn.describe()},{s_fn.describe()})",
-                    band=band)
+    return (as_fn1(b_fn, domain=(0.0, np.inf)),
+            as_fn1(c_fn, domain=(0.0, np.inf)))
 
 
 def builtin_example() -> GlStar:

@@ -15,7 +15,7 @@ from glstar.functions import affine, as_fn1, moebius01, power
 
 try:
     from hypothesis import settings
-except ImportError:  # only tests/test_properties.py needs it
+except ImportError:  # the property tests skip without it
     pass
 else:
     # the same examples on every run, and no example database on disk

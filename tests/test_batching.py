@@ -180,7 +180,7 @@ def test_batched_root_counts_equal_one_probe_counts(build, monkeypatch):
 
     monkeypatch.setattr(constructions, "positive_root_count", recording)
     build()
-    assert len(calls) == (3 if build is builtin_example else 2)
+    assert len(calls) == 2
     a_grid = np.geomspace(1e-4, 1e4, 512)
     for fn, n_probes, counts in calls:
         assert counts.shape == (n_probes,)

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from glstar import cli
 from glstar.cli import (
     DEMO_CONFIG,
     build_star,
@@ -162,10 +164,98 @@ def test_export_hfd_csv(tmp_path):
     assert len(rows[1].split(",")) == 14
 
 
-def test_export_unwritable_path():
+def test_export_unwritable_path(capsys):
     cfg = parse_config('{"family":"clifford"}')
     out = io.StringIO()
     assert cmd_export(cfg, lines="/nonexistent-dir/x.csv", out=out) == 2
+    assert "IO ERROR" not in out.getvalue()
+    err = capsys.readouterr().err
+    assert err.startswith("IO ERROR: ") and err.count("\n") == 1
+
+
+# sha256 of each export at the default samples: any change to the writer or
+# to the exported geometry that moves a byte fails
+EXPORT_SHA256 = {
+    ("builtin", "lines"):
+        "61b0e35f710d3c323b9f86e10290f7389f083c584e765bccae8968d0c0c69663",
+    ("builtin", "mesh"):
+        "ca808d96611df7a1c39193c6f07ed93e0cdc11354ce4fe53eb47744fc25aff48",
+    ("builtin", "hfd"):
+        "b4df73ec61aa526f1b91a7b247075eacfc0e7473116883c6beef8b66b5f24eb5",
+    ("clifford", "lines"):
+        "db8485fa347767e307230adcf7671bdc182ab1f976e90f77234d2d00b5bdbd20",
+    ("clifford", "mesh"):
+        "7083468133711b4d779ba4c7df88104f4359ffb216f9020d93c90fba6d989a87",
+    ("clifford", "hfd"):
+        "d3a79bc676892c6bcf813192bd08713b3a6e674a81f2001abf2a5ddcd98f00eb",
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(EXPORT_SHA256))
+def test_export_bytes_are_pinned(tmp_path, name, kind):
+    cfg = parse_config({"builtin": BUILTIN_CFG,
+                        "clifford": '{"family":"clifford"}'}[name])
+    path = tmp_path / f"export.{kind}"
+    assert cmd_export(cfg, **{kind: str(path)}, out=io.StringIO()) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == EXPORT_SHA256[name, kind]
+
+
+def _per_value_text(rows, field, sep, prefix):
+    """The writer's text, one value at a time."""
+    render = cli._g17 if field == "{:.17g}" else str
+    return "".join(prefix + sep.join(render(v) for v in row) + "\n"
+                   for row in rows.tolist())
+
+
+def test_rows_text_equals_per_value_rendering():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import example, given
+
+    def bits(u):
+        return float(np.array([u], np.uint64).view(np.float64)[0])
+
+    special = [0.0, -0.0, np.nan, -np.nan, bits(0x7FF8000000000001),
+               bits(0xFFF0000000000F00), np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308]
+    for edge in (1e16, 1e17, 1e-4, 1e-5):
+        special += [edge, -edge, np.nextafter(edge, 0.0),
+                    np.nextafter(edge, np.inf)]
+    values = st.sampled_from(special) | st.floats(allow_subnormal=True)
+
+    @st.composite
+    def rows_of(draw, pool_values, dtype):
+        # a few values drawn once and repeated over the array
+        pool = draw(st.lists(pool_values, min_size=1, max_size=6))
+        n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+        pick = draw(st.lists(st.integers(0, len(pool) - 1),
+                             min_size=n_rows * n_cols,
+                             max_size=n_rows * n_cols))
+        return np.array([pool[i] for i in pick],
+                        dtype).reshape(n_rows, n_cols)
+
+    layouts = st.sampled_from([("{:.17g}", ",", ""),
+                               ("{:.17g}", " ", "v ")])
+
+    @given(rows_of(values, np.float64), layouts)
+    @example(np.array([special[:4], special[4:8], special[8:12],
+                       special[-4:], [-0.0, 0.0, -0.0, 0.0]]),
+             ("{:.17g}", ",", ""))
+    def floats(rows, layout):
+        field, sep, prefix = layout
+        assert (cli._rows_text(rows, field=field, sep=sep, prefix=prefix)
+                == _per_value_text(rows, field, sep, prefix))
+
+    @given(rows_of(st.integers(0, 2 ** 20), np.int64),
+           st.integers(0, 2 ** 40))
+    def ints(rows, offset):
+        # face indices: 0-based, shifted by one and an object offset
+        rows = rows + 1 + offset
+        assert (cli._rows_text(rows, field="{}", sep=" ", prefix="f ")
+                == _per_value_text(rows, "{}", " ", "f "))
+
+    floats()
+    ints()
 
 
 # --- parallel --------------------------------------------------------------------
@@ -381,6 +471,45 @@ def test_inapplicable_check_is_reported_as_skipped():
     out = io.StringIO()
     cmd_verify(cfg, out=out)
     assert "SKIP" not in out.getvalue()
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the same calls on a parser built afresh for each, then on the one
+    # cached parser: the same exit, output and files, and no option of one
+    # call (--samples, --lines) reaches the next
+    cfg = _config_file(tmp_path)
+    lines, mesh = str(tmp_path / "l.csv"), str(tmp_path / "m.obj")
+    calls = [["export", "--lines", lines],
+             ["export", "--config", cfg, "--lines", lines, "--samples", "64"],
+             ["export", "--config", cfg, "--mesh", mesh],
+             ["export", "--config", cfg, "--lines", lines]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        written = {}
+        for path in (tmp_path / "l.csv", tmp_path / "m.obj"):
+            if path.exists():
+                written[path.name] = path.read_bytes()
+                path.unlink()
+        return code, capsys.readouterr(), written
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._parser()
+    reused = [run(argv) for argv in calls]
+    assert cli._parser() is parser
+    assert reused == fresh
+    code, captured, _ = fresh[0]
+    assert code == "exit 2" and "--config is required" in captured.err
+    assert [sorted(w) for _, _, w in fresh] == [[], ["l.csv"], ["m.obj"],
+                                                ["l.csv"]]
+    assert fresh[1][2]["l.csv"].count(b"\n") == 1 + 64
+    assert fresh[3][2]["l.csv"].count(b"\n") == 1 + 512
 
 
 def test_export_out_option_is_gone(tmp_path):

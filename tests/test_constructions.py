@@ -243,10 +243,30 @@ def test_param_inequality_at_one():
     assert lhs >= rhs
 
 
+# every param star the tests build, as (t, s)
+PARAM_HEIGHTS = [(phi_r(1.5), phi_r(2.0)), (phi_r(1.5), phi_r(1.5))]
+
+
+@pytest.mark.parametrize("t,s", PARAM_HEIGHTS, ids=["builtin", "equal"])
+def test_param_exterior_counts_equal_the_surface_counts(t, s):
+    # param_star counts the roots of h_{x,z} on the exterior probes and so
+    # skips eqn_star's probe (4) of a^2 x^2 - (z-b)^2 - c^2 on the same
+    # points: the two counts must agree probe by probe
+    from glstar.verify import positive_root_count
+    x, z = constructions._exterior_probes()
+    assert x.size == 130
+    b_fn, c_fn = constructions._param_coefficients(t, s)
+    h = positive_root_count(lambda a, k: h_value(t, s, x[k], z[k], a),
+                            n_probes=x.size)
+    surface = positive_root_count(constructions._surface_fn(b_fn, c_fn, x, z),
+                                  n_probes=x.size)
+    assert np.array_equal(h, surface)
+
+
 def test_eqn_probe_counts_are_pinned(monkeypatch):
     # hypotheses (3) and (4) of builtin and parabola: every circle probe
     # and every exterior probe lies on exactly one surface H_a (param_star
-    # counts the exterior roots of h_{x,z} before delegating to eqn_star)
+    # counts the exterior roots of h_{x,z} in place of eqn_star's (4))
     from glstar import verify
     counts = []
 
@@ -257,7 +277,7 @@ def test_eqn_probe_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(constructions, "positive_root_count", recording)
     builtin_example()
     parabola_star(example_parabola_sequence())
-    assert [c.size for c in counts] == [130, 32, 130, 32, 130]
+    assert [c.size for c in counts] == [130, 32, 32, 130]
     assert all(np.all(c == 1) for c in counts)
 
 
