@@ -271,12 +271,17 @@ def _surface_fn(b_fn, c_fn, x, z):
     return F
 
 
+# The largest slope a height inverse returns, where the height tables end:
+# the heights are 1 to rounding there
+_A_MAX = 1e9
+
+
 def _log_a_inverse(fn):
     """Inverse of u = log a |-> fn(u), a height of H_a: tabulated for a in
-    [1e-9, 1e9] and, for targets between 0 and the table's first value,
+    [1e-9, _A_MAX] and, for targets between 0 and the table's first value,
     solved by the family's limit t(a)/a -> 1 and s(a)/a -> 1 as a -> 0
     (hypotheses (1) and (2)): fn(u) is proportional to a there."""
-    table = TabulatedInverse(fn, np.log(1e-9), np.log(1e9))
+    table = TabulatedInverse(fn, np.log(1e-9), np.log(_A_MAX))
     u0 = table.u[0]
     v0 = float(np.asarray(fn(table.u[:1]), float)[0])
 
@@ -288,6 +293,43 @@ def _log_a_inverse(fn):
                                           where=tail), u)
 
     return solve
+
+
+def _log_a_of_height(h: Fn1):
+    """y |-> log a with h(a) = y, for a circle height h of H_a: the log of
+    h's own inverse, with a capped at _A_MAX, or, when h has none, a table
+    built once (``_log_a_inverse``).  Both answer in the tables' variable
+    u = log a, and the star takes a = exp(u) from either."""
+    if h.inv is None:
+        return _log_a_inverse(lambda u: h(np.exp(u)))
+    y_end = float(h(np.array([_A_MAX]))[0])
+
+    def solve(y):
+        y = np.atleast_1d(np.asarray(y, float))
+        u = np.full(y.shape, np.log(_A_MAX))
+        below = y < y_end
+        a = np.minimum(h.inverse(y[below]), _A_MAX)
+        u[below] = np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
+        return u
+
+    return solve
+
+
+def _eqn_heights(b_fn, c_fn):
+    """The circle heights t(a), s(a) of H_a with coefficients b, c: H_a
+    meets the circle x > 0 at heights t and -s = -t + 2b/(1+a^2)."""
+    def t(a):
+        a = np.asarray(a, float)
+        return _t_s_of_a(a, np.asarray(b_fn(a), float),
+                         np.asarray(c_fn(a), float))[0]
+
+    def s(a):
+        a = np.asarray(a, float)
+        bb = np.asarray(b_fn(a), float)
+        cc = np.asarray(c_fn(a), float)
+        return _t_s_of_a(a, bb, cc)[0] - 2.0 * bb / (1.0 + a * a)
+
+    return as_fn1(t, domain=(0.0, np.inf)), as_fn1(s, domain=(0.0, np.inf))
 
 
 def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
@@ -312,8 +354,8 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed(
             f"(4): exterior point lies on {counts[i]} surfaces H_a",
             witness=(float(x[i]), float(z[i])))
-    return _build_eqn_star(b_fn, c_fn, bv, hand, label or "eqn_star",
-                           extra_tags)
+    return _build_eqn_star(b_fn, c_fn, bv, *_eqn_heights(b_fn, c_fn), hand,
+                           label or "eqn_star", extra_tags)
 
 
 def _check_eqn_1_to_3(b_fn, c_fn, band):
@@ -354,39 +396,30 @@ def _check_eqn_1_to_3(b_fn, c_fn, band):
     return bv
 
 
-def _build_eqn_star(b_fn, c_fn, bv, hand, label, extra_tags) -> GlStar:
-    """The star of validated coefficient functions; bv is b on the a-grid."""
-    def t_at_log_a(u):
-        a = np.exp(np.asarray(u, float))
-        return _t_s_of_a(a, np.asarray(b_fn(a), float),
-                         np.asarray(c_fn(a), float))[0]
-
-    log_a_of_t = _log_a_inverse(t_at_log_a)
+def _build_eqn_star(b_fn, c_fn, bv, t_fn, s_fn, hand, label,
+                    extra_tags) -> GlStar:
+    """The star of validated coefficient functions b, c, whose surface H_a
+    meets the circle x > 0 at the heights t(a) and -s(a): t_fn and s_fn, as
+    Fn1 with their closed-form inverses where there are any (see
+    ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image of
+    p_t lies at height -s(a(t)), and a lower-hemisphere point at height z
+    is the image of p_t for t = t(s^-1(-z))."""
+    log_a_of_t = _log_a_of_height(t_fn)
+    log_a_of_s = _log_a_of_height(s_fn)
 
     def abc(tt):
         a = np.exp(log_a_of_t(tt))
         return a, np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
     def z_of_t(tt):
-        tt = np.atleast_1d(np.asarray(tt, float))
-        a = np.exp(log_a_of_t(tt))
-        return -tt + 2.0 * np.asarray(b_fn(a), float) / (1.0 + a * a)
+        return -s_fn(np.exp(log_a_of_t(tt)))
+
+    def t_of_z(z):
+        return t_fn(np.exp(log_a_of_s(-np.asarray(z, float))))
 
     hand_sign = _hand_sign_fn(hand)
     profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
     _validate_cone_rule(hand_sign, profile)
-
-    def z_at_log_a(u):
-        a = np.exp(np.asarray(u, float))
-        bb = np.asarray(b_fn(a), float)
-        cc = np.asarray(c_fn(a), float)
-        return -_t_s_of_a(a, bb, cc)[0] + 2.0 * bb / (1.0 + a * a)
-
-    log_a_of_z = _log_a_inverse(z_at_log_a)
-
-    def t_of_z(z):
-        return t_at_log_a(log_a_of_z(z))
-
     sig = RotationalSigma(profile.meridian_image, z_of_t=z_of_t, t_of_z=t_of_z)
     tags = ("rotational",) + tuple(extra_tags)
     if float(np.max(np.abs(bv))) < 1e-12 and "symmetric" not in tags:
@@ -415,6 +448,9 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
     Both must be homeomorphisms [0,inf) -> [0,1) with (t+s)/(2a) -> 1 as
     a -> 0, the coefficient inequality a^2/(a^2+1) - ts >= (a^2+1)((t-s)/2)^2,
     and at most one positive root of h_{x,z} for admissible (x, z).
+    sigma and the profile invert t and s by their own closed-form inverses
+    (phi_r and every named kind has one); a height without one, such as a
+    plain callable, is tabulated once in log a.
     """
     t_fn = as_fn1(t, domain=(0.0, np.inf))
     s_fn = as_fn1(s, domain=(0.0, np.inf))
@@ -456,7 +492,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
     # same probes, so only (1)-(3) of eqn_star are left to check
     b_fn, c_fn = _param_coefficients(t_fn, s_fn)
     return _build_eqn_star(
-        b_fn, c_fn, _check_eqn_1_to_3(b_fn, c_fn, band), hand,
+        b_fn, c_fn, _check_eqn_1_to_3(b_fn, c_fn, band), t_fn, s_fn, hand,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 

@@ -232,11 +232,12 @@ def phi_r(r: float) -> Fn1:
         return a * (a + r) / (a * a + r * a + r)
 
     def f_inv(y):
-        # a^2 (1-y) + r a (1-y) - r y = 0, the positive root
+        # a^2 (1-y) + r a (1-y) - r y = 0, the positive root in the form
+        # without cancellation as y -> 0
         y = np.asarray(y, float)
         one_m = 1.0 - y
         disc = (r * one_m) ** 2 + 4.0 * one_m * r * y
-        return (-r * one_m + np.sqrt(disc)) / (2.0 * one_m)
+        return 2.0 * r * y / (r * one_m + np.sqrt(disc))
 
     return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv)
 

@@ -177,11 +177,11 @@ def test_export_unwritable_path(capsys):
 # to the exported geometry that moves a byte fails
 EXPORT_SHA256 = {
     ("builtin", "lines"):
-        "61b0e35f710d3c323b9f86e10290f7389f083c584e765bccae8968d0c0c69663",
+        "704dfe0b8115d52dcd1ac917bae77eb97701e05ec981cf7a60e3edbea61526a6",
     ("builtin", "mesh"):
-        "ca808d96611df7a1c39193c6f07ed93e0cdc11354ce4fe53eb47744fc25aff48",
+        "1a3febbff2d35855579eab3ea3a016ac424190d8cf0e56da95fb0fefa206b39a",
     ("builtin", "hfd"):
-        "b4df73ec61aa526f1b91a7b247075eacfc0e7473116883c6beef8b66b5f24eb5",
+        "7bb397f60628f77a97e9583d82f9dadd8b483dfb2752714c784d0af7d7d3fc6b",
     ("clifford", "lines"):
         "db8485fa347767e307230adcf7671bdc182ab1f976e90f77234d2d00b5bdbd20",
     ("clifford", "mesh"):

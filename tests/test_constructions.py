@@ -22,6 +22,7 @@ from glstar.constructions import (
 )
 from glstar.errors import ConditionFailed, InvalidCenter, InvalidInput
 from glstar.functions import (
+    TabulatedInverse,
     affine,
     as_fn1,
     identity,
@@ -31,6 +32,7 @@ from glstar.functions import (
     power,
     table,
 )
+from glstar.search import StarLineSearch
 from glstar.star import meridian_point
 from glstar.verify import check_axial, descartes_bound
 
@@ -316,6 +318,58 @@ def test_param_rejects_non_homeomorphism():
     with pytest.raises(ConditionFailed):
         param_star(phi_r(1.5), as_fn1(lambda a: 0.5 * np.tanh(a),
                                       domain=(0.0, np.inf)))
+
+
+def _count_tables(monkeypatch):
+    """Count every TabulatedInverse built from now on, bisect_monotone's
+    per-call tables included."""
+    built = []
+    init = TabulatedInverse.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TabulatedInverse, "__init__", counting)
+    return built
+
+
+def test_param_sigma_equals_the_tabulated_eqn_sigma():
+    # builtin inverts its heights phi_r in closed form; eqn_star on the same
+    # coefficients tabulates the heights it works out of b and c
+    from glstar.verify import exterior_samples, fibonacci_sphere
+    param = builtin_example()
+    eqn = eqn_star(*constructions._param_coefficients(phi_r(1.5), phi_r(2.0)))
+    q = fibonacci_sphere(2000)
+    assert np.any(q[:, 2] < 0.0) and np.any(q[:, 2] > 0.0)
+    assert np.max(np.abs(param.sigma(q) - eqn.sigma(q))) < 1e-12
+    t = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(param.profile.meridian_image(t)
+                         - eqn.profile.meridian_image(t))) < 1e-12
+    W = exterior_samples(200, seed=0)
+    hits = [StarLineSearch(s).find_batch(W) for s in (param, eqn)]
+    assert [len(h) for h in hits[0]] == [len(h) for h in hits[1]]
+    for hp, he in zip(*hits):
+        for a, b in zip(hp, he):
+            assert abs(a.t - b.t) < 1e-12
+            dtheta = np.mod(a.theta - b.theta + np.pi, 2.0 * np.pi) - np.pi
+            assert abs(dtheta) < 1e-12
+
+
+def test_param_heights_are_tabulated_only_without_an_inverse(monkeypatch):
+    built = _count_tables(monkeypatch)
+    builtin = builtin_example()
+    assert len(built) == 0
+    plain = param_star(as_fn1(lambda a: phi_r(1.5)(a), domain=(0.0, np.inf)),
+                       as_fn1(lambda a: phi_r(2.0)(a), domain=(0.0, np.inf)))
+    assert len(built) == 2
+    q = sphere_samples(50, seed=3)
+    for star in (builtin, plain):
+        for i in range(50):
+            star.sigma(q[i])
+        StarLineSearch(star).find_batch(np.column_stack([np.ones(50), 2.0 * q]))
+    assert len(built) == 2
+    assert np.max(np.abs(plain.sigma(q) - builtin.sigma(q))) < 1e-12
 
 
 # --- built-in example identities ----------------------------------------------

@@ -34,6 +34,15 @@ def test_phi_r_inverse_closed_form():
     assert np.allclose(t(t.inverse(grid)), grid, atol=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.5, 2.0, 10.0])
+def test_phi_r_inverse_is_relatively_exact_for_small_a(r):
+    # the inverse's root has no cancellation as y -> 0: a few ulps of a
+    # itself, down to a = 1e-12 (an absolute bound would hide a loss there)
+    f = phi_r(r)
+    a = np.geomspace(1e-12, 1.0, 2001)
+    assert np.all(np.abs(f.inverse(f(a)) - a) <= 4.0 * np.spacing(a))
+
+
 def test_moebius_round_trip():
     m = moebius01()
     ts = np.linspace(0.0, 0.99, 100)

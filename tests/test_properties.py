@@ -10,12 +10,13 @@ import pytest
 from glstar import constructions
 from glstar.cli import FAMILIES, StarConfig, parse_config
 from glstar.constructions import (
-    builtin_example,
+    _param_coefficients,
+    eqn_star,
     example_parabola_sequence,
     parabola_star,
 )
 from glstar.errors import ConfigError, ParseError
-from glstar.functions import _FACTORIES, TabulatedInverse, from_spec
+from glstar.functions import _FACTORIES, TabulatedInverse, from_spec, phi_r
 from glstar.star import meridian_point, rotate_z
 
 given = pytest.importorskip("hypothesis").given
@@ -61,8 +62,8 @@ def test_parse_config_returns_config_or_raises_config_errors(value):
 # costs accuracy: sigma has a square-root profile there, so the profile
 # stars' end clamps at 1e-12 from the ends move sigma by up to 2.8e-6, the
 # latitudinal arc map (flat at 0) loses heights below 1e-7 to rounding, and
-# the eqn-family stars solve heights below 1e-9, where their inverse tables
-# stop, from the limit t(a)/a -> 1 as a -> 0 (the tests below).
+# parabola, whose heights are tabulated, solves heights below 1e-9, where
+# its tables stop, from the limit t(a)/a -> 1 as a -> 0 (the tests below).
 EDGE = 1e-6
 HEIGHTS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, EDGE, -EDGE, 1.0 - EDGE,
                             -1.0 + EDGE])
@@ -172,8 +173,9 @@ def test_inverse_undoes_the_function(kind, data):
 
 @pytest.fixture(scope="session")
 def height_tables():
-    """The four inverse tables of log a of builtin and parabola: the height
-    t(a) and the image height z(a) of each."""
+    """The four inverse tables of log a of two eqn stars: the circle heights
+    t(a) and s(a) of parabola and of builtin's coefficients b, c, which
+    builtin itself inverts in closed form."""
     tables = []
 
     class Recording(TabulatedInverse):
@@ -183,7 +185,7 @@ def height_tables():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constructions, "TabulatedInverse", Recording)
-        builtin_example()
+        eqn_star(*_param_coefficients(phi_r(1.5), phi_r(2.0)))
         parabola_star(example_parabola_sequence())
     assert len(tables) == 4
     return tables
