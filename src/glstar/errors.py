@@ -58,7 +58,8 @@ class HfdViolation(GlStarError):
 
 
 class DegenerateMeet(GlStarError):
-    """Subspace intersection has unexpected dimension (numerical trouble)."""
+    """The two planes P*(h_i) p that meet in the spread line through p are
+    dependent: p lies on a line whose Klein point is in the span of h."""
 
 
 class NotZeroSecant(GlStarError):

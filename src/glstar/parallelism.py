@@ -4,9 +4,11 @@ The sphere's ambient projective 3-space embeds isometrically into P^5:
 pick a 4-dim subspace U of R^6 on which the Klein form g has signature
 (3,1) and carry the sphere form onto g|U.  Star lines map to 2-secants of
 K inside P(U); their polars within U form the line family H of 0-secants
-of K that encodes the parallelism.  Each H-line h gives a parallel class:
-the 3-space W = polar_g(h) cuts K in an elliptic quadric whose Klein
-preimage is a regular spread of P^3.
+of K that encodes the parallelism.  Each H-line h gives a parallel class,
+and h is all a class holds: the 3-space W = polar_g(h) cuts K in an
+elliptic quadric whose Klein preimage is a regular spread of P^3.  W needs
+no check of its own: by Sylvester's law of inertia the g-polar of a
+definite h has signature (3,3) - sig(h), which is elliptic.
 
 The practical pivot: an H-line lies inside the tangent hyperplane of a
 Klein point k exactly when the g-projection of k onto U falls in the span
@@ -25,6 +27,7 @@ no vector of span h lies on K (P*(a h1 + b h2) p = 0 puts p on that line).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from .projgeom import (
     QuadricForm,
     Subspace,
     _nullspace_rows,
-    _orth_rows,
     join_batch,
     plucker_matrix,
     signature_on,
@@ -64,19 +66,20 @@ _SWAP = [3, 4, 5, 0, 1, 2]
 
 @dataclass(frozen=True)
 class EmbeddedStar:
-    """A star together with the canonical isometric embedding into P^5."""
+    """A star together with the canonical isometric embedding into P^5:
+    sphere coordinates go to the span U of d1..d4, and C = span{d5, d6}
+    is U's (0,2) complement."""
 
     star: GlStar
-    basis: np.ndarray     # (6,6), columns d1..d6
-    U: Subspace
-    C: Subspace
+    U: ClassVar[Subspace] = Subspace(_D.T[:4] / np.sqrt(2.0))
+    C: ClassVar[Subspace] = Subspace(_D.T[4:] / np.sqrt(2.0))
 
     def iso(self, w):
         """Sphere coordinates (w0, w1, w2, w3) -> R^6; batch-friendly."""
         w = np.asarray(w, float)
         d_coords = np.concatenate(
             [w[..., 1:4], w[..., :1], np.zeros(w.shape[:-1] + (2,))], axis=-1)
-        return d_coords @ self.basis.T
+        return d_coords @ _D.T
 
     def project_sphere_coords(self, k):
         """g-orthogonal projection of Klein vectors onto U, expressed back
@@ -91,8 +94,7 @@ class EmbeddedStar:
 
 
 def embed_star(star: GlStar) -> EmbeddedStar:
-    return EmbeddedStar(star=star, basis=_D, U=Subspace.span(_D.T[:4]),
-                        C=Subspace.span(_D.T[4:]))
+    return EmbeddedStar(star=star)
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,15 @@ def star_to_hfd(es: EmbeddedStar) -> HfdLineSet:
 
 @dataclass(frozen=True)
 class ParallelClass:
-    """A regular spread: the 3-space W = polar(h) and its line evaluator."""
+    """A regular spread, held as its H-line h; W = polar(h) is derived."""
 
     es: EmbeddedStar
     h_span: np.ndarray  # (2, 6), orthonormal rows
-    W: Subspace
+
+    @property
+    def W(self) -> Subspace:
+        """The 3-space polar to h, whose Klein preimage is the spread."""
+        return Subspace(_nullspace_rows(self.h_span @ _KLEIN.matrix))
 
     def contains_klein(self, k, tol: float = 1e-7) -> bool:
         # the rows of 2 G h_span (G is half a permutation) are orthonormal
@@ -143,14 +149,7 @@ class ParallelClass:
                     <= tol * np.linalg.norm(k))
 
     def same_as(self, other: "ParallelClass", tol: float = 1e-7) -> bool:
-        return self.W.same_as(other.W, tol=tol)
-
-
-# Vector-space signatures whose null cone is an elliptic quadric.  U (the
-# star's own 3-space) is (3,1); the spread 3-spaces, being polars of the
-# definite H-lines, carry the opposite type (1,3) under the same sign
-# convention for g.  Projectively both cut K in an elliptic subquadric.
-ELLIPTIC_SIGNATURES = ((3, 1, 0), (1, 3, 0))
+        return Subspace(self.h_span).same_as(Subspace(other.h_span), tol=tol)
 
 
 def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
@@ -161,16 +160,10 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     S = Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    # orthonormal bases for h and its polar: RREF entries up to 1e9 (next
-    # to the axis) push an eigenvalue below the signature cutoff
-    O = Subspace(_orth_rows(S.basis))
-    sig = signature_on(_KLEIN, O)
+    sig = signature_on(_KLEIN, S)
     if sig not in ((2, 0, 0), (0, 2, 0)):
         raise NotZeroSecant(f"line meets the Klein quadric (signature {sig})")
-    W = Subspace(_nullspace_rows(O.basis @ _KLEIN.matrix))
-    if signature_on(_KLEIN, W) not in ELLIPTIC_SIGNATURES:
-        raise NotZeroSecant("polar 3-space does not cut an elliptic quadric")
-    return ParallelClass(es=es, h_span=O.basis, W=W)
+    return ParallelClass(es=es, h_span=S.basis)
 
 
 def spread_line_through(cls: ParallelClass, p) -> PLine:

@@ -245,48 +245,23 @@ def line_points(L) -> tuple[HPoint, HPoint]:
 
 
 # ---------------------------------------------------------------------------
-# Linear subspaces in reduced row echelon normal form
-
-
-def _rref(A, tol):
-    A = np.array(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidInput("basis must be a 2-d array")
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if scale == 0.0:
-        return A[:0]
-    piv_tol = tol * scale
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        i = r + int(np.argmax(np.abs(A[r:, c])))
-        if abs(A[i, c]) <= piv_tol:
-            continue
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = A[r] / A[r, c]
-        for j in range(nrows):
-            if j != r and A[j, c] != 0.0:
-                A[j] = A[j] - A[j, c] * A[r]
-        r += 1
-    return A[:r]
+# Linear subspaces held as orthonormal rows
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of R^4 or R^6, held as an RREF basis (rows)."""
+    """Linear subspace of R^4 or R^6, held as an orthonormal basis (rows)."""
 
     basis: np.ndarray
     ambient_dim: int = field(init=False)
     rank: int = field(init=False)
 
     def __post_init__(self):
-        B = np.asarray(self.basis, float)
+        B = np.array(self.basis, float)
         if B.ndim != 2 or B.shape[1] not in (4, 6):
             raise InvalidInput("basis must be (k, 4) or (k, 6)")
-        B = B.copy()
+        if np.abs(B @ B.T - np.eye(B.shape[0])).max(initial=0.0) > 1e-10:
+            raise InvalidInput("basis rows must be orthonormal")
         B.setflags(write=False)
         object.__setattr__(self, "basis", B)
         object.__setattr__(self, "ambient_dim", B.shape[1])
@@ -294,38 +269,29 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors, tol: float = 1e-10) -> "Subspace":
+        """Row span of ``vectors``: the right singular vectors whose singular
+        value exceeds ``tol`` times the largest."""
         A = np.atleast_2d(np.asarray(vectors, float))
-        return cls(_rref(A, tol))
+        if A.ndim != 2 or not np.all(np.isfinite(A)):
+            raise InvalidInput("span expects a finite 2-d array of vectors")
+        if not np.any(A):
+            return cls(np.zeros((0, A.shape[1])))
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        return cls(vt[: int(np.sum(s > tol * s[0]))])
 
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
         v = np.asarray(v, float)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
-        if self.rank == 0:
-            return False
-        Q = _orth_rows(self.basis)
-        rej = v - Q.T @ (Q @ v)
+        rej = v - self.basis.T @ (self.basis @ v)
         return float(np.linalg.norm(rej)) <= tol * nv
 
     def same_as(self, other: "Subspace", tol: float = 1e-8) -> bool:
         if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
             return False
-        if self.rank == 0:
-            return True
-        Q1 = _orth_rows(self.basis)
-        Q2 = _orth_rows(other.basis)
-        s = np.linalg.svd(Q1 @ Q2.T, compute_uv=False)
+        s = np.linalg.svd(self.basis @ other.basis.T, compute_uv=False)
         return bool(np.all(s > 1.0 - tol))
-
-
-def _orth_rows(B):
-    """Orthonormal row basis of the row space of B."""
-    _, s, vt = np.linalg.svd(B, full_matrices=False)
-    if s.size == 0:
-        return vt[:0]
-    r = int(np.sum(s > max(B.shape) * np.finfo(float).eps * s[0]))
-    return vt[:r]
 
 
 def _nullspace_rows(A, rtol=1e-10):
@@ -401,7 +367,7 @@ def polar(S: Subspace, F: QuadricForm, tol: float = DEFAULT_TOL) -> Subspace:
         raise InvalidInput("polar of the empty subspace")
     if S.ambient_dim != F.matrix.shape[0]:
         raise InvalidInput("subspace and form live in different dimensions")
-    return Subspace.span(_nullspace_rows(S.basis @ F.matrix))
+    return Subspace(_nullspace_rows(S.basis @ F.matrix))
 
 
 def meet(S1: Subspace, S2: Subspace) -> Subspace:
@@ -410,16 +376,10 @@ def meet(S1: Subspace, S2: Subspace) -> Subspace:
         raise InvalidInput("meet of subspaces of different ambient dimension")
     if S1.rank == 0 or S2.rank == 0:
         return Subspace(np.empty((0, S1.ambient_dim)))
-    # x = B1^T a = B2^T b  <=>  [B1^T | -B2^T] (a, b) = 0
-    M = np.hstack([S1.basis.T, -S2.basis.T])
-    kern = _nullspace_rows(M)
-    if kern.shape[0] == 0:
-        return Subspace(np.empty((0, S1.ambient_dim)))
-    xs = kern[:, : S1.rank] @ S1.basis
-    keep = np.linalg.norm(xs, axis=1) > 1e-12
-    if not np.any(keep):
-        return Subspace(np.empty((0, S1.ambient_dim)))
-    return Subspace.span(xs[keep])
+    # x = B1^T a = B2^T b  <=>  [B1^T | -B2^T] (a, b) = 0; both bases are
+    # orthonormal, so each unit kernel row gives |x| = |a| = |b| = 1/sqrt 2
+    kern = _nullspace_rows(np.hstack([S1.basis.T, -S2.basis.T]))
+    return Subspace.span(kern[:, : S1.rank] @ S1.basis)
 
 
 def signature_on(F: QuadricForm, S: Subspace | None = None,

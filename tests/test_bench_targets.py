@@ -1,0 +1,37 @@
+"""The benchmark's tracer (bench/spans.py) wraps library callables by name;
+a refactor that drops one of those names breaks its per-layer numbers."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import glstar
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(glstar.__file__).resolve().parents[1]
+
+# Run apart from the test process: install() rebinds glstar's callables.
+SCRIPT = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from glstar.constructions import clifford
+from glstar import parallelism
+from glstar.projgeom import join
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+par = parallelism.make_parallelism(clifford())
+L = join((1.0, 0.1, 0.2, 0.3), (1.0, -0.4, 0.5, 0.1))
+parallelism.parallel_class_of(par, L)
+print(" ".join(sorted({span[2] for span in tracer.spans})))
+"""
+
+
+def test_tracer_installs_and_records_subspace_spans():
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(BENCH)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = set(done.stdout.split())
+    assert {"projgeom.span", "parallelism.class_from_hfd_line",
+            "parallelism.make_parallelism"} <= names, names

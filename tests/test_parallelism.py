@@ -14,6 +14,7 @@ from glstar.errors import (
 from glstar.functions import moebius01
 from glstar.parallelism import (
     _D,
+    EmbeddedStar,
     ParallelClass,
     check_hfd,
     check_torus_fixes_classes,
@@ -32,7 +33,6 @@ from glstar.parallelism import (
 from glstar.projgeom import (
     QuadricForm,
     Subspace,
-    _orth_rows,
     join,
     join_batch,
     klein_form,
@@ -65,6 +65,13 @@ def test_embedding_signatures():
     es = PAR_CLIFF.es
     assert signature_on(KLEIN, es.U) == (3, 1, 0)
     assert signature_on(KLEIN, es.C) == (0, 2, 0)
+
+
+def test_embedding_subspaces_are_orthonormal_constants():
+    assert PAR_CLIFF.es.U is PAR_BUILTIN.es.U is EmbeddedStar.U
+    for S in (EmbeddedStar.U, EmbeddedStar.C):
+        assert np.abs(S.basis @ S.basis.T - np.eye(S.rank)).max() < 1e-15
+    assert EmbeddedStar.U.rank == 4 and EmbeddedStar.C.rank == 2
 
 
 def test_iso_preserves_sphere_form():
@@ -165,10 +172,69 @@ def test_class_rejects_secant_line():
         class_from_hfd_line(PAR_CLIFF.es, span)
 
 
+def test_class_rejects_near_rank_one_span():
+    # a second singular value 1e-11 of the first spans only a point
+    r = np.random.default_rng(5)
+    U, _ = np.linalg.qr(r.normal(size=(2, 2)))
+    V, _ = np.linalg.qr(r.normal(size=(6, 2)))
+    with pytest.raises(NotZeroSecant):
+        class_from_hfd_line(PAR_CLIFF.es, U @ np.diag([1.0, 1e-11]) @ V.T)
+
+
+# orthonormal bases of g's eigenspaces, g = 1/2 on the first, -1/2 on the second
+_G_POS = _D.T[:3] / np.sqrt(2.0)
+_G_NEG = _D.T[3:] / np.sqrt(2.0)
+
+
+def definite_plane(ratio, sign, rng):
+    """Orthonormal rows of a 2-plane on which sign * g has eigenvalues 1/2
+    and ratio / 2: u1 in one eigenspace of g, u2 = cos phi p + sin phi n
+    with cos 2 phi = ratio, then a random rotation within the plane."""
+    same, other = (_G_POS, _G_NEG) if sign > 0 else (_G_NEG, _G_POS)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    u1, p = Q[:, :2].T @ same
+    n = Q[:, 2] @ other
+    phi = 0.5 * np.arccos(ratio)
+    a = rng.uniform(0.0, 2.0 * np.pi)
+    R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    return R @ np.vstack([u1, np.cos(phi) * p + np.sin(phi) * n])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_definite_h_line_has_elliptic_polar(sign):
+    # the class runs no test on W: by Sylvester's law of inertia the polar
+    # of a definite h has signature (3,3) - sig(h), and the Klein signature
+    # of h accepts exactly the planes whose eigenvalue ratio clears 1e-8
+    rng = np.random.default_rng(11)
+    elliptic = (1, 3, 0) if sign > 0 else (3, 1, 0)
+    for ratio in (1.1e-8, 2e-8, 1e-6, 1e-3, 0.5, 1.0):
+        for _ in range(100):
+            h = definite_plane(ratio, sign, rng)
+            cls = class_from_hfd_line(PAR_CLIFF.es, h)
+            assert signature_on(KLEIN, cls.W) == elliptic, ratio
+    for ratio in (9e-9, 1e-12, 0.0, -0.5):
+        for _ in range(100):
+            with pytest.raises(NotZeroSecant):
+                class_from_hfd_line(PAR_CLIFF.es,
+                                    definite_plane(ratio, sign, rng))
+
+
+def test_class_same_as():
+    h = PAR_BUILTIN.hfd.span_at(0.3, 1.0)[0]
+    cls = class_from_hfd_line(PAR_BUILTIN.es, h)
+    c, s = np.cos(0.7), np.sin(0.7)
+    moved = np.diag([3.0, 1e-3]) @ np.array([[c, -s], [s, c]]) @ h
+    again = class_from_hfd_line(PAR_BUILTIN.es, moved)
+    assert cls.same_as(again) and again.same_as(cls)
+    near = class_from_hfd_line(PAR_BUILTIN.es,
+                               PAR_BUILTIN.hfd.span_at(0.31, 1.0)[0])
+    assert not cls.same_as(near) and not near.same_as(cls)
+
+
 @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-3, 5e-3, 1.0 - 1e-6])
 def test_class_of_h_line_near_horizontal_star(seven_stars, t):
-    # the RREF basis of these H-lines has entries up to about 2e4, which
-    # once pushed the Klein form's eigenvalue ratio below the cutoff and,
+    # a row-echelon basis of these H-lines had entries up to about 2e4,
+    # which pushed the Klein form's eigenvalue ratio below the cutoff and,
     # near both ends of t, gave the polar a fifth null vector
     for name, star in seven_stars.items():
         hfd = star_to_hfd(embed_star(star))
@@ -281,8 +347,7 @@ def test_spread_line_through_a_point_on_an_h_row_is_degenerate():
     h1 = join_batch(p, np.array([0.2, 1.0, 0.4, -0.7]))
     h2 = PAR_BUILTIN.hfd.span_at(0.4, 1.0)[0, 1]
     stub = ParallelClass(es=PAR_BUILTIN.es,
-                         h_span=np.vstack([h1 / np.linalg.norm(h1), h2]),
-                         W=None)
+                         h_span=np.vstack([h1 / np.linalg.norm(h1), h2]))
     with pytest.raises(DegenerateMeet):
         spread_line_through(stub, p)
     with pytest.raises(DegenerateMeet):
@@ -302,7 +367,7 @@ def test_contains_klein_matches_w_contains(seven_stars):
         par = make_parallelism(star)
         for t in (1e-6, 0.3, 1.0 - 1e-6):
             cls = class_from_hfd_line(par.es, par.hfd.span_at(t, 2.0)[0])
-            Q = _orth_rows(cls.W.basis)
+            Q = cls.W.basis
             for k in rng.normal(size=(5, 6)):
                 # the closed form is W's rejection, and both tests agree on
                 # either side of it

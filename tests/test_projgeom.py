@@ -361,4 +361,45 @@ def test_subspace_reduction_idempotent():
         S = Subspace.span(r.normal(size=(3, 6)))
         again = Subspace.span(S.basis)
         assert again.rank == S.rank
-        assert np.allclose(again.basis, S.basis, atol=1e-14)
+        assert again.same_as(S)
+        assert np.abs(again.basis @ again.basis.T - np.eye(3)).max() < 1e-14
+
+
+def _orthonormal(S):
+    return np.abs(S.basis @ S.basis.T - np.eye(S.rank)).max(initial=0.0) < 1e-12
+
+
+def test_every_subspace_has_orthonormal_rows():
+    r = rng()
+    for n, F in ((4, SPHERE), (6, KLEIN)):
+        for k in range(1, n):
+            S = Subspace.span(r.normal(size=(k, n)) * 10.0 ** r.integers(-6, 6))
+            T = Subspace.span(r.normal(size=(n - 1, n)))
+            assert S.rank == k and _orthonormal(S)
+            assert _orthonormal(polar(S, F))
+            assert _orthonormal(meet(S, T))
+    assert Subspace.span(np.zeros((2, 6))).rank == 0
+
+
+def test_subspace_rejects_non_orthonormal_rows():
+    with pytest.raises(errors.InvalidInput):
+        Subspace(np.array([[2.0, 0, 0, 0]]))
+    with pytest.raises(errors.InvalidInput):
+        Subspace(np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]]) / [[1.0], [2 ** 0.5]])
+    with pytest.raises(errors.InvalidInput):
+        Subspace.span([[np.nan, 0, 0, 0]])
+
+
+def near_rank_one_span(rel=1e-11, seed=5):
+    """A (2, 6) span whose second singular value is ``rel`` of the first."""
+    r = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(r.normal(size=(2, 2)))
+    V, _ = np.linalg.qr(r.normal(size=(6, 2)))
+    return U @ np.diag([1.0, rel]) @ V.T
+
+
+def test_span_drops_relatively_tiny_singular_values():
+    A = near_rank_one_span()
+    assert np.linalg.svd(A, compute_uv=False)[1] == pytest.approx(1e-11)
+    assert Subspace.span(A).rank == 1
+    assert Subspace.span(near_rank_one_span(rel=1e-9)).rank == 2
