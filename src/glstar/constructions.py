@@ -9,7 +9,7 @@ surrogate for a convergence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -343,8 +343,14 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
     """
     b_fn = as_fn1(b, domain=(0.0, np.inf))
     c_fn = as_fn1(c, domain=(0.0, np.inf))
-    bv = _check_eqn_1_to_3(b_fn, c_fn, band)
+    bv = _check_eqn_hypotheses(b_fn, c_fn, band)
+    return _build_eqn_star(b_fn, c_fn, bv, *_eqn_heights(b_fn, c_fn), hand,
+                           label or "eqn_star", extra_tags)
 
+
+def _check_eqn_hypotheses(b_fn, c_fn, band):
+    """Hypotheses (1)-(4) of eqn_star.  Returns b on the a-grid."""
+    bv = _check_eqn_1_to_3(b_fn, c_fn, band)
     x, z = _exterior_probes()
     counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
                                  n_probes=x.size)
@@ -354,8 +360,7 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
         raise ConditionFailed(
             f"(4): exterior point lies on {counts[i]} surfaces H_a",
             witness=(float(x[i]), float(z[i])))
-    return _build_eqn_star(b_fn, c_fn, bv, *_eqn_heights(b_fn, c_fn), hand,
-                           label or "eqn_star", extra_tags)
+    return bv
 
 
 def _check_eqn_1_to_3(b_fn, c_fn, band):
@@ -496,20 +501,27 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 
+def _b_c2_of_heights(a, t, s):
+    """b and c^2 of the surface H_a with circle heights t, -s.  c^2 =
+    a^2 - (a^2+1)(((t+s)/2)^2 + a^2((t-s)/2)^2) in the equal form
+    a(a-s) + s(a-t) - (a^2 ts + b^2), which does not cancel as a -> 0,
+    where t and s approach a and c^2 is O(a^3)."""
+    b = (a * a + 1.0) * (t - s) / 2.0
+    return b, a * (a - s) + s * (a - t) - (a * a * t * s + b * b)
+
+
 def _param_coefficients(t_fn, s_fn):
     """b(a) and c(a) of the surfaces H_a with circle heights t(a), -s(a)."""
-    def b_fn(a):
+    def b_c2(a):
         a = np.asarray(a, float)
-        return (a * a + 1.0) * (np.asarray(t_fn(a), float)
-                                - np.asarray(s_fn(a), float)) / 2.0
+        return _b_c2_of_heights(a, np.asarray(t_fn(a), float),
+                                np.asarray(s_fn(a), float))
+
+    def b_fn(a):
+        return b_c2(a)[0]
 
     def c_fn(a):
-        a = np.asarray(a, float)
-        tt = np.asarray(t_fn(a), float)
-        ss = np.asarray(s_fn(a), float)
-        c2 = a * a - (a * a + 1.0) * (((tt + ss) / 2.0) ** 2
-                                      + a * a * ((tt - ss) / 2.0) ** 2)
-        return np.sqrt(np.clip(c2, 0.0, None))
+        return np.sqrt(np.clip(b_c2(a)[1], 0.0, None))
 
     return (as_fn1(b_fn, domain=(0.0, np.inf)),
             as_fn1(c_fn, domain=(0.0, np.inf)))
@@ -700,9 +712,11 @@ class ParabolaSeq:
 
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
-        including the scaled completions beyond both ends."""
+        including the scaled completions beyond both ends.  At a = 0 they
+        are the limits a -> 0: the first parabola's beta and gamma."""
         a = np.asarray(a, float)
-        alpha = 1.0 / (a * a)
+        with np.errstate(divide="ignore"):
+            alpha = 1.0 / (a * a)
         xp = self.alphas[::-1]
         beta = np.interp(alpha, xp, self.betas[::-1])
         gamma = np.interp(alpha, xp, self.gammas[::-1])
@@ -719,6 +733,11 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
     A finite sequence is completed at both ends by scalar multiples of the
     extreme parabolas; the small-slope completion (t*p with t >= 1) is only
     sound when the first vertex is exactly the origin, which is required.
+    Besides the sequence's own conditions, eqn_star's hypotheses (1)-(4)
+    are checked on b(a) = beta and c(a) = a sqrt(gamma) of the
+    interpolated family.  sigma and the profile invert the circle heights
+    t(a), s(a) of H_a piece by piece in closed form (``_parabola_height``),
+    with no table.
     """
     if abs(seq.betas[0]) > 1e-12 or seq.gammas[0] > 1e-12:
         raise ConditionFailed(
@@ -759,6 +778,17 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
                     "(4): consecutive parabolas intersect outside the "
                     "bounded region", witness=(i, float(u), float(v)))
 
+    b_fn, c_fn = _parabola_coefficients(seq)
+    bv = _check_eqn_hypotheses(b_fn, c_fn, band)
+    t_fn, s_fn = _eqn_heights(b_fn, c_fn)
+    return _build_eqn_star(
+        b_fn, c_fn, bv, _parabola_height(seq, t_fn, 1.0),
+        _parabola_height(seq, s_fn, -1.0), hand,
+        label or f"parabola({len(seq)} entries)", ())
+
+
+def _parabola_coefficients(seq: ParabolaSeq):
+    """b(a) and c(a) of the interpolated parabola sequence."""
     def b_fn(a):
         return seq.coefficients_at(a)[1]
 
@@ -766,8 +796,84 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
         a = np.asarray(a, float)
         return a * np.sqrt(seq.coefficients_at(a)[2])
 
-    return eqn_star(b_fn, c_fn, hand=hand,
-                    label=label or f"parabola({len(seq)} entries)", band=band)
+    return (as_fn1(b_fn, domain=(0.0, np.inf)),
+            as_fn1(c_fn, domain=(0.0, np.inf)))
+
+
+# A parabola height inverse stops after a Newton step of relative size
+# below 1e-10, which leaves the root within rounding (Newton converges
+# quadratically: from the chord start that is the fourth step), or when a
+# bisection is down to a few ulps
+_NEWTON_STEP_RTOL = 1e-10
+_BRACKET_RTOL = 4e-16
+_NEWTON_MAX_STEPS = 64
+
+
+def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
+    """The circle height h of the parabola star, t (sign 1) or s (sign -1),
+    with its closed-form inverse y |-> a: the circle point at height
+    u = sign * y lies on H_a.  On the piece between knots i and i + 1 of
+    the n knots, beta and gamma are linear in alpha = 1/a^2, so
+
+        f(alpha) = alpha (u - beta(alpha))^2 + gamma(alpha) + u^2 - 1 = 0
+
+    is a cubic with one root in [alpha_{i+1}, alpha_i] (the heights
+    increase with a), which Newton steps find from the chord between the
+    knot heights; a step that leaves the bracket bisects it instead.  The
+    piece is found among the heights at the knots, worked out once.
+    Outside the knots the completions need no solve: below the first knot
+    a = |u - beta_0| / sqrt(1 - u^2 - gamma_0), which is y / sqrt(1 - y^2)
+    for a vertex at the origin, and past the last one
+    a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2))."""
+    al, be, ga = seq.alphas, seq.betas, seq.gammas
+    heights = np.asarray(h(seq.slopes()), float)
+    # slopes in alpha of beta and gamma on piece i, taken from knot i + 1
+    # as np.interp takes them
+    q = (be[:-1] - be[1:]) / (al[:-1] - al[1:])
+    w = (ga[:-1] - ga[1:]) / (al[:-1] - al[1:])
+
+    def inv(y):
+        shape = np.shape(y)
+        y = np.ravel(np.asarray(y, float))
+        u = sign * y
+        i = np.searchsorted(heights, y, side="right") - 1
+        first, last = i < 0, i == len(seq) - 1
+        a = np.empty(y.shape)
+        a[first] = (np.abs(u[first] - be[0])
+                    / np.sqrt(1.0 - u[first] ** 2 - ga[0]))
+        a[last] = np.sqrt(((u[last] - be[-1]) ** 2 + ga[-1] / al[-1])
+                          / (1.0 - u[last] ** 2))
+        mid = np.flatnonzero(~(first | last))
+        i, u, y = i[mid], u[mid], y[mid]
+        lo, hi = al[i + 1], al[i]  # f(lo) <= 0 <= f(hi)
+        x = hi + (y - heights[i]) / (heights[i + 1] - heights[i]) * (lo - hi)
+        # f on piece i, from knot i + 1; roots that are done leave the batch
+        a1, b1, g1 = al[i + 1], be[i + 1], ga[i + 1]
+        qi, wi, c = q[i], w[i], u * u - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_MAX_STEPS):
+                if not mid.size:
+                    break
+                dx = x - a1
+                d = u - (b1 + qi * dx)
+                f = x * d * d + (g1 + wi * dx) + c
+                lo = np.where(f < 0.0, x, lo)
+                hi = np.where(f > 0.0, x, hi)
+                nxt = x - f / (d * d - 2.0 * x * qi * d + wi)
+                newton = (nxt > lo) & (nxt < hi)
+                done = np.where(newton, np.abs(nxt - x) <= _NEWTON_STEP_RTOL * x,
+                                hi - lo <= _BRACKET_RTOL * x)
+                x = np.where(newton, nxt, 0.5 * (lo + hi))
+                if done.any():
+                    a[mid[done]] = 1.0 / np.sqrt(x[done])
+                    keep = ~done
+                    mid, x, lo, hi, a1, b1, g1, qi, wi, u, c = (
+                        v[keep] for v in (mid, x, lo, hi, a1, b1, g1, qi, wi,
+                                          u, c))
+        a[mid] = 1.0 / np.sqrt(x)
+        return a.reshape(shape)
+
+    return replace(h, inv=inv)
 
 
 def example_parabola_sequence(n_side: int = 6) -> ParabolaSeq:
@@ -777,11 +883,7 @@ def example_parabola_sequence(n_side: int = 6) -> ParabolaSeq:
     from .functions import phi_r
     t_fn, s_fn = phi_r(1.5), phi_r(2.0)
     a = 2.0 ** np.arange(-n_side, n_side + 1).astype(float)
-    tv = t_fn(a)
-    sv = s_fn(a)
-    b = (a * a + 1.0) * (tv - sv) / 2.0
-    c2 = a * a - (a * a + 1.0) * (((tv + sv) / 2.0) ** 2
-                                  + a * a * ((tv - sv) / 2.0) ** 2)
+    b, c2 = _b_c2_of_heights(a, t_fn(a), s_fn(a))
     alphas = 1.0 / (a * a)
     betas = b.copy()
     gammas = np.clip(c2, 0.0, None) / (a * a)

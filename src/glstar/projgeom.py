@@ -358,7 +358,7 @@ def _eig_signature(w, cutoff: float = SIGNATURE_CUTOFF) -> tuple[int, int, int]:
     return (pos, neg, w.size - pos - neg)
 
 
-def polar(S: Subspace, F: QuadricForm, tol: float = DEFAULT_TOL) -> Subspace:
+def polar(S: Subspace, F: QuadricForm) -> Subspace:
     """Polar subspace {w : w^T F u = 0 for all u in S}.  An involution for
     nondegenerate F."""
     if F.is_degenerate():

@@ -17,6 +17,7 @@ from glstar.cli import (
     parse_config,
     run_all_checks,
 )
+from glstar.constructions import example_parabola_sequence
 from glstar.errors import ConfigError, InvalidInput, ParseError
 from glstar.projgeom import join, projective_distance
 
@@ -173,15 +174,28 @@ def test_export_unwritable_path(capsys):
     assert err.startswith("IO ERROR: ") and err.count("\n") == 1
 
 
+def _parabola_cfg():
+    """The example parabola sequence as a config."""
+    seq = example_parabola_sequence()
+    return json.dumps({"family": "parabola", "parabolas": np.stack(
+        [seq.alphas, seq.betas, seq.gammas], axis=1).tolist()})
+
+
 # sha256 of each export at the default samples: any change to the writer or
 # to the exported geometry that moves a byte fails
 EXPORT_SHA256 = {
     ("builtin", "lines"):
-        "704dfe0b8115d52dcd1ac917bae77eb97701e05ec981cf7a60e3edbea61526a6",
+        "b8e7d5364ff4654b8eaf7cd5ffa33cd1929803ad07d33ff0d62b94dd3ec1e068",
     ("builtin", "mesh"):
-        "1a3febbff2d35855579eab3ea3a016ac424190d8cf0e56da95fb0fefa206b39a",
+        "351070876d62297a6174ce305b9cde4cdebb4a9673f3dc49c9f4ad6964e628cc",
     ("builtin", "hfd"):
-        "7bb397f60628f77a97e9583d82f9dadd8b483dfb2752714c784d0af7d7d3fc6b",
+        "a05a7559c2fca2ab25d154af155facfab99e5f8421634c4603ea51faeb82de2d",
+    ("parabola", "lines"):
+        "1092be431afb7ae04be2bf1d9200e9e48badd912c41072b81255b12d4d8a3f5a",
+    ("parabola", "mesh"):
+        "d8cebfd139e2088277c6b1e7abba692a8a6ee9c0f169de363fa75a0409debced",
+    ("parabola", "hfd"):
+        "1f089cad3592a18e8cfc82a6ce01420235b2218fd472a73725b4e69fa7e6e97e",
     ("clifford", "lines"):
         "db8485fa347767e307230adcf7671bdc182ab1f976e90f77234d2d00b5bdbd20",
     ("clifford", "mesh"):
@@ -193,7 +207,7 @@ EXPORT_SHA256 = {
 
 @pytest.mark.parametrize("name,kind", sorted(EXPORT_SHA256))
 def test_export_bytes_are_pinned(tmp_path, name, kind):
-    cfg = parse_config({"builtin": BUILTIN_CFG,
+    cfg = parse_config({"builtin": BUILTIN_CFG, "parabola": _parabola_cfg(),
                         "clifford": '{"family":"clifford"}'}[name])
     path = tmp_path / f"export.{kind}"
     assert cmd_export(cfg, **{kind: str(path)}, out=io.StringIO()) == 0

@@ -334,26 +334,94 @@ def _count_tables(monkeypatch):
     return built
 
 
-def test_param_sigma_equals_the_tabulated_eqn_sigma():
-    # builtin inverts its heights phi_r in closed form; eqn_star on the same
-    # coefficients tabulates the heights it works out of b and c
+def _assert_equals_the_tabulated_star(star, eqn):
+    """sigma on 2000 Fibonacci points, the meridian image at 1001 heights
+    and the coverage search's hits of two stars agree to 1e-12."""
     from glstar.verify import exterior_samples, fibonacci_sphere
-    param = builtin_example()
-    eqn = eqn_star(*constructions._param_coefficients(phi_r(1.5), phi_r(2.0)))
     q = fibonacci_sphere(2000)
     assert np.any(q[:, 2] < 0.0) and np.any(q[:, 2] > 0.0)
-    assert np.max(np.abs(param.sigma(q) - eqn.sigma(q))) < 1e-12
+    assert np.max(np.abs(star.sigma(q) - eqn.sigma(q))) < 1e-12
     t = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(param.profile.meridian_image(t)
+    assert np.max(np.abs(star.profile.meridian_image(t)
                          - eqn.profile.meridian_image(t))) < 1e-12
     W = exterior_samples(200, seed=0)
-    hits = [StarLineSearch(s).find_batch(W) for s in (param, eqn)]
+    hits = [StarLineSearch(s).find_batch(W) for s in (star, eqn)]
     assert [len(h) for h in hits[0]] == [len(h) for h in hits[1]]
     for hp, he in zip(*hits):
         for a, b in zip(hp, he):
             assert abs(a.t - b.t) < 1e-12
             dtheta = np.mod(a.theta - b.theta + np.pi, 2.0 * np.pi) - np.pi
             assert abs(dtheta) < 1e-12
+
+
+def test_param_sigma_equals_the_tabulated_eqn_sigma():
+    # builtin inverts its heights phi_r in closed form; eqn_star on the same
+    # coefficients tabulates the heights it works out of b and c
+    _assert_equals_the_tabulated_star(
+        builtin_example(),
+        eqn_star(*constructions._param_coefficients(phi_r(1.5), phi_r(2.0))))
+
+
+def test_parabola_sigma_equals_the_tabulated_eqn_sigma():
+    # parabola inverts its heights piece by piece in closed form; eqn_star
+    # on its b and c tabulates them
+    seq = example_parabola_sequence()
+    eqn = eqn_star(*constructions._parabola_coefficients(seq))
+    _assert_equals_the_tabulated_star(parabola_star(seq), eqn)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t", "s"])
+def test_parabola_height_inverse_round_trips(sign):
+    # y = h(a) back to a on every piece, at the knots and on both
+    # completions: h at the answer is within 4 ulps of y, and up to a = 1/2,
+    # where the heights are not flat, so is a itself; y = 0 gives a = 0,
+    # and the star caps a at _A_MAX from the height there on
+    seq = example_parabola_sequence()
+    t_fn, s_fn = constructions._eqn_heights(
+        *constructions._parabola_coefficients(seq))
+    h = constructions._parabola_height(seq, t_fn if sign > 0 else s_fn, sign)
+    a_max = constructions._A_MAX
+    k = seq.slopes()
+    pieces = [np.geomspace(k[i], k[i + 1], 202)[1:-1]
+              for i in range(len(k) - 1)]
+    a = np.concatenate([np.geomspace(1e-12, k[0], 200, endpoint=False), k,
+                        *pieces, np.geomspace(k[-1], 1e6, 200)[1:]])
+    y = h(a)
+    y_end = float(h(np.array([a_max]))[0])
+    assert np.all(y < 1.0) and y_end == 1.0
+    back = h.inverse(y)
+    assert np.all(np.abs(h(back) - y) <= 4.0 * np.spacing(y))
+    small = a <= 0.5
+    assert np.all(np.abs(back[small] - a[small]) <= 4.0 * np.spacing(a[small]))
+    assert h.inverse(np.array([0.0])).tolist() == [0.0]
+    log_a = constructions._log_a_of_height(h)
+    assert log_a(np.array([0.0])).tolist() == [-np.inf]
+    assert np.all(log_a(np.array([y_end, 1.5])) == np.log(a_max))
+
+
+def test_parabola_heights_build_no_table(monkeypatch):
+    built = _count_tables(monkeypatch)
+    star = parabola_star(example_parabola_sequence())
+    q = sphere_samples(50, seed=3)
+    for i in range(50):
+        star.sigma(q[i])
+    StarLineSearch(star).find_batch(np.column_stack([np.ones(50), 2.0 * q]))
+    assert len(built) == 0
+
+
+def test_c2_of_heights_does_not_cancel():
+    # c^2 = O(a^3) as a -> 0 on builtin's heights: against exact rationals
+    # of the same float t and s, within 4 ulps (the expanded form
+    # a^2 - (a^2+1)(((t+s)/2)^2 + a^2((t-s)/2)^2) is off by up to 2.6e-10)
+    from fractions import Fraction
+    a = np.geomspace(1e-6, 1e-2, 200)
+    t, s = phi_r(1.5)(a), phi_r(2.0)(a)
+    _, c2 = constructions._b_c2_of_heights(a, t, s)
+    for ai, ti, si, ci in zip(*(map(Fraction, v.tolist()) for v in (a, t, s)),
+                              c2.tolist()):
+        exact = ai * ai - (ai * ai + 1) * (((ti + si) / 2) ** 2
+                                           + ai * ai * ((ti - si) / 2) ** 2)
+        assert abs(ci - exact) <= 4 * np.spacing(float(exact))
 
 
 def test_param_heights_are_tabulated_only_without_an_inverse(monkeypatch):
@@ -592,6 +660,13 @@ def test_parabola_completion_tails():
     assert np.isclose(be[0], seq.betas[-1])
     assert np.isclose(ga[0], seq.gammas[-1] * (1.0 / a_hi[0] ** 2)
                       / seq.alphas[-1])
+    # at a = 0 the limits a -> 0, without a divide-by-zero warning (the
+    # closed-form height inverse returns a = 0 at height 0)
+    al, be, ga = seq.coefficients_at(np.array([0.0]))
+    assert be[0] == seq.betas[0] and ga[0] == seq.gammas[0]
+    b_fn, c_fn = constructions._parabola_coefficients(seq)
+    assert b_fn(np.array([0.0])).tolist() == [0.0]
+    assert c_fn(np.array([0.0])).tolist() == [0.0]
 
 
 # --- cross-family invariants -----------------------------------------------------

@@ -188,6 +188,12 @@ def test_polar_tangent_hyperplane_contains_point():
     assert H.contains(k)
 
 
+def test_polar_takes_no_tolerance():
+    # the null-space cutoff is _nullspace_rows' own; a tol would be ignored
+    with pytest.raises(TypeError):
+        polar(Subspace.span([[1, 0, 0, 0]]), SPHERE, tol=1e-3)
+
+
 def test_polar_singular_form():
     bad = QuadricForm(np.diag([1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(errors.SingularForm):

@@ -10,10 +10,10 @@ import pytest
 from glstar import constructions
 from glstar.cli import FAMILIES, StarConfig, parse_config
 from glstar.constructions import (
+    _parabola_coefficients,
     _param_coefficients,
     eqn_star,
     example_parabola_sequence,
-    parabola_star,
 )
 from glstar.errors import ConfigError, ParseError
 from glstar.functions import _FACTORIES, TabulatedInverse, from_spec, phi_r
@@ -60,10 +60,11 @@ def test_parse_config_returns_config_or_raises_config_errors(value):
 # Heights of the test points: the poles, the equator, 1e-6 next to them and
 # anything in between.  Closer to the poles and the equator the height chart
 # costs accuracy: sigma has a square-root profile there, so the profile
-# stars' end clamps at 1e-12 from the ends move sigma by up to 2.8e-6, the
-# latitudinal arc map (flat at 0) loses heights below 1e-7 to rounding, and
-# parabola, whose heights are tabulated, solves heights below 1e-9, where
-# its tables stop, from the limit t(a)/a -> 1 as a -> 0 (the tests below).
+# stars' end clamps at 1e-12 from the ends move sigma by up to 2.8e-6, and
+# the latitudinal arc map (flat at 0) loses heights below 1e-7 to rounding.
+# builtin and parabola invert their heights in closed form down to 0 (a
+# tabulated eqn star solves heights below its tables' a = 1e-9 from the
+# limit t(a)/a -> 1 as a -> 0, the tests below).
 EDGE = 1e-6
 HEIGHTS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, EDGE, -EDGE, 1.0 - EDGE,
                             -1.0 + EDGE])
@@ -174,8 +175,8 @@ def test_inverse_undoes_the_function(kind, data):
 @pytest.fixture(scope="session")
 def height_tables():
     """The four inverse tables of log a of two eqn stars: the circle heights
-    t(a) and s(a) of parabola and of builtin's coefficients b, c, which
-    builtin itself inverts in closed form."""
+    t(a) and s(a) of builtin's coefficients b, c and of parabola's, which
+    builtin and parabola themselves invert in closed form."""
     tables = []
 
     class Recording(TabulatedInverse):
@@ -186,7 +187,7 @@ def height_tables():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constructions, "TabulatedInverse", Recording)
         eqn_star(*_param_coefficients(phi_r(1.5), phi_r(2.0)))
-        parabola_star(example_parabola_sequence())
+        eqn_star(*_parabola_coefficients(example_parabola_sequence()))
     assert len(tables) == 4
     return tables
 
