@@ -32,10 +32,10 @@ LIMIT_BAND = 0.05
 LIMIT_POINTS = (1e-2, 1e-3, 1e-4)
 
 _interior_t_grid = np.linspace(0.0, 1.0, T_GRID_SIZE + 2)[1:-1]
-
-
-def _a_grid():
-    return np.geomspace(*A_GRID_RANGE, A_GRID_SIZE)
+# the slopes a of the hypothesis checks and of the circle probes, built once
+_A_GRID = np.geomspace(*A_GRID_RANGE, A_GRID_SIZE)
+_CIRCLE_PROBE_A = np.geomspace(1e-2, 1e2, 16)
+_A_GRID.flags.writeable = _CIRCLE_PROBE_A.flags.writeable = False
 
 
 def _hand_sign_fn(hand):
@@ -55,12 +55,15 @@ def _hand_sign_fn(hand):
 
 
 def _validate_cone_rule(hand_sign, profile, name="handedness"):
-    """Regulus choice may only switch at cone parameters."""
+    """Regulus choice may only switch at cone parameters.  c is only
+    evaluated (on the whole grid, for its scale) when the choice switches."""
     t = _interior_t_grid
-    c = profile.coefficients(t)[2]
     s = np.asarray(hand_sign(t), float)
-    cone = c <= 1e-9 * (1.0 + np.abs(c).max())
     switches = np.nonzero(np.diff(s) != 0)[0]
+    if not switches.size:
+        return
+    c = profile.coefficients(t)[2]
+    cone = c <= 1e-9 * (1.0 + np.abs(c).max())
     for i in switches:
         if not (cone[i] or cone[i + 1]):
             raise ConditionFailed(
@@ -236,12 +239,10 @@ def _t_s_of_a(a, bv, cv):
     return (bv + root) / (a * a + 1.0), (root - bv) / (a * a + 1.0)
 
 
-def _circle_probes(b_fn, c_fn):
+def _circle_probes(bc):
     """Unit-circle points (x, z), x > 0, on the surfaces H_a of 16 slopes
     a in [1e-2, 1e2]; the equator and the poles are left out."""
-    probe = np.geomspace(1e-2, 1e2, 16)
-    pt, ps = _t_s_of_a(probe, np.asarray(b_fn(probe), float),
-                       np.asarray(c_fn(probe), float))
+    pt, ps = _t_s_of_a(_CIRCLE_PROBE_A, *bc(_CIRCLE_PROBE_A))
     z = np.concatenate([pt, -ps])
     z = z[~((np.abs(z) < 1e-9) | (np.abs(z) >= 1.0))]
     return np.sqrt(1.0 - z * z), z
@@ -259,15 +260,14 @@ def _exterior_probes():
     return X[keep], Z[keep]
 
 
-def _surface_fn(b_fn, c_fn, x, z):
+def _surface_fn(bc, x, z):
     """a |-> a^2 x_k^2 - (z_k - b(a))^2 - c(a)^2 for probe k: its positive
     roots count the surfaces H_a through the meridian point (x_k, 0, z_k)."""
     def F(a, k):
         a = np.asarray(a, float)
         xk, zk = x[k], z[k]
-        return (a * a * xk * xk
-                - (zk - np.asarray(b_fn(a), float)) ** 2
-                - np.asarray(c_fn(a), float) ** 2)
+        b, c = bc(a)
+        return a * a * xk * xk - (zk - b) ** 2 - c ** 2
     return F
 
 
@@ -315,18 +315,16 @@ def _log_a_of_height(h: Fn1):
     return solve
 
 
-def _eqn_heights(b_fn, c_fn):
+def _eqn_heights(bc):
     """The circle heights t(a), s(a) of H_a with coefficients b, c: H_a
     meets the circle x > 0 at heights t and -s = -t + 2b/(1+a^2)."""
     def t(a):
         a = np.asarray(a, float)
-        return _t_s_of_a(a, np.asarray(b_fn(a), float),
-                         np.asarray(c_fn(a), float))[0]
+        return _t_s_of_a(a, *bc(a))[0]
 
     def s(a):
         a = np.asarray(a, float)
-        bb = np.asarray(b_fn(a), float)
-        cc = np.asarray(c_fn(a), float)
+        bb, cc = bc(a)
         return _t_s_of_a(a, bb, cc)[0] - 2.0 * bb / (1.0 + a * a)
 
     return as_fn1(t, domain=(0.0, np.inf)), as_fn1(s, domain=(0.0, np.inf))
@@ -343,17 +341,21 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
     """
     b_fn = as_fn1(b, domain=(0.0, np.inf))
     c_fn = as_fn1(c, domain=(0.0, np.inf))
-    bv = _check_eqn_hypotheses(b_fn, c_fn, band)
-    return _build_eqn_star(b_fn, c_fn, bv, *_eqn_heights(b_fn, c_fn), hand,
+
+    def bc(a):
+        return np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
+
+    bv = _check_eqn_hypotheses(bc, band)
+    return _build_eqn_star(bc, bv, *_eqn_heights(bc), hand,
                            label or "eqn_star", extra_tags)
 
 
-def _check_eqn_hypotheses(b_fn, c_fn, band):
-    """Hypotheses (1)-(4) of eqn_star.  Returns b on the a-grid."""
-    bv = _check_eqn_1_to_3(b_fn, c_fn, band)
+def _check_eqn_hypotheses(bc, band):
+    """Hypotheses (1)-(4) of eqn_star on the coefficients bc: a |-> (b, c).
+    Returns b on the a-grid."""
+    bv = _check_eqn_1_to_3(bc, band)
     x, z = _exterior_probes()
-    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
-                                 n_probes=x.size)
+    counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
     bad = np.nonzero(counts > 1)[0]
     if bad.size:
         i = bad[0]
@@ -363,12 +365,11 @@ def _check_eqn_hypotheses(b_fn, c_fn, band):
     return bv
 
 
-def _check_eqn_1_to_3(b_fn, c_fn, band):
+def _check_eqn_1_to_3(bc, band):
     """Hypotheses (1)-(3) of eqn_star, all but the exterior probes (4).
     Returns b on the a-grid."""
-    ag = _a_grid()
-    bv = np.asarray(b_fn(ag), float)
-    cv = np.asarray(c_fn(ag), float)
+    ag = _A_GRID
+    bv, cv = bc(ag)
     if np.any(cv < -1e-12):
         raise ConditionFailed("c must be nonnegative",
                               witness=float(ag[np.argmax(cv < -1e-12)]))
@@ -389,9 +390,8 @@ def _check_eqn_1_to_3(b_fn, c_fn, band):
         raise ConditionFailed("(3): the height t(a) of H_a on the circle is "
                               "not increasing", witness=float(ag[i]))
 
-    x, z = _circle_probes(b_fn, c_fn)
-    counts = positive_root_count(_surface_fn(b_fn, c_fn, x, z),
-                                 n_probes=x.size)
+    x, z = _circle_probes(bc)
+    counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
     bad = np.nonzero(counts != 1)[0]
     if bad.size:
         i = bad[0]
@@ -401,9 +401,8 @@ def _check_eqn_1_to_3(b_fn, c_fn, band):
     return bv
 
 
-def _build_eqn_star(b_fn, c_fn, bv, t_fn, s_fn, hand, label,
-                    extra_tags) -> GlStar:
-    """The star of validated coefficient functions b, c, whose surface H_a
+def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
+    """The star of validated coefficients bc: a |-> (b, c), whose surface H_a
     meets the circle x > 0 at the heights t(a) and -s(a): t_fn and s_fn, as
     Fn1 with their closed-form inverses where there are any (see
     ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image of
@@ -414,7 +413,7 @@ def _build_eqn_star(b_fn, c_fn, bv, t_fn, s_fn, hand, label,
 
     def abc(tt):
         a = np.exp(log_a_of_t(tt))
-        return a, np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
+        return (a, *bc(a))
 
     def z_of_t(tt):
         return -s_fn(np.exp(log_a_of_t(tt)))
@@ -459,7 +458,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
     """
     t_fn = as_fn1(t, domain=(0.0, np.inf))
     s_fn = as_fn1(s, domain=(0.0, np.inf))
-    ag = _a_grid()
+    ag = _A_GRID
     tv = check_increasing(t_fn, ag, name="t")
     sv = check_increasing(s_fn, ag, name="s")
     for name, fn, v in (("t", t_fn, tv), ("s", s_fn, sv)):
@@ -495,9 +494,9 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
 
     # h_{x,z} counts the same roots as eqn_star's exterior probe (4) on the
     # same probes, so only (1)-(3) of eqn_star are left to check
-    b_fn, c_fn = _param_coefficients(t_fn, s_fn)
+    bc = _param_bc(t_fn, s_fn)
     return _build_eqn_star(
-        b_fn, c_fn, _check_eqn_1_to_3(b_fn, c_fn, band), t_fn, s_fn, hand,
+        bc, _check_eqn_1_to_3(bc, band), t_fn, s_fn, hand,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 
@@ -510,21 +509,28 @@ def _b_c2_of_heights(a, t, s):
     return b, a * (a - s) + s * (a - t) - (a * a * t * s + b * b)
 
 
+def _param_bc(t_fn, s_fn):
+    """a |-> (b(a), c(a)) of the surfaces H_a with circle heights t(a),
+    -s(a)."""
+    def bc(a):
+        a = np.asarray(a, float)
+        b, c2 = _b_c2_of_heights(a, np.asarray(t_fn(a), float),
+                                 np.asarray(s_fn(a), float))
+        return b, np.sqrt(np.clip(c2, 0.0, None))
+
+    return bc
+
+
+def _coefficient_fns(bc):
+    """b and c of the joint coefficients bc as two Fn1, eqn_star's
+    arguments."""
+    return (as_fn1(lambda a: bc(a)[0], domain=(0.0, np.inf)),
+            as_fn1(lambda a: bc(a)[1], domain=(0.0, np.inf)))
+
+
 def _param_coefficients(t_fn, s_fn):
     """b(a) and c(a) of the surfaces H_a with circle heights t(a), -s(a)."""
-    def b_c2(a):
-        a = np.asarray(a, float)
-        return _b_c2_of_heights(a, np.asarray(t_fn(a), float),
-                                np.asarray(s_fn(a), float))
-
-    def b_fn(a):
-        return b_c2(a)[0]
-
-    def c_fn(a):
-        return np.sqrt(np.clip(b_c2(a)[1], 0.0, None))
-
-    return (as_fn1(b_fn, domain=(0.0, np.inf)),
-            as_fn1(c_fn, domain=(0.0, np.inf)))
+    return _coefficient_fns(_param_bc(t_fn, s_fn))
 
 
 def builtin_example() -> GlStar:
@@ -674,6 +680,8 @@ class ParabolaSeq:
         ga = np.asarray(self.gammas, float)
         if not (al.shape == be.shape == ga.shape) or al.ndim != 1 or al.size < 1:
             raise InvalidInput("parabola sequence arrays must match, length >= 1")
+        if not np.isfinite(np.stack([al, be, ga])).all():
+            raise InvalidInput("parabola sequence entries must be finite")
         if np.any(al <= 0):
             raise ConditionFailed("alpha_i must be positive",
                                   witness=int(np.argmax(al <= 0)))
@@ -699,16 +707,16 @@ class ParabolaSeq:
         u = np.asarray(u, float)
         return self.alphas[i] * (u - self.betas[i]) ** 2 + self.gammas[i]
 
-    def arc_intersections(self, i: int):
-        """The two u-values where P_i meets the arc v = 1 - u^2."""
-        a, b, g = self.alphas[i], self.betas[i], self.gammas[i]
-        roots = np.roots([a + 1.0, -2.0 * a * b, a * b * b + g - 1.0])
-        roots = np.sort(np.real(roots[np.abs(np.imag(roots)) < 1e-12]))
-        if roots.size != 2:
+    def arc_intersections(self):
+        """The two u-values lo < hi where each P_i meets the arc
+        v = 1 - u^2, as two arrays."""
+        a, b, g = self.alphas, self.betas, self.gammas
+        lo, hi, disc = _real_roots(a + 1.0, -2.0 * a * b, a * b * b + g - 1.0)
+        if np.any(disc <= 0.0):
             raise ConditionFailed(
                 "(3): parabola must meet the circle arc in two points",
-                witness=i)
-        return float(roots[0]), float(roots[1])
+                witness=int(np.argmax(disc <= 0.0)))
+        return lo, hi
 
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
@@ -726,6 +734,22 @@ class ParabolaSeq:
         return alpha, beta, gamma
 
 
+def _real_roots(A, B, C):
+    """The real roots lo <= hi of A u^2 + B u + C, elementwise, and the
+    discriminant: q = -(B + sign(B) sqrt(disc)) / 2 gives the roots q / A
+    and C / q without cancellation.  Where A = 0 (then q = -B) the one root
+    C / q of B u + C is both lo and hi; a negative discriminant or
+    A = B = 0 gives none (NaN)."""
+    disc = B * B - 4.0 * A * C
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(disc), B))
+        r1 = np.where(A != 0.0, q / A, C / q)
+        r2 = np.where(q != 0.0, C / q, r1)  # q = 0: B = C = 0, the root 0
+    lo, hi = (np.where(np.isfinite(r), r, np.nan)
+              for r in (np.minimum(r1, r2), np.maximum(r1, r2)))
+    return lo, hi, disc
+
+
 def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
                   band: float = LIMIT_BAND) -> GlStar:
     """Rotational star from an interpolated parabola sequence.
@@ -739,65 +763,70 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
     t(a), s(a) of H_a piece by piece in closed form (``_parabola_height``),
     with no table.
     """
+    _check_sequence(seq)
+    bc = _parabola_bc(seq)
+    bv = _check_eqn_hypotheses(bc, band)
+    t_fn, s_fn = _eqn_heights(bc)
+    return _build_eqn_star(
+        bc, bv, _parabola_height(seq, t_fn, 1.0),
+        _parabola_height(seq, s_fn, -1.0), hand,
+        label or f"parabola({len(seq)} entries)", ())
+
+
+def _check_sequence(seq: ParabolaSeq):
+    """The sequence's own conditions: the completion's origin vertex, the
+    arc intersections (3) and the consecutive intersections (4), whose
+    quadratics are solved in closed form for the whole sequence at once."""
     if abs(seq.betas[0]) > 1e-12 or seq.gammas[0] > 1e-12:
         raise ConditionFailed(
             "completion: the first parabola must have its vertex at the "
             "origin", witness=0)
 
-    inter = [seq.arc_intersections(i) for i in range(len(seq))]
-    for i, (lo, hi) in enumerate(inter):
-        if not (lo < 0.0 < hi):
-            raise ConditionFailed(
-                "(3): arc intersections must be separated by the v-axis",
-                witness=i)
-        if lo < -1.0 - 1e-9 or hi > 1.0 + 1e-9:
-            raise ConditionFailed(
-                "(3): arc intersections must lie on the arc", witness=i)
-    for i in range(len(seq) - 1):
-        if not (inter[i + 1][1] > inter[i][1] and inter[i + 1][0] < inter[i][0]):
-            raise ConditionFailed(
-                "(3): consecutive arc intersections must nest outward "
-                "(heights on the circle increase with the slope)", witness=i)
+    lo, hi = seq.arc_intersections()
+    bad = ~((lo < 0.0) & (0.0 < hi))
+    off = (lo < -1.0 - 1e-9) | (hi > 1.0 + 1e-9)
+    if np.any(bad | off):
+        i = int(np.argmax(bad | off))
+        raise ConditionFailed(
+            "(3): arc intersections must be separated by the v-axis" if bad[i]
+            else "(3): arc intersections must lie on the arc", witness=i)
+    bad = ~((hi[1:] > hi[:-1]) & (lo[1:] < lo[:-1]))
+    if np.any(bad):
+        raise ConditionFailed(
+            "(3): consecutive arc intersections must nest outward "
+            "(heights on the circle increase with the slope)",
+            witness=int(np.argmax(bad)))
 
-    for i in range(len(seq) - 1):
-        d = np.array([seq.alphas[i] - seq.alphas[i + 1],
-                      -2.0 * (seq.alphas[i] * seq.betas[i]
-                              - seq.alphas[i + 1] * seq.betas[i + 1]),
-                      (seq.alphas[i] * seq.betas[i] ** 2 + seq.gammas[i])
-                      - (seq.alphas[i + 1] * seq.betas[i + 1] ** 2
-                         + seq.gammas[i + 1])])
-        if np.allclose(d, 0.0):
-            continue
-        roots = np.roots(d) if d[0] != 0.0 else (
-            np.array([-d[2] / d[1]]) if d[1] != 0.0 else np.array([]))
-        for u in np.real(roots[np.abs(np.imag(roots)) < 1e-12]):
-            v = seq.value(i, u)
-            inside = (abs(u) <= 1.0 + 1e-9) and (-1e-9 <= v <= 1.0 - u * u + 1e-9)
-            if not inside:
-                raise ConditionFailed(
-                    "(4): consecutive parabolas intersect outside the "
-                    "bounded region", witness=(i, float(u), float(v)))
+    # P_i - P_{i+1} = A u^2 + B u + C; pairs that agree to 1e-8 are skipped
+    al, be, ga = seq.alphas, seq.betas, seq.gammas
+    d = np.stack([al[:-1] - al[1:],
+                  -2.0 * (al[:-1] * be[:-1] - al[1:] * be[1:]),
+                  (al[:-1] * be[:-1] ** 2 + ga[:-1])
+                  - (al[1:] * be[1:] ** 2 + ga[1:])])
+    u = np.stack(_real_roots(*d)[:2], axis=1)  # (pair, root), NaN when none
+    v = al[:-1, None] * (u - be[:-1, None]) ** 2 + ga[:-1, None]
+    inside = (np.abs(u) <= 1.0 + 1e-9) & (-1e-9 <= v) & (v <= 1.0 - u * u + 1e-9)
+    bad = ~np.isnan(u) & ~inside & ~np.all(np.abs(d) <= 1e-8, axis=0)[:, None]
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ConditionFailed(
+            "(4): consecutive parabolas intersect outside the bounded region",
+            witness=(int(i), float(u[i, j]), float(v[i, j])))
 
-    b_fn, c_fn = _parabola_coefficients(seq)
-    bv = _check_eqn_hypotheses(b_fn, c_fn, band)
-    t_fn, s_fn = _eqn_heights(b_fn, c_fn)
-    return _build_eqn_star(
-        b_fn, c_fn, bv, _parabola_height(seq, t_fn, 1.0),
-        _parabola_height(seq, s_fn, -1.0), hand,
-        label or f"parabola({len(seq)} entries)", ())
+
+def _parabola_bc(seq: ParabolaSeq):
+    """a |-> (b(a), c(a)) of the interpolated parabola sequence."""
+    def bc(a):
+        a = np.asarray(a, float)
+        _, beta, gamma = seq.coefficients_at(a)
+        return beta, a * np.sqrt(gamma)
+
+    return bc
 
 
 def _parabola_coefficients(seq: ParabolaSeq):
     """b(a) and c(a) of the interpolated parabola sequence."""
-    def b_fn(a):
-        return seq.coefficients_at(a)[1]
-
-    def c_fn(a):
-        a = np.asarray(a, float)
-        return a * np.sqrt(seq.coefficients_at(a)[2])
-
-    return (as_fn1(b_fn, domain=(0.0, np.inf)),
-            as_fn1(c_fn, domain=(0.0, np.inf)))
+    return _coefficient_fns(_parabola_bc(seq))
 
 
 # A parabola height inverse stops after a Newton step of relative size

@@ -7,9 +7,11 @@ and the factories below provide the named families understood by the CLI
 config format.  Every root refinement runs on one batched kernel,
 ``_illinois`` (Illinois regula falsi on sign-change brackets): the roots
 of many scalar functions on a common grid (``bracket_roots``, used by the
-root counts of the constructions and by the star-line search), the
-tabulated inverses of the eqn-family heights (``TabulatedInverse``) and
-the generic inverse (``bisect_monotone``).
+star-line search), the tabulated inverses of the eqn-family heights
+(``TabulatedInverse``) and the generic inverse (``bisect_monotone``).  The
+root counts of the constructions (``count_roots``) share bracket_roots'
+candidates but refine only the roots that could merge with a neighbour,
+which on a valid star is none.
 """
 
 from __future__ import annotations
@@ -95,9 +97,39 @@ def bisect_monotone(fn, target, lo, hi):
     return float(out[0]) if t.ndim == 0 else out
 
 
+def _root_candidates(v):
+    """The candidate roots of probes with values v (n, g) on a grid, sorted
+    by probe, then position: the grid zeros and the sign changes between
+    neighbouring grid points.  Returns the probe k of each candidate, the
+    grid index i of its lower end, and whether it is a bracket
+    [grid[i], grid[i + 1]] rather than the zero grid[i]."""
+    pos, neg = v > 0.0, v < 0.0
+    cand = np.zeros((v.shape[0], 2 * v.shape[1] - 1), bool)
+    cand[:, ::2] = v == 0.0
+    cand[:, 1::2] = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    k, p = np.nonzero(cand)
+    return k, p // 2, p % 2 == 1
+
+
+def _refine(fn, grid, v, k, i, rtol):
+    """The roots of the brackets [grid[i], grid[i + 1]] of probes k."""
+    return _illinois(lambda x, j: fn(x, k[j]), grid[i], grid[i + 1],
+                     v[k, i], v[k, i + 1], rtol)
+
+
+def _new_roots(k, x, cluster_rtol):
+    """Mask of the candidates x (sorted within each probe k) that are not
+    within ``cluster_rtol`` of the previous root of their probe."""
+    new = np.ones(x.size, bool)
+    new[1:] = (k[1:] != k[:-1]) | (x[1:] - x[:-1]
+                                   > cluster_rtol * np.maximum(1.0, np.abs(x[1:])))
+    return new
+
+
 def bracket_roots(fn, grid, values, rtol: float = 1e-12,
                   cluster_rtol: float = 1e-6):
-    """Roots of n scalar functions (probes) located on a common grid.
+    """Roots of n scalar functions (probes) located on a common increasing
+    grid.
 
     ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
     evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
@@ -109,20 +141,45 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12,
     """
     grid = np.asarray(grid, float)
     v = np.asarray(values, float)
-    s = np.sign(v)
-    zk, zi = np.nonzero(v == 0.0)
-    bk, bi = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
-    root = _illinois(lambda x, i: fn(x, bk[i]), grid[bi], grid[bi + 1],
-                     v[bk, bi], v[bk, bi + 1], rtol)
-    k = np.concatenate([zk, bk])
-    x = np.concatenate([grid[zi], root])
-    order = np.lexsort((x, k))
-    k, x = k[order], x[order]
-    new = np.ones(x.size, bool)
-    new[1:] = (k[1:] != k[:-1]) | (x[1:] - x[:-1]
-                                   > cluster_rtol * np.maximum(1.0, np.abs(x[1:])))
-    keep = new & np.any(v, axis=1)[k]
+    k, i, br = _root_candidates(v)
+    x = grid[i]
+    x[br] = _refine(fn, grid, v, k[br], i[br], rtol)
+    keep = _new_roots(k, x, cluster_rtol) & np.any(v, axis=1)[k]
     return k[keep], x[keep]
+
+
+def count_roots(fn, grid, values, rtol: float = 1e-12,
+                cluster_rtol: float = 1e-6):
+    """The number of roots ``bracket_roots`` locates for each probe, as an
+    int array of length n, refining only the brackets that could merge.
+
+    A candidate can only merge with the previous one of its probe when the
+    lower bound of their distance, its lower end minus the previous upper
+    end, is within ``cluster_rtol * max(1, |lo|, |hi|)`` of its own ends;
+    rounded subtraction and multiplication are monotone, so every other
+    candidate is a distinct root whatever the refinement would give.  Both
+    members of each pair that could merge are refined as ``bracket_roots``
+    refines them, and ``_illinois`` gives a bracket the same bits in any
+    batch, so the counts are ``bracket_roots``' exactly.
+    """
+    grid = np.asarray(grid, float)
+    v = np.asarray(values, float)
+    k, i, br = _root_candidates(v)
+    lo, hi = grid[i], grid[i + br]
+    near = np.zeros(k.size, bool)
+    near[1:] = (k[1:] == k[:-1]) & (
+        lo[1:] - hi[:-1]
+        <= cluster_rtol * np.maximum(1.0, np.maximum(np.abs(lo[1:]),
+                                                     np.abs(hi[1:]))))
+    # near[j]: j and j - 1 could merge; both are refined (grid zeros are
+    # exact), and the merge test reads x of such pairs only
+    refine = br & (near | np.append(near[1:], False))
+    x = lo
+    if refine.any():
+        x[refine] = _refine(fn, grid, v, k[refine], i[refine], rtol)
+    new = ~near | _new_roots(k, x, cluster_rtol)
+    keep = new & np.any(v, axis=1)[k]
+    return np.bincount(k[keep], minlength=v.shape[0])
 
 
 class TabulatedInverse:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalError, InvalidInput
-from .functions import bracket_roots
+from .functions import count_roots
 from .projgeom import (
     QuadricForm,
     join_batch,
@@ -25,6 +25,9 @@ from .search import StarLineSearch
 from .star import GlStar, fibonacci_sphere, meridian_point, rotation_defect
 
 _SPHERE = QuadricForm.unit_sphere()
+# positive_root_count's default grid
+_ROOT_GRID = np.geomspace(1e-4, 1e4, 512)
+_ROOT_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,10 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
     Descartes bound); either is one probe and the count comes back as an
     int.  With ``n_probes``, ``fn(a, k)`` evaluates probe k at a (the index
     and point arrays broadcast together) and the counts of all probes come
-    back as an int array.  The roots are located by ``bracket_roots``.
+    back as an int array.  The counts are ``count_roots``': the roots
+    ``bracket_roots`` would locate on the strictly increasing ``a_grid``,
+    refining only the sign changes that could merge with a neighbour (on
+    the default grid, a valid star refines none).
     """
     bound = None
     if n_probes is None:
@@ -253,12 +259,13 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
         fn = lambda a, k: np.asarray(one(np.ravel(a)), float).reshape(np.shape(a))
     n = 1 if n_probes is None else int(n_probes)
     if a_grid is None:
-        a_grid = np.geomspace(1e-4, 1e4, 512)
+        a_grid = _ROOT_GRID
     a_grid = np.asarray(a_grid, float)
+    if a_grid.ndim != 1 or not np.all(np.diff(a_grid) > 0.0):
+        raise InvalidInput("a_grid must be a strictly increasing 1-d grid")
     v = np.asarray(fn(a_grid[None, :], np.arange(n)[:, None]), float)
-    k, _ = bracket_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)),
+    counts = count_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)),
                          rtol=refine_tol, cluster_rtol=cluster_rtol)
-    counts = np.bincount(k, minlength=n)
     if n_probes is not None:
         return counts
     count = int(counts[0])

@@ -190,6 +190,34 @@ def test_batched_root_counts_equal_one_probe_counts(build, monkeypatch):
             assert _root_count_by_bracket(one, a_grid) == counts[k]
 
 
+def test_builds_refine_no_root_of_their_counts(monkeypatch):
+    # every root of a valid star's probes is alone in its grid cell, away
+    # from its neighbours: the counts need no refinement at all
+    from glstar import functions, verify
+    counts, inside, refined = [], [], []
+    count_roots, illinois = functions.count_roots, functions._illinois
+
+    def spy_count(*args, **kwargs):
+        counts.append(True)
+        inside.append(True)
+        try:
+            return count_roots(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_illinois(fn, lo, *args):
+        if inside:
+            refined.append(lo.size)
+        return illinois(fn, lo, *args)
+
+    monkeypatch.setattr(verify, "count_roots", spy_count)
+    monkeypatch.setattr(functions, "_illinois", spy_illinois)
+    builtin_example()
+    parabola_star(example_parabola_sequence())
+    assert len(counts) == 4
+    assert refined == []
+
+
 def test_batched_root_counts_synthetic():
     # a^2 + 1, a - 3 and (a - 0.5)(a - 5): no, one and two positive roots
     P = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -3.0], [1.0, -5.5, 2.5]])

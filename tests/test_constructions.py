@@ -257,10 +257,10 @@ def test_param_exterior_counts_equal_the_surface_counts(t, s):
     from glstar.verify import positive_root_count
     x, z = constructions._exterior_probes()
     assert x.size == 130
-    b_fn, c_fn = constructions._param_coefficients(t, s)
+    bc = constructions._param_bc(t, s)
     h = positive_root_count(lambda a, k: h_value(t, s, x[k], z[k], a),
                             n_probes=x.size)
-    surface = positive_root_count(constructions._surface_fn(b_fn, c_fn, x, z),
+    surface = positive_root_count(constructions._surface_fn(bc, x, z),
                                   n_probes=x.size)
     assert np.array_equal(h, surface)
 
@@ -377,8 +377,7 @@ def test_parabola_height_inverse_round_trips(sign):
     # where the heights are not flat, so is a itself; y = 0 gives a = 0,
     # and the star caps a at _A_MAX from the height there on
     seq = example_parabola_sequence()
-    t_fn, s_fn = constructions._eqn_heights(
-        *constructions._parabola_coefficients(seq))
+    t_fn, s_fn = constructions._eqn_heights(constructions._parabola_bc(seq))
     h = constructions._parabola_height(seq, t_fn if sign > 0 else s_fn, sign)
     a_max = constructions._A_MAX
     k = seq.slopes()
@@ -577,6 +576,15 @@ def test_parabola_seq_validation():
         ParabolaSeq(np.array([4.0, 1.0]), np.zeros(2), np.array([0.0, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parabola_seq_rejects_non_finite_entries(bad):
+    for k in range(3):
+        rows = [[4.0, 1.0], [0.0, 0.1], [0.0, 0.1]]
+        rows[k][1] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            ParabolaSeq(*rows)
+
+
 def test_parabola_star_requires_origin_vertex():
     seq = ParabolaSeq(np.array([16.0, 1.0]), np.array([0.1, 0.0]),
                       np.array([0.0, 0.0]))
@@ -597,6 +605,86 @@ def test_parabola_star_rejects_broken_nesting():
                       np.array([0.0, 0.1]))
     with pytest.raises(ConditionFailed, match=r"\(3\)"):
         parabola_star(seq)
+
+
+def test_parabola_star_rejects_outside_intersection():
+    # P_1 and P_2 are almost equally steep, so their difference has its
+    # vertex far out: they meet at u = -18.7, outside the bounded region
+    seq = ParabolaSeq([18.0, 4.7, 4.66], [0.0, 0.043, 0.125],
+                      [0.0, 0.349, 0.043])
+    with pytest.raises(ConditionFailed) as err:
+        parabola_star(seq)
+    assert err.value.condition == ("(4): consecutive parabolas intersect "
+                                   "outside the bounded region")
+    i, u, v = err.value.witness
+    assert i == 1
+    assert u == pytest.approx(-18.696574715311456, rel=1e-9)
+    assert v == pytest.approx(1650.8558044004799, rel=1e-9)
+
+
+def _sequence_verdict_by_np_roots(seq):
+    """(condition, index) of the first sequence condition that fails, each
+    quadratic solved by np.roots one parabola or pair at a time, or None."""
+    if abs(seq.betas[0]) > 1e-12 or seq.gammas[0] > 1e-12:
+        return "completion", 0
+    inter = []
+    al, be, ga = seq.alphas, seq.betas, seq.gammas
+    for i in range(len(seq)):
+        r = np.roots([al[i] + 1.0, -2.0 * al[i] * be[i],
+                      al[i] * be[i] ** 2 + ga[i] - 1.0])
+        r = np.sort(np.real(r[np.abs(np.imag(r)) < 1e-12]))
+        if r.size != 2:
+            return "(3): parabola must meet the circle arc in two points", i
+        inter.append(r)
+    for i, (lo, hi) in enumerate(inter):
+        if not lo < 0.0 < hi:
+            return "(3): arc intersections must be separated by the v-axis", i
+        if lo < -1.0 - 1e-9 or hi > 1.0 + 1e-9:
+            return "(3): arc intersections must lie on the arc", i
+    for i in range(len(seq) - 1):
+        if not (inter[i + 1][1] > inter[i][1] and inter[i + 1][0] < inter[i][0]):
+            return ("(3): consecutive arc intersections must nest outward "
+                    "(heights on the circle increase with the slope)", i)
+    for i in range(len(seq) - 1):
+        d = np.array([al[i] - al[i + 1],
+                      -2.0 * (al[i] * be[i] - al[i + 1] * be[i + 1]),
+                      (al[i] * be[i] ** 2 + ga[i])
+                      - (al[i + 1] * be[i + 1] ** 2 + ga[i + 1])])
+        if np.allclose(d, 0.0):
+            continue
+        r = np.roots(d)
+        for u in np.real(r[np.abs(np.imag(r)) < 1e-12]):
+            v = seq.value(i, u)
+            if not (abs(u) <= 1.0 + 1e-9 and -1e-9 <= v <= 1.0 - u * u + 1e-9):
+                return ("(4): consecutive parabolas intersect outside the "
+                        "bounded region", i)
+    return None
+
+
+def test_sequence_closed_form_roots_give_the_np_roots_verdicts():
+    # 2000 seeded three-entry sequences: P_1 flatter than P_0, P_2 almost
+    # as steep as P_1 but shifted and lowered, so that some pairs meet far
+    # out (hypothesis (4)) and many fail to nest (3)
+    rng = np.random.default_rng(15)
+    seen = {}
+    for _ in range(2000):
+        a1 = rng.uniform(2.0, 40.0) * rng.uniform(0.05, 0.5)
+        b1, g1 = rng.uniform(-0.1, 0.1), rng.uniform(0.0, 0.4)
+        seq = ParabolaSeq(
+            [a1 / rng.uniform(0.05, 0.5), a1,
+             a1 * (1.0 - 10.0 ** rng.uniform(-3.0, -0.5))],
+            [0.0, b1, b1 + rng.uniform(-0.2, 0.2)], [0.0, g1, g1 * rng.random()])
+        want = _sequence_verdict_by_np_roots(seq)
+        try:
+            constructions._check_sequence(seq)
+            got = None
+        except ConditionFailed as err:
+            w = err.witness
+            got = err.condition, (w if isinstance(w, int) else w[0])
+        assert got == want, seq
+        key = None if want is None else want[0][:4]
+        seen[key] = seen.get(key, 0) + 1
+    assert seen[None] > 100 and seen["(4):"] > 100 and seen["(3):"] > 1000
 
 
 def test_example_sequence_matches_builtin_at_knots():
@@ -726,6 +814,38 @@ def test_param_equal_heights_matches_symmetric_reparametrization():
     assert np.max(np.abs(b)) < 1e-9
     assert np.allclose(a, a_ref, atol=1e-8)
     assert np.allclose(c, c_ref, atol=1e-8)
+
+
+def test_constant_handedness_evaluates_no_cone_coefficients(monkeypatch):
+    # the cone rule reads c only where the regulus choice switches
+    from glstar.star import RotationalProfile
+    calls = []
+    inside = []
+    validate = constructions._validate_cone_rule
+    coefficients = RotationalProfile.coefficients
+
+    def spy_validate(*args, **kwargs):
+        inside.append(True)
+        try:
+            return validate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_coefficients(self, t):
+        if inside:
+            calls.append(np.size(t))
+        return coefficients(self, t)
+
+    monkeypatch.setattr(constructions, "_validate_cone_rule", spy_validate)
+    monkeypatch.setattr(RotationalProfile, "coefficients", spy_coefficients)
+    builtin_example()
+    parabola_star(example_parabola_sequence())
+    symmetric_star(moebius01())
+    assert calls == []
+    with pytest.raises(ConditionFailed, match="regulus"):
+        symmetric_star(moebius01(), handedness=lambda t: np.where(
+            np.asarray(t) < 0.5, 1.0, -1.0))
+    assert calls == [constructions.T_GRID_SIZE]
 
 
 def test_handedness_switch_rules():

@@ -8,6 +8,7 @@ from glstar.functions import (
     bisect_monotone,
     bracket_roots,
     check_increasing,
+    count_roots,
     from_spec,
     identity,
     moebius01,
@@ -183,3 +184,28 @@ def test_check_increasing():
     check_increasing(lambda t: t**2 + t, grid)
     with pytest.raises(ConditionFailed):
         check_increasing(lambda t: np.cos(t * 6), grid)
+
+
+def test_count_roots_refines_only_pairs_that_could_merge():
+    # probe 0: roots in three non-adjacent cells; probe 1: two roots 2e-8
+    # either side of a grid point, one root; probe 2: the same 4e-6 apart,
+    # two roots.  Only probes 1 and 2 are evaluated past the grid.
+    grid = np.geomspace(1e-4, 1e4, 512)
+    g = grid[300]
+    R = np.array([[2.0, 3.5, 100.0],
+                  [g * (1.0 - 1e-8), g * (1.0 + 1e-8), 1.0],
+                  [g * (1.0 - 2e-6), g * (1.0 + 2e-6), 1.0]])
+    M = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    evaluated = []
+
+    def fn(a, k):
+        evaluated.extend(np.ravel(k).tolist())
+        a = np.asarray(a, float)
+        return np.prod((a[..., None] - R[k]) ** M[k], axis=-1)
+
+    v = fn(grid[None, :], np.arange(3)[:, None])
+    evaluated.clear()
+    assert count_roots(fn, grid, v).tolist() == [3, 1, 2]
+    assert set(evaluated) == {1, 2}
+    k, _ = bracket_roots(fn, grid, v)
+    assert np.bincount(k).tolist() == [3, 1, 2]

@@ -16,7 +16,14 @@ from glstar.constructions import (
     example_parabola_sequence,
 )
 from glstar.errors import ConfigError, ParseError
-from glstar.functions import _FACTORIES, TabulatedInverse, from_spec, phi_r
+from glstar.functions import (
+    _FACTORIES,
+    TabulatedInverse,
+    bracket_roots,
+    count_roots,
+    from_spec,
+    phi_r,
+)
 from glstar.star import meridian_point, rotate_z
 
 given = pytest.importorskip("hypothesis").given
@@ -231,3 +238,61 @@ def test_height_inverse_below_the_table_follows_the_limit(height_tables, k):
     u = np.log([1e-10, 1e-11, 1e-12, 1e-15])
     a = np.exp(solve(height_tables[k].fn(u)))
     assert np.all(np.abs(a / np.exp(u) - 1.0) < 1e-8)
+
+
+# --- root counts ----------------------------------------------------------------
+
+# positive_root_count's default grid, and a linear grid below 1, where the
+# merge cutoff cluster_rtol * max(1, |x|) is absolute
+ROOT_GRIDS = {"log": np.geomspace(1e-4, 1e4, 512),
+              "linear": np.linspace(0.01, 0.9, 90)}
+
+
+@st.composite
+def probe_roots(draw, grid):
+    """(root, multiplicity) of one probe: roots at grid points, pairs that
+    straddle a grid point within up to 2e-6 of its scale (both sides of
+    the 1e-6 merge cutoff, and at it when an offset is 0), double roots,
+    and single roots anywhere, so also in non-adjacent cells."""
+    roots = []
+    for kind in draw(st.lists(st.sampled_from(["grid", "pair", "double",
+                                               "any"]), max_size=5)):
+        i = draw(st.integers(1, grid.size - 2))
+        frac = draw(st.floats(0.0, 1.0))
+        if kind == "grid":
+            roots.append((grid[i], 1))
+        elif kind == "pair":
+            scale = max(1.0, grid[i])
+            below, above = draw(st.floats(0.0, 2e-6)), draw(st.floats(0.0, 2e-6))
+            roots += [(grid[i] - below * scale, 1), (grid[i] + above * scale, 1)]
+        else:
+            roots.append((grid[i] + frac * (grid[i + 1] - grid[i]),
+                          2 if kind == "double" else 1))
+    return roots
+
+
+@pytest.mark.parametrize("grid_name", sorted(ROOT_GRIDS))
+@given(data=st.data())
+def test_count_roots_equals_the_refine_everything_count(grid_name, data):
+    # count_roots refines only the pairs that could merge; bracket_roots
+    # refines every bracket: the counts agree probe by probe, a probe that
+    # is zero on the whole grid included
+    grid = ROOT_GRIDS[grid_name]
+    rows = data.draw(st.lists(probe_roots(grid), min_size=1, max_size=4))
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                       max_size=len(rows))))
+    R = np.zeros((len(rows), max(1, max(map(len, rows)))))
+    M = np.zeros(R.shape)
+    for k, row in enumerate(rows):
+        for j, (x, m) in enumerate(row):
+            R[k, j], M[k, j] = x, m
+    scale = np.where(zero, 0.0, 1.0)
+
+    def fn(a, k):
+        a = np.asarray(a, float)
+        return scale[k] * np.prod((a[..., None] - R[k]) ** M[k], axis=-1)
+
+    v = fn(grid[None, :], np.arange(len(rows))[:, None])
+    k, _ = bracket_roots(fn, grid, v)
+    assert (count_roots(fn, grid, v).tolist()
+            == np.bincount(k, minlength=len(rows)).tolist())

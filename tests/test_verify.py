@@ -272,6 +272,13 @@ def test_positive_root_count_no_roots():
     assert positive_root_count(lambda a: np.asarray(a) ** 2 + 1.0) == 0
 
 
+@pytest.mark.parametrize("a_grid", [[2.0, 1.0], [1.0, 1.0], [[1.0, 2.0]]])
+def test_positive_root_count_needs_an_increasing_grid(a_grid):
+    # the count reads each root off the cell between neighbouring grid points
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        positive_root_count(lambda a: np.asarray(a) - 1.5, a_grid=a_grid)
+
+
 def test_descartes_bound():
     assert descartes_bound([1.0, -3.0, 2.0]) == 2
     assert descartes_bound([2, 7, 8, 5.25, 3.25, -3, -1.5]) == 1
