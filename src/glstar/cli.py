@@ -25,7 +25,6 @@ from . import constructions as cons
 from . import parallelism as par
 from . import verify as ver
 from .errors import (
-    ConditionFailed,
     ConfigError,
     GlStarError,
     InvalidInput,
@@ -165,6 +164,15 @@ def build_star(cfg: StarConfig):
     raise ConfigError(f"unhandled family {cfg.family}")  # pragma: no cover
 
 
+def _build_or_report(cfg: StarConfig, out):
+    """build_star, or None after a CONSTRUCTION FAILED line on out."""
+    try:
+        return build_star(cfg)
+    except GlStarError as exc:
+        print(f"CONSTRUCTION FAILED: {exc}", file=out)
+        return None
+
+
 def check_names(selected):
     """Raise ConfigError unless every selected name is a known check."""
     unknown = [s for s in selected if s not in ver.CHECKS]
@@ -184,10 +192,8 @@ def run_all_checks(star, cfg: StarConfig, selected=None):
 
 def cmd_verify(cfg: StarConfig, checks=None, out=None) -> int:
     out = out or sys.stdout
-    try:
-        star = build_star(cfg)
-    except (ConditionFailed, GlStarError) as exc:
-        print(f"CONSTRUCTION FAILED: {exc}", file=out)
+    star = _build_or_report(cfg, out)
+    if star is None:
         return 2
     reports = run_all_checks(star, cfg, selected=checks)
     # the requested checks in the requested order, each inapplicable one
@@ -204,10 +210,8 @@ def cmd_verify(cfg: StarConfig, checks=None, out=None) -> int:
 
 def cmd_construct(cfg: StarConfig, out=None) -> int:
     out = out or sys.stdout
-    try:
-        star = build_star(cfg)
-    except (ConditionFailed, GlStarError) as exc:
-        print(f"CONSTRUCTION FAILED: {exc}", file=out)
+    star = _build_or_report(cfg, out)
+    if star is None:
         return 2
     print(f"OK family={cfg.family} label={star.label} "
           f"tags={','.join(star.tags) or '-'}", file=out)
@@ -245,10 +249,8 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                out=None) -> int:
     out = out or sys.stdout
     ver.check_sampling(cfg.samples)
-    try:
-        star = build_star(cfg)
-    except (ConditionFailed, GlStarError) as exc:
-        print(f"CONSTRUCTION FAILED: {exc}", file=out)
+    star = _build_or_report(cfg, out)
+    if star is None:
         return 2
     n = 512 if cfg.samples is None else cfg.samples
     try:
@@ -309,10 +311,8 @@ def _parse_affine_line(text: str) -> PLine:
 def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,
                  out=None) -> int:
     out = out or sys.stdout
-    try:
-        star = build_star(cfg)
-    except (ConditionFailed, GlStarError) as exc:
-        print(f"CONSTRUCTION FAILED: {exc}", file=out)
+    star = _build_or_report(cfg, out)
+    if star is None:
         return 2
     try:
         L = _parse_affine_line(line_text)

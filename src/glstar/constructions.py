@@ -3,8 +3,8 @@ family's hypotheses.
 
 Limit hypotheses (values required to approach a limit as a parameter tends
 to an interval end) are unverifiable numerically; they are checked at the
-three smallest grid points with a relative band (default 5%), the testable
-surrogate for a convergence claim.
+three smallest grid points with a relative band of 5% (``LIMIT_BAND``),
+the testable surrogate for a convergence claim.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConditionFailed, InvalidCenter, InvalidInput
-from .functions import Fn1, TabulatedInverse, as_fn1, check_increasing
+from .functions import LOG_TABLE_RANGE, Fn1, as_fn1, check_increasing
 from .star import (
     GlStar,
     Handedness,
@@ -109,8 +109,7 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
 # Symmetric rotational stars from a slope function a(t)
 
 
-def symmetric_star(a, handedness=Handedness.RIGHT, label=None,
-                   band: float = LIMIT_BAND) -> GlStar:
+def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
     """Star whose cones/hyperboloids a(t)^2 x^2 - z^2 = c(t)^2 are symmetric
     about the (x, y)-plane, c(t)^2 = a(t)^2 - t^2 (1 + a(t)^2).
 
@@ -132,10 +131,10 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None,
     for tk in LIMIT_POINTS:
         ak = float(a_fn(np.array([tk]))[0])
         v = tk * tk * (1.0 + ak * ak) / (ak * ak)
-        if abs(v - 1.0) > band:
+        if abs(v - 1.0) > LIMIT_BAND:
             raise ConditionFailed(
                 f"(2): t^2(1+a^2)/a^2 = {v:.6g} at t={tk:g}, not within "
-                f"{band:.0%} of 1", witness=tk)
+                f"{LIMIT_BAND:.0%} of 1", witness=tk)
 
     def abc(tt):
         tt = np.asarray(tt, float)
@@ -271,38 +270,16 @@ def _surface_fn(bc, x, z):
     return F
 
 
-# The largest slope a height inverse returns, where the height tables end:
-# the heights are 1 to rounding there
-_A_MAX = 1e9
-
-
-def _log_a_inverse(fn):
-    """Inverse of u = log a |-> fn(u), a height of H_a: tabulated for a in
-    [1e-9, _A_MAX] and, for targets between 0 and the table's first value,
-    solved by the family's limit t(a)/a -> 1 and s(a)/a -> 1 as a -> 0
-    (hypotheses (1) and (2)): fn(u) is proportional to a there."""
-    table = TabulatedInverse(fn, np.log(1e-9), np.log(_A_MAX))
-    u0 = table.u[0]
-    v0 = float(np.asarray(fn(table.u[:1]), float)[0])
-
-    def solve(y):
-        u = table.solve(y)
-        ratio = np.atleast_1d(np.asarray(y, float)) / v0
-        tail = (ratio > 0.0) & (ratio < 1.0)
-        return np.where(tail, u0 + np.log(ratio, out=np.zeros_like(ratio),
-                                          where=tail), u)
-
-    return solve
+# The largest slope a height inverse returns, where the table inverses of
+# functions on [0, inf) end: the heights are 1 to rounding there
+_A_MAX = LOG_TABLE_RANGE[1]
 
 
 def _log_a_of_height(h: Fn1):
     """y |-> log a with h(a) = y, for a circle height h of H_a: the log of
-    h's own inverse, with a capped at _A_MAX, or, when h has none, a table
-    built once (``_log_a_inverse``).  Both answer in the tables' variable
-    u = log a, and the star takes a = exp(u) from either."""
-    if h.inv is None:
-        return _log_a_inverse(lambda u: h(np.exp(u)))
-    y_end = float(h(np.array([_A_MAX]))[0])
+    h's inverse, with a capped at _A_MAX.  A height at or above h(_A_MAX),
+    or 1 if that rounds above 1, takes _A_MAX without an inverse call."""
+    y_end = min(float(h(np.array([_A_MAX]))[0]), 1.0)
 
     def solve(y):
         y = np.atleast_1d(np.asarray(y, float))
@@ -330,8 +307,7 @@ def _eqn_heights(bc):
     return as_fn1(t, domain=(0.0, np.inf)), as_fn1(s, domain=(0.0, np.inf))
 
 
-def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
-             band: float = LIMIT_BAND, extra_tags=()) -> GlStar:
+def eqn_star(b, c, hand=Handedness.RIGHT, label=None, extra_tags=()) -> GlStar:
     """Rotational star from coefficient functions b(a), c(a) >= 0 on (0, inf).
 
     Validates: (1) b^2 + c^2 < a^2; (2) b -> 0 and c/a -> 0 as a -> 0;
@@ -345,15 +321,15 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None,
     def bc(a):
         return np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
-    bv = _check_eqn_hypotheses(bc, band)
+    bv = _check_eqn_hypotheses(bc)
     return _build_eqn_star(bc, bv, *_eqn_heights(bc), hand,
                            label or "eqn_star", extra_tags)
 
 
-def _check_eqn_hypotheses(bc, band):
+def _check_eqn_hypotheses(bc):
     """Hypotheses (1)-(4) of eqn_star on the coefficients bc: a |-> (b, c).
     Returns b on the a-grid."""
-    bv = _check_eqn_1_to_3(bc, band)
+    bv = _check_eqn_1_to_3(bc)
     x, z = _exterior_probes()
     counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
     bad = np.nonzero(counts > 1)[0]
@@ -365,7 +341,7 @@ def _check_eqn_hypotheses(bc, band):
     return bv
 
 
-def _check_eqn_1_to_3(bc, band):
+def _check_eqn_1_to_3(bc):
     """Hypotheses (1)-(3) of eqn_star, all but the exterior probes (4).
     Returns b on the a-grid."""
     ag = _A_GRID
@@ -380,7 +356,7 @@ def _check_eqn_1_to_3(bc, band):
         raise ConditionFailed("(1): b^2 + c^2 < a^2 fails", witness=float(ag[i]))
 
     for k in range(3):
-        if abs(bv[k]) > band or abs(cv[k] / ag[k]) > band:
+        if abs(bv[k]) > LIMIT_BAND or abs(cv[k] / ag[k]) > LIMIT_BAND:
             raise ConditionFailed(
                 "(2): b and c/a must vanish as a -> 0", witness=float(ag[k]))
 
@@ -404,10 +380,10 @@ def _check_eqn_1_to_3(bc, band):
 def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
     """The star of validated coefficients bc: a |-> (b, c), whose surface H_a
     meets the circle x > 0 at the heights t(a) and -s(a): t_fn and s_fn, as
-    Fn1 with their closed-form inverses where there are any (see
-    ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image of
-    p_t lies at height -s(a(t)), and a lower-hemisphere point at height z
-    is the image of p_t for t = t(s^-1(-z))."""
+    Fn1 with their inverses (see ``_log_a_of_height``).  bv is b on the
+    a-grid.  The meridian image of p_t lies at height -s(a(t)), and a
+    lower-hemisphere point at height z is the image of p_t for
+    t = t(s^-1(-z))."""
     log_a_of_t = _log_a_of_height(t_fn)
     log_a_of_s = _log_a_of_height(s_fn)
 
@@ -445,16 +421,15 @@ def h_value(t_fn, s_fn, x, z, a):
     return a * a * (x * x + z * z - 1.0) + (a * a + 1.0) * (tv - z) * (sv + z)
 
 
-def param_star(t, s, hand=Handedness.RIGHT, label=None,
-               band: float = LIMIT_BAND) -> GlStar:
+def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     """Rotational star from the circle heights t(a) > 0 > -s(a) of H_a.
 
     Both must be homeomorphisms [0,inf) -> [0,1) with (t+s)/(2a) -> 1 as
     a -> 0, the coefficient inequality a^2/(a^2+1) - ts >= (a^2+1)((t-s)/2)^2,
     and at most one positive root of h_{x,z} for admissible (x, z).
-    sigma and the profile invert t and s by their own closed-form inverses
-    (phi_r and every named kind has one); a height without one, such as a
-    plain callable, is tabulated once in log a.
+    sigma and the profile invert t and s by their own inverses: closed
+    forms for phi_r and every named kind, and for a plain callable the
+    table in log a that ``as_fn1`` gives it.
     """
     t_fn = as_fn1(t, domain=(0.0, np.inf))
     s_fn = as_fn1(s, domain=(0.0, np.inf))
@@ -470,10 +445,10 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
 
     for k in range(3):
         v = (tv[k] + sv[k]) / (2.0 * ag[k])
-        if abs(v - 1.0) > band:
+        if abs(v - 1.0) > LIMIT_BAND:
             raise ConditionFailed(
                 f"(1): (t+s)/(2a) = {v:.6g} at a={ag[k]:g}, not within "
-                f"{band:.0%} of 1", witness=float(ag[k]))
+                f"{LIMIT_BAND:.0%} of 1", witness=float(ag[k]))
 
     lhs = ag * ag / (ag * ag + 1.0) - tv * sv
     rhs = (ag * ag + 1.0) * ((tv - sv) / 2.0) ** 2
@@ -496,7 +471,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None,
     # same probes, so only (1)-(3) of eqn_star are left to check
     bc = _param_bc(t_fn, s_fn)
     return _build_eqn_star(
-        bc, _check_eqn_1_to_3(bc, band), t_fn, s_fn, hand,
+        bc, _check_eqn_1_to_3(bc), t_fn, s_fn, hand,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 
@@ -721,13 +696,14 @@ class ParabolaSeq:
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
         including the scaled completions beyond both ends.  At a = 0 they
-        are the limits a -> 0: the first parabola's beta and gamma."""
+        are the limits a -> 0: the first parabola's beta and gamma.  gamma
+        is clipped at 0, where 1/a^2 rounds past a knot's alpha."""
         a = np.asarray(a, float)
         with np.errstate(divide="ignore"):
             alpha = 1.0 / (a * a)
         xp = self.alphas[::-1]
         beta = np.interp(alpha, xp, self.betas[::-1])
-        gamma = np.interp(alpha, xp, self.gammas[::-1])
+        gamma = np.maximum(np.interp(alpha, xp, self.gammas[::-1]), 0.0)
         past_end = alpha < self.alphas[-1]
         gamma = np.where(past_end,
                          self.gammas[-1] * alpha / self.alphas[-1], gamma)
@@ -750,8 +726,7 @@ def _real_roots(A, B, C):
     return lo, hi, disc
 
 
-def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
-                  band: float = LIMIT_BAND) -> GlStar:
+def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar:
     """Rotational star from an interpolated parabola sequence.
 
     A finite sequence is completed at both ends by scalar multiples of the
@@ -765,7 +740,7 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None,
     """
     _check_sequence(seq)
     bc = _parabola_bc(seq)
-    bv = _check_eqn_hypotheses(bc, band)
+    bv = _check_eqn_hypotheses(bc)
     t_fn, s_fn = _eqn_heights(bc)
     return _build_eqn_star(
         bc, bv, _parabola_height(seq, t_fn, 1.0),

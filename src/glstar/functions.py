@@ -2,20 +2,20 @@
 
 Star constructions are parametrized by increasing bijections between real
 intervals.  ``Fn1`` wraps a vectorized evaluator together with its domain
-and an inverse (closed-form where available, else ``bisect_monotone``),
-and the factories below provide the named families understood by the CLI
-config format.  Every root refinement runs on one batched kernel,
-``_illinois`` (Illinois regula falsi on sign-change brackets): the roots
-of many scalar functions on a common grid (``bracket_roots``, used by the
-star-line search), the tabulated inverses of the eqn-family heights
-(``TabulatedInverse``) and the generic inverse (``bisect_monotone``).  The
-root counts of the constructions (``count_roots``) share bracket_roots'
-candidates but refine only the roots that could merge with a neighbour,
-which on a valid star is none.
+and its inverse.  The factories below provide the named families
+understood by the CLI config format, each with a closed-form inverse;
+``as_fn1`` wraps a plain callable, whose inverse is a ``TabulatedInverse``
+built at its first inverse call.  ``_illinois`` (Illinois regula falsi on
+sign-change brackets) refines the roots of many scalar functions on a
+common grid (``bracket_roots``, used by the star-line search) and the
+targets of the table inverses.  The root counts of the constructions
+(``count_roots``) share bracket_roots' candidates but refine only the roots
+that could merge with a neighbour, which on a valid star is none.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,9 +25,11 @@ from .errors import ConditionFailed, ConfigError, InvalidInput
 
 # Inverses are refined to a few ulps of the solution.
 _INVERSE_RTOL = 2e-15
-# bisect_monotone's table, built per call: each target starts from 1/128 of
-# the interval
-_BISECT_TABLE = 129
+# The table inverse of a plain callable on a bounded domain: each target
+# starts from 1/128 of the interval
+_LINEAR_TABLE = 129
+# On [0, inf) the table is in u = log x for x in this range
+LOG_TABLE_RANGE = (1e-9, 1e9)
 
 
 def _illinois(fn, lo, hi, flo, fhi, rtol):
@@ -83,18 +85,6 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
         b, fb = x, fx
         w1, w2, w3 = w, w1, w2
     return root
-
-
-def bisect_monotone(fn, target, lo, hi):
-    """Solve fn(x) = target for a monotone fn on [lo, hi], vectorized.
-
-    ``target`` may be an array; returns an array of the same shape.  A
-    ``TabulatedInverse`` on a small table, built for the call, does the
-    work; a target outside fn's range gets the nearer end.
-    """
-    t = np.asarray(target, dtype=float)
-    out = TabulatedInverse(fn, lo, hi, size=_BISECT_TABLE).solve(t)
-    return float(out[0]) if t.ndim == 0 else out
 
 
 def _root_candidates(v):
@@ -211,31 +201,56 @@ class TabulatedInverse:
 
         u = _illinois(residual, self.u[idx - 1], self.u[idx],
                       self._v[idx - 1] - ts, self._v[idx] - ts, _INVERSE_RTOL)
-        return u.reshape(t.shape)
+        return u.reshape(np.shape(target))
+
+
+def _table_inverse(fn, lo: float, hi: float):
+    """The inverse of a monotone fn on [lo, hi] by a ``TabulatedInverse``
+    built at the first call, so that a function never inverted builds none.
+
+    A bounded domain gets a linear table of _LINEAR_TABLE points.  On
+    [0, inf) the table is in u = log x for x in LOG_TABLE_RANGE: a target
+    past its last value gets the range's end, and one from 0 up to its
+    first value the line through the origin, for fn(x) is taken to vanish
+    like x as x -> 0 (as the circle heights of the stars do)."""
+    if not np.isinf(hi):
+        table = functools.cache(
+            lambda: TabulatedInverse(fn, lo, hi, size=_LINEAR_TABLE))
+        return lambda y: table().solve(y)
+
+    @functools.cache
+    def table():
+        tab = TabulatedInverse(lambda u: fn(np.exp(u)), *np.log(LOG_TABLE_RANGE))
+        return tab, float(tab.fn(tab.u[:1])[0])
+
+    def inv(y):
+        tab, v0 = table()
+        u = tab.solve(y)
+        ratio = y / v0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(np.where((ratio >= 0.0) & (ratio < 1.0),
+                                   tab.u[0] + np.log(ratio), u))
+
+    return inv
 
 
 @dataclass(frozen=True)
 class Fn1:
-    """A scalar function on an interval, callable on numpy arrays."""
+    """A monotone scalar function on an interval, callable on numpy arrays,
+    with its inverse ``inv``."""
 
     fn: Callable
     domain: tuple[float, float]
+    inv: Callable
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    inv: Callable | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
     def inverse(self, y):
-        """Preimage under the (monotone) function; ``bisect_monotone`` when
-        there is no closed form."""
-        if self.inv is not None:
-            return self.inv(np.asarray(y, dtype=float))
-        lo, hi = self.domain
-        if np.isinf(hi):
-            hi = _expand_upper(self.fn, lo, y)
-        return bisect_monotone(self.fn, y, lo, hi)
+        """Preimage under the function."""
+        return self.inv(np.asarray(y, dtype=float))
 
     def describe(self) -> str:
         if not self.params:
@@ -243,16 +258,6 @@ class Fn1:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items())
                          if np.isscalar(v))
         return f"{self.kind}({inner})"
-
-
-def _expand_upper(fn, lo, y):
-    ymax = float(np.max(np.asarray(y, float)))
-    hi = max(1.0, lo + 1.0)
-    for _ in range(200):
-        if fn(np.array([hi]))[0] >= ymax:
-            return hi
-        hi *= 2.0
-    raise InvalidInput("could not bracket the inverse on an unbounded domain")
 
 
 def identity(domain=(0.0, 1.0)) -> Fn1:
@@ -363,12 +368,20 @@ def from_spec(spec, path="fn") -> Fn1:
 
 
 def as_fn1(f, domain=(0.0, 1.0)) -> Fn1:
-    """Wrap a plain callable (already an Fn1 passes through)."""
+    """Wrap a plain monotone callable on a bounded domain or [0, inf), with
+    a table inverse (``_table_inverse``); an Fn1 passes through."""
     if isinstance(f, Fn1):
         return f
     if not callable(f):
         raise InvalidInput("expected a callable or Fn1")
-    return Fn1(lambda t, _f=f: np.asarray(_f(np.asarray(t, float)), float), domain)
+    lo, hi = map(float, domain)
+    if not np.isfinite([lo, hi]).all() and (lo, hi) != (0.0, np.inf):
+        raise InvalidInput("a callable's domain must be bounded or [0, inf)")
+
+    def fn(t):
+        return np.asarray(f(np.asarray(t, float)), float)
+
+    return Fn1(fn, domain, _table_inverse(fn, lo, hi))
 
 
 def check_increasing(f, grid, name="function", strict=True, tol=0.0):

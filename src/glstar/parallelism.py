@@ -252,14 +252,14 @@ def span_singular_values(hfd: HfdLineSet, n: int = 60, seed: int = 0):
     return np.linalg.svd(spans, compute_uv=False)
 
 
-def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0,
-                    cutoff: float = 1e-8) -> int:
-    """Projective dimension of the span of the H family."""
+def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0) -> int:
+    """Projective dimension of the span of the H family, counting the
+    singular values above 1e-8 times the largest."""
     if n < 10:
         raise InvalidInput("need at least 10 samples")
     check_sampling(seed=seed)
     s = span_singular_values(hfd, n=n, seed=seed)
-    return int(np.sum(s > cutoff * s[0])) - 1
+    return int(np.sum(s > 1e-8 * s[0])) - 1
 
 
 def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckReport:

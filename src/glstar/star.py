@@ -389,16 +389,15 @@ def handedness_of(L, tol: float = 1e-10) -> Handedness:
     return Handedness.RIGHT if det * np.sign(dz) > 0 else Handedness.LEFT
 
 
-def surface_mesh(entry: SurfaceEntry, n_u: int = 32, n_v: int = 64,
-                 z_range: tuple[float, float] = (-2.0, 2.0)):
-    """Triangulate a profile surface of revolution, clipped to a z-range.
+def surface_mesh(entry: SurfaceEntry, n_u: int = 32, n_v: int = 64):
+    """Triangulate a profile surface of revolution, clipped to -2 <= z <= 2.
 
     Returns (vertices (m, 3), faces (k, 3) of 0-based indices).  Axis and
     horizontal-star entries degenerate to polylines (empty face list).
     """
     if n_u < 2 or n_v < 2:
         raise InvalidInput("mesh resolutions must be at least 2")
-    z0, z1 = z_range
+    z0, z1 = -2.0, 2.0
     if entry.kind == "axis":
         zs = np.linspace(z0, z1, n_u)
         verts = np.stack([np.zeros_like(zs), np.zeros_like(zs), zs], axis=-1)

@@ -28,6 +28,8 @@ _SPHERE = QuadricForm.unit_sphere()
 # positive_root_count's default grid
 _ROOT_GRID = np.geomspace(1e-4, 1e4, 512)
 _ROOT_GRID.flags.writeable = False
+# check_fixed_point_free's least displacement |sigma(q) - q|
+_FIXED_POINT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,18 @@ def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckRep
                        tuple(grid[i]) if res[i] >= tol else None, n)
 
 
-def check_fixed_point_free(star: GlStar, n: int = 1000,
-                           threshold: float = 0.05) -> CheckReport:
-    """min |sigma(q) - q| over the grid; must stay above the threshold.
+def check_fixed_point_free(star: GlStar, n: int = 1000) -> CheckReport:
+    """min |sigma(q) - q| over the grid; must stay above
+    _FIXED_POINT_MARGIN.
 
     max_residual reports the margin (the minimum displacement)."""
     check_sampling(n)
     grid = fibonacci_sphere(n)
     disp = np.linalg.norm(star.sigma(grid) - grid, axis=-1)
     i = int(np.argmin(disp))
-    return CheckReport("fixed_point_free", bool(disp[i] > threshold),
-                       float(disp[i]),
-                       tuple(grid[i]) if disp[i] <= threshold else None, n)
+    m = _FIXED_POINT_MARGIN
+    return CheckReport("fixed_point_free", bool(disp[i] > m), float(disp[i]),
+                       tuple(grid[i]) if disp[i] <= m else None, n)
 
 
 def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
@@ -140,11 +142,11 @@ def _near_shared_endpoint(W, chord1, chord2, tol=1e-3):
                                                   | near(chord2[1]))
 
 
-def exterior_samples(n: int, seed: int = 0, infinity_fraction: float = 0.1):
+def exterior_samples(n: int, seed: int = 0):
     """Homogeneous exterior points: an affine shell 1.1 <= |w| <= 3 plus a
-    slice of points at infinity."""
+    tenth of them (at least one) at infinity."""
     rng = np.random.default_rng(seed)
-    n_inf = max(1, int(round(n * infinity_fraction)))
+    n_inf = max(1, int(round(n * 0.1)))
     n_aff = n - n_inf
     u = rng.normal(size=(n_aff, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)

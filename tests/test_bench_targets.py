@@ -14,7 +14,9 @@ SRC = Path(glstar.__file__).resolve().parents[1]
 SCRIPT = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-from glstar.constructions import clifford
+import numpy as np
+from glstar.constructions import clifford, latitudinal, pencil_from_mu
+from glstar.functions import as_fn1
 from glstar import parallelism
 from glstar.projgeom import join
 from spans import Tracer
@@ -24,14 +26,20 @@ tracer.install()
 par = parallelism.make_parallelism(clifford())
 L = join((1.0, 0.1, 0.2, 0.3), (1.0, -0.4, 0.5, 0.1))
 parallelism.parallel_class_of(par, L)
+# sigma inverts a plain arc map below the equator, by its table inverse
+star = latitudinal(pencil_from_mu(as_fn1(lambda th: th ** 2 * (2 / np.pi),
+                                         domain=(0.0, np.pi / 2))))
+star.sigma(np.array([[0.6, 0.0, -0.8], [0.0, 0.6, -0.8]]))
 print(" ".join(sorted({span[2] for span in tracer.spans})))
 """
 
 
 def test_tracer_installs_and_records_subspace_spans():
+    # and the table inverses of plain callables, as functions.inverse
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(BENCH)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     names = set(done.stdout.split())
     assert {"projgeom.span", "parallelism.class_from_hfd_line",
-            "parallelism.make_parallelism"} <= names, names
+            "parallelism.make_parallelism", "functions.inverse",
+            "star.sigma"} <= names, names

@@ -3,9 +3,9 @@ import pytest
 
 from glstar.errors import ConditionFailed, ConfigError, InvalidInput
 from glstar.functions import (
+    TabulatedInverse,
     affine,
     as_fn1,
-    bisect_monotone,
     bracket_roots,
     check_increasing,
     count_roots,
@@ -77,21 +77,25 @@ def test_table_rejects_non_monotone():
         table([0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
 
 
+# A plain callable's inverse is the table inverse that as_fn1 attaches.
+
+
 def test_bisect_monotone_vectorized():
     f = lambda x: x**3
     ys = np.array([0.001, 0.125, 1.0])
-    xs = bisect_monotone(f, ys, 0.0, 2.0)
+    xs = as_fn1(f, (0.0, 2.0)).inverse(ys)
     assert np.allclose(xs, [0.1, 0.5, 1.0], atol=1e-12)
-    # decreasing function
+    # decreasing function; a scalar target gives a scalar
     g = lambda x: -x
-    assert np.isclose(bisect_monotone(g, -0.3, 0.0, 1.0), 0.3, atol=1e-12)
+    x = as_fn1(g, (0.0, 1.0)).inverse(-0.3)
+    assert np.ndim(x) == 0 and np.isclose(x, 0.3, atol=1e-12)
 
 
 def test_bisect_monotone_decreasing_batch():
     # out-of-range targets get the nearer end, and the shape is kept
     g = lambda x: 1.0 - x**3  # noqa: E731
     ys = np.array([[0.999, 0.875], [0.0, -7.0], [1.5, -8.0]])
-    xs = bisect_monotone(g, ys, 0.0, 2.0)
+    xs = as_fn1(g, (0.0, 2.0)).inverse(ys)
     assert xs.shape == ys.shape
     assert np.allclose(xs, [[0.1, 0.5], [1.0, 2.0], [0.0, 2.0]], atol=1e-15)
     assert xs[2, 0] == 0.0 and xs[2, 1] == 2.0
@@ -110,7 +114,7 @@ def test_bisect_monotone_infinite_end_values():
 
     # -8 and 8 start from the table's end cells
     ys = np.array([-8.0, -2.0, 0.0, 0.5, 8.0])
-    assert np.allclose(bisect_monotone(f, ys, 0.0, 2.0),
+    assert np.allclose(as_fn1(f, (0.0, 2.0)).inverse(ys),
                        2.0 / (1.0 + np.exp(-ys)), rtol=1e-14)
 
 
@@ -124,9 +128,44 @@ def test_bisect_monotone_takes_few_evaluations():
         return x * x * (2.0 / np.pi)
 
     ys = np.linspace(0.0, np.pi / 2, 500)
-    xs = bisect_monotone(m, ys, 0.0, np.pi / 2)
+    xs = as_fn1(m, (0.0, np.pi / 2)).inverse(ys)
     assert np.allclose(m(xs), ys, rtol=0.0, atol=4e-16)
     assert len(calls) <= 1 + 10
+
+
+@pytest.mark.parametrize("hi", [2.0, np.inf])
+def test_a_plain_callable_builds_one_table(monkeypatch, hi):
+    # at the first inverse call, and none before it: on [0, 2] a linear
+    # table, on [0, inf) one in log x
+    built = []
+    init = TabulatedInverse.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TabulatedInverse, "__init__", counting)
+    f = as_fn1(lambda x: x / (1.0 + x), (0.0, hi))
+    assert not built
+    ys = np.linspace(0.0, 0.6, 50)
+    for y in ys:
+        assert abs(f.inverse(y) - y / (1.0 - y)) <= 4e-15
+    assert len(built) == 1
+
+
+def test_a_plain_callable_inverts_on_zero_to_infinity():
+    # the log table ends at 1e9, and below its first value, a = 1e-9, the
+    # inverse is the line through the origin; 0 goes to 0
+    f = as_fn1(lambda x: x / (1.0 + x), (0.0, np.inf))
+    x = np.array([0.0, 1e-15, 1e-11, 1e-6, 1.0, 1e6, 1e8])
+    assert np.all(np.abs(f.inverse(f(x)) - x) <= 1e-8 * x)
+    assert np.allclose(f.inverse(np.array([1.0, 2.0])), 1e9, rtol=1e-15, atol=0.0)
+
+
+def test_as_fn1_needs_a_bounded_domain_or_zero_to_infinity():
+    for domain in ((1.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(InvalidInput):
+            as_fn1(lambda x: x, domain)
 
 
 def _refine(f):

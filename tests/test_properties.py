@@ -7,12 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from glstar import constructions
+from glstar import functions
 from glstar.cli import FAMILIES, StarConfig, parse_config
 from glstar.constructions import (
-    _parabola_coefficients,
-    _param_coefficients,
-    eqn_star,
+    _eqn_heights,
+    _parabola_bc,
+    _param_bc,
     example_parabola_sequence,
 )
 from glstar.errors import ConfigError, ParseError
@@ -181,9 +181,13 @@ def test_inverse_undoes_the_function(kind, data):
 
 @pytest.fixture(scope="session")
 def height_tables():
-    """The four inverse tables of log a of two eqn stars: the circle heights
-    t(a) and s(a) of builtin's coefficients b, c and of parabola's, which
-    builtin and parabola themselves invert in closed form."""
+    """The circle heights t(a) and s(a) of builtin's coefficients b, c and
+    of parabola's, as eqn_star works them out, each with the table in log a
+    that its inverse builds at its first call (builtin and parabola
+    themselves invert their heights in closed form): four (height, table)
+    pairs."""
+    heights = [*_eqn_heights(_param_bc(phi_r(1.5), phi_r(2.0))),
+               *_eqn_heights(_parabola_bc(example_parabola_sequence()))]
     tables = []
 
     class Recording(TabulatedInverse):
@@ -192,17 +196,17 @@ def height_tables():
             tables.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "TabulatedInverse", Recording)
-        eqn_star(*_param_coefficients(phi_r(1.5), phi_r(2.0)))
-        eqn_star(*_parabola_coefficients(example_parabola_sequence()))
+        mp.setattr(functions, "TabulatedInverse", Recording)
+        for h in heights:
+            h.inverse(0.5)
     assert len(tables) == 4
-    return tables
+    return list(zip(heights, tables))
 
 
 @pytest.mark.parametrize("k", range(4))
 @given(frac=st.floats(0.0, 1.0))
 def test_tabulated_inverse_undoes_the_height_table(height_tables, k, frac):
-    table = height_tables[k]
+    table = height_tables[k][1]
     lo, hi = table.u[0], table.u[-1]
     _assert_round_trip(table.fn, table.solve, lo + frac * (hi - lo), lo, hi)
 
@@ -211,7 +215,7 @@ def test_tabulated_inverse_undoes_the_height_table(height_tables, k, frac):
 def test_tabulated_inverse_is_exact_to_rounding(height_tables, k):
     # heights spread over the whole table, to 4 ulps of max(1, |y|) (the
     # heights lie in (-1, 1)); out of range the table's ends, as before
-    table = height_tables[k]
+    table = height_tables[k][1]
     v = table._v if table.increasing else -table._v
     y = np.linspace(v[0], v[-1], 4001)[1:-1]
     calls = []
@@ -234,10 +238,9 @@ def test_tabulated_inverse_is_exact_to_rounding(height_tables, k):
 @pytest.mark.parametrize("k", range(4))
 def test_height_inverse_below_the_table_follows_the_limit(height_tables, k):
     # below a = 1e-9 the heights are proportional to a up to O(a)
-    solve = constructions._log_a_inverse(height_tables[k].fn)
-    u = np.log([1e-10, 1e-11, 1e-12, 1e-15])
-    a = np.exp(solve(height_tables[k].fn(u)))
-    assert np.all(np.abs(a / np.exp(u) - 1.0) < 1e-8)
+    h = height_tables[k][0]
+    a = np.array([1e-10, 1e-11, 1e-12, 1e-15])
+    assert np.all(np.abs(h.inverse(h(a)) / a - 1.0) < 1e-8)
 
 
 # --- root counts ----------------------------------------------------------------
