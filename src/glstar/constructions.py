@@ -9,6 +9,7 @@ the testable surrogate for a convergence claim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,10 +40,10 @@ _A_GRID.flags.writeable = _CIRCLE_PROBE_A.flags.writeable = False
 
 
 def _hand_sign_fn(hand):
-    """Normalize a handedness assignment to a vectorized sign function of t."""
+    """Normalize a handedness assignment (a Handedness, a sign +-1 or a
+    callable of t giving either) to a vectorized sign function of t."""
     if isinstance(hand, Handedness):
-        s = hand.sign
-        return lambda t: np.full_like(np.asarray(t, float), s)
+        hand = hand.sign
     if callable(hand):
         def fn(t):
             t = np.asarray(t, float)
@@ -51,7 +52,11 @@ def _hand_sign_fn(hand):
                 return np.full_like(t, v.sign)
             return np.sign(np.asarray(v, float))
         return fn
-    raise InvalidInput("handedness must be a Handedness or a callable of t")
+    if np.ndim(hand) == 0 and hand in (-1, 1):
+        s = float(hand)
+        return lambda t: np.full_like(np.asarray(t, float), s)
+    raise InvalidInput("a regulus sign must be a Handedness, +-1 or a "
+                       "callable of t")
 
 
 def _validate_cone_rule(hand_sign, profile, name="handedness"):
@@ -59,6 +64,9 @@ def _validate_cone_rule(hand_sign, profile, name="handedness"):
     evaluated (on the whole grid, for its scale) when the choice switches."""
     t = _interior_t_grid
     s = np.asarray(hand_sign(t), float)
+    if np.any(s == 0.0):
+        raise ConditionFailed(f"{name} must take values in {{+1, -1}}",
+                              witness=float(t[np.argmax(s == 0.0)]))
     switches = np.nonzero(np.diff(s) != 0)[0]
     if not switches.size:
         return
@@ -146,9 +154,7 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
     hand_sign = _hand_sign_fn(handedness)
     profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
     _validate_cone_rule(hand_sign, profile)
-    sig = RotationalSigma(profile.meridian_image,
-                          z_of_t=lambda tt: -np.asarray(tt, float),
-                          t_of_z=lambda z: -np.asarray(z, float))
+    sig = RotationalSigma(profile, t_of_z=lambda z: -np.asarray(z, float))
     return GlStar(label=label or f"symmetric({a_fn.describe()})",
                   sigma_fn=sig, profile=profile,
                   tags=("rotational", "symmetric"))
@@ -162,8 +168,9 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
     """Rotational star from sigma(p_t) = (g, eps*sqrt(1-f^2-g^2), -f).
 
     f: increasing bijection of [0, 1]; g: continuous non-decreasing with
-    g(0) = -1, g(1) = 0 and -sqrt(1-f^2) <= g <= 0; the sign eps must be
-    constant on every interval where the left inequality is strict.
+    g(0) = -1, g(1) = 0 and -sqrt(1-f^2) <= g <= 0; eps (+-1 or a callable
+    of t) is minus the regulus sign of the chord, so it follows the cone
+    rule: it may switch only where g = -sqrt(1-f^2), where the chord meets Z.
     """
     f_fn = as_fn1(f, domain=(0.0, 1.0))
     g_fn = as_fn1(g, domain=(0.0, 1.0))
@@ -185,24 +192,7 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
         i = int(np.argmax((gv > 1e-9) | (gv < low - 1e-9)))
         raise ConditionFailed("-sqrt(1-f^2) <= g <= 0 fails", witness=float(t[i]))
 
-    if callable(eps) and not isinstance(eps, (int, float)):
-        eps_fn = lambda tt: np.sign(np.asarray(eps(np.asarray(tt, float)), float))
-    else:
-        e = float(eps)
-        if e not in (-1.0, 1.0):
-            raise InvalidInput("eps must be +1 or -1")
-        eps_fn = lambda tt: np.full_like(np.asarray(tt, float), e)
-
-    ev = eps_fn(t)
-    if np.any(np.abs(ev) != 1.0):
-        raise ConditionFailed("eps must take values in {+1, -1}")
-    strict = gv > low + 1e-9
-    switches = np.nonzero(np.diff(ev) != 0)[0]
-    for i in switches:
-        if strict[i] and strict[i + 1]:
-            raise ConditionFailed(
-                "eps switches sign inside an interval where g > -sqrt(1-f^2)",
-                witness=float(t[i]))
+    eps_sign = _hand_sign_fn(eps)
 
     def mer(tt):
         tt = np.atleast_1d(np.asarray(tt, float))
@@ -210,16 +200,14 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
         gvv = np.asarray(g_fn(tt), float)
         y2 = _snap_radicand(1.0 - fvv * fvv - gvv * gvv,
                             1.0 + fvv * fvv + gvv * gvv)
-        y = eps_fn(tt) * np.sqrt(np.clip(y2, 0.0, None))
-        m = np.stack([gvv, y, -fvv], axis=-1)
-        return m / np.linalg.norm(m, axis=-1, keepdims=True)
+        y = eps_sign(tt) * np.sqrt(np.clip(y2, 0.0, None))
+        norm = np.sqrt(gvv * gvv + y * y + fvv * fvv)
+        return np.stack([gvv / norm, y / norm, -fvv / norm], axis=-1)
 
-    sig = RotationalSigma(
-        mer,
-        z_of_t=lambda tt: -np.asarray(f_fn(tt), float),
-        t_of_z=lambda z: np.asarray(f_fn.inverse(-np.asarray(z, float)), float),
-    )
     profile = RotationalProfile.from_meridian(mer)
+    _validate_cone_rule(eps_sign, profile, name="eps")
+    sig = RotationalSigma(profile, t_of_z=lambda z: np.asarray(
+        f_fn.inverse(-np.asarray(z, float)), float))
     return GlStar(label=label or f"fg({f_fn.describe()},{g_fn.describe()})",
                   sigma_fn=sig, profile=profile, tags=("rotational",))
 
@@ -247,16 +235,19 @@ def _circle_probes(bc):
     return np.sqrt(1.0 - z * z), z
 
 
+@functools.cache
 def _exterior_probes():
     """Meridian points (x, z) of a 10 x 16 grid on or outside the unit
-    circle, x-major."""
+    circle, x-major, built once as read-only arrays."""
     X, Z = np.meshgrid(np.linspace(0.15, 2.0, 10),
                        np.concatenate([np.linspace(0.1, 1.8, 8),
                                        -np.linspace(0.1, 1.8, 8)]),
                        indexing="ij")
     X, Z = X.ravel(), Z.ravel()
     keep = ~(X * X + Z * Z < 1.0)
-    return X[keep], Z[keep]
+    x, z = X[keep], Z[keep]
+    x.flags.writeable = z.flags.writeable = False
+    return x, z
 
 
 def _surface_fn(bc, x, z):
@@ -391,16 +382,13 @@ def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
         a = np.exp(log_a_of_t(tt))
         return (a, *bc(a))
 
-    def z_of_t(tt):
-        return -s_fn(np.exp(log_a_of_t(tt)))
-
     def t_of_z(z):
         return t_fn(np.exp(log_a_of_s(-np.asarray(z, float))))
 
     hand_sign = _hand_sign_fn(hand)
     profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
     _validate_cone_rule(hand_sign, profile)
-    sig = RotationalSigma(profile.meridian_image, z_of_t=z_of_t, t_of_z=t_of_z)
+    sig = RotationalSigma(profile, t_of_z=t_of_z)
     tags = ("rotational",) + tuple(extra_tags)
     if float(np.max(np.abs(bv))) < 1e-12 and "symmetric" not in tags:
         tags += ("symmetric",)
@@ -494,18 +482,6 @@ def _param_bc(t_fn, s_fn):
         return b, np.sqrt(np.clip(c2, 0.0, None))
 
     return bc
-
-
-def _coefficient_fns(bc):
-    """b and c of the joint coefficients bc as two Fn1, eqn_star's
-    arguments."""
-    return (as_fn1(lambda a: bc(a)[0], domain=(0.0, np.inf)),
-            as_fn1(lambda a: bc(a)[1], domain=(0.0, np.inf)))
-
-
-def _param_coefficients(t_fn, s_fn):
-    """b(a) and c(a) of the surfaces H_a with circle heights t(a), -s(a)."""
-    return _coefficient_fns(_param_bc(t_fn, s_fn))
 
 
 def builtin_example() -> GlStar:
@@ -741,6 +717,7 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar
     _check_sequence(seq)
     bc = _parabola_bc(seq)
     bv = _check_eqn_hypotheses(bc)
+    _check_knot_heights(seq, bc)
     t_fn, s_fn = _eqn_heights(bc)
     return _build_eqn_star(
         bc, bv, _parabola_height(seq, t_fn, 1.0),
@@ -789,6 +766,25 @@ def _check_sequence(seq: ParabolaSeq):
             witness=(int(i), float(u[i, j]), float(v[i, j])))
 
 
+# The relative step past each knot slope at which (3) is also checked:
+# just past a knot a circle height can fall in a window much narrower than
+# the 2.7% spacing of the a-grid
+_KNOT_STEP = 1e-4
+
+
+def _check_knot_heights(seq: ParabolaSeq, bc):
+    """(3) at the knots: both circle heights t(a) and s(a) of H_a increase
+    over the knot slopes k and k (1 + _KNOT_STEP), where the interpolation
+    enters a new piece."""
+    k = seq.slopes()
+    a = np.unique(np.concatenate([k, k * (1.0 + _KNOT_STEP)]))
+    bad = np.any(np.diff(_t_s_of_a(a, *bc(a)), axis=1) <= 0.0, axis=0)
+    if np.any(bad):
+        raise ConditionFailed("(3): a height of H_a on the circle is not "
+                              "increasing past a knot",
+                              witness=float(a[np.argmax(bad)]))
+
+
 def _parabola_bc(seq: ParabolaSeq):
     """a |-> (b(a), c(a)) of the interpolated parabola sequence."""
     def bc(a):
@@ -797,11 +793,6 @@ def _parabola_bc(seq: ParabolaSeq):
         return beta, a * np.sqrt(gamma)
 
     return bc
-
-
-def _parabola_coefficients(seq: ParabolaSeq):
-    """b(a) and c(a) of the interpolated parabola sequence."""
-    return _coefficient_fns(_parabola_bc(seq))
 
 
 # A parabola height inverse stops after a Newton step of relative size

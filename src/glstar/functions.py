@@ -30,6 +30,9 @@ _INVERSE_RTOL = 2e-15
 _LINEAR_TABLE = 129
 # On [0, inf) the table is in u = log x for x in this range
 LOG_TABLE_RANGE = (1e-9, 1e9)
+# A root within this relative distance of the previous root of its probe
+# is the same root
+_CLUSTER_RTOL = 1e-6
 
 
 def _illinois(fn, lo, hi, flo, fhi, rtol):
@@ -107,24 +110,23 @@ def _refine(fn, grid, v, k, i, rtol):
                      v[k, i], v[k, i + 1], rtol)
 
 
-def _new_roots(k, x, cluster_rtol):
+def _new_roots(k, x):
     """Mask of the candidates x (sorted within each probe k) that are not
-    within ``cluster_rtol`` of the previous root of their probe."""
+    within ``_CLUSTER_RTOL`` of the previous root of their probe."""
     new = np.ones(x.size, bool)
-    new[1:] = (k[1:] != k[:-1]) | (x[1:] - x[:-1]
-                                   > cluster_rtol * np.maximum(1.0, np.abs(x[1:])))
+    new[1:] = (k[1:] != k[:-1]) | (
+        x[1:] - x[:-1] > _CLUSTER_RTOL * np.maximum(1.0, np.abs(x[1:])))
     return new
 
 
-def bracket_roots(fn, grid, values, rtol: float = 1e-12,
-                  cluster_rtol: float = 1e-6):
+def bracket_roots(fn, grid, values, rtol: float = 1e-12):
     """Roots of n scalar functions (probes) located on a common increasing
     grid.
 
     ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
     evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
     sign changes between neighbouring grid points of all probes are refined
-    together by ``_illinois`` to ``rtol``.  A root within ``cluster_rtol``
+    together by ``_illinois`` to ``rtol``.  A root within ``_CLUSTER_RTOL``
     of the previous root of its probe is the same root, and a probe that is
     zero on the whole grid has none.  Returns (k, x), sorted by probe, then
     root.
@@ -134,18 +136,17 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12,
     k, i, br = _root_candidates(v)
     x = grid[i]
     x[br] = _refine(fn, grid, v, k[br], i[br], rtol)
-    keep = _new_roots(k, x, cluster_rtol) & np.any(v, axis=1)[k]
+    keep = _new_roots(k, x) & np.any(v, axis=1)[k]
     return k[keep], x[keep]
 
 
-def count_roots(fn, grid, values, rtol: float = 1e-12,
-                cluster_rtol: float = 1e-6):
+def count_roots(fn, grid, values, rtol: float = 1e-12):
     """The number of roots ``bracket_roots`` locates for each probe, as an
     int array of length n, refining only the brackets that could merge.
 
     A candidate can only merge with the previous one of its probe when the
     lower bound of their distance, its lower end minus the previous upper
-    end, is within ``cluster_rtol * max(1, |lo|, |hi|)`` of its own ends;
+    end, is within ``_CLUSTER_RTOL * max(1, |lo|, |hi|)`` of its own ends;
     rounded subtraction and multiplication are monotone, so every other
     candidate is a distinct root whatever the refinement would give.  Both
     members of each pair that could merge are refined as ``bracket_roots``
@@ -159,15 +160,15 @@ def count_roots(fn, grid, values, rtol: float = 1e-12,
     near = np.zeros(k.size, bool)
     near[1:] = (k[1:] == k[:-1]) & (
         lo[1:] - hi[:-1]
-        <= cluster_rtol * np.maximum(1.0, np.maximum(np.abs(lo[1:]),
-                                                     np.abs(hi[1:]))))
+        <= _CLUSTER_RTOL * np.maximum(1.0, np.maximum(np.abs(lo[1:]),
+                                                      np.abs(hi[1:]))))
     # near[j]: j and j - 1 could merge; both are refined (grid zeros are
     # exact), and the merge test reads x of such pairs only
     refine = br & (near | np.append(near[1:], False))
     x = lo
     if refine.any():
         x[refine] = _refine(fn, grid, v, k[refine], i[refine], rtol)
-    new = ~near | _new_roots(k, x, cluster_rtol)
+    new = ~near | _new_roots(k, x)
     keep = new & np.any(v, axis=1)[k]
     return np.bincount(k[keep], minlength=v.shape[0])
 
@@ -384,11 +385,10 @@ def as_fn1(f, domain=(0.0, 1.0)) -> Fn1:
     return Fn1(fn, domain, _table_inverse(fn, lo, hi))
 
 
-def check_increasing(f, grid, name="function", strict=True, tol=0.0):
-    """Raise ConditionFailed unless f is (strictly) increasing on the grid."""
+def check_increasing(f, grid, name="function"):
+    """Raise ConditionFailed unless f is strictly increasing on the grid."""
     v = np.asarray(f(np.asarray(grid, float)), float)
-    d = np.diff(v)
-    bad = d <= tol if strict else d < -abs(tol)
+    bad = np.diff(v) <= 0.0
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ConditionFailed(f"{name} is not increasing", witness=float(np.asarray(grid)[i]))

@@ -27,6 +27,12 @@ DEFAULT_TOL = 1e-9
 # Relative eigenvalue cutoff for signature computations.
 SIGNATURE_CUTOFF = 1e-8
 
+# Relative singular-value cutoff of spans, null spaces and degenerate forms.
+_RANK_RTOL = 1e-10
+
+# lines_meet_point's bound on sqrt(1 - cos) of the smaller principal angle.
+_MEET_TOL = 1e-6
+
 
 def _vec(x, name="vector"):
     v = np.asarray(x, dtype=float)
@@ -151,7 +157,7 @@ def _plucker(x) -> np.ndarray:
     return v
 
 
-def join(a, b, tol: float = DEFAULT_TOL) -> PLine:
+def join(a, b) -> PLine:
     """Plücker line through two distinct points of P^3."""
     A = a.coords if isinstance(a, HPoint) else _vec(a)
     B = b.coords if isinstance(b, HPoint) else _vec(b)
@@ -159,7 +165,7 @@ def join(a, b, tol: float = DEFAULT_TOL) -> PLine:
         raise InvalidInput("join expects points of P^3")
     M = np.outer(A, B) - np.outer(B, A)
     p = np.array([M[0, 1], M[0, 2], M[0, 3], M[2, 3], M[3, 1], M[1, 2]])
-    if np.linalg.norm(p) <= tol * np.linalg.norm(A) * np.linalg.norm(B):
+    if np.linalg.norm(p) <= DEFAULT_TOL * np.linalg.norm(A) * np.linalg.norm(B):
         raise DegenerateJoin("join of projectively equal points")
     return PLine(p)
 
@@ -268,16 +274,16 @@ class Subspace:
         object.__setattr__(self, "rank", B.shape[0])
 
     @classmethod
-    def span(cls, vectors, tol: float = 1e-10) -> "Subspace":
+    def span(cls, vectors) -> "Subspace":
         """Row span of ``vectors``: the right singular vectors whose singular
-        value exceeds ``tol`` times the largest."""
+        value exceeds ``_RANK_RTOL`` times the largest."""
         A = np.atleast_2d(np.asarray(vectors, float))
         if A.ndim != 2 or not np.all(np.isfinite(A)):
             raise InvalidInput("span expects a finite 2-d array of vectors")
         if not np.any(A):
             return cls(np.zeros((0, A.shape[1])))
         _, s, vt = np.linalg.svd(A, full_matrices=False)
-        return cls(vt[: int(np.sum(s > tol * s[0]))])
+        return cls(vt[: int(np.sum(s > _RANK_RTOL * s[0]))])
 
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
         v = np.asarray(v, float)
@@ -294,13 +300,13 @@ class Subspace:
         return bool(np.all(s > 1.0 - tol))
 
 
-def _nullspace_rows(A, rtol=1e-10):
+def _nullspace_rows(A):
     """Orthonormal basis (rows) of {x : A @ x = 0}."""
     A = np.atleast_2d(np.asarray(A, float))
     _, s, vt = np.linalg.svd(A, full_matrices=True)
     if s.size == 0:
         return vt
-    r = int(np.sum(s > rtol * s[0]))
+    r = int(np.sum(s > _RANK_RTOL * s[0]))
     return vt[r:]
 
 
@@ -343,16 +349,16 @@ class QuadricForm:
     def pairing(self, u, v) -> float:
         return float(np.asarray(u, float) @ self.matrix @ np.asarray(v, float))
 
-    def is_degenerate(self, rtol: float = 1e-10) -> bool:
+    def is_degenerate(self) -> bool:
         s = np.linalg.svd(self.matrix, compute_uv=False)
-        return bool(s[-1] <= rtol * s[0])
+        return bool(s[-1] <= _RANK_RTOL * s[0])
 
 
-def _eig_signature(w, cutoff: float = SIGNATURE_CUTOFF) -> tuple[int, int, int]:
+def _eig_signature(w) -> tuple[int, int, int]:
     w = np.asarray(w, float)
     if w.size == 0:
         return (0, 0, 0)
-    thr = cutoff * np.max(np.abs(w)) if np.max(np.abs(w)) > 0 else 0.0
+    thr = SIGNATURE_CUTOFF * np.max(np.abs(w)) if np.max(np.abs(w)) > 0 else 0.0
     pos = int(np.sum(w > thr))
     neg = int(np.sum(w < -thr))
     return (pos, neg, w.size - pos - neg)
@@ -382,8 +388,7 @@ def meet(S1: Subspace, S2: Subspace) -> Subspace:
     return Subspace.span(kern[:, : S1.rank] @ S1.basis)
 
 
-def signature_on(F: QuadricForm, S: Subspace | None = None,
-                 cutoff: float = SIGNATURE_CUTOFF) -> tuple[int, int, int]:
+def signature_on(F: QuadricForm, S: Subspace | None = None) -> tuple[int, int, int]:
     """Signature (pos, neg, zero) of F restricted to S (whole space if None)."""
     if S is None:
         G = F.matrix
@@ -391,7 +396,7 @@ def signature_on(F: QuadricForm, S: Subspace | None = None,
         if S.rank == 0:
             return (0, 0, 0)
         G = S.basis @ F.matrix @ S.basis.T
-    return _eig_signature(np.linalg.eigvalsh(G), cutoff)
+    return _eig_signature(np.linalg.eigvalsh(G))
 
 
 class Side(enum.Enum):
@@ -475,7 +480,7 @@ def second_intersection(L, q, F: QuadricForm | None = None,
     return pts[0] if d[0] > d[1] else pts[1]
 
 
-def lines_meet_point(L1, L2, tol: float = 1e-6):
+def lines_meet_point(L1, L2):
     """Common point of two coplanar lines of P^3, or None if they are skew.
 
     Each line is a PLine, a Plücker vector or a tuple (A, B) of spanning
@@ -485,11 +490,11 @@ def lines_meet_point(L1, L2, tol: float = 1e-6):
     Closed form: lines meeting in W inside the plane pi have Plücker
     matrix L1 times dual matrix L2* equal to W pi^T, so W is its largest
     column.  They meet when the smaller principal angle theta of their
-    spans in R^4 has sqrt(1 - cos theta) <= tol.  For unit Plücker vectors
-    and the larger angle theta', |k1 . k2| = cos theta cos theta' and
-    2 |klein_form(k1, k2)| = sin theta sin theta' give both sines without
-    cancellation.  A pair of equal points spans no line, and equal lines
-    (theta' within tol too) have no single common point: None.
+    spans in R^4 has sqrt(1 - cos theta) <= _MEET_TOL.  For unit Plücker
+    vectors and the larger angle theta', |k1 . k2| = cos theta cos theta'
+    and 2 |klein_form(k1, k2)| = sin theta sin theta' give both sines
+    without cancellation.  A pair of equal points spans no line, and equal lines
+    (theta' within _MEET_TOL too) have no single common point: None.
     """
     K1, K2 = _plucker(L1), _plucker(L2)
     n1 = np.linalg.norm(K1, axis=-1, keepdims=True)
@@ -507,8 +512,8 @@ def lines_meet_point(L1, L2, tol: float = 1e-6):
                                      where=sin2 > 0.0))
     one_minus_cos = lambda x: x * x / (1.0 + np.sqrt(1.0 - x * x))  # noqa: E731
     found = ((n1[..., 0] > 0.0) & (n2[..., 0] > 0.0)
-             & (one_minus_cos(sin1) <= tol * tol)
-             & (one_minus_cos(sin2) > tol * tol))
+             & (one_minus_cos(sin1) <= _MEET_TOL * _MEET_TOL)
+             & (one_minus_cos(sin2) > _MEET_TOL * _MEET_TOL))
     if W.ndim > 1:
         return W, found
     return normalize(W) if found else None

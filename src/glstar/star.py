@@ -31,6 +31,8 @@ from .projgeom import PLine, join
 
 _T_EPS = 1e-12
 _CONE_TOL = 1e-9
+# handedness_of's bound on |p12| over |p|, below which a line meets Z
+_MEETS_AXIS_TOL = 1e-10
 # Grid of t on which the completion checks the meridian image height.
 _HEIGHT_TABLE_SIZE = 2048
 
@@ -167,7 +169,7 @@ class RotationalProfile:
 
     ``abc`` maps an array of t to the arrays (a, b, c) in one evaluation.
     ``meridian``, set by ``from_meridian``, is the meridian map the profile
-    was fitted to; it then gives the meridian image at the ends t=0, t=1.
+    was fitted to, and then its meridian image.
     """
 
     abc: Callable
@@ -206,34 +208,32 @@ class RotationalProfile:
         return SurfaceEntry("hyperboloid", a=a, b=b, c=c, handedness=hand)
 
     def meridian_image(self, t):
-        """sigma(p_t) on the meridian, closed form from the surface data."""
+        """sigma(p_t) on the meridian: the map the profile was fitted to, or
+        closed form from the surface data, with the horizontal star at t=0
+        and the axis at t=1."""
         t = np.atleast_1d(np.asarray(t, float))
-        out = np.empty(t.shape + (3,))
-        lo = t <= _T_EPS
-        hi = t >= 1.0 - _T_EPS
-        ends = lo | hi
-        if self.meridian is None:
-            out[lo] = (-1.0, 0.0, 0.0)
-            out[hi] = (0.0, 0.0, -1.0)
-        elif np.any(ends):
-            out[ends] = self.meridian(hi[ends].astype(float))
-        mid = ~ends
-        if np.any(mid):
-            tm = t[mid]
-            a, b, c = self.coefficients(tm)
-            hs = np.asarray(self.handedness_sign(tm), float)
-            xt = np.sqrt(1.0 - tm * tm)
-            # ruling direction: dy from c directly (dx^2 + dy^2 = 1 holds
-            # because p_t is on the surface; sqrt(1 - dx^2) would lose the
-            # cone case c = 0 to rounding)
-            dx = np.clip((tm - b) / (a * xt), -1.0, 1.0)
-            dy = hs * c / (a * xt)
-            one_a2 = 1.0 + a * a
-            lam = -2.0 * (tm * one_a2 - b) / (a * one_a2)
-            m = np.stack([xt + lam * dx, lam * dy, -tm + 2.0 * b / one_a2], axis=-1)
-            m /= np.linalg.norm(m, axis=-1, keepdims=True)
-            out[mid] = m
-        return out
+        if self.meridian is not None:
+            return self.meridian(t)
+        # the closed form runs on every t, with 0.5 standing in at the ends
+        lo, hi = t <= 0.0, t >= 1.0
+        tm = np.where(lo | hi, 0.5, t)
+        a, b, c = self.coefficients(tm)
+        hs = np.asarray(self.handedness_sign(tm), float)
+        xt = np.sqrt(1.0 - tm * tm)
+        # ruling direction: dy from c directly (dx^2 + dy^2 = 1 holds
+        # because p_t is on the surface; sqrt(1 - dx^2) would lose the cone
+        # case c = 0 to rounding)
+        ax = a * xt
+        dx = np.clip((tm - b) / ax, -1.0, 1.0)
+        dy = hs * c / ax
+        one_a2 = 1.0 + a * a
+        lam = -2.0 * (tm * one_a2 - b) / (a * one_a2)
+        x, y, z = xt + lam * dx, lam * dy, -tm + 2.0 * b / one_a2
+        norm = np.sqrt(x * x + y * y + z * z)
+        m = np.stack([x / norm, y / norm, z / norm], axis=-1)
+        m[lo] = (-1.0, 0.0, 0.0)
+        m[hi] = (0.0, 0.0, -1.0)
+        return m
 
     @classmethod
     def from_meridian(cls, meridian_image) -> "RotationalProfile":
@@ -277,29 +277,27 @@ class RotationalProfile:
 
 
 class RotationalSigma:
-    """Fixed-point-free involution of S^2 generated from its meridian values
-    and completed to commute with all rotations about Z.
+    """Fixed-point-free involution of S^2 that completes the meridian map of
+    a rotational profile to commute with all rotations about Z.
 
     For a query in the closed upper hemisphere, rotate onto the meridian
     (t = height), apply the meridian map, rotate back.  For the open lower
-    hemisphere the involution property forces the value: find the meridian
-    parameter whose image height matches the query, align azimuths, and
-    return the rotated base point.
+    hemisphere the involution property forces the value: t_of_z gives the
+    meridian parameter whose image height matches the query; align
+    azimuths and return the rotated base point.  The height of the map must
+    decrease from 0 to -1, which is checked on a grid of t.
     """
 
-    def __init__(self, meridian_image, z_of_t, t_of_z):
-        self._meridian_image = meridian_image
+    def __init__(self, profile: RotationalProfile, t_of_z):
+        self._meridian_image = profile.meridian_image
         ts = np.linspace(0.0, 1.0, _HEIGHT_TABLE_SIZE)
-        zs = np.asarray(z_of_t(ts), float)
+        zs = self._meridian_image(ts)[:, 2]
         if not (abs(zs[0]) < 1e-7 and abs(zs[-1] + 1.0) < 1e-7):
             raise EvalError("meridian image height must run from 0 to -1")
         if np.any(np.diff(zs) > 1e-10):
             raise EvalError("meridian image height is not decreasing; "
                             "the equivariant completion is ill-posed")
         self._t_of_z = t_of_z
-
-    def meridian_image(self, t):
-        return self._meridian_image(np.asarray(t, float))
 
     @on_unit_sphere
     def __call__(self, Q):
@@ -308,12 +306,12 @@ class RotationalSigma:
         out = np.empty_like(Q)
         upper = qz >= 0.0
         if np.any(upper):
-            m = self.meridian_image(qz[upper])
+            m = self._meridian_image(qz[upper])
             out[upper] = rotate_z(m, theta[upper])
         lower = ~upper
         if np.any(lower):
             t = np.asarray(self._t_of_z(qz[lower]), float)
-            m = self.meridian_image(t)
+            m = self._meridian_image(t)
             psi = theta[lower] - np.arctan2(m[:, 1], m[:, 0])
             out[lower] = rotate_z(meridian_point(t), psi)
         out /= np.linalg.norm(out, axis=1, keepdims=True)
@@ -374,14 +372,14 @@ def meridian_line(profile, t: float) -> PLine:
     return join(homogenize(p), homogenize(m))
 
 
-def handedness_of(L, tol: float = 1e-10) -> Handedness:
+def handedness_of(L) -> Handedness:
     """Regulus orientation of a line: with points ordered by increasing z,
     RIGHT when x1*y2 - x2*y1 > 0, LEFT when < 0, MEETS_AXIS when it
     vanishes (the line meets Z, possibly at infinity)."""
     p = L.p if isinstance(L, PLine) else np.asarray(L, float)
     scale = np.linalg.norm(p)
     det = p[5]  # p12 = x1*y2 - x2*y1 for any two spanning points
-    if abs(det) < tol * scale:
+    if abs(det) < _MEETS_AXIS_TOL * scale:
         return Handedness.MEETS_AXIS
     dz = p[2]  # p03 orients the line by increasing z
     if dz == 0.0:

@@ -30,6 +30,8 @@ _ROOT_GRID = np.geomspace(1e-4, 1e4, 512)
 _ROOT_GRID.flags.writeable = False
 # check_fixed_point_free's least displacement |sigma(q) - q|
 _FIXED_POINT_MARGIN = 0.05
+# check_pz_monotone's slopes a per height z
+_PZ_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,7 @@ def descartes_bound(coeffs) -> int:
     return int(np.sum(np.diff(np.sign(c)) != 0))
 
 
-def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
-                        cluster_rtol: float = 1e-6, n_probes: int | None = None):
+def positive_root_count(fn, a_grid=None, n_probes: int | None = None):
     """Count positive roots of scalar functions over a log-spaced grid.
 
     ``fn`` is a vectorized callable of a, or a descending polynomial
@@ -266,8 +267,7 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
     if a_grid.ndim != 1 or not np.all(np.diff(a_grid) > 0.0):
         raise InvalidInput("a_grid must be a strictly increasing 1-d grid")
     v = np.asarray(fn(a_grid[None, :], np.arange(n)[:, None]), float)
-    counts = count_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)),
-                         rtol=refine_tol, cluster_rtol=cluster_rtol)
+    counts = count_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)))
     if n_probes is not None:
         return counts
     count = int(counts[0])
@@ -277,7 +277,7 @@ def positive_root_count(fn, a_grid=None, refine_tol: float = 1e-12,
     return count
 
 
-def check_pz_monotone(t_fn, s_fn, z_grid=None, n_samples: int = 256,
+def check_pz_monotone(t_fn, s_fn, z_grid=None,
                       tol: float = 1e-12) -> CheckReport:
     """The covering profile p_z(a) = (a^2+1)/a^2 (z - t(a))(z + s(a)) must be
     strictly decreasing on (0, a_z) for every z != 0, where a_z bounds the
@@ -300,7 +300,7 @@ def check_pz_monotone(t_fn, s_fn, z_grid=None, n_samples: int = 256,
             a_hi = float(t_fn.inverse(z)) * (1.0 - 1e-9)
         else:
             a_hi = float(s_fn.inverse(-z)) * (1.0 - 1e-9)
-        a = np.geomspace(1e-4, a_hi, n_samples)
+        a = np.geomspace(1e-4, a_hi, _PZ_SAMPLES)
         vals = (a * a + 1.0) / (a * a) * (z - np.asarray(t_fn(a), float)) \
             * (z + np.asarray(s_fn(a), float))
         d = np.diff(vals)

@@ -1,9 +1,13 @@
 """The benchmark's tracer (bench/spans.py) wraps library callables by name;
-a refactor that drops one of those names breaks its per-layer numbers."""
+a refactor that drops one of those names breaks its per-layer numbers.  And
+each workload of bench/run.py must run and check its own outputs."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import glstar
 
@@ -43,3 +47,18 @@ def test_tracer_installs_and_records_subspace_spans():
     assert {"projgeom.span", "parallelism.class_from_hfd_line",
             "parallelism.make_parallelism", "functions.inverse",
             "star.sigma"} <= names, names
+
+
+@pytest.mark.parametrize("workload", ["verify-suite", "parallel-queries",
+                                      "construct-export"])
+def test_bench_workload_runs_correct(workload):
+    # one short run of each workload (bench/run.py builds glstar from the
+    # src/ beside it and writes only under bench/out/): every output check
+    # passes and no operation fails
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

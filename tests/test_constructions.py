@@ -38,6 +38,7 @@ from glstar.verify import (
     KLEIN_CHECKS,
     applicable_checks,
     check_axial,
+    check_involution,
     descartes_bound,
     run_star_checks,
 )
@@ -145,6 +146,23 @@ def test_fg_rejects_bad_boundary():
 def test_fg_rejects_eps_switch_in_strict_interval():
     eps = lambda t: np.where(np.asarray(t) < 0.5, -1.0, 1.0)
     with pytest.raises(ConditionFailed, match="eps"):
+        fg_star(power(2), affine(1, -1), eps=eps)
+
+
+def test_fg_eps_may_switch_at_cones():
+    # g = -sqrt(1 - f^2) puts every chord through the origin: all cones
+    eps = lambda t: np.where(np.asarray(t) < 0.5, -1.0, 1.0)
+    star = fg_star(identity(), neg_circle(), eps=eps)
+    q = sphere_samples(500, seed=3)
+    assert np.max(np.abs(star.sigma(q) - clifford().sigma(q))) < 1e-12
+
+
+@pytest.mark.parametrize("eps,error", [
+    (3, InvalidInput), (0.0, InvalidInput), ("up", InvalidInput),
+    (lambda t: np.where(np.asarray(t) < 0.5, -1.0, 0.0), ConditionFailed),
+])
+def test_fg_eps_must_be_a_sign(eps, error):
+    with pytest.raises(error, match="sign|eps"):
         fg_star(power(2), affine(1, -1), eps=eps)
 
 
@@ -359,19 +377,27 @@ def _assert_equals_the_tabulated_star(star, eqn):
             assert abs(dtheta) < 1e-12
 
 
+def _coefficient_fns(bc):
+    """b and c of the joint coefficients bc: a |-> (b, c) as two Fn1,
+    eqn_star's arguments."""
+    return (as_fn1(lambda a: bc(a)[0], domain=(0.0, np.inf)),
+            as_fn1(lambda a: bc(a)[1], domain=(0.0, np.inf)))
+
+
 def test_param_sigma_equals_the_tabulated_eqn_sigma():
     # builtin inverts its heights phi_r in closed form; eqn_star on the same
     # coefficients tabulates the heights it works out of b and c
     _assert_equals_the_tabulated_star(
         builtin_example(),
-        eqn_star(*constructions._param_coefficients(phi_r(1.5), phi_r(2.0))))
+        eqn_star(*_coefficient_fns(constructions._param_bc(phi_r(1.5),
+                                                           phi_r(2.0)))))
 
 
 def test_parabola_sigma_equals_the_tabulated_eqn_sigma():
     # parabola inverts its heights piece by piece in closed form; eqn_star
     # on its b and c tabulates them
     seq = example_parabola_sequence()
-    eqn = eqn_star(*constructions._parabola_coefficients(seq))
+    eqn = eqn_star(*_coefficient_fns(constructions._parabola_bc(seq)))
     _assert_equals_the_tabulated_star(parabola_star(seq), eqn)
 
 
@@ -651,6 +677,63 @@ def test_parabola_gamma_is_not_negative_at_a_knot_slope():
     assert all(r.passed for r in reports), [r.render() for r in reports]
 
 
+F1_SEQUENCE = ([14.592781970690533, 2.240722898168005, 1.9209624102136866],
+               [0.0, -0.08596133247973226, -0.15843654801392235],
+               [0.0, 0.1697309885077284, 0.06462099048791667])
+
+
+def test_parabola_star_rejects_a_height_dip_past_a_knot():
+    # t(a) falls from the first knot slope, 0.26178, to 0.26345: a window
+    # that no point of the a-grid sees, and whose star failed involution
+    # and coverage
+    seq = ParabolaSeq(*F1_SEQUENCE)
+    with pytest.raises(ConditionFailed, match=r"\(3\).*past a knot") as err:
+        parabola_star(seq)
+    assert err.value.witness == seq.slopes()[0]
+
+
+def _drawn_sequence(rng):
+    """A three-entry sequence: P_1 flatter than P_0, P_2 almost as steep as
+    P_1 but shifted and lowered."""
+    a1 = rng.uniform(2.0, 40.0) * rng.uniform(0.05, 0.5)
+    b1, g1 = rng.uniform(-0.1, 0.1), rng.uniform(0.0, 0.4)
+    return ParabolaSeq(
+        [a1 / rng.uniform(0.05, 0.5), a1,
+         a1 * (1.0 - 10.0 ** rng.uniform(-3.0, -0.5))],
+        [0.0, b1, b1 + rng.uniform(-0.2, 0.2)], [0.0, g1, g1 * rng.random()])
+
+
+def _dips_past_a_knot(seq):
+    """Whether a circle height of H_a falls somewhere within 1% past a
+    knot slope, on 400 slopes per knot."""
+    k = seq.slopes()[:, None]
+    a = (k * (1.0 + np.concatenate([[0.0], np.geomspace(1e-7, 1e-2, 400)])))
+    heights = constructions._t_s_of_a(a, *constructions._parabola_bc(seq)(a))
+    return bool(np.any(np.diff(heights, axis=-1) <= 0.0))
+
+
+def test_drawn_parabola_stars_are_built_exactly_when_valid():
+    # the drawn sequences until 38 stars are built: each one rejected past
+    # a knot has a height that dips there (F1_SEQUENCE among them; before
+    # s(a) was checked there, others raised EvalError in the completion),
+    # and each built star's sigma is an involution
+    rng = np.random.default_rng(7)
+    built, dips = 0, []
+    while built < 38:
+        seq = _drawn_sequence(rng)
+        try:
+            star = parabola_star(seq)
+        except ConditionFailed as err:
+            if "past a knot" in err.condition:
+                assert _dips_past_a_knot(seq), seq
+                dips.append(seq)
+            continue
+        assert not _dips_past_a_knot(seq), seq
+        assert check_involution(star).passed, seq
+        built += 1
+    assert F1_SEQUENCE[0] in [d.alphas.tolist() for d in dips]
+
+
 def _sequence_verdict_by_np_roots(seq):
     """(condition, index) of the first sequence condition that fails, each
     quadratic solved by np.roots one parabola or pair at a time, or None."""
@@ -691,18 +774,12 @@ def _sequence_verdict_by_np_roots(seq):
 
 
 def test_sequence_closed_form_roots_give_the_np_roots_verdicts():
-    # 2000 seeded three-entry sequences: P_1 flatter than P_0, P_2 almost
-    # as steep as P_1 but shifted and lowered, so that some pairs meet far
-    # out (hypothesis (4)) and many fail to nest (3)
+    # 2000 drawn sequences, some of whose pairs meet far out (hypothesis
+    # (4)) while many fail to nest (3)
     rng = np.random.default_rng(15)
     seen = {}
     for _ in range(2000):
-        a1 = rng.uniform(2.0, 40.0) * rng.uniform(0.05, 0.5)
-        b1, g1 = rng.uniform(-0.1, 0.1), rng.uniform(0.0, 0.4)
-        seq = ParabolaSeq(
-            [a1 / rng.uniform(0.05, 0.5), a1,
-             a1 * (1.0 - 10.0 ** rng.uniform(-3.0, -0.5))],
-            [0.0, b1, b1 + rng.uniform(-0.2, 0.2)], [0.0, g1, g1 * rng.random()])
+        seq = _drawn_sequence(rng)
         want = _sequence_verdict_by_np_roots(seq)
         try:
             constructions._check_sequence(seq)
@@ -781,7 +858,7 @@ def test_parabola_completion_tails():
     # closed-form height inverse returns a = 0 at height 0)
     al, be, ga = seq.coefficients_at(np.array([0.0]))
     assert be[0] == seq.betas[0] and ga[0] == seq.gammas[0]
-    b_fn, c_fn = constructions._parabola_coefficients(seq)
+    b_fn, c_fn = _coefficient_fns(constructions._parabola_bc(seq))
     assert b_fn(np.array([0.0])).tolist() == [0.0]
     assert c_fn(np.array([0.0])).tolist() == [0.0]
 

@@ -67,8 +67,8 @@ def test_parse_config_returns_config_or_raises_config_errors(value):
 # Heights of the test points: the poles, the equator, 1e-6 next to them and
 # anything in between.  Closer to the poles and the equator the height chart
 # costs accuracy: sigma has a square-root profile there, so the profile
-# stars' end clamps at 1e-12 from the ends move sigma by up to 2.8e-6, and
-# the latitudinal arc map (flat at 0) loses heights below 1e-7 to rounding.
+# stars stay involutions only to about 1e-10 at 1e-12 from the ends, and the
+# latitudinal arc map (flat at 0) loses heights below 1e-7 to rounding.
 # builtin and parabola invert their heights in closed form down to 0 (a
 # tabulated eqn star solves heights below its tables' a = 1e-9 from the
 # limit t(a)/a -> 1 as a -> 0, the tests below).
@@ -246,7 +246,7 @@ def test_height_inverse_below_the_table_follows_the_limit(height_tables, k):
 # --- root counts ----------------------------------------------------------------
 
 # positive_root_count's default grid, and a linear grid below 1, where the
-# merge cutoff cluster_rtol * max(1, |x|) is absolute
+# merge cutoff functions._CLUSTER_RTOL * max(1, |x|) is absolute
 ROOT_GRIDS = {"log": np.geomspace(1e-4, 1e4, 512),
               "linear": np.linspace(0.01, 0.9, 90)}
 

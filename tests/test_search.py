@@ -100,6 +100,22 @@ def test_profile_with_a_foreign_sigma_covers_nothing():
     assert report.max_residual == 0.0
 
 
+def test_points_near_the_axis_lie_on_one_line(seven_stars):
+    # near Z the root t lies within 1e-12 of 1 (3.8e-13 at r = 1e-6 on
+    # builtin), where the meridian image must still be the chord's own: its
+    # closed form snaps to the axis only at t = 1.  Closer in, a band from
+    # about 1.8e-8 to 1.5e-7 is still missed (ROADMAP item 6).
+    r = np.geomspace(2e-7, 1e-1, 60)
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        for z in (-1.5, 1.5, 3.0):
+            for theta in (0.0, 1.0, 2.5, 4.0):
+                W = np.column_stack([np.ones_like(r), r * np.cos(theta),
+                                     r * np.sin(theta), np.full_like(r, z)])
+                counts = [len(h) for h in search.find_batch(W)]
+                assert counts == [1] * r.size, (name, z, theta)
+
+
 def test_crossing_profile_covers_twice():
     # cones with apexes rising from 0.3 to 0.4: where two of them cross
     # outside the sphere, a point lies on a line of each

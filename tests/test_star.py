@@ -12,6 +12,7 @@ from glstar.projgeom import (
 )
 from glstar.star import (
     Handedness,
+    RotationalProfile,
     RotationalSigma,
     SurfaceEntry,
     fibonacci_sphere,
@@ -22,8 +23,14 @@ from glstar.star import (
     rotate_z,
     surface_mesh,
 )
-from glstar.constructions import clifford, fg_star, symmetric_star
-from glstar.functions import affine, power
+from glstar.constructions import (
+    clifford,
+    fg_star,
+    latitudinal,
+    pencil_from_mu,
+    symmetric_star,
+)
+from glstar.functions import affine, as_fn1, power
 
 SPHERE = QuadricForm.unit_sphere()
 X_AXIS = join((1, 0, 0, 0), (0, 1, 0, 0))
@@ -165,12 +172,36 @@ def test_rotational_sigma_commutes():
     assert res.max() < 1e-9
 
 
+def test_fitted_profile_answers_with_its_own_map(monkeypatch):
+    # the meridian image of a profile fitted by from_meridian is the map it
+    # was fitted to, bit for bit, ends included
+    fitted = []
+    fit = RotationalProfile.from_meridian.__func__
+
+    def recording(cls, meridian_image):
+        fitted.append(meridian_image)
+        return fit(cls, meridian_image)
+
+    monkeypatch.setattr(RotationalProfile, "from_meridian",
+                        classmethod(recording))
+    quad = pencil_from_mu(as_fn1(lambda th: np.asarray(th) ** 2 * (2 / np.pi),
+                                 domain=(0.0, np.pi / 2)))
+    t = np.concatenate([[0.0, 1.0], np.random.default_rng(4).random(200)])
+    for build in (lambda: fg_star(power(2), affine(1, -1), eps=-1),
+                  lambda: latitudinal(quad), clifford):
+        fitted.clear()
+        star = build()
+        (meridian,) = fitted
+        np.testing.assert_array_equal(star.profile.meridian_image(t),
+                                      meridian(t))
+
+
 def test_rotational_sigma_rejects_increasing_height():
     bad = lambda t: np.stack([np.sqrt(np.clip(1 - np.asarray(t) ** 2, 0, None)),
                               np.zeros_like(np.asarray(t)),
                               np.asarray(t)], axis=-1)
     with pytest.raises(EvalError):
-        RotationalSigma(bad, z_of_t=lambda t: np.asarray(t, float),
+        RotationalSigma(RotationalProfile.from_meridian(bad),
                         t_of_z=lambda z: np.asarray(z, float))
 
 
