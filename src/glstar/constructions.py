@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConditionFailed, InvalidCenter, InvalidInput
-from .functions import LOG_TABLE_RANGE, Fn1, as_fn1, check_increasing
+from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
 from .star import (
     GlStar,
     Handedness,
@@ -64,18 +64,14 @@ def _validate_cone_rule(hand_sign, profile, name="handedness"):
     evaluated (on the whole grid, for its scale) when the choice switches."""
     t = _interior_t_grid
     s = np.asarray(hand_sign(t), float)
-    if np.any(s == 0.0):
-        raise ConditionFailed(f"{name} must take values in {{+1, -1}}",
-                              witness=float(t[np.argmax(s == 0.0)]))
-    switches = np.nonzero(np.diff(s) != 0)[0]
-    if not switches.size:
+    _require(np.abs(s) == 1.0, f"{name} must take values in {{+1, -1}}", t)
+    stays = np.diff(s) == 0.0
+    if stays.all():
         return
     c = profile.coefficients(t)[2]
     cone = c <= 1e-9 * (1.0 + np.abs(c).max())
-    for i in switches:
-        if not (cone[i] or cone[i + 1]):
-            raise ConditionFailed(
-                f"{name} switches regulus away from a cone", witness=float(t[i]))
+    _require(stays | cone[:-1] | cone[1:],
+             f"{name} switches regulus away from a cone", t)
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +123,15 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
     a_fn = as_fn1(a, domain=(0.0, 1.0))
     t = _interior_t_grid
     av = check_increasing(a_fn, t, name="a")
-    if abs(float(a_fn(np.array([0.0]))[0])) > 1e-9:
-        raise ConditionFailed("a(0) must be 0", witness=0.0)
-
+    _require(abs(a_fn(np.array([0.0]))[0]) <= 1e-9, "a(0) must be 0", 0.0)
     c2 = av * av - t * t * (1.0 + av * av)
-    bad = c2 < -1e-12 * (1.0 + av * av)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConditionFailed("(1): t^2 <= a^2/(1+a^2) fails", witness=float(t[i]))
+    _require(c2 >= -1e-12 * (1.0 + av * av), "(1): t^2 <= a^2/(1+a^2) fails",
+             t)
 
     for tk in LIMIT_POINTS:
         ak = float(a_fn(np.array([tk]))[0])
         v = tk * tk * (1.0 + ak * ak) / (ak * ak)
-        if abs(v - 1.0) > LIMIT_BAND:
+        if not abs(v - 1.0) <= LIMIT_BAND:
             raise ConditionFailed(
                 f"(2): t^2(1+a^2)/a^2 = {v:.6g} at t={tk:g}, not within "
                 f"{LIMIT_BAND:.0%} of 1", witness=tk)
@@ -177,20 +169,14 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
     t = np.linspace(0.0, 1.0, T_GRID_SIZE)
     fv = check_increasing(f_fn, t, name="f")
     gv = np.asarray(g_fn(t), float)
-    if abs(fv[0]) > 1e-9 or abs(fv[-1] - 1.0) > 1e-9:
-        raise ConditionFailed("f must map [0,1] onto [0,1]",
-                              witness=(float(fv[0]), float(fv[-1])))
-    if abs(gv[0] + 1.0) > 1e-9:
-        raise ConditionFailed("g(0) must be -1", witness=float(gv[0]))
-    if abs(gv[-1]) > 1e-9:
-        raise ConditionFailed("g(1) must be 0", witness=float(gv[-1]))
-    if np.any(np.diff(gv) < -1e-12):
-        i = int(np.argmax(np.diff(gv) < -1e-12))
-        raise ConditionFailed("g must be non-decreasing", witness=float(t[i]))
+    _require((abs(fv[0]) <= 1e-9) & (abs(fv[-1] - 1.0) <= 1e-9),
+             "f must map [0,1] onto [0,1]", (fv[0], fv[-1]))
+    _require(abs(gv[0] + 1.0) <= 1e-9, "g(0) must be -1", gv[0])
+    _require(abs(gv[-1]) <= 1e-9, "g(1) must be 0", gv[-1])
+    _require(np.diff(gv) >= -1e-12, "g must be non-decreasing", t)
     low = -np.sqrt(np.clip(1.0 - fv * fv, 0.0, None))
-    if np.any(gv > 1e-9) or np.any(gv < low - 1e-9):
-        i = int(np.argmax((gv > 1e-9) | (gv < low - 1e-9)))
-        raise ConditionFailed("-sqrt(1-f^2) <= g <= 0 fails", witness=float(t[i]))
+    _require((gv <= 1e-9) & (gv >= low - 1e-9), "-sqrt(1-f^2) <= g <= 0 fails",
+             t)
 
     eps_sign = _hand_sign_fn(eps)
 
@@ -323,9 +309,9 @@ def _check_eqn_hypotheses(bc):
     bv = _check_eqn_1_to_3(bc)
     x, z = _exterior_probes()
     counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
-    bad = np.nonzero(counts > 1)[0]
-    if bad.size:
-        i = bad[0]
+    ok = counts <= 1
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise ConditionFailed(
             f"(4): exterior point lies on {counts[i]} surfaces H_a",
             witness=(float(x[i]), float(z[i])))
@@ -337,31 +323,19 @@ def _check_eqn_1_to_3(bc):
     Returns b on the a-grid."""
     ag = _A_GRID
     bv, cv = bc(ag)
-    if np.any(cv < -1e-12):
-        raise ConditionFailed("c must be nonnegative",
-                              witness=float(ag[np.argmax(cv < -1e-12)]))
-
-    bad = bv * bv + cv * cv >= ag * ag
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConditionFailed("(1): b^2 + c^2 < a^2 fails", witness=float(ag[i]))
-
-    for k in range(3):
-        if abs(bv[k]) > LIMIT_BAND or abs(cv[k] / ag[k]) > LIMIT_BAND:
-            raise ConditionFailed(
-                "(2): b and c/a must vanish as a -> 0", witness=float(ag[k]))
-
+    _require(cv >= -1e-12, "c must be nonnegative", ag)
+    _require(bv * bv + cv * cv < ag * ag, "(1): b^2 + c^2 < a^2 fails", ag)
+    _require((abs(bv[:3]) <= LIMIT_BAND) & (abs(cv[:3] / ag[:3]) <= LIMIT_BAND),
+             "(2): b and c/a must vanish as a -> 0", ag)
     tv, sv = _t_s_of_a(ag, bv, cv)
-    if np.any(np.diff(tv) <= 0):
-        i = int(np.argmax(np.diff(tv) <= 0))
-        raise ConditionFailed("(3): the height t(a) of H_a on the circle is "
-                              "not increasing", witness=float(ag[i]))
+    _require(np.diff(tv) > 0.0, "(3): the height t(a) of H_a on the circle is "
+             "not increasing", ag)
 
     x, z = _circle_probes(bc)
     counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
-    bad = np.nonzero(counts != 1)[0]
-    if bad.size:
-        i = bad[0]
+    ok = counts == 1
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise ConditionFailed(
             f"(3): circle point lies on {counts[i]} surfaces H_a, expected 1",
             witness=(float(x[i]), float(z[i])))
@@ -425,33 +399,28 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     tv = check_increasing(t_fn, ag, name="t")
     sv = check_increasing(s_fn, ag, name="s")
     for name, fn, v in (("t", t_fn, tv), ("s", s_fn, sv)):
-        if abs(float(fn(np.array([0.0]))[0])) > 1e-9:
-            raise ConditionFailed(f"{name}(0) must be 0")
-        if np.any(v >= 1.0):
-            raise ConditionFailed(f"{name} must take values below 1",
-                                  witness=float(ag[np.argmax(v >= 1.0)]))
+        _require(abs(fn(np.array([0.0]))[0]) <= 1e-9, f"{name}(0) must be 0",
+                 None)
+        _require(v < 1.0, f"{name} must take values below 1", ag)
 
     for k in range(3):
         v = (tv[k] + sv[k]) / (2.0 * ag[k])
-        if abs(v - 1.0) > LIMIT_BAND:
+        if not abs(v - 1.0) <= LIMIT_BAND:
             raise ConditionFailed(
                 f"(1): (t+s)/(2a) = {v:.6g} at a={ag[k]:g}, not within "
                 f"{LIMIT_BAND:.0%} of 1", witness=float(ag[k]))
 
     lhs = ag * ag / (ag * ag + 1.0) - tv * sv
     rhs = (ag * ag + 1.0) * ((tv - sv) / 2.0) ** 2
-    bad = lhs < rhs - 1e-12
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConditionFailed("(2): a^2/(a^2+1) - ts >= (a^2+1)((t-s)/2)^2 "
-                              "fails", witness=float(ag[i]))
+    _require(lhs >= rhs - 1e-12,
+             "(2): a^2/(a^2+1) - ts >= (a^2+1)((t-s)/2)^2 fails", ag)
 
     x, z = _exterior_probes()
     counts = positive_root_count(
         lambda a, k: h_value(t_fn, s_fn, x[k], z[k], a), n_probes=x.size)
-    bad = np.nonzero(counts > 1)[0]
-    if bad.size:
-        i = bad[0]
+    ok = counts <= 1
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise ConditionFailed(f"(3): h_{{x,z}} has {counts[i]} positive roots",
                               witness=(float(x[i]), float(z[i])))
 
@@ -561,12 +530,10 @@ class GlPencil:
 def pencil_from_mu(mu) -> GlPencil:
     """Validate and wrap an arc map: m(0) = 0, m(pi/2) = pi/2, increasing."""
     m = as_fn1(mu, domain=(0.0, 0.5 * np.pi))
-    e0 = float(m(np.array([0.0]))[0])
-    e1 = float(m(np.array([0.5 * np.pi]))[0])
-    if abs(e0) > 1e-9 or abs(e1 - 0.5 * np.pi) > 1e-9:
-        raise ConditionFailed(
-            "arc map must fix the endpoints: mu(1,0)=(-1,0) and mu(0,1)=(0,-1)",
-            witness=(e0, e1))
+    e0, e1 = m(np.array([0.0, 0.5 * np.pi]))
+    _require((abs(e0) <= 1e-9) & (abs(e1 - 0.5 * np.pi) <= 1e-9),
+             "arc map must fix the endpoints: mu(1,0)=(-1,0) and mu(0,1)=(0,-1)",
+             (e0, e1))
     check_increasing(m, np.linspace(0.0, 0.5 * np.pi, T_GRID_SIZE), name="mu")
     return GlPencil(angle_map=m)
 
@@ -609,7 +576,7 @@ def omega(x, z):
 def omega_inv(u, v):
     """(u, v) -> (sqrt(v), 0, u), the x >= 0 branch; requires v >= 0."""
     v = np.asarray(v, float)
-    if np.any(v < 0):
+    if not np.all(v >= 0):
         raise InvalidInput("omega_inv requires v >= 0")
     u = np.asarray(u, float)
     return np.sqrt(v), np.zeros_like(u), u
@@ -633,20 +600,15 @@ class ParabolaSeq:
             raise InvalidInput("parabola sequence arrays must match, length >= 1")
         if not np.isfinite(np.stack([al, be, ga])).all():
             raise InvalidInput("parabola sequence entries must be finite")
-        if np.any(al <= 0):
-            raise ConditionFailed("alpha_i must be positive",
-                                  witness=int(np.argmax(al <= 0)))
-        if np.any(ga < 0):
-            raise ConditionFailed("gamma_i must be nonnegative",
-                                  witness=int(np.argmax(ga < 0)))
+        _require(al > 0, "alpha_i must be positive", range(al.size))
+        _require(ga >= 0, "gamma_i must be nonnegative", range(al.size))
         for arr, name in ((al, "alphas"), (be, "betas"), (ga, "gammas")):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(np.diff(self.slopes()) <= 0):
-            i = int(np.argmax(np.diff(self.slopes()) <= 0))
-            raise ConditionFailed("(1): slopes 1/sqrt(alpha_i) must strictly "
-                                  "increase", witness=i)
+        _require(np.diff(self.slopes()) > 0,
+                 "(1): slopes 1/sqrt(alpha_i) must strictly increase",
+                 range(al.size))
 
     def __len__(self):
         return self.alphas.size
@@ -663,10 +625,9 @@ class ParabolaSeq:
         v = 1 - u^2, as two arrays."""
         a, b, g = self.alphas, self.betas, self.gammas
         lo, hi, disc = _real_roots(a + 1.0, -2.0 * a * b, a * b * b + g - 1.0)
-        if np.any(disc <= 0.0):
-            raise ConditionFailed(
-                "(3): parabola must meet the circle arc in two points",
-                witness=int(np.argmax(disc <= 0.0)))
+        _require(disc > 0.0,
+                 "(3): parabola must meet the circle arc in two points",
+                 range(a.size))
         return lo, hi
 
     def coefficients_at(self, a):
@@ -729,25 +690,22 @@ def _check_sequence(seq: ParabolaSeq):
     """The sequence's own conditions: the completion's origin vertex, the
     arc intersections (3) and the consecutive intersections (4), whose
     quadratics are solved in closed form for the whole sequence at once."""
-    if abs(seq.betas[0]) > 1e-12 or seq.gammas[0] > 1e-12:
-        raise ConditionFailed(
-            "completion: the first parabola must have its vertex at the "
-            "origin", witness=0)
+    _require((abs(seq.betas[0]) <= 1e-12) & (seq.gammas[0] <= 1e-12),
+             "completion: the first parabola must have its vertex at the "
+             "origin", 0)
 
     lo, hi = seq.arc_intersections()
-    bad = ~((lo < 0.0) & (0.0 < hi))
-    off = (lo < -1.0 - 1e-9) | (hi > 1.0 + 1e-9)
-    if np.any(bad | off):
-        i = int(np.argmax(bad | off))
+    split = (lo < 0.0) & (0.0 < hi)
+    on_arc = (lo >= -1.0 - 1e-9) & (hi <= 1.0 + 1e-9)
+    if not np.all(split & on_arc):
+        i = int(np.argmin(split & on_arc))
         raise ConditionFailed(
-            "(3): arc intersections must be separated by the v-axis" if bad[i]
-            else "(3): arc intersections must lie on the arc", witness=i)
-    bad = ~((hi[1:] > hi[:-1]) & (lo[1:] < lo[:-1]))
-    if np.any(bad):
-        raise ConditionFailed(
-            "(3): consecutive arc intersections must nest outward "
-            "(heights on the circle increase with the slope)",
-            witness=int(np.argmax(bad)))
+            "(3): arc intersections must be separated by the v-axis"
+            if not split[i] else "(3): arc intersections must lie on the arc",
+            witness=i)
+    _require((hi[1:] > hi[:-1]) & (lo[1:] < lo[:-1]),
+             "(3): consecutive arc intersections must nest outward "
+             "(heights on the circle increase with the slope)", range(len(seq)))
 
     # P_i - P_{i+1} = A u^2 + B u + C; pairs that agree to 1e-8 are skipped
     al, be, ga = seq.alphas, seq.betas, seq.gammas
@@ -758,9 +716,9 @@ def _check_sequence(seq: ParabolaSeq):
     u = np.stack(_real_roots(*d)[:2], axis=1)  # (pair, root), NaN when none
     v = al[:-1, None] * (u - be[:-1, None]) ** 2 + ga[:-1, None]
     inside = (np.abs(u) <= 1.0 + 1e-9) & (-1e-9 <= v) & (v <= 1.0 - u * u + 1e-9)
-    bad = ~np.isnan(u) & ~inside & ~np.all(np.abs(d) <= 1e-8, axis=0)[:, None]
-    if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    ok = np.isnan(u) | inside | np.all(np.abs(d) <= 1e-8, axis=0)[:, None]
+    if not ok.all():
+        i, j = np.unravel_index(np.argmin(ok), ok.shape)
         raise ConditionFailed(
             "(4): consecutive parabolas intersect outside the bounded region",
             witness=(int(i), float(u[i, j]), float(v[i, j])))
@@ -778,11 +736,9 @@ def _check_knot_heights(seq: ParabolaSeq, bc):
     enters a new piece."""
     k = seq.slopes()
     a = np.unique(np.concatenate([k, k * (1.0 + _KNOT_STEP)]))
-    bad = np.any(np.diff(_t_s_of_a(a, *bc(a)), axis=1) <= 0.0, axis=0)
-    if np.any(bad):
-        raise ConditionFailed("(3): a height of H_a on the circle is not "
-                              "increasing past a knot",
-                              witness=float(a[np.argmax(bad)]))
+    _require(np.all(np.diff(_t_s_of_a(a, *bc(a)), axis=1) > 0.0, axis=0),
+             "(3): a height of H_a on the circle is not increasing past a knot",
+             a)
 
 
 def _parabola_bc(seq: ParabolaSeq):

@@ -266,14 +266,14 @@ def identity(domain=(0.0, 1.0)) -> Fn1:
 
 
 def affine(a: float, b: float, domain=(0.0, 1.0)) -> Fn1:
-    if a == 0.0:
+    if not (a > 0.0 or a < 0.0):
         raise InvalidInput("affine function with zero slope is not monotone")
     return Fn1(lambda t: a * t + b, domain, kind="affine",
                params={"a": a, "b": b}, inv=lambda y: (y - b) / a)
 
 
 def power(p: float, domain=(0.0, 1.0)) -> Fn1:
-    if p <= 0.0:
+    if not p > 0.0:
         raise InvalidInput("power function needs a positive exponent")
     return Fn1(lambda t: np.power(t, p), domain, kind="power",
                params={"p": p},
@@ -288,7 +288,7 @@ def moebius01() -> Fn1:
 
 def phi_r(r: float) -> Fn1:
     """a -> a(a+r) / (a^2 + ra + r), an increasing bijection [0, inf) -> [0, 1)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise InvalidInput("phi_r requires r > 0")
 
     def f(a):
@@ -318,7 +318,7 @@ def table(knots, values) -> Fn1:
     v = np.asarray(values, dtype=float)
     if k.ndim != 1 or k.shape != v.shape or k.size < 2:
         raise InvalidInput("table needs matching 1-d knots and values, length >= 2")
-    if np.any(np.diff(k) <= 0):
+    if not np.all(np.diff(k) > 0):
         raise InvalidInput("table knots must be strictly increasing")
     dv = np.diff(v)
     if not (np.all(dv > 0) or np.all(dv < 0)):
@@ -385,11 +385,31 @@ def as_fn1(f, domain=(0.0, 1.0)) -> Fn1:
     return Fn1(fn, domain, _table_inverse(fn, lo, hi))
 
 
+def _plain(w):
+    """A witness as plain Python numbers: an int, a float or a tuple."""
+    if np.ndim(w):
+        return tuple(map(_plain, w))
+    return int(w) if isinstance(w, (int, np.integer)) else float(w)
+
+
+def _require(ok, condition, witnesses):
+    """Raise ConditionFailed(condition) unless ok, what must hold, is True
+    everywhere (NaN comparisons are False, so NaN fails it).  ok is one
+    verdict, whose witness is ``witnesses`` itself, or an array of verdicts
+    with one witness per sample, of which the first failing one's is
+    reported; None reports none."""
+    ok = np.asarray(ok, bool)
+    if ok.all():
+        return
+    if ok.ndim:
+        witnesses = None if witnesses is None else witnesses[int(np.argmin(ok))]
+    raise ConditionFailed(condition,
+                          None if witnesses is None else _plain(witnesses))
+
+
 def check_increasing(f, grid, name="function"):
     """Raise ConditionFailed unless f is strictly increasing on the grid."""
-    v = np.asarray(f(np.asarray(grid, float)), float)
-    bad = np.diff(v) <= 0.0
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConditionFailed(f"{name} is not increasing", witness=float(np.asarray(grid)[i]))
+    grid = np.asarray(grid, float)
+    v = np.asarray(f(grid), float)
+    _require(np.diff(v) > 0.0, f"{name} is not increasing", grid)
     return v

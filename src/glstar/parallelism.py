@@ -51,7 +51,7 @@ from .projgeom import (
 )
 from .search import StarLineSearch
 from .star import GlStar
-from .verify import CheckReport, check_sampling
+from .verify import CheckReport, _one_line_each, _worst, check_sampling
 
 _KLEIN = QuadricForm.klein()
 
@@ -271,10 +271,8 @@ def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckRep
     # disc = g(A,B)^2 - g(A,A) g(B,B) < 0  <=>  det of the Gram > 0
     disc = G[:, 0, 1] ** 2 - G[:, 0, 0] * G[:, 1, 1]
     margin = -disc / np.maximum(np.abs(G).max(axis=(1, 2)) ** 2, 1e-300)
-    i = int(np.argmin(margin))
-    passed = margin[i] > 1e-12
-    return CheckReport("zero_secants", bool(passed), float(margin[i]),
-                       (i,) if not passed else None, n)
+    return _worst("zero_secants", margin, lambda m: m > 1e-12, lambda i: (i,),
+                  n, pick=np.argmin)
 
 
 def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
@@ -284,14 +282,7 @@ def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
     point)."""
     check_sampling(n, tol, seed)
     K = join_batch(*np.random.default_rng(seed).normal(size=(2, n, 4)))
-    hits = _hits_for_lines(par, K, tol=tol)
-    counts = np.array([len(h) for h in hits])
-    bad = np.nonzero(counts != 1)[0]
-    res = max((h[0].residual for h in hits if h), default=0.0)
-    if bad.size:
-        i = int(bad[0])
-        return CheckReport("hfd", False, float(counts[i]), tuple(K[i]), n)
-    return CheckReport("hfd", True, float(res), None, n)
+    return _one_line_each("hfd", _hits_for_lines(par, K, tol=tol), K, n)
 
 
 def torus_action(theta: float) -> np.ndarray:
@@ -323,9 +314,6 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
     # mapped[k, i] = Q[i] tau_k^T, rejected from the row space of Q[i]
     mapped = Q @ tau.transpose(0, 2, 1)[:, None]
     rej = mapped - (mapped @ Q.transpose(0, 2, 1)) @ Q
-    r = np.linalg.norm(rej, axis=-1).max(axis=-1)
-    k, i = np.unravel_index(np.argmax(r), r.shape)
-    passed = r[k, i] < tol
-    return CheckReport("torus_fixes_classes", bool(passed), float(r[k, i]),
-                       (float(thetas[k]), int(i)) if not passed else None,
-                       n * n_theta)
+    r = np.linalg.norm(rej, axis=-1).max(axis=-1)  # (n_theta, n)
+    return _worst("torus_fixes_classes", r, lambda v: v < tol,
+                  lambda j: (float(thetas[j // n]), j % n), n * n_theta)

@@ -91,7 +91,7 @@ def on_unit_sphere(batch_fn):
         q = np.asarray(q, float)
         Q = np.atleast_2d(q)
         norms = np.linalg.norm(Q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise InvalidInput("sigma expects points on the unit sphere")
         out = batch_fn(*head, Q / norms[:, None])
         return out[0] if q.ndim == 1 else out
@@ -147,11 +147,11 @@ class SurfaceEntry:
     def __post_init__(self):
         if self.kind not in ("axis", "horizontal_star", "cone", "hyperboloid"):
             raise InvalidInput(f"unknown surface kind {self.kind!r}")
-        if self.kind in ("cone", "hyperboloid") and self.a <= 0:
+        if self.kind in ("cone", "hyperboloid") and not self.a > 0:
             raise InvalidInput("surface slope a must be positive")
         if self.kind == "cone" and self.c != 0.0:
             raise InvalidInput("a cone has c = 0")
-        if self.kind == "hyperboloid" and self.c <= 0.0:
+        if self.kind == "hyperboloid" and not self.c > 0.0:
             raise InvalidInput("a hyperboloid has c > 0")
 
     def residual(self, points) -> np.ndarray:
@@ -294,7 +294,7 @@ class RotationalSigma:
         zs = self._meridian_image(ts)[:, 2]
         if not (abs(zs[0]) < 1e-7 and abs(zs[-1] + 1.0) < 1e-7):
             raise EvalError("meridian image height must run from 0 to -1")
-        if np.any(np.diff(zs) > 1e-10):
+        if not np.all(np.diff(zs) <= 1e-10):
             raise EvalError("meridian image height is not decreasing; "
                             "the equivariant completion is ill-posed")
         self._t_of_z = t_of_z

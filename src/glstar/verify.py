@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalError, InvalidInput
-from .functions import count_roots
+from .functions import as_fn1, count_roots
 from .projgeom import (
     QuadricForm,
     join_batch,
@@ -53,6 +53,33 @@ class CheckReport:
         return line
 
 
+def _worst(name, values, passes, witness, n, pick=np.argmax):
+    """The report of a check on sampled values.  The sample i that ``pick``
+    names decides: the largest value by default, and a NaN before any other
+    (np.argmax and np.argmin both name the first NaN).  The check passes when
+    ``passes(values[i])``, what must hold, is True, which it never is on NaN;
+    ``witness(i)`` is attached only when the check fails."""
+    values = np.ravel(values)
+    i = int(pick(values))
+    passed = bool(passes(values[i]))
+    return CheckReport(name, passed, float(values[i]),
+                       None if passed else witness(i), n)
+
+
+def _one_line_each(name, hits, points, n):
+    """The report of a search check: each sampled point must lie on exactly
+    one star line.  The first that does not is the witness, with its number
+    of lines as max_residual; otherwise max_residual is the largest hit
+    residual."""
+    one = np.array([len(h) == 1 for h in hits])
+    if not one.all():
+        i = int(np.argmin(one))
+        return CheckReport(name, False, float(len(hits[i])), tuple(points[i]),
+                           n)
+    return CheckReport(name, True, float(max((h[0].residual for h in hits),
+                                             default=0.0)), None, n)
+
+
 # ---------------------------------------------------------------------------
 # Star axiom checks
 
@@ -62,9 +89,8 @@ def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckRep
     check_sampling(n, tol)
     grid = fibonacci_sphere(n)
     res = np.linalg.norm(star.sigma(star.sigma(grid)) - grid, axis=-1)
-    i = int(np.argmax(res))
-    return CheckReport("involution", bool(res[i] < tol), float(res[i]),
-                       tuple(grid[i]) if res[i] >= tol else None, n)
+    return _worst("involution", res, lambda r: r < tol,
+                  lambda i: tuple(grid[i]), n)
 
 
 def check_fixed_point_free(star: GlStar, n: int = 1000) -> CheckReport:
@@ -75,10 +101,8 @@ def check_fixed_point_free(star: GlStar, n: int = 1000) -> CheckReport:
     check_sampling(n)
     grid = fibonacci_sphere(n)
     disp = np.linalg.norm(star.sigma(grid) - grid, axis=-1)
-    i = int(np.argmin(disp))
-    m = _FIXED_POINT_MARGIN
-    return CheckReport("fixed_point_free", bool(disp[i] > m), float(disp[i]),
-                       tuple(grid[i]) if disp[i] <= m else None, n)
+    return _worst("fixed_point_free", disp, lambda d: d > _FIXED_POINT_MARGIN,
+                  lambda i: tuple(grid[i]), n, pick=np.argmin)
 
 
 def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
@@ -165,15 +189,8 @@ def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
     """Every sampled exterior point must lie on exactly one star line."""
     check_sampling(n_points, tol, seed)
     W = exterior_samples(n_points, seed=seed)
-    hits = StarLineSearch(star).find_batch(W, tol=tol)
-    counts = np.array([len(h) for h in hits])
-    bad = np.nonzero(counts != 1)[0]
-    max_res = max((h[0].residual for h in hits if h), default=0.0)
-    if bad.size:
-        i = int(bad[0])
-        return CheckReport("coverage", False, float(counts[i]),
-                           tuple(W[i]), n_points)
-    return CheckReport("coverage", True, float(max_res), None, n_points)
+    return _one_line_each("coverage", StarLineSearch(star).find_batch(W, tol=tol),
+                          W, n_points)
 
 
 def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
@@ -181,36 +198,30 @@ def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
     """sigma commutes with rotations about Z on random (theta, q)."""
     check_sampling(n, tol, seed)
     q, th, res = rotation_defect(star.sigma, n, seed)
-    i = int(np.argmax(res))
-    return CheckReport("rotational", bool(res[i] < tol), float(res[i]),
-                       tuple(q[i]) + (float(th[i]),) if res[i] >= tol else None,
-                       n)
+    return _worst("rotational", res, lambda r: r < tol,
+                  lambda i: tuple(q[i]) + (float(th[i]),), n)
 
 
 def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
     """(i) every sampled star line meets Z; (ii) the reflection about the
-    plane y=0 commutes with sigma."""
+    plane y=0 commutes with sigma.  A tie between the two residuals goes to
+    the line sample, whose witness is its t."""
     check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     A, B = star.chord(t, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
     K = join_batch(A, B)
     kz = np.zeros(6)
     kz[2] = 1.0
-    pair = np.abs(klein_form_batch(K, kz)) / np.linalg.norm(K, axis=1)
+    # a chord with coincident endpoints has K = 0 and a NaN residual, which
+    # fails the check
+    with np.errstate(invalid="ignore"):
+        pair = np.abs(klein_form_batch(K, kz)) / np.linalg.norm(K, axis=1)
     grid = fibonacci_sphere(n)
     zeta = np.array([1.0, -1.0, 1.0])
     comm = np.linalg.norm(star.sigma(grid * zeta) - star.sigma(grid) * zeta,
                           axis=-1)
-    res = max(float(np.max(pair)), float(np.max(comm)))
-    if np.max(pair) >= np.max(comm):
-        i = int(np.argmax(pair))
-        witness = (float(t[i]),)
-    else:
-        i = int(np.argmax(comm))
-        witness = tuple(grid[i])
-    passed = res < tol
-    return CheckReport("axial", bool(passed), res,
-                       witness if not passed else None, n)
+    return _worst("axial", np.concatenate([pair, comm]), lambda r: r < tol,
+                  lambda i: (float(t[i]),) if i < n else tuple(grid[i - n]), n)
 
 
 def check_symmetric(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
@@ -218,10 +229,8 @@ def check_symmetric(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckRepor
     check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     m = star.sigma(meridian_point(t))
-    res = np.abs(m[:, 2] + t)
-    i = int(np.argmax(res))
-    return CheckReport("symmetric", bool(res[i] < tol), float(res[i]),
-                       (float(t[i]),) if res[i] >= tol else None, n)
+    return _worst("symmetric", np.abs(m[:, 2] + t), lambda r: r < tol,
+                  lambda i: (float(t[i]),), n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,37 +290,28 @@ def check_pz_monotone(t_fn, s_fn, z_grid=None,
                       tol: float = 1e-12) -> CheckReport:
     """The covering profile p_z(a) = (a^2+1)/a^2 (z - t(a))(z + s(a)) must be
     strictly decreasing on (0, a_z) for every z != 0, where a_z bounds the
-    interval on which p_z is positive."""
-    from .functions import as_fn1
+    interval on which p_z is positive.  All heights z are sampled in one
+    (z, a) grid of _PZ_SAMPLES slopes each."""
     t_fn = as_fn1(t_fn, (0.0, np.inf))
     s_fn = as_fn1(s_fn, (0.0, np.inf))
     if z_grid is None:
         base = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.2, 1.5])
         z_grid = np.concatenate([base, -base])
-    worst = -np.inf
-    witness = None
-    total = 0
-    for z in np.asarray(z_grid, float):
-        if z == 0.0:
-            continue
-        if abs(z) >= 1.0:
-            a_hi = 1e4
-        elif z > 0.0:
-            a_hi = float(t_fn.inverse(z)) * (1.0 - 1e-9)
-        else:
-            a_hi = float(s_fn.inverse(-z)) * (1.0 - 1e-9)
-        a = np.geomspace(1e-4, a_hi, _PZ_SAMPLES)
-        vals = (a * a + 1.0) / (a * a) * (z - np.asarray(t_fn(a), float)) \
-            * (z + np.asarray(s_fn(a), float))
-        d = np.diff(vals)
-        total += a.size
-        i = int(np.argmax(d))
-        if d[i] > worst:
-            worst = float(d[i])
-            witness = (float(z), float(a[i]))
-    passed = worst < tol
-    return CheckReport("pz_monotone", bool(passed), worst,
-                       witness if not passed else None, total)
+    z = np.asarray(z_grid, float)
+    z = z[z != 0.0]
+    check_sampling(z.size)
+    a_hi = np.full(z.shape, 1e4)
+    up, down = (0.0 < z) & (z < 1.0), (-1.0 < z) & (z < 0.0)
+    a_hi[up] = t_fn.inverse(z[up]) * (1.0 - 1e-9)
+    a_hi[down] = s_fn.inverse(-z[down]) * (1.0 - 1e-9)
+    a = np.geomspace(1e-4, a_hi, _PZ_SAMPLES, axis=1)
+    zc = z[:, None]
+    vals = (a * a + 1.0) / (a * a) * (zc - np.asarray(t_fn(a), float)) \
+        * (zc + np.asarray(s_fn(a), float))
+    d = np.diff(vals, axis=1)
+    w = d.shape[1]
+    return _worst("pz_monotone", d, lambda v: v < tol,
+                  lambda i: (float(z[i // w]), float(a[i // w, i % w])), a.size)
 
 
 # ---------------------------------------------------------------------------

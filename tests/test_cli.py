@@ -215,6 +215,51 @@ def test_export_bytes_are_pinned(tmp_path, name, kind):
     assert digest == EXPORT_SHA256[name, kind]
 
 
+def _star_set_configs():
+    """The configs of the benchmark's seven stars (bench/run.py), seed 0."""
+    knots = np.linspace(0.0, np.pi / 2, 33)
+    return {
+        "clifford": '{"family":"clifford"}',
+        "symmetric": '{"family":"symmetric","a":{"kind":"moebius01"}}',
+        "fg": '{"family":"fg","f":{"kind":"power","p":2},'
+              '"g":{"kind":"affine","a":1,"b":-1},"eps":-1}',
+        "builtin": BUILTIN_CFG,
+        "latitudinal": json.dumps({"family": "latitudinal", "mu": {
+            "kind": "table", "knots": knots.tolist(),
+            "values": (knots ** 2 * (2.0 / np.pi)).tolist()}}),
+        "parabola": _parabola_cfg(),
+        "clifford-off": '{"family":"clifford","center":[0.5,0,0]}',
+    }
+
+
+# sha256 of the verify report of each star of the benchmark's set at the
+# default samples and seed 0: any change to a check or to the report's text
+# that moves a byte fails
+VERIFY_SHA256 = {
+    "clifford":
+        "5feb7189fd111e0721ef0083058c47055a81c376a6a01e8b475aa01ff6697c6c",
+    "symmetric":
+        "3c741f3c62eead6f894aaff8ac8025b8b0ef8dda939eb2470d61e3f6725c8e21",
+    "fg": "dc33b9d5506d3b0863de80d87b3a790844ee4e8d8a5185388a9b9400ef482a2b",
+    "builtin":
+        "ddb613596c942b371fde3c8f28c924262bbea589739c531dea3aded8432884fc",
+    "latitudinal":
+        "29c51050604ed3c9fbef6a81339d3bc92ae95678bde9db736cbb6c3dee1244be",
+    "parabola":
+        "b5d1e441d0f182ed7f3686e1ac86c85da0f9e70f20842916abf6d25e5268476c",
+    "clifford-off":
+        "5e6ab0a1577cf2881ae851b7373e5330d30bf0bc63668203fcdc186642721005",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_verify_reports_are_pinned(name):
+    out = io.StringIO()
+    assert cmd_verify(parse_config(_star_set_configs()[name]), out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == VERIFY_SHA256[name]
+
+
 def _per_value_text(rows, field, sep, prefix):
     """The writer's text, one value at a time."""
     render = cli._g17 if field == "{:.17g}" else str
@@ -433,6 +478,25 @@ def test_main_parallel_rejects_non_finite_coordinates(tmp_path, capsys, query,
     assert text.startswith(f"CONFIG ERROR: {field}: expected x,y,z")
     assert text.count("\n") == 1
     assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"family":"symmetric","a":{"kind":"power","p":NaN}}', "symmetric.a"),
+    ('{"family":"fg","f":{"kind":"power","p":NaN},'
+     '"g":{"kind":"affine","a":1,"b":-1}}', "fg.f"),
+    ('{"family":"fg","f":{"kind":"power","p":2},'
+     '"g":{"kind":"affine","a":NaN,"b":-1}}', "fg.g"),
+    ('{"family":"param","t":{"kind":"phi_r","r":NaN},'
+     '"s":{"kind":"phi_r","r":2}}', "param.t"),
+], ids=["symmetric-a", "fg-f", "fg-g", "param-t"])
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_main_rejects_nan_function_parameters(tmp_path, capsys, command, text,
+                                              field):
+    assert main([command, "--config", _config_file(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"CONFIG ERROR: {field}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_zero_samples_is_not_replaced_by_defaults(tmp_path):

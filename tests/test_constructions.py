@@ -328,6 +328,42 @@ def test_param_root_count_witness_is_plain_floats(monkeypatch):
     assert len(calls) == 1
 
 
+def _nan_on(fn, lo, hi):
+    """fn with NaN values on the open interval (lo, hi)."""
+    def f(x):
+        x = np.asarray(x, float)
+        return np.where((lo < x) & (x < hi), np.nan, fn(x))
+    return f
+
+
+_ZERO = lambda a: np.zeros_like(np.asarray(a, float))  # noqa: E731
+
+
+@pytest.mark.parametrize("build,message,witness", [
+    (lambda: symmetric_star(_nan_on(lambda t: t / (1.0 - t), 0.5, 0.6)),
+     "a is not increasing", 0.4995121951219512),
+    (lambda: fg_star(_nan_on(lambda t: t * t, 0.5, 0.6), affine(1, -1)),
+     "f is not increasing", 0.4995112414467253),
+    (lambda: fg_star(power(2), _nan_on(lambda t: t - 1.0, 0.5, 0.6)),
+     "g must be non-decreasing", 0.4995112414467253),
+    (lambda: latitudinal(pencil_from_mu(as_fn1(
+        _nan_on(lambda x: 2.0 * x * x / np.pi, 0.5, 0.6),
+        domain=(0.0, np.pi / 2)))),
+     "mu is not increasing", 0.4990310911127482),
+    (lambda: param_star(_nan_on(phi_r(1.5), 2.0, 3.0), phi_r(2.0)),
+     "t is not increasing", 1.9925669192497573),
+    (lambda: eqn_star(_nan_on(_ZERO, 2.0, 3.0), _ZERO),
+     "(1): b^2 + c^2 < a^2 fails", 2.04717325352609),
+], ids=["symmetric", "fg-f", "fg-g", "latitudinal", "param", "eqn"])
+def test_a_nan_valued_function_fails_its_hypothesis(build, message, witness):
+    # a NaN comparison is False, so it fails what must hold, at the grid
+    # point before the NaN stretch
+    with pytest.raises(ConditionFailed) as err:
+        build()
+    assert err.value.condition == message
+    assert err.value.witness == witness
+
+
 def test_symmetric_rejects_the_tabulated_wrong_limit():
     # a(t) = 2t / sqrt(1 - t^2) tabulated: t^2 (1 + a^2) / a^2 -> 1/4
     t = np.array([0.0, 1e-4, 1e-3, 1e-2, *np.linspace(0.05, 0.95, 19),

@@ -4,6 +4,7 @@ import pytest
 from glstar.errors import ConditionFailed, ConfigError, InvalidInput
 from glstar.functions import (
     TabulatedInverse,
+    _require,
     affine,
     as_fn1,
     bracket_roots,
@@ -216,6 +217,35 @@ def test_from_spec():
         from_spec({"kind": "nope"})
     with pytest.raises(ConfigError):
         from_spec({"kind": "phi_r"})  # missing r
+
+
+@pytest.mark.parametrize("ok,witnesses,expected", [
+    (np.array([True, False]), np.array([0.25, 0.5]), 0.5),
+    ([True, True, False], range(3), 2),
+    (np.array([True, False]), np.array([[0.1, 0.2], [0.3, 0.4]]), (0.3, 0.4)),
+    (np.float64(np.nan) <= 1.0, (np.float64(0.5), np.float64(1.5)), (0.5, 1.5)),
+    (np.float64(2.0) <= 1.0, np.float64(2.0), 2.0),
+    (False, None, None),
+])
+def test_require_reports_plain_witnesses(ok, witnesses, expected):
+    with pytest.raises(ConditionFailed) as err:
+        _require(ok, "cond", witnesses)
+    w = err.value.witness
+    assert w == expected and type(w) is type(expected)
+    if isinstance(w, tuple):
+        assert all(type(v) is float for v in w)
+    text = str(err.value)
+    assert text == ("cond" if w is None else f"cond (witness: {expected})")
+    assert "np." not in text and "array" not in text
+
+
+def test_require_fails_on_nan():
+    # a hypothesis written as what must hold is False on NaN
+    v = np.array([0.0, 0.3, np.nan, 0.9])
+    _require(np.diff(v[:2]) > 0.0, "increasing", v)
+    with pytest.raises(ConditionFailed) as err:
+        _require(np.diff(v) > 0.0, "increasing", v)
+    assert err.value.witness == 0.3
 
 
 def test_check_increasing():

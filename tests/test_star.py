@@ -211,6 +211,34 @@ def test_sigma_rejects_off_sphere():
         star.sigma(np.array([2.0, 0.0, 0.0]))
 
 
+
+@pytest.mark.parametrize("make", [
+    clifford, lambda: symmetric_star(moebius01()),
+    lambda: fg_star(power(2), affine(1, -1))])
+@pytest.mark.parametrize("q", [[np.nan, 0.0, 0.0],
+                               [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]])
+def test_sigma_rejects_nan_points(make, q):
+    with pytest.raises(InvalidInput):
+        make().sigma(np.array(q))
+
+
+@pytest.mark.parametrize("kind,a,c", [("cone", np.nan, 0.0),
+                                      ("hyperboloid", 1.0, np.nan)])
+def test_surface_entry_rejects_nan_coefficients(kind, a, c):
+    with pytest.raises(InvalidInput):
+        SurfaceEntry(kind, a=a, c=c)
+
+
+def test_rotational_sigma_rejects_a_nan_height():
+    def mer(t):
+        t = np.atleast_1d(np.asarray(t, float))
+        return meridian_point(np.where((t > 0.5) & (t < 0.6), np.nan, -t))
+
+    with pytest.raises(EvalError, match="not decreasing"):
+        RotationalSigma(RotationalProfile.from_meridian(mer),
+                        t_of_z=lambda z: -np.asarray(z, float))
+
+
 # --- line_through -------------------------------------------------------------
 
 

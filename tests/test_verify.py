@@ -306,6 +306,14 @@ def test_pz_monotone_z_above_one():
     assert r.passed
 
 
+def test_pz_monotone_fails_on_a_rising_profile():
+    # phi_0.3 rises much faster than phi_5: p_z increases at z = 1.5
+    r = check_pz_monotone(phi_r(0.3), phi_r(5.0))
+    assert not r.passed and r.max_residual > 0.0
+    assert r.witness == (1.5, 44.366873309786065)
+    assert r.samples_used == 14 * 256
+
+
 def test_pz_monotone_symmetric():
     r = check_pz_monotone(phi_r(1.5), phi_r(1.5))
     assert r.passed
@@ -412,6 +420,16 @@ def test_every_check_fails_on_its_known_bad_star(name):
     [report] = run_star_checks(KNOWN_BAD[name](), checks=[name])
     assert report.name == name
     assert not report.passed and report.witness is not None
+
+
+@pytest.mark.parametrize("make", [vertical_chord_star, near_identity_star])
+def test_axial_names_the_line_sample_with_a_nan_residual(make):
+    # the chord at t = 0 has coincident endpoints: its line residual is NaN,
+    # which fails and is the witness, not a reflection sample
+    report = check_axial(make())
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.witness == (0.0,)
+    assert report.render().endswith(" witness=0")
 
 
 def test_run_star_checks_reaches_klein_checks():
