@@ -32,7 +32,7 @@ from .errors import (
 )
 from .functions import from_spec
 from .projgeom import PLine, QuadricForm, join, line_points, line_sphere_intersect
-from .star import Handedness, surface_mesh
+from .star import Handedness, homogenize, surface_mesh
 
 FAMILIES = ("clifford", "symmetric", "fg", "eqn", "param", "latitudinal",
             "parabola")
@@ -280,7 +280,8 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
         if hfd:
             p = par.make_parallelism(star)
             rows = _line_rows(star, n)
-            spans = p.hfd.span_at(rows[:, 0], rows[:, 1])
+            spans = p.hfd.polar(homogenize(rows[:, 2:5]),
+                                homogenize(rows[:, 5:]))
             with open(hfd, "w", newline="\n") as fh:
                 fh.write("t,theta," +
                          ",".join(f"a{i}" for i in range(1, 7)) + "," +

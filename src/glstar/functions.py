@@ -16,6 +16,7 @@ that could merge with a neighbour, which on a valid star is none.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,10 +54,18 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
     end).  Its root is the end with the smaller |fn|, which is also the
     answer of a bracket without a sign change, such as a target outside a
     table's range.  Done brackets leave the batch, so each step works on the
-    open ones only.
+    open ones only.  One open bracket, as a single-point search has, takes
+    the same steps in Python floats (``_illinois_one``), without numpy's
+    cost per call on one-element arrays.
     """
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
     i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
+    if i.size == 1:
+        j = i[0]
+        root[j] = _illinois_one(
+            lambda x: float(np.asarray(fn(np.array([x]), i), float)[0]),
+            float(lo[j]), float(hi[j]), float(flo[j]), float(fhi[j]), rtol)
+        return root
     a, fa, b, fb = lo[i], flo[i], hi[i], fhi[i]
     ga = fa  # a's own value; fa is the one the secant sees
     w1 = w2 = w3 = np.full(i.size, np.inf)  # widths one to three steps back
@@ -88,6 +97,37 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
         b, fb = x, fx
         w1, w2, w3 = w, w1, w2
     return root
+
+
+def _illinois_one(f, a, b, fa, fb, rtol):
+    """_illinois on one bracket [a, b] with end values fa, fb of opposite
+    signs, and f evaluating its function at a float: each float operation
+    of the batched step in the same order, so the root has the same bits.
+    The ends stay finite: a secant point is computed only from a finite df,
+    which is never 0 (fa is NaN or of the other sign than fb, and fb = 0
+    ends the bracket), so that |fb / df| <= 1."""
+    ga = fa
+    w1 = w2 = w3 = math.inf
+    while True:
+        # np.minimum and np.maximum give the second argument on a tie
+        lo, hi = (a if a < b else b), (a if a > b else b)
+        w, tol = hi - lo, rtol * max(1.0, abs(hi))
+        if fb == 0.0 or not w > tol:
+            return a if abs(ga) < abs(fb) else b
+        df = fb - fa
+        if w > 0.5 * w3 or not math.isfinite(df):
+            x = 0.5 * (lo + hi)
+        else:
+            x = b - fb * (b - a) / df
+        half = 0.5 * tol
+        x = lo + half if x <= lo else hi - half if x >= hi else x
+        fx = f(x)
+        if (fx < 0.0) != (fb < 0.0):
+            a, ga, fa = b, fb, fb
+        else:
+            fa = 0.5 * fa
+        b, fb = x, fx
+        w1, w2, w3 = w, w1, w2
 
 
 def _root_candidates(v):

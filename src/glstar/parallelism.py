@@ -105,9 +105,15 @@ class HfdLineSet:
 
     def span_at(self, t, theta=0.0):
         """Spanning pairs of H(t, theta) in R^6, shape (n, 2, 6)."""
-        t = np.atleast_1d(np.asarray(t, float))
-        th = np.broadcast_to(np.asarray(theta, float), t.shape)
-        A, B = self.es.star.chord(t, th)
+        return self.polar(*self.es.star.chord(t, theta))
+
+    def polar(self, A, B):
+        """Spanning pairs in R^6, shape (n, 2, 6), of the H-lines of the
+        star chords A v B given by their homogeneous endpoints, rows of
+        shape (n, 4) or one (4,) pair: each chord's polar within U."""
+        A, B = np.atleast_2d(A, B)
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+            raise EvalError("star chord with a non-finite endpoint")
         # polar within U of span{A, B}: null directions of the 2x4 pairing,
         # the last two right singular vectors when the chord has rank 2
         d = [1, 2, 3, 0]
@@ -115,7 +121,7 @@ class HfdLineSet:
                                           axis=1))
         if np.any(s[:, 1] <= 1e-10 * s[:, 0]):
             raise EvalError("star chord with coincident endpoints")
-        ext = np.zeros((t.size, 2, 6))
+        ext = np.zeros((A.shape[0], 2, 6))
         ext[:, :, :4] = vt[:, 2:]
         return ext @ _D.T
 
@@ -223,8 +229,7 @@ def parallel_class_of(par: Parallelism, L, tol: float = 1e-8) -> ParallelClass:
     if len(hits) > 1:
         raise HfdViolation(
             f"{len(hits)} H-lines found in one tangent hyperplane")
-    h = par.hfd.span_at(hits[0].t, hits[0].theta)[0]
-    return class_from_hfd_line(par.es, h)
+    return class_from_hfd_line(par.es, par.hfd.polar(hits[0].A, hits[0].B)[0])
 
 
 def parallel_through(par: Parallelism, p, L, tol: float = 1e-8) -> PLine:

@@ -45,12 +45,16 @@ _ROTATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LineHit:
-    """One located star line: parameters, residual, Plücker coordinates."""
+    """One located star line: parameters, residual, Plücker coordinates
+    and the homogeneous endpoints (A, B) = star.chord(t, theta) of its
+    chord, evaluated once by the search."""
 
     t: float
     theta: float
     residual: float
     k: np.ndarray  # (6,)
+    A: np.ndarray  # (4,)
+    B: np.ndarray  # (4,)
 
 
 def _frames(A, B):
@@ -171,7 +175,7 @@ class StarLineSearch:
         out = [[] for _ in range(W.shape[0])]
         for j in sorted(np.nonzero(res < tol)[0], key=res.__getitem__):
             out[owner[j]].append(LineHit(float(t[j]), float(theta[j]),
-                                         float(res[j]), K[j]))
+                                         float(res[j]), K[j], A[j], B[j]))
         return out
 
     def find(self, w, tol: float = 1e-8):

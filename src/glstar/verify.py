@@ -85,10 +85,16 @@ def _one_line_each(name, hits, points, n):
 
 
 def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckReport:
-    """max |sigma(sigma(q)) - q| over a Fibonacci sphere grid."""
+    """max |sigma(sigma(q)) - q| over a Fibonacci sphere grid.  sigma is
+    applied again only to the finite images; a non-finite one is a NaN
+    residual, which fails the check."""
     check_sampling(n, tol)
     grid = fibonacci_sphere(n)
-    res = np.linalg.norm(star.sigma(star.sigma(grid)) - grid, axis=-1)
+    image = star.sigma(grid)
+    finite = np.all(np.isfinite(image), axis=1)
+    res = np.full(n, np.nan)
+    res[finite] = np.linalg.norm(star.sigma(image[finite]) - grid[finite],
+                                 axis=-1)
     return _worst("involution", res, lambda r: r < tol,
                   lambda i: tuple(grid[i]), n)
 
@@ -110,7 +116,9 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     """Sampled line pairs may only meet inside the sphere (or on it, at a
     shared sphere point).
 
-    Pairs are flagged as meeting when their Klein pairing vanishes within
+    Every pair must have a finite Klein pairing: the first that does not
+    is the witness (t, s, theta) and its pairing the max_residual.  Pairs
+    are flagged as meeting when their Klein pairing vanishes within
     tol times the product of norms; ``lines_meet_point`` finds the meeting
     points W of all flagged pairs in one closed-form pass.  A meet with
     sphere value W^T S W / |W|^2 above 0 is a violation unless it lies on
@@ -127,6 +135,11 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     K1 = join_batch(A1, B1)
     K2 = join_batch(A2, B2)
     g = klein_form_batch(K1, K2)
+    finite = np.isfinite(g)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        return CheckReport("no_exterior_meet", False, float(g[i]),
+                           (float(t[i]), float(s[i]), float(th[i])), n_pairs)
     norms = np.linalg.norm(K1, axis=1) * np.linalg.norm(K2, axis=1)
     flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))[0]
     pairs = flagged[~_same_line(K1[flagged], K2[flagged])]

@@ -72,3 +72,16 @@ def near_identity_star():
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
     return GlStar("near-identity", sig)
+
+
+def nan_capped_star():
+    """Clifford's sigma, but NaN on the cap z > 0.9: the star lines from
+    that cap have no finite endpoint."""
+    base = clifford()
+
+    def sig(q):
+        out = np.array(base.sigma(q), float)
+        out[np.asarray(q, float)[..., 2] > 0.9] = np.nan
+        return out
+
+    return GlStar("nan-capped", sig)

@@ -261,8 +261,8 @@ class GridSearch:
         out = [[] for _ in range(W.shape[0])]
         for i in range(W.shape[0]):
             sel = np.nonzero((owners == i) & (res < tol))[0]
-            hits = [LineHit(float(t[j]), float(theta[j]), float(res[j]), K[j])
-                    for j in sel]
+            hits = [LineHit(float(t[j]), float(theta[j]), float(res[j]), K[j],
+                            A[j], B[j]) for j in sel]
             out[i] = _cluster(hits)
         return out
 

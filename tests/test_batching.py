@@ -225,3 +225,43 @@ def test_batched_root_counts_synthetic():
                                  + P[k, 2], n_probes=3)
     assert counts.tolist() == [0, 1, 2]
     assert [positive_root_count(row) for row in P] == [0, 1, 2]
+
+
+def _illinois_brackets(rng, n):
+    """n brackets of assorted functions fn(x, i): steep and flat cubics,
+    a crawling flat stretch, infinite end values, a NaN hole and an end
+    that is a root; with their ends and end values."""
+    r = rng.uniform(0.05, 0.95, n)
+    s = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    kind = np.arange(n) % 6
+    lo, hi = np.zeros(n), np.ones(n)
+    lo[kind == 3], hi[kind == 3] = 0.0, 2.0
+    lo[kind == 5] = r[kind == 5]
+
+    def fn(x, i):
+        x, k, ri, si = np.asarray(x, float), kind[i], r[i], s[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.select(
+                [k == 0, k == 1, k == 2, k == 3, k == 4],
+                [si * (x - ri) ** 3,
+                 si * (x - ri) ** 9 + 1e-300 * si,
+                 np.where(x < ri, -1e-300, 0.8 * x - 0.8 * ri),
+                 np.log(x) - np.log(2.0 - x) - si / 1e3,
+                 np.where(np.abs(x - ri) < 0.01, np.nan, x - ri)],
+                si * (x - ri))
+
+    i = np.arange(n)
+    return fn, lo, hi, fn(lo, i), fn(hi, i)
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 2e-15, 1e-15])
+def test_one_bracket_equals_its_row_of_a_batch(rtol):
+    # one open bracket is refined in Python floats, a batch in numpy: both
+    # give each root the same bits
+    from glstar.functions import _illinois
+    fn, lo, hi, flo, fhi = _illinois_brackets(np.random.default_rng(4), 240)
+    batch = _illinois(fn, lo, hi, flo, fhi, rtol)
+    rows = [_illinois(lambda x, i, j=j: fn(x, np.full(np.shape(i), j)),
+                      lo[j:j + 1], hi[j:j + 1], flo[j:j + 1], fhi[j:j + 1],
+                      rtol)[0] for j in range(lo.size)]
+    np.testing.assert_array_equal(batch, rows)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,26 @@ def test_export_hfd_csv(tmp_path):
     assert len(rows[1].split(",")) == 14
 
 
+def test_export_hfd_evaluates_sigma_once(tmp_path, monkeypatch):
+    # one sigma pass over the grid: the rows and the H-lines share it
+    calls = []
+
+    def build(cfg):
+        star = build_star(cfg)
+
+        def sigma_fn(q):
+            calls.append(np.shape(q))
+            return star.sigma_fn(q)
+
+        return replace(star, sigma_fn=sigma_fn)
+
+    monkeypatch.setattr(cli, "build_star", build)
+    cfg = parse_config(BUILTIN_CFG)
+    assert cmd_export(cfg, hfd=str(tmp_path / "hfd.csv"),
+                      out=io.StringIO()) == 0
+    assert calls == [(512, 3)]
+
+
 def test_export_unwritable_path(capsys):
     cfg = parse_config('{"family":"clifford"}')
     out = io.StringIO()
@@ -258,6 +279,50 @@ def test_verify_reports_are_pinned(name):
     assert cmd_verify(parse_config(_star_set_configs()[name]), out=out) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == VERIFY_SHA256[name]
+
+
+def _parallel_queries():
+    """(--line, --point) texts: the benchmark's fixed query, then four
+    random affine lines and points."""
+    def text(*points):
+        return ";".join(",".join(repr(v) for v in p.tolist()) for p in points)
+
+    rng = np.random.default_rng(7)
+    drawn = [rng.normal(size=(3, 3)) for _ in range(4)]
+    return [("0.16544,0.119572,-0.168525;-0.472403,1.092162,-0.405832",
+             "-0.037437,0.588276,-0.462042"),
+            *[(text(a, b), text(p)) for a, b, p in drawn]]
+
+
+# sha256 of the exit codes and standard output of ``glstar parallel`` over
+# _parallel_queries() on each star of the benchmark's set: any change to the
+# search, the H-lines or the spread line that moves an answer byte fails
+PARALLEL_SHA256 = {
+    "clifford":
+        "6ee335ecedbbc921d49641b10c69190c7ffea4c3a01acdd79ee91cefe173122e",
+    "symmetric":
+        "a539b6e78406af5d56534fab3b90dd2b22085b1bd4ec6c06c34b46081ced755f",
+    "fg": "5e7a0c1902cb61fff66b997dfa8c155bafe5bb2fa2a073b248149e1227a61491",
+    "builtin":
+        "c91cb44415455e61d62faed4b7362d86a55b6f4279f3ab545f9d63c7a3fb34bd",
+    "latitudinal":
+        "8c0f2260772f88041187a8d540c196c8b2271f23138843e3e3e9bbed08576863",
+    "parabola":
+        "6c45f3f992d7000a703cd6730a17732706cc7b6790bb489f19a2f3747a2a89f7",
+    "clifford-off":
+        "15acffab805731d6ae7533a391d848f019b1b1840d92e304590bff082b9636af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_SHA256))
+def test_parallel_answers_are_pinned(tmp_path, capsys, name):
+    cfg = _config_file(tmp_path, _star_set_configs()[name])
+    text = ""
+    for line, point in _parallel_queries():
+        code = main(["parallel", "--config", cfg, f"--line={line}",
+                     f"--point={point}"])
+        text += f"{code}\n{capsys.readouterr().out}"
+    assert hashlib.sha256(text.encode()).hexdigest() == PARALLEL_SHA256[name]
 
 
 def _per_value_text(rows, field, sep, prefix):

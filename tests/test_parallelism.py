@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from glstar.constructions import builtin_example, clifford, symmetric_star
 from glstar.errors import (
     DegenerateMeet,
+    EvalError,
     HfdViolation,
     InvalidInput,
     NotZeroSecant,
@@ -42,9 +44,9 @@ from glstar.projgeom import (
     signature_on,
 )
 from glstar.search import StarLineSearch
-from glstar.verify import check_coverage
+from glstar.verify import check_coverage, run_star_checks
 
-from bad_stars import apex_star, exterior_center_star
+from bad_stars import apex_star, exterior_center_star, nan_capped_star
 from meet_reference import alpha_plane_spread_line
 
 KLEIN = QuadricForm.klein()
@@ -536,6 +538,70 @@ def test_non_rotational_star_without_structure_fails_search():
         check_coverage(star)
     with pytest.raises(SearchFailed):
         parallel_class_of(fake, Z_AXIS)
+
+
+# --- one chord per located star line ----------------------------------------
+
+
+def test_class_from_the_hit_chord_equals_span_at(seven_stars):
+    # the chord the search located gives, bit for bit, the H-line that
+    # span_at evaluates again from the hit's (t, theta); random lines as
+    # in check_hfd
+    K = join_batch(*np.random.default_rng(0).normal(size=(2, 20, 4)))
+    for name, star in seven_stars.items():
+        P = make_parallelism(star)
+        for k in K:
+            hits = P.search.find(P.es.project_sphere_coords(k))
+            assert len(hits) == 1, name
+            ref = class_from_hfd_line(
+                P.es, P.hfd.span_at(hits[0].t, hits[0].theta)[0])
+            np.testing.assert_array_equal(parallel_class_of(P, k).h_span,
+                                          ref.h_span, err_msg=name)
+
+
+def test_span_at_is_the_polar_of_the_chord(seven_stars):
+    rng = np.random.default_rng(5)
+    t, theta = rng.random(64), rng.uniform(0.0, 2.0 * np.pi, 64)
+    for name, star in seven_stars.items():
+        hfd = make_parallelism(star).hfd
+        np.testing.assert_array_equal(hfd.span_at(t, theta),
+                                      hfd.polar(*star.chord(t, theta)),
+                                      err_msg=name)
+
+
+def counting_sigma(star):
+    """The star with a sigma that records each call, and the record."""
+    calls = []
+
+    def sigma_fn(q):
+        calls.append(np.shape(q))
+        return star.sigma_fn(q)
+
+    return replace(star, sigma_fn=sigma_fn), calls
+
+
+@pytest.mark.parametrize("name,n_calls", [
+    ("builtin", 2), ("symmetric", 2), ("clifford", 1)])
+def test_parallel_query_sigma_calls(seven_stars, name, n_calls):
+    # the profile path evaluates sigma for its roots and for the located
+    # chord, the centre path for the chord only; the H-line reuses it
+    star, calls = counting_sigma(seven_stars[name])
+    P = make_parallelism(star)
+    rng = np.random.default_rng(2)
+    L = join(*rng.normal(size=(2, 4)))
+    parallel_through(P, rng.normal(size=4), L)
+    assert len(calls) == n_calls
+
+
+def test_non_finite_chord_is_an_eval_error():
+    # a NaN endpoint reaches no SVD: the Klein checks and the dimension
+    # raise EvalError
+    star = nan_capped_star()
+    for check in ("zero_secants", "torus_fixes_classes"):
+        with pytest.raises(EvalError, match="non-finite"):
+            run_star_checks(star, checks=[check])
+    with pytest.raises(EvalError, match="non-finite"):
+        dim_parallelism(make_parallelism(star).hfd)
 
 
 # --- torus action -----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from glstar.errors import EvalError, InvalidInput
 from glstar.functions import affine, as_fn1, moebius01, phi_r, power
 from glstar.projgeom import lines_meet_point, projective_distance
 from glstar.search import StarLineSearch
-from glstar.star import GlStar
+from glstar.star import GlStar, fibonacci_sphere
 from glstar.verify import (
     check_axial,
     check_coverage,
@@ -36,6 +36,7 @@ from bad_stars import (
     apex_star,
     corrupted_involution_star,
     exterior_center_star,
+    nan_capped_star,
     near_identity_star,
     vertical_chord_star,
 )
@@ -67,6 +68,17 @@ def test_involution_corrupted_fails_with_witness():
     assert not r.passed and r.witness is not None
 
 
+def test_involution_fails_at_the_first_non_finite_image():
+    # sigma is applied again only to finite images: no InvalidInput from a
+    # NaN fed back to sigma
+    star = nan_capped_star()
+    grid = fibonacci_sphere(1000)
+    first = int(np.argmax(grid[:, 2] > 0.9))
+    r = check_involution(star)
+    assert not r.passed and np.isnan(r.max_residual)
+    assert r.witness == tuple(grid[first])
+
+
 def test_fixed_point_free():
     r = check_fixed_point_free(clifford(), n=500)
     assert r.passed and np.isclose(r.max_residual, 2.0)
@@ -96,6 +108,20 @@ def test_no_exterior_meet_violation():
     w = np.asarray(r.witness[3:])
     w = w / w[0]
     assert np.allclose(w[1:], [1.5, 0, 0], atol=1e-6)
+
+
+def test_no_exterior_meet_fails_on_a_non_finite_pairing():
+    # the first pair with a chord from the NaN cap is the witness
+    star = nan_capped_star()
+    rng = np.random.default_rng(0)
+    t, s = rng.random(5000), rng.random(5000)
+    th = rng.uniform(0.0, 2.0 * np.pi, 5000)
+    i = int(np.argmax((t > 0.9) | (s > 0.9)))
+    r = check_no_exterior_meet(star)
+    assert not r.passed and np.isnan(r.max_residual)
+    assert r.witness == (t[i], s[i], th[i])
+    reports = run_star_checks(star, checks=["involution", "no_exterior_meet"])
+    assert [rep.passed for rep in reports] == [False, False]
 
 
 # (t, s, theta) of the first sampled pair: all pairs meet at (1.5, 0, 0)
