@@ -26,7 +26,6 @@ from .projgeom import (
     QuadricForm,
     Side,
     Subspace,
-    affine_point,
     join,
     klein_form,
     klein_lift,
@@ -89,12 +88,10 @@ from .parallelism import (
     check_zero_secants,
     class_from_hfd_line,
     dim_parallelism,
-    embed_star,
     make_parallelism,
     parallel_class_of,
     parallel_through,
     spread_line_through,
-    star_to_hfd,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

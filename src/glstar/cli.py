@@ -34,9 +34,6 @@ from .functions import from_spec
 from .projgeom import PLine, QuadricForm, join, line_points, line_sphere_intersect
 from .star import Handedness, homogenize, surface_mesh
 
-FAMILIES = ("clifford", "symmetric", "fg", "eqn", "param", "latitudinal",
-            "parabola")
-
 
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
@@ -55,11 +52,34 @@ class StarConfig:
     parabolas: list | None = None
 
 
+# What each star family reads besides family, tol, seed and samples: its
+# function fields, its other fields, and the builder of its StarConfig
+_FAMILIES = {
+    "clifford": ((), ("center",), lambda cfg: cons.clifford(cfg.center)),
+    "symmetric": (("a",), ("handedness",), lambda cfg: cons.symmetric_star(
+        cfg.fns["a"], handedness=cfg.handedness)),
+    "fg": (("f", "g"), ("eps",), lambda cfg: cons.fg_star(
+        cfg.fns["f"], cfg.fns["g"], eps=cfg.eps)),
+    "eqn": (("b", "c"), ("handedness",), lambda cfg: cons.eqn_star(
+        cfg.fns["b"], cfg.fns["c"], hand=cfg.handedness)),
+    "param": (("t", "s"), ("handedness",), lambda cfg: cons.param_star(
+        cfg.fns["t"], cfg.fns["s"], hand=cfg.handedness)),
+    "latitudinal": (("mu",), (), lambda cfg: cons.latitudinal(
+        cons.pencil_from_mu(cfg.fns["mu"]))),
+    "parabola": ((), ("parabolas", "handedness"), lambda cfg:
+                 cons.parabola_star(cons.ParabolaSeq(
+                     *(np.array(col) for col in zip(*cfg.parabolas))),
+                     hand=cfg.handedness)),
+}
+FAMILIES = tuple(_FAMILIES)
+_COMMON_KEYS = ("family", "tol", "seed", "samples")
+
+
 def parse_config(text: str) -> StarConfig:
     """Validate a JSON configuration.
 
     Semantic problems are collected and reported together, each prefixed
-    with its field path.
+    with its field path; a key the family does not read is one of them.
     """
     try:
         raw = json.loads(text)
@@ -71,6 +91,7 @@ def parse_config(text: str) -> StarConfig:
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}", field="family")
     cfg = StarConfig(family=family)
+    functions, others, _ = _FAMILIES[family]
     problems = []
 
     def bad(field, message):
@@ -96,18 +117,15 @@ def parse_config(text: str) -> StarConfig:
         ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     except InvalidInput as exc:
         problems.append(str(exc))
-    hand = raw.get("handedness", "right")
-    if hand not in ("left", "right"):
-        bad("handedness", "must be 'left' or 'right'")
-    else:
-        cfg.handedness = Handedness.LEFT if hand == "left" else Handedness.RIGHT
+    if "handedness" in others:
+        hand = raw.get("handedness", "right")
+        if hand not in ("left", "right"):
+            bad("handedness", "must be 'left' or 'right'")
+        else:
+            cfg.handedness = (Handedness.LEFT if hand == "left"
+                              else Handedness.RIGHT)
 
-    required = {
-        "clifford": (), "symmetric": ("a",), "fg": ("f", "g"),
-        "eqn": ("b", "c"), "param": ("t", "s"), "latitudinal": ("mu",),
-        "parabola": (),
-    }[family]
-    for name in required:
+    for name in functions:
         if name not in raw:
             bad(f"{family}.{name}", "missing")
             continue
@@ -116,7 +134,7 @@ def parse_config(text: str) -> StarConfig:
         except ConfigError as exc:
             problems.append(str(exc))
 
-    if family == "clifford":
+    if "center" in others:
         center = raw.get("center", [0.0, 0.0, 0.0])
         if (not isinstance(center, (list, tuple)) or len(center) != 3
                 or not all(isinstance(v, (int, float))
@@ -124,13 +142,13 @@ def parse_config(text: str) -> StarConfig:
             bad("center", "must be a 3-vector")
         else:
             cfg.center = tuple(float(v) for v in center)
-    if family == "fg":
+    if "eps" in others:
         eps = raw.get("eps", -1)
         if eps not in (-1, 1):
             bad("fg.eps", "must be -1 or 1")
         else:
             cfg.eps = float(eps)
-    if family == "parabola":
+    if "parabolas" in others:
         rows = raw.get("parabolas")
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, (list, tuple)) and len(r) == 3
@@ -140,28 +158,16 @@ def parse_config(text: str) -> StarConfig:
             bad("parabola.parabolas", "must be a list of [alpha, beta, gamma]")
         else:
             cfg.parabolas = [[float(v) for v in r] for r in rows]
+    for key in raw:
+        if key not in _COMMON_KEYS + functions + others:
+            bad(key, f"not read by the {family} family")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
 
 
 def build_star(cfg: StarConfig):
-    if cfg.family == "clifford":
-        return cons.clifford(cfg.center)
-    if cfg.family == "symmetric":
-        return cons.symmetric_star(cfg.fns["a"], handedness=cfg.handedness)
-    if cfg.family == "fg":
-        return cons.fg_star(cfg.fns["f"], cfg.fns["g"], eps=cfg.eps)
-    if cfg.family == "eqn":
-        return cons.eqn_star(cfg.fns["b"], cfg.fns["c"], hand=cfg.handedness)
-    if cfg.family == "param":
-        return cons.param_star(cfg.fns["t"], cfg.fns["s"], hand=cfg.handedness)
-    if cfg.family == "latitudinal":
-        return cons.latitudinal(cons.pencil_from_mu(cfg.fns["mu"]))
-    if cfg.family == "parabola":
-        seq = cons.ParabolaSeq(*(np.array(col) for col in zip(*cfg.parabolas)))
-        return cons.parabola_star(seq, hand=cfg.handedness)
-    raise ConfigError(f"unhandled family {cfg.family}")  # pragma: no cover
+    return _FAMILIES[cfg.family][2](cfg)
 
 
 def _build_or_report(cfg: StarConfig, out):
@@ -295,18 +301,18 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
     return 0
 
 
-def _parse_affine_point(text: str, field: str = "--point"):
+def _parse_point(text: str, field: str = "--point"):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3 or not all(np.isfinite(parts)):
         raise ConfigError("expected x,y,z, three finite numbers", field=field)
     return np.array([1.0, *parts])
 
 
-def _parse_affine_line(text: str) -> PLine:
+def _parse_line(text: str) -> PLine:
     halves = text.split(";")
     if len(halves) != 2:
         raise ConfigError("expected x,y,z;x,y,z", field="--line")
-    return join(*(_parse_affine_point(h, field="--line") for h in halves))
+    return join(*(_parse_point(h, field="--line") for h in halves))
 
 
 def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,
@@ -316,8 +322,8 @@ def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,
     if star is None:
         return 2
     try:
-        L = _parse_affine_line(line_text)
-        p = _parse_affine_point(point_text)
+        L = _parse_line(line_text)
+        p = _parse_point(point_text)
     except (ConfigError, ValueError) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2

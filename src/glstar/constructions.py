@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConditionFailed, InvalidCenter, InvalidInput
 from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
+from .projgeom import quadratic_roots
 from .star import (
     GlStar,
     Handedness,
@@ -25,6 +26,7 @@ from .star import (
     meridian_point,
     on_unit_sphere,
 )
+from .verify import positive_root_count
 
 T_GRID_SIZE = 1024
 A_GRID_SIZE = 512
@@ -200,9 +202,6 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
 
 # ---------------------------------------------------------------------------
 # Equation-level family H_a: a^2 x^2 - (z - b(a))^2 = c(a)^2
-
-from .verify import positive_root_count  # noqa: E402  (no cycle: verify is generic)
-
 
 def _t_s_of_a(a, bv, cv):
     """Heights of the two unit-circle points of H_a with positive x."""
@@ -624,11 +623,12 @@ class ParabolaSeq:
         """The two u-values lo < hi where each P_i meets the arc
         v = 1 - u^2, as two arrays."""
         a, b, g = self.alphas, self.betas, self.gammas
-        lo, hi, disc = _real_roots(a + 1.0, -2.0 * a * b, a * b * b + g - 1.0)
+        *roots, disc = quadratic_roots(a + 1.0, -2.0 * a * b,
+                                       a * b * b + g - 1.0)
         _require(disc > 0.0,
                  "(3): parabola must meet the circle arc in two points",
                  range(a.size))
-        return lo, hi
+        return np.sort(roots, axis=0)
 
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
@@ -645,22 +645,6 @@ class ParabolaSeq:
         gamma = np.where(past_end,
                          self.gammas[-1] * alpha / self.alphas[-1], gamma)
         return alpha, beta, gamma
-
-
-def _real_roots(A, B, C):
-    """The real roots lo <= hi of A u^2 + B u + C, elementwise, and the
-    discriminant: q = -(B + sign(B) sqrt(disc)) / 2 gives the roots q / A
-    and C / q without cancellation.  Where A = 0 (then q = -B) the one root
-    C / q of B u + C is both lo and hi; a negative discriminant or
-    A = B = 0 gives none (NaN)."""
-    disc = B * B - 4.0 * A * C
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (B + np.copysign(np.sqrt(disc), B))
-        r1 = np.where(A != 0.0, q / A, C / q)
-        r2 = np.where(q != 0.0, C / q, r1)  # q = 0: B = C = 0, the root 0
-    lo, hi = (np.where(np.isfinite(r), r, np.nan)
-              for r in (np.minimum(r1, r2), np.maximum(r1, r2)))
-    return lo, hi, disc
 
 
 def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar:
@@ -713,7 +697,8 @@ def _check_sequence(seq: ParabolaSeq):
                   -2.0 * (al[:-1] * be[:-1] - al[1:] * be[1:]),
                   (al[:-1] * be[:-1] ** 2 + ga[:-1])
                   - (al[1:] * be[1:] ** 2 + ga[1:])])
-    u = np.stack(_real_roots(*d)[:2], axis=1)  # (pair, root), NaN when none
+    # (pair, root), NaN when none
+    u = np.sort(np.stack(quadratic_roots(*d)[:2], axis=1), axis=1)
     v = al[:-1, None] * (u - be[:-1, None]) ** 2 + ga[:-1, None]
     inside = (np.abs(u) <= 1.0 + 1e-9) & (-1e-9 <= v) & (v <= 1.0 - u * u + 1e-9)
     ok = np.isnan(u) | inside | np.all(np.abs(d) <= 1e-8, axis=0)[:, None]

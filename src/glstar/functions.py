@@ -332,7 +332,9 @@ def phi_r(r: float) -> Fn1:
         raise InvalidInput("phi_r requires r > 0")
 
     def f(a):
-        return a * (a + r) / (a * a + r * a + r)
+        # the quotient can round above 1 for large a, where 1 is the
+        # correctly rounded value
+        return np.minimum(a * (a + r) / (a * a + r * a + r), 1.0)
 
     def f_inv(y):
         # a^2 (1-y) + r a (1-y) - r y = 0, the positive root in the form

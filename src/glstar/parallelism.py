@@ -44,9 +44,9 @@ from .projgeom import (
     PLine,
     QuadricForm,
     Subspace,
-    _nullspace_rows,
     join_batch,
     plucker_matrix,
+    polar,
     signature_on,
 )
 from .search import StarLineSearch
@@ -87,15 +87,6 @@ class EmbeddedStar:
         kd = np.asarray(k, float) @ _D_INV.T
         return np.concatenate([kd[..., 3:4], kd[..., 0:3]], axis=-1)
 
-    def chord_span_6d(self, t, theta=0.0):
-        """Embedded star-line spans, shape (n, 2, 6)."""
-        A, B = self.star.chord(t, theta)
-        return np.stack([self.iso(A), self.iso(B)], axis=-2)
-
-
-def embed_star(star: GlStar) -> EmbeddedStar:
-    return EmbeddedStar(star=star)
-
 
 @dataclass(frozen=True)
 class HfdLineSet:
@@ -131,21 +122,16 @@ class HfdLineSet:
         return self.span_at(rng.random(n), rng.uniform(0, 2 * np.pi, n))
 
 
-def star_to_hfd(es: EmbeddedStar) -> HfdLineSet:
-    return HfdLineSet(es=es)
-
-
 @dataclass(frozen=True)
 class ParallelClass:
     """A regular spread, held as its H-line h; W = polar(h) is derived."""
 
-    es: EmbeddedStar
     h_span: np.ndarray  # (2, 6), orthonormal rows
 
     @property
     def W(self) -> Subspace:
         """The 3-space polar to h, whose Klein preimage is the spread."""
-        return Subspace(_nullspace_rows(self.h_span @ _KLEIN.matrix))
+        return polar(Subspace(self.h_span), _KLEIN)
 
     def contains_klein(self, k, tol: float = 1e-7) -> bool:
         # the rows of 2 G h_span (G is half a permutation) are orthonormal
@@ -158,7 +144,7 @@ class ParallelClass:
         return Subspace(self.h_span).same_as(Subspace(other.h_span), tol=tol)
 
 
-def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
+def class_from_hfd_line(h) -> ParallelClass:
     """Parallel class owned by a 0-secant h of K (given by a (2,6) span)."""
     span = h.basis if isinstance(h, Subspace) else np.atleast_2d(np.asarray(h, float))
     if span.shape[-1] != 6:
@@ -169,7 +155,7 @@ def class_from_hfd_line(es: EmbeddedStar, h) -> ParallelClass:
     sig = signature_on(_KLEIN, S)
     if sig not in ((2, 0, 0), (0, 2, 0)):
         raise NotZeroSecant(f"line meets the Klein quadric (signature {sig})")
-    return ParallelClass(es=es, h_span=S.basis)
+    return ParallelClass(S.basis)
 
 
 def spread_line_through(cls: ParallelClass, p) -> PLine:
@@ -198,8 +184,8 @@ class Parallelism:
 
 
 def make_parallelism(star: GlStar) -> Parallelism:
-    es = embed_star(star)
-    return Parallelism(es=es, hfd=star_to_hfd(es), search=StarLineSearch(star))
+    es = EmbeddedStar(star)
+    return Parallelism(es=es, hfd=HfdLineSet(es), search=StarLineSearch(star))
 
 
 def _finite(v, what: str) -> np.ndarray:
@@ -219,20 +205,20 @@ def _hits_for_lines(par: Parallelism, K, tol: float = 1e-8):
     return par.search.find_batch(W4, tol=tol)
 
 
-def parallel_class_of(par: Parallelism, L, tol: float = 1e-8) -> ParallelClass:
+def parallel_class_of(par: Parallelism, L) -> ParallelClass:
     """Parallel class of a line of P^3: exactly one H-line sits inside the
     tangent hyperplane of its Klein point."""
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
-    hits = _hits_for_lines(par, k[None, :], tol=tol)[0]
+    hits = _hits_for_lines(par, k[None, :])[0]
     if len(hits) == 0:
         raise SearchFailed("no H-line found in the tangent hyperplane")
     if len(hits) > 1:
         raise HfdViolation(
             f"{len(hits)} H-lines found in one tangent hyperplane")
-    return class_from_hfd_line(par.es, par.hfd.polar(hits[0].A, hits[0].B)[0])
+    return class_from_hfd_line(par.hfd.polar(hits[0].A, hits[0].B)[0])
 
 
-def parallel_through(par: Parallelism, p, L, tol: float = 1e-8) -> PLine:
+def parallel_through(par: Parallelism, p, L) -> PLine:
     """The unique line parallel to L through p (L itself when p is on L).
 
     p is on L when |P*(L) p| < 1e-9 |p| for unit L: P*(L) kills L and is
@@ -243,8 +229,7 @@ def parallel_through(par: Parallelism, p, L, tol: float = 1e-8) -> PLine:
     rej = plucker_matrix(k[_SWAP] / np.linalg.norm(k)) @ pv
     if np.linalg.norm(rej) < 1e-9 * np.linalg.norm(pv):
         return L
-    cls = parallel_class_of(par, L, tol=tol)
-    return spread_line_through(cls, pv)
+    return spread_line_through(parallel_class_of(par, L), pv)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +290,7 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
     """The circle acting on C is a g-isometry and fixes every H-line
     (hence every parallel class) setwise."""
     check_sampling(min(n, n_theta), seed=seed)  # tol 0: report the worst
-    S = star_to_hfd(es).samples(n, seed=seed)
+    S = HfdLineSet(es).samples(n, seed=seed)
     Q = S / np.linalg.norm(S, axis=2, keepdims=True)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     tau = np.stack([torus_action(theta) for theta in thetas])

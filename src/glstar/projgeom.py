@@ -85,13 +85,6 @@ class HPoint:
     __hash__ = None
 
 
-def affine_point(x, y=None, z=None) -> HPoint:
-    """Homogenize an affine point of R^3 given as three scalars or one triple."""
-    if y is None:
-        x, y, z = np.asarray(x, float)
-    return HPoint(np.array([1.0, x, y, z]))
-
-
 def normalize(p) -> HPoint:
     """Scale so the largest-magnitude entry has modulus 1 and the first
     nonzero entry is positive.  Idempotent; projectively a no-op."""
@@ -423,20 +416,19 @@ def point_side(p, F: QuadricForm, tol: float = DEFAULT_TOL) -> Side:
     return Side.ON
 
 
-def solve_quadratic(a: float, b: float, c: float):
-    """Real roots of a*x^2 + 2*b*x + c = 0, larger-magnitude root first,
-    computed cancellation-free via -(b + sign(b) sqrt(disc)) / a."""
-    disc = b * b - a * c
-    if disc < 0.0:
-        return ()
-    s = -(b + np.copysign(np.sqrt(disc), b))
-    if a == 0.0:
-        if s == 0.0:
-            return ()
-        return (c / s,)
-    if s == 0.0:
-        return (0.0, 0.0)
-    return (s / a, c / s)
+def quadratic_roots(A, B, C):
+    """The real roots of A u^2 + B u + C, elementwise, larger magnitude
+    first, and the discriminant: q = -(B + sign(B) sqrt(disc)) / 2 gives
+    the roots q / A and C / q without cancellation.  Where A = 0 (then
+    q = -B) the one root C / q of B u + C is returned twice; a negative
+    discriminant or A = B = 0 gives none (NaN)."""
+    disc = B * B - 4.0 * A * C
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(disc), B))
+        r1 = np.where(A != 0.0, q / A, C / q)
+        r2 = np.where(q != 0.0, C / q, r1)  # q = 0: B = C = 0, the root 0
+    r1, r2 = (np.where(np.isfinite(r), r, np.nan) for r in (r1, r2))
+    return r1, r2, disc
 
 
 def line_sphere_intersect(L, F: QuadricForm, tol: float = DEFAULT_TOL) -> list[HPoint]:
@@ -462,8 +454,7 @@ def line_sphere_intersect(L, F: QuadricForm, tol: float = DEFAULT_TOL) -> list[H
     if abs(a) <= tol * scale:
         # A itself lies on the quadric; the finite root gives the other point.
         return [normalize(A), normalize((-c / (2.0 * b)) * A + B)]
-    roots = solve_quadratic(a, b, c)
-    return [normalize(r * A + B) for r in roots]
+    return [normalize(r * A + B) for r in quadratic_roots(a, 2.0 * b, c)[:2]]
 
 
 def second_intersection(L, q, F: QuadricForm | None = None,

@@ -29,7 +29,13 @@ import numpy as np
 from .errors import SearchFailed
 from .functions import bracket_roots
 from .projgeom import join_batch
-from .star import GlStar, RotationalProfile, meridian_point, rotation_defect
+from .star import (
+    ROTATION_TOL,
+    GlStar,
+    RotationalProfile,
+    meridian_point,
+    rotation_defect,
+)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -37,10 +43,6 @@ _TWO_PI = 2.0 * np.pi
 # level, so each line is as accurate as the profile it comes from.
 _PROFILE_T = np.linspace(0.0, 1.0, 257)
 _ROOT_RTOL = 1e-15
-
-# Largest rotation defect (``rotation_defect``'s sample) of a sigma whose
-# own meridian map stands in for a profile: check_rotational's bound.
-_ROTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class StarLineSearch:
         star = self.star
         if star.profile is not None:
             return star.profile
-        if not np.all(rotation_defect(star.sigma)[2] < _ROTATION_TOL):
+        if not np.all(rotation_defect(star.sigma)[2] < ROTATION_TOL):
             raise SearchFailed(f"{star.label}: no centre, no profile and "
                                "sigma does not commute with rotations about Z")
         return RotationalProfile.from_meridian(

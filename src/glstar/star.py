@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -99,6 +99,12 @@ def on_unit_sphere(batch_fn):
     return fn
 
 
+# Largest rotation defect (``rotation_defect``'s sample) of a sigma that
+# commutes with rotations about Z: check_rotational's bound, and the bound
+# under which the search lets sigma's own meridian map stand in for a profile.
+ROTATION_TOL = 1e-9
+
+
 def rotation_defect(sigma, n: int = 100, seed: int = 0):
     """How far sigma is from commuting with rotations about Z: random unit
     points q, angles theta and |sigma(R_theta q) - R_theta sigma(q)| for
@@ -173,13 +179,8 @@ class RotationalProfile:
     """
 
     abc: Callable
-    handedness_sign: Callable = field(default=None)  # t -> +-1 (right/left)
+    handedness_sign: Callable  # t -> +-1 (right/left)
     meridian: Callable | None = None
-
-    def __post_init__(self):
-        if self.handedness_sign is None:
-            object.__setattr__(self, "handedness_sign",
-                               lambda t: np.ones_like(np.asarray(t, float)))
 
     def coefficients(self, t):
         return tuple(np.asarray(v, float)

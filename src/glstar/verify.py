@@ -22,7 +22,13 @@ from .projgeom import (
     normalize,
 )
 from .search import StarLineSearch
-from .star import GlStar, fibonacci_sphere, meridian_point, rotation_defect
+from .star import (
+    ROTATION_TOL,
+    GlStar,
+    fibonacci_sphere,
+    meridian_point,
+    rotation_defect,
+)
 
 _SPHERE = QuadricForm.unit_sphere()
 # positive_root_count's default grid
@@ -206,7 +212,7 @@ def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
                           W, n_points)
 
 
-def check_rotational(star: GlStar, n: int = 100, tol: float = 1e-9,
+def check_rotational(star: GlStar, n: int = 100, tol: float = ROTATION_TOL,
                      seed: int = 0) -> CheckReport:
     """sigma commutes with rotations about Z on random (theta, q)."""
     check_sampling(n, tol, seed)

@@ -175,12 +175,11 @@ def test_criterion_5_klein_level(parallelisms):
         for _ in range(20):
             h = par.hfd.span_at(np.array([rng.random()]),
                                 rng.uniform(0, 2 * np.pi))[0]
-            cls = class_from_hfd_line(par.es, h)
+            cls = class_from_hfd_line(h)
             if signature_on(KLEIN, cls.W) != (1, 3, 0):
                 sig_ok = False
         Z = join((1, 0, 0, 0), (0, 0, 0, 1))
-        cls = class_from_hfd_line(
-            par.es, par.hfd.span_at(np.array([1.0]))[0])
+        cls = class_from_hfd_line(par.hfd.span_at(np.array([1.0]))[0])
         disjoint_ok = True
         for _ in range(100):
             p1, p2 = rng.normal(size=(2, 4))
@@ -261,7 +260,7 @@ def test_criterion_9_parallel_queries(parallelisms):
         for i in range(n):
             h = hits[i][0]
             cls = class_from_hfd_line(
-                par.es, par.hfd.span_at(np.array([h.t]), h.theta)[0])
+                par.hfd.span_at(np.array([h.t]), h.theta)[0])
             L = spread_line_through(cls, P[i])
             a, b = line_points(L)
             span = np.vstack([a.coords, b.coords])
@@ -273,7 +272,7 @@ def test_criterion_9_parallel_queries(parallelisms):
                 class_ok = False
             h2 = hits2[i][0]
             cls2 = class_from_hfd_line(
-                par.es, par.hfd.span_at(np.array([h2.t]), h2.theta)[0])
+                par.hfd.span_at(np.array([h2.t]), h2.theta)[0])
             L2 = spread_line_through(cls2, P[i] + dP[i])
             worst_move = max(worst_move,
                              float(projective_distance(L.p, L2.p)))

@@ -16,10 +16,10 @@ from glstar.constructions import (
 from glstar.parallelism import (
     _D,
     _KLEIN,
+    HfdLineSet,
     check_torus_fixes_classes,
     check_zero_secants,
     make_parallelism,
-    star_to_hfd,
     torus_action,
 )
 from glstar.projgeom import _nullspace_rows
@@ -93,7 +93,7 @@ def _zero_secants_by_row(hfd, n=200, seed=0):
 def _torus_by_row(es, n=50, n_theta=16, seed=0):
     """Largest torus rejection, one angle and one span at a time:
     (rejection, (theta, row))."""
-    spans = star_to_hfd(es).samples(n, seed=seed)
+    spans = HfdLineSet(es).samples(n, seed=seed)
     worst, witness = 0.0, None
     for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
         tau = torus_action(theta)

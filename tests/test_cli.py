@@ -21,6 +21,7 @@ from glstar.cli import (
 from glstar.constructions import example_parabola_sequence
 from glstar.errors import ConfigError, InvalidInput, ParseError
 from glstar.projgeom import join, projective_distance
+from glstar.star import Handedness
 
 BUILTIN_CFG = ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
                '"s":{"kind":"phi_r","r":2.0}}')
@@ -478,6 +479,28 @@ def _config_file(tmp_path, text='{"family":"clifford"}'):
     path = tmp_path / "c.json"
     path.write_text(text)
     return str(path)
+
+
+def test_parse_reports_keys_the_family_does_not_read(tmp_path, capsys):
+    # a misspelled handedness would otherwise build a right-handed star;
+    # the problems come in the config's key order
+    text = ('{"family":"fg","f":{"kind":"power","p":2},'
+            '"g":{"kind":"affine","a":1,"b":-1},'
+            '"handednes":"left","center":[0.5,0,0]}')
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == ("handednes: not read by the fg family; "
+                              "center: not read by the fg family")
+    assert main(["construct", "--config", _config_file(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"CONFIG ERROR: {err.value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"family":"latitudinal","handedness":"left",'
+                     '"mu":{"kind":"identity"}}')
+    assert str(err.value) == "handedness: not read by the latitudinal family"
+    # and every key a family reads parses
+    cfg = parse_config('{"family":"parabola","handedness":"left","seed":3,'
+                       '"tol":1e-8,"samples":40,"parabolas":[[16,0,0]]}')
+    assert cfg.handedness is Handedness.LEFT and cfg.samples == 40
 
 
 def test_main_negative_point_coordinate(tmp_path, capsys):

@@ -22,6 +22,7 @@ from glstar.constructions import (
 )
 from glstar.errors import ConditionFailed, InvalidCenter, InvalidInput
 from glstar.functions import (
+    Fn1,
     TabulatedInverse,
     affine,
     as_fn1,
@@ -508,13 +509,20 @@ def test_param_heights_are_tabulated_only_without_an_inverse(monkeypatch):
 
 
 def test_param_star_builds_where_a_height_rounds_above_one():
-    # phi_r(r)(1e9) rounds above 1 for this r, so that the height 1 is below
-    # h(_A_MAX): it takes _A_MAX as every height from min(h(_A_MAX), 1) on,
-    # not the inverse, which divides by zero at 1 (warnings are errors here)
-    t = phi_r(1.527259579942914)
+    # phi_r's quotient, unclipped, rounds above 1 at a = 1e9 for this r, so
+    # that the height 1 is below h(_A_MAX): the axis t = 1 and every height
+    # from min(h(_A_MAX), 1) on take _A_MAX, not the inverse, which divides
+    # by zero at 1 (warnings are errors here)
+    r = 1.527259579942914
+    t = Fn1(lambda a: a * (a + r) / (a * a + r * a + r), (0.0, np.inf),
+            inv=phi_r(r).inverse)
     assert t(1e9) > 1.0
     star = param_star(t, phi_r(2.0))
-    assert np.all(np.isfinite(star.sigma(sphere_samples(200, seed=1))))
+    a_axis = star.profile.abc(np.array([1.0]))[0]
+    assert np.allclose(a_axis, constructions._A_MAX, rtol=1e-15, atol=0.0)
+    q = sphere_samples(200, seed=1)
+    assert np.all(np.isfinite(star.sigma(q)))
+    StarLineSearch(star).find_batch(np.column_stack([np.ones(50), 2.0 * q[:50]]))
 
 
 # --- built-in example identities ----------------------------------------------

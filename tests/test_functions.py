@@ -45,6 +45,16 @@ def test_phi_r_inverse_is_relatively_exact_for_small_a(r):
     assert np.all(np.abs(f.inverse(f(a)) - a) <= 4.0 * np.spacing(a))
 
 
+def test_phi_r_stays_in_its_range_for_large_a():
+    # the quotient rounds above 1 for some r (1.0000000000000002 at
+    # r = 1.527259579942914, a = 1e9), where 1 is the correctly rounded value
+    r = np.concatenate([np.linspace(0.05, 10.0, 400), [1.527259579942914]])
+    a = np.array([1e9, 1e12, 1e15])
+    values = np.array([phi_r(ri)(a) for ri in r])
+    assert np.all(values <= 1.0)
+    assert phi_r(1.527259579942914)(1e9) == 1.0
+
+
 def test_moebius_round_trip():
     m = moebius01()
     ts = np.linspace(0.0, 0.99, 100)

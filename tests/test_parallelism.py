@@ -17,19 +17,18 @@ from glstar.functions import moebius01
 from glstar.parallelism import (
     _D,
     EmbeddedStar,
+    HfdLineSet,
     ParallelClass,
     check_hfd,
     check_torus_fixes_classes,
     check_zero_secants,
     class_from_hfd_line,
     dim_parallelism,
-    embed_star,
     make_parallelism,
     parallel_class_of,
     parallel_through,
     span_singular_values,
     spread_line_through,
-    star_to_hfd,
     torus_action,
 )
 from glstar.projgeom import (
@@ -125,7 +124,8 @@ def test_double_polar_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(20):
         t, th = rng.random(), rng.uniform(0, 2 * np.pi)
-        chord = Subspace.span(es.chord_span_6d(np.array([t]), th)[0])
+        A, B = es.star.chord(np.array([t]), th)
+        chord = Subspace.span(es.iso(np.vstack([A, B])))
         h = Subspace.span(hfd.span_at(np.array([t]), th)[0])
         # back through the general polarity: polar(h) is 4-dim, meet with U
         from glstar.projgeom import meet
@@ -161,7 +161,7 @@ def test_class_signature_and_polarity():
     rng = np.random.default_rng(4)
     for _ in range(10):
         h = hfd.span_at(np.array([rng.random()]), rng.uniform(0, 2 * np.pi))[0]
-        cls = class_from_hfd_line(PAR_BUILTIN.es, h)
+        cls = class_from_hfd_line(h)
         assert signature_on(KLEIN, cls.W) == (1, 3, 0)
         # W's polar is h again
         assert polar(cls.W, KLEIN).same_as(Subspace.span(h), tol=1e-7)
@@ -171,7 +171,7 @@ def test_class_rejects_secant_line():
     # a line of P^5 spanned by two Klein points is not a 0-secant
     span = np.vstack([X_AXIS.p, Z_AXIS.p])
     with pytest.raises(NotZeroSecant):
-        class_from_hfd_line(PAR_CLIFF.es, span)
+        class_from_hfd_line(span)
 
 
 def test_class_rejects_near_rank_one_span():
@@ -180,7 +180,7 @@ def test_class_rejects_near_rank_one_span():
     U, _ = np.linalg.qr(r.normal(size=(2, 2)))
     V, _ = np.linalg.qr(r.normal(size=(6, 2)))
     with pytest.raises(NotZeroSecant):
-        class_from_hfd_line(PAR_CLIFF.es, U @ np.diag([1.0, 1e-11]) @ V.T)
+        class_from_hfd_line(U @ np.diag([1.0, 1e-11]) @ V.T)
 
 
 # orthonormal bases of g's eigenspaces, g = 1/2 on the first, -1/2 on the second
@@ -212,24 +212,22 @@ def test_definite_h_line_has_elliptic_polar(sign):
     for ratio in (1.1e-8, 2e-8, 1e-6, 1e-3, 0.5, 1.0):
         for _ in range(100):
             h = definite_plane(ratio, sign, rng)
-            cls = class_from_hfd_line(PAR_CLIFF.es, h)
+            cls = class_from_hfd_line(h)
             assert signature_on(KLEIN, cls.W) == elliptic, ratio
     for ratio in (9e-9, 1e-12, 0.0, -0.5):
         for _ in range(100):
             with pytest.raises(NotZeroSecant):
-                class_from_hfd_line(PAR_CLIFF.es,
-                                    definite_plane(ratio, sign, rng))
+                class_from_hfd_line(definite_plane(ratio, sign, rng))
 
 
 def test_class_same_as():
     h = PAR_BUILTIN.hfd.span_at(0.3, 1.0)[0]
-    cls = class_from_hfd_line(PAR_BUILTIN.es, h)
+    cls = class_from_hfd_line(h)
     c, s = np.cos(0.7), np.sin(0.7)
     moved = np.diag([3.0, 1e-3]) @ np.array([[c, -s], [s, c]]) @ h
-    again = class_from_hfd_line(PAR_BUILTIN.es, moved)
+    again = class_from_hfd_line(moved)
     assert cls.same_as(again) and again.same_as(cls)
-    near = class_from_hfd_line(PAR_BUILTIN.es,
-                               PAR_BUILTIN.hfd.span_at(0.31, 1.0)[0])
+    near = class_from_hfd_line(PAR_BUILTIN.hfd.span_at(0.31, 1.0)[0])
     assert not cls.same_as(near) and not near.same_as(cls)
 
 
@@ -239,9 +237,9 @@ def test_class_of_h_line_near_horizontal_star(seven_stars, t):
     # which pushed the Klein form's eigenvalue ratio below the cutoff and,
     # near both ends of t, gave the polar a fifth null vector
     for name, star in seven_stars.items():
-        hfd = star_to_hfd(embed_star(star))
+        hfd = HfdLineSet(EmbeddedStar(star))
         for theta in (0.0, 1.0, 4.0):
-            cls = class_from_hfd_line(hfd.es, hfd.span_at(t, theta)[0])
+            cls = class_from_hfd_line(hfd.span_at(t, theta)[0])
             assert signature_on(KLEIN, cls.W) == (1, 3, 0), (name, theta)
 
 
@@ -332,7 +330,7 @@ def test_spread_lines_match_the_alpha_plane_reference(seven_stars, seed):
         ts = [1e-6, 1e-4, 0.999, 1.0 - 1e-6, *rng.random(3)]
         for t in ts:
             h = par.hfd.span_at(t, rng.uniform(0.0, 2.0 * np.pi))[0]
-            cls = class_from_hfd_line(par.es, h)
+            cls = class_from_hfd_line(h)
             for p in rng.normal(size=(4, 4)):
                 L = spread_line_through(cls, p)
                 ref = alpha_plane_spread_line(cls, p)
@@ -348,8 +346,7 @@ def test_spread_line_through_a_point_on_an_h_row_is_degenerate():
     p = np.array([1.0, 0.3, -0.2, 0.5])
     h1 = join_batch(p, np.array([0.2, 1.0, 0.4, -0.7]))
     h2 = PAR_BUILTIN.hfd.span_at(0.4, 1.0)[0, 1]
-    stub = ParallelClass(es=PAR_BUILTIN.es,
-                         h_span=np.vstack([h1 / np.linalg.norm(h1), h2]))
+    stub = ParallelClass(h_span=np.vstack([h1 / np.linalg.norm(h1), h2]))
     with pytest.raises(DegenerateMeet):
         spread_line_through(stub, p)
     with pytest.raises(DegenerateMeet):
@@ -358,8 +355,7 @@ def test_spread_line_through_a_point_on_an_h_row_is_degenerate():
 
 def test_class_h_span_is_orthonormal():
     for t in (1e-6, 0.5, 1.0 - 1e-6):
-        cls = class_from_hfd_line(PAR_BUILTIN.es,
-                                  PAR_BUILTIN.hfd.span_at(t, 0.3)[0])
+        cls = class_from_hfd_line(PAR_BUILTIN.hfd.span_at(t, 0.3)[0])
         assert np.abs(cls.h_span @ cls.h_span.T - np.eye(2)).max() < 1e-14
 
 
@@ -368,7 +364,7 @@ def test_contains_klein_matches_w_contains(seven_stars):
     for name, star in seven_stars.items():
         par = make_parallelism(star)
         for t in (1e-6, 0.3, 1.0 - 1e-6):
-            cls = class_from_hfd_line(par.es, par.hfd.span_at(t, 2.0)[0])
+            cls = class_from_hfd_line(par.hfd.span_at(t, 2.0)[0])
             Q = cls.W.basis
             for k in rng.normal(size=(5, 6)):
                 # the closed form is W's rejection, and both tests agree on
@@ -554,7 +550,7 @@ def test_class_from_the_hit_chord_equals_span_at(seven_stars):
             hits = P.search.find(P.es.project_sphere_coords(k))
             assert len(hits) == 1, name
             ref = class_from_hfd_line(
-                P.es, P.hfd.span_at(hits[0].t, hits[0].theta)[0])
+                P.hfd.span_at(hits[0].t, hits[0].theta)[0])
             np.testing.assert_array_equal(parallel_class_of(P, k).h_span,
                                           ref.h_span, err_msg=name)
 

@@ -20,9 +20,9 @@ from glstar.projgeom import (
     point_side,
     polar,
     projective_distance,
+    quadratic_roots,
     second_intersection,
     signature_on,
-    solve_quadratic,
 )
 
 SPHERE = QuadricForm.unit_sphere()
@@ -249,9 +249,28 @@ def test_point_side_examples():
 
 def test_quadratic_stability():
     # x^2 - 2*1e8 x + 1 = 0: naive formula loses the small root
-    roots = solve_quadratic(1.0, -1e8, 1.0)
+    roots = quadratic_roots(1.0, -2e8, 1.0)[:2]
     small = min(roots, key=abs)
     assert np.isclose(small, 5.0000000000000004e-9, rtol=1e-12)
+
+
+def test_quadratic_roots_put_the_larger_magnitude_root_first():
+    # q / A comes first even where both roots have one magnitude (a < 0 and
+    # b about +1e-17, as for a line through the sphere's centre): sorting
+    # the pair would swap the two points of line_sphere_intersect
+    A = np.array([-0.672, 1.0, 1.0, 0.0, 1.0, 0.0])
+    B = np.array([5.2e-17, -2e8, 3.0, 2.0, 0.0, 0.0])
+    C = np.array([1.0, 1.0, 2.0, -4.0, 1.0, 1.0])
+    r1, r2, disc = quadratic_roots(A, B, C)
+    assert r1[0] > 0.0 > r2[0] and r1[0] == pytest.approx(-r2[0], rel=1e-15)
+    assert r1[1] == pytest.approx(2e8) and r2[1] == pytest.approx(5e-9)
+    assert (r1[2], r2[2]) == (-2.0, -1.0)
+    # a linear equation has its one root twice; a negative discriminant
+    # and A = B = 0 have none
+    assert (r1[3], r2[3]) == (2.0, 2.0)
+    assert np.isnan(r1[4:]).all() and np.isnan(r2[4:]).all()
+    assert disc.tolist() == (B * B - 4.0 * A * C).tolist()
+    assert np.all(np.abs(r1) >= np.abs(r2), where=np.isfinite(r1))
 
 
 def test_line_sphere_z_axis_poles():

@@ -14,7 +14,7 @@ from glstar.constructions import (
 )
 from glstar.errors import SearchFailed
 from glstar.functions import bracket_roots, moebius01
-from glstar.parallelism import check_hfd, embed_star, make_parallelism
+from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
 from glstar.search import StarLineSearch
 from glstar.star import GlStar
@@ -30,7 +30,7 @@ def _query_points(star):
     rng = np.random.default_rng(0)
     K = join_batch(rng.normal(size=(100, 4)), rng.normal(size=(100, 4)))
     return np.vstack([exterior_samples(200, seed=0),
-                      embed_star(star).project_sphere_coords(K)])
+                      EmbeddedStar(star).project_sphere_coords(K)])
 
 
 def test_exact_paths_match_the_2d_search(seven_stars):
