@@ -42,7 +42,7 @@ def _g17(x: float) -> str:
 @dataclass
 class StarConfig:
     family: str
-    tol: float = 1e-9
+    tol: float | None = None  # None: each check's own default
     seed: int = 0
     samples: int | None = None
     handedness: Handedness = Handedness.RIGHT
@@ -100,10 +100,11 @@ def parse_config(text: str) -> StarConfig:
     # json reads 1e400 as inf, which int() cannot take, and long integer
     # literals as ints, which float() cannot take: both raise OverflowError
     # (and the finite-number tests on center and parabolas keep them out)
-    try:
-        cfg.tol = float(raw.get("tol", 1e-9))
-    except (TypeError, ValueError, OverflowError):
-        bad("tol", "must be a number")
+    if "tol" in raw:
+        try:
+            cfg.tol = float(raw["tol"])
+        except (TypeError, ValueError, OverflowError):
+            bad("tol", "must be a number")
     try:
         cfg.seed = int(raw.get("seed", 0))
     except (TypeError, ValueError, OverflowError):
@@ -302,10 +303,13 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
 
 
 def _parse_point(text: str, field: str = "--point"):
+    """(1, x, y, z) scaled by a power of two to a largest |entry| in
+    [1/2, 1): exact, and no product of two points overflows."""
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3 or not all(np.isfinite(parts)):
         raise ConfigError("expected x,y,z, three finite numbers", field=field)
-    return np.array([1.0, *parts])
+    p = np.array([1.0, *parts])
+    return np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1])
 
 
 def _parse_line(text: str) -> PLine:
@@ -378,7 +382,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None,
                        help="override per-check sample counts")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the check tolerance")
+                       help="override every check's tolerance "
+                            "(default: each check's own)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
 

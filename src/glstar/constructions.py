@@ -23,6 +23,7 @@ from .star import (
     RotationalProfile,
     RotationalSigma,
     _snap_radicand,
+    is_cone,
     meridian_point,
     on_unit_sphere,
 )
@@ -62,16 +63,17 @@ def _hand_sign_fn(hand):
 
 
 def _validate_cone_rule(hand_sign, profile, name="handedness"):
-    """Regulus choice may only switch at cone parameters.  c is only
-    evaluated (on the whole grid, for its scale) when the choice switches."""
+    """Regulus choice may only switch at cone parameters, by the test that
+    entry_at applies.  The profile is only evaluated when the choice
+    switches."""
     t = _interior_t_grid
     s = np.asarray(hand_sign(t), float)
     _require(np.abs(s) == 1.0, f"{name} must take values in {{+1, -1}}", t)
     stays = np.diff(s) == 0.0
     if stays.all():
         return
-    c = profile.coefficients(t)[2]
-    cone = c <= 1e-9 * (1.0 + np.abs(c).max())
+    a, _, c = profile.coefficients(t)
+    cone = is_cone(a, c)
     _require(stays | cone[:-1] | cone[1:],
              f"{name} switches regulus away from a cone", t)
 
@@ -514,16 +516,6 @@ class GlPencil:
             out[q4] = np.pi - np.asarray(m.inverse(2.0 * np.pi - b[q4]), float)
         out = np.mod(out, 2.0 * np.pi)
         return float(out[0]) if single else out
-
-    def sigma1(self, pts):
-        """Involution on circle points given as (..., 2) arrays (x, z)."""
-        p = np.asarray(pts, float)
-        single = p.ndim == 1
-        P = np.atleast_2d(p)
-        beta = np.arctan2(P[:, 1], P[:, 0])
-        b2 = self.sigma1_angle(beta)
-        out = np.stack([np.cos(b2), np.sin(b2)], axis=-1)
-        return out[0] if single else out
 
 
 def pencil_from_mu(mu) -> GlPencil:

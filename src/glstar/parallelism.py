@@ -40,6 +40,8 @@ from .errors import (
     SearchFailed,
 )
 from .projgeom import (
+    _RANK_RTOL,
+    SIGNATURE_CUTOFF,
     HPoint,
     PLine,
     QuadricForm,
@@ -47,9 +49,8 @@ from .projgeom import (
     join_batch,
     plucker_matrix,
     polar,
-    signature_on,
 )
-from .search import StarLineSearch
+from .search import LINE_TOL, StarLineSearch
 from .star import GlStar
 from .verify import CheckReport, _one_line_each, _worst, check_sampling
 
@@ -110,7 +111,7 @@ class HfdLineSet:
         d = [1, 2, 3, 0]
         _, s, vt = np.linalg.svd(np.stack([A[:, d] @ _S4, B[:, d] @ _S4],
                                           axis=1))
-        if np.any(s[:, 1] <= 1e-10 * s[:, 0]):
+        if np.any(s[:, 1] <= _RANK_RTOL * s[:, 0]):
             raise EvalError("star chord with coincident endpoints")
         ext = np.zeros((A.shape[0], 2, 6))
         ext[:, :, :4] = vt[:, 2:]
@@ -144,6 +145,20 @@ class ParallelClass:
         return Subspace(self.h_span).same_as(Subspace(other.h_span), tol=tol)
 
 
+def _secant_ratio(spans) -> np.ndarray:
+    """For each line of P^5 given as a (2, 6) span of stacked (n, 2, 6)
+    spans: the ratio of the smaller to the larger |eigenvalue| of g on it,
+    negative when the two differ in sign.  The line is a 0-secant of K,
+    g definite on it, exactly when the ratio exceeds SIGNATURE_CUTOFF.  A
+    Klein point in the span gives a zero eigenvalue; a span of Klein
+    points orthogonal under g gives two, and a NaN ratio."""
+    S = np.asarray(spans, float)
+    w = np.linalg.eigvalsh(S @ _KLEIN.matrix @ S.transpose(0, 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(w[:, 0]) <= np.abs(w[:, 1]),
+                        w[:, 0] / w[:, 1], w[:, 1] / w[:, 0])
+
+
 def class_from_hfd_line(h) -> ParallelClass:
     """Parallel class owned by a 0-secant h of K (given by a (2,6) span)."""
     span = h.basis if isinstance(h, Subspace) else np.atleast_2d(np.asarray(h, float))
@@ -152,9 +167,10 @@ def class_from_hfd_line(h) -> ParallelClass:
     S = Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    sig = signature_on(_KLEIN, S)
-    if sig not in ((2, 0, 0), (0, 2, 0)):
-        raise NotZeroSecant(f"line meets the Klein quadric (signature {sig})")
+    ratio = _secant_ratio(S.basis[None])[0]
+    if not ratio > SIGNATURE_CUTOFF:
+        raise NotZeroSecant(
+            f"line meets the Klein quadric (eigenvalue ratio {ratio:.3g})")
     return ParallelClass(S.basis)
 
 
@@ -195,7 +211,7 @@ def _finite(v, what: str) -> np.ndarray:
     return v
 
 
-def _hits_for_lines(par: Parallelism, K, tol: float = 1e-8):
+def _hits_for_lines(par: Parallelism, K, tol: float = LINE_TOL):
     """Search hits (per Klein vector row) for the star line whose H-member
     lies in each tangent hyperplane."""
     W4 = par.es.project_sphere_coords(np.atleast_2d(np.asarray(K, float)))
@@ -253,20 +269,16 @@ def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0) -> int:
 
 
 def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckReport:
-    """Every sampled H-line must avoid K: the restricted form is definite,
-    i.e. the restricted quadratic has negative discriminant."""
+    """Every sampled H-line must be a 0-secant of K by the rule that
+    class_from_hfd_line applies: max_residual is the least _secant_ratio."""
     check_sampling(n, seed=seed)
-    S = hfd.samples(n, seed=seed)
-    G = S @ _KLEIN.matrix @ S.transpose(0, 2, 1)
-    # disc = g(A,B)^2 - g(A,A) g(B,B) < 0  <=>  det of the Gram > 0
-    disc = G[:, 0, 1] ** 2 - G[:, 0, 0] * G[:, 1, 1]
-    margin = -disc / np.maximum(np.abs(G).max(axis=(1, 2)) ** 2, 1e-300)
-    return _worst("zero_secants", margin, lambda m: m > 1e-12, lambda i: (i,),
-                  n, pick=np.argmin)
+    return _worst("zero_secants", _secant_ratio(hfd.samples(n, seed=seed)),
+                  lambda r: r > SIGNATURE_CUTOFF, lambda i: (i,), n,
+                  pick=np.argmin)
 
 
 def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
-              tol: float = 1e-8) -> CheckReport:
+              tol: float = LINE_TOL) -> CheckReport:
     """For random lines of P^3, the tangent hyperplane of the Klein point
     contains exactly one H-line (one star line through the projected
     point)."""

@@ -156,8 +156,7 @@ def join(a, b) -> PLine:
     B = b.coords if isinstance(b, HPoint) else _vec(b)
     if A.shape[0] != 4 or B.shape[0] != 4:
         raise InvalidInput("join expects points of P^3")
-    M = np.outer(A, B) - np.outer(B, A)
-    p = np.array([M[0, 1], M[0, 2], M[0, 3], M[2, 3], M[3, 1], M[1, 2]])
+    p = join_batch(A, B)
     if np.linalg.norm(p) <= DEFAULT_TOL * np.linalg.norm(A) * np.linalg.norm(B):
         raise DegenerateJoin("join of projectively equal points")
     return PLine(p)

@@ -43,6 +43,9 @@ _TWO_PI = 2.0 * np.pi
 # level, so each line is as accurate as the profile it comes from.
 _PROFILE_T = np.linspace(0.0, 1.0, 257)
 _ROOT_RTOL = 1e-15
+# The residual below which a point lies on a star line: the default of every
+# search and of the checks built on it.
+LINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class StarLineSearch:
 
     # -- public API ----------------------------------------------------------
 
-    def find_batch(self, W, tol: float = 1e-8):
+    def find_batch(self, W, tol: float = LINE_TOL):
         """All star lines through each homogeneous point (rows of W).
 
         Returns one list of LineHits per point, best residual first.
@@ -180,6 +183,6 @@ class StarLineSearch:
                                          float(res[j]), K[j], A[j], B[j]))
         return out
 
-    def find(self, w, tol: float = 1e-8):
+    def find(self, w, tol: float = LINE_TOL):
         return self.find_batch(np.asarray(w, float)[None, :], tol=tol)[0]
 

@@ -167,6 +167,13 @@ class SurfaceEntry:
         return self.a ** 2 * r2 - (p[:, 2] - self.b) ** 2 - self.c ** 2
 
 
+def is_cone(a, c):
+    """Whether the profile members with coefficients (a, c) are cones:
+    c <= _CONE_TOL max(a, 1), a waist radius c / a of at most _CONE_TOL
+    for a >= 1.  The one cone test of entry_at and of the cone rule."""
+    return c <= _CONE_TOL * np.maximum(a, 1.0)
+
+
 @dataclass(frozen=True)
 class RotationalProfile:
     """t in (0, 1) -> surface coefficients, with the axis at t=1 and, unless
@@ -202,7 +209,7 @@ class RotationalProfile:
             t, meets_axis = 0.0, abs(m[1]) <= _CONE_TOL
         a, b, c = (float(np.asarray(v).ravel()[0])
                    for v in self.coefficients(np.array([t])))
-        if meets_axis or c <= _CONE_TOL * max(a, 1.0):
+        if meets_axis or is_cone(a, c):
             return SurfaceEntry("cone", a=a, b=b, c=0.0)
         hand = Handedness.RIGHT if self.handedness_sign(np.array([t]))[0] > 0 \
             else Handedness.LEFT

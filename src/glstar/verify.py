@@ -21,7 +21,7 @@ from .projgeom import (
     lines_meet_point,
     normalize,
 )
-from .search import StarLineSearch
+from .search import LINE_TOL, StarLineSearch
 from .star import (
     ROTATION_TOL,
     GlStar,
@@ -203,8 +203,8 @@ def exterior_samples(n: int, seed: int = 0):
     return np.vstack([W_aff, W_inf])
 
 
-def check_coverage(star: GlStar, n_points: int = 200, tol: float = 1e-8,
-                   seed: int = 0) -> CheckReport:
+def check_coverage(star: GlStar, n_points: int = 200,
+                   tol: float = LINE_TOL, seed: int = 0) -> CheckReport:
     """Every sampled exterior point must lie on exactly one star line."""
     check_sampling(n_points, tol, seed)
     W = exterior_samples(n_points, seed=seed)
@@ -369,7 +369,6 @@ _SUITE = {
             P.es, seed=seed, **_given(n=n, tol=tol))),
 }
 CHECKS = tuple(_SUITE)
-GEOMETRY_CHECKS = tuple(k for k, (_, klein, _) in _SUITE.items() if not klein)
 KLEIN_CHECKS = tuple(k for k, (_, klein, _) in _SUITE.items() if klein)
 
 

@@ -63,12 +63,12 @@ def vertical_chord_star():
     return GlStar("vertical-chord", lambda q: np.asarray(q, float) * flip)
 
 
-def near_identity_star():
-    """q -> normalize(q + 1e-5 e_x): every chord is nearly a tangent, so
-    its H-line nearly touches the Klein quadric."""
+def near_identity_star(eps=1e-5):
+    """q -> normalize(q + eps e_x): for small eps every chord is nearly a
+    tangent, so its H-line nearly touches the Klein quadric."""
     @on_unit_sphere
     def sig(Q):
-        out = Q + np.array([1e-5, 0.0, 0.0])
+        out = Q + np.array([eps, 0.0, 0.0])
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
     return GlStar("near-identity", sig)

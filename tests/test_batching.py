@@ -77,16 +77,16 @@ def test_span_at_batch_equals_rows(seven_stars):
 
 
 def _zero_secants_by_row(hfd, n=200, seed=0):
-    """Smallest Gram margin of the sampled H-lines, one span at a time:
-    (margin, row)."""
+    """Smallest eigenvalue ratio of the sampled H-lines, one span at a
+    time: (ratio, row).  The ratio is the smaller over the larger |eigenvalue|
+    of the Gram, negative when their signs differ."""
     spans = hfd.samples(n, seed=seed)
     worst, witness = np.inf, None
     for i in range(n):
-        G = spans[i] @ _KLEIN.matrix @ spans[i].T
-        disc = G[0, 1] ** 2 - G[0, 0] * G[1, 1]
-        margin = -disc / max(np.abs(G).max() ** 2, 1e-300)
-        if margin < worst:
-            worst, witness = float(margin), (i,)
+        w = np.linalg.eigvalsh(spans[i] @ _KLEIN.matrix @ spans[i].T)
+        ratio = w[0] / w[1] if abs(w[0]) <= abs(w[1]) else w[1] / w[0]
+        if ratio < worst:
+            worst, witness = float(ratio), (i,)
     return worst, witness
 
 

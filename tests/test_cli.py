@@ -22,6 +22,7 @@ from glstar.constructions import example_parabola_sequence
 from glstar.errors import ConfigError, InvalidInput, ParseError
 from glstar.projgeom import join, projective_distance
 from glstar.star import Handedness
+from glstar.verify import KLEIN_CHECKS, applicable_checks, run_star_checks
 
 BUILTIN_CFG = ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
                '"s":{"kind":"phi_r","r":2.0}}')
@@ -40,7 +41,7 @@ def test_parse_builtin_config():
 def test_parse_defaults():
     cfg = parse_config('{"family":"clifford"}')
     assert cfg.center == (0.0, 0.0, 0.0)
-    assert cfg.tol == 1e-9 and cfg.seed == 0
+    assert cfg.tol is None and cfg.seed == 0
 
 
 def test_parse_missing_function():
@@ -259,18 +260,18 @@ def _star_set_configs():
 # that moves a byte fails
 VERIFY_SHA256 = {
     "clifford":
-        "5feb7189fd111e0721ef0083058c47055a81c376a6a01e8b475aa01ff6697c6c",
+        "5a512b3ad1310f88586b5e2d7b31e8022fe27690e73477092ca7a458e95b4b45",
     "symmetric":
-        "3c741f3c62eead6f894aaff8ac8025b8b0ef8dda939eb2470d61e3f6725c8e21",
-    "fg": "dc33b9d5506d3b0863de80d87b3a790844ee4e8d8a5185388a9b9400ef482a2b",
+        "14a1b668f4eb4aa3e614adfe6007ab24bdcae2a7732f5573da84f9136f3e795b",
+    "fg": "294756248460e5035f8f8c81ff4b7dbcae0ae7f1c097edaebffc745e5c74692e",
     "builtin":
-        "ddb613596c942b371fde3c8f28c924262bbea589739c531dea3aded8432884fc",
+        "b8aaa4079fcb7724129f9a34fedd580b900f9189807c4aedec9da76fcd551d77",
     "latitudinal":
-        "29c51050604ed3c9fbef6a81339d3bc92ae95678bde9db736cbb6c3dee1244be",
+        "9e94fdb7cb0934352e0695a9f8bfc4aa5d40f2ca75a1824fed1c41e2fd0d8796",
     "parabola":
-        "b5d1e441d0f182ed7f3686e1ac86c85da0f9e70f20842916abf6d25e5268476c",
+        "467c04568273f1b8b3a2debcc2e33946b22957f47c6bbe35313f5f358db043e3",
     "clifford-off":
-        "5e6ab0a1577cf2881ae851b7373e5330d30bf0bc63668203fcdc186642721005",
+        "4939de984683012707dc1d0b82acd87242b39b2da30ffdcefbb2b205bb9d7149",
 }
 
 
@@ -280,6 +281,23 @@ def test_verify_reports_are_pinned(name):
     assert cmd_verify(parse_config(_star_set_configs()[name]), out=out) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == VERIFY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_verify_reports_equal_the_library_defaults(name):
+    # a config with no tol key leaves every check at its own tolerance, as
+    # run_star_checks does
+    cfg = parse_config(_star_set_configs()[name])
+    assert cfg.tol is None
+    out = io.StringIO()
+    cmd_verify(cfg, out=out)
+    star = build_star(cfg)
+    reports = run_star_checks(
+        star, checks=applicable_checks(star) + list(KLEIN_CHECKS))
+    ok = sum(r.passed for r in reports)
+    status = "PASS" if ok == len(reports) else "FAIL"
+    assert out.getvalue().splitlines() == [r.render() for r in reports] + [
+        f"RESULT: {status} ({ok}/{len(reports)})"]
 
 
 def _parallel_queries():
@@ -566,6 +584,30 @@ def test_main_parallel_rejects_non_finite_coordinates(tmp_path, capsys, query,
     assert text.startswith(f"CONFIG ERROR: {field}: expected x,y,z")
     assert text.count("\n") == 1
     assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("line,point", [
+    ("0,0,0;1,1,1", "1e300,0,0"),
+    ("0,0,0;1,1,1", "1e150,0,0"),
+    ("1e200,0,0;0,1e200,0", "1,2,3"),
+])
+def test_main_parallel_answers_far_points(tmp_path, capsys, line, point):
+    # products of the raw coordinates would overflow; the parsed points are
+    # scaled by powers of two, so the answer is the same line
+    cfg = _config_file(tmp_path, BUILTIN_CFG)
+    assert main(["parallel", "--config", cfg, f"--line={line}",
+                 f"--point={point}"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    span = [np.array([float(v) for v in h.split(",")])
+            for h in out.strip().split(";")]
+    span = [v if v.size == 4 else np.r_[1.0, v] for v in span]
+    p = np.array([1.0, *(float(v) for v in point.split(","))])
+    p /= np.abs(p).max()
+    # p is on the line when the unit rows span a plane only
+    rows = np.array([v / np.linalg.norm(v) for v in (*span, p)])
+    s = np.linalg.svd(rows, compute_uv=False)
+    assert s[2] < 1e-9 * s[0], s
 
 
 @pytest.mark.parametrize("text,field", [

@@ -1009,6 +1009,24 @@ def test_handedness_switch_rules():
         symmetric_star(moebius01(), handedness=hand)
 
 
+def test_regulus_switches_only_where_entry_at_sees_a_cone():
+    # a = 1 everywhere; on the two grid points around the switch at t = 0.5
+    # the waist c = 5e-9 is five times the cone bound, elsewhere c = 10.  A
+    # bound scaled by the grid's largest c would call those points cones.
+    from glstar.star import RotationalProfile
+    half_step = 0.5 / (constructions.T_GRID_SIZE + 1)
+
+    def abc(t):
+        c = np.where(np.abs(t - 0.5) <= 2.0 * half_step, 5e-9, 10.0)
+        return np.ones_like(t), np.zeros_like(t), c
+
+    hand = lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0)
+    profile = RotationalProfile(abc, hand)
+    assert profile.entry_at(0.5).kind == "hyperboloid"
+    with pytest.raises(ConditionFailed, match="regulus"):
+        constructions._validate_cone_rule(hand, profile)
+
+
 def test_equator_antipodal_for_standard_position_families():
     # in standard position the horizontal lines through the origin belong
     # to the star, so sigma restricted to the equator is the antipodal map

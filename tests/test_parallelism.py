@@ -45,7 +45,12 @@ from glstar.projgeom import (
 from glstar.search import StarLineSearch
 from glstar.verify import check_coverage, run_star_checks
 
-from bad_stars import apex_star, exterior_center_star, nan_capped_star
+from bad_stars import (
+    apex_star,
+    exterior_center_star,
+    nan_capped_star,
+    near_identity_star,
+)
 from meet_reference import alpha_plane_spread_line
 
 KLEIN = QuadricForm.klein()
@@ -149,6 +154,20 @@ def test_zero_secants_fails_on_two_secant():
     r = check_zero_secants(stub, n=30)
     assert not r.passed and r.witness == (17,)
     assert r.max_residual < 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_zero_secants_passes_exactly_when_every_class_is_built(eps):
+    # normalize(q + eps e_x): the H-lines near-touch K more closely as eps
+    # falls; the check and the class decide by the same eigenvalue ratio
+    hfd = HfdLineSet(EmbeddedStar(near_identity_star(eps)))
+    refused = 0
+    for h in hfd.samples(200, seed=0):
+        try:
+            class_from_hfd_line(h)
+        except NotZeroSecant:
+            refused += 1
+    assert check_zero_secants(hfd).passed == (refused == 0), (eps, refused)
 
 
 # --- classes and spreads -----------------------------------------------------------
