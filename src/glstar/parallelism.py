@@ -102,7 +102,8 @@ class HfdLineSet:
     def polar(self, A, B):
         """Spanning pairs in R^6, shape (n, 2, 6), of the H-lines of the
         star chords A v B given by their homogeneous endpoints, rows of
-        shape (n, 4) or one (4,) pair: each chord's polar within U."""
+        shape (n, 4) or one (4,) pair: each chord's polar within U, as two
+        orthogonal rows of norm sqrt(2)."""
         A, B = np.atleast_2d(A, B)
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise EvalError("star chord with a non-finite endpoint")
@@ -160,11 +161,13 @@ def _secant_ratio(spans) -> np.ndarray:
 
 
 def class_from_hfd_line(h) -> ParallelClass:
-    """Parallel class owned by a 0-secant h of K (given by a (2,6) span)."""
+    """Parallel class owned by a 0-secant h of K.  A Subspace is taken as it
+    is, for its rows are orthonormal; an array of spanning rows (2, 6) is
+    orthonormalized by Subspace.span first."""
     span = h.basis if isinstance(h, Subspace) else np.atleast_2d(np.asarray(h, float))
     if span.shape[-1] != 6:
         raise NotZeroSecant("expected a line of P^5 as a (2, 6) span")
-    S = Subspace.span(span)
+    S = h if isinstance(h, Subspace) else Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
     ratio = _secant_ratio(S.basis[None])[0]
@@ -231,7 +234,9 @@ def parallel_class_of(par: Parallelism, L) -> ParallelClass:
     if len(hits) > 1:
         raise HfdViolation(
             f"{len(hits)} H-lines found in one tangent hyperplane")
-    return class_from_hfd_line(par.hfd.polar(hits[0].A, hits[0].B)[0])
+    # the polar's rows are orthogonal, each of norm sqrt(2)
+    h = par.hfd.polar(hits[0].A, hits[0].B)[0]
+    return class_from_hfd_line(Subspace(h / np.sqrt(2.0)))
 
 
 def parallel_through(par: Parallelism, p, L) -> PLine:

@@ -13,10 +13,12 @@ with the star's structure finds no line.  The path follows that structure:
   F_w(t) = a^2 (w1^2 + w2^2) - (w3 - b w0)^2 - c^2 w0^2 (at w0 = 0 the
   asymptotic cone), which ``bracket_roots`` finds on a fixed t grid for all
   points at once.  theta then follows in closed form: the azimuth of w minus
-  the azimuth of the chord's point at the height of w (its direction at
-  infinity when w is).  A star with no profile gets the profile fitted to
-  its own meridian map t -> sigma(p_t), once sigma is seen to commute with
-  rotations about Z; any other sigma raises SearchFailed.
+  the azimuth of the point at the height of w (its direction at infinity
+  when w is) of the chord p_t v m(t), where m is the profile's own meridian
+  map.  So sigma is evaluated once per located line, at (t, theta), for
+  the residual and the chord.  A star with no profile gets the profile
+  fitted to its own meridian map t -> sigma(p_t), once sigma is seen to
+  commute with rotations about Z; any other sigma raises SearchFailed.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import numpy as np
 
 from .errors import SearchFailed
 from .functions import bracket_roots
-from .projgeom import join_batch
 from .star import (
     ROTATION_TOL,
     GlStar,
     RotationalProfile,
+    homogenize,
     meridian_point,
     rotation_defect,
 )
@@ -50,14 +52,13 @@ LINE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LineHit:
-    """One located star line: parameters, residual, Plücker coordinates
-    and the homogeneous endpoints (A, B) = star.chord(t, theta) of its
-    chord, evaluated once by the search."""
+    """One located star line: parameters, residual and the homogeneous
+    endpoints (A, B) = star.chord(t, theta) of its chord, evaluated once by
+    the search; its Plücker vector is join_batch(A, B)."""
 
     t: float
     theta: float
     residual: float
-    k: np.ndarray  # (6,)
     A: np.ndarray  # (4,)
     B: np.ndarray  # (4,)
 
@@ -145,7 +146,10 @@ class StarLineSearch:
         owner, t = bracket_roots(
             lambda t, k: _covering(*self._profile.coefficients(t), W[k]),
             _PROFILE_T, V, rtol=_ROOT_RTOL)
-        A, B = self.star.chord(t)
+        # the chord at theta = 0 from the profile's own meridian map: sigma
+        # is evaluated once, at (t, theta), by find_batch
+        A = homogenize(meridian_point(t))
+        B = homogenize(self._profile.meridian_image(t))
         return owner, t, _chord_azimuths(W[owner], A, B)
 
     def _center_params(self, W):
@@ -176,11 +180,10 @@ class StarLineSearch:
             owner, t, theta = self._profile_params(W)
         A, B = self.star.chord(t, theta)
         res = np.linalg.norm(_reject(W[owner], *_frames(A, B)), axis=-1)
-        K = join_batch(A, B)
         out = [[] for _ in range(W.shape[0])]
         for j in sorted(np.nonzero(res < tol)[0], key=res.__getitem__):
             out[owner[j]].append(LineHit(float(t[j]), float(theta[j]),
-                                         float(res[j]), K[j], A[j], B[j]))
+                                         float(res[j]), A[j], B[j]))
         return out
 
     def find(self, w, tol: float = LINE_TOL):

@@ -257,11 +257,10 @@ class GridSearch:
         t, theta, res = self._refine(Wc, t, theta, h_t, h_th, tol)
         theta = np.mod(theta, _TWO_PI)
         A, B = self.star.chord(t, theta)
-        K = join_batch(A, B)
         out = [[] for _ in range(W.shape[0])]
         for i in range(W.shape[0]):
             sel = np.nonzero((owners == i) & (res < tol))[0]
-            hits = [LineHit(float(t[j]), float(theta[j]), float(res[j]), K[j],
+            hits = [LineHit(float(t[j]), float(theta[j]), float(res[j]),
                             A[j], B[j]) for j in sel]
             out[i] = _cluster(hits)
         return out
@@ -282,6 +281,7 @@ def _cluster(hits, line_tol: float = 1e-6):
     """Merge hits that are the same line (or adjacent in parameters);
     keep the best representative of each cluster."""
     n = len(hits)
+    K = [join_batch(h.A, h.B) for h in hits]
     parent = list(range(n))
 
     def find(i):
@@ -292,7 +292,7 @@ def _cluster(hits, line_tol: float = 1e-6):
 
     for i in range(n):
         for j in range(i + 1, n):
-            same_line = projective_distance(hits[i].k, hits[j].k) < line_tol
+            same_line = projective_distance(K[i], K[j]) < line_tol
             if same_line or _param_close(hits[i], hits[j]):
                 parent[find(i)] = find(j)
     reps = {}

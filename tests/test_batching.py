@@ -229,11 +229,13 @@ def test_batched_root_counts_synthetic():
 
 def _illinois_brackets(rng, n):
     """n brackets of assorted functions fn(x, i): steep and flat cubics,
-    a crawling flat stretch, infinite end values, a NaN hole and an end
-    that is a root; with their ends and end values."""
+    a crawling flat stretch, infinite end values, a NaN hole, an end that
+    is a root and a wiggle, whose secant points can rise above the end they
+    replace (m <= 0: the kept end's value is halved); with their ends and
+    end values."""
     r = rng.uniform(0.05, 0.95, n)
     s = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-    kind = np.arange(n) % 6
+    kind = np.arange(n) % 7
     lo, hi = np.zeros(n), np.ones(n)
     lo[kind == 3], hi[kind == 3] = 0.0, 2.0
     lo[kind == 5] = r[kind == 5]
@@ -242,26 +244,49 @@ def _illinois_brackets(rng, n):
         x, k, ri, si = np.asarray(x, float), kind[i], r[i], s[i]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.select(
-                [k == 0, k == 1, k == 2, k == 3, k == 4],
+                [k == 0, k == 1, k == 2, k == 3, k == 4, k == 5],
                 [si * (x - ri) ** 3,
                  si * (x - ri) ** 9 + 1e-300 * si,
                  np.where(x < ri, -1e-300, 0.8 * x - 0.8 * ri),
                  np.log(x) - np.log(2.0 - x) - si / 1e3,
-                 np.where(np.abs(x - ri) < 0.01, np.nan, x - ri)],
-                si * (x - ri))
+                 np.where(np.abs(x - ri) < 0.01, np.nan, x - ri),
+                 si * (x - ri)],
+                si * (x - ri + 0.3 * np.sin(50.0 * x)))
 
     i = np.arange(n)
     return fn, lo, hi, fn(lo, i), fn(hi, i)
 
 
+def _halved(values, fhi):
+    """Whether a bracket's sequence of evaluations, from its upper end
+    value fhi, ever keeps the sign of the end it replaces with no smaller
+    value: m = 1 - fx / fb <= 0, where the kept end's value is halved."""
+    fb = fhi
+    for fx in values:
+        if (fx < 0.0) == (fb < 0.0) and not 1.0 - fx / fb > 0.0:
+            return True
+        fb = fx
+    return False
+
+
 @pytest.mark.parametrize("rtol", [1e-12, 2e-15, 1e-15])
 def test_one_bracket_equals_its_row_of_a_batch(rtol):
     # one open bracket is refined in Python floats, a batch in numpy: both
-    # give each root the same bits
+    # give each root the same bits, also where a step falls back to halving
     from glstar.functions import _illinois
-    fn, lo, hi, flo, fhi = _illinois_brackets(np.random.default_rng(4), 240)
+    fn, lo, hi, flo, fhi = _illinois_brackets(np.random.default_rng(4), 245)
     batch = _illinois(fn, lo, hi, flo, fhi, rtol)
-    rows = [_illinois(lambda x, i, j=j: fn(x, np.full(np.shape(i), j)),
-                      lo[j:j + 1], hi[j:j + 1], flo[j:j + 1], fhi[j:j + 1],
-                      rtol)[0] for j in range(lo.size)]
+    rows, halved = [], 0
+    for j in range(lo.size):
+        seen = []
+
+        def row(x, i, j=j, seen=seen):
+            v = fn(x, np.full(np.shape(i), j))
+            seen.extend(np.ravel(v).tolist())
+            return v
+
+        rows.append(_illinois(row, lo[j:j + 1], hi[j:j + 1], flo[j:j + 1],
+                              fhi[j:j + 1], rtol)[0])
+        halved += j % 7 == 6 and _halved(seen, fhi[j])
     np.testing.assert_array_equal(batch, rows)
+    assert halved > 0

@@ -30,6 +30,8 @@ tracer.install()
 par = parallelism.make_parallelism(clifford())
 L = join((1.0, 0.1, 0.2, 0.3), (1.0, -0.4, 0.5, 0.1))
 parallelism.parallel_class_of(par, L)
+# a class from a raw spanning pair orthonormalizes it by Subspace.span
+parallelism.class_from_hfd_line(par.hfd.span_at(0.3, 1.0)[0])
 # sigma inverts a plain arc map below the equator, by its table inverse
 star = latitudinal(pencil_from_mu(as_fn1(lambda th: th ** 2 * (2 / np.pi),
                                          domain=(0.0, np.pi / 2))))

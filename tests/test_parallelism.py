@@ -559,17 +559,18 @@ def test_non_rotational_star_without_structure_fails_search():
 
 
 def test_class_from_the_hit_chord_equals_span_at(seven_stars):
-    # the chord the search located gives, bit for bit, the H-line that
-    # span_at evaluates again from the hit's (t, theta); random lines as
-    # in check_hfd
+    # the chord the search located gives, bit for bit, the class of the
+    # H-line that span_at evaluates again from the hit's (t, theta), its
+    # orthogonal rows of norm sqrt(2) scaled to unit length; random lines
+    # as in check_hfd
     K = join_batch(*np.random.default_rng(0).normal(size=(2, 20, 4)))
     for name, star in seven_stars.items():
         P = make_parallelism(star)
         for k in K:
             hits = P.search.find(P.es.project_sphere_coords(k))
             assert len(hits) == 1, name
-            ref = class_from_hfd_line(
-                P.hfd.span_at(hits[0].t, hits[0].theta)[0])
+            ref = class_from_hfd_line(Subspace(
+                P.hfd.span_at(hits[0].t, hits[0].theta)[0] / np.sqrt(2.0)))
             np.testing.assert_array_equal(parallel_class_of(P, k).h_span,
                                           ref.h_span, err_msg=name)
 
@@ -596,10 +597,11 @@ def counting_sigma(star):
 
 
 @pytest.mark.parametrize("name,n_calls", [
-    ("builtin", 2), ("symmetric", 2), ("clifford", 1)])
+    ("builtin", 1), ("symmetric", 1), ("clifford", 1)])
 def test_parallel_query_sigma_calls(seven_stars, name, n_calls):
-    # the profile path evaluates sigma for its roots and for the located
-    # chord, the centre path for the chord only; the H-line reuses it
+    # both paths evaluate sigma for the located chord only: the profile
+    # path takes its azimuth chord from the profile's meridian map, and the
+    # H-line reuses the located chord
     star, calls = counting_sigma(seven_stars[name])
     P = make_parallelism(star)
     rng = np.random.default_rng(2)

@@ -52,7 +52,9 @@ def test_exact_paths_match_the_2d_search(seven_stars):
             assert [len(h) for h in exact] == [len(h) for h in other], name
             for i, (e, g) in enumerate(zip(exact, other)):
                 for he, hg in zip(e, g):
-                    assert projective_distance(he.k, hg.k) < 1e-12, (name, i)
+                    assert projective_distance(join_batch(he.A, he.B),
+                                               join_batch(hg.A, hg.B)) < 1e-12, (
+                        name, i)
 
 
 EDGE_STARS = {
@@ -75,7 +77,8 @@ ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
 def test_edge_points_have_one_line(name, w, line):
     hits = StarLineSearch(EDGE_STARS[name]).find(np.array(w))
     assert len(hits) == 1
-    assert projective_distance(hits[0].k, line.p) < 1e-12
+    assert projective_distance(join_batch(hits[0].A, hits[0].B),
+                               line.p) < 1e-12
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0, -0.4), (0.3, 0.2, -0.5)])
@@ -186,3 +189,35 @@ def test_symmetric_coverage_search_refines_in_few_rounds(monkeypatch):
     monkeypatch.setattr(search, "bracket_roots", counted)
     assert check_coverage(symmetric_star(moebius01())).passed
     assert 0 < len(rounds) <= 10
+
+
+def test_single_roots_take_few_evaluations(seven_stars, monkeypatch):
+    # Anderson-Björck steps: the root of a single-point search on a profile
+    # star takes at most 4.8 evaluations of its covering function on
+    # average over 1000 random lines (as in check_hfd): 4.56 to 4.75 here,
+    # against 5.4 to 5.7 with Illinois halving alone
+    from glstar import functions
+    one, evals = functions._illinois_one, []
+
+    def counted(f, *args):
+        n = [0]
+
+        def g(x):
+            n[0] += 1
+            return f(x)
+
+        root = one(g, *args)
+        evals.append(n[0])
+        return root
+
+    monkeypatch.setattr(functions, "_illinois_one", counted)
+    K = join_batch(*np.random.default_rng(0).normal(size=(2, 1000, 4)))
+    for name, star in seven_stars.items():
+        if star.center is not None:
+            continue
+        es, search = EmbeddedStar(star), StarLineSearch(star)
+        evals.clear()
+        for k in K:
+            search.find(es.project_sphere_coords(k))
+        assert len(evals) == len(K) and np.mean(evals) <= 4.8, (
+            name, len(evals), np.mean(evals))

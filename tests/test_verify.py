@@ -14,7 +14,7 @@ from glstar.constructions import (
 )
 from glstar.errors import EvalError, InvalidInput
 from glstar.functions import affine, as_fn1, moebius01, phi_r, power
-from glstar.projgeom import lines_meet_point, projective_distance
+from glstar.projgeom import join_batch, lines_meet_point, projective_distance
 from glstar.search import StarLineSearch
 from glstar.star import GlStar, fibonacci_sphere
 from glstar.verify import (
@@ -235,7 +235,8 @@ def test_coverage_clifford_single_line():
     hits = search.find(np.array([1.0, 2.0, 0.0, 0.0]))
     assert len(hits) == 1
     # the line is the x-axis
-    k = hits[0].k / np.max(np.abs(hits[0].k))
+    k = join_batch(hits[0].A, hits[0].B)
+    k = k / np.max(np.abs(k))
     assert np.allclose(k, [1, 0, 0, 0, 0, 0], atol=1e-9)
 
 
@@ -246,7 +247,8 @@ def test_coverage_z_infinity_is_axis():
     for star in (SYMM, BUILTIN):
         hits = StarLineSearch(star).find(np.array([0.0, 0.0, 0.0, 1.0]))
         assert len(hits) == 1
-        assert projective_distance(hits[0].k, [0, 0, 1, 0, 0, 0]) < 1e-8
+        assert projective_distance(join_batch(hits[0].A, hits[0].B),
+                                   [0, 0, 1, 0, 0, 0]) < 1e-8
 
 
 def test_coverage_check_passes():
