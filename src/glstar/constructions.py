@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditionFailed, InvalidCenter, InvalidInput
 from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
-from .projgeom import quadratic_roots
+from .projgeom import quadratic_roots, row_dot, row_norm
 from .star import (
     GlStar,
     Handedness,
@@ -94,9 +94,9 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
     @on_unit_sphere
     def sig(Q):
         d = c[None, :] - Q
-        lam = 2.0 * (1.0 - Q @ c) / np.sum(d * d, axis=1)
+        lam = 2.0 * (1.0 - Q @ c) / row_dot(d, d)
         out = Q + lam[:, None] * d
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        out /= row_norm(out)[:, None]
         return out
 
     on_axis = c[0] == 0.0 and c[1] == 0.0

@@ -49,6 +49,7 @@ from .projgeom import (
     join_batch,
     plucker_matrix,
     polar,
+    row_norm,
 )
 from .search import LINE_TOL, StarLineSearch
 from .star import GlStar
@@ -218,7 +219,7 @@ def _hits_for_lines(par: Parallelism, K, tol: float = LINE_TOL):
     """Search hits (per Klein vector row) for the star line whose H-member
     lies in each tangent hyperplane."""
     W4 = par.es.project_sphere_coords(np.atleast_2d(np.asarray(K, float)))
-    norms = np.linalg.norm(W4, axis=-1)
+    norms = row_norm(W4)
     if np.any(norms < 1e-12 * np.linalg.norm(K)):
         raise SearchFailed("Klein vector projects to zero in the star 3-space")
     return par.search.find_batch(W4, tol=tol)
@@ -259,7 +260,7 @@ def parallel_through(par: Parallelism, p, L) -> PLine:
 
 def span_singular_values(hfd: HfdLineSet, n: int = 60, seed: int = 0):
     spans = hfd.samples(n, seed=seed).reshape(-1, 6)
-    spans = spans / np.linalg.norm(spans, axis=1, keepdims=True)
+    spans = spans / row_norm(spans)[:, None]
     return np.linalg.svd(spans, compute_uv=False)
 
 
@@ -308,7 +309,7 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
     (hence every parallel class) setwise."""
     check_sampling(min(n, n_theta), seed=seed)  # tol 0: report the worst
     S = HfdLineSet(es).samples(n, seed=seed)
-    Q = S / np.linalg.norm(S, axis=2, keepdims=True)
+    Q = S / row_norm(S)[..., None]
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     tau = np.stack([torus_action(theta) for theta in thetas])
     G = _KLEIN.matrix
@@ -321,6 +322,6 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
     # mapped[k, i] = Q[i] tau_k^T, rejected from the row space of Q[i]
     mapped = Q @ tau.transpose(0, 2, 1)[:, None]
     rej = mapped - (mapped @ Q.transpose(0, 2, 1)) @ Q
-    r = np.linalg.norm(rej, axis=-1).max(axis=-1)  # (n_theta, n)
+    r = row_norm(rej).max(axis=-1)  # (n_theta, n)
     return _worst("torus_fixes_classes", r, lambda v: v < tol,
                   lambda j: (float(thetas[j // n]), j % n), n * n_theta)

@@ -41,6 +41,26 @@ def _vec(x, name="vector"):
     return v
 
 
+def row_dot(A, B):
+    """Sum of A * B over the last axis, for A and B of one shape whose last
+    axis holds 1 to 7 entries: np.sum(A * B, axis=-1) bit for bit, without
+    the fixed cost numpy pays per row.  numpy sums fewer than 8 entries of a
+    row in order, from +0.0 (from 8 on it sums pairwise).  Here the products
+    are laid out entry by entry, leading axes reversed, and one reduce over
+    that outer axis adds them in the same order, from the same +0.0."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape != B.shape or A.ndim == 0 or not 0 < A.shape[-1] < 8:
+        raise InvalidInput(f"row_dot needs two arrays of one shape with 1 to "
+                           f"7 entries per row, got {A.shape} and {B.shape}")
+    return np.add.reduce(np.multiply(A.T, B.T, order="C"), axis=0).T
+
+
+def row_norm(A):
+    """Euclidean norm over the last axis (1 to 7 entries), bit for bit
+    np.linalg.norm(A, axis=-1)."""
+    return np.sqrt(row_dot(A, A))
+
+
 def projective_distance(u, v) -> float:
     """1 - |cos(angle)| between the spans of u and v; 0 iff projectively equal."""
     u = np.asarray(u, float).ravel()
@@ -163,20 +183,21 @@ def join(a, b) -> PLine:
 
 
 def join_batch(A, B):
-    """Raw Plücker vectors for rows of A joined with rows of B, shape (n, 6)."""
+    """Raw Plücker vectors for rows of A joined with rows of B, shape (n, 6),
+    each column written in place."""
     A = np.asarray(A, float)
     B = np.asarray(B, float)
-    return np.stack(
-        [
-            A[..., 0] * B[..., 1] - A[..., 1] * B[..., 0],
-            A[..., 0] * B[..., 2] - A[..., 2] * B[..., 0],
-            A[..., 0] * B[..., 3] - A[..., 3] * B[..., 0],
-            A[..., 2] * B[..., 3] - A[..., 3] * B[..., 2],
-            A[..., 3] * B[..., 1] - A[..., 1] * B[..., 3],
-            A[..., 1] * B[..., 2] - A[..., 2] * B[..., 1],
-        ],
-        axis=-1,
-    )
+    a0, a1, a2, a3 = (A[..., i] for i in range(4))
+    b0, b1, b2, b3 = (B[..., i] for i in range(4))
+    p01 = a0 * b1 - a1 * b0
+    K = np.empty(np.shape(p01) + (6,))
+    K[..., 0] = p01
+    K[..., 1] = a0 * b2 - a2 * b0
+    K[..., 2] = a0 * b3 - a3 * b0
+    K[..., 3] = a2 * b3 - a3 * b2
+    K[..., 4] = a3 * b1 - a1 * b3
+    K[..., 5] = a1 * b2 - a2 * b1
+    return K
 
 
 def _klein_matrix() -> np.ndarray:
@@ -208,6 +229,12 @@ def klein_form_batch(K1, K2):
     )
 
 
+# Flat 4x4 positions (4 i + j) of p01, p02, p03, p23, p31, p12 at (i, j),
+# and of their negatives at (j, i)
+_PLUCKER_UPPER = np.array([1, 2, 3, 11, 13, 6])
+_PLUCKER_LOWER = np.array([4, 8, 12, 14, 7, 9])
+
+
 def plucker_matrix(k) -> np.ndarray:
     """Antisymmetric 4x4 matrix A B^T - B A^T of the line joining A and B,
     whose column space is the line with Plücker coordinates k (for k on the
@@ -215,9 +242,10 @@ def plucker_matrix(k) -> np.ndarray:
     swapped vector (p23, p31, p12, p01, p02, p03) is the dual one, whose
     kernel is the line."""
     k = _plucker(k)
-    M = np.zeros(k.shape[:-1] + (4, 4))
-    M[..., [0, 0, 0, 2, 3, 1], [1, 2, 3, 3, 1, 2]] = k
-    return M - np.swapaxes(M, -1, -2)
+    M = np.zeros(k.shape[:-1] + (16,))
+    M[..., _PLUCKER_UPPER] = k
+    M[..., _PLUCKER_LOWER] = 0.0 - k  # 0.0 - k: the signed zeros of M - M^T
+    return M.reshape(k.shape[:-1] + (4, 4))
 
 
 def klein_lift(k, tol: float = DEFAULT_TOL):
@@ -487,14 +515,15 @@ def lines_meet_point(L1, L2):
     (theta' within _MEET_TOL too) have no single common point: None.
     """
     K1, K2 = _plucker(L1), _plucker(L2)
-    n1 = np.linalg.norm(K1, axis=-1, keepdims=True)
-    n2 = np.linalg.norm(K2, axis=-1, keepdims=True)
+    n1 = row_norm(K1)[..., None]
+    n2 = row_norm(K2)[..., None]
     k1 = np.divide(K1, n1, out=np.zeros_like(K1), where=n1 > 0.0)
     k2 = np.divide(K2, n2, out=np.zeros_like(K2), where=n2 > 0.0)
     P = plucker_matrix(k1) @ plucker_matrix(k2[..., [3, 4, 5, 0, 1, 2]])
-    col = np.argmax(np.sum(P * P, axis=-2), axis=-1)
+    Pt = np.swapaxes(P, -1, -2)  # rows of Pt: the columns of P
+    col = np.argmax(row_dot(Pt, Pt), axis=-1)
     W = np.take_along_axis(P, col[..., None, None], axis=-1)[..., 0]
-    c = np.abs(np.sum(k1 * k2, axis=-1))
+    c = np.abs(row_dot(k1, k2))
     d = 2.0 * np.abs(klein_form_batch(k1, k2))
     sin2 = np.minimum(1.0, 0.5 * (np.sqrt(np.maximum((1 + d) ** 2 - c * c, 0))
                                   + np.sqrt(np.maximum((1 - d) ** 2 - c * c, 0))))

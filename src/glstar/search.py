@@ -19,31 +19,29 @@ with the star's structure finds no line.  The path follows that structure:
   the residual and the chord.  A star with no profile gets the profile
   fitted to its own meridian map t -> sigma(p_t), once sigma is seen to
   commute with rotations about Z; any other sigma raises SearchFailed.
+  Both the fit (``GlStar.line_profile``) and the coefficient table on the
+  t grid (``RotationalProfile.table``) are held on the star and its profile,
+  computed once, so every search of one star shares them.
+
+The row reductions are ``projgeom.row_dot`` and ``row_norm``, which give
+numpy's bits without its fixed cost per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import SearchFailed
 from .functions import bracket_roots
-from .star import (
-    ROTATION_TOL,
-    GlStar,
-    RotationalProfile,
-    homogenize,
-    meridian_point,
-    rotation_defect,
-)
+from .projgeom import row_dot, row_norm
+from .star import PROFILE_GRID, GlStar, homogenize, meridian_point
 
 _TWO_PI = 2.0 * np.pi
 
-# The t grid of the covering function: its roots are refined to rounding
-# level, so each line is as accurate as the profile it comes from.
-_PROFILE_T = np.linspace(0.0, 1.0, 257)
+# The covering function's roots are refined to rounding level on
+# PROFILE_GRID, so each line is as accurate as the profile it comes from.
 _ROOT_RTOL = 1e-15
 # The residual below which a point lies on a star line: the default of every
 # search and of the checks built on it.
@@ -67,18 +65,18 @@ def _frames(A, B):
     """Orthonormal bases (U1, U2) of the spans of the rows of A and B.  The
     chord of a fixed point of sigma (B a multiple of A) spans no line: its
     U2, and so its residual, is NaN and it gives no hit."""
-    U1 = A / np.linalg.norm(A, axis=-1, keepdims=True)
-    Bp = B - np.sum(B * U1, axis=-1, keepdims=True) * U1
+    U1 = A / row_norm(A)[..., None]
+    Bp = B - row_dot(B, U1)[..., None] * U1
     with np.errstate(invalid="ignore", divide="ignore"):
-        U2 = Bp / np.linalg.norm(Bp, axis=-1, keepdims=True)
+        U2 = Bp / row_norm(Bp)[..., None]
     return U1, U2
 
 
 def _reject(W, U1, U2):
     """Rejection of each unit w from the span of its frame; rows aligned."""
-    W = W / np.linalg.norm(W, axis=-1, keepdims=True)
-    rej = W - np.sum(W * U1, axis=-1, keepdims=True) * U1
-    rej -= np.sum(rej * U2, axis=-1, keepdims=True) * U2
+    W = W / row_norm(W)[..., None]
+    rej = W - row_dot(W, U1)[..., None] * U1
+    rej -= row_dot(rej, U2)[..., None] * U2
     return rej
 
 
@@ -113,43 +111,25 @@ class StarLineSearch:
     def __init__(self, star: GlStar):
         self.star = star
 
-    @cached_property
-    def _profile(self):
-        """The star's profile, else the one fitted to sigma's meridian map
-        when sigma commutes with rotations about Z."""
-        star = self.star
-        if star.profile is not None:
-            return star.profile
-        if not np.all(rotation_defect(star.sigma)[2] < ROTATION_TOL):
-            raise SearchFailed(f"{star.label}: no centre, no profile and "
-                               "sigma does not commute with rotations about Z")
-        return RotationalProfile.from_meridian(
-            lambda t: star.sigma(meridian_point(t)))
-
-    @cached_property
-    def _profile_table(self):
-        """Profile coefficients (a, b, c) on _PROFILE_T but its last point,
-        with the profile's t=0 entry at t=0."""
-        profile = self._profile
-        end = profile.entry_at(0.0)
-        return tuple(np.concatenate([[v0], v]) for v0, v in zip(
-            (end.a, end.b, end.c), profile.coefficients(_PROFILE_T[1:-1])))
-
     def _profile_params(self, W):
         """(owner, t, theta) of every root of every covering function."""
-        W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+        profile = self.star.line_profile
+        if profile is None:
+            raise SearchFailed(f"{self.star.label}: no centre, no profile and "
+                               "sigma does not commute with rotations about Z")
+        W = W / row_norm(W)[:, None]
         # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
         # below rounding w is on the axis, which no t short of 1 resolves
         r2 = W[:, 1] ** 2 + W[:, 2] ** 2
-        V = np.column_stack([_covering(*self._profile_table, W[:, None, :]),
+        V = np.column_stack([_covering(*profile.table, W[:, None, :]),
                              np.where(r2 > np.finfo(float).eps, r2, 0.0)])
         owner, t = bracket_roots(
-            lambda t, k: _covering(*self._profile.coefficients(t), W[k]),
-            _PROFILE_T, V, rtol=_ROOT_RTOL)
+            lambda t, k: _covering(*profile.coefficients(t), W[k]),
+            PROFILE_GRID, V, rtol=_ROOT_RTOL)
         # the chord at theta = 0 from the profile's own meridian map: sigma
         # is evaluated once, at (t, theta), by find_batch
         A = homogenize(meridian_point(t))
-        B = homogenize(self._profile.meridian_image(t))
+        B = homogenize(profile.meridian_image(t))
         return owner, t, _chord_azimuths(W[owner], A, B)
 
     def _center_params(self, W):
@@ -158,7 +138,7 @@ class StarLineSearch:
         below z = 0, as for a centre below the equator)."""
         c = np.asarray(self.star.center, float)
         d = W[:, 1:] - W[:, :1] * c
-        dd = np.sum(d * d, axis=1)
+        dd = row_dot(d, d)
         cd = d @ c
         root = np.sqrt(cd * cd - dd * (c @ c - 1.0))
         s = (-cd + np.where(d[:, 2] > 0.0, root, -root)) / dd
@@ -179,11 +159,15 @@ class StarLineSearch:
         else:
             owner, t, theta = self._profile_params(W)
         A, B = self.star.chord(t, theta)
-        res = np.linalg.norm(_reject(W[owner], *_frames(A, B)), axis=-1)
+        res = row_norm(_reject(W[owner], *_frames(A, B)))
+        # Python numbers, taken in order of residual (NaN last, ties by root)
+        owners, ts, thetas, residuals = (
+            v.tolist() for v in (owner, t, theta, res))
         out = [[] for _ in range(W.shape[0])]
-        for j in sorted(np.nonzero(res < tol)[0], key=res.__getitem__):
-            out[owner[j]].append(LineHit(float(t[j]), float(theta[j]),
-                                         float(res[j]), A[j], B[j]))
+        for j in np.argsort(res, kind="stable").tolist():
+            if residuals[j] < tol:
+                out[owners[j]].append(
+                    LineHit(ts[j], thetas[j], residuals[j], A[j], B[j]))
         return out
 
     def find(self, w, tol: float = LINE_TOL):

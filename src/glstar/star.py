@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvalError, InvalidInput
-from .projgeom import PLine, join
+from .projgeom import PLine, join, row_norm
 
 _T_EPS = 1e-12
 _CONE_TOL = 1e-9
@@ -35,6 +35,10 @@ _CONE_TOL = 1e-9
 _MEETS_AXIS_TOL = 1e-10
 # Grid of t on which the completion checks the meridian image height.
 _HEIGHT_TABLE_SIZE = 2048
+# The t grid of a profile's coefficient table, on which the search brackets
+# the roots of each covering function.
+PROFILE_GRID = np.linspace(0.0, 1.0, 257)
+PROFILE_GRID.flags.writeable = False
 
 
 class Handedness(enum.Enum):
@@ -90,7 +94,7 @@ def on_unit_sphere(batch_fn):
         *head, q = args
         q = np.asarray(q, float)
         Q = np.atleast_2d(q)
-        norms = np.linalg.norm(Q, axis=1)
+        norms = row_norm(Q)
         if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise InvalidInput("sigma expects points on the unit sphere")
         out = batch_fn(*head, Q / norms[:, None])
@@ -111,10 +115,9 @@ def rotation_defect(sigma, n: int = 100, seed: int = 0):
     each, fixed by the seed."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, 3))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q /= row_norm(q)[:, None]
     th = rng.uniform(0.0, 2.0 * np.pi, n)
-    res = np.linalg.norm(sigma(rotate_z(q, th)) - rotate_z(sigma(q), th),
-                         axis=-1)
+    res = row_norm(sigma(rotate_z(q, th)) - rotate_z(sigma(q), th))
     return q, th, res
 
 
@@ -192,6 +195,14 @@ class RotationalProfile:
     def coefficients(self, t):
         return tuple(np.asarray(v, float)
                      for v in self.abc(np.asarray(t, float)))
+
+    @functools.cached_property
+    def table(self):
+        """Coefficients (a, b, c) on PROFILE_GRID but its last point (the
+        axis), with entry_at(0)'s at t=0; computed once per profile."""
+        end = self.entry_at(0.0)
+        return tuple(np.concatenate([[v0], v]) for v0, v in zip(
+            (end.a, end.b, end.c), self.coefficients(PROFILE_GRID[1:-1])))
 
     def entry_at(self, t: float) -> SurfaceEntry:
         t = float(t)
@@ -322,7 +333,7 @@ class RotationalSigma:
             m = self._meridian_image(t)
             psi = theta[lower] - np.arctan2(m[:, 1], m[:, 0])
             out[lower] = rotate_z(meridian_point(t), psi)
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        out /= row_norm(out)[:, None]
         return out
 
 
@@ -344,6 +355,19 @@ class GlStar:
     def sigma(self, q):
         """Image of q under the involution; accepts (3,) or (n, 3)."""
         return self.sigma_fn(q)
+
+    @functools.cached_property
+    def line_profile(self) -> RotationalProfile | None:
+        """The profile of the star's lines, computed once: the star's own,
+        else the one fitted to sigma's meridian map t -> sigma(p_t) when
+        sigma commutes with rotations about Z (every ``rotation_defect``
+        below ROTATION_TOL), else None."""
+        if self.profile is not None:
+            return self.profile
+        if not np.all(rotation_defect(self.sigma)[2] < ROTATION_TOL):
+            return None
+        return RotationalProfile.from_meridian(
+            lambda t: self.sigma(meridian_point(t)))
 
     def line_through(self, q) -> PLine:
         """The star line q v sigma(q) as a Plücker line."""

@@ -2,7 +2,9 @@
 
 Every check is deterministic for a fixed seed and returns a CheckReport.
 Each check evaluates its whole sample set in one batched pass, so reports
-are reproducible bit for bit.  ``_SUITE`` is the one table of the ten
+are reproducible bit for bit; every sum over a row of coordinates goes
+through ``projgeom.row_dot`` or ``row_norm``, numpy's bits at a fraction of
+its cost per row.  ``_SUITE`` is the one table of the ten
 checks (seven here, three Klein checks in ``parallelism``) in report order.
 """
 
@@ -20,6 +22,8 @@ from .projgeom import (
     klein_form_batch,
     lines_meet_point,
     normalize,
+    row_dot,
+    row_norm,
 )
 from .search import LINE_TOL, StarLineSearch
 from .star import (
@@ -99,8 +103,7 @@ def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckRep
     image = star.sigma(grid)
     finite = np.all(np.isfinite(image), axis=1)
     res = np.full(n, np.nan)
-    res[finite] = np.linalg.norm(star.sigma(image[finite]) - grid[finite],
-                                 axis=-1)
+    res[finite] = row_norm(star.sigma(image[finite]) - grid[finite])
     return _worst("involution", res, lambda r: r < tol,
                   lambda i: tuple(grid[i]), n)
 
@@ -112,7 +115,7 @@ def check_fixed_point_free(star: GlStar, n: int = 1000) -> CheckReport:
     max_residual reports the margin (the minimum displacement)."""
     check_sampling(n)
     grid = fibonacci_sphere(n)
-    disp = np.linalg.norm(star.sigma(grid) - grid, axis=-1)
+    disp = row_norm(star.sigma(grid) - grid)
     return _worst("fixed_point_free", disp, lambda d: d > _FIXED_POINT_MARGIN,
                   lambda i: tuple(grid[i]), n, pick=np.argmin)
 
@@ -126,11 +129,12 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     is the witness (t, s, theta) and its pairing the max_residual.  Pairs
     are flagged as meeting when their Klein pairing vanishes within
     tol times the product of norms; ``lines_meet_point`` finds the meeting
-    points W of all flagged pairs in one closed-form pass.  A meet with
-    sphere value W^T S W / |W|^2 above 0 is a violation unless it lies on
-    the sphere (within 1e-6) at an endpoint of both chords.  The witness is
-    the first pair whose value is within 1e-12 * max(1, largest) of the
-    largest."""
+    points W of all flagged pairs in one closed-form pass, from the Plücker
+    vectors already at hand.  A meet with sphere value W^T S W / |W|^2 above
+    0 is a violation unless it lies on the sphere (value at most 1e-6) at an
+    endpoint of both chords, which is tested on those meets alone.  The
+    witness is the first pair whose value is within 1e-12 * max(1, largest)
+    of the largest."""
     check_sampling(n_pairs, tol, seed)
     rng = np.random.default_rng(seed)
     t = rng.random(n_pairs)
@@ -146,16 +150,19 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
         i = int(np.argmin(finite))
         return CheckReport("no_exterior_meet", False, float(g[i]),
                            (float(t[i]), float(s[i]), float(th[i])), n_pairs)
-    norms = np.linalg.norm(K1, axis=1) * np.linalg.norm(K2, axis=1)
+    norms = row_norm(K1) * row_norm(K2)
     flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))[0]
     pairs = flagged[~_same_line(K1[flagged], K2[flagged])]
-    W, found = lines_meet_point((A1[pairs], B1[pairs]), (A2[pairs], B2[pairs]))
+    W, found = lines_meet_point(K1[pairs], K2[pairs])
     pairs, W = pairs[found], W[found]
-    W = W / np.linalg.norm(W, axis=1, keepdims=True)
-    val = np.sum(W @ _SPHERE.matrix * W, axis=1)
-    excused = (val <= 1e-6) & _near_shared_endpoint(
-        W, (A1[pairs], B1[pairs]), (A2[pairs], B2[pairs]))
-    bad = np.nonzero((val > 0.0) & ~excused)[0]
+    W = W / row_norm(W)[:, None]
+    val = row_dot(W @ _SPHERE.matrix, W)
+    bad = val > 0.0
+    # a shared sphere point excuses a meet, tested on the meets near it only
+    near = np.nonzero(bad & (val <= 1e-6))[0]
+    i = pairs[near]
+    bad[near] = ~_near_shared_endpoint(W[near], (A1[i], B1[i]), (A2[i], B2[i]))
+    bad = np.nonzero(bad)[0]
     if bad.size == 0:
         return CheckReport("no_exterior_meet", True, 0.0, None, n_pairs)
     # values within rounding of the largest tie: the first of them is the
@@ -171,8 +178,7 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
 
 def _same_line(K1, K2, tol=1e-9):
     """Rows where the Plücker vectors K1 and K2 are parallel within tol."""
-    c = np.abs(np.sum(K1 * K2, axis=-1)) / (np.linalg.norm(K1, axis=-1)
-                                            * np.linalg.norm(K2, axis=-1))
+    c = np.abs(row_dot(K1, K2)) / (row_norm(K1) * row_norm(K2))
     return 1.0 - np.minimum(c, 1.0) < tol
 
 
@@ -180,7 +186,7 @@ def _near_shared_endpoint(W, chord1, chord2, tol=1e-3):
     """Rows where the unit vector W is within tol (1 - |cos|) of an
     endpoint of each chord."""
     def near(P):
-        c = np.abs(np.sum(W * P, axis=1)) / np.linalg.norm(P, axis=1)
+        c = np.abs(row_dot(W, P)) / row_norm(P)
         return 1.0 - np.minimum(c, 1.0) < tol
 
     return (near(chord1[0]) | near(chord1[1])) & (near(chord2[0])
@@ -194,11 +200,11 @@ def exterior_samples(n: int, seed: int = 0):
     n_inf = max(1, int(round(n * 0.1)))
     n_aff = n - n_inf
     u = rng.normal(size=(n_aff, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= row_norm(u)[:, None]
     r = rng.uniform(1.1, 3.0, n_aff)
     W_aff = np.hstack([np.ones((n_aff, 1)), r[:, None] * u])
     v = rng.normal(size=(n_inf, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= row_norm(v)[:, None]
     W_inf = np.hstack([np.zeros((n_inf, 1)), v])
     return np.vstack([W_aff, W_inf])
 
@@ -234,11 +240,10 @@ def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
     # a chord with coincident endpoints has K = 0 and a NaN residual, which
     # fails the check
     with np.errstate(invalid="ignore"):
-        pair = np.abs(klein_form_batch(K, kz)) / np.linalg.norm(K, axis=1)
+        pair = np.abs(klein_form_batch(K, kz)) / row_norm(K)
     grid = fibonacci_sphere(n)
     zeta = np.array([1.0, -1.0, 1.0])
-    comm = np.linalg.norm(star.sigma(grid * zeta) - star.sigma(grid) * zeta,
-                          axis=-1)
+    comm = row_norm(star.sigma(grid * zeta) - star.sigma(grid) * zeta)
     return _worst("axial", np.concatenate([pair, comm]), lambda r: r < tol,
                   lambda i: (float(t[i]),) if i < n else tuple(grid[i - n]), n)
 

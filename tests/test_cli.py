@@ -239,7 +239,10 @@ def test_export_bytes_are_pinned(tmp_path, name, kind):
 
 
 def _star_set_configs():
-    """The configs of the benchmark's seven stars (bench/run.py), seed 0."""
+    """The configs of the benchmark's seven stars (bench/run.py), seed 0,
+    but for latitudinal: its arc map is a 33-knot piecewise-linear table of
+    the benchmark's smooth th^2 2/pi, which the CLI config cannot name.
+    tests/test_verify.py's SUITE_SHA256 pins the benchmark's own stars."""
     knots = np.linspace(0.0, np.pi / 2, 33)
     return {
         "clifford": '{"family":"clifford"}',

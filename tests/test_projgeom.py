@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import glstar
 from glstar import errors
 from glstar.projgeom import (
     HPoint,
@@ -428,3 +432,16 @@ def test_span_drops_relatively_tiny_singular_values():
     assert np.linalg.svd(A, compute_uv=False)[1] == pytest.approx(1e-11)
     assert Subspace.span(A).rank == 1
     assert Subspace.span(near_rank_one_span(rel=1e-9)).rank == 2
+
+
+def test_row_reductions_have_one_path():
+    # every sum of squares or products over a row of coordinates in the
+    # library goes through projgeom.row_dot / row_norm
+    found = []
+    for path in sorted(Path(glstar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("np.linalg.norm", "np.sum")
+                    and any(kw.arg == "axis" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

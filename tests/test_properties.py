@@ -15,7 +15,7 @@ from glstar.constructions import (
     _param_bc,
     example_parabola_sequence,
 )
-from glstar.errors import ConfigError, ParseError
+from glstar.errors import ConfigError, InvalidInput, ParseError
 from glstar.functions import (
     _FACTORIES,
     TabulatedInverse,
@@ -24,9 +24,11 @@ from glstar.functions import (
     from_spec,
     phi_r,
 )
+from glstar.projgeom import row_dot, row_norm
 from glstar.star import meridian_point, rotate_z
 
 given = pytest.importorskip("hypothesis").given
+example = pytest.importorskip("hypothesis").example
 st = pytest.importorskip("hypothesis.strategies")
 
 # --- parse_config ---------------------------------------------------------------
@@ -299,3 +301,42 @@ def test_count_roots_equals_the_refine_everything_count(grid_name, data):
     k, _ = bracket_roots(fn, grid, v)
     assert (count_roots(fn, grid, v).tolist()
             == np.bincount(k, minlength=len(rows)).tolist())
+
+
+# --- row reductions -----------------------------------------------------------
+
+# every kind of double: signed zeros, infinities, NaN, subnormals, the
+# extremes, and ordinary values
+ROW_VALUES = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                               -5e-324, 2.2e-308, 1e308, -1e308])
+              | st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True))
+
+
+def _same_bits(x, y):
+    """Equal bit for bit, any NaN as any NaN."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return x.shape == y.shape and bool(np.all(
+        (x.view(np.uint64) == y.view(np.uint64)) | (np.isnan(x) & np.isnan(y))))
+
+
+@given(st.integers(1, 7).flatmap(lambda k: st.tuples(*(
+    st.lists(st.lists(ROW_VALUES, min_size=k, max_size=k), min_size=1,
+             max_size=4) for _ in range(2)))))
+# products all -0.0: numpy's sum is +0.0, a plain left-to-right sum -0.0
+@example(([[-0.0, 0.0, -1.0]], [[1.0, -2.0, 0.0]]))
+def test_row_reductions_are_numpys_bit_for_bit(rows):
+    A, B = (np.array(r) for r in rows)
+    A, B = A[:min(len(A), len(B))], B[:min(len(A), len(B))]
+    with np.errstate(all="ignore"):
+        assert _same_bits(row_dot(A, B), np.sum(A * B, axis=-1))
+        assert _same_bits(row_norm(A), np.linalg.norm(A, axis=-1))
+        assert _same_bits(row_dot(A[0], B[0]), np.sum(A[0] * B[0]))
+
+
+def test_row_reductions_refuse_rows_of_eight():
+    # from 8 entries on numpy sums pairwise, in another order
+    with pytest.raises(InvalidInput):
+        row_norm(np.ones((3, 8)))
+    with pytest.raises(InvalidInput):
+        row_dot(np.ones((3, 4)), np.ones(4))  # no broadcasting either

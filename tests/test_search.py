@@ -17,8 +17,14 @@ from glstar.functions import bracket_roots, moebius01
 from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
 from glstar.search import StarLineSearch
-from glstar.star import GlStar
-from glstar.verify import check_coverage, exterior_samples
+from glstar.star import PROFILE_GRID, GlStar, RotationalProfile
+from glstar.verify import (
+    KLEIN_CHECKS,
+    applicable_checks,
+    check_coverage,
+    exterior_samples,
+    run_star_checks,
+)
 
 from bad_stars import apex_star
 from grid_search import GridSearch
@@ -221,3 +227,40 @@ def test_single_roots_take_few_evaluations(seven_stars, monkeypatch):
             search.find(es.project_sphere_coords(k))
         assert len(evals) == len(K) and np.mean(evals) <= 4.8, (
             name, len(evals), np.mean(evals))
+
+
+def test_one_coefficient_table_per_profile(monkeypatch):
+    # a full run of the checks (coverage, and hfd through the parallelism's
+    # own search) tabulates the profile once
+    tables = []
+    coefficients = RotationalProfile.coefficients
+
+    def spy(self, t):
+        if np.shape(t) == PROFILE_GRID[1:-1].shape:
+            tables.append(self)
+        return coefficients(self, t)
+
+    monkeypatch.setattr(RotationalProfile, "coefficients", spy)
+    star = parabola_star(example_parabola_sequence())
+    reports = run_star_checks(
+        star, checks=applicable_checks(star) + list(KLEIN_CHECKS))
+    assert all(r.passed for r in reports)
+    assert tables == [star.profile]
+
+
+def test_a_sigma_only_star_is_fitted_once(monkeypatch):
+    fits = []
+    fit = RotationalProfile.from_meridian.__func__
+
+    def spy(cls, meridian_image):
+        fits.append(meridian_image)
+        return fit(cls, meridian_image)
+
+    monkeypatch.setattr(RotationalProfile, "from_meridian", classmethod(spy))
+    sigma = symmetric_star(moebius01()).sigma_fn
+    stars = [GlStar(label=f"sigma-only {i}", sigma_fn=sigma) for i in (1, 2)]
+    for star in stars:
+        reports = run_star_checks(star, checks=["coverage", "hfd", "coverage"],
+                                  samples=20)
+        assert all(r.passed for r in reports)
+    assert len(fits) == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from glstar.functions import affine, as_fn1, moebius01, phi_r, power
 from glstar.projgeom import join_batch, lines_meet_point, projective_distance
 from glstar.search import StarLineSearch
 from glstar.star import GlStar, fibonacci_sphere
+from glstar.parallelism import dim_parallelism, make_parallelism
 from glstar.verify import (
+    KLEIN_CHECKS,
+    applicable_checks,
     check_axial,
     check_coverage,
     check_fixed_point_free,
@@ -522,3 +527,40 @@ def test_coverage_fails_on_vertical_chord_star():
     assert not r.passed and r.max_residual == 0.0
     w = np.asarray(r.witness)
     assert w[1] ** 2 + w[2] ** 2 > w[0] ** 2  # off the cylinder
+
+
+def _suite_text(star):
+    """What the verify-suite workload runs on one star at seed 0: the
+    report of every applicable check and of the three Klein checks, then
+    dim_parallelism."""
+    reports = run_star_checks(
+        star, checks=applicable_checks(star) + list(KLEIN_CHECKS), seed=0)
+    dim = dim_parallelism(make_parallelism(star).hfd, seed=0)
+    return "\n".join([r.render() for r in reports]
+                     + [f"dim_parallelism {dim}"])
+
+
+# sha256 of _suite_text on the benchmark's own seven stars (the seven_stars
+# fixture, whose latitudinal star has the smooth arc map of bench/run.py):
+# any change to a check that moves a byte fails
+SUITE_SHA256 = {
+    "clifford":
+        "213f0fcb7c30186e110a4553aa3c4f76fcb885d00db6e61a185e1e5056dadbdf",
+    "symmetric":
+        "c4bbfe89e56bc9406773d6f5b86fd374dba935d1a6a5d62359dd7ba296a9fa49",
+    "fg": "29c0fba076883999fd6bf67eea9e85a7a4ab0f107fe7135cf4b2c4cc49217d8b",
+    "builtin":
+        "272f60c65c49e7003c2d4a1ba4168297c90b5281d4fe0f7f06fc66f6b08b596d",
+    "latitudinal":
+        "e86d3ca62de77a02afe28153ae688824c4634601e673718dfcec20b2bcc9315a",
+    "parabola":
+        "33d5e90fcf03884376c0b67a28677a665ebf9b4d9e3494394f70ca0ff1b7b248",
+    "clifford-off":
+        "63e489ac6f3888e6b3ad772e3fb319ef98349c9c2879f7860c00a2190386610a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_SHA256))
+def test_suite_reports_on_the_benchmark_stars_are_pinned(seven_stars, name):
+    text = _suite_text(seven_stars[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256[name]
