@@ -9,7 +9,9 @@ the testable surrogate for a convergence claim.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -651,7 +653,10 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar
     t(a), s(a) of H_a piece by piece in closed form (``_parabola_height``),
     with no table.
     """
-    _check_sequence(seq)
+    # entries near the largest float overflow to inf or NaN there, which
+    # fail the conditions
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_sequence(seq)
     bc = _parabola_bc(seq)
     bv = _check_eqn_hypotheses(bc)
     _check_knot_heights(seq, bc)
@@ -752,17 +757,63 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
     Outside the knots the completions need no solve: below the first knot
     a = |u - beta_0| / sqrt(1 - u^2 - gamma_0), which is y / sqrt(1 - y^2)
     for a vertex at the origin, and past the last one
-    a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2))."""
+    a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2)).
+    A batch of heights takes these steps in numpy, roots that are done
+    leaving it; one height takes the same steps in Python floats, without
+    numpy's cost per call on one-element arrays, with the same bits."""
     al, be, ga = seq.alphas, seq.betas, seq.gammas
     heights = np.asarray(h(seq.slopes()), float)
     # slopes in alpha of beta and gamma on piece i, taken from knot i + 1
     # as np.interp takes them
     q = (be[:-1] - be[1:]) / (al[:-1] - al[1:])
     w = (ga[:-1] - ga[1:]) / (al[:-1] - al[1:])
+    hs, als, bes, gas, qs, ws = (
+        v.tolist() for v in (heights, al, be, ga, q, w))
+
+    def inv_one(y):
+        """inv of one height: each float operation of the batch's steps in
+        the same order.  Where numpy would divide by zero or take the root
+        of a negative number, this raises ZeroDivisionError or ValueError,
+        and the batch answers with numpy's inf or NaN."""
+        u = sign * y
+        i = bisect.bisect_right(hs, y) - 1
+        if i < 0:
+            return abs(u - bes[0]) / math.sqrt(1.0 - u * u - gas[0])
+        if i == len(hs) - 1:
+            d = u - bes[-1]
+            return math.sqrt((d * d + gas[-1] / als[-1]) / (1.0 - u * u))
+        lo, hi = als[i + 1], als[i]
+        x = hi + (y - hs[i]) / (hs[i + 1] - hs[i]) * (lo - hi)
+        a1, b1, g1, qi, wi, c = (als[i + 1], bes[i + 1], gas[i + 1], qs[i],
+                                 ws[i], u * u - 1.0)
+        for _ in range(_NEWTON_MAX_STEPS):
+            dx = x - a1
+            d = u - (b1 + qi * dx)
+            f = x * d * d + (g1 + wi * dx) + c
+            if f < 0.0:
+                lo = x
+            if f > 0.0:
+                hi = x
+            nxt = x - f / (d * d - 2.0 * x * qi * d + wi)
+            if lo < nxt < hi:
+                done = abs(nxt - x) <= _NEWTON_STEP_RTOL * x
+                x = nxt
+            else:
+                done = hi - lo <= _BRACKET_RTOL * x
+                x = 0.5 * (lo + hi)
+            if done:
+                break
+        return 1.0 / math.sqrt(x)
 
     def inv(y):
-        shape = np.shape(y)
-        y = np.ravel(np.asarray(y, float))
+        y = np.asarray(y, float)
+        if y.size == 1:
+            try:
+                return np.full(y.shape, inv_one(y.item()))
+            except (ZeroDivisionError, ValueError):
+                pass
+        shape = y.shape
+        y = y.ravel()
         u = sign * y
         i = np.searchsorted(heights, y, side="right") - 1
         first, last = i < 0, i == len(seq) - 1

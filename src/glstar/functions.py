@@ -368,6 +368,9 @@ def table(knots, values) -> Fn1:
     v = np.asarray(values, dtype=float)
     if k.ndim != 1 or k.shape != v.shape or k.size < 2:
         raise InvalidInput("table needs matching 1-d knots and values, length >= 2")
+    for arr, name in ((k, "knots"), (v, "values")):
+        if not np.isfinite(arr).all():
+            raise InvalidInput(f"table {name} must be finite numbers")
     if not np.all(np.diff(k) > 0):
         raise InvalidInput("table knots must be strictly increasing")
     dv = np.diff(v)
@@ -399,9 +402,13 @@ _FACTORIES = {
 
 
 def _num(spec, key):
+    """The finite number spec[key]: JSON reads 1e400 and Infinity as inf."""
     if key not in spec:
         raise ConfigError(f"missing parameter '{key}'")
-    return float(spec[key])
+    value = float(spec[key])
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter '{key}' must be a finite number")
+    return value
 
 
 def from_spec(spec, path="fn") -> Fn1:

@@ -634,6 +634,35 @@ def test_main_rejects_nan_function_parameters(tmp_path, capsys, command, text,
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,line", [
+    ('{"family":"param","t":{"kind":"phi_r","r":1e400},'
+     '"s":{"kind":"phi_r","r":2}}',
+     "CONFIG ERROR: param.t: parameter 'r' must be a finite number"),
+    ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
+     '"s":{"kind":"affine","a":Infinity,"b":0}}',
+     "CONFIG ERROR: param.s: parameter 'a' must be a finite number"),
+    ('{"family":"fg","f":{"kind":"power","p":-Infinity},'
+     '"g":{"kind":"affine","a":1,"b":-1}}',
+     "CONFIG ERROR: fg.f: parameter 'p' must be a finite number"),
+    ('{"family":"latitudinal","mu":{"kind":"table","knots":[0,1,Infinity],'
+     '"values":[0,0.5,0.9]}}',
+     "CONFIG ERROR: latitudinal.mu: table knots must be finite numbers"),
+    ('{"family":"symmetric","a":{"kind":"table","knots":[0,0.5,1],'
+     '"values":[0,1,1e400]}}',
+     "CONFIG ERROR: symmetric.a: table values must be finite numbers"),
+    ('{"family":"parabola","parabolas":[[1e308,0,0],[1,0.1,0.2]]}',
+     "CONSTRUCTION FAILED: (3): parabola must meet the circle arc in two "
+     "points (witness: 0)"),
+], ids=["phi_r", "affine", "power", "table-knots", "table-values",
+        "parabola-1e308"])
+def test_main_rejects_infinite_numbers_in_one_line(tmp_path, capsys, text,
+                                                   line):
+    # one line and no warning (tier-1 turns warnings into errors)
+    assert main(["construct", "--config", _config_file(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == line + "\n"
+
+
 def test_zero_samples_is_not_replaced_by_defaults(tmp_path):
     cfg = parse_config('{"family":"clifford"}')
     cfg.samples = 0

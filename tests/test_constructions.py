@@ -778,6 +778,56 @@ def test_drawn_parabola_stars_are_built_exactly_when_valid():
     assert F1_SEQUENCE[0] in [d.alphas.tolist() for d in dips]
 
 
+def _height_probes(knots, rng):
+    """Heights on which to invert a circle height with knot heights
+    ``knots``: every knot height and the heights an ulp to either side,
+    heights in the first and last completion pieces, 0, -0, 1 - 2^-53,
+    NaN, 2000 drawn heights, and heights where numpy's answer is inf or
+    NaN: 1, ±2 and ±inf."""
+    return np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        rng.uniform(0.0, knots[0], 20), rng.uniform(knots[-1], 1.0, 20),
+        [0.0, -0.0, 1.0 - 2.0 ** -53, np.nan], rng.uniform(0.0, 1.0, 2000),
+        [1.0, 2.0, -2.0, np.inf, -np.inf]])
+
+
+def test_one_height_equals_its_row_of_a_batch(monkeypatch):
+    # one height is inverted in Python floats, a batch in numpy: both give
+    # each height the same bits, knot heights (which bisect) included; only
+    # the heights 1, 2, -2 and -inf, whose float steps would divide by zero
+    # or take the root of a negative number, are answered by the batch
+    searches, searchsorted = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *args, **kwargs: (
+        searches.append(1) or searchsorted(*args, **kwargs)))
+    seqs, draws = [example_parabola_sequence()], np.random.default_rng(7)
+    while len(seqs) < 21:
+        seq = _drawn_sequence(draws)
+        try:
+            parabola_star(seq)
+        except ConditionFailed:
+            continue
+        seqs.append(seq)
+    rng = np.random.default_rng(25)
+    for seq in seqs:
+        heights = constructions._eqn_heights(constructions._parabola_bc(seq))
+        for h, sign in zip(heights, (1.0, -1.0)):
+            inv = constructions._parabola_height(seq, h, sign)
+            y = _height_probes(np.asarray(h(seq.slopes()), float), rng)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                batch = inv.inverse(y)
+                searches.clear()
+                rows = [inv.inverse(np.array([v])) for v in y]
+                assert len(searches) == 4
+                points = [inv.inverse(np.float64(v)) for v in y[:50]]
+            assert {r.shape for r in rows} == {(1,)}
+            assert {p.shape for p in points} == {()}
+            np.testing.assert_array_equal(
+                batch.view(np.uint64), np.concatenate(rows).view(np.uint64))
+            np.testing.assert_array_equal(batch[:50].view(np.uint64),
+                                          np.array(points).view(np.uint64))
+            assert np.isfinite(batch[:-5]).sum() == batch.size - 6
+
+
 def _sequence_verdict_by_np_roots(seq):
     """(condition, index) of the first sequence condition that fails, each
     quadratic solved by np.roots one parabola or pair at a time, or None."""
