@@ -31,7 +31,14 @@ from .errors import (
     ParseError,
 )
 from .functions import from_spec
-from .projgeom import PLine, QuadricForm, join, line_points, line_sphere_intersect
+from .projgeom import (
+    PLine,
+    QuadricForm,
+    join,
+    line_points,
+    line_sphere_intersect,
+    pow2_scaled,
+)
 from .star import Handedness, homogenize, surface_mesh
 
 
@@ -308,8 +315,7 @@ def _parse_point(text: str, field: str = "--point"):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3 or not all(np.isfinite(parts)):
         raise ConfigError("expected x,y,z, three finite numbers", field=field)
-    p = np.array([1.0, *parts])
-    return np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1])
+    return pow2_scaled([1.0, *parts])
 
 
 def _parse_line(text: str) -> PLine:

@@ -753,7 +753,10 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
     is a cubic with one root in [alpha_{i+1}, alpha_i] (the heights
     increase with a), which Newton steps find from the chord between the
     knot heights; a step that leaves the bracket bisects it instead.  The
-    piece is found among the heights at the knots, worked out once.
+    piece is found among the heights at the knots, worked out once, and a
+    height equal to that of knot i takes alpha_i with no step (f there is
+    rounding noise, or 0, from which no Newton step leaves the bracket's
+    end).
     Outside the knots the completions need no solve: below the first knot
     a = |u - beta_0| / sqrt(1 - u^2 - gamma_0), which is y / sqrt(1 - y^2)
     for a vertex at the origin, and past the last one
@@ -779,6 +782,8 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         i = bisect.bisect_right(hs, y) - 1
         if i < 0:
             return abs(u - bes[0]) / math.sqrt(1.0 - u * u - gas[0])
+        if y == hs[i]:
+            return 1.0 / math.sqrt(als[i])
         if i == len(hs) - 1:
             d = u - bes[-1]
             return math.sqrt((d * d + gas[-1] / als[-1]) / (1.0 - u * u))
@@ -816,13 +821,17 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         y = y.ravel()
         u = sign * y
         i = np.searchsorted(heights, y, side="right") - 1
-        first, last = i < 0, i == len(seq) - 1
+        # a knot height takes its knot's alpha (i = -1 is no knot: there
+        # y < heights[0] <= heights[-1])
+        knot = y == heights[i]
+        first, last = i < 0, (i == len(seq) - 1) & ~knot
         a = np.empty(y.shape)
+        a[knot] = 1.0 / np.sqrt(al[i[knot]])
         a[first] = (np.abs(u[first] - be[0])
                     / np.sqrt(1.0 - u[first] ** 2 - ga[0]))
         a[last] = np.sqrt(((u[last] - be[-1]) ** 2 + ga[-1] / al[-1])
                           / (1.0 - u[last] ** 2))
-        mid = np.flatnonzero(~(first | last))
+        mid = np.flatnonzero(~(first | last | knot))
         i, u, y = i[mid], u[mid], y[mid]
         lo, hi = al[i + 1], al[i]  # f(lo) <= 0 <= f(hi)
         x = hi + (y - heights[i]) / (heights[i + 1] - heights[i]) * (lo - hi)

@@ -49,6 +49,7 @@ from .projgeom import (
     join_batch,
     plucker_matrix,
     polar,
+    pow2_scaled,
     row_norm,
 )
 from .search import LINE_TOL, StarLineSearch
@@ -244,8 +245,11 @@ def parallel_through(par: Parallelism, p, L) -> PLine:
     """The unique line parallel to L through p (L itself when p is on L).
 
     p is on L when |P*(L) p| < 1e-9 |p| for unit L: P*(L) kills L and is
-    an isometry on its complement, so this is p's rejection from L."""
-    pv = _finite(p.coords if isinstance(p, HPoint) else p, "point")
+    an isometry on its complement, so this is p's rejection from L.  p is
+    first scaled by a power of two (``pow2_scaled``), which is exact, so
+    that no product of its coordinates overflows, however large they are."""
+    pv = pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
+                             "point"))
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
     L = L if isinstance(L, PLine) else PLine(k)
     rej = plucker_matrix(k[_SWAP] / np.linalg.norm(k)) @ pv

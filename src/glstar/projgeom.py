@@ -10,6 +10,7 @@ a global default tolerance of 1e-9 at unit scale.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,14 @@ def _vec(x, name="vector"):
     if v.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {v.shape}")
     return v
+
+
+def pow2_scaled(v):
+    """v scaled by a power of two to a largest |entry| in [1/2, 1) (a zero
+    vector is kept): exact, unless an entry falls below the normal range,
+    and no product of two entries overflows."""
+    v = np.asarray(v, float)
+    return np.ldexp(v, -math.frexp(max(map(abs, v.ravel().tolist())))[1])
 
 
 def row_dot(A, B):

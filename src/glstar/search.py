@@ -21,7 +21,12 @@ with the star's structure finds no line.  The path follows that structure:
   commute with rotations about Z; any other sigma raises SearchFailed.
   Both the fit (``GlStar.line_profile``) and the coefficient table on the
   t grid (``RotationalProfile.table``) are held on the star and its profile,
-  computed once, so every search of one star shares them.
+  computed once, so every search of one star shares them.  A single
+  point's roots are refined one height at a time
+  (``functions._illinois_one``): the profile's coefficients at that t (for
+  a fitted profile, the fit) and the covering function are then taken in
+  Python floats, with the batch's bits, without numpy's cost per call on
+  one-element arrays.
 
 The row reductions are ``projgeom.row_dot`` and ``row_norm``, which give
 numpy's bits without its fixed cost per row.
@@ -80,13 +85,14 @@ def _reject(W, U1, U2):
     return rej
 
 
-def _covering(a, b, c, W):
-    """The covering function of the rows of W at profile coefficients
-    (a, b, c), over 1 + a^2: -w3^2 at the horizontal star a = b = c = 0."""
+def _covering(a, b, c, w0, w1, w2, w3):
+    """The covering function of the points (w0, w1, w2, w3) at profile
+    coefficients (a, b, c), over 1 + a^2: -w3^2 at the horizontal star
+    a = b = c = 0.  Arrays broadcast; Python floats give their bits."""
     a2 = a * a
-    return (a2 * (W[..., 1] ** 2 + W[..., 2] ** 2)
-            - (W[..., 3] - b * W[..., 0]) ** 2
-            - (c * W[..., 0]) ** 2) / (1.0 + a2)
+    e = w3 - b * w0
+    f = c * w0
+    return (a2 * (w1 * w1 + w2 * w2) - e * e - f * f) / (1.0 + a2)
 
 
 def _chord_azimuths(W, A, B):
@@ -121,11 +127,19 @@ class StarLineSearch:
         # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
         # below rounding w is on the axis, which no t short of 1 resolves
         r2 = W[:, 1] ** 2 + W[:, 2] ** 2
-        V = np.column_stack([_covering(*profile.table, W[:, None, :]),
+        V = np.column_stack([_covering(*profile.table, *W.T[:, :, None]),
                              np.where(r2 > np.finfo(float).eps, r2, 0.0)])
-        owner, t = bracket_roots(
-            lambda t, k: _covering(*profile.coefficients(t), W[k]),
-            PROFILE_GRID, V, rtol=_ROOT_RTOL)
+
+        def covering(t, k):
+            if t.size == 1:
+                # one height, as a single bracket is refined: the covering
+                # function in Python floats, with the batch's bits
+                return np.full(t.shape, _covering(
+                    *(v.item() for v in profile.coefficients(t)),
+                    *W[k.item()].tolist()))
+            return _covering(*profile.coefficients(t), *W[k].T)
+
+        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL)
         # the chord at theta = 0 from the profile's own meridian map: sigma
         # is evaluated once, at (t, theta), by find_batch
         A = homogenize(meridian_point(t))

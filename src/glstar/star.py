@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,13 +122,39 @@ def rotation_defect(sigma, n: int = 100, seed: int = 0):
     return q, th, res
 
 
+# _snap_radicand's bound, relative to the cancelling terms
+_SNAP_RTOL = 32.0 * float(np.finfo(float).eps)
+
+
 def _snap_radicand(value, scale):
     """Clamp a radicand computed by cancellation: values below a few ulps of
     the cancelling terms are exact zeros of the underlying expression (the
     square root would otherwise turn rounding noise into sqrt(eps))."""
-    snap = 32.0 * np.finfo(float).eps * np.asarray(scale, float)
+    snap = _SNAP_RTOL * np.asarray(scale, float)
     value = np.asarray(value, float)
     return np.where(value <= snap, 0.0, value)
+
+
+def _fit_one(t, m0, m1, m2):
+    """``from_meridian``'s fit at one t with meridian image (m0, m1, m2):
+    each float operation of the batch in the same order.  Where numpy would
+    divide by zero or take the root of a negative number, this raises
+    ZeroDivisionError or ValueError, and the batch answers with numpy's
+    inf or NaN."""
+    xt = math.sqrt(max(1.0 - t * t, 0.0))
+    d0 = m0 - xt
+    dz = m2 - t
+    if abs(dz) < 1e-300:
+        dz = -1e-300
+    A = (d0 * d0 + m1 * m1) / (dz * dz)
+    B = 2.0 * xt * d0 / dz - 2.0 * t * A
+    C = xt * xt - 2.0 * t * xt * d0 / dz + t * t * A
+    A = max(A, 1e-300)
+    b = -B / (2.0 * A)
+    c2 = C / A - b * b
+    if c2 <= _SNAP_RTOL * (C / A + b * b):
+        c2 = 0.0
+    return 1.0 / math.sqrt(A), b, math.sqrt(c2)
 
 
 def homogenize(q):
@@ -260,7 +287,9 @@ class RotationalProfile:
 
         The rotation orbit of the chord p_t v m(t) sweeps a surface of
         revolution; fitting x^2+y^2 as a quadratic in z along the chord
-        yields (a, b, c).
+        yields (a, b, c).  An array of t is fitted in numpy; one t takes
+        the same steps in Python floats (``_fit_one``), without numpy's
+        cost per call on one-element arrays, with the same bits.
         """
 
         def mer(t):
@@ -269,8 +298,14 @@ class RotationalProfile:
 
         def abc(t):
             t = np.atleast_1d(np.asarray(t, float))
-            xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
             m = mer(t)
+            if t.size == 1:
+                try:
+                    return tuple(np.full(t.shape, v)
+                                 for v in _fit_one(t.item(), *m[0].tolist()))
+                except (ZeroDivisionError, ValueError):
+                    pass
+            xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
             d0 = m[:, 0] - xt
             d1 = m[:, 1]
             dz = m[:, 2] - t

@@ -214,11 +214,11 @@ EXPORT_SHA256 = {
     ("builtin", "hfd"):
         "a05a7559c2fca2ab25d154af155facfab99e5f8421634c4603ea51faeb82de2d",
     ("parabola", "lines"):
-        "1092be431afb7ae04be2bf1d9200e9e48badd912c41072b81255b12d4d8a3f5a",
+        "5c57d82aa9b76509474e3a92b8319013219b713cbf088d0b3e7a11b6e2ea5d59",
     ("parabola", "mesh"):
         "d8cebfd139e2088277c6b1e7abba692a8a6ee9c0f169de363fa75a0409debced",
     ("parabola", "hfd"):
-        "1f089cad3592a18e8cfc82a6ce01420235b2218fd472a73725b4e69fa7e6e97e",
+        "2f6b68a031f5b109d4c52c71753e942022535731b2827cda787a8b1c508df66d",
     ("clifford", "lines"):
         "db8485fa347767e307230adcf7671bdc182ab1f976e90f77234d2d00b5bdbd20",
     ("clifford", "mesh"):
@@ -272,7 +272,7 @@ VERIFY_SHA256 = {
     "latitudinal":
         "9e94fdb7cb0934352e0695a9f8bfc4aa5d40f2ca75a1824fed1c41e2fd0d8796",
     "parabola":
-        "467c04568273f1b8b3a2debcc2e33946b22957f47c6bbe35313f5f358db043e3",
+        "148fb345189b28f7b4cde91fa9d26603a502bbff0ac74f3d9a4ba6828d52b946",
     "clifford-off":
         "4939de984683012707dc1d0b82acd87242b39b2da30ffdcefbb2b205bb9d7149",
 }

@@ -466,6 +466,27 @@ def test_parabola_height_inverse_round_trips(sign):
     assert np.all(log_a(np.array([y_end, 1.5])) == np.log(a_max))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t", "s"])
+def test_parabola_knot_heights_invert_to_their_knot_slopes(sign, monkeypatch):
+    # a knot height takes its knot's alpha with no Newton or bisection step
+    # (the batch's loop, the one user of np.where here, never runs), in a
+    # batch and one height at a time: the s-height 0.993103448275862 gives
+    # 16, where steps from the chord start gave 16.00000000000002
+    seq = example_parabola_sequence()
+    t_fn, s_fn = constructions._eqn_heights(constructions._parabola_bc(seq))
+    h = t_fn if sign > 0 else s_fn
+    inv = constructions._parabola_height(seq, h, sign)
+    y, k = np.asarray(h(seq.slopes()), float), seq.slopes().tolist()
+    steps, where = [], np.where
+    monkeypatch.setattr(np, "where",
+                        lambda *args: steps.append(1) or where(*args))
+    assert inv.inverse(y).tolist() == k
+    assert not steps
+    assert [inv.inverse(np.array([v])).item() for v in y] == k
+    if sign < 0:
+        assert (y[10], k[10]) == (0.993103448275862, 16.0)
+
+
 def test_parabola_heights_build_no_table(monkeypatch):
     built = _count_tables(monkeypatch)
     star = parabola_star(example_parabola_sequence())

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -426,6 +427,23 @@ def test_parallel_through_on_line_threshold():
         out = parallel_through(PAR_BUILTIN, p, L)
         assert (out is L) == on
         assert _rejection(p, out) < 1e-9
+
+
+def test_parallel_through_answers_huge_points_without_overflow():
+    # p is scaled by a power of two where it enters, which is exact: a point
+    # and its multiple by 2^40 get the same answer, bit for bit, and a
+    # point whose squared norm overflows answers with no warning, as the
+    # same point given as (1e-300, 1, 0, 0) does
+    L = join(np.array([1.0, 0.2, 0.1, 0.3]), np.array([1.0, -0.3, 0.5, 0.1]))
+    p = np.array([1.0, 0.4, -0.2, 0.9])
+    assert (parallel_through(PAR_BUILTIN, p, L).p.tobytes()
+            == parallel_through(PAR_BUILTIN, np.ldexp(p, 40), L).p.tobytes())
+    ref = parallel_through(PAR_BUILTIN, np.array([1e-300, 1.0, 0.0, 0.0]), L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e160, 1e300):
+            out = parallel_through(PAR_BUILTIN, np.array([1.0, x, 0.0, 0.0]), L)
+            assert projective_distance(out.p, ref.p) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

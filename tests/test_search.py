@@ -264,3 +264,98 @@ def test_a_sigma_only_star_is_fitted_once(monkeypatch):
                                   samples=20)
         assert all(r.passed for r in reports)
     assert len(fits) == 2
+
+
+# ---------------------------------------------------------------------------
+# One height in Python floats: each one-height path gives its batch row's bits
+
+
+def _bits(*arrays):
+    return [np.asarray(a, float).view(np.uint64) for a in arrays]
+
+
+def test_one_t_coefficients_equal_their_batch_row(seven_stars, monkeypatch):
+    # a fitted profile fits one t in Python floats (star._fit_one), and
+    # every one-t evaluation here takes that path but at t = 0, where the
+    # chord of clifford and fg is horizontal and the batch's fit divides by
+    # zero; the other profiles take their own (parabola's height inverse in
+    # floats among them)
+    from glstar import star as star_module
+    fits, fit = [], star_module._fit_one
+
+    def spy(*args):
+        out = fit(*args)
+        fits.append(args[0])
+        return out
+
+    monkeypatch.setattr(star_module, "_fit_one", spy)
+    ts = np.concatenate([PROFILE_GRID, [0.0, 1.0, 1.0 - 1e-12],
+                         np.random.default_rng(26).uniform(0.0, 1.0, 1000)])
+    for name, star in seven_stars.items():
+        profile = star.line_profile
+        if profile is None:
+            continue
+        fits.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = profile.coefficients(ts)
+            rows = [profile.coefficients(np.array([t])) for t in ts]
+        if profile.meridian is None:
+            assert not fits, name
+        else:
+            assert set(ts[ts > 0.0].tolist()) <= set(fits), name
+        for v, row in zip(batch, zip(*rows)):
+            np.testing.assert_array_equal(*_bits(v, np.concatenate(row)),
+                                          err_msg=name)
+
+
+def _probe_points(rng, n=120, at_infinity=30):
+    W = rng.normal(size=(n, 4))
+    W[:at_infinity, 0] = 0.0
+    return W
+
+
+def test_one_point_covering_equals_its_batch_row(seven_stars, monkeypatch):
+    # the covering function of one point at one height, as a single bracket
+    # is refined, is computed in Python floats
+    from glstar import search
+    probes = []
+
+    def spy(fn, *args, **kwargs):
+        probes.append(fn)
+        return bracket_roots(fn, *args, **kwargs)
+
+    monkeypatch.setattr(search, "bracket_roots", spy)
+    rng = np.random.default_rng(26)
+    for name, star in seven_stars.items():
+        if star.line_profile is None or star.center is not None:
+            continue
+        W = _probe_points(rng)
+        probes.clear()
+        StarLineSearch(star).find_batch(W)
+        fn, = probes
+        t = np.concatenate([[0.0, 1.0 - 1e-12], rng.uniform(0.0, 1.0, 500)])
+        k = rng.integers(0, W.shape[0], t.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = fn(t, k)
+            rows = [fn(t[j:j + 1], k[j:j + 1]) for j in range(t.size)]
+        assert {r.shape for r in rows} == {(1,)}
+        np.testing.assert_array_equal(*_bits(batch, np.concatenate(rows)),
+                                      err_msg=name)
+
+
+def test_find_equals_its_row_of_find_batch(seven_stars):
+    # a single point's roots are refined in floats (functions._illinois_one)
+    # on a covering function in floats; points at infinity (w0 = 0) included
+    rng = np.random.default_rng(27)
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        W = _probe_points(rng)
+        batch = search.find_batch(W)
+        assert sum(map(len, batch)) >= W.shape[0], name
+        for w, hits in zip(W, batch):
+            one = search.find(w)
+            assert len(one) == len(hits), name
+            for h, g in zip(one, hits):
+                for x, y in zip(_bits([h.t, h.theta, h.residual], h.A, h.B),
+                                _bits([g.t, g.theta, g.residual], g.A, g.B)):
+                    np.testing.assert_array_equal(x, y, err_msg=name)

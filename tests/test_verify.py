@@ -554,7 +554,7 @@ SUITE_SHA256 = {
     "latitudinal":
         "e86d3ca62de77a02afe28153ae688824c4634601e673718dfcec20b2bcc9315a",
     "parabola":
-        "33d5e90fcf03884376c0b67a28677a665ebf9b4d9e3494394f70ca0ff1b7b248",
+        "d5502168acf19b05e7d0e36486ae233736b0b86deb37096ff20f1a28c3c0c4e0",
     "clifford-off":
         "63e489ac6f3888e6b3ad772e3fb319ef98349c9c2879f7860c00a2190386610a",
 }
