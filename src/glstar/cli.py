@@ -42,6 +42,9 @@ from .projgeom import (
 from .star import Handedness, homogenize, surface_mesh
 
 
+_SPHERE = QuadricForm.unit_sphere()
+
+
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -274,14 +277,15 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                 fh.write(_rows_text(_line_rows(star, n)))
             print(f"wrote {lines}", file=out)
         if mesh:
-            if star.profile is None:
+            profile = star.line_profile
+            if profile is None:
                 print("CONSTRUCTION FAILED: star has no rotational profile "
                       "to mesh", file=out)
                 return 2
             with open(mesh, "w", newline="\n") as fh:
                 offset = 0
                 for t in np.linspace(0.1, 0.9, 8):
-                    entry = star.profile.entry_at(float(t))
+                    entry = profile.entry_at(float(t))
                     if entry.kind not in ("cone", "hyperboloid"):
                         continue
                     verts, faces = surface_mesh(entry, 24, 48)
@@ -342,14 +346,14 @@ def cmd_parallel(cfg: StarConfig, line_text: str, point_text: str,
     except GlStarError as exc:
         print(f"QUERY FAILED: {exc}", file=out)
         return 3
-    pts = line_sphere_intersect(result, QuadricForm.unit_sphere())
+    basis = line_points(result)
+    pts = line_sphere_intersect(tuple(pt.coords for pt in basis), _SPHERE)
     if len(pts) == 2:
         affine = [pt.coords[1:] / pt.coords[0] for pt in pts]
         print(";".join(",".join(_g17(v) for v in a) for a in affine), file=out)
     else:
-        a, b = line_points(result)
         print(";".join(",".join(_g17(v) for v in pt.coords)
-                       for pt in (a, b)), file=out)
+                       for pt in basis), file=out)
     return 0
 
 

@@ -26,7 +26,6 @@ from .star import (
     RotationalSigma,
     _snap_radicand,
     is_cone,
-    meridian_point,
     on_unit_sphere,
 )
 from .verify import positive_root_count
@@ -101,17 +100,13 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
         out /= row_norm(out)[:, None]
         return out
 
-    on_axis = c[0] == 0.0 and c[1] == 0.0
     tags = ()
-    profile = None
-    if on_axis:
+    if c[0] == 0.0 and c[1] == 0.0:
         tags = ("rotational", "axial")
         if c[2] == 0.0:
             tags += ("symmetric",)
-        profile = RotationalProfile.from_meridian(
-            lambda t: sig(meridian_point(t)))
     label = "clifford({:g},{:g},{:g})".format(*c)
-    return GlStar(label=label, sigma_fn=sig, profile=profile, tags=tags,
+    return GlStar(label=label, sigma_fn=sig, tags=tags,
                   center=tuple(c.tolist()))
 
 
@@ -192,7 +187,7 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
         gvv = np.asarray(g_fn(tt), float)
         y2 = _snap_radicand(1.0 - fvv * fvv - gvv * gvv,
                             1.0 + fvv * fvv + gvv * gvv)
-        y = eps_sign(tt) * np.sqrt(np.clip(y2, 0.0, None))
+        y = eps_sign(tt) * np.sqrt(y2)
         norm = np.sqrt(gvv * gvv + y * y + fvv * fvv)
         return np.stack([gvv / norm, y / norm, -fvv / norm], axis=-1)
 
@@ -608,10 +603,6 @@ class ParabolaSeq:
 
     def slopes(self):
         return 1.0 / np.sqrt(self.alphas)
-
-    def value(self, i: int, u):
-        u = np.asarray(u, float)
-        return self.alphas[i] * (u - self.betas[i]) ** 2 + self.gammas[i]
 
     def arc_intersections(self):
         """The two u-values lo < hi where each P_i meets the arc

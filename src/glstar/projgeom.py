@@ -261,22 +261,20 @@ def klein_lift(k, tol: float = DEFAULT_TOL):
     """Invert the Klein embedding: returns ``(line, (a, b))`` where a, b are
     two spanning points and joining them re-embeds to k projectively."""
     v = _vec(_plucker(k))
-    n2 = float(np.dot(v, v))
-    if n2 == 0.0:
-        raise InvalidInput("zero Klein vector")
-    if abs(2.0 * klein_form(v, v)) > max(tol, 1e-7) * n2:
+    if abs(2.0 * klein_form(v, v)) > max(tol, 1e-7) * float(np.dot(v, v)):
         raise NotOnQuadric("vector is not on the Klein quadric")
-    M = plucker_matrix(v)
-    u, s, _ = np.linalg.svd(M)
-    a = HPoint(u[:, 0])
-    b = HPoint(u[:, 1])
+    a, b = line_points(v)
     return join(a, b), (a, b)
 
 
 def line_points(L) -> tuple[HPoint, HPoint]:
-    """Two spanning points of a Plücker line."""
-    _, pts = klein_lift(L, tol=1.0)
-    return pts
+    """Two spanning points of a Plücker line: the leading left singular
+    vectors of its Plücker matrix."""
+    v = _vec(_plucker(L))
+    if float(np.dot(v, v)) == 0.0:
+        raise InvalidInput("zero Klein vector")
+    u, _, _ = np.linalg.svd(plucker_matrix(v))
+    return HPoint(u[:, 0]), HPoint(u[:, 1])
 
 
 # ---------------------------------------------------------------------------

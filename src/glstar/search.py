@@ -19,13 +19,15 @@ with the star's structure finds no line.  The path follows that structure:
   the residual and the chord.  A star with no profile gets the profile
   fitted to its own meridian map t -> sigma(p_t), once sigma is seen to
   commute with rotations about Z; any other sigma raises SearchFailed.
-  Both the fit (``GlStar.line_profile``) and the coefficient table on the
-  t grid (``RotationalProfile.table``) are held on the star and its profile,
-  computed once, so every search of one star shares them.  A single
-  point's roots are refined one height at a time
+  ``GlStar.line_profile`` is the one accessor of a star's profile, its own
+  or this fit, and the only place a profile is fitted to sigma.  It and the
+  coefficient table on the t grid (``RotationalProfile.table``) are held on
+  the star and its profile, computed once, so every search of one star
+  shares them.  A single point's roots are refined one height at a time
   (``functions._illinois_one``): the profile's coefficients at that t (for
-  a fitted profile, the fit) and the covering function are then taken in
-  Python floats, with the batch's bits, without numpy's cost per call on
+  a fitted profile, the fit, which is finite at every t, a horizontal
+  chord included) and the covering function are then taken in Python
+  floats, with the batch's bits, without numpy's cost per call on
   one-element arrays.
 
 The row reductions are ``projgeom.row_dot`` and ``row_norm``, which give

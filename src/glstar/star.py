@@ -135,17 +135,20 @@ def _snap_radicand(value, scale):
     return np.where(value <= snap, 0.0, value)
 
 
+# from_meridian's least height step |dz| of a chord: a flatter chord (the
+# horizontal one at t = 0 of clifford and fg) is fitted with dz = -this, so
+# that dz * dz stays a normal float and the fit is finite everywhere
+_FLAT_CHORD = 1e-150
+
+
 def _fit_one(t, m0, m1, m2):
     """``from_meridian``'s fit at one t with meridian image (m0, m1, m2):
-    each float operation of the batch in the same order.  Where numpy would
-    divide by zero or take the root of a negative number, this raises
-    ZeroDivisionError or ValueError, and the batch answers with numpy's
-    inf or NaN."""
+    each float operation of the batch in the same order."""
     xt = math.sqrt(max(1.0 - t * t, 0.0))
     d0 = m0 - xt
     dz = m2 - t
-    if abs(dz) < 1e-300:
-        dz = -1e-300
+    if abs(dz) < _FLAT_CHORD:
+        dz = -_FLAT_CHORD
     A = (d0 * d0 + m1 * m1) / (dz * dz)
     B = 2.0 * xt * d0 / dz - 2.0 * t * A
     C = xt * xt - 2.0 * t * xt * d0 / dz + t * t * A
@@ -300,16 +303,13 @@ class RotationalProfile:
             t = np.atleast_1d(np.asarray(t, float))
             m = mer(t)
             if t.size == 1:
-                try:
-                    return tuple(np.full(t.shape, v)
-                                 for v in _fit_one(t.item(), *m[0].tolist()))
-                except (ZeroDivisionError, ValueError):
-                    pass
+                return tuple(np.full(t.shape, v)
+                             for v in _fit_one(t.item(), *m[0].tolist()))
             xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
             d0 = m[:, 0] - xt
             d1 = m[:, 1]
             dz = m[:, 2] - t
-            dz = np.where(np.abs(dz) < 1e-300, -1e-300, dz)
+            dz = np.where(np.abs(dz) < _FLAT_CHORD, -_FLAT_CHORD, dz)
             A = (d0 * d0 + d1 * d1) / (dz * dz)
             B = 2.0 * xt * d0 / dz - 2.0 * t * A
             C = xt * xt - 2.0 * t * xt * d0 / dz + t * t * A
@@ -423,17 +423,15 @@ class GlStar:
 
 
 def meridian_line(profile, t: float) -> PLine:
-    """The star line through p_t, from a profile or a star.
+    """The star line through p_t: of a profile, the join of p_t and its
+    meridian image; of a star, its chord ``star.chord(t)``.
 
     t=0 gives the x-axis, t=1 the z-axis Z; in between the line lies on
     the profile surface at t, in the regulus the profile names.
     """
     if isinstance(profile, GlStar):
-        if profile.profile is not None:
-            profile = profile.profile
-        else:
-            A, B = profile.chord(np.array([float(t)]))
-            return join(A[0], B[0])
+        A, B = profile.chord(np.array([float(t)]))
+        return join(A[0], B[0])
     m = profile.meridian_image(np.array([float(t)]))[0]
     p = meridian_point(float(t))
     return join(homogenize(p), homogenize(m))

@@ -1,4 +1,5 @@
-"""A 50-digit oracle for ``parallel_through`` on the benchmark's seven stars.
+"""A 50-digit oracle for ``parallel_through`` on the benchmark's seven stars,
+and for sigma on its two eqn-path stars (builtin and parabola).
 
 Each star's meridian map m(u) = sigma(p_t(u)) is modelled in mpmath from the
 family's closed forms, with no float code of the library on the way:
@@ -15,6 +16,11 @@ family's closed forms, with no float code of the library on the way:
   the config's piecewise-linear table;
 - clifford-off: no meridian; the star line through w is w v (1, centre).
 
+Sigma of an eqn-path star is measured on a fixed t grid: in the upper
+hemisphere sigma(p_t) against m(a) with a the root of t(a) = t, and in the
+lower hemisphere sigma of m(a) rounded to floats against p_t, the point it
+is the image of.
+
 The exact answer of a query (p, L) follows the library's steps in exact
 arithmetic: w = the projection of L's Klein vector onto the star's 3-space,
 the root u of w's covering condition by ``mp.findroot`` from the float hit,
@@ -26,7 +32,8 @@ class of h.  The float hit only seeds the root.
 prints, per star, the largest and the 99th-percentile line distance (the
 sine of the angle between Plücker vectors) of the library's answers from
 the exact ones, over the pinned queries of ``tests/test_cli.py`` and n
-seeded ones.
+seeded ones; then the same of sigma's distance from the exact image, for
+builtin and parabola, on 2n upper and n lower points.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from mpmath import mp
 from glstar import cli
 from glstar.parallelism import _D, make_parallelism, parallel_through
 from glstar.projgeom import PLine, join_batch
+from glstar.star import meridian_point
 
 DPS = 50
 
@@ -327,8 +335,42 @@ def seeded_queries(n: int, seed: int):
 
 def star_parallelisms():
     """{star name: Parallelism} of the seven stars, built by the CLI."""
-    return {name: make_parallelism(cli.build_star(cli.parse_config(text)))
-            for name, text in star_configs().items()}
+    return {name: make_parallelism(build_star(name))
+            for name in star_configs()}
+
+
+def build_star(name):
+    """The star of ``star_configs()[name]``, built by the CLI."""
+    return cli.build_star(cli.parse_config(star_configs()[name]))
+
+
+def t_grid(n):
+    """n evenly spaced t in the open interval (0, 1)."""
+    return np.linspace(0.0, 1.0, n + 2)[1:-1]
+
+
+def sigma_errors(star, model, t_upper, t_lower):
+    """The distances of sigma(p_t) from the exact m(a) for t in t_upper, and
+    of sigma(m(a) rounded to floats) from the exact p_t for t in t_lower, a
+    the root of t(a) = t: two arrays.  For the eqn-path stars, whose model's
+    chart u is the slope a."""
+    def error(got, exact):
+        d = [mp.mpf(float(g)) - e for g, e in zip(got, exact)]
+        return float(mp.sqrt(_dot(d, d)))
+
+    def image(t):
+        """The exact m(a) of t."""
+        a = _bracketed_root(lambda a: model.t_of(a) - t,
+                            mp.mpf(model.u_of_t(star, t)))
+        return model.m_of(a)
+
+    with mp.workdps(DPS):
+        upper = [error(star.sigma(meridian_point(t)), image(t))
+                 for t in t_upper.tolist()]
+        lower = [error(star.sigma(np.array([float(x) for x in image(t)])),
+                       [mp.sqrt(1 - mp.mpf(t) ** 2), 0, t])
+                 for t in t_lower.tolist()]
+    return np.array(upper), np.array(lower)
 
 
 def distances(par, model, queries):
@@ -353,6 +395,15 @@ def main(argv=None):
                       "p99": float(np.quantile(d, 0.99))}
         print(f"{name:13s} n={d.size} max={d.max():.3g} "
               f"p99={np.quantile(d, 0.99):.3g}", flush=True)
+    for name in ("builtin", "parabola"):
+        for side, d in zip(("upper", "lower"), sigma_errors(
+                build_star(name), mods[name], t_grid(2 * args.n),
+                t_grid(args.n))):
+            rows[f"{name} sigma {side}"] = {
+                "n": int(d.size), "max": float(d.max()),
+                "p99": float(np.quantile(d, 0.99))}
+            print(f"{name} sigma {side}: n={d.size} max={d.max():.3g} "
+                  f"p99={np.quantile(d, 0.99):.3g}", flush=True)
     print(json.dumps(rows))
 
 

@@ -881,7 +881,7 @@ def _sequence_verdict_by_np_roots(seq):
             continue
         r = np.roots(d)
         for u in np.real(r[np.abs(np.imag(r)) < 1e-12]):
-            v = seq.value(i, u)
+            v = al[i] * (u - be[i]) ** 2 + ga[i]
             if not (abs(u) <= 1.0 + 1e-9 and -1e-9 <= v <= 1.0 - u * u + 1e-9):
                 return ("(4): consecutive parabolas intersect outside the "
                         "bounded region", i)

@@ -46,3 +46,22 @@ def test_oracle_sees_a_moved_star(oracle_stars):
     d = oracle.distances(pars["parabola"], moved,
                          oracle.seeded_queries(N_SEEDED, 0))
     assert max(d) > 1000 * LINE_BOUND, d
+
+
+# sigma of the eqn-path stars lies within this distance of the exact image,
+# on SIGMA_POINTS upper and half as many lower points: the largest is
+# 1.77e-15 (builtin, lower).  Without _build_eqn_star's log-a detour (a
+# height inverted to a, not log a), builtin's upper error reaches 2.72e-15
+# on these points, and 2.82e-15 on 400.
+SIGMA_BOUND = 2e-15
+SIGMA_POINTS = 80
+
+
+@pytest.mark.parametrize("name", ["builtin", "parabola"])
+def test_eqn_path_sigma_is_within_rounding_of_the_oracle(oracle_stars, name):
+    pars, models = oracle_stars
+    upper, lower = oracle.sigma_errors(
+        pars[name].star, models[name], oracle.t_grid(SIGMA_POINTS),
+        oracle.t_grid(SIGMA_POINTS // 2))
+    assert upper.max() < SIGMA_BOUND, (name, upper.max())
+    assert lower.max() < SIGMA_BOUND, (name, lower.max())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,12 +66,13 @@ def test_off_origin_axial_clifford_profile_ends():
     star = clifford((0.0, 0.0, 0.4))
     p0 = meridian_point(0.0)
     m0 = star.sigma(p0)
-    np.testing.assert_array_equal(star.profile.meridian_image(0.0)[0], m0)
+    profile = star.line_profile
+    np.testing.assert_array_equal(profile.meridian_image(0.0)[0], m0)
     chord = join(homogenize(p0), homogenize(m0))
     assert projective_distance(meridian_line(star, 0.0).p, chord.p) < 1e-12
-    entry = star.profile.entry_at(0.0)
+    entry = profile.entry_at(0.0)
     assert entry.kind == "cone" and abs(entry.b - 0.4) < 1e-12
-    np.testing.assert_array_equal(star.profile.meridian_image(1.0)[0],
+    np.testing.assert_array_equal(profile.meridian_image(1.0)[0],
                                   star.sigma(meridian_point(1.0)))
 
 
@@ -190,10 +193,27 @@ def test_fitted_profile_answers_with_its_own_map(monkeypatch):
     for build in (lambda: fg_star(power(2), affine(1, -1), eps=-1),
                   lambda: latitudinal(quad), clifford):
         fitted.clear()
-        star = build()
+        profile = build().line_profile
         (meridian,) = fitted
-        np.testing.assert_array_equal(star.profile.meridian_image(t),
-                                      meridian(t))
+        np.testing.assert_array_equal(profile.meridian_image(t), meridian(t))
+
+
+@pytest.mark.parametrize("make", [
+    clifford, lambda: clifford((0.0, 0.0, 0.4)),
+    lambda: fg_star(power(2), affine(1, -1), eps=-1)])
+def test_fitted_profile_is_finite_at_a_horizontal_chord(make):
+    # at t = 0 the chord of clifford and fg is horizontal (of clifford off
+    # the origin it is not): the fit is finite there, in one t and in a
+    # batch, with the same bits and no floating-point warning
+    profile = make().line_profile
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        one = profile.coefficients(np.array([0.0]))
+        batch = profile.coefficients(np.array([0.0, 0.5]))
+    assert all(np.isfinite(v).all() for v in one + batch)
+    for v, row in zip(one, batch):
+        np.testing.assert_array_equal(v.view(np.uint64),
+                                      row[:1].view(np.uint64))
 
 
 def test_rotational_sigma_rejects_increasing_height():
