@@ -24,6 +24,8 @@ from .star import (
     Handedness,
     RotationalProfile,
     RotationalSigma,
+    _clip_one,
+    _snap_one,
     _snap_radicand,
     is_cone,
     on_unit_sphere,
@@ -45,20 +47,26 @@ _A_GRID.flags.writeable = _CIRCLE_PROBE_A.flags.writeable = False
 
 def _hand_sign_fn(hand):
     """Normalize a handedness assignment (a Handedness, a sign +-1 or a
-    callable of t giving either) to a vectorized sign function of t."""
+    callable of t giving either) to a vectorized sign function of t, which
+    also takes one Python float and gives a float."""
     if isinstance(hand, Handedness):
         hand = hand.sign
     if callable(hand):
         def fn(t):
-            t = np.asarray(t, float)
+            # one Python float is taken as a one-element array, and its sign
+            # given as a float
+            one = isinstance(t, float)
+            t = np.asarray([t] if one else t, float)
             v = hand(t)
             if isinstance(v, Handedness):
-                return np.full_like(t, v.sign)
-            return np.sign(np.asarray(v, float))
+                v = np.full_like(t, v.sign)
+            v = np.sign(np.asarray(v, float))
+            return float(v.ravel()[0]) if one else v
         return fn
     if np.ndim(hand) == 0 and hand in (-1, 1):
         s = float(hand)
-        return lambda t: np.full_like(np.asarray(t, float), s)
+        return lambda t: s if isinstance(t, float) else np.full_like(
+            np.asarray(t, float), s)
     raise InvalidInput("a regulus sign must be a Handedness, +-1 or a "
                        "callable of t")
 
@@ -139,13 +147,23 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
 
     def abc(tt):
         tt = np.asarray(tt, float)
-        aa = np.asarray(a_fn(tt), float)
-        c2 = aa * aa - tt * tt * (1.0 + aa * aa)
-        cc = np.sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
-        return aa, np.zeros_like(tt), cc
+        # a(1) may be inf (it is for moebius01), and then c^2 is inf - inf:
+        # c takes its limit inf there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aa = np.asarray(a_fn(tt), float)
+            c2 = aa * aa - tt * tt * (1.0 + aa * aa)
+            cc = np.sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
+        return aa, np.zeros_like(tt), np.where(aa == np.inf, np.inf, cc)
+
+    def abc_one(t):
+        a = a_fn.at(t)
+        c2 = a * a - t * t * (1.0 + a * a)
+        c = math.sqrt(_snap_one(c2, a * a + t * t * (1.0 + a * a)))
+        return a, 0.0, math.inf if a == math.inf else c
 
     hand_sign = _hand_sign_fn(handedness)
-    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign,
+                                abc_one=abc_one)
     _validate_cone_rule(hand_sign, profile)
     sig = RotationalSigma(profile, t_of_z=lambda z: -np.asarray(z, float))
     return GlStar(label=label or f"symmetric({a_fn.describe()})",
@@ -191,7 +209,14 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
         norm = np.sqrt(gvv * gvv + y * y + fvv * fvv)
         return np.stack([gvv / norm, y / norm, -fvv / norm], axis=-1)
 
-    profile = RotationalProfile.from_meridian(mer)
+    def mer_one(t):
+        fv, gv = f_fn.at(t), g_fn.at(t)
+        y2 = _snap_one(1.0 - fv * fv - gv * gv, 1.0 + fv * fv + gv * gv)
+        y = eps_sign(t) * math.sqrt(y2)
+        norm = math.sqrt(gv * gv + y * y + fv * fv)
+        return gv / norm, y / norm, -fv / norm
+
+    profile = RotationalProfile.from_meridian(mer, mer_one)
     _validate_cone_rule(eps_sign, profile, name="eps")
     sig = RotationalSigma(profile, t_of_z=lambda z: np.asarray(
         f_fn.inverse(-np.asarray(z, float)), float))
@@ -267,6 +292,21 @@ def _log_a_of_height(h: Fn1):
     return solve
 
 
+def _log_a_of_height_one(h: Fn1):
+    """_log_a_of_height at one float, in floats with its bits."""
+    y_end = min(float(h(np.array([_A_MAX]))[0]), 1.0)
+    log_a_max = float(np.log(_A_MAX))
+
+    def solve_one(y):
+        if not y < y_end:
+            return log_a_max
+        a = h.inverse_at(y)
+        a = _A_MAX if a > _A_MAX else a  # np.minimum, NaN kept
+        return float(np.log(a)) if a > 0.0 else -math.inf
+
+    return solve_one
+
+
 def _eqn_heights(bc):
     """The circle heights t(a), s(a) of H_a with coefficients b, c: H_a
     meets the circle x > 0 at heights t and -s = -t + 2b/(1+a^2)."""
@@ -297,8 +337,9 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None, extra_tags=()) -> GlStar:
         return np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
     bv = _check_eqn_hypotheses(bc)
-    return _build_eqn_star(bc, bv, *_eqn_heights(bc), hand,
-                           label or "eqn_star", extra_tags)
+    return _build_eqn_star(bc, lambda a: (b_fn.at(a), c_fn.at(a)), bv,
+                           *_eqn_heights(bc), hand, label or "eqn_star",
+                           extra_tags)
 
 
 def _check_eqn_hypotheses(bc):
@@ -340,25 +381,32 @@ def _check_eqn_1_to_3(bc):
     return bv
 
 
-def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
-    """The star of validated coefficients bc: a |-> (b, c), whose surface H_a
-    meets the circle x > 0 at the heights t(a) and -s(a): t_fn and s_fn, as
-    Fn1 with their inverses (see ``_log_a_of_height``).  bv is b on the
-    a-grid.  The meridian image of p_t lies at height -s(a(t)), and a
-    lower-hemisphere point at height z is the image of p_t for
-    t = t(s^-1(-z))."""
+def _build_eqn_star(bc, bc_one, bv, t_fn, s_fn, hand, label,
+                    extra_tags) -> GlStar:
+    """The star of validated coefficients bc: a |-> (b, c), and bc_one, the
+    same at one float in floats, whose surface H_a meets the circle x > 0 at
+    the heights t(a) and -s(a): t_fn and s_fn, as Fn1 with their inverses
+    (see ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image
+    of p_t lies at height -s(a(t)), and a lower-hemisphere point at height z
+    is the image of p_t for t = t(s^-1(-z))."""
     log_a_of_t = _log_a_of_height(t_fn)
+    log_a_of_t_one = _log_a_of_height_one(t_fn)
     log_a_of_s = _log_a_of_height(s_fn)
 
     def abc(tt):
         a = np.exp(log_a_of_t(tt))
         return (a, *bc(a))
 
+    def abc_one(t):
+        a = float(np.exp(log_a_of_t_one(t)))
+        return (a, *bc_one(a))
+
     def t_of_z(z):
         return t_fn(np.exp(log_a_of_s(-np.asarray(z, float))))
 
     hand_sign = _hand_sign_fn(hand)
-    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign,
+                                abc_one=abc_one)
     _validate_cone_rule(hand_sign, profile)
     sig = RotationalSigma(profile, t_of_z=t_of_z)
     tags = ("rotational",) + tuple(extra_tags)
@@ -426,7 +474,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     # same probes, so only (1)-(3) of eqn_star are left to check
     bc = _param_bc(t_fn, s_fn)
     return _build_eqn_star(
-        bc, _check_eqn_1_to_3(bc), t_fn, s_fn, hand,
+        bc, _param_bc_one(t_fn, s_fn), _check_eqn_1_to_3(bc), t_fn, s_fn, hand,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 
@@ -449,6 +497,16 @@ def _param_bc(t_fn, s_fn):
         return b, np.sqrt(np.clip(c2, 0.0, None))
 
     return bc
+
+
+def _param_bc_one(t_fn, s_fn):
+    """_param_bc at one float, in floats with its bits."""
+    def bc_one(a):
+        b, c2 = _b_c2_of_heights(a, t_fn.at(a), s_fn.at(a))
+        # np.clip(c2, 0.0, None) is np.maximum: -0.0 and below take 0.0
+        return b, math.sqrt(c2 if c2 > 0.0 or c2 != c2 else 0.0)
+
+    return bc_one
 
 
 def builtin_example() -> GlStar:
@@ -493,10 +551,12 @@ class GlPencil:
     angle_map: Fn1
 
     def sigma1_angle(self, beta):
+        """sigma1 of an array of angles, or of one angle as a Python float,
+        computed in floats with the bits of a batch row."""
+        if np.ndim(beta) == 0:
+            return self._sigma1_one(float(beta))
         m = self.angle_map
-        b = np.mod(np.asarray(beta, float), 2.0 * np.pi)
-        single = b.ndim == 0
-        b = np.atleast_1d(b)
+        b = np.atleast_1d(np.mod(np.asarray(beta, float), 2.0 * np.pi))
         out = np.empty_like(b)
         half = 0.5 * np.pi
         q1 = b <= half
@@ -511,8 +571,20 @@ class GlPencil:
             out[q3] = np.asarray(m.inverse(b[q3] - np.pi), float)
         if np.any(q4):
             out[q4] = np.pi - np.asarray(m.inverse(2.0 * np.pi - b[q4]), float)
-        out = np.mod(out, 2.0 * np.pi)
-        return float(out[0]) if single else out
+        return np.mod(out, 2.0 * np.pi)
+
+    def _sigma1_one(self, beta):
+        m = self.angle_map
+        b = float(np.mod(beta, 2.0 * np.pi))
+        if b <= 0.5 * np.pi:
+            out = np.pi + m.at(b)
+        elif b <= np.pi:
+            out = 2.0 * np.pi - m.at(np.pi - b)
+        elif b <= 1.5 * np.pi:
+            out = m.inverse_at(b - np.pi)
+        else:
+            out = np.pi - m.inverse_at(2.0 * np.pi - b)
+        return float(np.mod(out, 2.0 * np.pi))
 
 
 def pencil_from_mu(mu) -> GlPencil:
@@ -529,7 +601,6 @@ def pencil_from_mu(mu) -> GlPencil:
 def latitudinal(pencil: GlPencil, label=None) -> GlStar:
     """Rotate a symmetric pencil about Z: every line meets the axis."""
 
-    @on_unit_sphere
     def sig(Q):
         r = np.hypot(Q[:, 0], Q[:, 1])
         theta = np.arctan2(Q[:, 1], Q[:, 0])
@@ -539,12 +610,27 @@ def latitudinal(pencil: GlPencil, label=None) -> GlStar:
         return np.stack([x * np.cos(theta), x * np.sin(theta), np.sin(b2)],
                         axis=-1)
 
+    def sig_one(x, y, z):
+        # the closed upper hemisphere, whose angles need no inverse of mu
+        if not z >= 0.0:
+            return None
+        theta = np.arctan2(y, x)
+        b2 = pencil.sigma1_angle(float(np.arctan2(z, np.hypot(x, y))))
+        c = float(np.cos(b2))
+        return (c * float(np.cos(theta)), c * float(np.sin(theta)),
+                float(np.sin(b2)))
+
     def mer(t):
         t = np.atleast_1d(np.asarray(t, float))
         b2 = pencil.sigma1_angle(np.arcsin(np.clip(t, 0.0, 1.0)))
         return np.stack([np.cos(b2), np.zeros_like(b2), np.sin(b2)], axis=-1)
 
-    profile = RotationalProfile.from_meridian(mer)
+    def mer_one(t):
+        b2 = pencil.sigma1_angle(float(np.arcsin(_clip_one(t, 0.0, 1.0))))
+        return float(np.cos(b2)), 0.0, float(np.sin(b2))
+
+    sig = on_unit_sphere(sig, one=sig_one)
+    profile = RotationalProfile.from_meridian(mer, mer_one)
     return GlStar(label=label or f"latitudinal({pencil.angle_map.describe()})",
                   sigma_fn=sig, profile=profile,
                   tags=("rotational", "axial"))
@@ -653,7 +739,7 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar
     _check_knot_heights(seq, bc)
     t_fn, s_fn = _eqn_heights(bc)
     return _build_eqn_star(
-        bc, bv, _parabola_height(seq, t_fn, 1.0),
+        bc, _parabola_bc_one(seq), bv, _parabola_height(seq, t_fn, 1.0),
         _parabola_height(seq, s_fn, -1.0), hand,
         label or f"parabola({len(seq)} entries)", ())
 
@@ -722,6 +808,25 @@ def _parabola_bc(seq: ParabolaSeq):
         return beta, a * np.sqrt(gamma)
 
     return bc
+
+
+def _parabola_bc_one(seq: ParabolaSeq):
+    """_parabola_bc at one float: ``coefficients_at``'s steps in floats,
+    np.interp on the float."""
+    xp, be_r, ga_r = seq.alphas[::-1], seq.betas[::-1], seq.gammas[::-1]
+    al_end, ga_end = float(seq.alphas[-1]), float(seq.gammas[-1])
+
+    def bc_one(a):
+        alpha = 1.0 / (a * a)
+        beta = float(np.interp(alpha, xp, be_r))
+        if alpha < al_end:
+            gamma = ga_end * alpha / al_end
+        else:
+            gamma = float(np.interp(alpha, xp, ga_r))
+            gamma = gamma if gamma > 0.0 or gamma != gamma else 0.0
+        return beta, a * math.sqrt(gamma)
+
+    return bc_one
 
 
 # A parabola height inverse stops after a Newton step of relative size
@@ -852,7 +957,7 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         a[mid] = 1.0 / np.sqrt(x)
         return a.reshape(shape)
 
-    return replace(h, inv=inv)
+    return replace(h, inv=inv, inv_one=inv_one)
 
 
 def example_parabola_sequence(n_side: int = 6) -> ParabolaSeq:

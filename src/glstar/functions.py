@@ -37,7 +37,7 @@ LOG_TABLE_RANGE = (1e-9, 1e9)
 _CLUSTER_RTOL = 1e-6
 
 
-def _illinois(fn, lo, hi, flo, fhi, rtol):
+def _illinois(fn, lo, hi, flo, fhi, rtol, fn_one=None):
     """Roots of a batch of brackets by regula falsi with the
     Anderson-Björck rule.
 
@@ -59,17 +59,19 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
     table's range.  Done brackets leave the batch, so each step works on the
     open ones only.  One open bracket, as a single-point search has, takes
     the same steps in Python floats (``_illinois_one``), without numpy's
-    cost per call on one-element arrays.  A single root of the star-line
-    search takes 4.6 to 4.75 evaluations on average, against 5.4 to 5.7
-    with Illinois halving alone.
+    cost per call on one-element arrays, on ``fn_one(x, i)`` when it is
+    given: fn at one float x of bracket i, as a Python float with fn's bits.
+    A single root of the star-line search takes 4.6 to 4.75 evaluations on
+    average, against 5.4 to 5.7 with Illinois halving alone.
     """
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
     i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
     if i.size == 1:
-        j = i[0]
-        root[j] = _illinois_one(
-            lambda x: float(np.asarray(fn(np.array([x]), i), float)[0]),
-            float(lo[j]), float(hi[j]), float(flo[j]), float(fhi[j]), rtol)
+        j = int(i[0])
+        f = ((lambda x: fn_one(x, j)) if fn_one is not None else
+             (lambda x: float(np.asarray(fn(np.array([x]), i), float)[0])))
+        root[j] = _illinois_one(f, float(lo[j]), float(hi[j]), float(flo[j]),
+                                float(fhi[j]), rtol)
         return root
     a, fa, b, fb = lo[i], flo[i], hi[i], fhi[i]
     ga = fa  # a's own value; fa is the one the secant sees
@@ -152,10 +154,12 @@ def _root_candidates(v):
     return k, p // 2, p % 2 == 1
 
 
-def _refine(fn, grid, v, k, i, rtol):
+def _refine(fn, grid, v, k, i, rtol, fn_one=None):
     """The roots of the brackets [grid[i], grid[i + 1]] of probes k."""
     return _illinois(lambda x, j: fn(x, k[j]), grid[i], grid[i + 1],
-                     v[k, i], v[k, i + 1], rtol)
+                     v[k, i], v[k, i + 1], rtol,
+                     None if fn_one is None else
+                     (lambda x, j: fn_one(x, int(k[j]))))
 
 
 def _new_roots(k, x):
@@ -167,14 +171,15 @@ def _new_roots(k, x):
     return new
 
 
-def bracket_roots(fn, grid, values, rtol: float = 1e-12):
+def bracket_roots(fn, grid, values, rtol: float = 1e-12, fn_one=None):
     """Roots of n scalar functions (probes) located on a common increasing
     grid.
 
     ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
-    evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
-    sign changes between neighbouring grid points of all probes are refined
-    together by ``_illinois`` to ``rtol``.  A root within ``_CLUSTER_RTOL``
+    evaluates probe k at x (aligned arrays), and ``fn_one(x, k)``, if given,
+    at one float x of probe k, as a Python float with fn's bits.  Grid zeros
+    are roots.  The sign changes between neighbouring grid points of all
+    probes are refined together by ``_illinois`` to ``rtol``.  A root within ``_CLUSTER_RTOL``
     of the previous root of its probe is the same root, and a probe that is
     zero on the whole grid has none.  Returns (k, x), sorted by probe, then
     root.
@@ -183,7 +188,7 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12):
     v = np.asarray(values, float)
     k, i, br = _root_candidates(v)
     x = grid[i]
-    x[br] = _refine(fn, grid, v, k[br], i[br], rtol)
+    x[br] = _refine(fn, grid, v, k[br], i[br], rtol, fn_one)
     keep = _new_roots(k, x) & np.any(v, axis=1)[k]
     return k[keep], x[keep]
 
@@ -286,13 +291,22 @@ def _table_inverse(fn, lo: float, hi: float):
 @dataclass(frozen=True)
 class Fn1:
     """A monotone scalar function on an interval, callable on numpy arrays,
-    with its inverse ``inv``."""
+    with its inverse ``inv``.
+
+    ``fn_one`` and ``inv_one``, where a factory gives them, are fn and inv
+    at one Python float, in Python floats with the bits of a batch row
+    (numpy's own ufunc on the float for a transcendental step).  They may
+    raise ZeroDivisionError or ValueError where numpy gives inf or NaN.
+    ``at`` and ``inverse_at`` evaluate one float by them, or else by the
+    batch on a one-element array."""
 
     fn: Callable
     domain: tuple[float, float]
     inv: Callable
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+    fn_one: Callable | None = None
+    inv_one: Callable | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -300,6 +314,18 @@ class Fn1:
     def inverse(self, y):
         """Preimage under the function."""
         return self.inv(np.asarray(y, dtype=float))
+
+    def at(self, x: float) -> float:
+        """The value at one float, as a Python float."""
+        if self.fn_one is not None:
+            return self.fn_one(x)
+        return float(np.asarray(self(np.array([x])), float).ravel()[0])
+
+    def inverse_at(self, y: float) -> float:
+        """The preimage of one float, as a Python float."""
+        if self.inv_one is not None:
+            return self.inv_one(y)
+        return float(np.asarray(self.inverse(np.array([y])), float).ravel()[0])
 
     def describe(self) -> str:
         if not self.params:
@@ -309,29 +335,55 @@ class Fn1:
         return f"{self.kind}({inner})"
 
 
+# The factories' closed forms take arrays and, as fn_one and inv_one, Python
+# floats: the arithmetic ones as they are, the others through numpy's ufunc.
+
+
 def identity(domain=(0.0, 1.0)) -> Fn1:
-    return Fn1(lambda t: t, domain, kind="identity", inv=lambda y: y)
+    def f(t):
+        return t
+
+    return Fn1(f, domain, kind="identity", inv=f, fn_one=f, inv_one=f)
 
 
 def affine(a: float, b: float, domain=(0.0, 1.0)) -> Fn1:
     if not (a > 0.0 or a < 0.0):
         raise InvalidInput("affine function with zero slope is not monotone")
-    return Fn1(lambda t: a * t + b, domain, kind="affine",
-               params={"a": a, "b": b}, inv=lambda y: (y - b) / a)
+
+    def f(t):
+        return a * t + b
+
+    def f_inv(y):
+        return (y - b) / a
+
+    return Fn1(f, domain, kind="affine", params={"a": a, "b": b}, inv=f_inv,
+               fn_one=f, inv_one=f_inv)
 
 
 def power(p: float, domain=(0.0, 1.0)) -> Fn1:
     if not p > 0.0:
         raise InvalidInput("power function needs a positive exponent")
-    return Fn1(lambda t: np.power(t, p), domain, kind="power",
-               params={"p": p},
-               inv=lambda y: np.power(y, 1.0 / p))
+
+    def f(t):
+        return np.power(t, p)
+
+    def f_inv(y):
+        return np.power(y, 1.0 / p)
+
+    return Fn1(f, domain, kind="power", params={"p": p}, inv=f_inv,
+               fn_one=lambda t: float(f(t)), inv_one=lambda y: float(f_inv(y)))
 
 
 def moebius01() -> Fn1:
     """t -> t / (1 - t), an increasing bijection [0, 1) -> [0, inf)."""
-    return Fn1(lambda t: t / (1.0 - t), (0.0, 1.0), kind="moebius01",
-               inv=lambda y: y / (1.0 + y))
+    def f(t):
+        return t / (1.0 - t)
+
+    def f_inv(y):
+        return y / (1.0 + y)
+
+    return Fn1(f, (0.0, 1.0), kind="moebius01", inv=f_inv, fn_one=f,
+               inv_one=f_inv)
 
 
 def phi_r(r: float) -> Fn1:
@@ -344,15 +396,25 @@ def phi_r(r: float) -> Fn1:
         # correctly rounded value
         return np.minimum(a * (a + r) / (a * a + r * a + r), 1.0)
 
+    def f_one(a):
+        q = a * (a + r) / (a * a + r * a + r)
+        return q if q < 1.0 or q != q else 1.0  # np.minimum, NaN kept
+
     def f_inv(y):
         # a^2 (1-y) + r a (1-y) - r y = 0, the positive root in the form
         # without cancellation as y -> 0
-        y = np.asarray(y, float)
         one_m = 1.0 - y
-        disc = (r * one_m) ** 2 + 4.0 * one_m * r * y
-        return 2.0 * r * y / (r * one_m + np.sqrt(disc))
+        u = r * one_m
+        disc = u * u + 4.0 * one_m * r * y
+        return 2.0 * r * y / (u + np.sqrt(disc))
 
-    return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv)
+    def f_inv_one(y):
+        one_m = 1.0 - y
+        u = r * one_m
+        return 2.0 * r * y / (u + math.sqrt(u * u + 4.0 * one_m * r * y))
+
+    return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv,
+               fn_one=f_one, inv_one=f_inv_one)
 
 
 def neg_circle() -> Fn1:
@@ -387,7 +449,8 @@ def table(knots, values) -> Fn1:
         return np.interp(y, v[::-1], k[::-1])
 
     return Fn1(f, (float(k[0]), float(k[-1])), kind="table",
-               params={"knots": k, "values": v}, inv=f_inv)
+               params={"knots": k, "values": v}, inv=f_inv,
+               fn_one=lambda t: float(f(t)), inv_one=lambda y: float(f_inv(y)))
 
 
 _FACTORIES = {

@@ -181,8 +181,10 @@ def class_from_hfd_line(h) -> ParallelClass:
 
 def spread_line_through(cls: ParallelClass, p) -> PLine:
     """The unique line of the spread through a point of P^3: the meet of
-    the planes P*(h_i) p (see the module docstring)."""
-    pv = p.coords if isinstance(p, HPoint) else np.asarray(p, float)
+    the planes P*(h_i) p (see the module docstring).  p is first scaled by
+    a power of two (``pow2_scaled``), so that neither a huge nor a tiny
+    point overflows or underflows the planes' products."""
+    pv = pow2_scaled(p.coords if isinstance(p, HPoint) else p)
     planes = plucker_matrix(cls.h_span[:, _SWAP]) @ pv
     k = join_batch(planes[0], planes[1])[_SWAP]
     if not np.linalg.norm(k) > 1e-12 * float(pv @ pv):  # h_span orthonormal

@@ -23,12 +23,25 @@ with the star's structure finds no line.  The path follows that structure:
   or this fit, and the only place a profile is fitted to sigma.  It and the
   coefficient table on the t grid (``RotationalProfile.table``) are held on
   the star and its profile, computed once, so every search of one star
-  shares them.  A single point's roots are refined one height at a time
-  (``functions._illinois_one``): the profile's coefficients at that t (for
-  a fitted profile, the fit, which is finite at every t, a horizontal
-  chord included) and the covering function are then taken in Python
-  floats, with the batch's bits, without numpy's cost per call on
-  one-element arrays.
+  shares them.
+
+A single point, as each ``parallel_through`` query sends, runs in Python
+floats through the whole family code, without numpy's cost per call on
+one-element arrays, and each float path gives its batch row's bits: its
+roots are refined one height at a time (``functions._illinois_one``) on
+the covering function at one float (``bracket_roots``' ``fn_one``); the
+profile's coefficients at that t come from ``coefficients_one`` (the
+family's ``abc_one``: symmetric's closed form, the eqn-path's log-slope
+step with the height inverse and ``bc`` in floats, or for a fitted profile
+``star._fit_one`` on the family's meridian map at one t); the located
+chord's meridian image from ``meridian_image``'s one-t path; and sigma at
+that chord from its one-point path in the closed upper hemisphere (see the
+``star`` module).  Each path is selected by its input's size, and takes
+every float operation of the batch in the same order: a transcendental step
+calls numpy's own ufunc on the Python float, never ``math``, whose
+functions round differently from numpy's vectorized kernels on some
+inputs, and where Python would raise (a division by zero, the root of a
+negative number) the batch answers.
 
 The row reductions are ``projgeom.row_dot`` and ``row_norm``, which give
 numpy's bits without its fixed cost per row.
@@ -133,15 +146,15 @@ class StarLineSearch:
                              np.where(r2 > np.finfo(float).eps, r2, 0.0)])
 
         def covering(t, k):
-            if t.size == 1:
-                # one height, as a single bracket is refined: the covering
-                # function in Python floats, with the batch's bits
-                return np.full(t.shape, _covering(
-                    *(v.item() for v in profile.coefficients(t)),
-                    *W[k.item()].tolist()))
             return _covering(*profile.coefficients(t), *W[k].T)
 
-        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL)
+        def covering_one(t, k):
+            # one height, as a single bracket is refined: the covering
+            # function in Python floats, with the batch's bits
+            return _covering(*profile.coefficients_one(t), *W[k].tolist())
+
+        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL,
+                                 fn_one=covering_one)
         # the chord at theta = 0 from the profile's own meridian map: sigma
         # is evaluated once, at (t, theta), by find_batch
         A = homogenize(meridian_point(t))

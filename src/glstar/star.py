@@ -15,6 +15,23 @@ Rotational stars also carry a profile: a family of surfaces of revolution
 per hyperboloid.  For a chord of the unit sphere on such a surface the
 second intersection point has height -t + 2 b / (1 + a^2), which makes the
 meridian image of a profile star closed-form.
+
+One point or one t, as a single-point query asks for, takes a path in
+Python floats with the bits of its batch row, without numpy's cost per
+call on one-element arrays: a profile's coefficients (``coefficients_one``,
+by the builder's ``abc_one``, or for a fitted profile ``_fit_one`` on the
+meridian map at one t) and its meridian image (``meridian_image_one``: the
+closed form, or the builder's ``meridian_one``), and sigma at one point of
+the closed upper hemisphere (``on_unit_sphere``'s ``one``: the norm check
+and scaling, ``RotationalSigma``'s upper branch, latitudinal's own sigma);
+the lower hemisphere, which no search reaches, keeps numpy.  Each is
+selected by the input's size and takes the batch's float operations in the
+same order.  Transcendental steps call numpy's own ufunc on the Python
+float (arctan2, cos, sin, arcsin, exp, log, power, hypot, mod), never
+``math``, whose functions round differently from numpy's vectorized
+kernels on some inputs; + - * / and sqrt, which are correctly rounded, are
+Python's.  Where Python would raise (ZeroDivisionError, ValueError) and
+numpy gives inf or NaN, the batch answers.
 """
 
 from __future__ import annotations
@@ -85,15 +102,32 @@ def fibonacci_sphere(n: int):
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=-1)
 
 
-def on_unit_sphere(batch_fn):
+def on_unit_sphere(batch_fn, one=None):
     """Wrap a map of unit vectors, rows (n, 3) -> (n, 3), so that it takes
     one point (3,) or a batch (n, 3), rejects points off the unit sphere and
-    gets the rows scaled to unit length.  Works on methods too."""
+    gets the rows scaled to unit length.  Works on methods too.
+
+    ``one(x, y, z)``, if given, maps one unit vector in Python floats with
+    the batch row's bits, or returns None to leave the point to the batch;
+    a single point, (3,) or (1, 3), is checked, scaled and mapped by it in
+    floats (its norm as row_norm sums it, from +0.0 in order).  Where it
+    raises ZeroDivisionError or ValueError the batch answers."""
 
     @functools.wraps(batch_fn)
     def fn(*args):
         *head, q = args
         q = np.asarray(q, float)
+        if one is not None and q.shape in ((3,), (1, 3)):
+            x, y, z = q.ravel().tolist()
+            n = math.sqrt(x * x + y * y + z * z)
+            if not abs(n - 1.0) <= 1e-6:
+                raise InvalidInput("sigma expects points on the unit sphere")
+            try:
+                out = one(*head, x / n, y / n, z / n)
+            except (ZeroDivisionError, ValueError):
+                out = None
+            if out is not None:
+                return np.array(out).reshape(q.shape)
         Q = np.atleast_2d(q)
         norms = row_norm(Q)
         if not np.all(np.abs(norms - 1.0) <= 1e-6):
@@ -133,6 +167,18 @@ def _snap_radicand(value, scale):
     snap = _SNAP_RTOL * np.asarray(scale, float)
     value = np.asarray(value, float)
     return np.where(value <= snap, 0.0, value)
+
+
+def _snap_one(value, scale):
+    """_snap_radicand of one float."""
+    return 0.0 if value <= _SNAP_RTOL * scale else value
+
+
+def _clip_one(x, lo, hi):
+    """np.clip(x, lo, hi) of one float, with a one-element array's bits:
+    NaN and -0.0 pass (np.clip(x, 0.0, None), which is np.maximum, takes
+    -0.0 to 0.0)."""
+    return lo if x < lo else hi if x > hi else x
 
 
 # from_meridian's least height step |dz| of a chord: a flatter chord (the
@@ -215,16 +261,39 @@ class RotationalProfile:
 
     ``abc`` maps an array of t to the arrays (a, b, c) in one evaluation.
     ``meridian``, set by ``from_meridian``, is the meridian map the profile
-    was fitted to, and then its meridian image.
+    was fitted to, and then its meridian image.  ``abc_one`` and
+    ``meridian_one``, where a builder gives them, are abc and the meridian
+    map at one t in Python floats, with the bits of a batch row (numpy's own
+    ufunc on the float for a transcendental step).  They may raise
+    ZeroDivisionError or ValueError where numpy gives inf or NaN, and the
+    batch then answers.  A profile with ``abc_one`` takes its handedness
+    sign at one float too.  ``coefficients`` and ``meridian_image`` of one t
+    take them, and ``coefficients_one`` and ``meridian_image_one`` are the
+    same at a float, float out.
     """
 
     abc: Callable
     handedness_sign: Callable  # t -> +-1 (right/left)
     meridian: Callable | None = None
+    abc_one: Callable | None = None
+    meridian_one: Callable | None = None
 
     def coefficients(self, t):
-        return tuple(np.asarray(v, float)
-                     for v in self.abc(np.asarray(t, float)))
+        t = np.asarray(t, float)
+        if t.size == 1 and self.abc_one is not None:
+            return tuple(np.full(t.shape, v)
+                         for v in self.coefficients_one(t.item()))
+        return tuple(np.asarray(v, float) for v in self.abc(t))
+
+    def coefficients_one(self, t: float):
+        """(a, b, c) at one t, as Python floats."""
+        if self.abc_one is not None:
+            try:
+                return self.abc_one(t)
+            except (ZeroDivisionError, ValueError):
+                pass
+        return tuple(float(np.asarray(v, float).ravel()[0])
+                     for v in self.abc(np.array([t])))
 
     @functools.cached_property
     def table(self):
@@ -242,14 +311,13 @@ class RotationalProfile:
             return SurfaceEntry("axis")
         meets_axis = False
         if t <= _T_EPS:
-            m = self.meridian_image(np.zeros(1))[0]
+            m = self.meridian_image_one(0.0)
             if abs(m[2]) <= _CONE_TOL:
                 return SurfaceEntry("horizontal_star")
             # the chord from p_0 = (1, 0, 0) meets Z when m[1] = 0: a cone,
             # however far rounding takes the fitted c from 0
             t, meets_axis = 0.0, abs(m[1]) <= _CONE_TOL
-        a, b, c = (float(np.asarray(v).ravel()[0])
-                   for v in self.coefficients(np.array([t])))
+        a, b, c = self.coefficients_one(t)
         if meets_axis or is_cone(a, c):
             return SurfaceEntry("cone", a=a, b=b, c=0.0)
         hand = Handedness.RIGHT if self.handedness_sign(np.array([t]))[0] > 0 \
@@ -261,6 +329,24 @@ class RotationalProfile:
         closed form from the surface data, with the horizontal star at t=0
         and the axis at t=1."""
         t = np.atleast_1d(np.asarray(t, float))
+        if t.size == 1:
+            return np.array(self.meridian_image_one(t.item())).reshape(
+                t.shape + (3,))
+        return self._meridian_batch(t)
+
+    def meridian_image_one(self, t: float):
+        """meridian_image at one t, as three Python floats."""
+        try:
+            if self.meridian is not None:
+                if self.meridian_one is not None:
+                    return self.meridian_one(t)
+            elif self.abc_one is not None:
+                return self._closed_form_one(t)
+        except (ZeroDivisionError, ValueError):
+            pass
+        return tuple(self._meridian_batch(np.array([t]))[0].tolist())
+
+    def _meridian_batch(self, t):
         if self.meridian is not None:
             return self.meridian(t)
         # the closed form runs on every t, with 0.5 standing in at the ends
@@ -284,27 +370,48 @@ class RotationalProfile:
         m[hi] = (0.0, 0.0, -1.0)
         return m
 
+    def _closed_form_one(self, t):
+        """The closed form of _meridian_batch at one t: each float operation
+        in the same order."""
+        if t <= 0.0:
+            return -1.0, 0.0, 0.0
+        if t >= 1.0:
+            return 0.0, 0.0, -1.0
+        a, b, c = self.coefficients_one(t)
+        hs = float(self.handedness_sign(t))
+        xt = math.sqrt(1.0 - t * t)
+        ax = a * xt
+        dx = _clip_one((t - b) / ax, -1.0, 1.0)
+        dy = hs * c / ax
+        one_a2 = 1.0 + a * a
+        lam = -2.0 * (t * one_a2 - b) / (a * one_a2)
+        x, y, z = xt + lam * dx, lam * dy, -t + 2.0 * b / one_a2
+        norm = math.sqrt(x * x + y * y + z * z)
+        return x / norm, y / norm, z / norm
+
     @classmethod
-    def from_meridian(cls, meridian_image) -> "RotationalProfile":
+    def from_meridian(cls, meridian_image,
+                      meridian_one=None) -> "RotationalProfile":
         """Recover surface coefficients from a meridian involution map.
 
         The rotation orbit of the chord p_t v m(t) sweeps a surface of
         revolution; fitting x^2+y^2 as a quadratic in z along the chord
         yields (a, b, c).  An array of t is fitted in numpy; one t takes
         the same steps in Python floats (``_fit_one``), without numpy's
-        cost per call on one-element arrays, with the same bits.
+        cost per call on one-element arrays, with the same bits, on the
+        image ``meridian_one(t)`` (the map at one float t, in floats with a
+        batch row's bits) when it is given, else on a one-element batch.
         """
 
         def mer(t):
             return np.atleast_2d(meridian_image(np.atleast_1d(
                 np.asarray(t, float))))
 
+        one = meridian_one or (lambda t: mer(np.array([t]))[0].tolist())
+
         def abc(t):
             t = np.atleast_1d(np.asarray(t, float))
             m = mer(t)
-            if t.size == 1:
-                return tuple(np.full(t.shape, v)
-                             for v in _fit_one(t.item(), *m[0].tolist()))
             xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
             d0 = m[:, 0] - xt
             d1 = m[:, 1]
@@ -323,7 +430,9 @@ class RotationalProfile:
             s = -np.sign(mer(t)[:, 1])
             return np.where(s == 0.0, 1.0, s)
 
-        return cls(abc=abc, handedness_sign=hand_sign, meridian=mer)
+        return cls(abc=abc, handedness_sign=hand_sign, meridian=mer,
+                   abc_one=lambda t: _fit_one(t, *one(t)),
+                   meridian_one=meridian_one)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +452,9 @@ class RotationalSigma:
     """
 
     def __init__(self, profile: RotationalProfile, t_of_z):
-        self._meridian_image = profile.meridian_image
+        self._profile = profile
         ts = np.linspace(0.0, 1.0, _HEIGHT_TABLE_SIZE)
-        zs = self._meridian_image(ts)[:, 2]
+        zs = profile.meridian_image(ts)[:, 2]
         if not (abs(zs[0]) < 1e-7 and abs(zs[-1] + 1.0) < 1e-7):
             raise EvalError("meridian image height must run from 0 to -1")
         if not np.all(np.diff(zs) <= 1e-10):
@@ -353,23 +462,39 @@ class RotationalSigma:
                             "the equivariant completion is ill-posed")
         self._t_of_z = t_of_z
 
-    @on_unit_sphere
-    def __call__(self, Q):
+    def _batch(self, Q):
+        meridian_image = self._profile.meridian_image
         qz = np.clip(Q[:, 2], -1.0, 1.0)
         theta = np.arctan2(Q[:, 1], Q[:, 0])
         out = np.empty_like(Q)
         upper = qz >= 0.0
         if np.any(upper):
-            m = self._meridian_image(qz[upper])
+            m = meridian_image(qz[upper])
             out[upper] = rotate_z(m, theta[upper])
         lower = ~upper
         if np.any(lower):
             t = np.asarray(self._t_of_z(qz[lower]), float)
-            m = self._meridian_image(t)
+            m = meridian_image(t)
             psi = theta[lower] - np.arctan2(m[:, 1], m[:, 0])
             out[lower] = rotate_z(meridian_point(t), psi)
         out /= row_norm(out)[:, None]
         return out
+
+    def _one(self, x, y, z):
+        """The upper branch at one point in Python floats, each operation of
+        the batch (rotate_z, row_norm) in its order; None below the
+        equator."""
+        qz = _clip_one(z, -1.0, 1.0)
+        if not qz >= 0.0:
+            return None
+        theta = np.arctan2(y, x)
+        c, s = float(np.cos(theta)), float(np.sin(theta))
+        m0, m1, m2 = self._profile.meridian_image_one(qz)
+        x, y, z = c * m0 - s * m1, s * m0 + c * m1, m2 * 1.0
+        norm = math.sqrt(x * x + y * y + z * z)
+        return x / norm, y / norm, z / norm
+
+    __call__ = on_unit_sphere(_batch, one=_one)
 
 
 # ---------------------------------------------------------------------------

@@ -607,6 +607,19 @@ def test_pencil_involution_and_commutation():
     assert np.max(np.abs(np.mod(left - right + np.pi, 2 * np.pi) - np.pi)) < 1e-9
 
 
+def test_pencil_angle_of_one_float_equals_its_batch_row():
+    # one angle is taken in Python floats, all four quadrants (the last two
+    # through mu's inverse) and the quadrant ends included
+    pen = quad_pencil()
+    beta = np.concatenate([np.arange(9) * (0.25 * np.pi), [-0.0, -1e-300],
+                           np.random.default_rng(28).uniform(-7.0, 7.0, 1000)])
+    batch = pen.sigma1_angle(beta)
+    ones = [pen.sigma1_angle(b) for b in beta.tolist()]
+    assert {type(v) for v in ones} == {float}
+    np.testing.assert_array_equal(batch.view(np.uint64),
+                                  np.array(ones).view(np.uint64))
+
+
 def test_pencil_separation_property():
     pen = quad_pencil()
     rng = np.random.default_rng(0)

@@ -68,6 +68,39 @@ def test_power_affine_identity():
     assert identity()(0.7) == 0.7
 
 
+_ONE_FLOAT_FNS = {
+    "identity": identity(),
+    "affine": affine(2.5, -0.3),
+    "power-2": power(2.0),
+    "power-0.7": power(0.7),
+    "moebius01": moebius01(),
+    "phi_r": phi_r(1.5),
+    "table": table([0.0, 0.3, 1.0], [0.0, 0.5, 2.0]),
+    "neg_circle": neg_circle(),
+    "custom": as_fn1(lambda t: np.asarray(t) ** 3 + t, domain=(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_FLOAT_FNS))
+def test_one_float_equals_its_batch_row(name):
+    # at and inverse_at give a Python float with the bits of a batch row:
+    # through the factory's closed form in floats where it has one, else
+    # through the batch on a one-element array
+    f = _ONE_FLOAT_FNS[name]
+    rng = np.random.default_rng(28)
+    x = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-12],
+                        rng.uniform(0.0, 1.0, 2000)])
+    y = np.asarray(f(x), float)
+    y = y[np.isfinite(y)]
+    for fn, one, v in ((f, f.at, x), (f.inverse, f.inverse_at, y)):
+        batch = np.asarray(fn(v), float)
+        ones = [one(u) for u in v.tolist()]
+        assert {type(u) for u in ones} == {float}, name
+        np.testing.assert_array_equal(batch.view(np.uint64),
+                                      np.array(ones).view(np.uint64),
+                                      err_msg=name)
+
+
 def test_neg_circle():
     g = neg_circle()
     assert np.isclose(g(0.0), -1.0)

@@ -446,6 +446,23 @@ def test_parallel_through_answers_huge_points_without_overflow():
             assert projective_distance(out.p, ref.p) < 1e-12
 
 
+def test_spread_line_through_scales_its_own_point():
+    # a direct call scales p by a power of two too: a huge point answers
+    # without an overflow warning and a tiny one without a spurious
+    # DegenerateMeet, each with the line parallel_through gives (which
+    # passes the scaled point, and scaling it again keeps its bits)
+    L = join(np.array([1.0, 0.2, 0.1, 0.3]), np.array([1.0, -0.3, 0.5, 0.1]))
+    cls = parallel_class_of(PAR_BUILTIN, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ([1.0, 1e300, 0.0, 0.0], [1e-310, 1e-310, 0.0, 0.0],
+                  [1.0, 0.4, -0.2, 0.9]):
+            p = np.array(p)
+            out = spread_line_through(cls, p)
+            assert (out.p.tobytes()
+                    == parallel_through(PAR_BUILTIN, p, L).p.tobytes())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_queries_reject_non_finite_input(bad):
     p = np.array([1.0, bad, 0.0, 0.0])

@@ -9,11 +9,14 @@ from glstar.constructions import (
     builtin_example,
     clifford,
     example_parabola_sequence,
+    fg_star,
+    latitudinal,
     parabola_star,
+    pencil_from_mu,
     symmetric_star,
 )
 from glstar.errors import SearchFailed
-from glstar.functions import bracket_roots, moebius01
+from glstar.functions import affine, as_fn1, bracket_roots, moebius01, power
 from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
 from glstar.search import StarLineSearch
@@ -295,20 +298,32 @@ def test_one_t_coefficients_equal_their_batch_row(seven_stars, monkeypatch):
         if profile is None:
             continue
         fits.clear()
-        # symmetric's a(t) = t / (1 - t) is inf at t = 1, where its c is
-        # NaN; a fitted profile is finite everywhere, and warns nowhere
+        # no warning anywhere (warnings are errors here): symmetric's
+        # a(t) = t / (1 - t) is inf at t = 1, where c takes its limit inf
         fitted = profile.meridian is not None
-        with np.errstate(**({} if fitted else
-                            {"divide": "ignore", "invalid": "ignore"})):
-            batch = profile.coefficients(ts)
-            rows = [profile.coefficients(np.array([t])) for t in ts]
+        batch = profile.coefficients(ts)
+        rows = [profile.coefficients(np.array([t])) for t in ts]
+        ones = [profile.coefficients_one(float(t)) for t in ts]
+        assert all(type(v) is float for row in ones for v in row), name
         if fitted:
             assert set(ts.tolist()) <= set(fits), name
         else:
             assert not fits, name
-        for v, row in zip(batch, zip(*rows)):
+        for v, row, one in zip(batch, zip(*rows), zip(*ones)):
             np.testing.assert_array_equal(*_bits(v, np.concatenate(row)),
                                           err_msg=name)
+            np.testing.assert_array_equal(*_bits(v, one), err_msg=name)
+
+
+def test_symmetric_profile_takes_its_limit_at_the_axis():
+    # a(1) = inf (moebius01): c is inf too, in the batch and at one t (where
+    # t / (1 - t) divides by zero in floats, and the batch answers)
+    profile = symmetric_star(moebius01()).line_profile
+    batch = profile.coefficients(np.array([0.5, 1.0]))
+    assert [v[1] for v in batch] == [np.inf, 0.0, np.inf]
+    assert profile.coefficients_one(1.0) == (np.inf, 0.0, np.inf)
+    assert [v.tolist() for v in profile.coefficients(np.array([1.0]))] == [
+        [np.inf], [0.0], [np.inf]]
 
 
 def _probe_points(rng, n=120, at_infinity=30):
@@ -319,13 +334,13 @@ def _probe_points(rng, n=120, at_infinity=30):
 
 def test_one_point_covering_equals_its_batch_row(seven_stars, monkeypatch):
     # the covering function of one point at one height, as a single bracket
-    # is refined, is computed in Python floats
+    # is refined, is computed in Python floats (bracket_roots' fn_one)
     from glstar import search
     probes = []
 
-    def spy(fn, *args, **kwargs):
-        probes.append(fn)
-        return bracket_roots(fn, *args, **kwargs)
+    def spy(fn, *args, fn_one=None, **kwargs):
+        probes.append((fn, fn_one))
+        return bracket_roots(fn, *args, fn_one=fn_one, **kwargs)
 
     monkeypatch.setattr(search, "bracket_roots", spy)
     rng = np.random.default_rng(26)
@@ -335,14 +350,69 @@ def test_one_point_covering_equals_its_batch_row(seven_stars, monkeypatch):
         W = _probe_points(rng)
         probes.clear()
         StarLineSearch(star).find_batch(W)
-        fn, = probes
+        (fn, fn_one), = probes
         t = np.concatenate([[0.0, 1.0 - 1e-12], rng.uniform(0.0, 1.0, 500)])
         k = rng.integers(0, W.shape[0], t.size)
         batch = fn(t, k)
         rows = [fn(t[j:j + 1], k[j:j + 1]) for j in range(t.size)]
         assert {r.shape for r in rows} == {(1,)}
-        np.testing.assert_array_equal(*_bits(batch, np.concatenate(rows)),
-                                      err_msg=name)
+        ones = [fn_one(x, j) for x, j in zip(t.tolist(), k.tolist())]
+        assert {type(v) for v in ones} == {float}
+        for other in (np.concatenate(rows), ones):
+            np.testing.assert_array_equal(*_bits(batch, other), err_msg=name)
+
+
+def _profile_star_builds():
+    """Fresh builds of the six profile stars of the benchmark set (fresh, so
+    that a test may wrap their profiles' maps)."""
+    quad = pencil_from_mu(as_fn1(lambda th: np.asarray(th) ** 2 * (2 / np.pi),
+                                 domain=(0.0, np.pi / 2)))
+    return {"symmetric": symmetric_star(moebius01()),
+            "fg": fg_star(power(2), affine(1, -1), eps=-1),
+            "builtin": builtin_example(),
+            "latitudinal": latitudinal(quad),
+            "parabola": parabola_star(example_parabola_sequence()),
+            "clifford": clifford()}
+
+
+def test_single_point_find_calls_no_batch_map_at_one_t(monkeypatch):
+    # one point's search takes every one-t step in Python floats: no
+    # family's batch coefficients or meridian map (fitted or closed form)
+    # sees a single t, and sigma at the located chord (in the upper
+    # hemisphere) never reaches the batch, whose norm is the star module's
+    # row_norm
+    from glstar import star as star_module
+    single = []
+
+    def spied(fn, what):
+        def g(*args):
+            if np.size(args[-1]) == 1 or np.shape(args[-1]) == (1, 3):
+                single.append(what)
+            return fn(*args)
+        return g
+
+    monkeypatch.setattr(star_module, "row_norm",
+                        spied(star_module.row_norm, "sigma batch"))
+    monkeypatch.setattr(RotationalProfile, "_meridian_batch", spied(
+        RotationalProfile._meridian_batch, "closed form"))
+    stars = _profile_star_builds()
+    K = join_batch(*np.random.default_rng(28).normal(size=(2, 200, 4)))
+    for name, star in stars.items():
+        profile = star.line_profile
+        object.__setattr__(profile, "abc", spied(profile.abc, "abc"))
+        if profile.meridian is not None:
+            object.__setattr__(profile, "meridian",
+                               spied(profile.meridian, "meridian"))
+        es, search = EmbeddedStar(star), StarLineSearch(star)
+        single.clear()
+        hits = [search.find(es.project_sphere_coords(k)) for k in K]
+        assert sum(map(len, hits)) == len(K), name
+        # clifford's search joins the centre, and its sigma has no float path
+        allowed = {"sigma batch"} if name == "clifford" else set()
+        assert set(single) <= allowed, (name, sorted(set(single)))
+        # the spies see a batch call at one t
+        profile.abc(np.array([0.3]))
+        assert "abc" in single, name
 
 
 def test_find_equals_its_row_of_find_batch(seven_stars):

@@ -181,9 +181,9 @@ def test_fitted_profile_answers_with_its_own_map(monkeypatch):
     fitted = []
     fit = RotationalProfile.from_meridian.__func__
 
-    def recording(cls, meridian_image):
+    def recording(cls, meridian_image, meridian_one=None):
         fitted.append(meridian_image)
-        return fit(cls, meridian_image)
+        return fit(cls, meridian_image, meridian_one)
 
     monkeypatch.setattr(RotationalProfile, "from_meridian",
                         classmethod(recording))
@@ -274,6 +274,66 @@ def test_line_through_is_two_secant():
         expect = {tuple(np.round(q, 6)), tuple(np.round(star.sigma(q), 6))}
         got = {tuple(np.round(p.coords[1:] / p.coords[0], 6)) for p in pts}
         assert got == expect
+
+
+# --- one point in Python floats, with the bits of a batch row -----------------
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.uint64)
+
+
+def _sphere_points():
+    """Unit points and points 1e-7 off the unit sphere: random ones in both
+    hemispheres, the poles, the equator (z = 0.0 and -0.0) and the points
+    just above and below it."""
+    rng = np.random.default_rng(28)
+    q = rng.normal(size=(300, 3))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    edges = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                      [0.6, -0.8, 0.0], [0.6, 0.8, -0.0], [-1.0, 0.0, -0.0],
+                      [0.0, 1.0, 1e-300], [0.0, 1.0, -1e-300],
+                      [0.8, 0.6, 1e-12], [0.8, 0.6, -1e-12]])
+    edges /= np.linalg.norm(edges, axis=1)[:, None]
+    return np.vstack([q, edges, q[:20] * (1.0 + 1e-7), q[20:40] * (1.0 - 1e-7)])
+
+
+def test_sigma_of_one_point_equals_its_batch_row(seven_stars):
+    # the upper hemisphere of a rotational star (and of latitudinal's own
+    # sigma) is mapped in Python floats; the lower one, which no search
+    # reaches, takes the batch; either way a point gets its batch row's bits
+    Q = _sphere_points()
+    for name, star in seven_stars.items():
+        batch = star.sigma(Q)
+        for q, row in zip(Q, batch):
+            one, one_row = star.sigma(q), star.sigma(q[None, :])
+            assert one.shape == (3,) and one_row.shape == (1, 3), name
+            np.testing.assert_array_equal(_bits(one), _bits(row),
+                                          err_msg=f"{name} {q}")
+            np.testing.assert_array_equal(_bits(one_row[0]), _bits(row),
+                                          err_msg=f"{name} {q}")
+        with pytest.raises(InvalidInput):
+            star.sigma(np.array([0.0, 0.0, 1.0 + 2e-6]))
+
+
+def test_meridian_image_at_one_t_equals_its_batch_row(seven_stars):
+    # closed form or fitted map, the ends t = 0 and t = 1 included
+    rng = np.random.default_rng(28)
+    t = np.concatenate([[0.0, -0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12],
+                        np.linspace(0.0, 1.0, 257), rng.uniform(0, 1, 500)])
+    for name, star in seven_stars.items():
+        profile = star.line_profile
+        if profile is None:
+            continue
+        batch = profile.meridian_image(t)
+        for x, row in zip(t.tolist(), batch):
+            one = profile.meridian_image_one(x)
+            assert all(type(v) is float for v in one), name
+            np.testing.assert_array_equal(_bits(one), _bits(row),
+                                          err_msg=f"{name} {x}")
+            np.testing.assert_array_equal(
+                _bits(profile.meridian_image(np.array([x]))), _bits([row]),
+                err_msg=f"{name} {x}")
 
 
 # --- meshes --------------------------------------------------------------------
