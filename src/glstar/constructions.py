@@ -152,7 +152,8 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
         with np.errstate(divide="ignore", invalid="ignore"):
             aa = np.asarray(a_fn(tt), float)
             c2 = aa * aa - tt * tt * (1.0 + aa * aa)
-            cc = np.sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
+            cc = np.sqrt(_snap_radicand(c2,
+                                        aa * aa + tt * tt * (1.0 + aa * aa)))
         return aa, np.zeros_like(tt), np.where(aa == np.inf, np.inf, cc)
 
     def abc_one(t):

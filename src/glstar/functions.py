@@ -179,10 +179,10 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12, fn_one=None):
     evaluates probe k at x (aligned arrays), and ``fn_one(x, k)``, if given,
     at one float x of probe k, as a Python float with fn's bits.  Grid zeros
     are roots.  The sign changes between neighbouring grid points of all
-    probes are refined together by ``_illinois`` to ``rtol``.  A root within ``_CLUSTER_RTOL``
-    of the previous root of its probe is the same root, and a probe that is
-    zero on the whole grid has none.  Returns (k, x), sorted by probe, then
-    root.
+    probes are refined together by ``_illinois`` to ``rtol``.  A root within
+    ``_CLUSTER_RTOL`` of the previous root of its probe is the same root,
+    and a probe that is zero on the whole grid has none.  Returns (k, x),
+    sorted by probe, then root.
     """
     grid = np.asarray(grid, float)
     v = np.asarray(values, float)

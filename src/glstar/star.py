@@ -110,8 +110,7 @@ def on_unit_sphere(batch_fn, one=None):
     ``one(x, y, z)``, if given, maps one unit vector in Python floats with
     the batch row's bits, or returns None to leave the point to the batch;
     a single point, (3,) or (1, 3), is checked, scaled and mapped by it in
-    floats (its norm as row_norm sums it, from +0.0 in order).  Where it
-    raises ZeroDivisionError or ValueError the batch answers."""
+    floats (its norm as row_norm sums it, from +0.0 in order)."""
 
     @functools.wraps(batch_fn)
     def fn(*args):
@@ -122,10 +121,7 @@ def on_unit_sphere(batch_fn, one=None):
             n = math.sqrt(x * x + y * y + z * z)
             if not abs(n - 1.0) <= 1e-6:
                 raise InvalidInput("sigma expects points on the unit sphere")
-            try:
-                out = one(*head, x / n, y / n, z / n)
-            except (ZeroDivisionError, ValueError):
-                out = None
+            out = one(*head, x / n, y / n, z / n)
             if out is not None:
                 return np.array(out).reshape(q.shape)
         Q = np.atleast_2d(q)
@@ -175,9 +171,9 @@ def _snap_one(value, scale):
 
 
 def _clip_one(x, lo, hi):
-    """np.clip(x, lo, hi) of one float, with a one-element array's bits:
-    NaN and -0.0 pass (np.clip(x, 0.0, None), which is np.maximum, takes
-    -0.0 to 0.0)."""
+    """np.clip(x, lo, hi) of one float between two bounds, with a
+    one-element array's bits: NaN and -0.0 pass.  (np.clip(x, 0.0, None) is
+    np.maximum, which takes -0.0 to 0.0.)"""
     return lo if x < lo else hi if x > hi else x
 
 
@@ -336,14 +332,15 @@ class RotationalProfile:
 
     def meridian_image_one(self, t: float):
         """meridian_image at one t, as three Python floats."""
-        try:
-            if self.meridian is not None:
-                if self.meridian_one is not None:
-                    return self.meridian_one(t)
-            elif self.abc_one is not None:
-                return self._closed_form_one(t)
-        except (ZeroDivisionError, ValueError):
-            pass
+        if self.meridian is None and self.abc_one is not None:
+            one = self._closed_form_one
+        else:
+            one = self.meridian_one
+        if one is not None:
+            try:
+                return one(t)
+            except (ZeroDivisionError, ValueError):
+                pass
         return tuple(self._meridian_batch(np.array([t]))[0].tolist())
 
     def _meridian_batch(self, t):
@@ -490,6 +487,7 @@ class RotationalSigma:
         theta = np.arctan2(y, x)
         c, s = float(np.cos(theta)), float(np.sin(theta))
         m0, m1, m2 = self._profile.meridian_image_one(qz)
+        # rotate_z multiplies the height by ones
         x, y, z = c * m0 - s * m1, s * m0 + c * m1, m2 * 1.0
         norm = math.sqrt(x * x + y * y + z * z)
         return x / norm, y / norm, z / norm

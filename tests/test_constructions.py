@@ -430,6 +430,24 @@ def test_param_sigma_equals_the_tabulated_eqn_sigma():
                                                            phi_r(2.0)))))
 
 
+def test_eqn_star_at_one_t_and_one_point_equals_its_batch_row():
+    # an eqn star's heights carry table inverses, which take one height
+    # through a one-element batch: its coefficients at one t and its sigma
+    # at one point still have the bits of their batch rows
+    star = eqn_star(*_coefficient_fns(constructions._param_bc(phi_r(1.5),
+                                                              phi_r(2.0))))
+    t = np.concatenate([[0.0, 1.0, 1e-12],
+                        np.random.default_rng(28).uniform(0.0, 1.0, 300)])
+    batch = star.profile.coefficients(t)
+    ones = np.array([star.profile.coefficients_one(x) for x in t.tolist()])
+    np.testing.assert_array_equal(np.array(batch).T.view(np.uint64),
+                                  ones.view(np.uint64))
+    q = sphere_samples(200, seed=28)
+    np.testing.assert_array_equal(
+        star.sigma(q).view(np.uint64),
+        np.array([star.sigma(p) for p in q]).view(np.uint64))
+
+
 def test_parabola_sigma_equals_the_tabulated_eqn_sigma():
     # parabola inverts its heights piece by piece in closed form; eqn_star
     # on its b and c tabulates them

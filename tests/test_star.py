@@ -276,7 +276,7 @@ def test_line_through_is_two_secant():
         assert got == expect
 
 
-# --- one point in Python floats, with the bits of a batch row -----------------
+# --- one point in Python floats, with the bits of a batch row ----------------
 
 
 def _bits(a):
@@ -295,7 +295,8 @@ def _sphere_points():
                       [0.0, 1.0, 1e-300], [0.0, 1.0, -1e-300],
                       [0.8, 0.6, 1e-12], [0.8, 0.6, -1e-12]])
     edges /= np.linalg.norm(edges, axis=1)[:, None]
-    return np.vstack([q, edges, q[:20] * (1.0 + 1e-7), q[20:40] * (1.0 - 1e-7)])
+    return np.vstack([q, edges, q[:20] * (1.0 + 1e-7),
+                      q[20:40] * (1.0 - 1e-7)])
 
 
 def test_sigma_of_one_point_equals_its_batch_row(seven_stars):
