@@ -558,7 +558,7 @@ class GlPencil:
             return self._sigma1_one(float(beta))
         m = self.angle_map
         b = np.atleast_1d(np.mod(np.asarray(beta, float), 2.0 * np.pi))
-        out = np.empty_like(b)
+        out = np.full_like(b, np.nan)  # NaN, in no quadrant, stays NaN
         half = 0.5 * np.pi
         q1 = b <= half
         q2 = (b > half) & (b <= np.pi)
@@ -583,8 +583,10 @@ class GlPencil:
             out = 2.0 * np.pi - m.at(np.pi - b)
         elif b <= 1.5 * np.pi:
             out = m.inverse_at(b - np.pi)
-        else:
+        elif b > 1.5 * np.pi:
             out = np.pi - m.inverse_at(2.0 * np.pi - b)
+        else:
+            return b  # NaN
         return float(np.mod(out, 2.0 * np.pi))
 
 

@@ -627,9 +627,11 @@ def test_pencil_involution_and_commutation():
 
 def test_pencil_angle_of_one_float_equals_its_batch_row():
     # one angle is taken in Python floats, all four quadrants (the last two
-    # through mu's inverse) and the quadrant ends included
+    # through mu's inverse) and the quadrant ends included; NaN, which no
+    # quadrant holds, stays NaN in both
     pen = quad_pencil()
-    beta = np.concatenate([np.arange(9) * (0.25 * np.pi), [-0.0, -1e-300],
+    beta = np.concatenate([np.arange(9) * (0.25 * np.pi),
+                           [-0.0, -1e-300, np.nan],
                            np.random.default_rng(28).uniform(-7.0, 7.0, 1000)])
     batch = pen.sigma1_angle(beta)
     ones = [pen.sigma1_angle(b) for b in beta.tolist()]
