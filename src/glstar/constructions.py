@@ -278,34 +278,27 @@ _A_MAX = LOG_TABLE_RANGE[1]
 
 def _log_a_of_height(h: Fn1):
     """y |-> log a with h(a) = y, for a circle height h of H_a: the log of
-    h's inverse, with a capped at _A_MAX.  A height at or above h(_A_MAX),
-    or 1 if that rounds above 1, takes _A_MAX without an inverse call."""
+    h's inverse, with a capped at _A_MAX, of an array or of one Python
+    float.  A height at or above h(_A_MAX), or 1 if that rounds above 1,
+    takes _A_MAX without an inverse call."""
     y_end = min(float(h(np.array([_A_MAX]))[0]), 1.0)
+    log_a_max = float(np.log(_A_MAX))
 
     def solve(y):
+        if isinstance(y, float):
+            if not y < y_end:
+                return log_a_max
+            a = h.inverse_at(y)
+            a = _A_MAX if a > _A_MAX else a  # np.minimum, NaN kept
+            return float(np.log(a)) if a > 0.0 else -math.inf
         y = np.atleast_1d(np.asarray(y, float))
-        u = np.full(y.shape, np.log(_A_MAX))
+        u = np.full(y.shape, log_a_max)
         below = y < y_end
         a = np.minimum(h.inverse(y[below]), _A_MAX)
         u[below] = np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
         return u
 
     return solve
-
-
-def _log_a_of_height_one(h: Fn1):
-    """_log_a_of_height at one float, in floats with its bits."""
-    y_end = min(float(h(np.array([_A_MAX]))[0]), 1.0)
-    log_a_max = float(np.log(_A_MAX))
-
-    def solve_one(y):
-        if not y < y_end:
-            return log_a_max
-        a = h.inverse_at(y)
-        a = _A_MAX if a > _A_MAX else a  # np.minimum, NaN kept
-        return float(np.log(a)) if a > 0.0 else -math.inf
-
-    return solve_one
 
 
 def _eqn_heights(bc):
@@ -335,12 +328,13 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None, extra_tags=()) -> GlStar:
     c_fn = as_fn1(c, domain=(0.0, np.inf))
 
     def bc(a):
+        if isinstance(a, float):
+            return b_fn.at(a), c_fn.at(a)
         return np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
 
     bv = _check_eqn_hypotheses(bc)
-    return _build_eqn_star(bc, lambda a: (b_fn.at(a), c_fn.at(a)), bv,
-                           *_eqn_heights(bc), hand, label or "eqn_star",
-                           extra_tags)
+    return _build_eqn_star(bc, bv, *_eqn_heights(bc), hand,
+                           label or "eqn_star", extra_tags)
 
 
 def _check_eqn_hypotheses(bc):
@@ -382,16 +376,15 @@ def _check_eqn_1_to_3(bc):
     return bv
 
 
-def _build_eqn_star(bc, bc_one, bv, t_fn, s_fn, hand, label,
-                    extra_tags) -> GlStar:
-    """The star of validated coefficients bc: a |-> (b, c), and bc_one, the
-    same at one float in floats, whose surface H_a meets the circle x > 0 at
-    the heights t(a) and -s(a): t_fn and s_fn, as Fn1 with their inverses
-    (see ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image
-    of p_t lies at height -s(a(t)), and a lower-hemisphere point at height z
+def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
+    """The star of validated coefficients bc: a |-> (b, c), of an array of
+    slopes or of one Python float (then in Python floats, with the bits of
+    a batch row), whose surface H_a meets the circle x > 0 at the heights
+    t(a) and -s(a): t_fn and s_fn, as Fn1 with their inverses (see
+    ``_log_a_of_height``).  bv is b on the a-grid.  The meridian image of
+    p_t lies at height -s(a(t)), and a lower-hemisphere point at height z
     is the image of p_t for t = t(s^-1(-z))."""
     log_a_of_t = _log_a_of_height(t_fn)
-    log_a_of_t_one = _log_a_of_height_one(t_fn)
     log_a_of_s = _log_a_of_height(s_fn)
 
     def abc(tt):
@@ -399,8 +392,8 @@ def _build_eqn_star(bc, bc_one, bv, t_fn, s_fn, hand, label,
         return (a, *bc(a))
 
     def abc_one(t):
-        a = float(np.exp(log_a_of_t_one(t)))
-        return (a, *bc_one(a))
+        a = float(np.exp(log_a_of_t(t)))
+        return (a, *bc(a))
 
     def t_of_z(z):
         return t_fn(np.exp(log_a_of_s(-np.asarray(z, float))))
@@ -475,7 +468,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     # same probes, so only (1)-(3) of eqn_star are left to check
     bc = _param_bc(t_fn, s_fn)
     return _build_eqn_star(
-        bc, _param_bc_one(t_fn, s_fn), _check_eqn_1_to_3(bc), t_fn, s_fn, hand,
+        bc, _check_eqn_1_to_3(bc), t_fn, s_fn, hand,
         label or f"param({t_fn.describe()},{s_fn.describe()})", ())
 
 
@@ -490,24 +483,18 @@ def _b_c2_of_heights(a, t, s):
 
 def _param_bc(t_fn, s_fn):
     """a |-> (b(a), c(a)) of the surfaces H_a with circle heights t(a),
-    -s(a)."""
+    -s(a), of an array or of one Python float."""
     def bc(a):
+        if isinstance(a, float):
+            b, c2 = _b_c2_of_heights(a, t_fn.at(a), s_fn.at(a))
+            # np.clip(c2, 0.0, None) is np.maximum: -0.0 and below take 0.0
+            return b, math.sqrt(c2 if c2 > 0.0 or c2 != c2 else 0.0)
         a = np.asarray(a, float)
         b, c2 = _b_c2_of_heights(a, np.asarray(t_fn(a), float),
                                  np.asarray(s_fn(a), float))
         return b, np.sqrt(np.clip(c2, 0.0, None))
 
     return bc
-
-
-def _param_bc_one(t_fn, s_fn):
-    """_param_bc at one float, in floats with its bits."""
-    def bc_one(a):
-        b, c2 = _b_c2_of_heights(a, t_fn.at(a), s_fn.at(a))
-        # np.clip(c2, 0.0, None) is np.maximum: -0.0 and below take 0.0
-        return b, math.sqrt(c2 if c2 > 0.0 or c2 != c2 else 0.0)
-
-    return bc_one
 
 
 def builtin_example() -> GlStar:
@@ -552,12 +539,17 @@ class GlPencil:
     angle_map: Fn1
 
     def sigma1_angle(self, beta):
-        """sigma1 of an array of angles, or of one angle as a Python float,
-        computed in floats with the bits of a batch row."""
-        if np.ndim(beta) == 0:
-            return self._sigma1_one(float(beta))
+        """sigma1 of an array of angles, or of one angle as a Python float.
+        One angle of the first quadrant, all that latitudinal's sigma at one
+        point and meridian map at one t send, is computed in floats with the
+        bits of a batch row; any other takes its batch row."""
         m = self.angle_map
-        b = np.atleast_1d(np.mod(np.asarray(beta, float), 2.0 * np.pi))
+        if np.ndim(beta) == 0:
+            b = float(np.mod(beta, 2.0 * np.pi))
+            if b <= 0.5 * np.pi:
+                return float(np.mod(np.pi + m.at(b), 2.0 * np.pi))
+            return float(self.sigma1_angle(np.array([beta], float))[0])
+        b = np.mod(np.asarray(beta, float), 2.0 * np.pi)
         out = np.full_like(b, np.nan)  # NaN, in no quadrant, stays NaN
         half = 0.5 * np.pi
         q1 = b <= half
@@ -573,21 +565,6 @@ class GlPencil:
         if np.any(q4):
             out[q4] = np.pi - np.asarray(m.inverse(2.0 * np.pi - b[q4]), float)
         return np.mod(out, 2.0 * np.pi)
-
-    def _sigma1_one(self, beta):
-        m = self.angle_map
-        b = float(np.mod(beta, 2.0 * np.pi))
-        if b <= 0.5 * np.pi:
-            out = np.pi + m.at(b)
-        elif b <= np.pi:
-            out = 2.0 * np.pi - m.at(np.pi - b)
-        elif b <= 1.5 * np.pi:
-            out = m.inverse_at(b - np.pi)
-        elif b > 1.5 * np.pi:
-            out = np.pi - m.inverse_at(2.0 * np.pi - b)
-        else:
-            return b  # NaN
-        return float(np.mod(out, 2.0 * np.pi))
 
 
 def pencil_from_mu(mu) -> GlPencil:
@@ -742,7 +719,7 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar
     _check_knot_heights(seq, bc)
     t_fn, s_fn = _eqn_heights(bc)
     return _build_eqn_star(
-        bc, _parabola_bc_one(seq), bv, _parabola_height(seq, t_fn, 1.0),
+        bc, bv, _parabola_height(seq, t_fn, 1.0),
         _parabola_height(seq, s_fn, -1.0), hand,
         label or f"parabola({len(seq)} entries)", ())
 
@@ -804,32 +781,27 @@ def _check_knot_heights(seq: ParabolaSeq, bc):
 
 
 def _parabola_bc(seq: ParabolaSeq):
-    """a |-> (b(a), c(a)) of the interpolated parabola sequence."""
+    """a |-> (b(a), c(a)) of the interpolated parabola sequence, of an
+    array or of one Python float (``coefficients_at``'s steps in floats,
+    np.interp on the float)."""
+    xp, be_r, ga_r = seq.alphas[::-1], seq.betas[::-1], seq.gammas[::-1]
+    al_end, ga_end = float(seq.alphas[-1]), float(seq.gammas[-1])
+
     def bc(a):
+        if isinstance(a, float):
+            alpha = 1.0 / (a * a)
+            beta = float(np.interp(alpha, xp, be_r))
+            if alpha < al_end:
+                gamma = ga_end * alpha / al_end
+            else:
+                gamma = float(np.interp(alpha, xp, ga_r))
+                gamma = gamma if gamma > 0.0 or gamma != gamma else 0.0
+            return beta, a * math.sqrt(gamma)
         a = np.asarray(a, float)
         _, beta, gamma = seq.coefficients_at(a)
         return beta, a * np.sqrt(gamma)
 
     return bc
-
-
-def _parabola_bc_one(seq: ParabolaSeq):
-    """_parabola_bc at one float: ``coefficients_at``'s steps in floats,
-    np.interp on the float."""
-    xp, be_r, ga_r = seq.alphas[::-1], seq.betas[::-1], seq.gammas[::-1]
-    al_end, ga_end = float(seq.alphas[-1]), float(seq.gammas[-1])
-
-    def bc_one(a):
-        alpha = 1.0 / (a * a)
-        beta = float(np.interp(alpha, xp, be_r))
-        if alpha < al_end:
-            gamma = ga_end * alpha / al_end
-        else:
-            gamma = float(np.interp(alpha, xp, ga_r))
-            gamma = gamma if gamma > 0.0 or gamma != gamma else 0.0
-        return beta, a * math.sqrt(gamma)
-
-    return bc_one
 
 
 # A parabola height inverse stops after a Newton step of relative size
@@ -861,8 +833,8 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
     for a vertex at the origin, and past the last one
     a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2)).
     A batch of heights takes these steps in numpy, roots that are done
-    leaving it; one height takes the same steps in Python floats, without
-    numpy's cost per call on one-element arrays, with the same bits."""
+    leaving it; one Python float takes the same steps in Python floats,
+    without numpy's cost per call, with the same bits, and gives a float."""
     al, be, ga = seq.alphas, seq.betas, seq.gammas
     heights = np.asarray(h(seq.slopes()), float)
     # slopes in alpha of beta and gamma on piece i, taken from knot i + 1
@@ -876,7 +848,7 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         """inv of one height: each float operation of the batch's steps in
         the same order.  Where numpy would divide by zero or take the root
         of a negative number, this raises ZeroDivisionError or ValueError,
-        and the batch answers with numpy's inf or NaN."""
+        and inv answers by the batch, with numpy's inf or NaN."""
         u = sign * y
         i = bisect.bisect_right(hs, y) - 1
         if i < 0:
@@ -910,12 +882,17 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         return 1.0 / math.sqrt(x)
 
     def inv(y):
+        if isinstance(y, float):
+            try:
+                return inv_one(y)
+            except (ZeroDivisionError, ValueError):
+                return float(batch(np.array(y)))
         y = np.asarray(y, float)
         if y.size == 1:
-            try:
-                return np.full(y.shape, inv_one(y.item()))
-            except (ZeroDivisionError, ValueError):
-                pass
+            return np.full(y.shape, inv(y.item()))
+        return batch(y)
+
+    def batch(y):
         shape = y.shape
         y = y.ravel()
         u = sign * y
@@ -960,7 +937,7 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         a[mid] = 1.0 / np.sqrt(x)
         return a.reshape(shape)
 
-    return replace(h, inv=inv, inv_one=inv_one)
+    return replace(h, inv=inv)
 
 
 def example_parabola_sequence(n_side: int = 6) -> ParabolaSeq:

@@ -1,17 +1,17 @@
 """Monotone scalar functions on an interval.
 
 Star constructions are parametrized by increasing bijections between real
-intervals.  ``Fn1`` wraps a vectorized evaluator together with its domain
-and its inverse.  The factories below provide the named families
-understood by the CLI config format, each with a closed-form inverse;
-``as_fn1`` wraps a plain callable, whose inverse is a ``TabulatedInverse``
-built at its first inverse call.  ``_illinois`` (regula falsi with the
-Anderson-Björck rule on sign-change brackets) refines the roots of many
-scalar functions on a common grid (``bracket_roots``, used by the
-star-line search) and the targets of the table inverses.  The root counts
-of the constructions (``count_roots``) share bracket_roots' candidates but
-refine only the roots that could merge with a neighbour, which on a valid
-star is none.
+intervals.  ``Fn1`` wraps an evaluator together with its domain and its
+inverse, each taking a numpy array or one Python float.  The factories
+below provide the named families understood by the CLI config format,
+each with a closed-form inverse; ``as_fn1`` wraps a plain callable, whose
+inverse is a ``TabulatedInverse`` built at its first inverse call.
+``_illinois`` (regula falsi with the Anderson-Björck rule on sign-change
+brackets) refines the roots of many scalar functions on a common grid
+(``bracket_roots``, used by the star-line search) and the targets of the
+table inverses.  The root counts of the constructions (``count_roots``)
+share bracket_roots' candidates but refine only the roots that could
+merge with a neighbour, which on a valid star is none.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ class TabulatedInverse:
     """Fast inverse of a monotone function on [lo, hi]: a value table gives
     each target its starting bracket, and ``_illinois`` refines it until fn
     is within an ulp of the target or the bracket is a few ulps wide.  A
-    target outside the table's range gets the nearer end.  Built once,
-    solved many times on arrays."""
+    target outside the table's range gets the nearer end, and a NaN target
+    NaN.  Built once, solved many times on arrays."""
 
     def __init__(self, fn, lo: float, hi: float, size: int = 8193):
         self.fn = fn
@@ -255,6 +255,7 @@ class TabulatedInverse:
 
         u = _illinois(residual, self.u[idx - 1], self.u[idx],
                       self._v[idx - 1] - ts, self._v[idx] - ts, _INVERSE_RTOL)
+        u[np.isnan(ts)] = np.nan  # _illinois gives a bracket's end
         return u.reshape(np.shape(target))
 
 
@@ -278,6 +279,7 @@ def _table_inverse(fn, lo: float, hi: float):
         return tab, float(tab.fn(tab.u[:1])[0])
 
     def inv(y):
+        y = np.asarray(y, float)
         tab, v0 = table()
         u = tab.solve(y)
         ratio = y / v0
@@ -290,23 +292,21 @@ def _table_inverse(fn, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class Fn1:
-    """A monotone scalar function on an interval, callable on numpy arrays,
-    with its inverse ``inv``.
+    """A monotone scalar function on an interval, with its inverse ``inv``.
 
-    ``fn_one`` and ``inv_one``, where a factory gives them, are fn and inv
-    at one Python float, in Python floats with the bits of a batch row
-    (numpy's own ufunc on the float for a transcendental step).  They may
-    raise ZeroDivisionError or ValueError where numpy gives inf or NaN.
-    ``at`` and ``inverse_at`` evaluate one float by them, or else by the
-    batch on a one-element array."""
+    ``fn`` and ``inv`` take a numpy array or one Python float.  At a float
+    they take the batch's float operations in the same order, so a value
+    has the bits of a batch row: + - * / and sqrt in Python floats, a
+    transcendental step by numpy's own ufunc on the float, a plain callable
+    (``as_fn1``) on a 0-d array.  At a float they may raise
+    ZeroDivisionError or ValueError where numpy gives inf or NaN.  ``at``
+    and ``inverse_at`` evaluate one float, as a Python float."""
 
     fn: Callable
     domain: tuple[float, float]
     inv: Callable
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    fn_one: Callable | None = None
-    inv_one: Callable | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -317,15 +317,11 @@ class Fn1:
 
     def at(self, x: float) -> float:
         """The value at one float, as a Python float."""
-        if self.fn_one is not None:
-            return self.fn_one(x)
-        return float(np.asarray(self(np.array([x])), float).ravel()[0])
+        return float(self.fn(x))
 
     def inverse_at(self, y: float) -> float:
         """The preimage of one float, as a Python float."""
-        if self.inv_one is not None:
-            return self.inv_one(y)
-        return float(np.asarray(self.inverse(np.array([y])), float).ravel()[0])
+        return float(self.inv(y))
 
     def describe(self) -> str:
         if not self.params:
@@ -335,15 +331,11 @@ class Fn1:
         return f"{self.kind}({inner})"
 
 
-# The factories' closed forms take arrays and, as fn_one and inv_one, Python
-# floats: the arithmetic ones as they are, the others through numpy's ufunc.
-
-
 def identity(domain=(0.0, 1.0)) -> Fn1:
     def f(t):
         return t
 
-    return Fn1(f, domain, kind="identity", inv=f, fn_one=f, inv_one=f)
+    return Fn1(f, domain, kind="identity", inv=f)
 
 
 def affine(a: float, b: float, domain=(0.0, 1.0)) -> Fn1:
@@ -356,8 +348,7 @@ def affine(a: float, b: float, domain=(0.0, 1.0)) -> Fn1:
     def f_inv(y):
         return (y - b) / a
 
-    return Fn1(f, domain, kind="affine", params={"a": a, "b": b}, inv=f_inv,
-               fn_one=f, inv_one=f_inv)
+    return Fn1(f, domain, kind="affine", params={"a": a, "b": b}, inv=f_inv)
 
 
 def power(p: float, domain=(0.0, 1.0)) -> Fn1:
@@ -370,8 +361,7 @@ def power(p: float, domain=(0.0, 1.0)) -> Fn1:
     def f_inv(y):
         return np.power(y, 1.0 / p)
 
-    return Fn1(f, domain, kind="power", params={"p": p}, inv=f_inv,
-               fn_one=lambda t: float(f(t)), inv_one=lambda y: float(f_inv(y)))
+    return Fn1(f, domain, kind="power", params={"p": p}, inv=f_inv)
 
 
 def moebius01() -> Fn1:
@@ -382,8 +372,7 @@ def moebius01() -> Fn1:
     def f_inv(y):
         return y / (1.0 + y)
 
-    return Fn1(f, (0.0, 1.0), kind="moebius01", inv=f_inv, fn_one=f,
-               inv_one=f_inv)
+    return Fn1(f, (0.0, 1.0), kind="moebius01", inv=f_inv)
 
 
 def phi_r(r: float) -> Fn1:
@@ -394,11 +383,12 @@ def phi_r(r: float) -> Fn1:
     def f(a):
         # the quotient can round above 1 for large a, where 1 is the
         # correctly rounded value
-        return np.minimum(a * (a + r) / (a * a + r * a + r), 1.0)
-
-    def f_one(a):
-        q = a * (a + r) / (a * a + r * a + r)
-        return q if q < 1.0 or q != q else 1.0  # np.minimum, NaN kept
+        if isinstance(a, float):
+            q = a * (a + r) / (a * a + r * a + r)
+            return q if q < 1.0 or q != q else 1.0  # np.minimum, NaN kept
+        # a huge r overflows to inf and NaN, which the checks reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.minimum(a * (a + r) / (a * a + r * a + r), 1.0)
 
     def f_inv(y):
         # a^2 (1-y) + r a (1-y) - r y = 0, the positive root in the form
@@ -406,15 +396,10 @@ def phi_r(r: float) -> Fn1:
         one_m = 1.0 - y
         u = r * one_m
         disc = u * u + 4.0 * one_m * r * y
-        return 2.0 * r * y / (u + np.sqrt(disc))
+        return 2.0 * r * y / (u + (math.sqrt(disc) if isinstance(y, float)
+                                   else np.sqrt(disc)))
 
-    def f_inv_one(y):
-        one_m = 1.0 - y
-        u = r * one_m
-        return 2.0 * r * y / (u + math.sqrt(u * u + 4.0 * one_m * r * y))
-
-    return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv,
-               fn_one=f_one, inv_one=f_inv_one)
+    return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv)
 
 
 def neg_circle() -> Fn1:
@@ -449,8 +434,7 @@ def table(knots, values) -> Fn1:
         return np.interp(y, v[::-1], k[::-1])
 
     return Fn1(f, (float(k[0]), float(k[-1])), kind="table",
-               params={"knots": k, "values": v}, inv=f_inv,
-               fn_one=lambda t: float(f(t)), inv_one=lambda y: float(f_inv(y)))
+               params={"knots": k, "values": v}, inv=f_inv)
 
 
 _FACTORIES = {

@@ -42,12 +42,18 @@ def _vec(x, name="vector"):
     return v
 
 
+def _pow2_exponent(v):
+    """The e with the largest |entry| of v in [2^(e-1), 2^e), 0 for a zero
+    vector."""
+    return math.frexp(max(map(abs, v.ravel().tolist())))[1]
+
+
 def pow2_scaled(v):
     """v scaled by a power of two to a largest |entry| in [1/2, 1) (a zero
     vector is kept): exact, unless an entry falls below the normal range,
     and no product of two entries overflows."""
     v = np.asarray(v, float)
-    return np.ldexp(v, -math.frexp(max(map(abs, v.ravel().tolist())))[1])
+    return np.ldexp(v, -_pow2_exponent(v))
 
 
 def row_dot(A, B):
@@ -179,16 +185,29 @@ def _plucker(x) -> np.ndarray:
     return v
 
 
+# join returns A v B at its own scale, 2^e times the product of the scaled
+# points, for |e| up to this: then it and its square norm are finite and
+# normal
+_JOIN_SCALE_MAX = 470
+
+
 def join(a, b) -> PLine:
-    """Plücker line through two distinct points of P^3."""
+    """Plücker line through two distinct points of P^3.  The products and
+    the degeneracy bound are formed on the points scaled by powers of two
+    (``pow2_scaled``), which is exact, so that far or tiny points neither
+    overflow nor underflow; the line is A v B at its own scale where that
+    is a finite normal vector, else at the scaled points' scale."""
     A = a.coords if isinstance(a, HPoint) else _vec(a)
     B = b.coords if isinstance(b, HPoint) else _vec(b)
     if A.shape[0] != 4 or B.shape[0] != 4:
         raise InvalidInput("join expects points of P^3")
+    ea, eb = _pow2_exponent(A), _pow2_exponent(B)
+    A, B = np.ldexp(A, -ea), np.ldexp(B, -eb)
     p = join_batch(A, B)
     if np.linalg.norm(p) <= DEFAULT_TOL * np.linalg.norm(A) * np.linalg.norm(B):
         raise DegenerateJoin("join of projectively equal points")
-    return PLine(p)
+    e = ea + eb
+    return PLine(np.ldexp(p, e) if abs(e) <= _JOIN_SCALE_MAX else p)
 
 
 def join_batch(A, B):

@@ -151,7 +151,9 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
         return CheckReport("no_exterior_meet", False, float(g[i]),
                            (float(t[i]), float(s[i]), float(th[i])), n_pairs)
     norms = row_norm(K1) * row_norm(K2)
-    flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))[0]
+    with np.errstate(over="ignore"):  # a huge tol flags every pair
+        bound = tol * norms
+    flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= bound))[0]
     pairs = flagged[~_same_line(K1[flagged], K2[flagged])]
     W, found = lines_meet_point(K1[pairs], K2[pairs])
     pairs, W = pairs[found], W[found]

@@ -653,14 +653,27 @@ def test_main_rejects_nan_function_parameters(tmp_path, capsys, command, text,
     ('{"family":"parabola","parabolas":[[1e308,0,0],[1,0.1,0.2]]}',
      "CONSTRUCTION FAILED: (3): parabola must meet the circle arc in two "
      "points (witness: 0)"),
+    # finite, but phi_r overflows to inf and NaN on the a-grid
+    ('{"family":"param","t":{"kind":"phi_r","r":1e308},'
+     '"s":{"kind":"phi_r","r":2}}',
+     "CONSTRUCTION FAILED: t is not increasing (witness: 0.7946862426485708)"),
 ], ids=["phi_r", "affine", "power", "table-knots", "table-values",
-        "parabola-1e308"])
+        "parabola-1e308", "phi_r-1e308"])
 def test_main_rejects_infinite_numbers_in_one_line(tmp_path, capsys, text,
                                                    line):
     # one line and no warning (tier-1 turns warnings into errors)
     assert main(["construct", "--config", _config_file(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.out + captured.err == line + "\n"
+
+
+def test_main_huge_tol_prints_no_warning(tmp_path, capsys):
+    # tol * norms overflows no_exterior_meet's bound, which then flags every
+    # pair (tier-1 turns warnings into errors)
+    sym = '{"family":"symmetric","a":{"kind":"moebius01"}}'
+    assert main(["verify", "--config", _config_file(tmp_path, sym),
+                 "--checks", "no_exterior_meet", "--tol=1e308"]) == 0
+    assert capsys.readouterr().out.startswith("CHECK no_exterior_meet: PASS")
 
 
 def test_zero_samples_is_not_replaced_by_defaults(tmp_path):

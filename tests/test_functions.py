@@ -76,16 +76,20 @@ _ONE_FLOAT_FNS = {
     "moebius01": moebius01(),
     "phi_r": phi_r(1.5),
     "table": table([0.0, 0.3, 1.0], [0.0, 0.5, 2.0]),
+    "table-decreasing": table([0.0, 0.4, 1.0], [1.0, 0.3, -0.5]),
     "neg_circle": neg_circle(),
     "custom": as_fn1(lambda t: np.asarray(t) ** 3 + t, domain=(0.0, 1.0)),
+    # the table inverse in log a, which a float reaches as a 0-d array
+    "custom-half-line": as_fn1(lambda a: np.asarray(a) / (1.0 + a),
+                               domain=(0.0, np.inf)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ONE_FLOAT_FNS))
 def test_one_float_equals_its_batch_row(name):
     # at and inverse_at give a Python float with the bits of a batch row:
-    # through the factory's closed form in floats where it has one, else
-    # through the batch on a one-element array
+    # fn and inv take the float themselves, a plain callable's on a 0-d
+    # array
     f = _ONE_FLOAT_FNS[name]
     rng = np.random.default_rng(28)
     x = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-12],
@@ -99,6 +103,25 @@ def test_one_float_equals_its_batch_row(name):
         np.testing.assert_array_equal(batch.view(np.uint64),
                                       np.array(ones).view(np.uint64),
                                       err_msg=name)
+
+
+@pytest.mark.parametrize("f,y", [
+    (as_fn1(lambda th: np.asarray(th) ** 2 * (2.0 / np.pi), (0.0, np.pi / 2)),
+     [0.3, np.nan, 0.7, 1.2]),
+    (as_fn1(lambda t: 1.0 - np.asarray(t) ** 3, (0.0, 1.0)),
+     [0.3, np.nan, 0.7, -0.2]),
+    (as_fn1(lambda a: np.asarray(a) / (1.0 + a), (0.0, np.inf)),
+     [0.3, np.nan, 1e-12, 1.0]),
+], ids=["increasing", "decreasing", "half-line"])
+def test_table_inverse_of_nan_is_nan(f, y):
+    # NaN has no preimage (the search would give a table end); every other
+    # target keeps its bits
+    x = f.inverse(y)
+    assert np.isnan(x[1]) and np.isnan(f.inverse_at(np.nan))
+    rest = f.inverse([y[0], *y[2:]])
+    np.testing.assert_array_equal(np.delete(x, 1).view(np.uint64),
+                                  rest.view(np.uint64))
+    assert not np.isnan(rest).any()
 
 
 def test_neg_circle():

@@ -88,6 +88,35 @@ def test_join_degenerate():
         join((1, 2, 3, 4), (2, 4, 6, 8))
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e100])
+def test_join_of_far_points(scale):
+    # the products of the raw coordinates would overflow; tier-1 turns
+    # warnings into errors, so none may be raised
+    line = join((1.0, scale, 0.0, 0.0), (1.0, 0.0, scale, 0.0))
+    assert np.isfinite(line.p).all()
+    expected = [-1.0 / scale, 1.0 / scale, 0.0, 0.0, 0.0, 1.0]
+    assert projective_distance(line.p, expected) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e-310])
+def test_join_of_tiny_points(scale):
+    # the products of the raw coordinates would underflow to a spurious
+    # DegenerateJoin
+    line = join((scale, scale, 0.0, 0.0), (scale, 0.0, scale, 0.0))
+    assert projective_distance(line.p, [-1.0, 1.0, 0.0, 0.0, 0.0, 1.0]) < 1e-15
+
+
+def test_join_keeps_its_own_scale():
+    # A v B is the raw products, bit for bit, where they are moderate
+    r = rng()
+    pairs = [((1e-200, 1e-200, 0.0, 0.0), (1e200, 0.0, 1e200, 0.0))]
+    for _ in range(20):
+        e = r.integers(-200, 200, size=2)[:, None]
+        pairs.append(tuple(r.normal(size=(2, 4)) * 2.0 ** e))
+    for A, B in pairs:
+        np.testing.assert_array_equal(join(A, B).p, join_batch(A, B))
+
+
 def test_plucker_relation_random():
     r = rng()
     A = r.normal(size=(200, 4))
