@@ -774,7 +774,11 @@ def _check_knot_heights(seq: ParabolaSeq, bc):
     over the knot slopes k and k (1 + _KNOT_STEP), where the interpolation
     enters a new piece."""
     k = seq.slopes()
-    a = np.unique(np.concatenate([k, k * (1.0 + _KNOT_STEP)]))
+    # sorted and distinct, as np.unique gives them, without the import of
+    # numpy.ma that np.unique makes (numpy 2), in every process that builds
+    # a parabola star
+    a = np.sort(np.concatenate([k, k * (1.0 + _KNOT_STEP)]))
+    a = a[np.append(True, a[1:] != a[:-1])]
     _require(np.all(np.diff(_t_s_of_a(a, *bc(a)), axis=1) > 0.0, axis=0),
              "(3): a height of H_a on the circle is not increasing past a knot",
              a)

@@ -221,9 +221,9 @@ def _finite(v, what: str) -> np.ndarray:
 def _hits_for_lines(par: Parallelism, K, tol: float = LINE_TOL):
     """Search hits (per Klein vector row) for the star line whose H-member
     lies in each tangent hyperplane."""
-    W4 = par.es.project_sphere_coords(np.atleast_2d(np.asarray(K, float)))
-    norms = row_norm(W4)
-    if np.any(norms < 1e-12 * np.linalg.norm(K)):
+    K = np.atleast_2d(np.asarray(K, float))
+    W4 = par.es.project_sphere_coords(K)
+    if np.any(row_norm(W4) < 1e-12 * row_norm(K)):
         raise SearchFailed("Klein vector projects to zero in the star 3-space")
     return par.search.find_batch(W4, tol=tol)
 
@@ -247,17 +247,19 @@ def parallel_through(par: Parallelism, p, L) -> PLine:
     """The unique line parallel to L through p (L itself when p is on L).
 
     p is on L when |P*(L) p| < 1e-9 |p| for unit L: P*(L) kills L and is
-    an isometry on its complement, so this is p's rejection from L.  p is
-    first scaled by a power of two (``pow2_scaled``), which is exact, so
-    that no product of its coordinates overflows, however large they are."""
+    an isometry on its complement, so this is p's rejection from L.  p and
+    L's Plücker vector are first scaled by powers of two (``pow2_scaled``),
+    which is exact, so that no product of their coordinates overflows or
+    underflows, however large or small they are."""
     pv = pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
                              "point"))
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
     L = L if isinstance(L, PLine) else PLine(k)
+    k = pow2_scaled(k)
     rej = plucker_matrix(k[_SWAP] / np.linalg.norm(k)) @ pv
     if np.linalg.norm(rej) < 1e-9 * np.linalg.norm(pv):
         return L
-    return spread_line_through(parallel_class_of(par, L), pv)
+    return spread_line_through(parallel_class_of(par, k), pv)
 
 
 # ---------------------------------------------------------------------------

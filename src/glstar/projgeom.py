@@ -150,10 +150,13 @@ class PLine:
         v = _vec(self.p, "Plücker vector")
         if v.shape[0] != 6:
             raise InvalidInput("Plücker vector must have 6 entries")
-        n2 = float(np.dot(v, v))
+        # the norm and relation tests read v scaled by a power of two, so
+        # that neither a huge nor a tiny vector overflows or underflows
+        s = pow2_scaled(v)
+        n2 = float(np.dot(s, s))
         if n2 == 0.0:
             raise InvalidInput("zero Plücker vector")
-        if abs(self.plucker_residual_of(v)) > _PLUCKER_REL_TOL * n2:
+        if abs(self.plucker_residual_of(s)) > _PLUCKER_REL_TOL * n2:
             raise InvalidInput("Plücker relation violated")
         v.setflags(write=False)
         object.__setattr__(self, "p", v)

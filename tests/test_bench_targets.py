@@ -37,18 +37,28 @@ star = latitudinal(pencil_from_mu(as_fn1(lambda th: th ** 2 * (2 / np.pi),
                                          domain=(0.0, np.pi / 2))))
 star.sigma(np.array([[0.6, 0.0, -0.8], [0.0, 0.6, -0.8]]))
 print(" ".join(sorted({span[2] for span in tracer.spans})))
+# a profile star's query takes the search's float path for its one point
+lat = parallelism.make_parallelism(star)
+n = len(tracer.spans)
+parallelism.parallel_class_of(lat, L)
+print(" ".join(sorted({span[2] for span in tracer.spans[n:]})))
 """
 
 
 def test_tracer_installs_and_records_subspace_spans():
-    # and the table inverses of plain callables, as functions.inverse
+    # and the table inverses of plain callables, as functions.inverse, and
+    # a latitudinal query's search
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(BENCH)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    names = set(done.stdout.split())
+    first, query = done.stdout.splitlines()
+    names = set(first.split())
     assert {"projgeom.span", "parallelism.class_from_hfd_line",
             "parallelism.make_parallelism", "functions.inverse",
             "star.sigma"} <= names, names
+    # the single-point search is booked to search.find_batch on a profile
+    # star too
+    assert {"search.find_batch", "star.sigma"} <= set(query.split()), query
 
 
 @pytest.mark.parametrize("workload", ["verify-suite", "parallel-queries",

@@ -20,6 +20,7 @@ from glstar.parallelism import (
     EmbeddedStar,
     HfdLineSet,
     ParallelClass,
+    _hits_for_lines,
     check_hfd,
     check_torus_fixes_classes,
     check_zero_secants,
@@ -33,6 +34,7 @@ from glstar.parallelism import (
     torus_action,
 )
 from glstar.projgeom import (
+    PLine,
     QuadricForm,
     Subspace,
     join,
@@ -461,6 +463,42 @@ def test_spread_line_through_scales_its_own_point():
             out = spread_line_through(cls, p)
             assert (out.p.tobytes()
                     == parallel_through(PAR_BUILTIN, p, L).p.tobytes())
+
+
+def test_parallel_through_answers_huge_and_tiny_lines():
+    # L's Plücker vector is scaled by a power of two where it enters, and
+    # PLine tests a scaled copy: a line scaled by 2^531 or 2^-664 (about
+    # 1e160 and 1e-200) gets the unscaled answer bit for bit, and one scaled
+    # by 1e160 or 1e-200 answers with no warning, and not with L itself
+    k = join(np.array([1.0, 0.2, 0.1, 0.3]),
+             np.array([1.0, -0.3, 0.5, 0.1])).p
+    p = np.array([1.0, 0.4, -0.2, 0.9])
+    ref = parallel_through(PAR_BUILTIN, p, PLine(k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (531, -664):
+            out = parallel_through(PAR_BUILTIN, p, PLine(np.ldexp(k, e)))
+            assert out.p.tobytes() == ref.p.tobytes()
+        for scale in (1e160, 1e-200):
+            L = PLine(k * scale)
+            out = parallel_through(PAR_BUILTIN, p, L)
+            assert out is not L
+            assert projective_distance(out.p, ref.p) < 1e-12
+
+
+def test_mixed_scale_lines_each_get_their_own_hits():
+    # the projection guard compares each row with its own norm: a row
+    # scaled by 1e13 leaves the other row its single answer, bit for bit
+    K = join_batch(*np.random.default_rng(3).normal(size=(2, 2, 4)))
+    K[0] *= 1e13
+    hits = _hits_for_lines(PAR_BUILTIN, K)
+    for j, row in enumerate(hits):
+        one = _hits_for_lines(PAR_BUILTIN, K[j:j + 1])[0]
+        assert len(row) == len(one) == 1
+        assert ([row[0].t, row[0].theta, row[0].residual]
+                == [one[0].t, one[0].theta, one[0].residual])
+        assert row[0].A.tobytes() == one[0].A.tobytes()
+        assert row[0].B.tobytes() == one[0].B.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -19,8 +19,8 @@ from glstar.errors import SearchFailed
 from glstar.functions import affine, as_fn1, bracket_roots, moebius01, power
 from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
-from glstar.search import StarLineSearch
-from glstar.star import PROFILE_GRID, GlStar, RotationalProfile
+from glstar.search import LINE_TOL, StarLineSearch, _frames
+from glstar.star import PROFILE_GRID, GlStar, RotationalProfile, homogenize
 from glstar.verify import (
     KLEIN_CHECKS,
     applicable_checks,
@@ -380,9 +380,22 @@ def test_single_point_find_calls_no_batch_map_at_one_t(monkeypatch):
     # family's batch coefficients or meridian map (fitted or closed form)
     # sees a single t, and sigma at the located chord (in the upper
     # hemisphere) never reaches the batch, whose norm is the star module's
-    # row_norm
+    # row_norm; and one exterior point on a profile star takes the search's
+    # own steps in floats too, with none of its row reductions or batch
+    # azimuths
+    from glstar import search as search_module
     from glstar import star as star_module
-    single = []
+    single, steps = [], []
+
+    def counted(fn):
+        def g(*args):
+            steps.append(fn.__name__)
+            return fn(*args)
+        return g
+
+    for fn in ("row_norm", "row_dot", "_chord_azimuths"):
+        monkeypatch.setattr(search_module, fn,
+                            counted(getattr(search_module, fn)))
 
     def spied(fn, what):
         def g(*args):
@@ -404,6 +417,10 @@ def test_single_point_find_calls_no_batch_map_at_one_t(monkeypatch):
             object.__setattr__(profile, "meridian",
                                spied(profile.meridian, "meridian"))
         es, search = EmbeddedStar(star), StarLineSearch(star)
+        steps.clear()
+        assert len(search.find((1.0, 0.9, -1.2, 0.7))) == 1, name
+        # clifford's search joins the centre, in numpy
+        assert bool(steps) == (star.center is not None), (name, steps)
         single.clear()
         hits = [search.find(es.project_sphere_coords(k)) for k in K]
         assert sum(map(len, hits)) == len(K), name
@@ -431,3 +448,56 @@ def test_find_equals_its_row_of_find_batch(seven_stars):
                 for x, y in zip(_bits([h.t, h.theta, h.residual], h.A, h.B),
                                 _bits([g.t, g.theta, g.residual], g.A, g.B)):
                     np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def test_find_equals_its_row_at_the_edges_of_the_float_path(seven_stars):
+    # one point on a profile star runs in Python floats and leaves to the
+    # batch what the batch must answer: points on Z (whose covering
+    # function ends at 0), points in the plane z = 0 (a zero at the
+    # horizontal star t = 0 of the grid), and a chord whose frame divides by
+    # zero.  Each probe, either way, gives its row of a many-row find_batch
+    # bit for bit, as do sphere points and interior points
+    q = np.random.default_rng(30).normal(size=(12, 3))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    fallback = np.array([(1.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, -2.0),
+                         (0.0, 0.0, 0.0, 1.0), (1.0, 1.5, 0.7, 0.0),
+                         (0.0, 1.0, 2.0, 0.0)])
+    W = np.vstack([fallback, homogenize(q), homogenize(0.6 * q),
+                   (1.0, 0.9, -1.2, 0.7), (0.0, 0.3, 0.4, -1.0)])
+
+    def same_as_rows(search, W):
+        batch = search.find_batch(W)
+        for w, hits in zip(W, batch):
+            one = search.find(w)
+            assert len(one) == len(hits), search.star.label
+            for h, g in zip(one, hits):
+                for x, y in zip(_bits([h.t, h.theta, h.residual], h.A, h.B),
+                                _bits([g.t, g.theta, g.residual], g.A, g.B)):
+                    np.testing.assert_array_equal(x, y,
+                                                  err_msg=search.star.label)
+
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        same_as_rows(search, W)
+        if star.center is not None:
+            continue
+        profile = star.line_profile
+        assert [v[0] for v in profile.table] == [0.0, 0.0, 0.0], name
+        for w in fallback.tolist():
+            assert search._find_one(w, LINE_TOL) is None, (name, w)
+        assert search._find_one(W[-2].tolist(), LINE_TOL) is not None, name
+    # sigma = identity on builtin's profile: every chord is a fixed point
+    # (B = A), and its frame divides by zero on some of these points
+    builtin = seven_stars["builtin"]
+    fixed = GlStar("fixed points", lambda q: np.asarray(q, float),
+                   profile=builtin.line_profile)
+    search = StarLineSearch(fixed)
+    P = np.random.default_rng(30).normal(size=(40, 4))
+    P[:, 0] = 0.5 * np.linalg.norm(P[:, 1:], axis=1)
+    owner, t, theta = search._profile_params(P)
+    U2 = _frames(*fixed.chord(t, theta))[1]
+    nan = owner[np.isnan(U2).any(axis=1)]
+    assert nan.size, "no probe has a frame that divides by zero"
+    for j in nan.tolist():
+        assert search._find_one(P[j].tolist(), LINE_TOL) is None
+    same_as_rows(search, P)
