@@ -18,14 +18,20 @@ import numpy as np
 
 from .errors import ConditionFailed, InvalidCenter, InvalidInput
 from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
-from .projgeom import quadratic_roots, row_dot, row_norm
+from .projgeom import (
+    col_clip,
+    col_sqrt,
+    col_ufunc,
+    col_where,
+    quadratic_roots,
+    row_dot,
+    row_norm,
+)
 from .star import (
     GlStar,
     Handedness,
     RotationalProfile,
     RotationalSigma,
-    _clip_one,
-    _snap_one,
     _snap_radicand,
     is_cone,
     on_unit_sphere,
@@ -146,25 +152,16 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
                 f"{LIMIT_BAND:.0%} of 1", witness=tk)
 
     def abc(tt):
-        tt = np.asarray(tt, float)
         # a(1) may be inf (it is for moebius01), and then c^2 is inf - inf:
         # c takes its limit inf there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            aa = np.asarray(a_fn(tt), float)
-            c2 = aa * aa - tt * tt * (1.0 + aa * aa)
-            cc = np.sqrt(_snap_radicand(c2,
-                                        aa * aa + tt * tt * (1.0 + aa * aa)))
-        return aa, np.zeros_like(tt), np.where(aa == np.inf, np.inf, cc)
-
-    def abc_one(t):
-        a = a_fn.at(t)
-        c2 = a * a - t * t * (1.0 + a * a)
-        c = math.sqrt(_snap_one(c2, a * a + t * t * (1.0 + a * a)))
-        return a, 0.0, math.inf if a == math.inf else c
+        aa = a_fn(tt)
+        c2 = aa * aa - tt * tt * (1.0 + aa * aa)
+        cc = col_sqrt(_snap_radicand(c2, aa * aa + tt * tt * (1.0 + aa * aa)))
+        b = 0.0 if type(tt) is float else np.zeros_like(tt)
+        return aa, b, col_where(aa == np.inf, np.inf, cc)
 
     hand_sign = _hand_sign_fn(handedness)
-    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign,
-                                abc_one=abc_one)
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
     _validate_cone_rule(hand_sign, profile)
     sig = RotationalSigma(profile, t_of_z=lambda z: -np.asarray(z, float))
     return GlStar(label=label or f"symmetric({a_fn.describe()})",
@@ -201,23 +198,14 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
     eps_sign = _hand_sign_fn(eps)
 
     def mer(tt):
-        tt = np.atleast_1d(np.asarray(tt, float))
-        fvv = np.asarray(f_fn(tt), float)
-        gvv = np.asarray(g_fn(tt), float)
-        y2 = _snap_radicand(1.0 - fvv * fvv - gvv * gvv,
-                            1.0 + fvv * fvv + gvv * gvv)
-        y = eps_sign(tt) * np.sqrt(y2)
-        norm = np.sqrt(gvv * gvv + y * y + fvv * fvv)
-        return np.stack([gvv / norm, y / norm, -fvv / norm], axis=-1)
+        fv, gv = f_fn(tt), g_fn(tt)
+        y2 = _snap_radicand(1.0 - fv * fv - gv * gv, 1.0 + fv * fv + gv * gv)
+        y = eps_sign(tt) * col_sqrt(y2)
+        norm = col_sqrt(gv * gv + y * y + fv * fv)
+        m = gv / norm, y / norm, -fv / norm
+        return m if type(tt) is float else np.stack(m, axis=-1)
 
-    def mer_one(t):
-        fv, gv = f_fn.at(t), g_fn.at(t)
-        y2 = _snap_one(1.0 - fv * fv - gv * gv, 1.0 + fv * fv + gv * gv)
-        y = eps_sign(t) * math.sqrt(y2)
-        norm = math.sqrt(gv * gv + y * y + fv * fv)
-        return gv / norm, y / norm, -fv / norm
-
-    profile = RotationalProfile.from_meridian(mer, mer_one)
+    profile = RotationalProfile.from_meridian(mer)
     _validate_cone_rule(eps_sign, profile, name="eps")
     sig = RotationalSigma(profile, t_of_z=lambda z: np.asarray(
         f_fn.inverse(-np.asarray(z, float)), float))
@@ -288,7 +276,7 @@ def _log_a_of_height(h: Fn1):
         if isinstance(y, float):
             if not y < y_end:
                 return log_a_max
-            a = h.inverse_at(y)
+            a = h.inverse(y)
             a = _A_MAX if a > _A_MAX else a  # np.minimum, NaN kept
             return float(np.log(a)) if a > 0.0 else -math.inf
         y = np.atleast_1d(np.asarray(y, float))
@@ -328,9 +316,7 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None, extra_tags=()) -> GlStar:
     c_fn = as_fn1(c, domain=(0.0, np.inf))
 
     def bc(a):
-        if isinstance(a, float):
-            return b_fn.at(a), c_fn.at(a)
-        return np.asarray(b_fn(a), float), np.asarray(c_fn(a), float)
+        return b_fn(a), c_fn(a)
 
     bv = _check_eqn_hypotheses(bc)
     return _build_eqn_star(bc, bv, *_eqn_heights(bc), hand,
@@ -388,19 +374,14 @@ def _build_eqn_star(bc, bv, t_fn, s_fn, hand, label, extra_tags) -> GlStar:
     log_a_of_s = _log_a_of_height(s_fn)
 
     def abc(tt):
-        a = np.exp(log_a_of_t(tt))
-        return (a, *bc(a))
-
-    def abc_one(t):
-        a = float(np.exp(log_a_of_t(t)))
+        a = col_ufunc(np.exp, log_a_of_t(tt))
         return (a, *bc(a))
 
     def t_of_z(z):
         return t_fn(np.exp(log_a_of_s(-np.asarray(z, float))))
 
     hand_sign = _hand_sign_fn(hand)
-    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign,
-                                abc_one=abc_one)
+    profile = RotationalProfile(abc=abc, handedness_sign=hand_sign)
     _validate_cone_rule(hand_sign, profile)
     sig = RotationalSigma(profile, t_of_z=t_of_z)
     tags = ("rotational",) + tuple(extra_tags)
@@ -485,14 +466,9 @@ def _param_bc(t_fn, s_fn):
     """a |-> (b(a), c(a)) of the surfaces H_a with circle heights t(a),
     -s(a), of an array or of one Python float."""
     def bc(a):
-        if isinstance(a, float):
-            b, c2 = _b_c2_of_heights(a, t_fn.at(a), s_fn.at(a))
-            # np.clip(c2, 0.0, None) is np.maximum: -0.0 and below take 0.0
-            return b, math.sqrt(c2 if c2 > 0.0 or c2 != c2 else 0.0)
-        a = np.asarray(a, float)
-        b, c2 = _b_c2_of_heights(a, np.asarray(t_fn(a), float),
-                                 np.asarray(s_fn(a), float))
-        return b, np.sqrt(np.clip(c2, 0.0, None))
+        a = a if type(a) is float else np.asarray(a, float)
+        b, c2 = _b_c2_of_heights(a, t_fn(a), s_fn(a))
+        return b, col_sqrt(col_clip(c2, 0.0))
 
     return bc
 
@@ -539,15 +515,14 @@ class GlPencil:
     angle_map: Fn1
 
     def sigma1_angle(self, beta):
-        """sigma1 of an array of angles, or of one angle as a Python float.
-        One angle of the first quadrant, all that latitudinal's sigma at one
-        point and meridian map at one t send, is computed in floats with the
-        bits of a batch row; any other takes its batch row."""
+        """sigma1 of an array of angles, or of one angle as a Python float:
+        in floats in the first quadrant (the upper hemisphere), else by its
+        batch row, which inverts the arc map."""
         m = self.angle_map
         if np.ndim(beta) == 0:
             b = float(np.mod(beta, 2.0 * np.pi))
             if b <= 0.5 * np.pi:
-                return float(np.mod(np.pi + m.at(b), 2.0 * np.pi))
+                return float(np.mod(np.pi + m(b), 2.0 * np.pi))
             return float(self.sigma1_angle(np.array([beta], float))[0])
         b = np.mod(np.asarray(beta, float), 2.0 * np.pi)
         out = np.full_like(b, np.nan)  # NaN, in no quadrant, stays NaN
@@ -581,36 +556,22 @@ def pencil_from_mu(mu) -> GlPencil:
 def latitudinal(pencil: GlPencil, label=None) -> GlStar:
     """Rotate a symmetric pencil about Z: every line meets the axis."""
 
-    def sig(Q):
-        r = np.hypot(Q[:, 0], Q[:, 1])
-        theta = np.arctan2(Q[:, 1], Q[:, 0])
-        beta = np.arctan2(Q[:, 2], r)
-        b2 = pencil.sigma1_angle(beta)
-        x = np.cos(b2)
-        return np.stack([x * np.cos(theta), x * np.sin(theta), np.sin(b2)],
-                        axis=-1)
-
-    def sig_one(x, y, z):
-        # the closed upper hemisphere, whose angles need no inverse of mu
-        if not z >= 0.0:
-            return None
-        theta = np.arctan2(y, x)
-        b2 = pencil.sigma1_angle(float(np.arctan2(z, np.hypot(x, y))))
-        c = float(np.cos(b2))
-        return (c * float(np.cos(theta)), c * float(np.sin(theta)),
-                float(np.sin(b2)))
+    def sigma(x, y, z):
+        theta = col_ufunc(np.arctan2, y, x)
+        b2 = pencil.sigma1_angle(
+            col_ufunc(np.arctan2, z, col_ufunc(np.hypot, x, y)))
+        c = col_ufunc(np.cos, b2)
+        return (c * col_ufunc(np.cos, theta), c * col_ufunc(np.sin, theta),
+                col_ufunc(np.sin, b2))
 
     def mer(t):
-        t = np.atleast_1d(np.asarray(t, float))
-        b2 = pencil.sigma1_angle(np.arcsin(np.clip(t, 0.0, 1.0)))
-        return np.stack([np.cos(b2), np.zeros_like(b2), np.sin(b2)], axis=-1)
+        b2 = pencil.sigma1_angle(col_ufunc(np.arcsin, col_clip(t, 0.0, 1.0)))
+        m = (col_ufunc(np.cos, b2), 0.0 if type(t) is float
+             else np.zeros_like(b2), col_ufunc(np.sin, b2))
+        return m if type(t) is float else np.stack(m, axis=-1)
 
-    def mer_one(t):
-        b2 = pencil.sigma1_angle(float(np.arcsin(_clip_one(t, 0.0, 1.0))))
-        return float(np.cos(b2)), 0.0, float(np.sin(b2))
-
-    sig = on_unit_sphere(sig, one=sig_one)
-    profile = RotationalProfile.from_meridian(mer, mer_one)
+    profile = RotationalProfile.from_meridian(mer)
+    sig = on_unit_sphere(lambda Q: np.stack(sigma(*Q.T), axis=-1), one=sigma)
     return GlStar(label=label or f"latitudinal({pencil.angle_map.describe()})",
                   sigma_fn=sig, profile=profile,
                   tags=("rotational", "axial"))

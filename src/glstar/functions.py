@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConditionFailed, ConfigError, InvalidInput
+from .projgeom import col_sqrt
 
 # Inverses are refined to a few ulps of the solution.
 _INVERSE_RTOL = 2e-15
@@ -37,7 +38,7 @@ LOG_TABLE_RANGE = (1e-9, 1e9)
 _CLUSTER_RTOL = 1e-6
 
 
-def _illinois(fn, lo, hi, flo, fhi, rtol, fn_one=None):
+def _illinois(fn, lo, hi, flo, fhi, rtol):
     """Roots of a batch of brackets by regula falsi with the
     Anderson-Björck rule.
 
@@ -57,21 +58,20 @@ def _illinois(fn, lo, hi, flo, fhi, rtol, fn_one=None):
     end).  Its root is the end with the smaller |fn|, which is also the
     answer of a bracket without a sign change, such as a target outside a
     table's range.  Done brackets leave the batch, so each step works on the
-    open ones only.  One open bracket, as a single-point search has, takes
-    the same steps in Python floats (``_illinois_one``), without numpy's
-    cost per call on one-element arrays, on ``fn_one(x, i)`` when it is
-    given: fn at one float x of bracket i, as a Python float with fn's bits.
-    A single root of the star-line search takes 4.6 to 4.75 evaluations on
-    average, against 5.4 to 5.7 with Illinois halving alone.
+    open ones only.  One open bracket, as a single-target table inverse has,
+    takes the same steps in Python floats (``_illinois_one``) on fn at a
+    one-element array, without numpy's cost per step on the other arrays;
+    a single-point search calls ``_illinois_one`` itself.  A single root of
+    the star-line search takes 4.6 to 4.75 evaluations on average, against
+    5.4 to 5.7 with Illinois halving alone.
     """
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
     i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
     if i.size == 1:
         j = int(i[0])
-        f = ((lambda x: fn_one(x, j)) if fn_one is not None else
-             (lambda x: float(np.asarray(fn(np.array([x]), i), float)[0])))
-        root[j] = _illinois_one(f, float(lo[j]), float(hi[j]), float(flo[j]),
-                                float(fhi[j]), rtol)
+        root[j] = _illinois_one(
+            lambda x: float(np.asarray(fn(np.array([x]), i), float)[0]),
+            float(lo[j]), float(hi[j]), float(flo[j]), float(fhi[j]), rtol)
         return root
     a, fa, b, fb = lo[i], flo[i], hi[i], fhi[i]
     ga = fa  # a's own value; fa is the one the secant sees
@@ -154,12 +154,10 @@ def _root_candidates(v):
     return k, p // 2, p % 2 == 1
 
 
-def _refine(fn, grid, v, k, i, rtol, fn_one=None):
+def _refine(fn, grid, v, k, i, rtol):
     """The roots of the brackets [grid[i], grid[i + 1]] of probes k."""
     return _illinois(lambda x, j: fn(x, k[j]), grid[i], grid[i + 1],
-                     v[k, i], v[k, i + 1], rtol,
-                     None if fn_one is None else
-                     (lambda x, j: fn_one(x, int(k[j]))))
+                     v[k, i], v[k, i + 1], rtol)
 
 
 def _new_roots(k, x):
@@ -171,15 +169,14 @@ def _new_roots(k, x):
     return new
 
 
-def bracket_roots(fn, grid, values, rtol: float = 1e-12, fn_one=None):
+def bracket_roots(fn, grid, values, rtol: float = 1e-12):
     """Roots of n scalar functions (probes) located on a common increasing
     grid.
 
-    ``values`` (n, g) holds probe k at the grid points; ``fn(x, k)``
-    evaluates probe k at x (aligned arrays), and ``fn_one(x, k)``, if given,
-    at one float x of probe k, as a Python float with fn's bits.  Grid zeros
-    are roots.  The sign changes between neighbouring grid points of all
-    probes are refined together by ``_illinois`` to ``rtol``.  A root within
+    ``values`` (n, g) holds probe k at the grid points, and ``fn(x, k)``
+    evaluates probe k at x (aligned arrays).  Grid zeros are roots.  The
+    sign changes between neighbouring grid points of all probes are refined
+    together by ``_illinois`` to ``rtol``.  A root within
     ``_CLUSTER_RTOL`` of the previous root of its probe is the same root,
     and a probe that is zero on the whole grid has none.  Returns (k, x),
     sorted by probe, then root.
@@ -188,7 +185,7 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12, fn_one=None):
     v = np.asarray(values, float)
     k, i, br = _root_candidates(v)
     x = grid[i]
-    x[br] = _refine(fn, grid, v, k[br], i[br], rtol, fn_one)
+    x[br] = _refine(fn, grid, v, k[br], i[br], rtol)
     keep = _new_roots(k, x) & np.any(v, axis=1)[k]
     return k[keep], x[keep]
 
@@ -299,8 +296,9 @@ class Fn1:
     has the bits of a batch row: + - * / and sqrt in Python floats, a
     transcendental step by numpy's own ufunc on the float, a plain callable
     (``as_fn1``) on a 0-d array.  At a float they may raise
-    ZeroDivisionError or ValueError where numpy gives inf or NaN.  ``at``
-    and ``inverse_at`` evaluate one float, as a Python float."""
+    ZeroDivisionError or ValueError where numpy gives inf or NaN.  Calling
+    the function and ``inverse`` give an array of an array, and a Python
+    float of a float."""
 
     fn: Callable
     domain: tuple[float, float]
@@ -309,19 +307,15 @@ class Fn1:
     params: dict = field(default_factory=dict)
 
     def __call__(self, x):
+        if type(x) is float:
+            return float(self.fn(x))
         return self.fn(np.asarray(x, dtype=float))
 
     def inverse(self, y):
         """Preimage under the function."""
+        if type(y) is float:
+            return float(self.inv(y))
         return self.inv(np.asarray(y, dtype=float))
-
-    def at(self, x: float) -> float:
-        """The value at one float, as a Python float."""
-        return float(self.fn(x))
-
-    def inverse_at(self, y: float) -> float:
-        """The preimage of one float, as a Python float."""
-        return float(self.inv(y))
 
     def describe(self) -> str:
         if not self.params:
@@ -396,8 +390,7 @@ def phi_r(r: float) -> Fn1:
         one_m = 1.0 - y
         u = r * one_m
         disc = u * u + 4.0 * one_m * r * y
-        return 2.0 * r * y / (u + (math.sqrt(disc) if isinstance(y, float)
-                                   else np.sqrt(disc)))
+        return 2.0 * r * y / (u + col_sqrt(disc))
 
     return Fn1(f, (0.0, np.inf), kind="phi_r", params={"r": r}, inv=f_inv)
 

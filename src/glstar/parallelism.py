@@ -230,8 +230,9 @@ def _hits_for_lines(par: Parallelism, K, tol: float = LINE_TOL):
 
 def parallel_class_of(par: Parallelism, L) -> ParallelClass:
     """Parallel class of a line of P^3: exactly one H-line sits inside the
-    tangent hyperplane of its Klein point."""
-    k = _finite(L.p if isinstance(L, PLine) else L, "line")
+    tangent hyperplane of its Klein point.  L's Plücker vector is first
+    scaled by a power of two (``pow2_scaled``), which is exact."""
+    k = pow2_scaled(_finite(L.p if isinstance(L, PLine) else L, "line"))
     hits = _hits_for_lines(par, k[None, :])[0]
     if len(hits) == 0:
         raise SearchFailed("no H-line found in the tangent hyperplane")

@@ -49,11 +49,13 @@ def _pow2_exponent(v):
 
 
 def pow2_scaled(v):
-    """v scaled by a power of two to a largest |entry| in [1/2, 1) (a zero
-    vector is kept): exact, unless an entry falls below the normal range,
-    and no product of two entries overflows."""
+    """v scaled by a power of two to a largest |entry| in [1/2, 1), each row
+    of a 2-d v by its own (a zero row is kept): exact, unless an entry falls
+    below the normal range, and no product of two entries overflows."""
     v = np.asarray(v, float)
-    return np.ldexp(v, -_pow2_exponent(v))
+    if v.ndim == 1 or v.shape[0] == 1:
+        return np.ldexp(v, -_pow2_exponent(v))
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
 
 
 def row_dot(A, B):
@@ -74,6 +76,53 @@ def row_norm(A):
     """Euclidean norm over the last axis (1 to 7 entries), bit for bit
     np.linalg.norm(A, axis=-1)."""
     return np.sqrt(row_dot(A, A))
+
+
+# -- columns: a coordinate of one point is a Python float, of a batch an
+# aligned (n,) array.  A kernel on columns shares + - * / between the two and
+# takes its other steps from these helpers, so that a float gets its array
+# row's bits (numpy's own ufunc, never ``math``, for a transcendental step).
+# Where Python raises (a division by zero, the root of a negative number),
+# the array gives inf or NaN.
+
+
+def col_dot(u, v):
+    """row_dot of two rows of columns: the products summed in order from
+    +0.0."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s = s + a * b
+    return s
+
+
+def col_sqrt(x):
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def col_where(cond, x, y):
+    return (x if cond else y) if type(cond) is bool else np.where(cond, x, y)
+
+
+def col_sign(x):
+    """np.sign: +0.0 of either zero, and NaN of NaN."""
+    if type(x) is not float:
+        return np.sign(x)
+    return -1.0 if x < 0.0 else 1.0 if x > 0.0 else 0.0 if x == 0.0 else x
+
+
+def col_clip(x, lo, hi=None):
+    """np.clip; with no upper bound np.maximum, which takes -0.0 to lo =
+    0.0.  NaN passes."""
+    if type(x) is not float:
+        return np.maximum(x, lo) if hi is None else np.clip(x, lo, hi)
+    if x < lo or (hi is None and x == lo):
+        return lo
+    return hi if hi is not None and x > hi else x
+
+
+def col_ufunc(f, x, *args):
+    return float(f(x, *args)) if type(x) is float else f(x, *args)
+
 
 
 def projective_distance(u, v) -> float:

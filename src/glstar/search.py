@@ -3,7 +3,7 @@
 A star line is the chord from q = R_theta(p_t) to sigma(q); a homogeneous
 point w of P^3 lies on it exactly when w sits in the 2-dim span of the
 chord's endpoints.  The residual ||w - proj_span(w)|| / ||w|| is zero
-precisely there, and both paths below report each line they find with its
+precisely there, and the search reports each line it finds with its
 residual against the star's own chord(t, theta), so a sigma that disagrees
 with the star's structure finds no line.  The path follows that structure:
 
@@ -25,34 +25,14 @@ with the star's structure finds no line.  The path follows that structure:
   the star and its profile, computed once, so every search of one star
   shares them.
 
-A single point, as each ``parallel_through`` query sends, runs in Python
-floats through the search's own steps and the whole family code, without
-numpy's cost per call on one-element arrays, and each float path gives its
-batch row's bits.  ``find_batch`` sends one row on a profile star to
-``_find_one``: its covering values on the coefficient table and their grid
-zeros and sign changes are taken in numpy on that one 257-value row; the
-one bracket is refined one height at a time (``functions._illinois_one``)
-on the covering function at one float; the profile's coefficients at that
-t come from ``coefficients_one`` (the family's ``abc_one``: symmetric's
-closed form, the eqn-path's log-slope step with the height inverse and
-``bc`` in floats, or for a fitted profile ``star._fit_one`` on the
-family's meridian map at one t); the meridian point, the meridian image
-(``meridian_image_one``) and the azimuth of the chord at that t; its
-rotation, and sigma at it from its one-point path in the closed upper
-hemisphere (see the ``star`` module); and the chord's frame, the
-rejection and its norm, each sum of ``row_dot`` taken in order from +0.0.
-The batch answers a row with a grid zero, no sign change or more than one
-bracket, a zero row, a frame that divides by zero, and every row of a
-star with a centre or with no profile.  A batch with one open bracket
-refines it in floats too (``bracket_roots``' ``fn_one``).  Each float path
-is selected by its input's size, and takes every float operation of the
-batch in the same order: a transcendental step calls numpy's own ufunc on
-the Python float, never ``math``, whose functions round differently from
-numpy's vectorized kernels on some inputs, and where Python would raise (a
-division by zero, the root of a negative number) the batch answers.
-
-The row reductions are ``projgeom.row_dot`` and ``row_norm``, which give
-numpy's bits without its fixed cost per row.
+Each step after the bracket is one kernel on columns (see ``projgeom``):
+the covering function, the chord's azimuth, and the rejection of w from
+the chord's span, whose norm is the residual.  A batch gives them arrays;
+one row on a profile star, as each ``parallel_through`` query sends, gives
+them Python floats in ``_find_one``, with its batch row's bits, and leaves
+to the batch a grid zero, no sign change or more than one bracket, and a
+frame that divides by zero.  Each row of W is first scaled by a power of
+two, which is exact, and a zero row is refused.
 """
 
 from __future__ import annotations
@@ -63,9 +43,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions
-from .errors import SearchFailed
+from .errors import InvalidInput, SearchFailed
 from .functions import bracket_roots
-from .projgeom import row_dot, row_norm
+from .projgeom import (
+    col_dot,
+    col_sign,
+    col_sqrt,
+    col_ufunc,
+    col_where,
+    pow2_scaled,
+    row_dot,
+    row_norm,
+)
 from .star import PROFILE_GRID, GlStar, homogenize, meridian_point
 
 _TWO_PI = 2.0 * np.pi
@@ -93,95 +82,71 @@ class LineHit:
     B: np.ndarray  # (4,)
 
 
-def _frames(A, B):
-    """Orthonormal bases (U1, U2) of the spans of the rows of A and B.  The
-    chord of a fixed point of sigma (B a multiple of A) spans no line: its
-    U2, and so its residual, is NaN and it gives no hit."""
-    U1 = A / row_norm(A)[..., None]
-    Bp = B - row_dot(B, U1)[..., None] * U1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        U2 = Bp / row_norm(Bp)[..., None]
-    return U1, U2
+# -- kernels on columns: w, A and B are four columns each
 
 
-def _reject(W, U1, U2):
-    """Rejection of each unit w from the span of its frame; rows aligned."""
-    W = W / row_norm(W)[..., None]
-    rej = W - row_dot(W, U1)[..., None] * U1
-    rej -= row_dot(rej, U2)[..., None] * U2
-    return rej
+def _unit(u):
+    """u over its norm."""
+    n = col_sqrt(col_dot(u, u))
+    return [a / n for a in u]
 
 
 def _covering(a, b, c, w0, w1, w2, w3):
     """The covering function of the points (w0, w1, w2, w3) at profile
     coefficients (a, b, c), over 1 + a^2: -w3^2 at the horizontal star
-    a = b = c = 0.  Arrays broadcast; Python floats give their bits."""
+    a = b = c = 0.  Arrays broadcast."""
     a2 = a * a
     e = w3 - b * w0
     f = c * w0
     return (a2 * (w1 * w1 + w2 * w2) - e * e - f * f) / (1.0 + a2)
 
 
-def _chord_azimuths(W, A, B):
+def _chord_azimuth(w, A, B):
     """theta with R_theta (chord A v B) through w, for w on the chord's
     surface of revolution: the chord's point X at the height of w (at
     infinity when w is), or its direction when the whole chord is at that
     height, turned onto w."""
-    u = B[:, 3] * W[:, 0] - B[:, 0] * W[:, 3]
-    v = A[:, 0] * W[:, 3] - A[:, 3] * W[:, 0]
-    X = u[:, None] * A + v[:, None] * B
-    flat = (u == 0.0) & (v == 0.0)
-    X[flat] = A[flat] - B[flat]
-    s = np.sign(W[:, 0] * X[:, 0] + W[:, 3] * X[:, 3])
-    s[s == 0.0] = 1.0
-    theta = np.arctan2(s * W[:, 2], s * W[:, 1]) - np.arctan2(X[:, 2], X[:, 1])
-    return np.mod(theta, _TWO_PI)
-
-
-# -- one point in Python floats: each float operation of the batch row in its
-# order, row_dot's sums from +0.0, numpy's own ufunc for arctan2, mod, cos
-# and sin; a division by zero raises where the batch gives inf or NaN
-
-
-def _dot_one(u, v):
-    """row_dot of two rows of floats."""
-    s = 0.0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
-
-
-def _unit_one(u):
-    """u / row_norm(u) of one row of floats."""
-    n = math.sqrt(_dot_one(u, u))
-    return [a / n for a in u]
-
-
-def _chord_azimuth_one(w, A, B):
-    """_chord_azimuths of one row."""
     u = B[3] * w[0] - B[0] * w[3]
     v = A[0] * w[3] - A[3] * w[0]
-    if u == 0.0 and v == 0.0:
-        X = [a - b for a, b in zip(A, B)]
-    else:
-        X = [u * a + v * b for a, b in zip(A, B)]
-    d = w[0] * X[0] + w[3] * X[3]
-    s = -1.0 if d < 0.0 else 1.0 if d >= 0.0 else d  # np.sign, 0 -> 1
-    theta = (float(np.arctan2(s * w[2], s * w[1]))
-             - float(np.arctan2(X[2], X[1])))
-    return float(np.mod(theta, _TWO_PI))
+    X = col_where((u == 0.0) & (v == 0.0), [a - b for a, b in zip(A, B)],
+                  [u * a + v * b for a, b in zip(A, B)])
+    s = col_sign(w[0] * X[0] + w[3] * X[3])
+    s = col_where(s == 0.0, 1.0, s)
+    theta = (col_ufunc(np.arctan2, s * w[2], s * w[1])
+             - col_ufunc(np.arctan2, X[2], X[1]))
+    return col_ufunc(np.mod, theta, _TWO_PI)
 
 
-def _residual_one(w, A, B):
-    """row_norm(_reject(w, *_frames(A, B))) of one row, w of unit norm."""
-    U1 = _unit_one(A)
-    d = _dot_one(B, U1)
-    U2 = _unit_one([b - d * u for b, u in zip(B, U1)])
-    d = _dot_one(w, U1)
+def _rejection(w, A, B):
+    """The rejection of the unit w from the span of A and B, by the frame
+    U1 = A / |A| and U2, the unit part of B orthogonal to U1.  The chord of
+    a fixed point of sigma (B a multiple of A) spans no line: its U2, and
+    so its rejection, is NaN (in floats a ZeroDivisionError)."""
+    U1 = _unit(A)
+    d = col_dot(B, U1)
+    U2 = _unit([b - d * u for b, u in zip(B, U1)])
+    d = col_dot(w, U1)
     rej = [x - d * u for x, u in zip(w, U1)]
-    d = _dot_one(rej, U2)
-    rej = [r - d * u for r, u in zip(rej, U2)]
-    return math.sqrt(_dot_one(rej, rej))
+    d = col_dot(rej, U2)
+    return [r - d * u for r, u in zip(rej, U2)]
+
+
+def _residual(w, A, B):
+    """The norm of the rejection: 0 when w is on the chord A v B."""
+    rej = _rejection(w, A, B)
+    return col_sqrt(col_dot(rej, rej))
+
+
+def _residuals(W, A, B):
+    """_residual of aligned rows (n, 4): a single row in Python floats,
+    unless its frame divides by zero, and more on columns."""
+    if W.shape[0] == 1:
+        try:
+            return np.array([_residual(*(X[0].tolist() for X in (W, A, B)))])
+        except ZeroDivisionError:
+            pass
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _residual(W.T, A.T, B.T)
 
 
 class StarLineSearch:
@@ -190,52 +155,42 @@ class StarLineSearch:
     def __init__(self, star: GlStar):
         self.star = star
 
-    def _profile_params(self, W):
-        """(owner, t, theta) of every root of every covering function."""
+    def _profile_params(self, U):
+        """(owner, t, theta) of every root of every covering function of
+        the unit rows of U."""
         profile = self.star.line_profile
         if profile is None:
             raise SearchFailed(f"{self.star.label}: no centre, no profile and "
                                "sigma does not commute with rotations about Z")
-        W = W / row_norm(W)[:, None]
         # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
         # below rounding w is on the axis, which no t short of 1 resolves
-        r2 = W[:, 1] ** 2 + W[:, 2] ** 2
-        V = np.column_stack([_covering(*profile.table, *W.T[:, :, None]),
+        r2 = U[:, 1] ** 2 + U[:, 2] ** 2
+        V = np.column_stack([_covering(*profile.table, *U.T[:, :, None]),
                              np.where(r2 > _AXIS_R2, r2, 0.0)])
 
         def covering(t, k):
-            return _covering(*profile.coefficients(t), *W[k].T)
+            return _covering(*profile.coefficients(t), *U[k].T)
 
-        def covering_one(t, k):
-            # one height, as a single bracket is refined: the covering
-            # function in Python floats, with the batch's bits
-            return _covering(*profile.coefficients_one(t), *W[k].tolist())
-
-        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL,
-                                 fn_one=covering_one)
+        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL)
         # the chord at theta = 0 from the profile's own meridian map: sigma
         # is evaluated once, at (t, theta), by find_batch
         A = homogenize(meridian_point(t))
         B = homogenize(profile.meridian_image(t))
-        return owner, t, _chord_azimuths(W[owner], A, B)
+        return owner, t, _chord_azimuth(U[owner].T, A.T, B.T)
 
     def _find_one(self, w, tol):
-        """find_batch of one point w (four floats) on a profile star, in
-        Python floats with its batch row's bits; None where the batch must
-        answer: a grid zero, no sign change or more than one bracket of the
-        covering function, a zero row, or a frame that divides by zero."""
+        """find_batch of one nonzero point w (four floats) on a profile
+        star, by the batch's kernels in Python floats; None where the batch
+        must answer: a grid zero, no sign change or more than one bracket of
+        the covering function, or a frame that divides by zero."""
         profile = self.star.line_profile
         if profile is None:
             return None
-        try:
-            w = _unit_one(w)
-        except ZeroDivisionError:
-            return None
-        w0, w1, w2, w3 = w
-        r2 = w1 * w1 + w2 * w2
+        u = _unit(w)
+        r2 = u[1] * u[1] + u[2] * u[2]
         # the one row of _profile_params' V, its candidates as
         # functions._root_candidates takes them
-        v = np.append(_covering(*profile.table, w0, w1, w2, w3),
+        v = np.append(_covering(*profile.table, *u),
                       r2 if r2 > _AXIS_R2 else 0.0)
         pos, neg = v > 0.0, v < 0.0
         i = np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
@@ -243,18 +198,18 @@ class StarLineSearch:
             return None
         k = int(i[0])
         t = functions._illinois_one(
-            lambda x: _covering(*profile.coefficients_one(x), w0, w1, w2, w3),
+            lambda x: _covering(*profile.coefficients(x), *u),
             float(PROFILE_GRID[k]), float(PROFILE_GRID[k + 1]),
             float(v[k]), float(v[k + 1]), _ROOT_RTOL)
         # meridian_point and rotate_z: p_t = (x, 0, t)
         x = math.sqrt(max(1.0 - t * t, 0.0))
-        theta = _chord_azimuth_one(w, (1.0, x, 0.0, t),
-                                   (1.0, *profile.meridian_image_one(t)))
+        theta = _chord_azimuth(u, (1.0, x, 0.0, t),
+                               (1.0, *profile.meridian_image(t)))
         c, s = float(np.cos(theta)), float(np.sin(theta))
         A = (1.0, c * x - s * 0.0, s * x + c * 0.0, t * 1.0)
         B = (1.0, *self.star.sigma(np.array([A[1:]]))[0].tolist())
         try:
-            res = _residual_one(w, A, B)
+            res = _residual(u, A, B)
         except ZeroDivisionError:
             return None
         return ([LineHit(t, theta, res, np.array(A), np.array(B))]
@@ -277,21 +232,28 @@ class StarLineSearch:
     # -- public API ----------------------------------------------------------
 
     def find_batch(self, W, tol: float = LINE_TOL):
-        """All star lines through each homogeneous point (rows of W).
+        """All star lines through each homogeneous point (rows of W), each
+        row scaled by a power of two first.  A zero row raises InvalidInput.
 
         Returns one list of LineHits per point, best residual first.
         """
-        W = np.atleast_2d(np.asarray(W, float))
+        W = pow2_scaled(np.atleast_2d(np.asarray(W, float)))
         if W.shape == (1, 4) and self.star.center is None:
-            hits = self._find_one(W[0].tolist(), tol)
+            w = W[0].tolist()
+            hits = self._find_one(w, tol) if any(w) else None
             if hits is not None:
                 return [hits]
+        norm = row_norm(W)
+        if not norm.all():
+            raise InvalidInput(f"row {int(np.argmin(norm))} of the points is "
+                               "zero, which is no point of P^3")
+        U = W / norm[:, None]
         if self.star.center is not None:
             owner, t, theta = self._center_params(W)
         else:
-            owner, t, theta = self._profile_params(W)
+            owner, t, theta = self._profile_params(U)
         A, B = self.star.chord(t, theta)
-        res = row_norm(_reject(W[owner], *_frames(A, B)))
+        res = _residuals(U[owner], A, B)
         # Python numbers, taken in order of residual (NaN last, ties by root)
         owners, ts, thetas, residuals = (
             v.tolist() for v in (owner, t, theta, res))
@@ -304,4 +266,3 @@ class StarLineSearch:
 
     def find(self, w, tol: float = LINE_TOL):
         return self.find_batch(np.asarray(w, float)[None, :], tol=tol)[0]
-

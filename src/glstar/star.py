@@ -16,22 +16,13 @@ per hyperboloid.  For a chord of the unit sphere on such a surface the
 second intersection point has height -t + 2 b / (1 + a^2), which makes the
 meridian image of a profile star closed-form.
 
-One point or one t, as a single-point query asks for, takes a path in
-Python floats with the bits of its batch row, without numpy's cost per
-call on one-element arrays: a profile's coefficients (``coefficients_one``,
-by the builder's ``abc_one``, or for a fitted profile ``_fit_one`` on the
-meridian map at one t) and its meridian image (``meridian_image_one``: the
-closed form, or the builder's ``meridian_one``), and sigma at one point of
-the closed upper hemisphere (``on_unit_sphere``'s ``one``: the norm check
-and scaling, ``RotationalSigma``'s upper branch, latitudinal's own sigma);
-the lower hemisphere, which no search reaches, keeps numpy.  Each is
-selected by the input's size and takes the batch's float operations in the
-same order.  Transcendental steps call numpy's own ufunc on the Python
-float (arctan2, cos, sin, arcsin, exp, log, power, hypot, mod), never
-``math``, whose functions round differently from numpy's vectorized
-kernels on some inputs; + - * / and sqrt, which are correctly rounded, are
-Python's.  Where Python would raise (ZeroDivisionError, ValueError) and
-numpy gives inf or NaN, the batch answers.
+A profile's coefficients, its meridian image and the completed sigma's
+upper hemisphere are each one kernel on columns (see ``projgeom``): they
+take an array of t or of points, or one Python float each, as a
+single-point query sends, and a float gets its batch row's bits without
+numpy's cost per call on one-element arrays.  Where Python raises at a float
+(ZeroDivisionError, ValueError) and numpy gives inf or NaN, a one-element
+batch answers.
 """
 
 from __future__ import annotations
@@ -45,7 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvalError, InvalidInput
-from .projgeom import PLine, join, row_norm
+from .projgeom import (
+    PLine,
+    col_clip,
+    col_sqrt,
+    col_ufunc,
+    col_where,
+    join,
+    row_norm,
+)
 
 _T_EPS = 1e-12
 _CONE_TOL = 1e-9
@@ -157,49 +156,17 @@ _SNAP_RTOL = 32.0 * float(np.finfo(float).eps)
 
 
 def _snap_radicand(value, scale):
-    """Clamp a radicand computed by cancellation: values below a few ulps of
-    the cancelling terms are exact zeros of the underlying expression (the
-    square root would otherwise turn rounding noise into sqrt(eps))."""
-    snap = _SNAP_RTOL * np.asarray(scale, float)
-    value = np.asarray(value, float)
-    return np.where(value <= snap, 0.0, value)
-
-
-def _snap_one(value, scale):
-    """_snap_radicand of one float."""
-    return 0.0 if value <= _SNAP_RTOL * scale else value
-
-
-def _clip_one(x, lo, hi):
-    """np.clip(x, lo, hi) of one float between two bounds, with a
-    one-element array's bits: NaN and -0.0 pass.  (np.clip(x, 0.0, None) is
-    np.maximum, which takes -0.0 to 0.0.)"""
-    return lo if x < lo else hi if x > hi else x
+    """Clamp a radicand computed by cancellation, of columns: values below a
+    few ulps of the cancelling terms are exact zeros of the underlying
+    expression (the square root would otherwise turn rounding noise into
+    sqrt(eps))."""
+    return col_where(value <= _SNAP_RTOL * scale, 0.0, value)
 
 
 # from_meridian's least height step |dz| of a chord: a flatter chord (the
 # horizontal one at t = 0 of clifford and fg) is fitted with dz = -this, so
 # that dz * dz stays a normal float and the fit is finite everywhere
 _FLAT_CHORD = 1e-150
-
-
-def _fit_one(t, m0, m1, m2):
-    """``from_meridian``'s fit at one t with meridian image (m0, m1, m2):
-    each float operation of the batch in the same order."""
-    xt = math.sqrt(max(1.0 - t * t, 0.0))
-    d0 = m0 - xt
-    dz = m2 - t
-    if abs(dz) < _FLAT_CHORD:
-        dz = -_FLAT_CHORD
-    A = (d0 * d0 + m1 * m1) / (dz * dz)
-    B = 2.0 * xt * d0 / dz - 2.0 * t * A
-    C = xt * xt - 2.0 * t * xt * d0 / dz + t * t * A
-    A = max(A, 1e-300)
-    b = -B / (2.0 * A)
-    c2 = C / A - b * b
-    if c2 <= _SNAP_RTOL * (C / A + b * b):
-        c2 = 0.0
-    return 1.0 / math.sqrt(A), b, math.sqrt(c2)
 
 
 def homogenize(q):
@@ -255,41 +222,38 @@ class RotationalProfile:
     the meridian map says otherwise, the horizontal star through the origin
     at t=0.
 
-    ``abc`` maps an array of t to the arrays (a, b, c) in one evaluation.
-    ``meridian``, set by ``from_meridian``, is the meridian map the profile
-    was fitted to, and then its meridian image.  ``abc_one`` and
-    ``meridian_one``, where a builder gives them, are abc and the meridian
-    map at one t in Python floats, with the bits of a batch row (numpy's own
-    ufunc on the float for a transcendental step).  They may raise
-    ZeroDivisionError or ValueError where numpy gives inf or NaN, and the
-    batch then answers.  A profile with ``abc_one`` takes its handedness
-    sign at one float too.  ``coefficients`` and ``meridian_image`` of one t
-    take them, and ``coefficients_one`` and ``meridian_image_one`` are the
-    same at a float, float out.
+    ``abc`` maps t, an array or one Python float, to (a, b, c), arrays or
+    floats.  ``meridian``, set by ``from_meridian``, is the meridian map
+    the profile was fitted to, and then its meridian image: t, an array or
+    one float, to rows (n, 3) or three floats.  The handedness sign of a
+    profile with no meridian map takes a float too.  At a float each takes
+    the batch's float operations in the same order, so that a value has its
+    batch row's bits, and may raise ZeroDivisionError or ValueError where
+    numpy gives inf or NaN; ``coefficients`` and ``meridian_image``, which
+    take either, then answer by a one-element batch, and ``coefficients``
+    of an array gives inf and NaN without a warning.
     """
 
     abc: Callable
     handedness_sign: Callable  # t -> +-1 (right/left)
     meridian: Callable | None = None
-    abc_one: Callable | None = None
-    meridian_one: Callable | None = None
 
     def coefficients(self, t):
-        t = np.asarray(t, float)
-        if t.size == 1 and self.abc_one is not None:
-            return tuple(np.full(t.shape, v)
-                         for v in self.coefficients_one(t.item()))
-        return tuple(np.asarray(v, float) for v in self.abc(t))
-
-    def coefficients_one(self, t: float):
-        """(a, b, c) at one t, as Python floats."""
-        if self.abc_one is not None:
+        """(a, b, c) at t: arrays, or Python floats at a float."""
+        if type(t) is float:
             try:
-                return self.abc_one(t)
+                return self.abc(t)
             except (ZeroDivisionError, ValueError):
-                pass
-        return tuple(float(np.asarray(v, float).ravel()[0])
-                     for v in self.abc(np.array([t])))
+                t = np.array([t])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return tuple(float(np.asarray(v, float).ravel()[0])
+                                 for v in self.abc(t))
+        t = np.asarray(t, float)
+        if t.size == 1:
+            return tuple(np.full(t.shape, v)
+                         for v in self.coefficients(t.item()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return tuple(np.asarray(v, float) for v in self.abc(t))
 
     @functools.cached_property
     def table(self):
@@ -307,13 +271,13 @@ class RotationalProfile:
             return SurfaceEntry("axis")
         meets_axis = False
         if t <= _T_EPS:
-            m = self.meridian_image_one(0.0)
+            m = self.meridian_image(0.0)
             if abs(m[2]) <= _CONE_TOL:
                 return SurfaceEntry("horizontal_star")
             # the chord from p_0 = (1, 0, 0) meets Z when m[1] = 0: a cone,
             # however far rounding takes the fitted c from 0
             t, meets_axis = 0.0, abs(m[1]) <= _CONE_TOL
-        a, b, c = self.coefficients_one(t)
+        a, b, c = self.coefficients(t)
         if meets_axis or is_cone(a, c):
             return SurfaceEntry("cone", a=a, b=b, c=0.0)
         hand = Handedness.RIGHT if self.handedness_sign(np.array([t]))[0] > 0 \
@@ -323,113 +287,91 @@ class RotationalProfile:
     def meridian_image(self, t):
         """sigma(p_t) on the meridian: the map the profile was fitted to, or
         closed form from the surface data, with the horizontal star at t=0
-        and the axis at t=1."""
+        and the axis at t=1.  Rows (n, 3) of an array of t, three Python
+        floats of a float."""
+        if type(t) is float:
+            try:
+                return self._meridian(t)
+            except (ZeroDivisionError, ValueError):
+                return tuple(self._meridian(np.array([t]))[0].tolist())
         t = np.atleast_1d(np.asarray(t, float))
         if t.size == 1:
-            return np.array(self.meridian_image_one(t.item())).reshape(
+            return np.array(self.meridian_image(t.item())).reshape(
                 t.shape + (3,))
-        return self._meridian_batch(t)
+        return self._meridian(t)
 
-    def meridian_image_one(self, t: float):
-        """meridian_image at one t, as three Python floats."""
-        if self.meridian is None and self.abc_one is not None:
-            one = self._closed_form_one
-        else:
-            one = self.meridian_one
-        if one is not None:
-            try:
-                return one(t)
-            except (ZeroDivisionError, ValueError):
-                pass
-        return tuple(self._meridian_batch(np.array([t]))[0].tolist())
-
-    def _meridian_batch(self, t):
+    def _meridian(self, t):
         if self.meridian is not None:
             return self.meridian(t)
-        # the closed form runs on every t, with 0.5 standing in at the ends
+        # the closed form runs on every t of an array, with 0.5 standing in
+        # at the ends
         lo, hi = t <= 0.0, t >= 1.0
-        tm = np.where(lo | hi, 0.5, t)
-        a, b, c = self.coefficients(tm)
-        hs = np.asarray(self.handedness_sign(tm), float)
-        xt = np.sqrt(1.0 - tm * tm)
+        if type(t) is float and (lo or hi):
+            return (-1.0, 0.0, 0.0) if lo else (0.0, 0.0, -1.0)
+        tm = col_where(lo | hi, 0.5, t)
+        a, b, c = self.abc(tm)
+        hs = self.handedness_sign(tm)
+        xt = col_sqrt(1.0 - tm * tm)
         # ruling direction: dy from c directly (dx^2 + dy^2 = 1 holds
         # because p_t is on the surface; sqrt(1 - dx^2) would lose the cone
         # case c = 0 to rounding)
         ax = a * xt
-        dx = np.clip((tm - b) / ax, -1.0, 1.0)
+        dx = col_clip((tm - b) / ax, -1.0, 1.0)
         dy = hs * c / ax
         one_a2 = 1.0 + a * a
         lam = -2.0 * (tm * one_a2 - b) / (a * one_a2)
         x, y, z = xt + lam * dx, lam * dy, -tm + 2.0 * b / one_a2
-        norm = np.sqrt(x * x + y * y + z * z)
-        m = np.stack([x / norm, y / norm, z / norm], axis=-1)
+        norm = col_sqrt(x * x + y * y + z * z)
+        m = x / norm, y / norm, z / norm
+        if type(t) is float:
+            return m
+        m = np.stack(m, axis=-1)
         m[lo] = (-1.0, 0.0, 0.0)
         m[hi] = (0.0, 0.0, -1.0)
         return m
 
-    def _closed_form_one(self, t):
-        """The closed form of _meridian_batch at one t: each float operation
-        in the same order."""
-        if t <= 0.0:
-            return -1.0, 0.0, 0.0
-        if t >= 1.0:
-            return 0.0, 0.0, -1.0
-        a, b, c = self.coefficients_one(t)
-        hs = float(self.handedness_sign(t))
-        xt = math.sqrt(1.0 - t * t)
-        ax = a * xt
-        dx = _clip_one((t - b) / ax, -1.0, 1.0)
-        dy = hs * c / ax
-        one_a2 = 1.0 + a * a
-        lam = -2.0 * (t * one_a2 - b) / (a * one_a2)
-        x, y, z = xt + lam * dx, lam * dy, -t + 2.0 * b / one_a2
-        norm = math.sqrt(x * x + y * y + z * z)
-        return x / norm, y / norm, z / norm
-
     @classmethod
-    def from_meridian(cls, meridian_image,
-                      meridian_one=None) -> "RotationalProfile":
-        """Recover surface coefficients from a meridian involution map.
+    def from_meridian(cls, meridian_image) -> "RotationalProfile":
+        """Recover surface coefficients from a meridian involution map,
+        which takes an array of t, giving rows (n, 3), or one Python float,
+        giving three numbers.
 
         The rotation orbit of the chord p_t v m(t) sweeps a surface of
         revolution; fitting x^2+y^2 as a quadratic in z along the chord
-        yields (a, b, c).  An array of t is fitted in numpy; one t takes
-        the same steps in Python floats (``_fit_one``), without numpy's
-        cost per call on one-element arrays, with the same bits, on the
-        image ``meridian_one(t)`` (the map at one float t, in floats with a
-        batch row's bits) when it is given, else on a one-element batch.
+        yields (a, b, c), by one kernel on columns for an array of t or one
+        float.
         """
 
         def mer(t):
+            if type(t) is float:
+                m = meridian_image(t)
+                return m if type(m) is tuple else tuple(np.ravel(m).tolist())
             return np.atleast_2d(meridian_image(np.atleast_1d(
                 np.asarray(t, float))))
 
-        one = meridian_one or (lambda t: mer(np.array([t]))[0].tolist())
-
         def abc(t):
-            t = np.atleast_1d(np.asarray(t, float))
-            m = mer(t)
-            xt = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-            d0 = m[:, 0] - xt
-            d1 = m[:, 1]
-            dz = m[:, 2] - t
-            dz = np.where(np.abs(dz) < _FLAT_CHORD, -_FLAT_CHORD, dz)
-            A = (d0 * d0 + d1 * d1) / (dz * dz)
+            if type(t) is float:
+                m0, m1, m2 = mer(t)
+            else:
+                t = np.atleast_1d(np.asarray(t, float))
+                m0, m1, m2 = mer(t).T
+            xt = col_sqrt(col_clip(1.0 - t * t, 0.0))
+            d0 = m0 - xt
+            dz = m2 - t
+            dz = col_where(abs(dz) < _FLAT_CHORD, -_FLAT_CHORD, dz)
+            A = (d0 * d0 + m1 * m1) / (dz * dz)
             B = 2.0 * xt * d0 / dz - 2.0 * t * A
             C = xt * xt - 2.0 * t * xt * d0 / dz + t * t * A
-            A = np.maximum(A, 1e-300)
-            a = 1.0 / np.sqrt(A)
+            A = col_clip(A, 1e-300)
             b = -B / (2.0 * A)
             c2 = _snap_radicand(C / A - b * b, C / A + b * b)
-            return a, b, np.sqrt(c2)
+            return 1.0 / col_sqrt(A), b, col_sqrt(c2)
 
         def hand_sign(t):
             s = -np.sign(mer(t)[:, 1])
             return np.where(s == 0.0, 1.0, s)
 
-        return cls(abc=abc, handedness_sign=hand_sign, meridian=mer,
-                   abc_one=lambda t: _fit_one(t, *one(t)),
-                   meridian_one=meridian_one)
+        return cls(abc=abc, handedness_sign=hand_sign, meridian=mer)
 
 
 # ---------------------------------------------------------------------------
@@ -460,37 +402,36 @@ class RotationalSigma:
         self._t_of_z = t_of_z
 
     def _batch(self, Q):
-        meridian_image = self._profile.meridian_image
-        qz = np.clip(Q[:, 2], -1.0, 1.0)
-        theta = np.arctan2(Q[:, 1], Q[:, 0])
         out = np.empty_like(Q)
-        upper = qz >= 0.0
+        upper = Q[:, 2] >= 0.0  # as np.clip(Q[:, 2], -1, 1) >= 0
         if np.any(upper):
-            m = meridian_image(qz[upper])
-            out[upper] = rotate_z(m, theta[upper])
+            out[upper] = np.stack(self._upper(*Q[upper].T), axis=-1)
         lower = ~upper
         if np.any(lower):
-            t = np.asarray(self._t_of_z(qz[lower]), float)
-            m = meridian_image(t)
-            psi = theta[lower] - np.arctan2(m[:, 1], m[:, 0])
-            out[lower] = rotate_z(meridian_point(t), psi)
-        out /= row_norm(out)[:, None]
+            x, y, z = Q[lower].T
+            t = np.asarray(self._t_of_z(np.clip(z, -1.0, 1.0)), float)
+            m = self._profile.meridian_image(t)
+            q = rotate_z(meridian_point(t),
+                         np.arctan2(y, x) - np.arctan2(m[:, 1], m[:, 0]))
+            out[lower] = q / row_norm(q)[:, None]
         return out
 
-    def _one(self, x, y, z):
-        """The upper branch at one point in Python floats, each operation of
-        the batch (rotate_z, row_norm) in its order; None below the
-        equator."""
-        qz = _clip_one(z, -1.0, 1.0)
-        if not qz >= 0.0:
-            return None
-        theta = np.arctan2(y, x)
-        c, s = float(np.cos(theta)), float(np.sin(theta))
-        m0, m1, m2 = self._profile.meridian_image_one(qz)
-        # rotate_z multiplies the height by ones
+    def _upper(self, x, y, z):
+        """sigma in the closed upper hemisphere, of columns: the meridian
+        image at the height of the point, turned by its azimuth (rotate_z's
+        products, which multiply the height by ones), and scaled to unit
+        length."""
+        theta = col_ufunc(np.arctan2, y, x)
+        c, s = col_ufunc(np.cos, theta), col_ufunc(np.sin, theta)
+        m = self._profile.meridian_image(col_clip(z, -1.0, 1.0))
+        m0, m1, m2 = m if type(z) is float else m.T
         x, y, z = c * m0 - s * m1, s * m0 + c * m1, m2 * 1.0
-        norm = math.sqrt(x * x + y * y + z * z)
+        norm = col_sqrt(x * x + y * y + z * z)
         return x / norm, y / norm, z / norm
+
+    def _one(self, x, y, z):
+        """_upper of one point, None below the equator."""
+        return self._upper(x, y, z) if z >= 0.0 else None
 
     __call__ = on_unit_sphere(_batch, one=_one)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from glstar.projgeom import join_batch, projective_distance
-from glstar.search import LineHit, _frames, _reject
+from glstar.search import LineHit, _rejection
 
 _TWO_PI = 2.0 * np.pi
 
@@ -37,19 +37,26 @@ class GridSearch:
 
     @cached_property
     def _coarse_grid(self):
-        """(t, theta) axes of the coarse grid and its chord frames."""
+        """(t, theta) axes of the coarse grid and the rejection matrices
+        R of its chords, entry (i, j) of each in row 4 i + j: the rejection
+        of a unit w from a chord's span is R w, so its squared norm is
+        w^T R w (R is the orthogonal projector onto the span's
+        complement)."""
         ts = np.linspace(0.0, 1.0, _GRID_T)
         ths = np.linspace(0.0, _TWO_PI, _GRID_THETA, endpoint=False)
         T, TH = np.meshgrid(ts, ths, indexing="ij")
-        return (ts, ths) + self._chord_frames(T.ravel(), TH.ravel())
-
-    def _chord_frames(self, t, theta):
-        """Orthonormal bases (U1, U2) of the chord spans, rows (n, 4)."""
-        return _frames(*self.star.chord(t, theta))
+        A, B = self.star.chord(T.ravel(), TH.ravel())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = [_rejection(e, A.T, B.T) for e in np.eye(4).tolist()]
+        return ts, ths, np.array(R).reshape(16, -1)
 
     def _rejections(self, W, t, theta):
-        """Rejection of each w from its chord span; W, t, theta aligned."""
-        return _reject(W, *self._chord_frames(t, theta))
+        """Rejection of each w / |w| from its chord span; W, t, theta
+        aligned."""
+        A, B = self.star.chord(t, theta)
+        W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.stack(_rejection(W.T, A.T, B.T), axis=-1)
 
     def residual_at(self, W, t, theta):
         return np.linalg.norm(self._rejections(W, t, theta), axis=-1)
@@ -57,10 +64,10 @@ class GridSearch:
     def coarse_residuals(self, W):
         """Residual of each w against the whole grid, shape
         (m, _GRID_T * _GRID_THETA)."""
-        _, _, U1, U2 = self._coarse_grid
+        _, _, R = self._coarse_grid
         W = np.atleast_2d(np.asarray(W, float))
         W = W / np.linalg.norm(W, axis=-1, keepdims=True)
-        r2 = 1.0 - (W @ U1.T) ** 2 - (W @ U2.T) ** 2
+        r2 = (W[:, :, None] * W[:, None, :]).reshape(-1, 16) @ R
         return np.sqrt(np.clip(r2, 0.0, None))
 
     # -- candidate extraction -------------------------------------------------
@@ -238,7 +245,7 @@ class GridSearch:
 
     def _grid_search(self, W, tol):
         """Clustered hits per point from grid minima, refined."""
-        ts, ths, _, _ = self._coarse_grid
+        ts, ths, _ = self._coarse_grid
         R = self.coarse_residuals(W)
         owners = []
         cand_t = []

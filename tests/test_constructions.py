@@ -439,7 +439,7 @@ def test_eqn_star_at_one_t_and_one_point_equals_its_batch_row():
     t = np.concatenate([[0.0, 1.0, 1e-12],
                         np.random.default_rng(28).uniform(0.0, 1.0, 300)])
     batch = star.profile.coefficients(t)
-    ones = np.array([star.profile.coefficients_one(x) for x in t.tolist()])
+    ones = np.array([star.profile.coefficients(x) for x in t.tolist()])
     np.testing.assert_array_equal(np.array(batch).T.view(np.uint64),
                                   ones.view(np.uint64))
     q = sphere_samples(200, seed=28)

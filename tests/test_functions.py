@@ -87,18 +87,18 @@ _ONE_FLOAT_FNS = {
 
 @pytest.mark.parametrize("name", sorted(_ONE_FLOAT_FNS))
 def test_one_float_equals_its_batch_row(name):
-    # at and inverse_at give a Python float with the bits of a batch row:
-    # fn and inv take the float themselves, a plain callable's on a 0-d
-    # array
+    # the function and its inverse of a Python float give a Python float
+    # with the bits of a batch row: fn and inv take the float themselves, a
+    # plain callable's on a 0-d array
     f = _ONE_FLOAT_FNS[name]
     rng = np.random.default_rng(28)
     x = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-12],
                         rng.uniform(0.0, 1.0, 2000)])
     y = np.asarray(f(x), float)
     y = y[np.isfinite(y)]
-    for fn, one, v in ((f, f.at, x), (f.inverse, f.inverse_at, y)):
+    for fn, v in ((f, x), (f.inverse, y)):
         batch = np.asarray(fn(v), float)
-        ones = [one(u) for u in v.tolist()]
+        ones = [fn(u) for u in v.tolist()]
         assert {type(u) for u in ones} == {float}, name
         np.testing.assert_array_equal(batch.view(np.uint64),
                                       np.array(ones).view(np.uint64),
@@ -117,7 +117,7 @@ def test_table_inverse_of_nan_is_nan(f, y):
     # NaN has no preimage (the search would give a table end); every other
     # target keeps its bits
     x = f.inverse(y)
-    assert np.isnan(x[1]) and np.isnan(f.inverse_at(np.nan))
+    assert np.isnan(x[1]) and np.isnan(f.inverse(np.nan))
     rest = f.inverse([y[0], *y[2:]])
     np.testing.assert_array_equal(np.delete(x, 1).view(np.uint64),
                                   rest.view(np.uint64))

@@ -486,6 +486,23 @@ def test_parallel_through_answers_huge_and_tiny_lines():
             assert projective_distance(out.p, ref.p) < 1e-12
 
 
+def test_parallel_class_of_answers_huge_and_tiny_lines():
+    # parallel_class_of scales L's Plücker vector by a power of two where it
+    # enters: 2^531 and 2^-664 give the unscaled class bit for bit, and
+    # 1e160 and 1e-200 a class within 1e-12 of it, with no warning
+    k = join(np.array([1.0, 0.9, -1.2, 0.7]),
+             np.array([1.0, -0.3, 0.5, 0.1])).p
+    ref = parallel_class_of(PAR_BUILTIN, PLine(k)).h_span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (531, -664):
+            out = parallel_class_of(PAR_BUILTIN, PLine(np.ldexp(k, e)))
+            assert out.h_span.tobytes() == ref.tobytes()
+        for scale in (1e160, 1e-200):
+            out = parallel_class_of(PAR_BUILTIN, PLine(k * scale))
+            assert np.abs(out.h_span - ref).max() < 1e-12
+
+
 def test_mixed_scale_lines_each_get_their_own_hits():
     # the projection guard compares each row with its own norm: a row
     # scaled by 1e13 leaves the other row its single answer, bit for bit

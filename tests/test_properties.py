@@ -1,6 +1,8 @@
 """Property tests: the config parser is total on JSON input, sigma is an
-involution that commutes with the rotations about Z where it should, and
-the inverses of the monotone functions undo them."""
+involution that commutes with the rotations about Z where it should, the
+inverses of the monotone functions undo them, and each column kernel of
+the search and the profiles gives a row of Python floats its batch row's
+bits."""
 
 import json
 
@@ -24,8 +26,22 @@ from glstar.functions import (
     from_spec,
     phi_r,
 )
-from glstar.projgeom import row_dot, row_norm
-from glstar.star import meridian_point, rotate_z
+from glstar.projgeom import (
+    col_clip,
+    col_sign,
+    col_sqrt,
+    col_ufunc,
+    col_where,
+    row_dot,
+    row_norm,
+)
+from glstar.search import _chord_azimuth, _covering, _rejection, _residual
+from glstar.star import (
+    RotationalProfile,
+    _snap_radicand,
+    meridian_point,
+    rotate_z,
+)
 
 given = pytest.importorskip("hypothesis").given
 example = pytest.importorskip("hypothesis").example
@@ -340,3 +356,86 @@ def test_row_reductions_refuse_rows_of_eight():
         row_norm(np.ones((3, 8)))
     with pytest.raises(InvalidInput):
         row_dot(np.ones((3, 4)), np.ones(4))  # no broadcasting either
+
+
+# --- column kernels ------------------------------------------------------------
+
+
+def _fit(t, m0, m1, m2):
+    """from_meridian's fit at t with meridian images (m0, m1, m2)."""
+    def mer(tt):
+        return (m0, m1, m2) if type(tt) is float else np.stack([m0, m1, m2], -1)
+    return RotationalProfile.from_meridian(mer).abc(t)
+
+
+def _closed_form(t, a, b, c, hs):
+    """The closed-form meridian image at t of coefficients (a, b, c) and
+    handedness sign hs."""
+    profile = RotationalProfile(abc=lambda tt: (a, b, c),
+                                handedness_sign=lambda tt: hs)
+    m = profile._meridian(t)
+    return m if type(t) is float else tuple(m.T)
+
+
+def _vectors(n):
+    return lambda c: (c[:n], c[n:2 * n], c[2 * n:])
+
+
+# (kernel of columns, number of columns, its output as a tuple of columns)
+KERNELS = {
+    "covering": (lambda c: (_covering(*c),), 7),
+    "rejection": (lambda c: tuple(_rejection(*_vectors(4)(c))), 12),
+    "residual": (lambda c: (_residual(*_vectors(4)(c)),), 12),
+    "chord_azimuth": (lambda c: (_chord_azimuth(*_vectors(4)(c)),), 12),
+    "fit": (lambda c: tuple(_fit(*c)), 4),
+    "closed_form": (lambda c: _closed_form(*c), 5),
+    "snap_radicand": (lambda c: (_snap_radicand(*c),), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@given(data=st.data())
+def test_column_kernel_of_floats_is_its_batch_row(name, data):
+    # one kernel at two input types: each row of Python floats gives its
+    # row of the (n,) array call bit for bit (any NaN as any NaN), or raises
+    # ZeroDivisionError or ValueError where that row holds inf or NaN
+    kernel, k = KERNELS[name]
+    rows = np.array(data.draw(st.lists(
+        st.lists(ROW_VALUES, min_size=k, max_size=k), min_size=1,
+        max_size=5)))
+    with np.errstate(all="ignore"):
+        batch = np.array(kernel(list(rows.T)))
+        for j, row in enumerate(rows.tolist()):
+            try:
+                one = kernel(row)
+            except (ZeroDivisionError, ValueError):
+                assert not np.isfinite(batch[:, j]).all(), (row, batch[:, j])
+                continue
+            assert {type(v) for v in one} == {float}, one
+            assert _same_bits(one, batch[:, j]), (row, one, batch[:, j])
+
+
+# the steps of the column kernels that differ between a float and an array
+HELPERS = {
+    "sign": col_sign,
+    "clip": lambda x: col_clip(x, -1.0, 1.0),
+    "maximum": lambda x: col_clip(x, 0.0),
+    "where": lambda x: col_where(x > 0.5, x, -x),
+    "sqrt": col_sqrt,
+    "exp": lambda x: col_ufunc(np.exp, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELPERS))
+@given(x=ROW_VALUES)
+@example(x=-0.0)
+def test_column_helper_of_a_float_is_its_array_entry(name, x):
+    helper = HELPERS[name]
+    with np.errstate(all="ignore"):
+        batch = helper(np.array([x]))
+        try:
+            one = helper(x)
+        except ValueError:  # the root of a negative number
+            assert np.isnan(batch[0])
+            return
+    assert type(one) is float and _same_bits(one, batch[0]), (one, batch)

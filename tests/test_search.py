@@ -15,12 +15,24 @@ from glstar.constructions import (
     pencil_from_mu,
     symmetric_star,
 )
-from glstar.errors import SearchFailed
+from glstar.errors import InvalidInput, SearchFailed
 from glstar.functions import affine, as_fn1, bracket_roots, moebius01, power
 from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
 from glstar.projgeom import join, join_batch, projective_distance
-from glstar.search import LINE_TOL, StarLineSearch, _frames
-from glstar.star import PROFILE_GRID, GlStar, RotationalProfile, homogenize
+from glstar.search import (
+    LINE_TOL,
+    StarLineSearch,
+    _chord_azimuth,
+    _covering,
+    _rejection,
+)
+from glstar.star import (
+    PROFILE_GRID,
+    GlStar,
+    RotationalProfile,
+    homogenize,
+    rotate_z,
+)
 from glstar.verify import (
     KLEIN_CHECKS,
     applicable_checks,
@@ -277,38 +289,33 @@ def _bits(*arrays):
     return [np.asarray(a, float).view(np.uint64) for a in arrays]
 
 
-def test_one_t_coefficients_equal_their_batch_row(seven_stars, monkeypatch):
-    # a fitted profile fits one t in Python floats (star._fit_one), and
-    # every one-t evaluation here takes that path, t = 0 included, where the
-    # chord of clifford and fg is horizontal; the other profiles take their
-    # own (parabola's height inverse in floats among them)
-    from glstar import star as star_module
-    fits, fit = [], star_module._fit_one
-
-    def spy(*args):
-        out = fit(*args)
-        fits.append(args[0])
-        return out
-
-    monkeypatch.setattr(star_module, "_fit_one", spy)
+def test_one_t_coefficients_equal_their_batch_row(seven_stars):
+    # each profile's abc is one kernel, which a Python float t takes in
+    # floats (a fitted profile's fit, symmetric's closed form, the eqn
+    # path's log-slope step, parabola's height inverse among them), t = 0
+    # included, where the chord of clifford and fg is horizontal.  Only
+    # symmetric's a(1) = inf and parabola's 1 / a^2 at a(0) = 0 raise, and
+    # coefficients answers those t by a one-element batch
     ts = np.concatenate([PROFILE_GRID, [0.0, 1.0, 1.0 - 1e-12],
                          np.random.default_rng(26).uniform(0.0, 1.0, 1000)])
     for name, star in seven_stars.items():
         profile = star.line_profile
         if profile is None:
             continue
-        fits.clear()
         # no warning anywhere (warnings are errors here): symmetric's
         # a(t) = t / (1 - t) is inf at t = 1, where c takes its limit inf
-        fitted = profile.meridian is not None
         batch = profile.coefficients(ts)
         rows = [profile.coefficients(np.array([t])) for t in ts]
-        ones = [profile.coefficients_one(float(t)) for t in ts]
+        ones = [profile.coefficients(float(t)) for t in ts]
         assert all(type(v) is float for row in ones for v in row), name
-        if fitted:
-            assert set(ts.tolist()) <= set(fits), name
-        else:
-            assert not fits, name
+        raised = set()
+        for t, one in zip(ts.tolist(), ones):
+            try:
+                assert profile.abc(t) == one, (name, t)
+            except ZeroDivisionError:
+                raised.add(t)
+        assert raised == {"symmetric": {1.0}, "parabola": {0.0}}.get(
+            name, set()), name
         for v, row, one in zip(batch, zip(*rows), zip(*ones)):
             np.testing.assert_array_equal(*_bits(v, np.concatenate(row)),
                                           err_msg=name)
@@ -321,7 +328,7 @@ def test_symmetric_profile_takes_its_limit_at_the_axis():
     profile = symmetric_star(moebius01()).line_profile
     batch = profile.coefficients(np.array([0.5, 1.0]))
     assert [v[1] for v in batch] == [np.inf, 0.0, np.inf]
-    assert profile.coefficients_one(1.0) == (np.inf, 0.0, np.inf)
+    assert profile.coefficients(1.0) == (np.inf, 0.0, np.inf)
     assert [v.tolist() for v in profile.coefficients(np.array([1.0]))] == [
         [np.inf], [0.0], [np.inf]]
 
@@ -332,34 +339,24 @@ def _probe_points(rng, n=120, at_infinity=30):
     return W
 
 
-def test_one_point_covering_equals_its_batch_row(seven_stars, monkeypatch):
-    # the covering function of one point at one height, as a single bracket
-    # is refined, is computed in Python floats (bracket_roots' fn_one)
-    from glstar import search
-    probes = []
-
-    def spy(fn, *args, fn_one=None, **kwargs):
-        probes.append((fn, fn_one))
-        return bracket_roots(fn, *args, fn_one=fn_one, **kwargs)
-
-    monkeypatch.setattr(search, "bracket_roots", spy)
+def test_one_point_covering_equals_its_batch_row(seven_stars):
+    # the covering function is one kernel: one point at one height in
+    # Python floats, as a single-point search refines its bracket, gives the
+    # bits of its row of an array call
     rng = np.random.default_rng(26)
     for name, star in seven_stars.items():
         if star.line_profile is None or star.center is not None:
             continue
+        profile = star.line_profile
         W = _probe_points(rng)
-        probes.clear()
-        StarLineSearch(star).find_batch(W)
-        (fn, fn_one), = probes
+        W /= np.linalg.norm(W, axis=1)[:, None]
         t = np.concatenate([[0.0, 1.0 - 1e-12], rng.uniform(0.0, 1.0, 500)])
         k = rng.integers(0, W.shape[0], t.size)
-        batch = fn(t, k)
-        rows = [fn(t[j:j + 1], k[j:j + 1]) for j in range(t.size)]
-        assert {r.shape for r in rows} == {(1,)}
-        ones = [fn_one(x, j) for x, j in zip(t.tolist(), k.tolist())]
+        batch = _covering(*profile.coefficients(t), *W[k].T)
+        ones = [_covering(*profile.coefficients(x), *W[j].tolist())
+                for x, j in zip(t.tolist(), k.tolist())]
         assert {type(v) for v in ones} == {float}
-        for other in (np.concatenate(rows), ones):
-            np.testing.assert_array_equal(*_bits(batch, other), err_msg=name)
+        np.testing.assert_array_equal(*_bits(batch, ones), err_msg=name)
 
 
 def _profile_star_builds():
@@ -375,52 +372,60 @@ def _profile_star_builds():
             "clifford": clifford()}
 
 
+def _types(args):
+    """The types of the arguments of a kernel call, columns unpacked."""
+    return {type(x) for a in args
+            for x in (a if isinstance(a, (list, tuple)) else [a])}
+
+
 def test_single_point_find_calls_no_batch_map_at_one_t(monkeypatch):
-    # one point's search takes every one-t step in Python floats: no
-    # family's batch coefficients or meridian map (fitted or closed form)
-    # sees a single t, and sigma at the located chord (in the upper
-    # hemisphere) never reaches the batch, whose norm is the star module's
-    # row_norm; and one exterior point on a profile star takes the search's
-    # own steps in floats too, with none of its row reductions or batch
-    # azimuths
+    # one point's search gives the search's kernels Python floats only, and
+    # a batch gives them arrays (_residuals gives a one-row batch floats); no family's batch coefficients or meridian
+    # map (fitted or closed form) sees a one-element array, and sigma at the
+    # located chord (in the upper hemisphere) never reaches the batch, whose
+    # norm is the star module's row_norm
     from glstar import search as search_module
     from glstar import star as star_module
-    single, steps = [], []
+    single, kinds = [], []
 
-    def counted(fn):
+    def typed(fn):
         def g(*args):
-            steps.append(fn.__name__)
+            # but the covering values on the profile's coefficient table
+            if not args[0] is profile.table[0]:
+                kinds.append(_types(args))
             return fn(*args)
         return g
 
-    for fn in ("row_norm", "row_dot", "_chord_azimuths"):
+    for fn in ("_covering", "_chord_azimuth", "_residual"):
         monkeypatch.setattr(search_module, fn,
-                            counted(getattr(search_module, fn)))
+                            typed(getattr(search_module, fn)))
 
     def spied(fn, what):
         def g(*args):
-            if np.size(args[-1]) == 1 or np.shape(args[-1]) == (1, 3):
+            if isinstance(args[-1], np.ndarray) and (
+                    args[-1].size == 1 or args[-1].shape == (1, 3)):
                 single.append(what)
             return fn(*args)
         return g
 
     monkeypatch.setattr(star_module, "row_norm",
                         spied(star_module.row_norm, "sigma batch"))
-    monkeypatch.setattr(RotationalProfile, "_meridian_batch", spied(
-        RotationalProfile._meridian_batch, "closed form"))
+    monkeypatch.setattr(RotationalProfile, "_meridian", spied(
+        RotationalProfile._meridian, "meridian"))
     stars = _profile_star_builds()
     K = join_batch(*np.random.default_rng(28).normal(size=(2, 200, 4)))
     for name, star in stars.items():
         profile = star.line_profile
         object.__setattr__(profile, "abc", spied(profile.abc, "abc"))
-        if profile.meridian is not None:
-            object.__setattr__(profile, "meridian",
-                               spied(profile.meridian, "meridian"))
         es, search = EmbeddedStar(star), StarLineSearch(star)
-        steps.clear()
+        kinds.clear()
         assert len(search.find((1.0, 0.9, -1.2, 0.7))) == 1, name
-        # clifford's search joins the centre, in numpy
-        assert bool(steps) == (star.center is not None), (name, steps)
+        # clifford's search joins the centre in numpy, and takes the
+        # residual of its one row in floats
+        assert set().union(*kinds) == {float}, name
+        kinds.clear()
+        search.find_batch(es.project_sphere_coords(K[:3]))
+        assert np.ndarray in set().union(*kinds), name
         single.clear()
         hits = [search.find(es.project_sphere_coords(k)) for k in K]
         assert sum(map(len, hits)) == len(K), name
@@ -494,10 +499,90 @@ def test_find_equals_its_row_at_the_edges_of_the_float_path(seven_stars):
     search = StarLineSearch(fixed)
     P = np.random.default_rng(30).normal(size=(40, 4))
     P[:, 0] = 0.5 * np.linalg.norm(P[:, 1:], axis=1)
-    owner, t, theta = search._profile_params(P)
-    U2 = _frames(*fixed.chord(t, theta))[1]
-    nan = owner[np.isnan(U2).any(axis=1)]
+    U = P / np.linalg.norm(P, axis=1)[:, None]
+    owner, t, theta = search._profile_params(U)
+    A, B = fixed.chord(t, theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rej = _rejection(U[owner].T, A.T, B.T)
+    nan = owner[np.isnan(rej).any(axis=0)]
     assert nan.size, "no probe has a frame that divides by zero"
     for j in nan.tolist():
         assert search._find_one(P[j].tolist(), LINE_TOL) is None
     same_as_rows(search, P)
+
+
+def _same_hits(found, expected, atol=0.0):
+    """Hit lists with the same lengths, and each hit's numbers equal, or
+    within atol."""
+    assert [len(h) for h in found] == [len(h) for h in expected]
+    for hits, refs in zip(found, expected):
+        for h, g in zip(hits, refs):
+            x = np.concatenate([[h.t, h.theta, h.residual], h.A, h.B])
+            y = np.concatenate([[g.t, g.theta, g.residual], g.A, g.B])
+            if atol:
+                assert np.abs(x - y).max() <= atol
+            else:
+                np.testing.assert_array_equal(*_bits(x, y))
+
+
+def test_find_is_scale_free(seven_stars):
+    # each row of W is scaled by a power of two where it enters find_batch:
+    # w 2^600 and w 2^-600 give w's hits bit for bit, and w 1e160 and
+    # w 1e-200 hits within 1e-12 of them, as a row of a batch and alone,
+    # with no warning (warnings are errors here)
+    W = _probe_points(np.random.default_rng(31), n=12, at_infinity=3)
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        ref = search.find_batch(W)
+        assert sum(map(len, ref)) >= len(W), name
+        for scale, atol in ((2.0 ** 600, 0.0), (2.0 ** -600, 0.0),
+                            (1e160, 1e-12), (1e-200, 1e-12)):
+            _same_hits(search.find_batch(W * scale), ref, atol)
+            _same_hits([search.find(w * scale) for w in W], ref, atol)
+
+
+@pytest.mark.parametrize("name", ["clifford", "builtin", "latitudinal"])
+def test_find_refuses_a_zero_row(seven_stars, name):
+    # a zero row is no point: find_batch refuses it up front, naming the
+    # row, with no warning, and a batch holding one fails as a whole
+    search = StarLineSearch(seven_stars[name])
+    with pytest.raises(InvalidInput, match="row 0 "):
+        search.find(np.array([0.0, -0.0, 0.0, 0.0]))
+    W = np.random.default_rng(31).normal(size=(5, 4))
+    W[3] = 0.0
+    with pytest.raises(InvalidInput, match="row 3 "):
+        search.find_batch(W)
+
+
+def test_flat_chord_azimuth_equals_its_batch_row(seven_stars):
+    # a horizontal chord at the height of w (u = v = 0) turns its direction
+    # onto w: one row in Python floats has its row's bits in an array call,
+    # at a finite w and at w's direction at infinity
+    A = np.array([[1.0, 0.6, 0.0, 0.8], [1.0, 1.0, 0.0, 0.0],
+                  [1.0, 0.6, 0.0, 0.8], [1.0, 0.6, 0.0, 0.8]])
+    B = np.array([[1.0, -0.6, 0.0, 0.8], [1.0, -1.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.6, 0.8], [1.0, -0.3, 0.2, -0.9]])
+    W = np.array([[1.0, 0.3, -2.0, 0.8], [0.0, -0.5, 0.25, 0.0],
+                  [2.0, 0.1, 0.7, 1.6], [1.0, 0.2, 0.4, 0.5]])
+    flat = (B[:, 3] * W[:, 0] - B[:, 0] * W[:, 3] == 0.0) & (
+        A[:, 0] * W[:, 3] - A[:, 3] * W[:, 0] == 0.0)
+    assert flat.tolist() == [True, True, True, False]
+    batch = _chord_azimuth(W.T, A.T, B.T)
+    ones = [_chord_azimuth(*(X[j].tolist() for X in (W, A, B)))
+            for j in range(len(W))]
+    assert {type(v) for v in ones} == {float}
+    np.testing.assert_array_equal(*_bits(batch, ones))
+    # a chord through the axis, turned by theta, passes through w
+    for j in (0, 1):
+        A2, B2 = (rotate_z(X[j, 1:], batch[j]) for X in (A, B))
+        line = join(homogenize(A2), homogenize(B2))
+        assert projective_distance(
+            join(homogenize(A2), W[j]).p, line.p) < 1e-15
+    # on a star: a point in z = 0 lies on the horizontal chord of t = 0, a
+    # grid zero that the batch answers, alone or in a batch
+    search = StarLineSearch(seven_stars["symmetric"])
+    P = np.array([[1.0, 1.5, 0.7, 0.0], [1.0, 0.9, -1.2, 0.7]])
+    hits = search.find_batch(P)
+    assert hits[0][0].t == 0.0 and hits[0][0].A[3] == hits[0][0].B[3] == 0.0
+    _same_hits([search.find(p) for p in P], hits)
+

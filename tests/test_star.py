@@ -67,12 +67,13 @@ def test_off_origin_axial_clifford_profile_ends():
     p0 = meridian_point(0.0)
     m0 = star.sigma(p0)
     profile = star.line_profile
-    np.testing.assert_array_equal(profile.meridian_image(0.0)[0], m0)
+    # a Python float t gives three floats
+    np.testing.assert_array_equal(profile.meridian_image(0.0), m0)
     chord = join(homogenize(p0), homogenize(m0))
     assert projective_distance(meridian_line(star, 0.0).p, chord.p) < 1e-12
     entry = profile.entry_at(0.0)
     assert entry.kind == "cone" and abs(entry.b - 0.4) < 1e-12
-    np.testing.assert_array_equal(profile.meridian_image(1.0)[0],
+    np.testing.assert_array_equal(profile.meridian_image(1.0),
                                   star.sigma(meridian_point(1.0)))
 
 
@@ -181,9 +182,9 @@ def test_fitted_profile_answers_with_its_own_map(monkeypatch):
     fitted = []
     fit = RotationalProfile.from_meridian.__func__
 
-    def recording(cls, meridian_image, meridian_one=None):
+    def recording(cls, meridian_image):
         fitted.append(meridian_image)
-        return fit(cls, meridian_image, meridian_one)
+        return fit(cls, meridian_image)
 
     monkeypatch.setattr(RotationalProfile, "from_meridian",
                         classmethod(recording))
@@ -328,7 +329,7 @@ def test_meridian_image_at_one_t_equals_its_batch_row(seven_stars):
             continue
         batch = profile.meridian_image(t)
         for x, row in zip(t.tolist(), batch):
-            one = profile.meridian_image_one(x)
+            one = profile.meridian_image(x)
             assert all(type(v) is float for v in one), name
             np.testing.assert_array_equal(_bits(one), _bits(row),
                                           err_msg=f"{name} {x}")
