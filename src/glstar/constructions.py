@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import ConditionFailed, InvalidCenter, InvalidInput
 from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
 from .projgeom import (
     col_clip,
+    col_quiet,
     col_sqrt,
     col_ufunc,
     col_where,
@@ -266,25 +266,20 @@ _A_MAX = LOG_TABLE_RANGE[1]
 
 def _log_a_of_height(h: Fn1):
     """y |-> log a with h(a) = y, for a circle height h of H_a: the log of
-    h's inverse, with a capped at _A_MAX, of an array or of one Python
-    float.  A height at or above h(_A_MAX), or 1 if that rounds above 1,
-    takes _A_MAX without an inverse call."""
+    h's inverse, with a capped at _A_MAX, of columns: an array or one
+    Python float.  A height at or above h(_A_MAX), or 1 if that rounds
+    above 1, takes _A_MAX, and h's inverse is called with 0 in its place
+    (at such a height it may divide by zero)."""
     y_end = min(float(h(np.array([_A_MAX]))[0]), 1.0)
     log_a_max = float(np.log(_A_MAX))
 
     def solve(y):
-        if isinstance(y, float):
-            if not y < y_end:
-                return log_a_max
-            a = h.inverse(y)
-            a = _A_MAX if a > _A_MAX else a  # np.minimum, NaN kept
-            return float(np.log(a)) if a > 0.0 else -math.inf
-        y = np.atleast_1d(np.asarray(y, float))
-        u = np.full(y.shape, log_a_max)
+        y = y if type(y) is float else np.atleast_1d(np.asarray(y, float))
         below = y < y_end
-        a = np.minimum(h.inverse(y[below]), _A_MAX)
-        u[below] = np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
-        return u
+        a = h.inverse(col_where(below, y, 0.0))
+        ok = below & (a > 0.0)
+        log_a = col_ufunc(np.log, col_where(ok, col_clip(a, 0.0, _A_MAX), 1.0))
+        return col_where(ok, log_a, col_where(below, -np.inf, log_a_max))
 
     return solve
 
@@ -642,20 +637,24 @@ class ParabolaSeq:
                  range(a.size))
         return np.sort(roots, axis=0)
 
+    @functools.cached_property
+    def _reversed(self):  # in increasing alpha, as np.interp takes them
+        return (self.alphas[::-1], self.betas[::-1], self.gammas[::-1],
+                float(self.alphas[-1]), float(self.gammas[-1]))
+
+    @col_quiet(divide="ignore")
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
-        including the scaled completions beyond both ends.  At a = 0 they
-        are the limits a -> 0: the first parabola's beta and gamma.  gamma
-        is clipped at 0, where 1/a^2 rounds past a knot's alpha."""
-        a = np.asarray(a, float)
-        with np.errstate(divide="ignore"):
-            alpha = 1.0 / (a * a)
-        xp = self.alphas[::-1]
-        beta = np.interp(alpha, xp, self.betas[::-1])
-        gamma = np.maximum(np.interp(alpha, xp, self.gammas[::-1]), 0.0)
-        past_end = alpha < self.alphas[-1]
-        gamma = np.where(past_end,
-                         self.gammas[-1] * alpha / self.alphas[-1], gamma)
+        with the scaled completions beyond both ends, of a column.  At a = 0
+        the limits a -> 0, the first parabola's beta and gamma (a float
+        raises there).  gamma is clipped at 0, where 1/a^2 rounds past a
+        knot."""
+        a = a if type(a) is float else np.asarray(a, float)
+        xp, be_r, ga_r, al_end, ga_end = self._reversed
+        alpha = 1.0 / (a * a)
+        beta = col_ufunc(np.interp, alpha, xp, be_r)
+        gamma = col_where(alpha < al_end, ga_end * alpha / al_end,
+                          col_clip(col_ufunc(np.interp, alpha, xp, ga_r), 0.0))
         return alpha, beta, gamma
 
 
@@ -747,24 +746,12 @@ def _check_knot_heights(seq: ParabolaSeq, bc):
 
 def _parabola_bc(seq: ParabolaSeq):
     """a |-> (b(a), c(a)) of the interpolated parabola sequence, of an
-    array or of one Python float (``coefficients_at``'s steps in floats,
-    np.interp on the float)."""
-    xp, be_r, ga_r = seq.alphas[::-1], seq.betas[::-1], seq.gammas[::-1]
-    al_end, ga_end = float(seq.alphas[-1]), float(seq.gammas[-1])
+    array or of one Python float (``coefficients_at``)."""
 
     def bc(a):
-        if isinstance(a, float):
-            alpha = 1.0 / (a * a)
-            beta = float(np.interp(alpha, xp, be_r))
-            if alpha < al_end:
-                gamma = ga_end * alpha / al_end
-            else:
-                gamma = float(np.interp(alpha, xp, ga_r))
-                gamma = gamma if gamma > 0.0 or gamma != gamma else 0.0
-            return beta, a * math.sqrt(gamma)
-        a = np.asarray(a, float)
+        a = a if type(a) is float else np.asarray(a, float)
         _, beta, gamma = seq.coefficients_at(a)
-        return beta, a * np.sqrt(gamma)
+        return beta, a * col_sqrt(gamma)
 
     return bc
 
@@ -776,6 +763,30 @@ def _parabola_bc(seq: ParabolaSeq):
 _NEWTON_STEP_RTOL = 1e-10
 _BRACKET_RTOL = 4e-16
 _NEWTON_MAX_STEPS = 64
+
+
+def _chord_start(y, h0, h1, lo, hi):
+    """alpha at height y on the chord from knot (hi, h0) to (lo, h1)."""
+    return hi + (y - h0) / (h1 - h0) * (lo - hi)
+
+
+def _newton_step(x, lo, hi, u, cubic):
+    """One step of a parabola height inverse on a piece whose cubic has
+    beta = b1 + q dx and gamma = g1 + w dx, dx = alpha - a1, of columns: the
+    new x, lo, hi, and whether the root is done.  Floats raise where f' = 0."""
+    a1, b1, g1, q, w = cubic
+    dx = x - a1
+    d = u - (b1 + q * dx)
+    f = x * d * d + (g1 + w * dx) + (u * u - 1.0)
+    lo = col_where(f < 0.0, x, lo)
+    hi = col_where(f > 0.0, x, hi)
+    nxt = x - f / (d * d - 2.0 * x * q * d + w)
+    # a Newton step inside the bracket, else its midpoint, and the size of
+    # that step and the size at which it is done
+    x, size, done_at = col_where(
+        (nxt > lo) & (nxt < hi), (nxt, abs(nxt - x), _NEWTON_STEP_RTOL * x),
+        (0.5 * (lo + hi), hi - lo, _BRACKET_RTOL * x))
+    return x, lo, hi, size <= done_at
 
 
 def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
@@ -797,54 +808,46 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
     a = |u - beta_0| / sqrt(1 - u^2 - gamma_0), which is y / sqrt(1 - y^2)
     for a vertex at the origin, and past the last one
     a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2)).
-    A batch of heights takes these steps in numpy, roots that are done
-    leaving it; one Python float takes the same steps in Python floats,
-    without numpy's cost per call, with the same bits, and gives a float."""
+    Each step is one kernel on columns, which a batch of heights runs in
+    numpy, roots that are done leaving it, and one Python float in floats,
+    with its batch row's bits; where floats raise, the batch answers."""
     al, be, ga = seq.alphas, seq.betas, seq.gammas
     heights = np.asarray(h(seq.slopes()), float)
-    # slopes in alpha of beta and gamma on piece i, taken from knot i + 1
-    # as np.interp takes them
-    q = (be[:-1] - be[1:]) / (al[:-1] - al[1:])
-    w = (ga[:-1] - ga[1:]) / (al[:-1] - al[1:])
-    hs, als, bes, gas, qs, ws = (
-        v.tolist() for v in (heights, al, be, ga, q, w))
+    # piece i: its knot heights, alpha_i, and its cubic from knot i + 1:
+    # alpha_{i+1} (the bracket's lower end), beta, gamma and their slopes
+    # in alpha, as np.interp takes them
+    pieces = np.stack([heights[:-1], heights[1:], al[:-1], al[1:], be[1:],
+                       ga[1:], (be[:-1] - be[1:]) / (al[:-1] - al[1:]),
+                       (ga[:-1] - ga[1:]) / (al[:-1] - al[1:])])
+    rows = [(*row[:3], tuple(row[3:])) for row in pieces.T.tolist()]
+    hs, als, bes, gas = (v.tolist() for v in (heights, al, be, ga))
+
+    def below(u):
+        return abs(u - bes[0]) / col_sqrt(1.0 - u * u - gas[0])
+
+    def past(u):
+        d = u - bes[-1]
+        return col_sqrt((d * d + gas[-1] / als[-1]) / (1.0 - u * u))
+
+    def slope(alpha):
+        return 1.0 / col_sqrt(alpha)
 
     def inv_one(y):
-        """inv of one height: each float operation of the batch's steps in
-        the same order.  Where numpy would divide by zero or take the root
-        of a negative number, this raises ZeroDivisionError or ValueError,
-        and inv answers by the batch, with numpy's inf or NaN."""
         u = sign * y
         i = bisect.bisect_right(hs, y) - 1
         if i < 0:
-            return abs(u - bes[0]) / math.sqrt(1.0 - u * u - gas[0])
+            return below(u)
         if y == hs[i]:
-            return 1.0 / math.sqrt(als[i])
+            return slope(als[i])
         if i == len(hs) - 1:
-            d = u - bes[-1]
-            return math.sqrt((d * d + gas[-1] / als[-1]) / (1.0 - u * u))
-        lo, hi = als[i + 1], als[i]
-        x = hi + (y - hs[i]) / (hs[i + 1] - hs[i]) * (lo - hi)
-        a1, b1, g1, qi, wi, c = (als[i + 1], bes[i + 1], gas[i + 1], qs[i],
-                                 ws[i], u * u - 1.0)
+            return past(u)
+        h0, h1, hi, cubic = rows[i]
+        x, lo = _chord_start(y, h0, h1, cubic[0], hi), cubic[0]
         for _ in range(_NEWTON_MAX_STEPS):
-            dx = x - a1
-            d = u - (b1 + qi * dx)
-            f = x * d * d + (g1 + wi * dx) + c
-            if f < 0.0:
-                lo = x
-            if f > 0.0:
-                hi = x
-            nxt = x - f / (d * d - 2.0 * x * qi * d + wi)
-            if lo < nxt < hi:
-                done = abs(nxt - x) <= _NEWTON_STEP_RTOL * x
-                x = nxt
-            else:
-                done = hi - lo <= _BRACKET_RTOL * x
-                x = 0.5 * (lo + hi)
+            x, lo, hi, done = _newton_step(x, lo, hi, u, cubic)
             if done:
                 break
-        return 1.0 / math.sqrt(x)
+        return slope(x)
 
     def inv(y):
         if isinstance(y, float):
@@ -867,39 +870,24 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         knot = y == heights[i]
         first, last = i < 0, (i == len(seq) - 1) & ~knot
         a = np.empty(y.shape)
-        a[knot] = 1.0 / np.sqrt(al[i[knot]])
-        a[first] = (np.abs(u[first] - be[0])
-                    / np.sqrt(1.0 - u[first] ** 2 - ga[0]))
-        a[last] = np.sqrt(((u[last] - be[-1]) ** 2 + ga[-1] / al[-1])
-                          / (1.0 - u[last] ** 2))
+        a[knot] = slope(al[i[knot]])
+        a[first] = below(u[first])
+        a[last] = past(u[last])
         mid = np.flatnonzero(~(first | last | knot))
-        i, u, y = i[mid], u[mid], y[mid]
-        lo, hi = al[i + 1], al[i]  # f(lo) <= 0 <= f(hi)
-        x = hi + (y - heights[i]) / (heights[i + 1] - heights[i]) * (lo - hi)
-        # f on piece i, from knot i + 1; roots that are done leave the batch
-        a1, b1, g1 = al[i + 1], be[i + 1], ga[i + 1]
-        qi, wi, c = q[i], w[i], u * u - 1.0
+        h0, h1, hi, *cubic = pieces[:, i[mid]]
+        x, lo, u = _chord_start(y[mid], h0, h1, cubic[0], hi), cubic[0], u[mid]
+        # roots that are done leave the batch
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_MAX_STEPS):
                 if not mid.size:
                     break
-                dx = x - a1
-                d = u - (b1 + qi * dx)
-                f = x * d * d + (g1 + wi * dx) + c
-                lo = np.where(f < 0.0, x, lo)
-                hi = np.where(f > 0.0, x, hi)
-                nxt = x - f / (d * d - 2.0 * x * qi * d + wi)
-                newton = (nxt > lo) & (nxt < hi)
-                done = np.where(newton, np.abs(nxt - x) <= _NEWTON_STEP_RTOL * x,
-                                hi - lo <= _BRACKET_RTOL * x)
-                x = np.where(newton, nxt, 0.5 * (lo + hi))
+                x, lo, hi, done = _newton_step(x, lo, hi, u, cubic)
                 if done.any():
-                    a[mid[done]] = 1.0 / np.sqrt(x[done])
+                    a[mid[done]] = slope(x[done])
                     keep = ~done
-                    mid, x, lo, hi, a1, b1, g1, qi, wi, u, c = (
-                        v[keep] for v in (mid, x, lo, hi, a1, b1, g1, qi, wi,
-                                          u, c))
-        a[mid] = 1.0 / np.sqrt(x)
+                    mid, x, lo, hi, u, *cubic = (
+                        v[keep] for v in (mid, x, lo, hi, u, *cubic))
+        a[mid] = slope(x)
         return a.reshape(shape)
 
     return replace(h, inv=inv)

@@ -9,7 +9,8 @@ inverse is a ``TabulatedInverse`` built at its first inverse call.
 ``_illinois`` (regula falsi with the Anderson-Björck rule on sign-change
 brackets) refines the roots of many scalar functions on a common grid
 (``bracket_roots``, used by the star-line search) and the targets of the
-table inverses.  The root counts of the constructions (``count_roots``)
+table inverses; one bracket in Python floats (``_illinois_one``) takes
+the same step, one kernel on columns.  The root counts (``count_roots``)
 share bracket_roots' candidates but refine only the roots that could
 merge with a neighbour, which on a valid star is none.
 """
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConditionFailed, ConfigError, InvalidInput
-from .projgeom import col_sqrt
+from .projgeom import col_clip, col_quiet, col_sqrt, col_where
 
 # Inverses are refined to a few ulps of the solution.
 _INVERSE_RTOL = 2e-15
@@ -36,6 +37,34 @@ LOG_TABLE_RANGE = (1e-9, 1e9)
 # A root within this relative distance of the previous root of its probe
 # is the same root
 _CLUSTER_RTOL = 1e-6
+
+
+def _bracket(a, ga, b, fb, rtol):
+    """The ends lo <= hi of brackets a, b, their width w and tolerance, and
+    whether they are done (fb = fn(b) is 0, or w is within the tolerance or
+    NaN), with the root if so: the end with the smaller |fn|."""
+    lo, hi = col_where(a < b, (a, b), (b, a))
+    w, tol = hi - lo, rtol * col_clip(abs(hi), 1.0)
+    return (lo, hi, w, tol, (fb == 0.0) | (w <= tol) | (w != w),
+            col_where(abs(ga) < abs(fb), a, b))
+
+
+def _secant(a, fa, b, fb, lo, hi, w, w3, tol):
+    """The point at which open brackets are evaluated.  Floats raise nothing:
+    df is not 0, as fb is not and fa is NaN, 0 or of the other sign."""
+    df = fb - fa
+    x = col_where((w > 0.5 * w3) | (df - df != 0.0), 0.5 * (lo + hi),
+                  b - fb * (b - a) / df)
+    half = 0.5 * tol
+    return col_where(x <= lo, lo + half, col_where(x >= hi, hi - half, x))
+
+
+def _keep(a, fa, ga, b, fb, fx):
+    """The new end a, its value fa for the secant and its own value ga,
+    once fx = fn(x) is known."""
+    m = 1.0 - fx / fb
+    return col_where((fx < 0.0) != (fb < 0.0), (b, fb, fb),
+                     (a, col_where(m > 0.0, m, 0.5) * fa, ga))
 
 
 def _illinois(fn, lo, hi, flo, fhi, rtol):
@@ -57,13 +86,14 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
     rtol * max(1, |hi|) (rtol above 2**-52, so that the move leaves the
     end).  Its root is the end with the smaller |fn|, which is also the
     answer of a bracket without a sign change, such as a target outside a
-    table's range.  Done brackets leave the batch, so each step works on the
-    open ones only.  One open bracket, as a single-target table inverse has,
-    takes the same steps in Python floats (``_illinois_one``) on fn at a
-    one-element array, without numpy's cost per step on the other arrays;
-    a single-point search calls ``_illinois_one`` itself.  A single root of
-    the star-line search takes 4.6 to 4.75 evaluations on average, against
-    5.4 to 5.7 with Illinois halving alone.
+    table's range.  Each step is one set of kernels on columns (``_bracket``,
+    ``_secant``, ``_keep``), and done brackets leave the batch, so that it
+    works on the open ones only.  One open bracket, as a
+    single-target table inverse has, takes the steps in Python floats
+    (``_illinois_one``) on fn at a one-element array; a single-point search
+    calls ``_illinois_one`` itself.  A single root of the star-line search
+    takes 4.6 to 4.75 evaluations on average, against 5.4 to 5.7 with
+    Illinois halving alone.
     """
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
     i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
@@ -77,67 +107,37 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
     ga = fa  # a's own value; fa is the one the secant sees
     w1 = w2 = w3 = np.full(i.size, np.inf)  # widths one to three steps back
     while i.size:
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        w, tol = hi - lo, rtol * np.maximum(1.0, np.abs(hi))
-        done = (fb == 0.0) | ~(w > tol)
+        lo, hi, w, tol, done, end = _bracket(a, ga, b, fb, rtol)
         if done.any():
             d = np.flatnonzero(done)
-            root[i[d]] = np.where(np.abs(ga[d]) < np.abs(fb[d]), a[d], b[d])
+            root[i[d]] = end[d]
             keep = np.flatnonzero(~done)
             i, a, fa, ga, b, fb, lo, hi, tol, w, w1, w2, w3 = (
                 v[keep] for v in (i, a, fa, ga, b, fb, lo, hi, tol, w, w1, w2, w3))
             if not i.size:
                 break
-        df = fb - fa
         with np.errstate(invalid="ignore"):
-            x = b - fb * (b - a) / df
-        mid = (w > 0.5 * w3) | ~np.isfinite(df)
-        if mid.any():
-            x = np.where(mid, 0.5 * (lo + hi), x)
-        half = 0.5 * tol
-        x = np.where(x <= lo, lo + half, np.where(x >= hi, hi - half, x))
+            x = _secant(a, fa, b, fb, lo, hi, w, w3, tol)
         fx = np.asarray(fn(x, i), float)
-        flip = (fx < 0.0) != (fb < 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
-            m = 1.0 - fx / fb
-            fa = np.where(flip, fb, np.where(m > 0.0, m * fa, 0.5 * fa))
-        a = np.where(flip, b, a)
-        ga = np.where(flip, fb, ga)
-        b, fb = x, fx
-        w1, w2, w3 = w, w1, w2
+            a, fa, ga = _keep(a, fa, ga, b, fb, fx)
+        b, fb, w1, w2, w3 = x, fx, w, w1, w2
     return root
 
 
 def _illinois_one(f, a, b, fa, fb, rtol):
     """_illinois on one bracket [a, b] with end values fa, fb of opposite
-    signs, and f evaluating its function at a float: each float operation
-    of the batched step in the same order, so the root has the same bits.
-    The ends stay finite: a secant point is computed only from a finite df,
-    which is never 0 (fa is NaN or of the other sign than fb, and fb = 0
-    ends the bracket), so that |fb / df| <= 1."""
-    ga = fa
-    w1 = w2 = w3 = math.inf
+    signs, and f evaluating its function at a float: the batch's steps in
+    Python floats, so the root has the same bits."""
+    ga, w1, w2, w3 = fa, math.inf, math.inf, math.inf
     while True:
-        # np.minimum and np.maximum give the second argument on a tie
-        lo, hi = (a if a < b else b), (a if a > b else b)
-        w, tol = hi - lo, rtol * max(1.0, abs(hi))
-        if fb == 0.0 or not w > tol:
-            return a if abs(ga) < abs(fb) else b
-        df = fb - fa
-        if w > 0.5 * w3 or not math.isfinite(df):
-            x = 0.5 * (lo + hi)
-        else:
-            x = b - fb * (b - a) / df
-        half = 0.5 * tol
-        x = lo + half if x <= lo else hi - half if x >= hi else x
+        lo, hi, w, tol, done, end = _bracket(a, ga, b, fb, rtol)
+        if done:
+            return end
+        x = _secant(a, fa, b, fb, lo, hi, w, w3, tol)
         fx = f(x)
-        if (fx < 0.0) != (fb < 0.0):
-            a, ga, fa = b, fb, fb
-        else:
-            m = 1.0 - fx / fb
-            fa = m * fa if m > 0.0 else 0.5 * fa
-        b, fb = x, fx
-        w1, w2, w3 = w, w1, w2
+        a, fa, ga = _keep(a, fa, ga, b, fb, fx)
+        b, fb, w1, w2, w3 = x, fx, w, w1, w2
 
 
 def _root_candidates(v):
@@ -374,15 +374,13 @@ def phi_r(r: float) -> Fn1:
     if not r > 0.0:
         raise InvalidInput("phi_r requires r > 0")
 
+    @col_quiet(over="ignore", invalid="ignore")
     def f(a):
         # the quotient can round above 1 for large a, where 1 is the
-        # correctly rounded value
-        if isinstance(a, float):
-            q = a * (a + r) / (a * a + r * a + r)
-            return q if q < 1.0 or q != q else 1.0  # np.minimum, NaN kept
-        # a huge r overflows to inf and NaN, which the checks reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.minimum(a * (a + r) / (a * a + r * a + r), 1.0)
+        # correctly rounded value (as np.minimum, NaN kept); a huge r
+        # overflows to inf and NaN, which the checks reject
+        q = a * (a + r) / (a * a + r * a + r)
+        return col_where(q > 1.0, 1.0, q)
 
     def f_inv(y):
         # a^2 (1-y) + r a (1-y) - r y = 0, the positive root in the form

@@ -10,6 +10,7 @@ a global default tolerance of 1e-9 at unit scale.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,6 +124,19 @@ def col_clip(x, lo, hi=None):
 def col_ufunc(f, x, *args):
     return float(f(x, *args)) if type(x) is float else f(x, *args)
 
+
+def col_quiet(**kwargs):
+    """Run a kernel of a column (its last argument) under np.errstate for an
+    array, and as it is for a Python float, which warns of nothing."""
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def run(*args, **named):
+            if type((*args, *named.values())[-1]) is float:
+                return kernel(*args, **named)
+            with np.errstate(**kwargs):
+                return kernel(*args, **named)
+        return run
+    return decorate
 
 
 def projective_distance(u, v) -> float:

@@ -37,7 +37,6 @@ two, which is exact, and a zero row is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ from .projgeom import (
     row_dot,
     row_norm,
 )
-from .star import PROFILE_GRID, GlStar, homogenize, meridian_point
+from .star import PROFILE_GRID, GlStar, _turned, homogenize, meridian_point
 
 _TWO_PI = 2.0 * np.pi
 # below this r^2 / |w|^2 a point is on the axis (see _profile_params)
@@ -99,6 +98,12 @@ def _covering(a, b, c, w0, w1, w2, w3):
     e = w3 - b * w0
     f = c * w0
     return (a2 * (w1 * w1 + w2 * w2) - e * e - f * f) / (1.0 + a2)
+
+
+def _grid_values(table, w):
+    """The covering function of w on the table, and w1^2 + w2^2 at the axis."""
+    r2 = w[1] * w[1] + w[2] * w[2]
+    return _covering(*table, *w), col_where(r2 > _AXIS_R2, r2, 0.0)
 
 
 def _chord_azimuth(w, A, B):
@@ -164,9 +169,7 @@ class StarLineSearch:
                                "sigma does not commute with rotations about Z")
         # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
         # below rounding w is on the axis, which no t short of 1 resolves
-        r2 = U[:, 1] ** 2 + U[:, 2] ** 2
-        V = np.column_stack([_covering(*profile.table, *U.T[:, :, None]),
-                             np.where(r2 > _AXIS_R2, r2, 0.0)])
+        V = np.column_stack(_grid_values(profile.table, U.T[:, :, None]))
 
         def covering(t, k):
             return _covering(*profile.coefficients(t), *U[k].T)
@@ -187,27 +190,19 @@ class StarLineSearch:
         if profile is None:
             return None
         u = _unit(w)
-        r2 = u[1] * u[1] + u[2] * u[2]
-        # the one row of _profile_params' V, its candidates as
-        # functions._root_candidates takes them
-        v = np.append(_covering(*profile.table, *u),
-                      r2 if r2 > _AXIS_R2 else 0.0)
-        pos, neg = v > 0.0, v < 0.0
-        i = np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
-        if i.size != 1 or not np.all(v):
+        v = np.append(*_grid_values(profile.table, u))  # a row of V
+        _, i, bracket = functions._root_candidates(v[None, :])
+        if i.size != 1 or not bracket[0]:
             return None
         k = int(i[0])
         t = functions._illinois_one(
             lambda x: _covering(*profile.coefficients(x), *u),
             float(PROFILE_GRID[k]), float(PROFILE_GRID[k + 1]),
             float(v[k]), float(v[k + 1]), _ROOT_RTOL)
-        # meridian_point and rotate_z: p_t = (x, 0, t)
-        x = math.sqrt(max(1.0 - t * t, 0.0))
-        theta = _chord_azimuth(u, (1.0, x, 0.0, t),
-                               (1.0, *profile.meridian_image(t)))
-        c, s = float(np.cos(theta)), float(np.sin(theta))
-        A = (1.0, c * x - s * 0.0, s * x + c * 0.0, t * 1.0)
-        B = (1.0, *self.star.sigma(np.array([A[1:]]))[0].tolist())
+        p = meridian_point(t)
+        theta = _chord_azimuth(u, (1.0, *p), (1.0, *profile.meridian_image(t)))
+        q = _turned(*p, theta)
+        A, B = (1.0, *q), (1.0, *self.star.sigma(np.array(q)).tolist())
         try:
             res = _residual(u, A, B)
         except ZeroDivisionError:

@@ -77,19 +77,24 @@ def rotate_z(points, theta):
     """Rotate 3-vectors about the z-axis; broadcasts over leading axes."""
     p = np.asarray(points, float)
     th = np.asarray(theta, float)
-    c, s = np.cos(th), np.sin(th)
     out = np.empty(np.broadcast(p[..., 0], th).shape + (3,))
-    out[..., 0] = c * p[..., 0] - s * p[..., 1]
-    out[..., 1] = s * p[..., 0] + c * p[..., 1]
-    out[..., 2] = p[..., 2] * np.ones_like(th)
+    out[..., 0], out[..., 1], out[..., 2] = _turned(*np.rollaxis(p, -1), th)
     return out
 
 
+def _turned(x, y, z, theta):
+    """(x, y, z) turned by theta about Z, of columns: rotate_z's kernel."""
+    c, s = col_ufunc(np.cos, theta), col_ufunc(np.sin, theta)
+    return c * x - s * y, s * x + c * y, z
+
+
 def meridian_point(t):
-    """p_t = (sqrt(1-t^2), 0, t) for t in [-1, 1]."""
-    t = np.asarray(t, float)
-    x = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    return np.stack([x, np.zeros_like(t), t], axis=-1)
+    """p_t = (sqrt(1-t^2), 0, t) for t in [-1, 1]: rows (..., 3) of an
+    array of t, three Python floats of a float."""
+    t = t if type(t) is float else np.asarray(t, float)
+    x = col_sqrt(col_clip(1.0 - t * t, 0.0))
+    return ((x, 0.0, t) if type(t) is float
+            else np.stack([x, np.zeros_like(t), t], axis=-1))
 
 
 def fibonacci_sphere(n: int):
@@ -419,13 +424,10 @@ class RotationalSigma:
     def _upper(self, x, y, z):
         """sigma in the closed upper hemisphere, of columns: the meridian
         image at the height of the point, turned by its azimuth (rotate_z's
-        products, which multiply the height by ones), and scaled to unit
-        length."""
-        theta = col_ufunc(np.arctan2, y, x)
-        c, s = col_ufunc(np.cos, theta), col_ufunc(np.sin, theta)
+        kernel), and scaled to unit length."""
         m = self._profile.meridian_image(col_clip(z, -1.0, 1.0))
         m0, m1, m2 = m if type(z) is float else m.T
-        x, y, z = c * m0 - s * m1, s * m0 + c * m1, m2 * 1.0
+        x, y, z = _turned(m0, m1, m2, col_ufunc(np.arctan2, y, x))
         norm = col_sqrt(x * x + y * y + z * z)
         return x / norm, y / norm, z / norm
 

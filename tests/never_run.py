@@ -8,8 +8,9 @@ line they run.  A statement has run when a line of its header has: the
 whole of a simple statement, and the lines of a compound statement up to
 its first body statement, decorators included.  Docstrings are not
 statements.  At the end of the session it prints, file by file, the first
-line of each statement that never ran.  It prints only: it fails no test
-and changes no exit status.
+line of each statement that never ran.  In the files of ``GATED`` every
+statement must run: one that never ran fails the session (exit status 1),
+so run the gate on the whole suite.  It fails no single test.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from pathlib import Path
 import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src" / "glstar")
+# the files of src/glstar in which every statement runs
+GATED = ("search.py", "functions.py", "constructions.py", "verify.py")
 _ran: dict[str, set[int]] = {}
+_found: dict[str, list[int]] = {}
 
 
 def _local(frame, event, arg):
@@ -74,14 +78,24 @@ def pytest_load_initial_conftests(early_config, parser, args):
     sys.settrace(_global)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
+    _found.update(never_run())
+    if session.exitstatus == pytest.ExitCode.OK and any(
+            Path(path).name in GATED for path in _found):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("statements of src/glstar that never ran")
-    found = never_run()
-    for path, lines in found.items():
+    for path, lines in _found.items():
+        gated = " (gated)" if Path(path).name in GATED else ""
         terminalreporter.write_line(
-            f"{Path(path).relative_to(Path(_SRC).parent.parent)}: "
+            f"{Path(path).relative_to(Path(_SRC).parent.parent)}{gated}: "
             f"{len(lines)}: {' '.join(map(str, lines))}")
-    if not found:
+    if not _found:
         terminalreporter.write_line("none")
+    if any(Path(path).name in GATED for path in _found):
+        terminalreporter.write_line(
+            f"FAILED: statements never ran in {', '.join(GATED)}", red=True)

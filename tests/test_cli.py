@@ -549,7 +549,8 @@ def test_main_negative_line_coordinate(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [
     ["--samples", "0"], ["--samples", "-5"], ["--tol", "0"], ["--tol", "-1e-9"],
-    ["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol", "1e-2"],
+    ["--tol", "0.0010000000000000002"], ["--seed", "-1"],
 ])
 def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
     assert main(["verify", "--config", _config_file(tmp_path), *option]) == 2
@@ -561,7 +562,7 @@ def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
 @pytest.mark.parametrize("fields", [
     '"samples":0', '"samples":-5', '"tol":0', '"tol":-1', '"tol":NaN',
     '"tol":Infinity', '"seed":-1', '"seed":1e400', '"samples":1e400',
-    '"tol":1e400',
+    '"tol":1e400', '"tol":0.01',
     pytest.param('"center":[1' + '0' * 400 + ',0,0]', id="center-10^400"),
 ])
 def test_config_rejects_bad_samples_and_tol(tmp_path, capsys, fields):
@@ -668,12 +669,15 @@ def test_main_rejects_infinite_numbers_in_one_line(tmp_path, capsys, text,
 
 
 def test_main_huge_tol_prints_no_warning(tmp_path, capsys):
-    # tol * norms overflows no_exterior_meet's bound, which then flags every
-    # pair (tier-1 turns warnings into errors)
+    # a tol above verify.MAX_TOL, at which a known-bad star could pass, is
+    # one CONFIG ERROR line and no check runs (tier-1 turns warnings into
+    # errors)
     sym = '{"family":"symmetric","a":{"kind":"moebius01"}}'
     assert main(["verify", "--config", _config_file(tmp_path, sym),
-                 "--checks", "no_exterior_meet", "--tol=1e308"]) == 0
-    assert capsys.readouterr().out.startswith("CHECK no_exterior_meet: PASS")
+                 "--checks", "no_exterior_meet", "--tol=1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("CONFIG ERROR: tol must be positive and at most 0.001")
 
 
 def test_zero_samples_is_not_replaced_by_defaults(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from glstar import constructions
 from glstar.constructions import (
+    A_GRID_RANGE,
     ParabolaSeq,
     builtin_example,
     builtin_h_denominator,
@@ -34,7 +35,7 @@ from glstar.functions import (
     table,
 )
 from glstar.search import StarLineSearch
-from glstar.star import meridian_point
+from glstar.star import Handedness, meridian_point
 from glstar.verify import (
     KLEIN_CHECKS,
     applicable_checks,
@@ -76,6 +77,13 @@ def test_clifford_center_validation():
         clifford((0.8, 0.8, 0.0))
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0, 1.0),
+                                    [[0.0, 0.0, 0.0]], 0.0])
+def test_clifford_center_must_be_a_3_vector(center):
+    with pytest.raises(InvalidInput, match="3-vector"):
+        clifford(center)
+
+
 def test_clifford_tags():
     assert set(clifford().tags) == {"rotational", "axial", "symmetric"}
     assert set(clifford((0, 0, 0.3)).tags) == {"rotational", "axial"}
@@ -114,6 +122,16 @@ def test_symmetric_rejects_wrong_limit():
     fn = lambda t: 2.0 * t / np.sqrt(np.clip(1.0 - t * t, 1e-300, None))
     with pytest.raises(ConditionFailed, match=r"\(2\)"):
         symmetric_star(fn)
+
+
+def test_handedness_callable_may_give_a_handedness():
+    # a callable of t may give a Handedness itself, as well as signs
+    q = sphere_samples(200, seed=5)
+    for hand in (Handedness.LEFT, Handedness.RIGHT):
+        star = symmetric_star(moebius01(), handedness=lambda t, h=hand: h)
+        ref = symmetric_star(moebius01(), handedness=hand)
+        assert np.array_equal(star.sigma(q), ref.sigma(q))
+        assert star.profile.handedness_sign(0.5) == hand.sign
 
 
 def test_symmetric_rejects_condition_one():
@@ -547,6 +565,15 @@ def test_param_heights_are_tabulated_only_without_an_inverse(monkeypatch):
     assert np.max(np.abs(plain.sigma(q) - builtin.sigma(q))) < 1e-12
 
 
+def test_param_star_rejects_the_wrong_limit():
+    # t = s = 2a / (1 + 2a) are increasing from 0 and below 1, but
+    # (t + s) / (2a) tends to 2, not 1, as a -> 0
+    h = lambda a: 2.0 * np.asarray(a) / (1.0 + 2.0 * np.asarray(a))
+    with pytest.raises(ConditionFailed, match=r"\(1\): \(t\+s\)/\(2a\)") as err:
+        param_star(h, h)
+    assert err.value.witness == A_GRID_RANGE[0]
+
+
 def test_param_star_builds_where_a_height_rounds_above_one():
     # phi_r's quotient, unclipped, rounds above 1 at a = 1e9 for this r, so
     # that the height 1 is below h(_A_MAX): the axis t = 1 and every height
@@ -714,6 +741,15 @@ def test_parabola_seq_validation():
         ParabolaSeq(np.array([1.0, 4.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(ConditionFailed):
         ParabolaSeq(np.array([4.0, 1.0]), np.zeros(2), np.array([0.0, -0.1]))
+
+
+@pytest.mark.parametrize("rows", [
+    ([4.0, 1.0], [0.0], [0.0, 0.1]), ([4.0, 1.0], [0.0, 0.1], [0.0]),
+    ([[4.0, 1.0]], [[0.0, 0.1]], [[0.0, 0.1]]), ([], [], []),
+], ids=["betas-short", "gammas-short", "2d", "empty"])
+def test_parabola_seq_rejects_mismatched_arrays(rows):
+    with pytest.raises(InvalidInput, match="must match"):
+        ParabolaSeq(*(np.array(r) for r in rows))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

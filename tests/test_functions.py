@@ -144,6 +144,20 @@ def test_table_rejects_non_monotone():
         table([0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: affine(0.0, 1.0), lambda: affine(-0.0, 1.0), lambda: power(0.0),
+    lambda: power(-1.0), lambda: phi_r(0.0), lambda: phi_r(-1.5),
+    lambda: table([0.0, 1.0], [0.0, 0.5, 1.0]),
+    lambda: table([[0.0, 1.0]], [[0.0, 1.0]]), lambda: table([0.0], [0.0]),
+    lambda: as_fn1(0.5), lambda: as_fn1(None),
+], ids=["affine-slope-0", "affine-slope--0", "power-0", "power-negative",
+        "phi_r-0", "phi_r-negative", "table-mismatched", "table-2d",
+        "table-one-knot", "as_fn1-number", "as_fn1-None"])
+def test_factories_refuse_what_gives_no_monotone_function(make):
+    with pytest.raises(InvalidInput):
+        make()
+
+
 # A plain callable's inverse is the table inverse that as_fn1 attaches.
 
 

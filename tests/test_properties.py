@@ -12,7 +12,9 @@ import pytest
 from glstar import functions
 from glstar.cli import FAMILIES, StarConfig, parse_config
 from glstar.constructions import (
+    _chord_start,
     _eqn_heights,
+    _newton_step,
     _parabola_bc,
     _param_bc,
     example_parabola_sequence,
@@ -381,6 +383,31 @@ def _vectors(n):
     return lambda c: (c[:n], c[n:2 * n], c[2 * n:])
 
 
+def _anderson_bjorck(a, fa, b, fb, w3, fx):
+    """One Anderson-Björck step of _illinois at rtol 1e-12 on a bracket
+    with ends a, b that is open as _illinois keeps its brackets: fb is
+    not 0 (here 1 in its place) and fa is 0, NaN or of the other sign
+    (here |fa| of that sign); fx is the value at the step's point.  The
+    bracket's ends, width, tolerance, whether it is done (1.0) and its
+    root, the point, and the new end a with its two values."""
+    fb = col_where(fb == 0.0, 1.0, fb)
+    fa = col_where(fb < 0.0, abs(fa), -abs(fa))
+    lo, hi, w, tol, done, root = functions._bracket(a, fa, b, fb, 1e-12)
+    x = functions._secant(a, fa, b, fb, lo, hi, w, w3, tol)
+    return (lo, hi, w, tol, col_where(done, 1.0, 0.0), root, x,
+            *functions._keep(a, fa, fa, b, fb, fx))
+
+
+def _newton(x, lo, hi, u, *cubic):
+    """One guarded Newton step of the parabola height inverse, with whether
+    the root is done as 1.0 or 0.0."""
+    x, lo, hi, done = _newton_step(x, lo, hi, u, cubic)
+    return x, lo, hi, col_where(done, 1.0, 0.0)
+
+
+_PARABOLA_SEQUENCE = example_parabola_sequence()
+
+
 # (kernel of columns, number of columns, its output as a tuple of columns)
 KERNELS = {
     "covering": (lambda c: (_covering(*c),), 7),
@@ -390,7 +417,14 @@ KERNELS = {
     "fit": (lambda c: tuple(_fit(*c)), 4),
     "closed_form": (lambda c: _closed_form(*c), 5),
     "snap_radicand": (lambda c: (_snap_radicand(*c),), 2),
+    "anderson_bjorck": (lambda c: _anderson_bjorck(*c), 6),
+    "newton_step": (lambda c: _newton(*c), 9),
+    "chord_start": (lambda c: (_chord_start(*c),), 5),
+    "parabola_coefficients": (
+        lambda c: _PARABOLA_SEQUENCE.coefficients_at(*c), 1),
 }
+# where the step's f' is 0, one float raises and the batch bisects
+BATCH_BISECTS = {"newton_step"}
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -398,7 +432,8 @@ KERNELS = {
 def test_column_kernel_of_floats_is_its_batch_row(name, data):
     # one kernel at two input types: each row of Python floats gives its
     # row of the (n,) array call bit for bit (any NaN as any NaN), or raises
-    # ZeroDivisionError or ValueError where that row holds inf or NaN
+    # ZeroDivisionError or ValueError where that row holds inf or NaN (or,
+    # for a Newton step, where the batch bisects)
     kernel, k = KERNELS[name]
     rows = np.array(data.draw(st.lists(
         st.lists(ROW_VALUES, min_size=k, max_size=k), min_size=1,
@@ -409,7 +444,8 @@ def test_column_kernel_of_floats_is_its_batch_row(name, data):
             try:
                 one = kernel(row)
             except (ZeroDivisionError, ValueError):
-                assert not np.isfinite(batch[:, j]).all(), (row, batch[:, j])
+                assert (name in BATCH_BISECTS
+                        or not np.isfinite(batch[:, j]).all()), (row, batch[:, j])
                 continue
             assert {type(v) for v in one} == {float}, one
             assert _same_bits(one, batch[:, j]), (row, one, batch[:, j])

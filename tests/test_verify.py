@@ -316,6 +316,9 @@ def test_descartes_bound():
     assert descartes_bound([1.0, -3.0, 2.0]) == 2
     assert descartes_bound([2, 7, 8, 5.25, 3.25, -3, -1.5]) == 1
     assert descartes_bound([1.0, 0.0, 1.0]) == 0
+    # fewer than two nonzero coefficients: no sign change
+    for coeffs in ([], [0.0], [-2.0], [0.0, 3.0, 0.0], [0.0, 0.0]):
+        assert descartes_bound(coeffs) == 0
 
 
 def test_builtin_l_has_one_positive_root():
@@ -453,6 +456,23 @@ def test_every_check_fails_on_its_known_bad_star(name):
     [report] = run_star_checks(KNOWN_BAD[name](), checks=[name])
     assert report.name == name
     assert not report.passed and report.witness is not None
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the torus check cannot fail "
+                            "until it is rebuilt on the automorphism algebra"))
+    if name == "torus_fixes_classes" else name
+    for name in verify.CHECKS])
+def test_every_check_fails_on_its_known_bad_star_at_the_largest_tol(name):
+    # no tol that a check takes lets its known-bad star pass; a tol above
+    # MAX_TOL is refused
+    [report] = run_star_checks(KNOWN_BAD[name](), checks=[name],
+                               tol=verify.MAX_TOL)
+    assert not report.passed and report.witness is not None
+    with pytest.raises(InvalidInput, match="at most 0.001"):
+        run_star_checks(KNOWN_BAD[name](), checks=[name],
+                        tol=np.nextafter(verify.MAX_TOL, 1.0))
 
 
 @pytest.mark.parametrize("make", [vertical_chord_star, near_identity_star])
