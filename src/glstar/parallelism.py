@@ -17,6 +17,16 @@ a line is therefore the same search as finding the star line through a
 point, which the gl-star property makes unique (the projection is never
 interior: g(k,k) = 0 forces a nonnegative sphere-form value).
 
+An H-line is closed form as well.  In U's coordinates (d1..d4) the polar
+of a chord with ends a, b (under the sphere form) is the Euclidean
+complement of span{a, b}, which is the column space of the dual Plücker
+matrix of a v b: its first column of largest norm and that column's image
+under the matrix span it (``projgeom.plucker_basis``).  Whether the line is
+a 0-secant is read off the 2x2 Gram of g on it, whose eigenvalues are
+closed form too.  Each closed form is one kernel on columns, so that one
+chord or span, as a single query sends it, runs in Python floats with its
+batch row's bits.
+
 The spread line through a point p of P^3 is closed form: p v x is in the
 class of h = span{h1, h2} when g(p v x, h_i) = 0, that is when x lies on
 the planes pi_i = P*(h_i) p of the dual Plücker matrices P*.  Its Plücker
@@ -46,7 +56,12 @@ from .projgeom import (
     PLine,
     QuadricForm,
     Subspace,
+    col_dot,
+    col_join,
+    col_sqrt,
+    col_where,
     join_batch,
+    plucker_basis,
     plucker_matrix,
     polar,
     pow2_scaled,
@@ -62,7 +77,6 @@ _KLEIN = QuadricForm.klein()
 # d_i = e_i + e_{i+3} and d_{i+3} = e_i - e_{i+3} (+ 0.0: no signed zeros)
 _D = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) + 0.0
 _D_INV = _D.T / 2.0  # columns are orthogonal of squared length 2
-_S4 = np.diag([1.0, 1.0, 1.0, -1.0])
 # the dual (swapped) Plücker vector: 2 g(k, l) = k . l[_SWAP]
 _SWAP = [3, 4, 5, 0, 1, 2]
 
@@ -105,20 +119,30 @@ class HfdLineSet:
         """Spanning pairs in R^6, shape (n, 2, 6), of the H-lines of the
         star chords A v B given by their homogeneous endpoints, rows of
         shape (n, 4) or one (4,) pair: each chord's polar within U, as two
-        orthogonal rows of norm sqrt(2)."""
-        A, B = np.atleast_2d(A, B)
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise EvalError("star chord with a non-finite endpoint")
-        # polar within U of span{A, B}: null directions of the 2x4 pairing,
-        # the last two right singular vectors when the chord has rank 2
-        d = [1, 2, 3, 0]
-        _, s, vt = np.linalg.svd(np.stack([A[:, d] @ _S4, B[:, d] @ _S4],
-                                          axis=1))
-        if np.any(s[:, 1] <= _RANK_RTOL * s[:, 0]):
+        orthogonal rows of norm sqrt(2) that are functions of the line
+        (``_h_line``); one chord runs in Python floats, with its batch row's
+        bits.  Each end is first scaled by a power of two (``pow2_scaled``),
+        which moves no bit of the line, so that no product of the kernel
+        overflows or underflows."""
+        A, B = (pow2_scaled(X) for X in np.atleast_2d(A, B))
+        one = A.shape[0] == 1
+        try:
+            if one:
+                rows, sin2 = _h_line(A[0].tolist(), B[0].tolist())
+                rank2 = sin2 > _RANK_RTOL * _RANK_RTOL
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rows, sin2 = _h_line(A.T, B.T)
+                rank2 = (sin2 > _RANK_RTOL * _RANK_RTOL).all()
+        except ZeroDivisionError:  # a zero endpoint
+            rank2 = False
+        if not rank2:  # a non-finite endpoint fails the rank test too
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                raise EvalError("star chord with a non-finite endpoint")
             raise EvalError("star chord with coincident endpoints")
-        ext = np.zeros((A.shape[0], 2, 6))
-        ext[:, :, :4] = vt[:, 2:]
-        return ext @ _D.T
+        if one:
+            return np.array([rows])
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
 
     def samples(self, n: int, seed: int = 0):
         """(n, 2, 6) spans at seeded random parameters."""
@@ -148,18 +172,56 @@ class ParallelClass:
         return Subspace(self.h_span).same_as(Subspace(other.h_span), tol=tol)
 
 
+def _h_line(A, B):
+    """The H-line of the star chord A v B, of columns (four for each end;
+    out: two rows of six, and the squared sine of the ends' angle in U).
+    In U's coordinates (d1..d4) the line is the Euclidean complement of
+    span{a, b}, a and b the ends under the sphere form diag(1, 1, 1, -1):
+    the column space of the dual Plücker matrix of a v b.  Its
+    ``plucker_basis`` is carried into R^6 through _D, as two orthogonal rows
+    of norm sqrt(2)."""
+    a, b = ((X[1], X[2], X[3], 0.0 - X[0]) for X in (A, B))
+    p = col_join(a, b)
+    sin2 = col_dot(p, p) / (col_dot(a, a) * col_dot(b, b))
+    rows = [(u[0] + u[3], u[1], u[2], u[0] - u[3], u[1], u[2])
+            for u in plucker_basis([p[i] for i in _SWAP])]
+    return rows, sin2
+
+
+def _g(u, v):
+    """The Klein form g(u, v) = u . v[_SWAP] / 2, of columns."""
+    return 0.5 * col_dot(u, [v[i] for i in _SWAP])
+
+
+def _ratio(s1, s2):
+    """_secant_ratio of one span (s1, s2), of columns: with p, q, r the
+    entries of g's Gram on the span, m = (p + r) / 2 and d = (p - r) / 2,
+    the eigenvalue of larger magnitude is lam = m +- sqrt(d^2 + q^2) (the
+    sign of m), and the ratio is the determinant over lam^2.  A span with
+    p = q = r = 0 gives NaN (in floats a ZeroDivisionError)."""
+    p, q, r = _g(s1, s1), _g(s1, s2), _g(s2, s2)
+    m, d = 0.5 * (p + r), 0.5 * (p - r)
+    root = col_sqrt(d * d + q * q)
+    lam = m + col_where(m < 0.0, -root, root)
+    return (p * r - q * q) / (lam * lam)
+
+
 def _secant_ratio(spans) -> np.ndarray:
     """For each line of P^5 given as a (2, 6) span of stacked (n, 2, 6)
     spans: the ratio of the smaller to the larger |eigenvalue| of g on it,
-    negative when the two differ in sign.  The line is a 0-secant of K,
-    g definite on it, exactly when the ratio exceeds SIGNATURE_CUTOFF.  A
-    Klein point in the span gives a zero eigenvalue; a span of Klein
-    points orthogonal under g gives two, and a NaN ratio."""
+    negative when the two differ in sign (``_ratio``, one span in Python
+    floats with its batch row's bits).  The line is a 0-secant of K, g
+    definite on it, exactly when the ratio exceeds SIGNATURE_CUTOFF.  A
+    Klein point in the span gives a zero eigenvalue; a span of Klein points
+    orthogonal under g gives two, and a NaN ratio."""
     S = np.asarray(spans, float)
-    w = np.linalg.eigvalsh(S @ _KLEIN.matrix @ S.transpose(0, 2, 1))
+    if S.shape[0] == 1:
+        try:
+            return np.array([_ratio(*S[0].tolist())])
+        except ZeroDivisionError:
+            pass
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(w[:, 0]) <= np.abs(w[:, 1]),
-                        w[:, 0] / w[:, 1], w[:, 1] / w[:, 0])
+        return _ratio(*S.transpose(1, 2, 0))
 
 
 def class_from_hfd_line(h) -> ParallelClass:

@@ -56,7 +56,11 @@ def pow2_scaled(v):
     v = np.asarray(v, float)
     if v.ndim == 1 or v.shape[0] == 1:
         return np.ldexp(v, -_pow2_exponent(v))
-    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1])
+    # np.max over the last axis, column by column: numpy's reduce over a
+    # short last axis costs some 4x as much, and a maximum is exact
+    a = np.abs(v)
+    top = functools.reduce(np.maximum, (a[..., i] for i in range(a.shape[-1])))
+    return np.ldexp(v, -np.frexp(top)[1][..., None])
 
 
 def row_dot(A, B):
@@ -281,17 +285,19 @@ def join_batch(A, B):
     each column written in place."""
     A = np.asarray(A, float)
     B = np.asarray(B, float)
-    a0, a1, a2, a3 = (A[..., i] for i in range(4))
-    b0, b1, b2, b3 = (B[..., i] for i in range(4))
-    p01 = a0 * b1 - a1 * b0
-    K = np.empty(np.shape(p01) + (6,))
-    K[..., 0] = p01
-    K[..., 1] = a0 * b2 - a2 * b0
-    K[..., 2] = a0 * b3 - a3 * b0
-    K[..., 3] = a2 * b3 - a3 * b2
-    K[..., 4] = a3 * b1 - a1 * b3
-    K[..., 5] = a1 * b2 - a2 * b1
+    p = col_join([A[..., i] for i in range(4)], [B[..., i] for i in range(4)])
+    K = np.empty(np.shape(p[0]) + (6,))
+    for i, v in enumerate(p):
+        K[..., i] = v
     return K
+
+
+def col_join(a, b):
+    """The Plücker vector of a v b, of columns: join_batch's kernel."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+            a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
 
 
 def _klein_matrix() -> np.ndarray:
@@ -353,13 +359,55 @@ def klein_lift(k, tol: float = DEFAULT_TOL):
 
 
 def line_points(L) -> tuple[HPoint, HPoint]:
-    """Two spanning points of a Plücker line: the leading left singular
-    vectors of its Plücker matrix."""
+    """Two spanning points of a Plücker line, functions of the line: the
+    orthonormal ``plucker_basis`` of its vector scaled by a power of two
+    (``pow2_scaled``), so that the points do not change, bit for bit, when
+    the vector is scaled by a power of two or negated."""
     v = _vec(_plucker(L))
-    if float(np.dot(v, v)) == 0.0:
+    if not np.isfinite(v).all():
+        raise InvalidInput("non-finite Klein vector")
+    if not np.any(v):
         raise InvalidInput("zero Klein vector")
-    u, _, _ = np.linalg.svd(plucker_matrix(v))
-    return HPoint(u[:, 0]), HPoint(u[:, 1])
+    u1, u2 = plucker_basis(pow2_scaled(v).tolist())
+    return HPoint(np.array(u1)), HPoint(np.array(u2))
+
+
+def plucker_basis(k):
+    """Orthonormal u1, u2 in the column space of plucker_matrix(k), of
+    columns (six in, two rows of four out); for k on the Klein quadric they
+    span it.  u1 is the first column of largest norm, normalized, and u2 is
+    plucker_matrix(k) u1, normalized: orthogonal to u1, for the matrix is
+    antisymmetric.  Each is signed so that its entry of largest magnitude
+    (the first, on a tie) is positive, which makes the pair a function of
+    the plane: k and -k give the same bits.  A zero k gives NaN (in floats
+    a ZeroDivisionError)."""
+    k0, k1, k2, k3, k4, k5 = k
+    q0, q1, q2, q3, q4, q5 = (x * x for x in k)
+    # the matrix's rows, each its column negated, and their squared norms
+    rows = ((0.0, k0, k1, k2), (0.0 - k0, 0.0, k5, 0.0 - k4),
+            (0.0 - k1, 0.0 - k5, 0.0, k3), (0.0 - k2, k4, 0.0 - k3, 0.0))
+    norms = (q0 + q1 + q2, q0 + q5 + q4, q1 + q5 + q3, q2 + q4 + q3)
+    best, big = rows[0], norms[0]
+    for row, n in zip(rows[1:], norms[1:]):
+        take = n > big
+        best = [col_where(take, x, y) for x, y in zip(row, best)]
+        big = col_where(take, n, big)
+    u0, u1, u2, u3 = first = _signed_unit(best, big)
+    # the matrix times the first, its structural zeros left out
+    v = (k0 * u1 + k1 * u2 + k2 * u3, k5 * u2 - k0 * u0 - k4 * u3,
+         k3 * u3 - k1 * u0 - k5 * u1, k4 * u1 - k2 * u0 - k3 * u2)
+    return first, _signed_unit(v, col_dot(v, v))
+
+
+def _signed_unit(u, norm2):
+    """u over its norm, the root of norm2, of columns, with its entry of
+    largest magnitude (the first, on a tie) made positive and no entry
+    -0.0."""
+    top = u[0]
+    for x in u[1:]:
+        top = col_where(abs(x) > abs(top), x, top)
+    scale = col_where(top < 0.0, -1.0, 1.0) / col_sqrt(norm2)
+    return [0.0 + scale * x for x in u]
 
 
 # ---------------------------------------------------------------------------

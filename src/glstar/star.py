@@ -152,7 +152,9 @@ def rotation_defect(sigma, n: int = 100, seed: int = 0):
     q = rng.normal(size=(n, 3))
     q /= row_norm(q)[:, None]
     th = rng.uniform(0.0, 2.0 * np.pi, n)
-    res = row_norm(sigma(rotate_z(q, th)) - rotate_z(sigma(q), th))
+    # sigma of the turned points and of q in one call
+    s = sigma(np.concatenate([rotate_z(q, th), q]))
+    res = row_norm(s[:n] - rotate_z(s[n:], th))
     return q, th, res
 
 
@@ -391,8 +393,9 @@ class RotationalSigma:
     (t = height), apply the meridian map, rotate back.  For the open lower
     hemisphere the involution property forces the value: t_of_z gives the
     meridian parameter whose image height matches the query; align
-    azimuths and return the rotated base point.  The height of the map must
-    decrease from 0 to -1, which is checked on a grid of t.
+    azimuths and return the rotated base point.  A batch takes the meridian
+    image of both hemispheres' parameters in one call.  The height of the
+    map must decrease from 0 to -1, which is checked on a grid of t.
     """
 
     def __init__(self, profile: RotationalProfile, t_of_z):
@@ -407,26 +410,38 @@ class RotationalSigma:
         self._t_of_z = t_of_z
 
     def _batch(self, Q):
-        out = np.empty_like(Q)
-        upper = Q[:, 2] >= 0.0  # as np.clip(Q[:, 2], -1, 1) >= 0
-        if np.any(upper):
-            out[upper] = np.stack(self._upper(*Q[upper].T), axis=-1)
+        """sigma of rows (n, 3) by one meridian image of the upper heights
+        and the lower hemisphere's t_of_z together (the image is taken
+        elementwise, so each row has its own hemisphere's bits)."""
+        x, y, z = Q.T
+        upper = z >= 0.0  # as np.clip(z, -1, 1) >= 0
+        if upper.all():
+            return np.stack(self._upper(x, y, z), axis=-1)
         lower = ~upper
-        if np.any(lower):
-            x, y, z = Q[lower].T
-            t = np.asarray(self._t_of_z(np.clip(z, -1.0, 1.0)), float)
-            m = self._profile.meridian_image(t)
-            q = rotate_z(meridian_point(t),
-                         np.arctan2(y, x) - np.arctan2(m[:, 1], m[:, 0]))
-            out[lower] = q / row_norm(q)[:, None]
+        t = np.asarray(self._t_of_z(np.clip(z[lower], -1.0, 1.0)), float)
+        k = len(Q) - len(t)
+        m = self._profile.meridian_image(
+            np.concatenate([np.clip(z[upper], -1.0, 1.0), t]))
+        out = np.empty_like(Q)
+        if k:
+            out[upper] = np.stack(self._turn(*m[:k].T, x[upper], y[upper]),
+                                  axis=-1)
+        m = m[k:]
+        q = rotate_z(meridian_point(t), np.arctan2(y[lower], x[lower])
+                     - np.arctan2(m[:, 1], m[:, 0]))
+        out[lower] = q / row_norm(q)[:, None]
         return out
 
     def _upper(self, x, y, z):
         """sigma in the closed upper hemisphere, of columns: the meridian
-        image at the height of the point, turned by its azimuth (rotate_z's
-        kernel), and scaled to unit length."""
+        image at the height of the point, ``_turn``ed by its azimuth."""
         m = self._profile.meridian_image(col_clip(z, -1.0, 1.0))
-        m0, m1, m2 = m if type(z) is float else m.T
+        return self._turn(*(m if type(z) is float else m.T), x, y)
+
+    @staticmethod
+    def _turn(m0, m1, m2, x, y):
+        """The meridian image (m0, m1, m2) turned by the azimuth of (x, y)
+        (rotate_z's kernel) and scaled to unit length, of columns."""
         x, y, z = _turned(m0, m1, m2, col_ufunc(np.arctan2, y, x))
         norm = col_sqrt(x * x + y * y + z * z)
         return x / norm, y / norm, z / norm

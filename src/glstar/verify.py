@@ -246,7 +246,8 @@ def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
         pair = np.abs(klein_form_batch(K, kz)) / row_norm(K)
     grid = fibonacci_sphere(n)
     zeta = np.array([1.0, -1.0, 1.0])
-    comm = row_norm(star.sigma(grid * zeta) - star.sigma(grid) * zeta)
+    s = star.sigma(np.concatenate([grid * zeta, grid]))  # one call for both
+    comm = row_norm(s[:n] - s[n:] * zeta)
     return _worst("axial", np.concatenate([pair, comm]), lambda r: r < tol,
                   lambda i: (float(t[i]),) if i < n else tuple(grid[i - n]), n)
 

@@ -1,6 +1,7 @@
 """Batched evaluation gives the row-by-row results bit for bit, and the
 batched root counter gives the counts of the one-probe form."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,19 +15,17 @@ from glstar.constructions import (
     parabola_star,
 )
 from glstar.parallelism import (
-    _D,
-    _KLEIN,
     HfdLineSet,
+    _h_line,
+    _ratio,
     check_torus_fixes_classes,
     check_zero_secants,
     make_parallelism,
     torus_action,
 )
-from glstar.projgeom import _nullspace_rows
-from glstar.star import meridian_point, rotate_z
-from glstar.verify import positive_root_count
-
-_S4 = np.diag([1.0, 1.0, 1.0, -1.0])
+from glstar.projgeom import row_norm
+from glstar.star import RotationalSigma, meridian_point, rotate_z, rotation_defect
+from glstar.verify import check_axial, positive_root_count
 
 
 def _line_rows_by_row(star, n):
@@ -41,13 +40,11 @@ def _line_rows_by_row(star, n):
 
 
 def _span_by_row(star, t, theta):
-    """The H-line span of one star line: the null directions of its 2x4
-    pairing under diag(1, 1, 1, -1), carried into R^6."""
+    """The H-line span of one star line: the H-line kernel of its chord in
+    Python floats."""
     A, B = star.chord(np.array([t]), np.array([theta]))
-    d = [1, 2, 3, 0]
-    ext = np.zeros((2, 6))
-    ext[:, :4] = _nullspace_rows(np.vstack([A[0, d] @ _S4, B[0, d] @ _S4]))
-    return ext @ _D.T
+    rows, _ = _h_line(A[0].tolist(), B[0].tolist())
+    return np.array(rows)
 
 
 def test_sigma_batch_equals_rows(seven_stars):
@@ -59,6 +56,65 @@ def test_sigma_batch_equals_rows(seven_stars):
     for name, star in seven_stars.items():
         rows = np.array([star.sigma(q[i:i + 1])[0] for i in range(len(q))])
         np.testing.assert_array_equal(star.sigma(q), rows, err_msg=name)
+
+
+def _sigma_by_hemisphere(sigma, Q):
+    """A RotationalSigma of rows Q, scaled to unit length as sigma scales
+    them, one meridian image per hemisphere: the upper rows by its upper
+    kernel, the lower ones by t_of_z."""
+    Q = Q / row_norm(Q)[:, None]
+    out = np.empty_like(Q)
+    upper = Q[:, 2] >= 0.0
+    if upper.any():
+        out[upper] = np.stack(sigma._upper(*Q[upper].T), axis=-1)
+    if not upper.all():
+        x, y, z = Q[~upper].T
+        t = np.asarray(sigma._t_of_z(np.clip(z, -1.0, 1.0)), float)
+        m = sigma._profile.meridian_image(t)
+        q = rotate_z(meridian_point(t),
+                     np.arctan2(y, x) - np.arctan2(m[:, 1], m[:, 0]))
+        out[~upper] = q / row_norm(q)[:, None]
+    return out
+
+
+def test_sigma_in_one_pass_equals_each_hemisphere_alone(seven_stars):
+    # one meridian image for both hemispheres gives each row its own
+    # hemisphere's bits: mixed, all-upper, all-lower and one-point input
+    t, th = np.meshgrid(np.linspace(-1.0, 1.0, 33),
+                        np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False),
+                        indexing="ij")
+    q = rotate_z(meridian_point(t.ravel()), th.ravel())
+    inputs = [q, q[q[:, 2] >= 0.0], q[q[:, 2] < 0.0], q[5:6], q[-5:-4],
+              q[[3, -3]]]
+    # latitudinal has a profile too, but a sigma of its own
+    completed = {name: star for name, star in seven_stars.items()
+                 if isinstance(star.sigma_fn, RotationalSigma)}
+    assert sorted(completed) == ["builtin", "fg", "parabola", "symmetric"]
+    for name, star in completed.items():
+        for Q in inputs:
+            np.testing.assert_array_equal(
+                star.sigma(Q), _sigma_by_hemisphere(star.sigma_fn, Q),
+                err_msg=name)
+
+
+def _halves(star):
+    """The star with a sigma that maps the two halves of each batch by two
+    calls."""
+    def sigma_fn(q):
+        n = len(q) // 2
+        return np.concatenate([star.sigma(q[:n]), star.sigma(q[n:])])
+
+    return replace(star, sigma_fn=sigma_fn)
+
+
+def test_stacked_sigma_calls_equal_two_calls(seven_stars):
+    # rotation_defect and check_axial send their two sigma inputs as one
+    # call, which gives what two calls give
+    for name, star in seven_stars.items():
+        for got, ref in zip(rotation_defect(star.sigma),
+                            rotation_defect(_halves(star).sigma)):
+            np.testing.assert_array_equal(got, ref, err_msg=name)
+        assert check_axial(star) == check_axial(_halves(star)), name
 
 
 def test_line_rows_equal_rows(seven_stars):
@@ -78,13 +134,13 @@ def test_span_at_batch_equals_rows(seven_stars):
 
 def _zero_secants_by_row(hfd, n=200, seed=0):
     """Smallest eigenvalue ratio of the sampled H-lines, one span at a
-    time: (ratio, row).  The ratio is the smaller over the larger |eigenvalue|
-    of the Gram, negative when their signs differ."""
+    time in Python floats (the ratio kernel): (ratio, row).  The ratio is the
+    smaller over the larger |eigenvalue| of the Gram, negative when their
+    signs differ."""
     spans = hfd.samples(n, seed=seed)
     worst, witness = np.inf, None
     for i in range(n):
-        w = np.linalg.eigvalsh(spans[i] @ _KLEIN.matrix @ spans[i].T)
-        ratio = w[0] / w[1] if abs(w[0]) <= abs(w[1]) else w[1] / w[0]
+        ratio = _ratio(*spans[i].tolist())
         if ratio < worst:
             worst, witness = float(ratio), (i,)
     return worst, witness

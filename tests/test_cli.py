@@ -212,19 +212,19 @@ EXPORT_SHA256 = {
     ("builtin", "mesh"):
         "351070876d62297a6174ce305b9cde4cdebb4a9673f3dc49c9f4ad6964e628cc",
     ("builtin", "hfd"):
-        "a05a7559c2fca2ab25d154af155facfab99e5f8421634c4603ea51faeb82de2d",
+        "0ad8dd2b6b387c9e3b2c075802d02759c7c262c02be041191c62fce9d49b28dc",
     ("parabola", "lines"):
         "5c57d82aa9b76509474e3a92b8319013219b713cbf088d0b3e7a11b6e2ea5d59",
     ("parabola", "mesh"):
         "d8cebfd139e2088277c6b1e7abba692a8a6ee9c0f169de363fa75a0409debced",
     ("parabola", "hfd"):
-        "2f6b68a031f5b109d4c52c71753e942022535731b2827cda787a8b1c508df66d",
+        "469e0df3cda74234d1bbe518dafaff0bde55f5df101aa7616ab1936c661125a1",
     ("clifford", "lines"):
         "db8485fa347767e307230adcf7671bdc182ab1f976e90f77234d2d00b5bdbd20",
     ("clifford", "mesh"):
         "7083468133711b4d779ba4c7df88104f4359ffb216f9020d93c90fba6d989a87",
     ("clifford", "hfd"):
-        "d3a79bc676892c6bcf813192bd08713b3a6e674a81f2001abf2a5ddcd98f00eb",
+        "fb43391ab14f84c54d17e12859af961ef87bdedad5ccd5d7c1dcb130a4fcf614",
 }
 
 
@@ -263,18 +263,18 @@ def _star_set_configs():
 # that moves a byte fails
 VERIFY_SHA256 = {
     "clifford":
-        "5a512b3ad1310f88586b5e2d7b31e8022fe27690e73477092ca7a458e95b4b45",
+        "43fce9376b5519b02877184e415150737cb7b0888870eadcbd9e224c73125356",
     "symmetric":
-        "ba519d6d57a7f617a06e989cdd31ee8c66ebe0027e6d5e8e51c127765dca487c",
-    "fg": "56a74c9708b6ec670fdb3466a6c5f7b465003352c66b980137c25c636059fdc7",
+        "e7861a9f63e0d33fb70fbfa86a59a268453e501fdf1b96a698b32be0aed028bd",
+    "fg": "394fb32e9bd01cb2474628bf9969ee3e54959753212659077feea86d9874461e",
     "builtin":
-        "2a20e747ae248c2c8720418e2e64c6f342ed9f6a217274a8e37102b71be074a6",
+        "163be1f8a7e0f5876baa63f3982e02864b658ad2d306e06b527fd63549368dca",
     "latitudinal":
-        "9e94fdb7cb0934352e0695a9f8bfc4aa5d40f2ca75a1824fed1c41e2fd0d8796",
+        "dc51f20604dd6156b37475aa0473e3cdb7c76ed9705de1d6921e8046fb64e27c",
     "parabola":
-        "148fb345189b28f7b4cde91fa9d26603a502bbff0ac74f3d9a4ba6828d52b946",
+        "c5da35c4a3204fc887566ba117cb6ca5c47db932b282a434de65495cab23acbf",
     "clifford-off":
-        "4939de984683012707dc1d0b82acd87242b39b2da30ffdcefbb2b205bb9d7149",
+        "fec918e82c991caaa5806ca7ee034397be3e249dcb0abed295478675e12c97ea",
 }
 
 
@@ -323,18 +323,18 @@ def _parallel_queries():
 # that moves them can show it loses no accuracy before it re-pins them.
 PARALLEL_SHA256 = {
     "clifford":
-        "4c17385a5be31a42d5ffdf2b4e92cf16eeceedfc7eea2d9d41c008d21531ca42",
+        "11c28d5309c89dbc8749e929a5fe9df28a09d1dab326d3756180d88bfd46d28d",
     "symmetric":
-        "98749bf2abbf7c5da7a985971795565e891d697cfa181fbb1553726befb32e85",
-    "fg": "7d9128d236c046669063bc02ef498f8f547ade1e22456f7cc062aac431fe38c1",
+        "62d3057db2eed6194febad550b9f19a5efa86b8fef9d7369afbdb47acb705a84",
+    "fg": "9c1e24726bc5191b58d55b8470d8b7e51e37ec70a2b69df2c5c3dcf8c1a717aa",
     "builtin":
-        "6b63b959125fac1346a011fa29e815e9fd3013ab0078ffa765002c00fecde12a",
+        "c81f224c5cbd8afaa9cb54764f8e0fe8401fc01b061c174f8a2addd06a48de64",
     "latitudinal":
-        "fa6e0b0ad89973101729fe9012943fffa16b296a20778c722c7ed78869d0992d",
+        "5ddb449a56b09897628d47eba546c7660c7e6b93fe138f639d7b59ad4af53386",
     "parabola":
-        "669ec3a94e7764bcaaa740ac3fe7ada4c0a73f22e58727af2f8bd2b6af097116",
+        "aaaec92179e52f80c3a2319594302948971c8801c05eecf4de33bd944c5b5490",
     "clifford-off":
-        "c086360be094790e8c92b03e28e41b3866983b944ceffda3744137a07e8af7eb",
+        "a971820a1f9c891cb295f60ca5d9fdc993c75cc9c5a24cf546ae93a1292cdc40",
 }
 
 

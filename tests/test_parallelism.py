@@ -21,6 +21,7 @@ from glstar.parallelism import (
     HfdLineSet,
     ParallelClass,
     _hits_for_lines,
+    _secant_ratio,
     check_hfd,
     check_torus_fixes_classes,
     check_zero_secants,
@@ -745,3 +746,98 @@ def test_mixing_rotation_moves_lines():
         rej = mapped - (mapped @ Q.T) @ Q
         moved = max(moved, float(np.linalg.norm(rej, axis=1).max()))
     assert moved > 1e-3
+
+
+# --- closed forms: the H-line and the 0-secant ratio ---------------------------
+
+
+def _svd_polar(A, B):
+    """The H-lines of the chords A v B by numpy's SVD: the null directions
+    of each 2x4 pairing under diag(1, 1, 1, -1), carried into R^6."""
+    d = [1, 2, 3, 0]
+    S4 = np.diag([1.0, 1.0, 1.0, -1.0])
+    _, _, vt = np.linalg.svd(np.stack([A[:, d] @ S4, B[:, d] @ S4], axis=1))
+    ext = np.zeros((len(A), 2, 6))
+    ext[:, :, :4] = vt[:, 2:]
+    return ext @ _D.T
+
+
+def _eigvalsh_ratio(spans):
+    """The smaller over the larger |eigenvalue| of g on each span, signed,
+    by numpy's eigvalsh."""
+    w = np.linalg.eigvalsh(spans @ KLEIN.matrix @ spans.transpose(0, 2, 1))
+    return np.where(np.abs(w[:, 0]) <= np.abs(w[:, 1]), w[:, 0] / w[:, 1],
+                    w[:, 1] / w[:, 0])
+
+
+def test_closed_forms_agree_with_svd_and_eigvalsh(seven_stars):
+    # the 200-chord sample of check_zero_secants: the same line as the SVD's
+    # (orthogonal projectors), rows orthogonal of norm sqrt(2), and the
+    # same ratio as eigvalsh of the SVD's rows
+    for name, star in seven_stars.items():
+        rng = np.random.default_rng(0)
+        A, B = star.chord(rng.random(200), rng.uniform(0, 2 * np.pi, 200))
+        spans = make_parallelism(star).hfd.polar(A, B)
+        ref = _svd_polar(A, B)
+        proj = [S.transpose(0, 2, 1) @ S / 2.0 for S in (spans, ref)]
+        assert np.abs(proj[0] - proj[1]).max() <= 2e-15, name
+        gram = spans @ spans.transpose(0, 2, 1)
+        assert np.abs(gram - 2.0 * np.eye(2)).max() <= 2e-15, name
+        ratio = _secant_ratio(spans)
+        assert np.abs(ratio - _eigvalsh_ratio(ref)).max() <= 4e-15, name
+
+
+def test_h_line_rows_are_functions_of_the_line():
+    # the chord's ends swapped, negated or scaled by powers of two, however
+    # large or small, give the same bits
+    A, B = BUILTIN.chord(np.array([0.3, 0.7]), np.array([1.0, 4.0]))
+    hfd = PAR_BUILTIN.hfd
+    ref = hfd.polar(A, B)
+    for X, Y in ((B, A), (-A, B), (np.ldexp(A, 600), np.ldexp(B, -600)),
+                 (np.ldexp(A, -900), B)):
+        np.testing.assert_array_equal(hfd.polar(X, Y), ref)
+        np.testing.assert_array_equal(hfd.polar(X[1], Y[1])[0], ref[1])
+
+
+def test_ratio_of_a_totally_isotropic_span_is_nan():
+    # g vanishes on span{e1, e2}: p = q = r = 0, in floats a division by
+    # zero that the batch answers
+    span = np.array([[[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]]])
+    assert np.isnan(_secant_ratio(span)).all()
+    assert np.isnan(_secant_ratio(np.concatenate([span, span]))).all()
+
+
+def test_coincident_chord_ends_are_an_eval_error():
+    A, B = BUILTIN.chord(np.array([0.3, 0.7]), np.array([1.0, 4.0]))
+    hfd = PAR_BUILTIN.hfd
+    for X, Y in ((A[0], A[0]), (A[0], 3.0 * A[0]), (np.zeros(4), B[0]),
+                 (A, np.stack([B[0], A[1]])), (A, np.stack([B[0], 0 * B[1]]))):
+        with pytest.raises(EvalError, match="coincident"):
+            hfd.polar(X, Y)
+    with pytest.raises(EvalError, match="non-finite"):
+        hfd.polar(A, np.stack([B[0], np.full(4, np.inf)]))
+
+
+def test_class_from_a_span_of_the_wrong_shape_is_refused():
+    for h in (np.ones((2, 4)), np.ones(5)):
+        with pytest.raises(NotZeroSecant, match=r"\(2, 6\)"):
+            class_from_hfd_line(h)
+
+
+def test_query_that_projects_to_zero_in_u_fails():
+    # a vector of C = span{d5, d6} has no part in the star 3-space U
+    for k in (_D[:, 4], _D[:, 4] + 2.0 * _D[:, 5]):
+        with pytest.raises(SearchFailed, match="projects to zero"):
+            parallel_class_of(PAR_BUILTIN, k)
+
+
+def test_line_with_no_star_line_in_its_tangent_hyperplane_fails():
+    # the vertical-chord star: a line whose Klein point projects to the
+    # sphere point (2, 0, 0), off the cylinder of its star lines (a point
+    # of U with sphere form 3, and 3 of C's negative form added)
+    from bad_stars import vertical_chord_star
+
+    par = make_parallelism(vertical_chord_star())
+    k = par.es.iso(np.array([1.0, 2.0, 0.0, 0.0])) + np.sqrt(3.0) * _D[:, 4]
+    with pytest.raises(SearchFailed, match="no H-line found"):
+        parallel_class_of(par, PLine(k))

@@ -23,6 +23,7 @@ from glstar.projgeom import (
     normalize,
     point_side,
     polar,
+    pow2_scaled,
     projective_distance,
     quadratic_roots,
     second_intersection,
@@ -411,6 +412,46 @@ def test_lines_meet_point_stacked_matches_single_pairs():
 def test_line_points_span_line():
     a, b = line_points(Z_AXIS)
     assert projective_distance(join(a, b).p, Z_AXIS.p) < 1e-12
+
+
+def test_line_points_are_functions_of_the_line():
+    # orthonormal points on the line, with the same bits for the Plücker
+    # vector negated or scaled by 2^600 or 2^-600
+    for p in join_batch(*rng().normal(size=(2, 20, 4))):
+        a, b = (pt.coords for pt in line_points(p))
+        assert projective_distance(join(a, b).p, p) < 1e-15
+        assert abs(a @ b) < 1e-15
+        assert abs(a @ a - 1.0) < 1e-15 and abs(b @ b - 1.0) < 1e-15
+        for q in (-p, np.ldexp(p, 600), np.ldexp(p, -600),
+                  PLine(np.ldexp(-p, -2))):
+            a2, b2 = (pt.coords for pt in line_points(q))
+            np.testing.assert_array_equal(a2, a)
+            np.testing.assert_array_equal(b2, b)
+
+
+def test_line_points_of_the_zero_vector_is_refused():
+    with pytest.raises(errors.InvalidInput, match="zero Klein vector"):
+        line_points(np.zeros(6))
+
+
+def test_line_points_of_a_non_finite_vector_is_refused():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(errors.InvalidInput, match="non-finite"):
+            line_points(np.array([bad, 1.0, 0.0, 0.0, 0.0, 0.0]))
+
+
+def test_pow2_scaled_rows_by_their_largest_entry():
+    # each row by the exponent of its np.max |entry|, bit for bit, with
+    # zero, signed-zero, infinite, NaN and subnormal entries among them
+    r = rng()
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310])
+    for shape in ((40, 4), (3, 5, 6), (2, 3), (0, 4)):
+        v = r.normal(size=shape) * 10.0 ** r.integers(-300, 300, size=shape)
+        v = np.where(r.random(shape) < 0.2, r.choice(special, size=shape), v)
+        v[:1] = 0.0
+        top = np.max(np.abs(v), axis=-1, keepdims=True)
+        np.testing.assert_array_equal(pow2_scaled(v),
+                                      np.ldexp(v, -np.frexp(top)[1]))
 
 
 def test_subspace_reduction_idempotent():

@@ -34,9 +34,11 @@ from glstar.projgeom import (
     col_sqrt,
     col_ufunc,
     col_where,
+    plucker_basis,
     row_dot,
     row_norm,
 )
+from glstar.parallelism import _h_line, _ratio
 from glstar.search import _chord_azimuth, _covering, _rejection, _residual
 from glstar.star import (
     RotationalProfile,
@@ -379,6 +381,11 @@ def _closed_form(t, a, b, c, hs):
     return m if type(t) is float else tuple(m.T)
 
 
+def _flat(rows, *more):
+    """Two rows of columns, and more columns, as one tuple of columns."""
+    return (*rows[0], *rows[1], *more)
+
+
 def _vectors(n):
     return lambda c: (c[:n], c[n:2 * n], c[2 * n:])
 
@@ -422,6 +429,9 @@ KERNELS = {
     "chord_start": (lambda c: (_chord_start(*c),), 5),
     "parabola_coefficients": (
         lambda c: _PARABOLA_SEQUENCE.coefficients_at(*c), 1),
+    "plucker_basis": (lambda c: _flat(plucker_basis(c)), 6),
+    "h_line": (lambda c: _flat(*_h_line(c[:4], c[4:])), 8),
+    "secant_ratio": (lambda c: (_ratio(c[:6], c[6:]),), 12),
 }
 # where the step's f' is 0, one float raises and the batch bisects
 BATCH_BISECTS = {"newton_step"}

@@ -565,18 +565,18 @@ def _suite_text(star):
 # any change to a check that moves a byte fails
 SUITE_SHA256 = {
     "clifford":
-        "213f0fcb7c30186e110a4553aa3c4f76fcb885d00db6e61a185e1e5056dadbdf",
+        "55648691ca41a6bfd9f1456e204a9161bc1384d421c471464b30917ea340de15",
     "symmetric":
-        "c4bbfe89e56bc9406773d6f5b86fd374dba935d1a6a5d62359dd7ba296a9fa49",
-    "fg": "29c0fba076883999fd6bf67eea9e85a7a4ab0f107fe7135cf4b2c4cc49217d8b",
+        "6657bbd716d7f6285e2823df9082a41b62bccd1a29f5c53f3424e63f33686de5",
+    "fg": "324c60ddc178669831c0842504a9eac84239983621ba85b29e12149cdd1c7bc3",
     "builtin":
-        "272f60c65c49e7003c2d4a1ba4168297c90b5281d4fe0f7f06fc66f6b08b596d",
+        "03a8caadbcca78c0d181ce035d911825505db2c4e02ee5b8e3399b2a80ae46b9",
     "latitudinal":
-        "e86d3ca62de77a02afe28153ae688824c4634601e673718dfcec20b2bcc9315a",
+        "2b96abc17c8d4b666cd7ca4f8d96480be00837ab7dbf4d0c084f8f6d053676c0",
     "parabola":
-        "d5502168acf19b05e7d0e36486ae233736b0b86deb37096ff20f1a28c3c0c4e0",
+        "315490507b94d3c6c90e3fd08a96aeac5269d5ea68b97ce14fd68544099dbcdb",
     "clifford-off":
-        "63e489ac6f3888e6b3ad772e3fb319ef98349c9c2879f7860c00a2190386610a",
+        "a331268e7d026212862efec2986a44b33e764dac13079c636029e30b017e972d",
 }
 
 
