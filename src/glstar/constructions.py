@@ -855,10 +855,7 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
                 return inv_one(y)
             except (ZeroDivisionError, ValueError):
                 return float(batch(np.array(y)))
-        y = np.asarray(y, float)
-        if y.size == 1:
-            return np.full(y.shape, inv(y.item()))
-        return batch(y)
+        return batch(np.asarray(y, float))
 
     def batch(y):
         shape = y.shape

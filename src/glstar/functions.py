@@ -88,21 +88,13 @@ def _illinois(fn, lo, hi, flo, fhi, rtol):
     answer of a bracket without a sign change, such as a target outside a
     table's range.  Each step is one set of kernels on columns (``_bracket``,
     ``_secant``, ``_keep``), and done brackets leave the batch, so that it
-    works on the open ones only.  One open bracket, as a
-    single-target table inverse has, takes the steps in Python floats
-    (``_illinois_one``) on fn at a one-element array; a single-point search
-    calls ``_illinois_one`` itself.  A single root of the star-line search
-    takes 4.6 to 4.75 evaluations on average, against 5.4 to 5.7 with
-    Illinois halving alone.
+    works on the open ones only, one of them included.  The single-point
+    search takes the same steps in Python floats (``_illinois_one``).  A
+    single root of the star-line search takes 4.6 to 4.75 evaluations on
+    average, against 5.4 to 5.7 with Illinois halving alone.
     """
     root = np.where(np.abs(flo) < np.abs(fhi), lo, hi)
     i = np.nonzero(np.sign(flo) * np.sign(fhi) < 0)[0]
-    if i.size == 1:
-        j = int(i[0])
-        root[j] = _illinois_one(
-            lambda x: float(np.asarray(fn(np.array([x]), i), float)[0]),
-            float(lo[j]), float(hi[j]), float(flo[j]), float(fhi[j]), rtol)
-        return root
     a, fa, b, fb = lo[i], flo[i], hi[i], fhi[i]
     ga = fa  # a's own value; fa is the one the secant sees
     w1 = w2 = w3 = np.full(i.size, np.inf)  # widths one to three steps back

@@ -58,6 +58,7 @@ from .projgeom import (
     Subspace,
     col_dot,
     col_join,
+    col_line_distance,
     col_sqrt,
     col_where,
     join_batch,
@@ -309,18 +310,16 @@ def parallel_class_of(par: Parallelism, L) -> ParallelClass:
 def parallel_through(par: Parallelism, p, L) -> PLine:
     """The unique line parallel to L through p (L itself when p is on L).
 
-    p is on L when |P*(L) p| < 1e-9 |p| for unit L: P*(L) kills L and is
-    an isometry on its complement, so this is p's rejection from L.  p and
-    L's Plücker vector are first scaled by powers of two (``pow2_scaled``),
-    which is exact, so that no product of their coordinates overflows or
-    underflows, however large or small they are."""
+    p is on L when its distance from L (``col_line_distance``) is below
+    1e-9 |p|.  p and L's Plücker vector are first scaled by powers of two
+    (``pow2_scaled``), which is exact, so that no product of their
+    coordinates overflows or underflows, however large or small they are."""
     pv = pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
                              "point"))
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
     L = L if isinstance(L, PLine) else PLine(k)
     k = pow2_scaled(k)
-    rej = plucker_matrix(k[_SWAP] / np.linalg.norm(k)) @ pv
-    if np.linalg.norm(rej) < 1e-9 * np.linalg.norm(pv):
+    if col_line_distance(k.tolist(), pv.tolist()) < 1e-9 * np.linalg.norm(pv):
         return L
     return spread_line_through(parallel_class_of(par, k), pv)
 
@@ -347,7 +346,8 @@ def dim_parallelism(hfd: HfdLineSet, n: int = 60, seed: int = 0) -> int:
 
 def check_zero_secants(hfd: HfdLineSet, n: int = 200, seed: int = 0) -> CheckReport:
     """Every sampled H-line must be a 0-secant of K by the rule that
-    class_from_hfd_line applies: max_residual is the least _secant_ratio."""
+    class_from_hfd_line applies: the least _secant_ratio (max_residual), a
+    ratio of eigenvalues free of any norm, must exceed SIGNATURE_CUTOFF."""
     check_sampling(n, seed=seed)
     return _worst("zero_secants", _secant_ratio(hfd.samples(n, seed=seed)),
                   lambda r: r > SIGNATURE_CUTOFF, lambda i: (i,), n,
@@ -358,7 +358,7 @@ def check_hfd(par: Parallelism, n: int = 100, seed: int = 0,
               tol: float = LINE_TOL) -> CheckReport:
     """For random lines of P^3, the tangent hyperplane of the Klein point
     contains exactly one H-line (one star line through the projected
-    point)."""
+    point), to tol on the residual, relative to |w| as in check_coverage."""
     check_sampling(n, tol, seed)
     K = join_batch(*np.random.default_rng(seed).normal(size=(2, n, 4)))
     return _one_line_each("hfd", _hits_for_lines(par, K, tol=tol), K, n)
@@ -377,7 +377,8 @@ def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
                               n_theta: int = 16, seed: int = 0,
                               tol: float = 1e-9) -> CheckReport:
     """The circle acting on C is a g-isometry and fixes every H-line
-    (hence every parallel class) setwise."""
+    (hence every parallel class) setwise: tol bounds the rejection of each
+    mapped unit row from its H-line's span, absolute on unit vectors."""
     check_sampling(min(n, n_theta), seed=seed)  # tol 0: report the worst
     S = HfdLineSet(es).samples(n, seed=seed)
     Q = S / row_norm(S)[..., None]

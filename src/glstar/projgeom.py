@@ -217,6 +217,8 @@ class PLine:
         v = _vec(self.p, "Plücker vector")
         if v.shape[0] != 6:
             raise InvalidInput("Plücker vector must have 6 entries")
+        if not np.isfinite(v).all():
+            raise InvalidInput("non-finite Plücker vector")
         # the norm and relation tests read v scaled by a power of two, so
         # that neither a huge nor a tiny vector overflows or underflows
         s = pow2_scaled(v)
@@ -298,6 +300,19 @@ def col_join(a, b):
     b0, b1, b2, b3 = b
     return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
             a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+def col_line_distance(p, w):
+    """The distance |P*(p) w| / |p| of the unit point w from the line with
+    Plücker vector p, of columns: P*(p) kills the line and, for unit p, is
+    an isometry on its complement, so this is the norm of w's rejection
+    (|w| times the distance for any w).  p.p and r.r must neither overflow
+    nor underflow.  A zero p gives NaN (in floats a ZeroDivisionError)."""
+    p01, p02, p03, p23, p31, p12 = p
+    w0, w1, w2, w3 = w
+    r = (p23 * w1 + p31 * w2 + p12 * w3, p03 * w2 - p23 * w0 - p02 * w3,
+         p01 * w3 - p31 * w0 - p03 * w1, p02 * w1 - p12 * w0 - p01 * w2)
+    return col_sqrt(col_dot(r, r) / col_dot(p, p))
 
 
 def _klein_matrix() -> np.ndarray:

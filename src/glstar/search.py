@@ -2,8 +2,8 @@
 
 A star line is the chord from q = R_theta(p_t) to sigma(q); a homogeneous
 point w of P^3 lies on it exactly when w sits in the 2-dim span of the
-chord's endpoints.  The residual ||w - proj_span(w)|| / ||w|| is zero
-precisely there, and the search reports each line it finds with its
+chord's endpoints.  The residual, the distance of w / ||w|| from it, is
+zero precisely there, and the search reports each line it finds with its
 residual against the star's own chord(t, theta), so a sigma that disagrees
 with the star's structure finds no line.  The path follows that structure:
 
@@ -26,13 +26,14 @@ with the star's structure finds no line.  The path follows that structure:
   shares them.
 
 Each step after the bracket is one kernel on columns (see ``projgeom``):
-the covering function, the chord's azimuth, and the rejection of w from
-the chord's span, whose norm is the residual.  A batch gives them arrays;
-one row on a profile star, as each ``parallel_through`` query sends, gives
-them Python floats in ``_find_one``, with its batch row's bits, and leaves
-to the batch a grid zero, no sign change or more than one bracket, and a
-frame that divides by zero.  Each row of W is first scaled by a power of
-two, which is exact, and a zero row is refused.
+the covering function, the chord's azimuth, and the residual
+(``col_line_distance`` on the chord's Plücker vector, as in
+``parallel_through``).  A batch gives them arrays; one row on a profile
+star, as each ``parallel_through`` query sends, gives them Python floats
+in ``_find_one``, with its batch row's bits, and leaves to the batch a
+grid zero, no sign change or more than one bracket, and a chord that
+spans no line.  Each row of W is first scaled by a power of two, which is
+exact, and a zero row is refused.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .errors import InvalidInput, SearchFailed
 from .functions import bracket_roots
 from .projgeom import (
     col_dot,
+    col_join,
+    col_line_distance,
     col_sign,
     col_sqrt,
     col_ufunc,
@@ -122,29 +125,15 @@ def _chord_azimuth(w, A, B):
     return col_ufunc(np.mod, theta, _TWO_PI)
 
 
-def _rejection(w, A, B):
-    """The rejection of the unit w from the span of A and B, by the frame
-    U1 = A / |A| and U2, the unit part of B orthogonal to U1.  The chord of
-    a fixed point of sigma (B a multiple of A) spans no line: its U2, and
-    so its rejection, is NaN (in floats a ZeroDivisionError)."""
-    U1 = _unit(A)
-    d = col_dot(B, U1)
-    U2 = _unit([b - d * u for b, u in zip(B, U1)])
-    d = col_dot(w, U1)
-    rej = [x - d * u for x, u in zip(w, U1)]
-    d = col_dot(rej, U2)
-    return [r - d * u for r, u in zip(rej, U2)]
-
-
 def _residual(w, A, B):
-    """The norm of the rejection: 0 when w is on the chord A v B."""
-    rej = _rejection(w, A, B)
-    return col_sqrt(col_dot(rej, rej))
+    """The distance of the unit w from the chord A v B; NaN (in floats a
+    ZeroDivisionError) when B = A, a fixed point of sigma, spans no line."""
+    return col_line_distance(col_join(A, B), w)
 
 
 def _residuals(W, A, B):
     """_residual of aligned rows (n, 4): a single row in Python floats,
-    unless its frame divides by zero, and more on columns."""
+    unless its chord spans no line, and more on columns."""
     if W.shape[0] == 1:
         try:
             return np.array([_residual(*(X[0].tolist() for X in (W, A, B)))])
@@ -185,7 +174,7 @@ class StarLineSearch:
         """find_batch of one nonzero point w (four floats) on a profile
         star, by the batch's kernels in Python floats; None where the batch
         must answer: a grid zero, no sign change or more than one bracket of
-        the covering function, or a frame that divides by zero."""
+        the covering function, or a chord that spans no line."""
         profile = self.star.line_profile
         if profile is None:
             return None

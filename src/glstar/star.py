@@ -301,11 +301,7 @@ class RotationalProfile:
                 return self._meridian(t)
             except (ZeroDivisionError, ValueError):
                 return tuple(self._meridian(np.array([t]))[0].tolist())
-        t = np.atleast_1d(np.asarray(t, float))
-        if t.size == 1:
-            return np.array(self.meridian_image(t.item())).reshape(
-                t.shape + (3,))
-        return self._meridian(t)
+        return self._meridian(np.atleast_1d(np.asarray(t, float)))
 
     def _meridian(self, t):
         if self.meridian is not None:

@@ -100,7 +100,7 @@ def _one_line_each(name, hits, points, n):
 def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckReport:
     """max |sigma(sigma(q)) - q| over a Fibonacci sphere grid.  sigma is
     applied again only to the finite images; a non-finite one is a NaN
-    residual, which fails the check."""
+    residual, which fails the check.  tol is absolute, on unit vectors."""
     check_sampling(n, tol)
     grid = fibonacci_sphere(n)
     image = star.sigma(grid)
@@ -113,7 +113,7 @@ def check_involution(star: GlStar, n: int = 1000, tol: float = 1e-9) -> CheckRep
 
 def check_fixed_point_free(star: GlStar, n: int = 1000) -> CheckReport:
     """min |sigma(q) - q| over the grid; must stay above
-    _FIXED_POINT_MARGIN.
+    _FIXED_POINT_MARGIN (absolute, on unit vectors).
 
     max_residual reports the margin (the minimum displacement)."""
     check_sampling(n)
@@ -131,13 +131,13 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
     Every pair must have a finite Klein pairing: the first that does not
     is the witness (t, s, theta) and its pairing the max_residual.  Pairs
     are flagged as meeting when their Klein pairing vanishes within
-    tol times the product of norms; ``lines_meet_point`` finds the meeting
-    points W of all flagged pairs in one closed-form pass, from the Plücker
-    vectors already at hand.  A meet with sphere value W^T S W / |W|^2 above
-    0 is a violation unless it lies on the sphere (value at most 1e-6) at an
-    endpoint of both chords, which is tested on those meets alone.  The
-    witness is the first pair whose value is within 1e-12 * max(1, largest)
-    of the largest."""
+    tol times |K1| |K2|, the product of their Plücker norms;
+    ``lines_meet_point`` finds the meeting points W of all flagged pairs in
+    one closed-form pass, from the Plücker vectors already at hand.  A meet
+    with sphere value W^T S W / |W|^2 above 0 is a violation unless it lies
+    on the sphere (value at most 1e-6) at an endpoint of both chords, which
+    is tested on those meets alone.  The witness is the first pair whose
+    value is within 1e-12 * max(1, largest) of the largest."""
     check_sampling(n_pairs, tol, seed)
     rng = np.random.default_rng(seed)
     t = rng.random(n_pairs)
@@ -214,7 +214,8 @@ def exterior_samples(n: int, seed: int = 0):
 
 def check_coverage(star: GlStar, n_points: int = 200,
                    tol: float = LINE_TOL, seed: int = 0) -> CheckReport:
-    """Every sampled exterior point must lie on exactly one star line."""
+    """Every sampled exterior point must lie on exactly one star line, to
+    tol on the residual, the distance of w / |w| from it (relative to |w|)."""
     check_sampling(n_points, tol, seed)
     W = exterior_samples(n_points, seed=seed)
     return _one_line_each("coverage", StarLineSearch(star).find_batch(W, tol=tol),
@@ -223,7 +224,8 @@ def check_coverage(star: GlStar, n_points: int = 200,
 
 def check_rotational(star: GlStar, n: int = 100, tol: float = ROTATION_TOL,
                      seed: int = 0) -> CheckReport:
-    """sigma commutes with rotations about Z on random (theta, q)."""
+    """sigma commutes with rotations about Z on random (theta, q), to tol
+    on |sigma(R q) - R sigma(q)|, absolute on unit vectors."""
     check_sampling(n, tol, seed)
     q, th, res = rotation_defect(star.sigma, n, seed)
     return _worst("rotational", res, lambda r: r < tol,
@@ -232,8 +234,9 @@ def check_rotational(star: GlStar, n: int = 100, tol: float = ROTATION_TOL,
 
 def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
     """(i) every sampled star line meets Z; (ii) the reflection about the
-    plane y=0 commutes with sigma.  A tie between the two residuals goes to
-    the line sample, whose witness is its t."""
+    plane y=0 commutes with sigma.  tol is relative to the Plücker norm |K|
+    in (i), and absolute on unit vectors in (ii).  A tie between the two
+    residuals goes to the line sample, whose witness is its t."""
     check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     A, B = star.chord(t, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
@@ -253,7 +256,8 @@ def check_axial(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
 
 
 def check_symmetric(star: GlStar, n: int = 256, tol: float = 1e-8) -> CheckReport:
-    """Heights satisfy z(sigma(p_t)) = -t along the meridian."""
+    """Heights satisfy z(sigma(p_t)) = -t along the meridian, to tol,
+    absolute on unit vectors."""
     check_sampling(n, tol)
     t = np.linspace(0.0, 1.0, n)
     m = star.sigma(meridian_point(t))
@@ -319,7 +323,8 @@ def check_pz_monotone(t_fn, s_fn, z_grid=None,
     """The covering profile p_z(a) = (a^2+1)/a^2 (z - t(a))(z + s(a)) must be
     strictly decreasing on (0, a_z) for every z != 0, where a_z bounds the
     interval on which p_z is positive.  All heights z are sampled in one
-    (z, a) grid of _PZ_SAMPLES slopes each."""
+    (z, a) grid of _PZ_SAMPLES slopes each; each step of p_z along the
+    grid must be below tol, absolute in p_z's own units."""
     t_fn = as_fn1(t_fn, (0.0, np.inf))
     s_fn = as_fn1(s_fn, (0.0, np.inf))
     if z_grid is None:

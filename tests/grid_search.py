@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from glstar.projgeom import join_batch, projective_distance
-from glstar.search import LineHit, _rejection
+from glstar.projgeom import col_dot, col_sqrt, join_batch, projective_distance
+from glstar.search import LineHit
 
 _TWO_PI = 2.0 * np.pi
 
@@ -25,6 +25,27 @@ _GRID_T = 64
 _GRID_THETA = 64
 _PROBE = np.random.default_rng(0).normal(size=(2, 4))
 _PROBE /= np.linalg.norm(_PROBE, axis=1, keepdims=True)
+
+
+def _unit(u):
+    """u over its norm, of columns."""
+    n = col_sqrt(col_dot(u, u))
+    return [a / n for a in u]
+
+
+def rejection(w, A, B):
+    """The rejection of the unit w (four columns) from the span of A and B,
+    by the frame U1 = A / |A| and U2, the unit part of B orthogonal to U1:
+    the Gram-Schmidt reference of ``projgeom.col_line_distance``, which is
+    its norm.  B a multiple of A spans no line: its U2, and so its
+    rejection, is NaN (in floats a ZeroDivisionError)."""
+    U1 = _unit(A)
+    d = col_dot(B, U1)
+    U2 = _unit([b - d * u for b, u in zip(B, U1)])
+    d = col_dot(w, U1)
+    rej = [x - d * u for x, u in zip(w, U1)]
+    d = col_dot(rej, U2)
+    return [r - d * u for r, u in zip(rej, U2)]
 
 
 class GridSearch:
@@ -47,7 +68,7 @@ class GridSearch:
         T, TH = np.meshgrid(ts, ths, indexing="ij")
         A, B = self.star.chord(T.ravel(), TH.ravel())
         with np.errstate(divide="ignore", invalid="ignore"):
-            R = [_rejection(e, A.T, B.T) for e in np.eye(4).tolist()]
+            R = [rejection(e, A.T, B.T) for e in np.eye(4).tolist()]
         return ts, ths, np.array(R).reshape(16, -1)
 
     def _rejections(self, W, t, theta):
@@ -56,7 +77,7 @@ class GridSearch:
         A, B = self.star.chord(t, theta)
         W = W / np.linalg.norm(W, axis=-1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.stack(_rejection(W.T, A.T, B.T), axis=-1)
+            return np.stack(rejection(W.T, A.T, B.T), axis=-1)
 
     def residual_at(self, W, t, theta):
         return np.linalg.norm(self._rejections(W, t, theta), axis=-1)

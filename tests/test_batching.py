@@ -327,11 +327,19 @@ def _halved(values, fhi):
 
 @pytest.mark.parametrize("rtol", [1e-12, 2e-15, 1e-15])
 def test_one_bracket_equals_its_row_of_a_batch(rtol):
-    # one open bracket is refined in Python floats, a batch in numpy: both
-    # give each root the same bits, also where a step falls back to halving
-    from glstar.functions import _illinois
+    # done brackets leave the batch, so a bracket refined alone, by the
+    # batch's numpy steps or in Python floats by _illinois_one (as a
+    # single-point search refines its root), gives its root the bits of
+    # its row of a batch, also where a step falls back to halving
+    from glstar.functions import _illinois, _illinois_one
     fn, lo, hi, flo, fhi = _illinois_brackets(np.random.default_rng(4), 245)
     batch = _illinois(fn, lo, hi, flo, fhi, rtol)
+    opened = np.flatnonzero(np.sign(flo) * np.sign(fhi) < 0).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floats = [_illinois_one(
+            lambda x, j=j: float(fn(np.array([x]), np.array([j]))[0]),
+            *(float(v[j]) for v in (lo, hi, flo, fhi)), rtol) for j in opened]
+    np.testing.assert_array_equal(batch[opened], floats)
     rows, halved = [], 0
     for j in range(lo.size):
         seen = []

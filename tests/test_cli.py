@@ -263,18 +263,18 @@ def _star_set_configs():
 # that moves a byte fails
 VERIFY_SHA256 = {
     "clifford":
-        "43fce9376b5519b02877184e415150737cb7b0888870eadcbd9e224c73125356",
+        "b60ec0dd732a7279429e5b1e3c9e3b6a18d6271ed02e7a7b1f0f7c9d39faa7a3",
     "symmetric":
-        "e7861a9f63e0d33fb70fbfa86a59a268453e501fdf1b96a698b32be0aed028bd",
-    "fg": "394fb32e9bd01cb2474628bf9969ee3e54959753212659077feea86d9874461e",
+        "ba834352b4c857bf37a13cc43a813c4660ef42102ed15651e69b72a40d4d620b",
+    "fg": "a32762520f4b45a59e26a2c404ae3498ae3a7f1b2b12d469fca5f62f6c5962a2",
     "builtin":
-        "163be1f8a7e0f5876baa63f3982e02864b658ad2d306e06b527fd63549368dca",
+        "2dc6b29cb39d316f5892ecd06f11fa4a3cb092c3f2f40b18b2ab2ca93ab769ac",
     "latitudinal":
-        "dc51f20604dd6156b37475aa0473e3cdb7c76ed9705de1d6921e8046fb64e27c",
+        "faa3307234326533d0cf3307c6405c3544f197551f1d1c3ce1dd7ce9173358f7",
     "parabola":
-        "c5da35c4a3204fc887566ba117cb6ca5c47db932b282a434de65495cab23acbf",
+        "e292261c9f2b9eecb94bc4bd3db5f36c13f4f4d2fef1d4e0f5ae60767bec9083",
     "clifford-off":
-        "fec918e82c991caaa5806ca7ee034397be3e249dcb0abed295478675e12c97ea",
+        "eeeca4ee82c2c9d6a158b33ec443f5ef920be823ec4ab346bc089063ce50f698",
 }
 
 

@@ -882,10 +882,11 @@ def _height_probes(knots, rng):
 
 
 def test_one_height_equals_its_row_of_a_batch(monkeypatch):
-    # one height is inverted in Python floats, a batch in numpy: both give
-    # each height the same bits, knot heights (which bisect) included; only
-    # the heights 1, 2, -2 and -inf, whose float steps would divide by zero
-    # or take the root of a negative number, are answered by the batch
+    # one Python float is inverted in floats, an array, of one element or
+    # more, in numpy: both give each height the same bits, knot heights
+    # (which bisect) included; of the floats only the heights 1, 2, -2 and
+    # -inf, whose float steps would divide by zero or take the root of a
+    # negative number, are answered by the batch
     searches, searchsorted = [], np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda *args, **kwargs: (
         searches.append(1) or searchsorted(*args, **kwargs)))
@@ -906,15 +907,15 @@ def test_one_height_equals_its_row_of_a_batch(monkeypatch):
             with np.errstate(divide="ignore", invalid="ignore"):
                 batch = inv.inverse(y)
                 searches.clear()
-                rows = [inv.inverse(np.array([v])) for v in y]
+                points = [inv.inverse(v) for v in y.tolist()]
                 assert len(searches) == 4
-                points = [inv.inverse(np.float64(v)) for v in y[:50]]
+                rows = [inv.inverse(np.array([v])) for v in y[:50]]
+            assert {type(p) for p in points} == {float}
             assert {r.shape for r in rows} == {(1,)}
-            assert {p.shape for p in points} == {()}
             np.testing.assert_array_equal(
-                batch.view(np.uint64), np.concatenate(rows).view(np.uint64))
+                batch.view(np.uint64), np.array(points).view(np.uint64))
             np.testing.assert_array_equal(batch[:50].view(np.uint64),
-                                          np.array(points).view(np.uint64))
+                                          np.concatenate(rows).view(np.uint64))
             assert np.isfinite(batch[:-5]).sum() == batch.size - 6
 
 

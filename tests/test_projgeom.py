@@ -132,6 +132,13 @@ def test_pline_rejects_invalid_plucker():
         PLine(np.array([1.0, 0, 0, 1.0, 0, 0]))  # p01*p23 != 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pline_rejects_a_non_finite_vector(bad):
+    # a NaN fails no relation test, and inf reads as a line that meets Z
+    with pytest.raises(errors.InvalidInput, match="non-finite"):
+        PLine(np.array([bad, 1.0, 0.0, 0.0, 0.0, 0.0]))
+
+
 # --- klein form ------------------------------------------------------------
 
 def test_klein_self_pairing_zero():

@@ -30,6 +30,8 @@ from glstar.functions import (
 )
 from glstar.projgeom import (
     col_clip,
+    col_join,
+    col_line_distance,
     col_sign,
     col_sqrt,
     col_ufunc,
@@ -39,7 +41,7 @@ from glstar.projgeom import (
     row_norm,
 )
 from glstar.parallelism import _h_line, _ratio
-from glstar.search import _chord_azimuth, _covering, _rejection, _residual
+from glstar.search import _chord_azimuth, _covering, _residual
 from glstar.star import (
     RotationalProfile,
     _snap_radicand,
@@ -47,8 +49,11 @@ from glstar.star import (
     rotate_z,
 )
 
+from grid_search import rejection
+
 given = pytest.importorskip("hypothesis").given
 example = pytest.importorskip("hypothesis").example
+assume = pytest.importorskip("hypothesis").assume
 st = pytest.importorskip("hypothesis.strategies")
 
 # --- parse_config ---------------------------------------------------------------
@@ -418,7 +423,7 @@ _PARABOLA_SEQUENCE = example_parabola_sequence()
 # (kernel of columns, number of columns, its output as a tuple of columns)
 KERNELS = {
     "covering": (lambda c: (_covering(*c),), 7),
-    "rejection": (lambda c: tuple(_rejection(*_vectors(4)(c))), 12),
+    "line_distance": (lambda c: (col_line_distance(c[:6], c[6:]),), 10),
     "residual": (lambda c: (_residual(*_vectors(4)(c)),), 12),
     "chord_azimuth": (lambda c: (_chord_azimuth(*_vectors(4)(c)),), 12),
     "fit": (lambda c: tuple(_fit(*c)), 4),
@@ -459,6 +464,42 @@ def test_column_kernel_of_floats_is_its_batch_row(name, data):
                 continue
             assert {type(v) for v in one} == {float}, one
             assert _same_bits(one, batch[:, j]), (row, one, batch[:, j])
+
+
+# coordinates in [-1, 1], those below 2^-60 taken to 0, so that no square
+# of a product of three of them, scaled by 2^200 or 2^-200, leaves the
+# normal range
+BOX = st.floats(-1.0, 1.0).map(lambda x: x if abs(x) > 2.0 ** -60 else 0.0)
+BOX_VECTORS = st.lists(BOX, min_size=4, max_size=4)
+
+
+@given(A=BOX_VECTORS, D=BOX_VECTORS, w=BOX_VECTORS,
+       on=st.none() | st.tuples(BOX, BOX), near=st.integers(0, 40),
+       scale=st.sampled_from([-200, -100, 100, 200]))
+@example(A=[1.0, 0.0, 0.0, 0.0], D=[0.0, 1.0, 0.0, 0.0],
+         w=[0.0, 0.0, 1.0, 0.0], on=(0.6, 0.8), near=0, scale=200)
+def test_line_distance_is_the_gram_schmidt_rejection(A, D, w, on, near,
+                                                     scale):
+    # the distance of a unit w from the line A v B by its Plücker vector
+    # is the norm of w's rejection from the Gram-Schmidt frame of A and B
+    # (the reference search's) to a few ulps of the problem's condition
+    # 1 + 1 / sin(A, B): for w on the line (on), for B = A + 2^-near D next
+    # to A, and bit for bit the same for a huge or a tiny p = 2^scale A v B
+    B = [a + 2.0 ** -near * d for a, d in zip(A, D)]
+    if on is not None:
+        w = [on[0] * a + on[1] * b for a, b in zip(A, B)]
+    na, nb, nw = (float(np.linalg.norm(v)) for v in (A, B, w))
+    p = col_join(A, B)
+    sin = float(np.linalg.norm(p)) / (na * nb) if na * nb else 0.0
+    assume(min(na, nb, nw) > 0.1 and sin > 1e-12)
+    w = [x / nw for x in w]
+    d = col_line_distance(p, w)
+    assert d == col_line_distance([2.0 ** scale * x for x in p], w)
+    ref = float(np.linalg.norm(rejection(w, A, B)))
+    assert abs(d - ref) <= 4.0 * np.finfo(float).eps * (1.0 + 1.0 / sin), (
+        d, ref, sin)
+    if on is not None:
+        assert d <= 4.0 * np.finfo(float).eps * (1.0 + 1.0 / sin)
 
 
 # the steps of the column kernels that differ between a float and an array

@@ -24,7 +24,7 @@ from glstar.search import (
     StarLineSearch,
     _chord_azimuth,
     _covering,
-    _rejection,
+    _residual,
 )
 from glstar.star import (
     PROFILE_GRID,
@@ -459,8 +459,8 @@ def test_find_equals_its_row_at_the_edges_of_the_float_path(seven_stars):
     # one point on a profile star runs in Python floats and leaves to the
     # batch what the batch must answer: points on Z (whose covering
     # function ends at 0), points in the plane z = 0 (a zero at the
-    # horizontal star t = 0 of the grid), and a chord whose frame divides by
-    # zero.  Each probe, either way, gives its row of a many-row find_batch
+    # horizontal star t = 0 of the grid), and a chord that spans no line
+    # (a zero Plücker vector).  Each probe, either way, gives its row of a many-row find_batch
     # bit for bit, as do sphere points and interior points
     q = np.random.default_rng(30).normal(size=(12, 3))
     q /= np.linalg.norm(q, axis=1)[:, None]
@@ -492,7 +492,7 @@ def test_find_equals_its_row_at_the_edges_of_the_float_path(seven_stars):
             assert search._find_one(w, LINE_TOL) is None, (name, w)
         assert search._find_one(W[-2].tolist(), LINE_TOL) is not None, name
     # sigma = identity on builtin's profile: every chord is a fixed point
-    # (B = A), and its frame divides by zero on some of these points
+    # (B = A), whose Plücker vector is zero, so its residual is NaN
     builtin = seven_stars["builtin"]
     fixed = GlStar("fixed points", lambda q: np.asarray(q, float),
                    profile=builtin.line_profile)
@@ -503,10 +503,9 @@ def test_find_equals_its_row_at_the_edges_of_the_float_path(seven_stars):
     owner, t, theta = search._profile_params(U)
     A, B = fixed.chord(t, theta)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rej = _rejection(U[owner].T, A.T, B.T)
-    nan = owner[np.isnan(rej).any(axis=0)]
-    assert nan.size, "no probe has a frame that divides by zero"
-    for j in nan.tolist():
+        res = _residual(U[owner].T, A.T, B.T)
+    assert owner.size and np.isnan(res).all()
+    for j in np.unique(owner).tolist():
         assert search._find_one(P[j].tolist(), LINE_TOL) is None
     same_as_rows(search, P)
 

@@ -55,6 +55,14 @@ def test_fibonacci_sphere_on_sphere():
 # --- meridian lines ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 1.0])
+def test_meridian_line_of_a_profile_is_its_stars(t):
+    # a profile star's sigma completes the profile's own meridian image
+    star = symmetric_star(moebius01())
+    assert projective_distance(meridian_line(star.profile, t).p,
+                               meridian_line(star, t).p) < 1e-12
+
+
 def test_meridian_line_endpoints():
     s = symmetric_star(moebius01())
     assert projective_distance(meridian_line(s, 0.0).p, X_AXIS.p) < 1e-9
@@ -112,6 +120,19 @@ def test_ordinary_star_lines_through_origin():
 def test_handedness_axis():
     assert handedness_of(Z_AXIS) is Handedness.MEETS_AXIS
     assert handedness_of(X_AXIS) is Handedness.MEETS_AXIS
+
+
+def test_only_a_regulus_has_a_sign():
+    assert Handedness.RIGHT.sign == 1.0 and Handedness.LEFT.sign == -1.0
+    with pytest.raises(InvalidInput, match="no regulus sign"):
+        Handedness.MEETS_AXIS.sign
+
+
+def test_handedness_of_a_horizontal_line_missing_the_axis_is_refused():
+    # the line x = 1, z = 1 misses Z and has no sense of increasing z
+    L = join(np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(InvalidInput, match="horizontal line"):
+        handedness_of(L)
 
 
 def test_handedness_fg_right():
@@ -250,6 +271,20 @@ def test_surface_entry_rejects_nan_coefficients(kind, a, c):
         SurfaceEntry(kind, a=a, c=c)
 
 
+@pytest.mark.parametrize("kind, a, c, match", [
+    ("sphere", 1.0, 0.0, "unknown surface kind"),
+    ("cone", 1.0, 0.5, "a cone has c = 0")])
+def test_surface_entry_rejects_a_bad_kind_or_cone(kind, a, c, match):
+    with pytest.raises(InvalidInput, match=match):
+        SurfaceEntry(kind, a=a, c=c)
+
+
+@pytest.mark.parametrize("t", [-1e-9, 1.0 + 1e-9, np.nan])
+def test_entry_at_refuses_a_parameter_outside_the_unit_interval(t):
+    with pytest.raises(InvalidInput, match="must lie in"):
+        symmetric_star(moebius01()).profile.entry_at(t)
+
+
 def test_rotational_sigma_rejects_a_nan_height():
     def mer(t):
         t = np.atleast_1d(np.asarray(t, float))
@@ -354,6 +389,12 @@ def test_surface_mesh_hyperboloid():
     verts, faces = surface_mesh(entry, 16, 32)
     assert np.max(np.abs(entry.residual(verts))) < 1e-9
     assert len(faces) == 15 * 32 * 2
+
+
+def test_surface_mesh_horizontal_star_degenerate():
+    verts, faces = surface_mesh(SurfaceEntry("horizontal_star"), 8, 8)
+    assert faces.size == 0
+    assert np.allclose(verts[:, 1:], 0.0) and np.ptp(verts[:, 0]) == 4.0
 
 
 def test_surface_mesh_axis_degenerate():

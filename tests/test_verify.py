@@ -565,18 +565,18 @@ def _suite_text(star):
 # any change to a check that moves a byte fails
 SUITE_SHA256 = {
     "clifford":
-        "55648691ca41a6bfd9f1456e204a9161bc1384d421c471464b30917ea340de15",
+        "11e1bdeb67fdee7e7e9f6c416947014e5c485d8f48742fcd611256c72bf5aab2",
     "symmetric":
-        "6657bbd716d7f6285e2823df9082a41b62bccd1a29f5c53f3424e63f33686de5",
-    "fg": "324c60ddc178669831c0842504a9eac84239983621ba85b29e12149cdd1c7bc3",
+        "7b5cd9d8ce2ce3103234547c7440bc0f3634402e72b9a9f6a319744ca9bc4865",
+    "fg": "6e7a4756cf8dc7c3a8e72884b69e937ee6f21a7f595c0cdf015898145cf26941",
     "builtin":
-        "03a8caadbcca78c0d181ce035d911825505db2c4e02ee5b8e3399b2a80ae46b9",
+        "fec0ead11c4e490c549f9beed39fd9f23cbb006976e7a8a73f54ebcb093aa97d",
     "latitudinal":
-        "2b96abc17c8d4b666cd7ca4f8d96480be00837ab7dbf4d0c084f8f6d053676c0",
+        "55b76704a7cef7f5ada7f075a3f030ef40e80e8d4a55711982f0fec542ffb297",
     "parabola":
-        "315490507b94d3c6c90e3fd08a96aeac5269d5ea68b97ce14fd68544099dbcdb",
+        "5ef2d36e6dca0a04c412aac2e61deee499b2fe09b529a89255ebd30dee144c03",
     "clifford-off":
-        "a331268e7d026212862efec2986a44b33e764dac13079c636029e30b017e972d",
+        "ca441625265310fabc72b4a6be3a423c6c0a1552eb18e9f01aa721c4fec06bf3",
 }
 
 
