@@ -284,10 +284,9 @@ def cmd_export(cfg: StarConfig, lines=None, mesh=None, hfd=None,
                 return 2
             with open(mesh, "w", newline="\n") as fh:
                 offset = 0
+                # each t in (0, 1) is a cone or a hyperboloid
                 for t in np.linspace(0.1, 0.9, 8):
                     entry = profile.entry_at(float(t))
-                    if entry.kind not in ("cone", "hyperboloid"):
-                        continue
                     verts, faces = surface_mesh(entry, 24, 48)
                     fh.write(f"o surface_t{t:.3f}\n")
                     fh.write(_rows_text(verts, sep=" ", prefix="v "))
@@ -458,9 +457,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         return cmd_export(cfg, lines=args.lines, mesh=args.mesh, hfd=args.hfd)
-    if args.command == "parallel":
-        return cmd_parallel(cfg, args.line, args.point)
-    return 2  # pragma: no cover
+    return cmd_parallel(cfg, args.line, args.point)  # the one command left
 
 
 if __name__ == "__main__":

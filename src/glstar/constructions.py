@@ -2,9 +2,12 @@
 family's hypotheses.
 
 Limit hypotheses (values required to approach a limit as a parameter tends
-to an interval end) are unverifiable numerically; they are checked at the
-three smallest grid points with a relative band of 5% (``LIMIT_BAND``),
-the testable surrogate for a convergence claim.
+to an interval end) are unverifiable numerically; they are checked near
+that end with a band of 5% (``LIMIT_BAND``), the testable surrogate for a
+convergence claim: ``symmetric_star``'s t -> 0 limit at ``LIMIT_POINTS``,
+and the a -> 0 limits of ``eqn_star`` and ``param_star`` at the three
+smallest slopes of their grid.  Every failed hypothesis is reported by
+``functions._require``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConditionFailed, InvalidCenter, InvalidInput
+from .errors import InvalidCenter, InvalidInput
 from .functions import LOG_TABLE_RANGE, Fn1, _require, as_fn1, check_increasing
 from .projgeom import (
     col_clip,
@@ -103,7 +106,7 @@ def clifford(center=(0.0, 0.0, 0.0)) -> GlStar:
     c = np.asarray(center, float)
     if c.shape != (3,):
         raise InvalidInput("center must be a 3-vector")
-    if np.linalg.norm(c) >= 1.0:
+    if not np.linalg.norm(c) < 1.0:  # NaN is not interior either
         raise InvalidCenter(f"center {c.tolist()} is not strictly interior")
 
     @on_unit_sphere
@@ -143,13 +146,14 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
     _require(c2 >= -1e-12 * (1.0 + av * av), "(1): t^2 <= a^2/(1+a^2) fails",
              t)
 
-    for tk in LIMIT_POINTS:
-        ak = float(a_fn(np.array([tk]))[0])
+    # a slope that vanishes at a limit point gives v = inf, which fails
+    tk = np.array(LIMIT_POINTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ak = np.asarray(a_fn(tk), float)
         v = tk * tk * (1.0 + ak * ak) / (ak * ak)
-        if not abs(v - 1.0) <= LIMIT_BAND:
-            raise ConditionFailed(
-                f"(2): t^2(1+a^2)/a^2 = {v:.6g} at t={tk:g}, not within "
-                f"{LIMIT_BAND:.0%} of 1", witness=tk)
+    _require(abs(v - 1.0) <= LIMIT_BAND, lambda i: (
+        f"(2): t^2(1+a^2)/a^2 = {v[i]:.6g} at t={LIMIT_POINTS[i]:g}, not "
+        f"within {LIMIT_BAND:.0%} of 1"), LIMIT_POINTS)
 
     def abc(tt):
         # a(1) may be inf (it is for moebius01), and then c^2 is inf - inf:
@@ -324,12 +328,9 @@ def _check_eqn_hypotheses(bc):
     bv = _check_eqn_1_to_3(bc)
     x, z = _exterior_probes()
     counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
-    ok = counts <= 1
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ConditionFailed(
-            f"(4): exterior point lies on {counts[i]} surfaces H_a",
-            witness=(float(x[i]), float(z[i])))
+    _require(counts <= 1,
+             lambda i: f"(4): exterior point lies on {counts[i]} surfaces H_a",
+             lambda i: (x[i], z[i]))
     return bv
 
 
@@ -348,12 +349,9 @@ def _check_eqn_1_to_3(bc):
 
     x, z = _circle_probes(bc)
     counts = positive_root_count(_surface_fn(bc, x, z), n_probes=x.size)
-    ok = counts == 1
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ConditionFailed(
-            f"(3): circle point lies on {counts[i]} surfaces H_a, expected 1",
-            witness=(float(x[i]), float(z[i])))
+    _require(counts == 1, lambda i: (
+        f"(3): circle point lies on {counts[i]} surfaces H_a, expected 1"),
+        lambda i: (x[i], z[i]))
     return bv
 
 
@@ -419,12 +417,10 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
                  None)
         _require(v < 1.0, f"{name} must take values below 1", ag)
 
-    for k in range(3):
-        v = (tv[k] + sv[k]) / (2.0 * ag[k])
-        if not abs(v - 1.0) <= LIMIT_BAND:
-            raise ConditionFailed(
-                f"(1): (t+s)/(2a) = {v:.6g} at a={ag[k]:g}, not within "
-                f"{LIMIT_BAND:.0%} of 1", witness=float(ag[k]))
+    v = (tv[:3] + sv[:3]) / (2.0 * ag[:3])
+    _require(abs(v - 1.0) <= LIMIT_BAND, lambda k: (
+        f"(1): (t+s)/(2a) = {v[k]:.6g} at a={ag[k]:g}, not within "
+        f"{LIMIT_BAND:.0%} of 1"), ag)
 
     lhs = ag * ag / (ag * ag + 1.0) - tv * sv
     rhs = (ag * ag + 1.0) * ((tv - sv) / 2.0) ** 2
@@ -434,11 +430,9 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     x, z = _exterior_probes()
     counts = positive_root_count(
         lambda a, k: h_value(t_fn, s_fn, x[k], z[k], a), n_probes=x.size)
-    ok = counts <= 1
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ConditionFailed(f"(3): h_{{x,z}} has {counts[i]} positive roots",
-                              witness=(float(x[i]), float(z[i])))
+    _require(counts <= 1,
+             lambda i: f"(3): h_{{x,z}} has {counts[i]} positive roots",
+             lambda i: (x[i], z[i]))
 
     # h_{x,z} counts the same roots as eqn_star's exterior probe (4) on the
     # same probes, so only (1)-(3) of eqn_star are left to check
@@ -695,12 +689,10 @@ def _check_sequence(seq: ParabolaSeq):
     lo, hi = seq.arc_intersections()
     split = (lo < 0.0) & (0.0 < hi)
     on_arc = (lo >= -1.0 - 1e-9) & (hi <= 1.0 + 1e-9)
-    if not np.all(split & on_arc):
-        i = int(np.argmin(split & on_arc))
-        raise ConditionFailed(
-            "(3): arc intersections must be separated by the v-axis"
-            if not split[i] else "(3): arc intersections must lie on the arc",
-            witness=i)
+    _require(split & on_arc, lambda i: (
+        "(3): arc intersections must lie on the arc" if split[i] else
+        "(3): arc intersections must be separated by the v-axis"),
+        range(len(seq)))
     _require((hi[1:] > hi[:-1]) & (lo[1:] < lo[:-1]),
              "(3): consecutive arc intersections must nest outward "
              "(heights on the circle increase with the slope)", range(len(seq)))
@@ -716,11 +708,9 @@ def _check_sequence(seq: ParabolaSeq):
     v = al[:-1, None] * (u - be[:-1, None]) ** 2 + ga[:-1, None]
     inside = (np.abs(u) <= 1.0 + 1e-9) & (-1e-9 <= v) & (v <= 1.0 - u * u + 1e-9)
     ok = np.isnan(u) | inside | np.all(np.abs(d) <= 1e-8, axis=0)[:, None]
-    if not ok.all():
-        i, j = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ConditionFailed(
-            "(4): consecutive parabolas intersect outside the bounded region",
-            witness=(int(i), float(u[i, j]), float(v[i, j])))
+    # the witness of root j of pair i, at flat index 2 i + j
+    _require(ok, "(4): consecutive parabolas intersect outside the bounded "
+             "region", lambda k: (k // 2, u.flat[k], v.flat[k]))
 
 
 # The relative step past each knot slope at which (3) is also checked:

@@ -481,15 +481,22 @@ def _plain(w):
 
 def _require(ok, condition, witnesses):
     """Raise ConditionFailed(condition) unless ok, what must hold, is True
-    everywhere (NaN comparisons are False, so NaN fails it).  ok is one
-    verdict, whose witness is ``witnesses`` itself, or an array of verdicts
-    with one witness per sample, of which the first failing one's is
-    reported; None reports none."""
+    everywhere (NaN comparisons are False, so NaN fails it): the one place
+    a failed hypothesis is reported.  ok is one verdict, whose witness is
+    ``witnesses`` itself, or an array of verdicts with one witness per
+    sample, of which the first failing one's is reported; None reports
+    none.  A callable condition or witnesses is called with the first
+    failing sample's flat index, for a message or witness that names it."""
     ok = np.asarray(ok, bool)
     if ok.all():
         return
-    if ok.ndim:
-        witnesses = None if witnesses is None else witnesses[int(np.argmin(ok))]
+    i = int(np.argmin(ok))
+    if callable(condition):
+        condition = condition(i)
+    if callable(witnesses):
+        witnesses = witnesses(i)
+    elif ok.ndim and witnesses is not None:
+        witnesses = witnesses[i]
     raise ConditionFailed(condition,
                           None if witnesses is None else _plain(witnesses))
 

@@ -51,13 +51,17 @@ from .errors import (
 )
 from .projgeom import (
     _RANK_RTOL,
+    _SWAP,
     SIGNATURE_CUTOFF,
     HPoint,
     PLine,
     QuadricForm,
     Subspace,
+    _plucker,
+    _vec,
     col_dot,
     col_join,
+    col_klein,
     col_line_distance,
     col_sqrt,
     col_where,
@@ -78,8 +82,6 @@ _KLEIN = QuadricForm.klein()
 # d_i = e_i + e_{i+3} and d_{i+3} = e_i - e_{i+3} (+ 0.0: no signed zeros)
 _D = np.block([[np.eye(3), np.eye(3)], [np.eye(3), -np.eye(3)]]) + 0.0
 _D_INV = _D.T / 2.0  # columns are orthogonal of squared length 2
-# the dual (swapped) Plücker vector: 2 g(k, l) = k . l[_SWAP]
-_SWAP = [3, 4, 5, 0, 1, 2]
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,10 @@ class ParallelClass:
 
     def contains_klein(self, k, tol: float = 1e-7) -> bool:
         # the rows of 2 G h_span (G is half a permutation) are orthonormal
-        # and span W's complement: 2 |h G k| is k's rejection from W
-        k = np.asarray(k, float)
-        return bool(2.0 * np.linalg.norm(self.h_span @ _KLEIN.matrix @ k)
-                    <= tol * np.linalg.norm(k))
+        # and span W's complement: 2 |g(h_i, k)| is k's rejection from W
+        k = _vec(_plucker(k), "Klein vector")
+        r = [2.0 * col_klein(h, k.tolist()) for h in self.h_span.tolist()]
+        return bool(col_sqrt(col_dot(r, r)) <= tol * np.linalg.norm(k))
 
     def same_as(self, other: "ParallelClass", tol: float = 1e-7) -> bool:
         return Subspace(self.h_span).same_as(Subspace(other.h_span), tol=tol)
@@ -189,18 +191,13 @@ def _h_line(A, B):
     return rows, sin2
 
 
-def _g(u, v):
-    """The Klein form g(u, v) = u . v[_SWAP] / 2, of columns."""
-    return 0.5 * col_dot(u, [v[i] for i in _SWAP])
-
-
 def _ratio(s1, s2):
     """_secant_ratio of one span (s1, s2), of columns: with p, q, r the
     entries of g's Gram on the span, m = (p + r) / 2 and d = (p - r) / 2,
     the eigenvalue of larger magnitude is lam = m +- sqrt(d^2 + q^2) (the
     sign of m), and the ratio is the determinant over lam^2.  A span with
     p = q = r = 0 gives NaN (in floats a ZeroDivisionError)."""
-    p, q, r = _g(s1, s1), _g(s1, s2), _g(s2, s2)
+    p, q, r = col_klein(s1, s1), col_klein(s1, s2), col_klein(s2, s2)
     m, d = 0.5 * (p + r), 0.5 * (p - r)
     root = col_sqrt(d * d + q * q)
     lam = m + col_where(m < 0.0, -root, root)
@@ -376,21 +373,15 @@ def torus_action(theta: float) -> np.ndarray:
 def check_torus_fixes_classes(es: EmbeddedStar, n: int = 50,
                               n_theta: int = 16, seed: int = 0,
                               tol: float = 1e-9) -> CheckReport:
-    """The circle acting on C is a g-isometry and fixes every H-line
-    (hence every parallel class) setwise: tol bounds the rejection of each
-    mapped unit row from its H-line's span, absolute on unit vectors."""
+    """The circle acting on C (a g-isometry, ``torus_action``) fixes every
+    H-line (hence every parallel class) setwise: tol bounds the rejection
+    of each mapped unit row from its H-line's span, absolute on unit
+    vectors."""
     check_sampling(min(n, n_theta), seed=seed)  # tol 0: report the worst
     S = HfdLineSet(es).samples(n, seed=seed)
     Q = S / row_norm(S)[..., None]
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     tau = np.stack([torus_action(theta) for theta in thetas])
-    G = _KLEIN.matrix
-    iso = np.abs(tau.transpose(0, 2, 1) @ G @ tau - G).max(axis=(1, 2))
-    broken = np.nonzero(iso > 1e-12)[0]
-    if broken.size:
-        k = broken[0]
-        return CheckReport("torus_fixes_classes", False, float(iso[k]),
-                           (thetas[k],), n * n_theta)
     # mapped[k, i] = Q[i] tau_k^T, rejected from the row space of Q[i]
     mapped = Q @ tau.transpose(0, 2, 1)[:, None]
     rej = mapped - (mapped @ Q.transpose(0, 2, 1)) @ Q

@@ -143,16 +143,16 @@ def col_quiet(**kwargs):
     return decorate
 
 
-def projective_distance(u, v) -> float:
-    """1 - |cos(angle)| between the spans of u and v; 0 iff projectively equal."""
-    u = np.asarray(u, float).ravel()
-    v = np.asarray(v, float).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+def projective_distance(u, v):
+    """1 - |cos(angle)| between the spans of u and v, 0 iff they are
+    projectively equal: a Python float for two vectors, and row by row
+    (``row_dot``, ``row_norm``) for stacked rows (..., k) of one shape."""
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    n = row_norm(u) * row_norm(v)
+    if not np.all(n):
         raise InvalidInput("projective distance of the zero vector")
-    c = abs(float(np.dot(u, v))) / (nu * nv)
-    return max(0.0, 1.0 - min(c, 1.0))
+    d = 1.0 - np.minimum(np.abs(row_dot(u, v)) / n, 1.0)
+    return float(d) if d.ndim == 0 else d
 
 
 def projectively_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
@@ -169,6 +169,8 @@ class HPoint:
         v = _vec(self.coords, "coords")
         if v.shape[0] not in (4, 6):
             raise InvalidInput(f"expected 4 or 6 coordinates, got {v.shape[0]}")
+        if not np.isfinite(v).all():
+            raise InvalidInput("non-finite coordinates")
         if not np.any(v):
             raise InvalidInput("zero vector is not a projective point")
         v.setflags(write=False)
@@ -192,8 +194,8 @@ def normalize(p) -> HPoint:
     nonzero entry is positive.  Idempotent; projectively a no-op."""
     v = np.array(p.coords if isinstance(p, HPoint) else p, dtype=float)
     m = np.max(np.abs(v))
-    if m == 0.0:
-        raise InvalidInput("cannot normalize the zero vector")
+    if not 0.0 < m < np.inf:  # NaN fails too
+        raise InvalidInput("cannot normalize a zero or non-finite vector")
     v /= m
     nz = np.nonzero(np.abs(v) > 1e-12)[0]
     if nz.size and v[nz[0]] < 0:
@@ -205,6 +207,8 @@ def normalize(p) -> HPoint:
 # Plücker lines of P^3
 
 _PLUCKER_REL_TOL = 1e-8
+# the dual (swapped) Plücker vector: 2 g(k, l) = k . l[_SWAP]
+_SWAP = [3, 4, 5, 0, 1, 2]
 
 
 @dataclass(frozen=True)
@@ -220,20 +224,16 @@ class PLine:
         if not np.isfinite(v).all():
             raise InvalidInput("non-finite Plücker vector")
         # the norm and relation tests read v scaled by a power of two, so
-        # that neither a huge nor a tiny vector overflows or underflows
-        s = pow2_scaled(v)
-        n2 = float(np.dot(s, s))
+        # that neither a huge nor a tiny vector overflows or underflows; the
+        # relation p01 p23 + p02 p31 + p03 p12 = 0 is g(v, v) = 0
+        s = pow2_scaled(v).tolist()
+        n2 = col_dot(s, s)
         if n2 == 0.0:
             raise InvalidInput("zero Plücker vector")
-        if abs(self.plucker_residual_of(s)) > _PLUCKER_REL_TOL * n2:
+        if abs(col_klein(s, s)) > _PLUCKER_REL_TOL * n2:
             raise InvalidInput("Plücker relation violated")
         v.setflags(write=False)
         object.__setattr__(self, "p", v)
-
-    @staticmethod
-    def plucker_residual_of(v) -> float:
-        v = np.asarray(v, float)
-        return float(v[0] * v[3] + v[1] * v[4] + v[2] * v[5])
 
     def __eq__(self, other):
         if not isinstance(other, PLine):
@@ -308,40 +308,36 @@ def col_line_distance(p, w):
     an isometry on its complement, so this is the norm of w's rejection
     (|w| times the distance for any w).  p.p and r.r must neither overflow
     nor underflow.  A zero p gives NaN (in floats a ZeroDivisionError)."""
-    p01, p02, p03, p23, p31, p12 = p
-    w0, w1, w2, w3 = w
-    r = (p23 * w1 + p31 * w2 + p12 * w3, p03 * w2 - p23 * w0 - p02 * w3,
-         p01 * w3 - p31 * w0 - p03 * w1, p02 * w1 - p12 * w0 - p01 * w2)
+    r = col_plucker_times([p[i] for i in _SWAP], w)
     return col_sqrt(col_dot(r, r) / col_dot(p, p))
 
 
-def _klein_matrix() -> np.ndarray:
-    G = np.zeros((6, 6))
-    for i in range(3):
-        G[i, i + 3] = G[i + 3, i] = 0.5
-    return G
+def col_plucker_times(k, u):
+    """plucker_matrix(k) u, of columns (six and four in, four out), its
+    structural zeros left out.  Of the swapped vector k[_SWAP] it is the
+    dual matrix P*(k) u."""
+    k0, k1, k2, k3, k4, k5 = k
+    u0, u1, u2, u3 = u
+    return (k0 * u1 + k1 * u2 + k2 * u3, k5 * u2 - k0 * u0 - k4 * u3,
+            k3 * u3 - k1 * u0 - k5 * u1, k4 * u1 - k2 * u0 - k3 * u2)
 
-_KLEIN_G = _klein_matrix()
-_KLEIN_G.setflags(write=False)
+
+def col_klein(u, v):
+    """The Klein form g(u, v) = u . v[_SWAP] / 2 of two Plücker vectors, of
+    columns: the library's one g.  It vanishes on (k, k) exactly when k is
+    the vector of a line, and on (k1, k2) exactly when the two lines meet."""
+    return 0.5 * col_dot(u, [v[i] for i in _SWAP])
 
 
 def klein_form(k1, k2) -> float:
-    """Symmetric bilinear pairing of two Klein 6-vectors.
-
-    Vanishes on (k, k) exactly when k is the image of an actual line, and on
-    (k1, k2) exactly when the two lines intersect.
-    """
-    return float(klein_form_batch(_vec(_plucker(k1)), _vec(_plucker(k2))))
+    """g of two Klein 6-vectors (``col_klein``) as a Python float."""
+    return col_klein(_vec(_plucker(k1)).tolist(), _vec(_plucker(k2)).tolist())
 
 
 def klein_form_batch(K1, K2):
-    K1 = np.asarray(K1, float)
-    K2 = np.asarray(K2, float)
-    return 0.5 * (
-        K1[..., 0] * K2[..., 3] + K1[..., 3] * K2[..., 0]
-        + K1[..., 1] * K2[..., 4] + K1[..., 4] * K2[..., 1]
-        + K1[..., 2] * K2[..., 5] + K1[..., 5] * K2[..., 2]
-    )
+    """g of stacked Klein vectors (..., 6), row by row (``col_klein``)."""
+    K1, K2 = np.broadcast_arrays(np.asarray(K1, float), np.asarray(K2, float))
+    return col_klein(K1.T, K2.T).T
 
 
 # Flat 4x4 positions (4 i + j) of p01, p02, p03, p23, p31, p12 at (i, j),
@@ -407,10 +403,8 @@ def plucker_basis(k):
         take = n > big
         best = [col_where(take, x, y) for x, y in zip(row, best)]
         big = col_where(take, n, big)
-    u0, u1, u2, u3 = first = _signed_unit(best, big)
-    # the matrix times the first, its structural zeros left out
-    v = (k0 * u1 + k1 * u2 + k2 * u3, k5 * u2 - k0 * u0 - k4 * u3,
-         k3 * u3 - k1 * u0 - k5 * u1, k4 * u1 - k2 * u0 - k3 * u2)
+    first = _signed_unit(best, big)
+    v = col_plucker_times(k, first)
     return first, _signed_unit(v, col_dot(v, v))
 
 
@@ -479,8 +473,6 @@ def _nullspace_rows(A):
     """Orthonormal basis (rows) of {x : A @ x = 0}."""
     A = np.atleast_2d(np.asarray(A, float))
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    if s.size == 0:
-        return vt
     r = int(np.sum(s > _RANK_RTOL * s[0]))
     return vt[r:]
 
@@ -514,8 +506,9 @@ class QuadricForm:
 
     @classmethod
     def klein(cls) -> "QuadricForm":
-        """The index-3 form of the Klein quadric in Plücker coordinates."""
-        return cls(_KLEIN_G)
+        """The index-3 form of the Klein quadric in Plücker coordinates: the
+        matrix of g (``col_klein``), half the permutation _SWAP."""
+        return cls(0.5 * np.eye(6)[_SWAP])
 
     def value(self, v) -> float:
         v = np.asarray(v, float)
@@ -531,8 +524,6 @@ class QuadricForm:
 
 def _eig_signature(w) -> tuple[int, int, int]:
     w = np.asarray(w, float)
-    if w.size == 0:
-        return (0, 0, 0)
     thr = SIGNATURE_CUTOFF * np.max(np.abs(w)) if np.max(np.abs(w)) > 0 else 0.0
     pos = int(np.sum(w > thr))
     neg = int(np.sum(w < -thr))
@@ -658,7 +649,8 @@ def lines_meet_point(L1, L2):
 
     Each line is a PLine, a Plücker vector or a tuple (A, B) of spanning
     points.  Stacked lines, (n, 6) vectors or tuples of two (n, 4) arrays,
-    give (W, found) for all n pairs at once, W (n, 4) unnormalized.
+    give (W, found) for all n pairs at once, W (n, 4) unnormalized.  A
+    non-finite vector or point raises InvalidInput.
 
     Closed form: lines meeting in W inside the plane pi have Plücker
     matrix L1 times dual matrix L2* equal to W pi^T, so W is its largest
@@ -670,11 +662,13 @@ def lines_meet_point(L1, L2):
     (theta' within _MEET_TOL too) have no single common point: None.
     """
     K1, K2 = _plucker(L1), _plucker(L2)
+    if not (np.isfinite(K1).all() and np.isfinite(K2).all()):
+        raise InvalidInput("non-finite Plücker vector")
     n1 = row_norm(K1)[..., None]
     n2 = row_norm(K2)[..., None]
     k1 = np.divide(K1, n1, out=np.zeros_like(K1), where=n1 > 0.0)
     k2 = np.divide(K2, n2, out=np.zeros_like(K2), where=n2 > 0.0)
-    P = plucker_matrix(k1) @ plucker_matrix(k2[..., [3, 4, 5, 0, 1, 2]])
+    P = plucker_matrix(k1) @ plucker_matrix(k2[..., _SWAP])
     Pt = np.swapaxes(P, -1, -2)  # rows of Pt: the columns of P
     col = np.argmax(row_dot(Pt, Pt), axis=-1)
     W = np.take_along_axis(P, col[..., None, None], axis=-1)[..., 0]

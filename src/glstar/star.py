@@ -519,6 +519,8 @@ def handedness_of(L) -> Handedness:
     RIGHT when x1*y2 - x2*y1 > 0, LEFT when < 0, MEETS_AXIS when it
     vanishes (the line meets Z, possibly at infinity)."""
     p = L.p if isinstance(L, PLine) else np.asarray(L, float)
+    if not np.isfinite(p).all():
+        raise InvalidInput("non-finite Plücker vector")
     scale = np.linalg.norm(p)
     det = p[5]  # p12 = x1*y2 - x2*y1 for any two spanning points
     if abs(det) < _MEETS_AXIS_TOL * scale:

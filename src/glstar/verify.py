@@ -22,6 +22,7 @@ from .projgeom import (
     klein_form_batch,
     lines_meet_point,
     normalize,
+    projective_distance,
     row_dot,
     row_norm,
 )
@@ -181,16 +182,14 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
 
 def _same_line(K1, K2, tol=1e-9):
     """Rows where the Plücker vectors K1 and K2 are parallel within tol."""
-    c = np.abs(row_dot(K1, K2)) / (row_norm(K1) * row_norm(K2))
-    return 1.0 - np.minimum(c, 1.0) < tol
+    return projective_distance(K1, K2) < tol
 
 
 def _near_shared_endpoint(W, chord1, chord2, tol=1e-3):
-    """Rows where the unit vector W is within tol (1 - |cos|) of an
-    endpoint of each chord."""
+    """Rows where W is within tol (``projective_distance``) of an endpoint
+    of each chord."""
     def near(P):
-        c = np.abs(row_dot(W, P)) / row_norm(P)
-        return 1.0 - np.minimum(c, 1.0) < tol
+        return projective_distance(W, P) < tol
 
     return (near(chord1[0]) | near(chord1[1])) & (near(chord2[0])
                                                   | near(chord2[1]))

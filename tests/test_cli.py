@@ -775,3 +775,73 @@ def test_export_out_option_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(["export", "--config", _config_file(tmp_path),
               "--out", str(tmp_path / "x.csv")])
+
+
+# --- the error paths of each command -------------------------------------------
+
+
+BAD_CENTER_CFG = '{"family":"clifford","center":[2,0,0]}'
+
+
+@pytest.mark.parametrize("command", ["export", "parallel"])
+def test_commands_report_a_failed_construction(tmp_path, command):
+    cfg, out = parse_config(BAD_CENTER_CFG), io.StringIO()
+    if command == "export":
+        code = cmd_export(cfg, lines=str(tmp_path / "x.csv"), out=out)
+    else:
+        code = cmd_parallel(cfg, "0,0,2;1,0,2", "0,3,0", out=out)
+    assert code == 2
+    assert out.getvalue() == ("CONSTRUCTION FAILED: center [2.0, 0.0, 0.0] "
+                              "is not strictly interior\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_export_mesh_of_a_star_without_a_profile(tmp_path):
+    # an off-axis Clifford star has no rotational profile
+    cfg, out = parse_config('{"family":"clifford","center":[0.3,0,0]}'), \
+        io.StringIO()
+    assert cmd_export(cfg, mesh=str(tmp_path / "m.obj"), out=out) == 2
+    assert out.getvalue() == ("CONSTRUCTION FAILED: star has no rotational "
+                              "profile to mesh\n")
+    assert not (tmp_path / "m.obj").exists()
+
+
+def test_parallel_reports_a_failed_query(monkeypatch):
+    from glstar.errors import SearchFailed
+
+    def fail(*args):
+        raise SearchFailed("no H-line found in the tangent hyperplane")
+
+    monkeypatch.setattr(cli.par, "parallel_through", fail)
+    out = io.StringIO()
+    assert cmd_parallel(parse_config(BUILTIN_CFG), "0,0,2;1,0,2", "0,3,0",
+                        out=out) == 3
+    assert out.getvalue() == ("QUERY FAILED: no H-line found in the tangent "
+                              "hyperplane\n")
+
+
+def test_main_reports_an_unreadable_config(tmp_path, capsys):
+    assert main(["construct", "--config", str(tmp_path / "none.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("IO ERROR: ") and err.count("\n") == 1
+
+
+def test_main_export_needs_something_to_write(tmp_path, capsys):
+    assert main(["export", "--config", _config_file(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("CONFIG ERROR: nothing to export (use "
+                                       "--lines/--mesh/--hfd)\n")
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    import runpy
+    import sys
+    import warnings
+
+    monkeypatch.setattr(sys, "argv", ["glstar", "construct", "--config",
+                                      _config_file(tmp_path)])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+        # runpy warns that it runs glstar.cli, imported already, again
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("glstar.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("OK family=clifford ")

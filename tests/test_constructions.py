@@ -77,6 +77,12 @@ def test_clifford_center_validation():
         clifford((0.8, 0.8, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clifford_refuses_a_non_finite_center(bad):
+    with pytest.raises(InvalidCenter, match="not strictly interior"):
+        clifford((bad, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0, 1.0),
                                     [[0.0, 0.0, 0.0]], 0.0])
 def test_clifford_center_must_be_a_3_vector(center):
@@ -391,6 +397,31 @@ def test_symmetric_rejects_the_tabulated_wrong_limit():
         symmetric_star(table(t, 2.0 * t / np.sqrt(1.0 - t * t)))
     assert str(err.value) == ("(2): t^2(1+a^2)/a^2 = 0.250075 at t=0.01, "
                               "not within 5% of 1 (witness: 0.01)")
+
+
+def test_symmetric_limit_of_a_slope_that_vanishes_at_a_limit_point():
+    # a(t) = t / sqrt(1 - t^2) above t = 5e-4 and 0 below: at t = 1e-4,
+    # below the check grid, t^2 (1 + a^2) / a^2 is inf, with no warning
+    def a(t):
+        t = np.asarray(t)
+        return np.where(t < 5e-4, 0.0, t / np.sqrt(np.clip(1 - t**2, 1e-300,
+                                                           None)))
+
+    with pytest.raises(ConditionFailed) as err:
+        symmetric_star(a)
+    assert str(err.value) == ("(2): t^2(1+a^2)/a^2 = inf at t=0.0001, not "
+                              "within 5% of 1 (witness: 0.0001)")
+    assert type(err.value.witness) is float
+
+
+def test_param_names_the_slope_where_its_limit_fails():
+    # t = s = 2a / (1 + 2a): (t + s) / (2a) -> 2 as a -> 0
+    h = as_fn1(lambda a: 2.0 * a / (1.0 + 2.0 * a), domain=(0.0, np.inf))
+    with pytest.raises(ConditionFailed) as err:
+        param_star(h, h)
+    assert str(err.value) == ("(1): (t+s)/(2a) = 1.99601 at a=0.001, not "
+                              "within 5% of 1 (witness: 0.001)")
+    assert type(err.value.witness) is float
 
 
 def test_param_rejects_non_homeomorphism():
@@ -796,6 +827,15 @@ def test_parabola_star_rejects_outside_intersection():
     assert i == 1
     assert u == pytest.approx(-18.696574715311456, rel=1e-9)
     assert v == pytest.approx(1650.8558044004799, rel=1e-9)
+
+
+def test_parabola_intersection_witness_is_plain_numbers():
+    # the pair index stays an int, the root and its height floats
+    seq = ParabolaSeq([18.0, 4.7, 4.66], [0.0, 0.043, 0.125],
+                      [0.0, 0.349, 0.043])
+    with pytest.raises(ConditionFailed) as err:
+        parabola_star(seq)
+    assert [type(w) for w in err.value.witness] == [int, float, float]
 
 
 def test_parabola_gamma_is_not_negative_at_a_knot_slope():

@@ -403,6 +403,13 @@ def test_contains_klein_matches_w_contains(seven_stars):
             assert cls.contains_klein(L.p) and cls.W.contains(L.p, tol=1e-7)
 
 
+def test_contains_klein_refuses_a_vector_that_is_no_klein_vector():
+    cls = class_from_hfd_line(PAR_BUILTIN.hfd.span_at(0.3, 2.0)[0])
+    for k in (np.ones(4), np.ones(7), np.ones((2, 6))):
+        with pytest.raises(InvalidInput):
+            cls.contains_klein(k)
+
+
 # --- parallel queries ----------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from glstar.projgeom import (
     join,
     join_batch,
     klein_form,
+    klein_form_batch,
     klein_lift,
     line_points,
     line_sphere_intersect,
@@ -522,3 +523,95 @@ def test_row_reductions_have_one_path():
                     and any(kw.arg == "axis" for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# --- typed errors and edge cases of the small types ---------------------------
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: HPoint(np.eye(4)), "one-dimensional"),
+    (lambda: HPoint([1.0, 2.0, 3.0]), "4 or 6 coordinates"),
+    (lambda: HPoint(np.zeros(4)), "zero vector"),
+    (lambda: HPoint([np.nan, 1.0, 0.0, 0.0]), "non-finite"),
+    (lambda: HPoint([np.inf, 1.0, 0.0, 0.0]), "non-finite"),
+    (lambda: normalize([np.inf, 1.0, 0.0, 0.0]), "non-finite"),
+    (lambda: normalize([np.nan, 1.0, 0.0, 0.0]), "non-finite"),
+    (lambda: normalize(np.zeros(4)), "zero"),
+    (lambda: PLine(np.ones(4)), "6 entries"),
+    (lambda: PLine(np.zeros(6)), "zero Plücker vector"),
+    (lambda: klein_form(np.ones(4), X_AXIS), "6 entries"),
+    (lambda: join((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), "points of P\\^3"),
+    (lambda: projective_distance(np.zeros(4), [1.0, 0.0, 0.0, 0.0]),
+     "zero vector"),
+    (lambda: Subspace(np.eye(3)), "\\(k, 4\\) or \\(k, 6\\)"),
+    (lambda: QuadricForm(np.ones((4, 6))), "4x4 or 6x6"),
+    (lambda: QuadricForm(np.triu(np.ones((4, 4)))), "symmetric"),
+    (lambda: polar(Subspace(np.zeros((0, 4))), SPHERE), "empty subspace"),
+    (lambda: polar(Subspace(np.eye(4)[:1]), KLEIN), "different dimensions"),
+    (lambda: meet(Subspace(np.eye(4)[:1]), Subspace(np.eye(6)[:1])),
+     "different ambient"),
+    (lambda: point_side(np.zeros(4), SPHERE), "no side"),
+    (lambda: second_intersection(Z_AXIS, (1.0, 1.0, 0.0, 0.0)),
+     "does not lie"),
+])
+def test_bad_input_raises_its_typed_error(make, match):
+    with pytest.raises(errors.InvalidInput, match=match):
+        make()
+
+
+def test_points_and_lines_compare_projectively():
+    assert HPoint([1.0, 0.0, 0.0, 0.0]).dim == 3
+    assert HPoint(np.ones(6)).dim == 5
+    assert HPoint([1.0, 2.0, 0.0, 0.0]) == HPoint([-2.0, -4.0, 0.0, 0.0])
+    assert HPoint([1.0, 2.0, 0.0, 0.0]) != "not a point"
+    assert PLine(2.0 * X_AXIS.p) == X_AXIS and X_AXIS != Z_AXIS
+    assert X_AXIS != "not a line"
+
+
+def test_projective_distance_of_stacked_rows_is_each_pair_s():
+    U = rng().normal(size=(5, 6))
+    V = rng().normal(size=(5, 6))
+    d = projective_distance(U, V)
+    assert d.shape == (5,)
+    for i in range(5):
+        assert d[i] == projective_distance(U[i], V[i])
+    assert isinstance(projective_distance(U[0], -3.0 * U[0]), float)
+
+
+def test_subspaces_of_no_rank_and_of_different_shapes():
+    empty = Subspace(np.zeros((0, 4)))
+    assert meet(empty, Subspace(np.eye(4))).rank == 0
+    assert signature_on(SPHERE, empty) == (0, 0, 0)
+    assert Subspace(np.eye(4)[:2]).contains(np.zeros(4))
+    assert not Subspace(np.eye(4)[:2]).same_as(Subspace(np.eye(4)[:3]))
+
+
+def test_line_sphere_intersect_from_a_point_on_the_sphere():
+    # the first spanning point (1, 0, 0) lies on the sphere: the other root
+    # is the antipode
+    pts = line_sphere_intersect(((1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+                                SPHERE)
+    assert len(pts) == 2
+    assert projective_distance(pts[0].coords, [1.0, 1.0, 0.0, 0.0]) < 1e-15
+    assert projective_distance(pts[1].coords, [1.0, -1.0, 0.0, 0.0]) < 1e-15
+
+
+def test_lines_meet_point_refuses_a_non_finite_vector():
+    for bad in (np.nan, np.inf):
+        k = np.array([bad, 1.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(errors.InvalidInput, match="non-finite"):
+            lines_meet_point(k, Z_AXIS)
+        with pytest.raises(errors.InvalidInput, match="non-finite"):
+            lines_meet_point(np.stack([Z_AXIS.p, k]), np.stack([X_AXIS.p] * 2))
+
+
+def test_klein_form_is_one_kernel_for_a_pair_and_for_rows():
+    K1 = rng().normal(size=(7, 6))
+    K2 = rng().normal(size=(7, 6))
+    g = klein_form_batch(K1, K2)
+    for i in range(7):
+        assert g[i] == klein_form(K1[i], K2[i])
+        assert np.isclose(g[i], K1[i] @ KLEIN.matrix @ K2[i],
+                          rtol=1e-13, atol=1e-14)
+    np.testing.assert_array_equal(klein_form_batch(K1, K2[0]),
+                                  [klein_form(k, K2[0]) for k in K1])

@@ -128,6 +128,12 @@ def test_only_a_regulus_has_a_sign():
         Handedness.MEETS_AXIS.sign
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_handedness_of_a_non_finite_vector_is_refused(bad):
+    with pytest.raises(InvalidInput, match="non-finite"):
+        handedness_of(np.array([bad, 1.0, 0.0, 0.0, 0.0, 0.0]))
+
+
 def test_handedness_of_a_horizontal_line_missing_the_axis_is_refused():
     # the line x = 1, z = 1 misses Z and has no sense of increasing z
     L = join(np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0]))
