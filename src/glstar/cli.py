@@ -248,11 +248,49 @@ def _line_rows(star, n: int):
     return np.column_stack([t, th, q, m])
 
 
+def _digits_text(rows, sep, prefix):
+    """_rows_text of an integer array with field "{}", built as bytes.  Each
+    value gets a cell of the prefix, '-', its digits at the widest value's
+    width, the separator and a newline.  A mask keeps the prefix of a row's
+    first value, the newline of its last and the separator of the others,
+    the '-' of negative values, and no leading zero; the kept bytes are the
+    text.  The digits are taken in int32 where every magnitude fits, else
+    in uint64 (the magnitude of -2**63 is 2**63)."""
+    n, c = rows.shape
+    neg = rows < 0
+    mag = rows.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    top = int(mag.max(initial=0))
+    mag = (mag.astype(np.int32) if top < 2 ** 31 else mag).ravel()
+    head, width = prefix.encode(), len(str(top))
+    units = len(head) + width  # the units digit's place in a cell
+    cell = head + b"-" + b"0" * width + sep.encode() + b"\n"
+    line = np.ones((c, len(cell)), bool)  # the mask of one row's cells
+    line[1:, :len(head)] = False
+    line[:-1, -1] = False
+    line[-1, units + 1:-1] = False
+    text = np.frombuffer(bytearray(cell * (n * c)), np.uint8)
+    kept = np.frombuffer(bytearray(line.tobytes() * n), bool)
+    text, kept = text.reshape(-1, len(cell)), kept.reshape(-1, len(cell))
+    kept[:, len(head)] = neg.ravel()
+    for j in range(units, len(head), -1):
+        np.not_equal(mag, 0, out=kept[:, j])
+        q = mag // 10
+        text[:, j] = mag - 10 * q + ord("0")
+        mag = q
+    kept[:, units] = True  # 0 is written "0"
+    return text[kept].tobytes().decode()
+
+
 def _rows_text(rows, field="{:.17g}", sep=",", prefix=""):
     """One line per row of a 2-d array, each value formatted by ``field``
-    (the default matches _g17).  Each distinct value is formatted once, all
-    in one ``str.format`` call (no number's text holds a newline); floats
-    are told apart by their bits, so -0.0 and every NaN keep their text."""
+    (the default matches _g17).  An integer array with field "{}" (and a
+    column) is written from its digits by ``_digits_text``.  Otherwise each
+    distinct value is formatted once, all in one ``str.format`` call (no
+    number's text holds a newline); floats are told apart by their bits,
+    so -0.0 and every NaN keep their text."""
+    if field == "{}" and rows.dtype.kind in "iu" and rows.shape[1]:
+        return _digits_text(rows, sep, prefix)
     flat = rows.ravel()
     keys = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
     distinct, inverse = np.unique(keys, return_inverse=True)

@@ -11,8 +11,8 @@ brackets) refines the roots of many scalar functions on a common grid
 (``bracket_roots``, used by the star-line search) and the targets of the
 table inverses; one bracket in Python floats (``_illinois_one``) takes
 the same step, one kernel on columns.  The root counts (``count_roots``)
-share bracket_roots' candidates but refine only the roots that could
-merge with a neighbour, which on a valid star is none.
+count each probe's candidates and locate roots, as bracket_roots does,
+only in the probes where two could merge, which on a valid star is none.
 """
 
 from __future__ import annotations
@@ -132,16 +132,21 @@ def _illinois_one(f, a, b, fa, fb, rtol):
         b, fb, w1, w2, w3 = x, fx, w, w1, w2
 
 
+def _grid_candidates(v):
+    """Masks of the grid zeros (n, g) of probes with values v (n, g) and of
+    the sign changes (n, g - 1) between neighbouring grid points."""
+    pos, neg = v > 0.0, v < 0.0
+    return v == 0.0, (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+
+
 def _root_candidates(v):
     """The candidate roots of probes with values v (n, g) on a grid, sorted
     by probe, then position: the grid zeros and the sign changes between
     neighbouring grid points.  Returns the probe k of each candidate, the
     grid index i of its lower end, and whether it is a bracket
     [grid[i], grid[i + 1]] rather than the zero grid[i]."""
-    pos, neg = v > 0.0, v < 0.0
     cand = np.zeros((v.shape[0], 2 * v.shape[1] - 1), bool)
-    cand[:, ::2] = v == 0.0
-    cand[:, 1::2] = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    cand[:, ::2], cand[:, 1::2] = _grid_candidates(v)
     k, p = np.nonzero(cand)
     return k, p // 2, p % 2 == 1
 
@@ -184,19 +189,31 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12):
 
 def count_roots(fn, grid, values, rtol: float = 1e-12):
     """The number of roots ``bracket_roots`` locates for each probe, as an
-    int array of length n, refining only the brackets that could merge.
+    int array of length n, locating roots only where two could merge.
 
-    A candidate can only merge with the previous one of its probe when the
-    lower bound of their distance, its lower end minus the previous upper
-    end, is within ``_CLUSTER_RTOL * max(1, |lo|, |hi|)`` of its own ends;
-    rounded subtraction and multiplication are monotone, so every other
-    candidate is a distinct root whatever the refinement would give.  Both
-    members of each pair that could merge are refined as ``bracket_roots``
-    refines them, and ``_illinois`` gives a bracket the same bits in any
-    batch, so the counts are ``bracket_roots``' exactly.
+    Each probe's candidates (grid zeros and sign changes) are counted, and
+    a probe that is zero on the whole grid counts 0.  A probe with fewer
+    than two candidates has that many roots; only the probes with two or
+    more are located.  There a candidate can only merge with the previous
+    one of its probe when the lower bound of their distance, its lower end
+    minus the previous upper end, is within
+    ``_CLUSTER_RTOL * max(1, |lo|, |hi|)`` of its own ends; rounded
+    subtraction and multiplication are monotone, so every other candidate
+    is a distinct root whatever the refinement would give.  Both members
+    of each pair that could merge are refined as ``bracket_roots`` refines
+    them, and ``_illinois`` gives a bracket the same bits in any batch, so
+    the counts are ``bracket_roots``' exactly.
     """
     grid = np.asarray(grid, float)
     v = np.asarray(values, float)
+    zero, change = _grid_candidates(v)
+    zeros = np.count_nonzero(zero, axis=1)
+    counts = zeros + np.count_nonzero(change, axis=1)
+    counts[zeros == v.shape[1]] = 0
+    merge = np.flatnonzero(counts > 1)
+    if not merge.size:
+        return counts
+    v = v[merge]
     k, i, br = _root_candidates(v)
     lo, hi = grid[i], grid[i + br]
     near = np.zeros(k.size, bool)
@@ -209,10 +226,11 @@ def count_roots(fn, grid, values, rtol: float = 1e-12):
     refine = br & (near | np.append(near[1:], False))
     x = lo
     if refine.any():
-        x[refine] = _refine(fn, grid, v, k[refine], i[refine], rtol)
-    new = ~near | _new_roots(k, x)
-    keep = new & np.any(v, axis=1)[k]
-    return np.bincount(k[keep], minlength=v.shape[0])
+        x[refine] = _refine(lambda a, j: fn(a, merge[j]), grid, v,
+                            k[refine], i[refine], rtol)
+    counts[merge] = np.bincount(k[~near | _new_roots(k, x)],
+                                minlength=merge.size)
+    return counts
 
 
 class TabulatedInverse:

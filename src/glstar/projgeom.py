@@ -146,8 +146,16 @@ def col_quiet(**kwargs):
 def projective_distance(u, v):
     """1 - |cos(angle)| between the spans of u and v, 0 iff they are
     projectively equal: a Python float for two vectors, and row by row
-    (``row_dot``, ``row_norm``) for stacked rows (..., k) of one shape."""
+    (``row_dot``, ``row_norm``) for stacked rows (..., k) of one shape.
+
+    Two vectors are each scaled by ``pow2_scaled`` first, which is exact,
+    so that no product overflows or underflows at any scale.  Stacked rows
+    are not scaled: verify's checks send thousands of rows of unit-scale
+    entries (``check_no_exterior_meet`` 5000 pairs of latitudinal), where
+    the scaling costs some six times the distance itself."""
     u, v = np.asarray(u, float), np.asarray(v, float)
+    if u.ndim == 1:
+        u, v = pow2_scaled(u), pow2_scaled(v)
     n = row_norm(u) * row_norm(v)
     if not np.all(n):
         raise InvalidInput("projective distance of the zero vector")

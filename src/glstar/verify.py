@@ -304,8 +304,10 @@ def positive_root_count(fn, a_grid=None, n_probes: int | None = None):
     if a_grid is None:
         a_grid = _ROOT_GRID
     a_grid = np.asarray(a_grid, float)
-    if a_grid.ndim != 1 or not np.all(np.diff(a_grid) > 0.0):
-        raise InvalidInput("a_grid must be a strictly increasing 1-d grid")
+    if (a_grid.ndim != 1 or not a_grid.size
+            or not np.all(np.diff(a_grid) > 0.0)):
+        raise InvalidInput("a_grid must be a strictly increasing 1-d grid "
+                           "of one point or more")
     v = np.asarray(fn(a_grid[None, :], np.arange(n)[:, None]), float)
     counts = count_roots(fn, a_grid, np.broadcast_to(v, (n, a_grid.size)))
     if n_probes is not None:

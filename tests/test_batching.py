@@ -274,6 +274,32 @@ def test_builds_refine_no_root_of_their_counts(monkeypatch):
     assert refined == []
 
 
+@pytest.mark.parametrize("build", [
+    builtin_example,
+    lambda: parabola_star(example_parabola_sequence()),
+], ids=["builtin", "parabola"])
+def test_builds_locate_no_root_of_their_counts(build, monkeypatch):
+    # no probe of a valid star has two candidate roots that could merge, so
+    # its root counts are the candidate counts and no root is located
+    from glstar import functions, verify
+    counts, located = [], []
+    count_roots, candidates = functions.count_roots, functions._root_candidates
+
+    def spy_count(*args, **kwargs):
+        counts.append(count_roots(*args, **kwargs))
+        return counts[-1]
+
+    def spy_candidates(v):
+        located.append(v.shape)
+        return candidates(v)
+
+    monkeypatch.setattr(verify, "count_roots", spy_count)
+    monkeypatch.setattr(functions, "_root_candidates", spy_candidates)
+    build()
+    assert len(counts) == 2
+    assert located == []
+
+
 def test_batched_root_counts_synthetic():
     # a^2 + 1, a - 3 and (a - 0.5)(a - 5): no, one and two positive roots
     P = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -3.0], [1.0, -5.5, 2.5]])

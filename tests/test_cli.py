@@ -406,6 +406,23 @@ def test_rows_text_equals_per_value_rendering():
     ints()
 
 
+def test_integer_rows_text_equals_per_value_str():
+    # digits in int32 below 2**31, in uint64 from there: every width, the
+    # extremes of int64 and uint64, 0, negative values, one column and no rows
+    top = 2 ** 63 - 1
+    arrays = [np.array([[top, -top - 1, -top, 0]]), np.array([[0]]),
+              np.array([[-7], [0], [12]]), np.zeros((0, 3), np.int64),
+              np.array([[2 ** 64 - 1, 0, 2 ** 63]], np.uint64),
+              np.array([[-5, 2 ** 31 - 1, -(2 ** 31)]], np.int32)]
+    for width in range(1, 20):
+        lo, hi = 10 ** (width - 1), min(10 ** width - 1, top)
+        arrays.append(np.array([[lo, -hi, 0], [-lo, hi, lo + 1]]))
+    for rows in arrays:
+        for sep, prefix in ((" ", "f "), (",", "")):
+            assert (cli._rows_text(rows, field="{}", sep=sep, prefix=prefix)
+                    == _per_value_text(rows, "{}", sep, prefix)), rows
+
+
 # --- parallel --------------------------------------------------------------------
 
 

@@ -358,3 +358,58 @@ def test_count_roots_refines_only_pairs_that_could_merge():
     assert set(evaluated) == {1, 2}
     k, _ = bracket_roots(fn, grid, v)
     assert np.bincount(k).tolist() == [3, 1, 2]
+
+
+def _counts_by_bracket(fn, grid, v):
+    k, _ = bracket_roots(fn, grid, v)
+    return np.bincount(k, minlength=len(v)).tolist()
+
+
+@pytest.mark.parametrize("grid,values", [
+    # one grid point: a lone grid zero on a probe that is zero everywhere
+    ([1.0], [[0.0], [-0.0], [2.0], [np.nan]]),
+    # a probe zero everywhere, a NaN probe and NaN holes around a root
+    (np.linspace(0.0, 1.0, 9), [np.zeros(9), np.full(9, np.nan),
+                                [np.nan, 1.0, 1.0, -1.0, np.nan, np.nan,
+                                 0.0, np.nan, -1.0]]),
+    # no probes
+    (np.linspace(0.0, 1.0, 9), np.zeros((0, 9))),
+], ids=["one-point-grid", "zero-and-nan-probes", "no-probes"])
+def test_count_roots_of_degenerate_probes_equals_bracket_roots(grid, values):
+    grid, v = np.asarray(grid, float), np.asarray(values, float)
+
+    def fn(a, k):  # each probe linear between its grid values
+        return np.array([np.interp(x, grid, v[i])
+                         for x, i in zip(np.ravel(a), np.ravel(k))])
+
+    counts = count_roots(fn, grid, v)
+    assert counts.shape == (len(v),)
+    assert counts.tolist() == _counts_by_bracket(fn, grid, v)
+
+
+def test_count_roots_of_lone_roots_beside_merging_pairs():
+    # probes 0, 2 and 4 have one root each and are not evaluated; probe 1
+    # has a pair of roots 2e-8 apart (one root) beside a distant one, and
+    # probe 3 a pair 4e-6 apart (two roots) and a grid zero
+    grid = np.geomspace(1e-4, 1e4, 512)
+    g = grid[300]
+    R = np.array([[2.0, 1.0, 1.0],
+                  [g * (1.0 - 1e-8), g * (1.0 + 1e-8), 50.0],
+                  [0.3, 1.0, 1.0],
+                  [g * (1.0 - 2e-6), g * (1.0 + 2e-6), grid[100]],
+                  [grid[20], 1.0, 1.0]])
+    M = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                  [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    evaluated = []
+
+    def fn(a, k):
+        evaluated.extend(np.ravel(k).tolist())
+        a = np.asarray(a, float)
+        return np.prod((a[..., None] - R[k]) ** M[k], axis=-1)
+
+    v = fn(grid[None, :], np.arange(5)[:, None])
+    evaluated.clear()
+    counts = count_roots(fn, grid, v)
+    assert counts.tolist() == [1, 2, 1, 3, 1]
+    assert set(evaluated) == {1, 3}
+    assert counts.tolist() == _counts_by_bracket(fn, grid, v)

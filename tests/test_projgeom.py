@@ -578,6 +578,25 @@ def test_projective_distance_of_stacked_rows_is_each_pair_s():
     assert isinstance(projective_distance(U[0], -3.0 * U[0]), float)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200],
+                         ids=["2^600", "2^-600", "1e200", "1e-200"])
+def test_projective_distance_of_two_vectors_is_scale_free(scale):
+    # unscaled, the products overflow (a warning, an error here) or
+    # underflow to a "zero vector"; a power of two keeps the bits
+    u, v = rng().normal(size=(2, 4))
+    k = np.array([1.0, 0.5, -0.25, 0.0, 0.0, 0.0])
+    assert HPoint(scale * u) == HPoint(u)
+    assert PLine(scale * k) == PLine(k)
+    assert PLine(scale * k) != X_AXIS
+    d = projective_distance(u, v)
+    if np.log2(scale).is_integer():
+        assert projective_distance(scale * u, v) == d
+        assert projective_distance(u, scale * v) == d
+    else:
+        assert abs(projective_distance(scale * u, v) - d) < 1e-15
+    assert projective_distance(scale * u, scale * u) < 1e-15
+
+
 def test_subspaces_of_no_rank_and_of_different_shapes():
     empty = Subspace(np.zeros((0, 4)))
     assert meet(empty, Subspace(np.eye(4))).rank == 0

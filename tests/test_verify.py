@@ -312,6 +312,12 @@ def test_positive_root_count_needs_an_increasing_grid(a_grid):
         positive_root_count(lambda a: np.asarray(a) - 1.5, a_grid=a_grid)
 
 
+def test_positive_root_count_refuses_an_empty_grid():
+    # a count of 0 would read as "no root"
+    with pytest.raises(InvalidInput, match="one point or more"):
+        positive_root_count(lambda a: np.asarray(a) - 1.5, a_grid=[])
+
+
 def test_descartes_bound():
     assert descartes_bound([1.0, -3.0, 2.0]) == 2
     assert descartes_bound([2, 7, 8, 5.25, 3.25, -3, -1.5]) == 1
