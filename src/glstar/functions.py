@@ -10,7 +10,9 @@ inverse is a ``TabulatedInverse`` built at its first inverse call.
 brackets) refines the roots of many scalar functions on a common grid
 (``bracket_roots``, used by the star-line search) and the targets of the
 table inverses; one bracket in Python floats (``_illinois_one``) takes
-the same step, one kernel on columns.  The root counts (``count_roots``)
+the same step, one kernel on columns.  ``bracket_roots`` may take the
+values at its brackets' ends from a callable, so that its grid need hold
+only the right signs.  The root counts (``count_roots``)
 count each probe's candidates and locate roots, as bracket_roots does,
 only in the probes where two could merge, which on a valid star is none.
 """
@@ -147,14 +149,18 @@ def _root_candidates(v):
     [grid[i], grid[i + 1]] rather than the zero grid[i]."""
     cand = np.zeros((v.shape[0], 2 * v.shape[1] - 1), bool)
     cand[:, ::2], cand[:, 1::2] = _grid_candidates(v)
-    k, p = np.nonzero(cand)
-    return k, p // 2, p % 2 == 1
+    # one flat index, in np.nonzero's row-major order at a tenth of its cost
+    k, p = np.divmod(np.flatnonzero(cand), cand.shape[1])
+    i, odd = np.divmod(p, 2)
+    return k, i, odd == 1
 
 
-def _refine(fn, grid, v, k, i, rtol):
-    """The roots of the brackets [grid[i], grid[i + 1]] of probes k."""
+def _refine(fn, grid, v, k, i, rtol, ends=None):
+    """The roots of the brackets [grid[i], grid[i + 1]] of probes k, from
+    their end values in v, or ``ends(k, i)`` where given."""
+    at = ends or (lambda k, i: v[k, i])
     return _illinois(lambda x, j: fn(x, k[j]), grid[i], grid[i + 1],
-                     v[k, i], v[k, i + 1], rtol)
+                     at(k, i), at(k, i + 1), rtol)
 
 
 def _new_roots(k, x):
@@ -166,7 +172,7 @@ def _new_roots(k, x):
     return new
 
 
-def bracket_roots(fn, grid, values, rtol: float = 1e-12):
+def bracket_roots(fn, grid, values, rtol: float = 1e-12, ends=None):
     """Roots of n scalar functions (probes) located on a common increasing
     grid.
 
@@ -175,14 +181,16 @@ def bracket_roots(fn, grid, values, rtol: float = 1e-12):
     sign changes between neighbouring grid points of all probes are refined
     together by ``_illinois`` to ``rtol``.  A root within
     ``_CLUSTER_RTOL`` of the previous root of its probe is the same root,
-    and a probe that is zero on the whole grid has none.  Returns (k, x),
-    sorted by probe, then root.
+    and a probe that is zero on the whole grid has none.  ``ends(k, i)``,
+    if given, gives probes k at grid indices i (aligned arrays) for the
+    ends of the brackets, and ``values`` then need only hold every value's
+    sign, zeros included.  Returns (k, x), sorted by probe, then root.
     """
     grid = np.asarray(grid, float)
     v = np.asarray(values, float)
     k, i, br = _root_candidates(v)
     x = grid[i]
-    x[br] = _refine(fn, grid, v, k[br], i[br], rtol)
+    x[br] = _refine(fn, grid, v, k[br], i[br], rtol, ends)
     keep = _new_roots(k, x) & np.any(v, axis=1)[k]
     return k[keep], x[keep]
 

@@ -151,8 +151,9 @@ def projective_distance(u, v):
     Two vectors are each scaled by ``pow2_scaled`` first, which is exact,
     so that no product overflows or underflows at any scale.  Stacked rows
     are not scaled: verify's checks send thousands of rows of unit-scale
-    entries (``check_no_exterior_meet`` 5000 pairs of latitudinal), where
-    the scaling costs some six times the distance itself."""
+    entries (``check_no_exterior_meet`` all 5000 pairs of clifford and of
+    clifford-off, whose lines all pass through the centre), where the
+    scaling costs some six times the distance itself."""
     u, v = np.asarray(u, float), np.asarray(v, float)
     if u.ndim == 1:
         u, v = pow2_scaled(u), pow2_scaled(v)

@@ -12,18 +12,27 @@ with the star's structure finds no line.  The path follows that structure:
   one star line through w for each root t of the covering function
   F_w(t) = a^2 (w1^2 + w2^2) - (w3 - b w0)^2 - c^2 w0^2 (at w0 = 0 the
   asymptotic cone), which ``bracket_roots`` finds on a fixed t grid for all
-  points at once.  theta then follows in closed form: the azimuth of w minus
-  the azimuth of the point at the height of w (its direction at infinity
-  when w is) of the chord p_t v m(t), where m is the profile's own meridian
-  map.  So sigma is evaluated once per located line, at (t, theta), for
-  the residual and the chord.  A star with no profile gets the profile
-  fitted to its own meridian map t -> sigma(p_t), once sigma is seen to
-  commute with rotations about Z; any other sigma raises SearchFailed.
+  points at once.  A batch takes that grid as one product: F_w over
+  1 + a^2 is linear in the features (w1^2 + w2^2, w3^2, w0 w3, w0^2) of the
+  unit w, so the grid is features @ T, with T the profile's
+  ``covering_table`` (4, 256).  Only the signs of the grid's entries choose
+  the candidates, and an entry whose size is above _KAPPA sum_i |T[i, j]|
+  has its sign certified; every other entry, and both ends of every
+  bracket, take ``_grid_values``' own value, the one definition of a grid
+  value.  So the candidates and the start values of the refinement, and
+  with them every line, are the exact grid's bit for bit.  theta then
+  follows in closed form: the azimuth of w minus the azimuth of the point
+  at the height of w (its direction at infinity when w is) of the chord
+  p_t v m(t), where m is the profile's own meridian map.  So sigma is
+  evaluated once per located line, at (t, theta), for the residual and the
+  chord.  A star with no profile gets the profile fitted to its own
+  meridian map t -> sigma(p_t), once sigma is seen to commute with
+  rotations about Z; any other sigma raises SearchFailed.
   ``GlStar.line_profile`` is the one accessor of a star's profile, its own
-  or this fit, and the only place a profile is fitted to sigma.  It and the
-  coefficient table on the t grid (``RotationalProfile.table``) are held on
-  the star and its profile, computed once, so every search of one star
-  shares them.
+  or this fit, and the only place a profile is fitted to sigma.  It, the
+  coefficient table on the t grid (``RotationalProfile.table``) and T are
+  held on the star and its profile, computed once, so every search of one
+  star shares them.
 
 Each step after the bracket is one kernel on columns (see ``projgeom``):
 the covering function, the chord's azimuth, and the residual
@@ -33,11 +42,12 @@ star, as each ``parallel_through`` query sends, gives them Python floats
 in ``_find_one``, with its batch row's bits, and leaves to the batch a
 grid zero, no sign change or more than one bracket, and a chord that
 spans no line.  Each row of W is first scaled by a power of two, which is
-exact, and a zero row is refused.
+exact, and a zero or non-finite row is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +67,7 @@ from .projgeom import (
     row_dot,
     row_norm,
 )
-from .star import PROFILE_GRID, GlStar, _turned, homogenize, meridian_point
+from .star import PROFILE_GRID, GlStar, _turned, meridian_point
 
 _TWO_PI = 2.0 * np.pi
 # below this r^2 / |w|^2 a point is on the axis (see _profile_params)
@@ -69,9 +79,16 @@ _ROOT_RTOL = 1e-15
 # The residual below which a point lies on a star line: the default of every
 # search and of the checks built on it.
 LINE_TOL = 1e-8
+# The product grid's certificate.  With u = 2^-53 and S_j = sum_i |T[i, j]|
+# (at least 1, as |T[0, j]| + |T[1, j]| is 1), the product entry P and
+# _covering's own value E of a unit w each lie within some 12 u S_j of the
+# covering function: every feature is at most 1 in size, and E's terms add
+# up to at most S_j.  So where |P| > _KAPPA S_j, E is nonzero and has P's
+# sign; a NaN or infinite P or S_j is uncertified.
+_KAPPA = 64.0 * 2.0 ** -53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineHit:
     """One located star line: parameters, residual and the homogeneous
     endpoints (A, B) = star.chord(t, theta) of its chord, evaluated once by
@@ -104,9 +121,41 @@ def _covering(a, b, c, w0, w1, w2, w3):
 
 
 def _grid_values(table, w):
-    """The covering function of w on the table, and w1^2 + w2^2 at the axis."""
+    """The covering function of w on the table, and w1^2 + w2^2 at the axis:
+    the one definition of a grid value."""
     r2 = w[1] * w[1] + w[2] * w[2]
     return _covering(*table, *w), col_where(r2 > _AXIS_R2, r2, 0.0)
+
+
+def _product_grid(profile, U):
+    """The grid values (n, 257) of the unit rows U, each entry of the
+    covering function with _grid_values' sign: the product
+    features(U) @ profile.covering_table where its sign is certified
+    (``_KAPPA``), and _grid_values' own value elsewhere; the axis column is
+    _grid_values' own.  Returns them and ``ends(k, i)``, _grid_values' own
+    value of rows k at grid indices i, for the ends of the brackets."""
+    table, T = profile.table, profile.covering_table
+    m = T.shape[1]
+    w0, w1, w2, w3 = U.T
+    r2 = w1 * w1 + w2 * w2
+    P = np.column_stack([r2, w3 * w3, w0 * w3, w0 * w0]) @ T
+    sure = np.abs(P) > _KAPPA * np.abs(T).sum(axis=0)
+    V = np.column_stack([P, col_where(r2 > _AXIS_R2, r2, 0.0)])
+
+    def exact(k, j):
+        return _covering(*(v[j] for v in table), *U[k].T)
+
+    if not sure.all():
+        k, j = np.divmod(np.flatnonzero(~sure), m)
+        V[k, j] = exact(k, j)
+
+    def ends(k, i):
+        v = V[k, i]
+        on = i < m  # the axis column is exact already
+        v[on] = exact(k[on], i[on])
+        return v
+
+    return V, ends
 
 
 def _chord_azimuth(w, A, B):
@@ -158,17 +207,18 @@ class StarLineSearch:
                                "sigma does not commute with rotations about Z")
         # the axis (t=1, a -> inf) ends each covering function at w1^2 + w2^2;
         # below rounding w is on the axis, which no t short of 1 resolves
-        V = np.column_stack(_grid_values(profile.table, U.T[:, :, None]))
+        V, ends = _product_grid(profile, U)
 
         def covering(t, k):
             return _covering(*profile.coefficients(t), *U[k].T)
 
-        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL)
+        owner, t = bracket_roots(covering, PROFILE_GRID, V, rtol=_ROOT_RTOL,
+                                 ends=ends)
         # the chord at theta = 0 from the profile's own meridian map: sigma
         # is evaluated once, at (t, theta), by find_batch
-        A = homogenize(meridian_point(t))
-        B = homogenize(profile.meridian_image(t))
-        return owner, t, _chord_azimuth(U[owner].T, A.T, B.T)
+        one = np.ones_like(t)
+        return owner, t, _chord_azimuth(U[owner].T, (one, *meridian_point(t).T),
+                                        (one, *profile.meridian_image(t).T))
 
     def _find_one(self, w, tol):
         """find_batch of one nonzero point w (four floats) on a profile
@@ -217,20 +267,36 @@ class StarLineSearch:
 
     def find_batch(self, W, tol: float = LINE_TOL):
         """All star lines through each homogeneous point (rows of W), each
-        row scaled by a power of two first.  A zero row raises InvalidInput.
+        row scaled by a power of two first.  W that is not rows of four
+        numbers raises InvalidInput, as does a zero or non-finite row, which
+        the message names (the first of them).
 
         Returns one list of LineHits per point, best residual first.
         """
-        W = pow2_scaled(np.atleast_2d(np.asarray(W, float)))
+        try:
+            W = np.atleast_2d(np.asarray(W, float))
+        except (TypeError, ValueError):
+            raise InvalidInput("the points must be rows of four numbers") from None
+        if W.ndim != 2 or W.shape[1] != 4:
+            raise InvalidInput("the points must be rows of four numbers, not "
+                               f"an array of shape {W.shape}")
+        W = pow2_scaled(W)
         if W.shape == (1, 4) and self.star.center is None:
             w = W[0].tolist()
-            hits = self._find_one(w, tol) if any(w) else None
-            if hits is not None:
-                return [hits]
+            # a zero or non-finite row goes on to be refused below
+            if any(w) and all(map(math.isfinite, w)):
+                hits = self._find_one(w, tol)
+                if hits is not None:
+                    return [hits]
         norm = row_norm(W)
-        if not norm.all():
-            raise InvalidInput(f"row {int(np.argmin(norm))} of the points is "
-                               "zero, which is no point of P^3")
+        # a scaled row's entries are below 1 in size: a finite nonzero row
+        # has a norm in (0, 2], a zero row 0 and any other inf or NaN
+        ok = (norm > 0.0) & (norm <= 2.0)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise InvalidInput(f"row {j} of the points is " + (
+                "zero, which is no point of P^3" if norm[j] == 0.0
+                else "not finite"))
         U = W / norm[:, None]
         if self.star.center is not None:
             owner, t, theta = self._center_params(W)
@@ -249,4 +315,4 @@ class StarLineSearch:
         return out
 
     def find(self, w, tol: float = LINE_TOL):
-        return self.find_batch(np.asarray(w, float)[None, :], tol=tol)[0]
+        return self.find_batch([w], tol=tol)[0]

@@ -270,6 +270,18 @@ class RotationalProfile:
         return tuple(np.concatenate([[v0], v]) for v0, v in zip(
             (end.a, end.b, end.c), self.coefficients(PROFILE_GRID[1:-1])))
 
+    @functools.cached_property
+    def covering_table(self):
+        """The search's covering function on the table as a (4, 256) matrix
+        T: at a point w with features (w1^2 + w2^2, w3^2, w0 w3, w0^2),
+        features @ T is (a^2 r^2 - (w3 - b w0)^2 - c^2 w0^2) / (1 + a^2)
+        expanded in them, up to rounding; an entry that overflows is inf or
+        NaN, which the search does not trust.  Computed once per profile."""
+        a, b, c = self.table
+        a2 = a * a
+        s = 1.0 + a2
+        return np.array([a2 / s, -1.0 / s, 2.0 * b / s, -(b * b + c * c) / s])
+
     def entry_at(self, t: float) -> SurfaceEntry:
         t = float(t)
         if not 0.0 <= t <= 1.0:

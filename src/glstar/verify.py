@@ -155,7 +155,9 @@ def check_no_exterior_meet(star: GlStar, n_pairs: int = 5000,
         return CheckReport("no_exterior_meet", False, float(g[i]),
                            (float(t[i]), float(s[i]), float(th[i])), n_pairs)
     norms = row_norm(K1) * row_norm(K2)
-    flagged = np.nonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))[0]
+    flagged = np.flatnonzero((norms > 1e-12) & (np.abs(g) <= tol * norms))
+    if not flagged.size:
+        return CheckReport("no_exterior_meet", True, 0.0, None, n_pairs)
     pairs = flagged[~_same_line(K1[flagged], K2[flagged])]
     W, found = lines_meet_point(K1[pairs], K2[pairs])
     pairs, W = pairs[found], W[found]

@@ -6,6 +6,12 @@ theta+pi give one line, and t=1, where every theta gives the axis).
 
 It knows nothing of the star's profile or centre, so tests/test_search.py
 checks the exact paths of ``glstar.search`` against it.
+
+It also keeps the covering grid as the batch search took it before its
+certified product (``exact_grid``, every entry from ``_grid_values``) and
+the candidates as they were taken from it (``nonzero_candidates``, one 2-d
+``np.nonzero`` of the interleaved mask), against which the product grid
+and ``functions._root_candidates`` are held bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from glstar.projgeom import col_dot, col_sqrt, join_batch, projective_distance
-from glstar.search import LineHit
+from glstar.search import LineHit, _grid_values
 
 _TWO_PI = 2.0 * np.pi
 
@@ -329,3 +335,24 @@ def _cluster(hits, line_tol: float = 1e-6):
         if r not in reps or hits[i].residual < reps[r].residual:
             reps[r] = hits[i]
     return sorted(reps.values(), key=lambda h: h.residual)
+
+
+# -- the exact covering grid and its candidates -------------------------------
+
+
+def exact_grid(profile, U):
+    """The covering grid (n, 257) of the unit rows U, every entry from
+    ``_grid_values``."""
+    return np.column_stack(_grid_values(profile.table, U.T[:, :, None]))
+
+
+def nonzero_candidates(v):
+    """The candidate roots (probe, grid index, bracket or not) of probes
+    with values v (n, g): grid zeros and sign changes, interleaved in one
+    (n, 2 g - 1) mask and taken by a 2-d ``np.nonzero``."""
+    pos, neg = v > 0.0, v < 0.0
+    cand = np.zeros((v.shape[0], 2 * v.shape[1] - 1), bool)
+    cand[:, ::2] = v == 0.0
+    cand[:, 1::2] = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    k, p = np.nonzero(cand)
+    return k, p // 2, p % 2 == 1

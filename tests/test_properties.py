@@ -49,7 +49,7 @@ from glstar.star import (
     rotate_z,
 )
 
-from grid_search import rejection
+from grid_search import nonzero_candidates, rejection
 
 given = pytest.importorskip("hypothesis").given
 example = pytest.importorskip("hypothesis").example
@@ -336,6 +336,23 @@ ROW_VALUES = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                -5e-324, 2.2e-308, 1e308, -1e308])
               | st.floats(allow_nan=True, allow_infinity=True,
                           allow_subnormal=True))
+
+
+# grid values with zeros of both signs, NaN and infinities among them
+GRID_VALUES = (st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+               | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.integers(1, 9).flatmap(lambda g: st.lists(
+    st.lists(GRID_VALUES, min_size=g, max_size=g), max_size=6).map(
+        lambda rows: np.array(rows, float).reshape(len(rows), g))))
+@example(np.zeros((0, 5)))
+@example(np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, -0.0]]))
+def test_root_candidates_equal_the_2d_nonzero(v):
+    # one flat index and divmod take the interleaved mask's candidates in
+    # np.nonzero's order, one row and no rows included
+    for x, y in zip(functions._root_candidates(v), nonzero_candidates(v)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def _same_bits(x, y):

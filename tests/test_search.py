@@ -2,9 +2,14 @@
 against the 2-d search of tests/grid_search.py, at the edges of the
 parameter chart, and on stars whose structure disagrees with their sigma."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from glstar import search as search_module
 from glstar.constructions import (
     builtin_example,
     clifford,
@@ -16,14 +21,30 @@ from glstar.constructions import (
     symmetric_star,
 )
 from glstar.errors import InvalidInput, SearchFailed
-from glstar.functions import affine, as_fn1, bracket_roots, moebius01, power
+from glstar.functions import (
+    _root_candidates,
+    affine,
+    as_fn1,
+    bracket_roots,
+    moebius01,
+    power,
+)
 from glstar.parallelism import EmbeddedStar, check_hfd, make_parallelism
-from glstar.projgeom import join, join_batch, projective_distance
+from glstar.projgeom import (
+    join,
+    join_batch,
+    pow2_scaled,
+    projective_distance,
+    row_norm,
+)
 from glstar.search import (
+    _KAPPA,
     LINE_TOL,
+    LineHit,
     StarLineSearch,
     _chord_azimuth,
     _covering,
+    _product_grid,
     _residual,
 )
 from glstar.star import (
@@ -42,7 +63,7 @@ from glstar.verify import (
 )
 
 from bad_stars import apex_star
-from grid_search import GridSearch
+from grid_search import GridSearch, exact_grid, nonzero_candidates
 
 
 def _query_points(star):
@@ -585,3 +606,129 @@ def test_flat_chord_azimuth_equals_its_batch_row(seven_stars):
     assert hits[0][0].t == 0.0 and hits[0][0].A[3] == hits[0][0].B[3] == 0.0
     _same_hits([search.find(p) for p in P], hits)
 
+
+
+# The batch search's covering grid: a certified product, equal to the exact
+# grid in everything the search reads
+
+
+def _grid_probe_sets(star):
+    """The point sets on which the product grid is held to the exact one:
+    check_coverage's and check_hfd's samples at seeds 0, 1 and 7, points at
+    infinity, the near-axis scan, and exterior points of chords at grid
+    heights t = PROFILE_GRID[i], each on the surface of table column i,
+    where the covering function is within rounding of 0."""
+    sets = {}
+    for seed in (0, 1, 7):
+        sets[f"coverage {seed}"] = exterior_samples(200, seed=seed)
+        K = join_batch(*np.random.default_rng(seed).normal(size=(2, 100, 4)))
+        sets[f"hfd {seed}"] = EmbeddedStar(star).project_sphere_coords(K)
+    rng = np.random.default_rng(37)
+    sets["at infinity"] = _probe_points(rng, n=100, at_infinity=100)
+    r = np.geomspace(1e-10, 1e-1, 200)
+    sets["near axis"] = np.vstack([
+        np.column_stack([np.ones_like(r), r, np.zeros_like(r),
+                         np.full_like(r, z)]) for z in (-1.5, 1.5, 3.0)])
+    t = PROFILE_GRID[1:-1]
+    A, B = star.chord(t, rng.uniform(0.0, 2.0 * np.pi, t.size))
+    sets["grid surfaces"] = np.vstack([(1.0 - s) * A + s * B
+                                       for s in (-0.5, 1.5, 4.0)])
+    return sets
+
+
+def _unit_rows(W):
+    W = pow2_scaled(W)
+    return W / row_norm(W)[:, None]
+
+
+def test_product_grid_equals_the_exact_grid(seven_stars, monkeypatch):
+    # where its sign is certified a grid entry is the product
+    # features(U) @ T, elsewhere _grid_values' own value, and the ends of
+    # every bracket are _grid_values' own: so the candidates and the
+    # Illinois start values are the exact grid's, and every hit is too, bit
+    # for bit.  Points on the grid's surfaces leave entries uncertified
+    def exact(profile, U):
+        R = exact_grid(profile, U)
+        return R, lambda k, i: R[k, i]
+
+    uncertified = {}
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        profile = star.line_profile
+        for label, W in _grid_probe_sets(star).items():
+            if profile is not None:
+                U = _unit_rows(W)
+                V, ends = _product_grid(profile, U)
+                R = exact_grid(profile, U)
+                for same in (np.greater, np.less, np.equal):
+                    np.testing.assert_array_equal(same(V, 0.0), same(R, 0.0),
+                                                  err_msg=(name, label))
+                T = profile.covering_table
+                P = np.column_stack([U[:, 1] ** 2 + U[:, 2] ** 2,
+                                     U[:, 3] ** 2, U[:, 0] * U[:, 3],
+                                     U[:, 0] ** 2]) @ T
+                left = ~(np.abs(P) > _KAPPA * np.abs(T).sum(axis=0))
+                uncertified[label] = uncertified.get(label, 0) + left.sum()
+                np.testing.assert_array_equal(*_bits(V[:, :-1][left],
+                                                     R[:, :-1][left]))
+                np.testing.assert_array_equal(*_bits(V[:, -1], R[:, -1]))
+                cand = _root_candidates(V)
+                for x, y in zip(cand, nonzero_candidates(R)):
+                    np.testing.assert_array_equal(x, y, err_msg=(name, label))
+                k, i, br = cand
+                for j in (i[br], i[br] + 1):
+                    np.testing.assert_array_equal(
+                        *_bits(ends(k[br], j), R[k[br], j]),
+                        err_msg=(name, label))
+            hits = search.find_batch(W)
+            with monkeypatch.context() as m:
+                m.setattr(search_module, "_product_grid", exact)
+                _same_hits(hits, search.find_batch(W))
+    assert uncertified["grid surfaces"] > 0
+
+
+def test_line_hit_stays_frozen_with_slots():
+    hit = LineHit(0.5, 1.0, 0.0, np.ones(4), np.zeros(4))
+    assert not hasattr(hit, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hit.t = 0.25
+    for other in (copy.copy(hit), copy.deepcopy(hit),
+                  pickle.loads(pickle.dumps(hit))):
+        assert type(other) is LineHit
+        assert (other.t, other.theta, other.residual) == (0.5, 1.0, 0.0)
+        np.testing.assert_array_equal(other.A, hit.A)
+        np.testing.assert_array_equal(other.B, hit.B)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_refuses_a_row_that_is_not_finite(seven_stars, monkeypatch, bad):
+    # a non-finite row is no point: find and find_batch refuse it up front,
+    # naming the first bad row (a zero row before it included), with no
+    # warning (warnings are errors here), and it never reaches the grid
+    def no_grid(profile, U):
+        raise AssertionError("a non-finite row reached the covering grid")
+
+    monkeypatch.setattr(search_module, "_product_grid", no_grid)
+    W = np.random.default_rng(37).normal(size=(5, 4))
+    W[3, 2] = bad
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        with pytest.raises(InvalidInput, match="row 0 .* not finite"):
+            search.find(W[3])
+        with pytest.raises(InvalidInput, match="row 3 .* not finite"):
+            search.find_batch(W)
+        Z = W.copy()
+        Z[1] = 0.0
+        with pytest.raises(InvalidInput, match="row 1 .* zero"):
+            search.find_batch(Z)
+
+
+def test_find_refuses_points_that_are_not_rows_of_four(seven_stars):
+    for name, star in seven_stars.items():
+        search = StarLineSearch(star)
+        for W in (np.ones((2, 3)), np.ones((1, 5)), np.ones((2, 2, 4))):
+            with pytest.raises(InvalidInput, match="rows of four numbers"):
+                search.find_batch(W)
+        for w in (np.ones(3), [1.0, "x", 0.0, 0.0], [[1.0], [1.0, 2.0]]):
+            with pytest.raises(InvalidInput, match="rows of four numbers"):
+                search.find(w)
