@@ -30,7 +30,7 @@ from .errors import (
     InvalidInput,
     ParseError,
 )
-from .functions import from_spec
+from .functions import from_spec, is_number
 from .projgeom import (
     PLine,
     QuadricForm,
@@ -107,23 +107,23 @@ def parse_config(text: str) -> StarConfig:
     def bad(field, message):
         problems.append(f"{field}: {message}")
 
-    # json reads 1e400 as inf, which int() cannot take, and long integer
-    # literals as ints, which float() cannot take: both raise OverflowError
-    # (and the finite-number tests on center and parabolas keep them out)
+    # a value must be a json number (no bool, no string) and a count an
+    # integral one; json reads long integer literals as ints, which float()
+    # cannot take (OverflowError; the finite-number tests on center and
+    # parabolas keep them out)
     if "tol" in raw:
         try:
+            if not is_number(raw["tol"]):
+                raise TypeError
             cfg.tol = float(raw["tol"])
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             bad("tol", "must be a number")
-    try:
-        cfg.seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        bad("seed", "must be an integer")
-    if "samples" in raw:
-        try:
-            cfg.samples = int(raw["samples"])
-        except (TypeError, ValueError, OverflowError):
-            bad("samples", "must be an integer")
+    for key in ("seed", "samples"):
+        v = raw.get(key)
+        if type(v) is int or (type(v) is float and v.is_integer()):
+            setattr(cfg, key, int(v))
+        elif key in raw:
+            bad(key, "must be an integer")
     try:
         ver.check_sampling(cfg.samples, cfg.tol, cfg.seed)
     except InvalidInput as exc:
@@ -148,14 +148,14 @@ def parse_config(text: str) -> StarConfig:
     if "center" in others:
         center = raw.get("center", [0.0, 0.0, 0.0])
         if (not isinstance(center, (list, tuple)) or len(center) != 3
-                or not all(isinstance(v, (int, float))
-                           and abs(v) <= sys.float_info.max for v in center)):
+                or not all(is_number(v) and abs(v) <= sys.float_info.max
+                           for v in center)):
             bad("center", "must be a 3-vector")
         else:
             cfg.center = tuple(float(v) for v in center)
     if "eps" in others:
         eps = raw.get("eps", -1)
-        if eps not in (-1, 1):
+        if not is_number(eps) or eps not in (-1, 1):
             bad("fg.eps", "must be -1 or 1")
         else:
             cfg.eps = float(eps)
@@ -163,8 +163,8 @@ def parse_config(text: str) -> StarConfig:
         rows = raw.get("parabolas")
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, (list, tuple)) and len(r) == 3
-                           and all(isinstance(v, (int, float))
-                                   and abs(v) <= sys.float_info.max for v in r)
+                           and all(is_number(v) and abs(v) <= sys.float_info.max
+                                   for v in r)
                            for r in rows)):
             bad("parabola.parabolas", "must be a list of [alpha, beta, gamma]")
         else:

@@ -57,24 +57,22 @@ _A_GRID.flags.writeable = _CIRCLE_PROBE_A.flags.writeable = False
 def _hand_sign_fn(hand):
     """Normalize a handedness assignment (a Handedness, a sign +-1 or a
     callable of t giving either) to a vectorized sign function of t, which
-    also takes one Python float and gives a float."""
+    also takes one Python float and gives a float: a callable is run by
+    ``col_quiet``, at the float itself."""
     if isinstance(hand, Handedness):
         hand = hand.sign
     if callable(hand):
+        @col_quiet()
         def fn(t):
-            # one Python float is taken as a one-element array, and its sign
-            # given as a float
-            one = isinstance(t, float)
-            t = np.asarray([t] if one else t, float)
             v = hand(t)
             if isinstance(v, Handedness):
                 v = np.full_like(t, v.sign)
             v = np.sign(np.asarray(v, float))
-            return float(v.ravel()[0]) if one else v
+            return v.item() if type(t) is float else v
         return fn
     if np.ndim(hand) == 0 and hand in (-1, 1):
         s = float(hand)
-        return lambda t: s if isinstance(t, float) else np.full_like(
+        return lambda t: s if type(t) is float else np.full_like(
             np.asarray(t, float), s)
     raise InvalidInput("a regulus sign must be a Handedness, +-1 or a "
                        "callable of t")
@@ -800,7 +798,7 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
     a = sqrt(((u - beta_{n-1})^2 + gamma_{n-1} / alpha_{n-1}) / (1 - u^2)).
     Each step is one kernel on columns, which a batch of heights runs in
     numpy, roots that are done leaving it, and one Python float in floats,
-    with its batch row's bits; where floats raise, the batch answers."""
+    with its batch row's bits; ``col_quiet`` runs the inverse."""
     al, be, ga = seq.alphas, seq.betas, seq.gammas
     heights = np.asarray(h(seq.slopes()), float)
     # piece i: its knot heights, alpha_i, and its cubic from knot i + 1:
@@ -839,13 +837,9 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
                 break
         return slope(x)
 
+    @col_quiet(divide="ignore", invalid="ignore")
     def inv(y):
-        if isinstance(y, float):
-            try:
-                return inv_one(y)
-            except (ZeroDivisionError, ValueError):
-                return float(batch(np.array(y)))
-        return batch(np.asarray(y, float))
+        return inv_one(y) if type(y) is float else batch(np.asarray(y, float))
 
     def batch(y):
         shape = y.shape
@@ -864,16 +858,15 @@ def _parabola_height(seq: ParabolaSeq, h: Fn1, sign: float) -> Fn1:
         h0, h1, hi, *cubic = pieces[:, i[mid]]
         x, lo, u = _chord_start(y[mid], h0, h1, cubic[0], hi), cubic[0], u[mid]
         # roots that are done leave the batch
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_MAX_STEPS):
-                if not mid.size:
-                    break
-                x, lo, hi, done = _newton_step(x, lo, hi, u, cubic)
-                if done.any():
-                    a[mid[done]] = slope(x[done])
-                    keep = ~done
-                    mid, x, lo, hi, u, *cubic = (
-                        v[keep] for v in (mid, x, lo, hi, u, *cubic))
+        for _ in range(_NEWTON_MAX_STEPS):
+            if not mid.size:
+                break
+            x, lo, hi, done = _newton_step(x, lo, hi, u, cubic)
+            if done.any():
+                a[mid[done]] = slope(x[done])
+                keep = ~done
+                mid, x, lo, hi, u, *cubic = (
+                    v[keep] for v in (mid, x, lo, hi, u, *cubic))
         a[mid] = slope(x)
         return a.reshape(shape)
 

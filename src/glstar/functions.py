@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -314,9 +315,10 @@ class Fn1:
     has the bits of a batch row: + - * / and sqrt in Python floats, a
     transcendental step by numpy's own ufunc on the float, a plain callable
     (``as_fn1``) on a 0-d array.  At a float they may raise
-    ZeroDivisionError or ValueError where numpy gives inf or NaN.  Calling
-    the function and ``inverse`` give an array of an array, and a Python
-    float of a float."""
+    ZeroDivisionError or ValueError where numpy gives inf or NaN, unless
+    ``projgeom.col_quiet`` runs them (``phi_r``'s function, the parabola
+    height inverse).  Calling the function and ``inverse`` give an array
+    of an array, and a Python float of a float."""
 
     fn: Callable
     domain: tuple[float, float]
@@ -453,17 +455,32 @@ _FACTORIES = {
     "moebius01": lambda spec: moebius01(),
     "phi_r": lambda spec: phi_r(_num(spec, "r")),
     "neg_circle": lambda spec: neg_circle(),
-    "table": lambda spec: table(spec.get("knots"), spec.get("values")),
+    "table": lambda spec: table(_nums(spec, "knots"), _nums(spec, "values")),
 }
+
+
+def is_number(v) -> bool:
+    """Whether v is a real number, as json reads one (an int or a float) or
+    numpy gives one: not a bool (json's true and false), nor a string."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _num(spec, key):
     """The finite number spec[key]: JSON reads 1e400 and Infinity as inf."""
     if key not in spec:
         raise ConfigError(f"missing parameter '{key}'")
-    value = float(spec[key])
-    if not math.isfinite(value):
+    value = spec[key]
+    if not is_number(value) or not math.isfinite(value):
         raise ConfigError(f"parameter '{key}' must be a finite number")
+    return float(value)
+
+
+def _nums(spec, key):
+    """spec[key], refused when a list holds what is no number (``table``
+    refuses any other shape)."""
+    value = spec.get(key)
+    if isinstance(value, list) and not all(map(is_number, value)):
+        raise ConfigError(f"table {key} must be finite numbers")
     return value
 
 

@@ -23,9 +23,9 @@ complement of span{a, b}, which is the column space of the dual Plücker
 matrix of a v b: its first column of largest norm and that column's image
 under the matrix span it (``projgeom.plucker_basis``).  Whether the line is
 a 0-secant is read off the 2x2 Gram of g on it, whose eigenvalues are
-closed form too.  Each closed form is one kernel on columns, so that one
-chord or span, as a single query sends it, runs in Python floats with its
-batch row's bits.
+closed form too.  Each closed form is one kernel on columns, which
+``projgeom.col_rows`` runs: one chord or span, as a single query sends
+it, in Python floats with its batch row's bits.
 
 The spread line through a point p of P^3 is closed form: p v x is in the
 class of h = span{h1, h2} when g(p v x, h_i) = 0, that is when x lies on
@@ -63,6 +63,7 @@ from .projgeom import (
     col_join,
     col_klein,
     col_line_distance,
+    col_rows,
     col_sqrt,
     col_where,
     join_batch,
@@ -123,29 +124,20 @@ class HfdLineSet:
         star chords A v B given by their homogeneous endpoints, rows of
         shape (n, 4) or one (4,) pair: each chord's polar within U, as two
         orthogonal rows of norm sqrt(2) that are functions of the line
-        (``_h_line``); one chord runs in Python floats, with its batch row's
-        bits.  Each end is first scaled by a power of two (``pow2_scaled``),
-        which moves no bit of the line, so that no product of the kernel
-        overflows or underflows."""
+        (``_h_line`` by ``col_rows``: one chord in Python floats, with its
+        batch row's bits).  Each end is first scaled by a power of two
+        (``pow2_scaled``), which moves no bit of the line, so that no
+        product of the kernel overflows or underflows."""
         A, B = (pow2_scaled(X) for X in np.atleast_2d(A, B))
-        one = A.shape[0] == 1
-        try:
-            if one:
-                rows, sin2 = _h_line(A[0].tolist(), B[0].tolist())
-                rank2 = sin2 > _RANK_RTOL * _RANK_RTOL
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rows, sin2 = _h_line(A.T, B.T)
-                rank2 = (sin2 > _RANK_RTOL * _RANK_RTOL).all()
-        except ZeroDivisionError:  # a zero endpoint
-            rank2 = False
-        if not rank2:  # a non-finite endpoint fails the rank test too
+        rows, sin2 = col_rows(_h_line, A, B, divide="ignore", invalid="ignore")
+        # a zero or non-finite endpoint fails the rank test too; one chord's
+        # test is a bool, which np.asarray takes at a third of np.all's cost
+        if not np.asarray(sin2 > _RANK_RTOL * _RANK_RTOL).all():
             if not (np.isfinite(A).all() and np.isfinite(B).all()):
                 raise EvalError("star chord with a non-finite endpoint")
             raise EvalError("star chord with coincident endpoints")
-        if one:
-            return np.array([rows])
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
+        # (2, 6) floats of one chord, (2, 6, n) columns of more
+        return np.array(rows).reshape(12, -1).T.reshape(-1, 2, 6)
 
     def samples(self, n: int, seed: int = 0):
         """(n, 2, 6) spans at seeded random parameters."""
@@ -204,22 +196,17 @@ def _ratio(s1, s2):
     return (p * r - q * q) / (lam * lam)
 
 
-def _secant_ratio(spans) -> np.ndarray:
+def _secant_ratio(spans):
     """For each line of P^5 given as a (2, 6) span of stacked (n, 2, 6)
     spans: the ratio of the smaller to the larger |eigenvalue| of g on it,
-    negative when the two differ in sign (``_ratio``, one span in Python
-    floats with its batch row's bits).  The line is a 0-secant of K, g
-    definite on it, exactly when the ratio exceeds SIGNATURE_CUTOFF.  A
-    Klein point in the span gives a zero eigenvalue; a span of Klein points
-    orthogonal under g gives two, and a NaN ratio."""
+    negative when the two differ in sign (``_ratio`` by ``col_rows``: one
+    span's Python float, with its batch row's bits, or an array).  The
+    line is a 0-secant of K, g definite on it, exactly when the ratio
+    exceeds SIGNATURE_CUTOFF.  A Klein point in the span gives a zero
+    eigenvalue; a span of Klein points orthogonal under g gives two, and a
+    NaN ratio."""
     S = np.asarray(spans, float)
-    if S.shape[0] == 1:
-        try:
-            return np.array([_ratio(*S[0].tolist())])
-        except ZeroDivisionError:
-            pass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _ratio(*S.transpose(1, 2, 0))
+    return col_rows(_ratio, S[:, 0], S[:, 1], divide="ignore", invalid="ignore")
 
 
 def class_from_hfd_line(h) -> ParallelClass:
@@ -232,10 +219,10 @@ def class_from_hfd_line(h) -> ParallelClass:
     S = h if isinstance(h, Subspace) else Subspace.span(span)
     if S.rank != 2:
         raise NotZeroSecant("span does not describe a line of P^5")
-    ratio = _secant_ratio(S.basis[None])[0]
+    ratio = _secant_ratio(S.basis[None])
     if not ratio > SIGNATURE_CUTOFF:
-        raise NotZeroSecant(
-            f"line meets the Klein quadric (eigenvalue ratio {ratio:.3g})")
+        raise NotZeroSecant("line meets the Klein quadric (eigenvalue ratio "
+                            f"{np.min(ratio):.3g})")
     return ParallelClass(S.basis)
 
 
@@ -243,8 +230,9 @@ def spread_line_through(cls: ParallelClass, p) -> PLine:
     """The unique line of the spread through a point of P^3: the meet of
     the planes P*(h_i) p (see the module docstring).  p is first scaled by
     a power of two (``pow2_scaled``), so that neither a huge nor a tiny
-    point overflows or underflows the planes' products."""
-    pv = pow2_scaled(p.coords if isinstance(p, HPoint) else p)
+    point overflows or underflows the planes' products.  A zero p raises
+    InvalidInput."""
+    pv = _point(pow2_scaled(p.coords if isinstance(p, HPoint) else p))
     planes = plucker_matrix(cls.h_span[:, _SWAP]) @ pv
     k = join_batch(planes[0], planes[1])[_SWAP]
     if not np.linalg.norm(k) > 1e-12 * float(pv @ pv):  # h_span orthonormal
@@ -275,6 +263,12 @@ def _finite(v, what: str) -> np.ndarray:
     v = np.asarray(v, float)
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what} has non-finite coordinates")
+    return v
+
+
+def _point(v) -> np.ndarray:
+    if not v.any():
+        raise InvalidInput("the zero vector is no point of P^3")
     return v
 
 
@@ -310,9 +304,10 @@ def parallel_through(par: Parallelism, p, L) -> PLine:
     p is on L when its distance from L (``col_line_distance``) is below
     1e-9 |p|.  p and L's Plücker vector are first scaled by powers of two
     (``pow2_scaled``), which is exact, so that no product of their
-    coordinates overflows or underflows, however large or small they are."""
-    pv = pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
-                             "point"))
+    coordinates overflows or underflows, however large or small they are.
+    A zero or non-finite p, or a non-finite L, raises InvalidInput."""
+    pv = _point(pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
+                                    "point")))
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
     L = L if isinstance(L, PLine) else PLine(k)
     k = pow2_scaled(k)

@@ -88,7 +88,12 @@ def row_norm(A):
 # takes its other steps from these helpers, so that a float gets its array
 # row's bits (numpy's own ufunc, never ``math``, for a transcendental step).
 # Where Python raises (a division by zero, the root of a negative number),
-# the array gives inf or NaN.
+# the array gives inf or NaN.  Two runners, ``col_quiet`` for a column and
+# ``col_rows`` for rows, are the one place that answers such a raise by a
+# one-element batch and runs an array under np.errstate.
+
+# what Python raises at a float where numpy gives inf or NaN
+_COL_RAISES = (ZeroDivisionError, ValueError)
 
 
 def col_dot(u, v):
@@ -129,18 +134,49 @@ def col_ufunc(f, x, *args):
     return float(f(x, *args)) if type(x) is float else f(x, *args)
 
 
+def _floats(v):
+    """A one-element batch's answer in a float's form: a float of one
+    value, a tuple of floats of one row, and a tuple entry by entry."""
+    if type(v) is tuple:
+        return tuple(map(_floats, v))
+    v = np.ravel(v)
+    return v.item() if v.size == 1 else tuple(v.tolist())
+
+
 def col_quiet(**kwargs):
-    """Run a kernel of a column (its last argument) under np.errstate for an
-    array, and as it is for a Python float, which warns of nothing."""
+    """The scalar runner of a kernel of a column, its last argument: an
+    array runs under np.errstate(**kwargs), a Python float as it is, and a
+    float that raises (``_COL_RAISES``) again as a one-element array, whose
+    answer comes back as floats (``_floats``)."""
     def decorate(kernel):
         @functools.wraps(kernel)
-        def run(*args, **named):
-            if type((*args, *named.values())[-1]) is float:
-                return kernel(*args, **named)
+        def run(*args):
+            if type(args[-1]) is float:
+                try:
+                    return kernel(*args)
+                except _COL_RAISES:
+                    args = (*args[:-1], np.array(args[-1:]))
+                    with np.errstate(**kwargs):
+                        return _floats(kernel(*args))
             with np.errstate(**kwargs):
-                return kernel(*args, **named)
+                return kernel(*args)
         return run
     return decorate
+
+
+def col_rows(kernel, *rows, **kwargs):
+    """The rows runner: kernel of aligned rows, arrays (n, k) or (n,).  A
+    single row runs in its ``tolist()`` floats, and its answer is the
+    kernel's floats; a batch, or a single row that raises
+    (``_COL_RAISES``), runs on the arrays with the row axis moved last,
+    under np.errstate(**kwargs)."""
+    if rows[0].shape[0] == 1:
+        try:
+            return kernel(*(X[0].tolist() for X in rows))
+        except _COL_RAISES:
+            pass
+    with np.errstate(**kwargs):
+        return kernel(*(X.T for X in rows))
 
 
 def projective_distance(u, v):

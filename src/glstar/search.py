@@ -37,12 +37,13 @@ with the star's structure finds no line.  The path follows that structure:
 Each step after the bracket is one kernel on columns (see ``projgeom``):
 the covering function, the chord's azimuth, and the residual
 (``col_line_distance`` on the chord's Plücker vector, as in
-``parallel_through``).  A batch gives them arrays; one row on a profile
-star, as each ``parallel_through`` query sends, gives them Python floats
-in ``_find_one``, with its batch row's bits, and leaves to the batch a
-grid zero, no sign change or more than one bracket, and a chord that
-spans no line.  Each row of W is first scaled by a power of two, which is
-exact, and a zero or non-finite row is refused.
+``parallel_through``).  A batch gives them arrays, the residual by
+``projgeom.col_rows``; one row on a profile star, as each
+``parallel_through`` query sends, gives them Python floats in
+``_find_one``, with its batch row's bits, and leaves to the batch a grid
+zero, no sign change or more than one bracket, and a chord that spans no
+line.  Each row of W is first scaled by a power of two, which is exact,
+and a zero or non-finite row is refused.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .projgeom import (
     col_dot,
     col_join,
     col_line_distance,
+    col_rows,
     col_sign,
     col_sqrt,
     col_ufunc,
@@ -180,18 +182,6 @@ def _residual(w, A, B):
     return col_line_distance(col_join(A, B), w)
 
 
-def _residuals(W, A, B):
-    """_residual of aligned rows (n, 4): a single row in Python floats,
-    unless its chord spans no line, and more on columns."""
-    if W.shape[0] == 1:
-        try:
-            return np.array([_residual(*(X[0].tolist() for X in (W, A, B)))])
-        except ZeroDivisionError:
-            pass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _residual(W.T, A.T, B.T)
-
-
 class StarLineSearch:
     """Star lines through points, by the path the star's structure allows."""
 
@@ -303,7 +293,8 @@ class StarLineSearch:
         else:
             owner, t, theta = self._profile_params(U)
         A, B = self.star.chord(t, theta)
-        res = _residuals(U[owner], A, B)
+        res = np.atleast_1d(col_rows(_residual, U[owner], A, B,
+                                     invalid="ignore", divide="ignore"))
         # Python numbers, taken in order of residual (NaN last, ties by root)
         owners, ts, thetas, residuals = (
             v.tolist() for v in (owner, t, theta, res))

@@ -20,9 +20,8 @@ A profile's coefficients, its meridian image and the completed sigma's
 upper hemisphere are each one kernel on columns (see ``projgeom``): they
 take an array of t or of points, or one Python float each, as a
 single-point query sends, and a float gets its batch row's bits without
-numpy's cost per call on one-element arrays.  Where Python raises at a float
-(ZeroDivisionError, ValueError) and numpy gives inf or NaN, a one-element
-batch answers.
+numpy's cost per call on one-element arrays.  ``coefficients`` and
+``meridian_image`` run theirs by ``projgeom.col_quiet``.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .errors import EvalError, InvalidInput
 from .projgeom import (
     PLine,
     col_clip,
+    col_quiet,
     col_sqrt,
     col_ufunc,
     col_where,
@@ -237,30 +237,20 @@ class RotationalProfile:
     the batch's float operations in the same order, so that a value has its
     batch row's bits, and may raise ZeroDivisionError or ValueError where
     numpy gives inf or NaN; ``coefficients`` and ``meridian_image``, which
-    take either, then answer by a one-element batch, and ``coefficients``
-    of an array gives inf and NaN without a warning.
+    take either, run them by ``col_quiet``, which answers such a float by a
+    one-element batch and an array without a warning.
     """
 
     abc: Callable
     handedness_sign: Callable  # t -> +-1 (right/left)
     meridian: Callable | None = None
 
+    @col_quiet(divide="ignore", invalid="ignore")
     def coefficients(self, t):
-        """(a, b, c) at t: arrays, or Python floats at a float."""
-        if type(t) is float:
-            try:
-                return self.abc(t)
-            except (ZeroDivisionError, ValueError):
-                t = np.array([t])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return tuple(float(np.asarray(v, float).ravel()[0])
-                                 for v in self.abc(t))
-        t = np.asarray(t, float)
-        if t.size == 1:
-            return tuple(np.full(t.shape, v)
-                         for v in self.coefficients(t.item()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return tuple(np.asarray(v, float) for v in self.abc(t))
+        """(a, b, c) at t: arrays of an array (of one t of a 0-d array),
+        Python floats of a float."""
+        return self.abc(t if type(t) is float
+                        else np.atleast_1d(np.asarray(t, float)))
 
     @functools.cached_property
     def table(self):
@@ -308,13 +298,10 @@ class RotationalProfile:
         closed form from the surface data, with the horizontal star at t=0
         and the axis at t=1.  Rows (n, 3) of an array of t, three Python
         floats of a float."""
-        if type(t) is float:
-            try:
-                return self._meridian(t)
-            except (ZeroDivisionError, ValueError):
-                return tuple(self._meridian(np.array([t]))[0].tolist())
-        return self._meridian(np.atleast_1d(np.asarray(t, float)))
+        return self._meridian(t if type(t) is float
+                              else np.atleast_1d(np.asarray(t, float)))
 
+    @col_quiet(divide="ignore", invalid="ignore")
     def _meridian(self, t):
         if self.meridian is not None:
             return self.meridian(t)

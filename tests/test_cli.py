@@ -579,7 +579,9 @@ def test_main_rejects_bad_samples_and_tol(tmp_path, capsys, option):
 @pytest.mark.parametrize("fields", [
     '"samples":0', '"samples":-5', '"tol":0', '"tol":-1', '"tol":NaN',
     '"tol":Infinity', '"seed":-1', '"seed":1e400', '"samples":1e400',
-    '"tol":1e400', '"tol":0.01',
+    '"tol":1e400', '"tol":0.01', '"samples":2.7', '"seed":1.9',
+    '"seed":true', '"samples":"12"', '"tol":"1e-9"', '"center":[true,0,0]',
+    '"center":["1",0,0]',
     pytest.param('"center":[1' + '0' * 400 + ',0,0]', id="center-10^400"),
 ])
 def test_config_rejects_bad_samples_and_tol(tmp_path, capsys, fields):
@@ -668,6 +670,24 @@ def test_main_rejects_nan_function_parameters(tmp_path, capsys, command, text,
     ('{"family":"symmetric","a":{"kind":"table","knots":[0,0.5,1],'
      '"values":[0,1,1e400]}}',
      "CONFIG ERROR: symmetric.a: table values must be finite numbers"),
+    ('{"family":"param","t":{"kind":"phi_r","r":"1.5"},'
+     '"s":{"kind":"phi_r","r":2}}',
+     "CONFIG ERROR: param.t: parameter 'r' must be a finite number"),
+    ('{"family":"param","t":{"kind":"phi_r","r":1.5},'
+     '"s":{"kind":"phi_r","r":true}}',
+     "CONFIG ERROR: param.s: parameter 'r' must be a finite number"),
+    ('{"family":"latitudinal","mu":{"kind":"table","knots":[0,"0.5",1],'
+     '"values":[0,0.5,0.9]}}',
+     "CONFIG ERROR: latitudinal.mu: table knots must be finite numbers"),
+    ('{"family":"symmetric","a":{"kind":"table","knots":[0,0.5,1],'
+     '"values":[0,true,1]}}',
+     "CONFIG ERROR: symmetric.a: table values must be finite numbers"),
+    ('{"family":"fg","f":{"kind":"power","p":2},'
+     '"g":{"kind":"affine","a":1,"b":-1},"eps":true}',
+     "CONFIG ERROR: fg.eps: must be -1 or 1"),
+    ('{"family":"parabola","parabolas":[[1,0,"0"]]}',
+     "CONFIG ERROR: parabola.parabolas: must be a list of [alpha, beta, "
+     "gamma]"),
     ('{"family":"parabola","parabolas":[[1e308,0,0],[1,0.1,0.2]]}',
      "CONSTRUCTION FAILED: (3): parabola must meet the circle arc in two "
      "points (witness: 0)"),
@@ -676,7 +696,8 @@ def test_main_rejects_nan_function_parameters(tmp_path, capsys, command, text,
      '"s":{"kind":"phi_r","r":2}}',
      "CONSTRUCTION FAILED: t is not increasing (witness: 0.7946862426485708)"),
 ], ids=["phi_r", "affine", "power", "table-knots", "table-values",
-        "parabola-1e308", "phi_r-1e308"])
+        "phi_r-string", "phi_r-bool", "table-string", "table-bool",
+        "eps-bool", "parabola-string", "parabola-1e308", "phi_r-1e308"])
 def test_main_rejects_infinite_numbers_in_one_line(tmp_path, capsys, text,
                                                    line):
     # one line and no warning (tier-1 turns warnings into errors)

@@ -297,6 +297,9 @@ def test_from_spec():
         from_spec({"kind": "nope"})
     with pytest.raises(ConfigError):
         from_spec({"kind": "phi_r"})  # missing r
+    for r in ("1.5", True):  # no number as json reads one
+        with pytest.raises(ConfigError, match="parameter 'r'"):
+            from_spec({"kind": "phi_r", "r": r})
 
 
 @pytest.mark.parametrize("ok,witnesses,expected", [

@@ -539,6 +539,16 @@ def test_queries_reject_non_finite_input(bad):
         parallel_class_of(PAR_BUILTIN, k)
 
 
+def test_queries_reject_the_zero_point():
+    # as HPoint and find_batch do: the input is refused, not the planes
+    cls = parallel_class_of(PAR_BUILTIN, Z_AXIS)
+    for p in (np.zeros(4), -np.zeros(4)):
+        with pytest.raises(InvalidInput, match="zero vector is no point"):
+            parallel_through(PAR_BUILTIN, p, Z_AXIS)
+        with pytest.raises(InvalidInput, match="zero vector is no point"):
+            spread_line_through(cls, p)
+
+
 def test_parallel_through_clifford():
     p = np.array([1.0, 1.0, 0.0, 0.0])
     out = parallel_through(PAR_CLIFF, p, Z_AXIS)

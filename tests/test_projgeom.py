@@ -525,6 +525,45 @@ def test_row_reductions_have_one_path():
     assert found == []
 
 
+# what catches a ZeroDivisionError besides its own name
+_CATCH_ALL = {None, "ArithmeticError", "Exception", "BaseException"}
+
+
+def _handlers(scope, body, aliases):
+    """The qualified name of the def or class of each except clause in body
+    that catches ZeroDivisionError, by name or by an alias of it."""
+    for node in body:
+        name = (node.name if isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None)
+        inner = f"{scope}.{name}" if scope and name else name or scope
+        if isinstance(node, ast.ExceptHandler):
+            caught = ([] if node.type is None
+                      else getattr(node.type, "elts", [node.type]))
+            names = {ast.unparse(t) for t in caught} or {None}
+            if names & (aliases | _CATCH_ALL):
+                yield scope
+        for field in ("body", "handlers", "orelse", "finalbody"):
+            yield from _handlers(inner, getattr(node, field, []), aliases)
+
+
+def test_only_the_runners_answer_a_raise_at_a_float():
+    # a float that raises ZeroDivisionError is answered by the column
+    # runners (projgeom.col_quiet, col_rows) and by the single-point
+    # search's hand-off of such a point to the batch, nowhere else
+    found = []
+    for path in sorted(Path(glstar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {"ZeroDivisionError"} | {
+            t.id for node in tree.body if isinstance(node, ast.Assign)
+            and "ZeroDivisionError" in ast.unparse(node.value)
+            for t in node.targets}
+        found += [f"{path.stem}.{scope}"
+                  for scope in _handlers(None, tree.body, aliases)]
+    assert sorted(found) == ["projgeom.col_quiet.decorate.run",
+                             "projgeom.col_rows",
+                             "search.StarLineSearch._find_one"]
+
+
 # --- typed errors and edge cases of the small types ---------------------------
 
 

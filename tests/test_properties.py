@@ -14,8 +14,10 @@ from glstar.cli import FAMILIES, StarConfig, parse_config
 from glstar.constructions import (
     _chord_start,
     _eqn_heights,
+    _hand_sign_fn,
     _newton_step,
     _parabola_bc,
+    _parabola_height,
     _param_bc,
     example_parabola_sequence,
 )
@@ -32,6 +34,7 @@ from glstar.projgeom import (
     col_clip,
     col_join,
     col_line_distance,
+    col_rows,
     col_sign,
     col_sqrt,
     col_ufunc,
@@ -435,6 +438,12 @@ def _newton(x, lo, hi, u, *cubic):
 
 
 _PARABOLA_SEQUENCE = example_parabola_sequence()
+# the parabola star's circle height t(a), whose inverse col_quiet runs
+_PARABOLA_HEIGHT = _parabola_height(
+    _PARABOLA_SEQUENCE, _eqn_heights(_parabola_bc(_PARABOLA_SEQUENCE))[0], 1.0)
+# a regulus sign that divides by t: a float 0.0 raises, and col_quiet
+# answers it by a one-element batch
+_HAND_SIGN = _hand_sign_fn(lambda t: 1.0 / t)
 
 
 # (kernel of columns, number of columns, its output as a tuple of columns)
@@ -451,6 +460,8 @@ KERNELS = {
     "chord_start": (lambda c: (_chord_start(*c),), 5),
     "parabola_coefficients": (
         lambda c: _PARABOLA_SEQUENCE.coefficients_at(*c), 1),
+    "parabola_height_inverse": (lambda c: (_PARABOLA_HEIGHT.inverse(*c),), 1),
+    "hand_sign": (lambda c: (_HAND_SIGN(*c),), 1),
     "plucker_basis": (lambda c: _flat(plucker_basis(c)), 6),
     "h_line": (lambda c: _flat(*_h_line(c[:4], c[4:])), 8),
     "secant_ratio": (lambda c: (_ratio(c[:6], c[6:]),), 12),
@@ -481,6 +492,60 @@ def test_column_kernel_of_floats_is_its_batch_row(name, data):
                 continue
             assert {type(v) for v in one} == {float}, one
             assert _same_bits(one, batch[:, j]), (row, one, batch[:, j])
+
+
+def _leaves(v):
+    """The numbers or arrays of a kernel's answer, nested tuples and lists
+    flattened in order."""
+    if isinstance(v, (tuple, list)):
+        return [x for item in v for x in _leaves(item)]
+    return [v]
+
+
+# (kernel of rows, the widths of its rows)
+ROW_KERNELS = {
+    "residual": (_residual, (4, 4, 4)),
+    "h_line": (_h_line, (4, 4)),
+    "secant_ratio": (_ratio, (6, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+@given(data=st.data())
+def test_rows_runner_of_one_row_is_its_batch_row(name, data):
+    # col_rows gives a single row its floats, or the one-element batch where
+    # the floats raise, and a batch its columns: each row's answer is the
+    # batch's row bit for bit (any NaN as any NaN)
+    kernel, widths = ROW_KERNELS[name]
+    n = data.draw(st.integers(1, 4))
+    rows = [np.array(data.draw(st.lists(
+        st.lists(ROW_VALUES, min_size=k, max_size=k), min_size=n,
+        max_size=n))).reshape(n, k) for k in widths]
+    with np.errstate(all="ignore"):
+        batch = _leaves(col_rows(kernel, *rows))
+        for j in range(n):
+            one = _leaves(col_rows(kernel, *(X[j:j + 1] for X in rows)))
+            assert len(one) == len(batch)
+            for x, column in zip(one, batch):
+                assert _same_bits(np.ravel(x), np.ravel(column)[j:j + 1]), (
+                    name, j, x, column)
+
+
+def test_runners_answer_a_raise_by_a_quiet_batch():
+    # a float that raises gets the one-element batch's answer, as floats from
+    # col_quiet and as an array from col_rows, and an array that divides by
+    # zero warns of nothing (tier-1 turns warnings into errors)
+    ones = _PARABOLA_SEQUENCE.coefficients_at(0.0)  # 1 / a^2 raises at 0.0
+    batch = _PARABOLA_SEQUENCE.coefficients_at(np.array([0.0, 1.0]))
+    assert all(type(v) is float for v in ones) and ones[0] == np.inf
+    assert _same_bits(ones, [v[0] for v in batch])
+    # the chord of row 0 has B = A and spans no line: 0 / 0 in _residual
+    W, A, B = np.full((2, 4), 0.5), np.eye(4)[[0, 0]], np.eye(4)[[0, 1]]
+    quiet = {"invalid": "ignore", "divide": "ignore"}
+    res = col_rows(_residual, W, A, B, **quiet)
+    one = col_rows(_residual, W[:1], A[:1], B[:1], **quiet)
+    assert np.isnan(res[0]) and np.isfinite(res[1])
+    assert type(one) is np.ndarray and _same_bits(one, res[:1])
 
 
 # coordinates in [-1, 1], those below 2^-60 taken to 0, so that no square

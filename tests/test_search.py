@@ -315,8 +315,9 @@ def test_one_t_coefficients_equal_their_batch_row(seven_stars):
     # floats (a fitted profile's fit, symmetric's closed form, the eqn
     # path's log-slope step, parabola's height inverse among them), t = 0
     # included, where the chord of clifford and fg is horizontal.  Only
-    # symmetric's a(1) = inf and parabola's 1 / a^2 at a(0) = 0 raise, and
-    # coefficients answers those t by a one-element batch
+    # symmetric's a(1) = inf raises (parabola's 1 / a^2 at a(0) = 0 is
+    # answered inside its abc, by coefficients_at's col_quiet), and
+    # coefficients answers that t by a one-element batch
     ts = np.concatenate([PROFILE_GRID, [0.0, 1.0, 1.0 - 1e-12],
                          np.random.default_rng(26).uniform(0.0, 1.0, 1000)])
     for name, star in seven_stars.items():
@@ -335,8 +336,7 @@ def test_one_t_coefficients_equal_their_batch_row(seven_stars):
                 assert profile.abc(t) == one, (name, t)
             except ZeroDivisionError:
                 raised.add(t)
-        assert raised == {"symmetric": {1.0}, "parabola": {0.0}}.get(
-            name, set()), name
+        assert raised == {"symmetric": {1.0}}.get(name, set()), name
         for v, row, one in zip(batch, zip(*rows), zip(*ones)):
             np.testing.assert_array_equal(*_bits(v, np.concatenate(row)),
                                           err_msg=name)
@@ -401,7 +401,7 @@ def _types(args):
 
 def test_single_point_find_calls_no_batch_map_at_one_t(monkeypatch):
     # one point's search gives the search's kernels Python floats only, and
-    # a batch gives them arrays (_residuals gives a one-row batch floats); no family's batch coefficients or meridian
+    # a batch gives them arrays (col_rows gives a one-row batch floats); no family's batch coefficients or meridian
     # map (fitted or closed form) sees a one-element array, and sigma at the
     # located chord (in the upper hemisphere) never reaches the batch, whose
     # norm is the star module's row_norm
