@@ -57,8 +57,9 @@ _A_GRID.flags.writeable = _CIRCLE_PROBE_A.flags.writeable = False
 def _hand_sign_fn(hand):
     """Normalize a handedness assignment (a Handedness, a sign +-1 or a
     callable of t giving either) to a vectorized sign function of t, which
-    also takes one Python float and gives a float: a callable is run by
-    ``col_quiet``, at the float itself."""
+    also takes one Python float and gives a float.  A callable is run by
+    ``col_quiet``: it is called with an array of t, and with one Python
+    float t, not a one-element array, so it must take both."""
     if isinstance(hand, Handedness):
         hand = hand.sign
     if callable(hand):
@@ -134,7 +135,9 @@ def symmetric_star(a, handedness=Handedness.RIGHT, label=None) -> GlStar:
     about the (x, y)-plane, c(t)^2 = a(t)^2 - t^2 (1 + a(t)^2).
 
     Requires a: [0,1) -> [0,inf) increasing with t^2 <= a^2/(1+a^2)
-    everywhere and t^2 (1+a^2)/a^2 -> 1 as t -> 0.
+    everywhere and t^2 (1+a^2)/a^2 -> 1 as t -> 0.  handedness is a
+    Handedness, +-1 or a callable of t giving either, called with an array
+    of t and with one Python float t (``_hand_sign_fn``).
     """
     a_fn = as_fn1(a, domain=(0.0, 1.0))
     t = _interior_t_grid
@@ -182,6 +185,8 @@ def fg_star(f, g, eps=-1, label=None) -> GlStar:
     g(0) = -1, g(1) = 0 and -sqrt(1-f^2) <= g <= 0; eps (+-1 or a callable
     of t) is minus the regulus sign of the chord, so it follows the cone
     rule: it may switch only where g = -sqrt(1-f^2), where the chord meets Z.
+    A callable eps is called with an array of t and with one Python float t
+    (``_hand_sign_fn``).
     """
     f_fn = as_fn1(f, domain=(0.0, 1.0))
     g_fn = as_fn1(g, domain=(0.0, 1.0))
@@ -308,6 +313,8 @@ def eqn_star(b, c, hand=Handedness.RIGHT, label=None, extra_tags=()) -> GlStar:
     (3) each unit-circle point off the equator lies on exactly one H_a;
     (4) exterior meridian points lie on at most one H_a.  (3) and (4) are
     confirmed by positive root counts of a |-> a^2 x^2 - (z-b)^2 - c^2.
+    hand is a Handedness, +-1 or a callable of t giving either, called with
+    an array of t and with one Python float t (``_hand_sign_fn``).
     """
     b_fn = as_fn1(b, domain=(0.0, np.inf))
     c_fn = as_fn1(c, domain=(0.0, np.inf))
@@ -403,7 +410,7 @@ def param_star(t, s, hand=Handedness.RIGHT, label=None) -> GlStar:
     and at most one positive root of h_{x,z} for admissible (x, z).
     sigma and the profile invert t and s by their own inverses: closed
     forms for phi_r and every named kind, and for a plain callable the
-    table in log a that ``as_fn1`` gives it.
+    table in log a that ``as_fn1`` gives it.  hand is taken as by eqn_star.
     """
     t_fn = as_fn1(t, domain=(0.0, np.inf))
     s_fn = as_fn1(s, domain=(0.0, np.inf))
@@ -638,9 +645,10 @@ class ParabolaSeq:
     def coefficients_at(self, a):
         """(alpha, beta, gamma) of the interpolated family at slope a > 0,
         with the scaled completions beyond both ends, of a column.  At a = 0
-        the limits a -> 0, the first parabola's beta and gamma (a float
-        raises there).  gamma is clipped at 0, where 1/a^2 rounds past a
-        knot."""
+        the limits a -> 0, the first parabola's beta and gamma (a float 0.0
+        raises in the kernel, and ``col_quiet`` answers it by the
+        one-element batch's limits, as floats).  gamma is clipped at 0,
+        where 1/a^2 rounds past a knot."""
         a = a if type(a) is float else np.asarray(a, float)
         xp, be_r, ga_r, al_end, ga_end = self._reversed
         alpha = 1.0 / (a * a)
@@ -660,7 +668,7 @@ def parabola_star(seq: ParabolaSeq, hand=Handedness.RIGHT, label=None) -> GlStar
     are checked on b(a) = beta and c(a) = a sqrt(gamma) of the
     interpolated family.  sigma and the profile invert the circle heights
     t(a), s(a) of H_a piece by piece in closed form (``_parabola_height``),
-    with no table.
+    with no table.  hand is taken as by eqn_star.
     """
     # entries near the largest float overflow to inf or NaN there, which
     # fail the conditions

@@ -78,6 +78,7 @@ from .star import GlStar
 from .verify import CheckReport, _one_line_each, _worst, check_sampling
 
 _KLEIN = QuadricForm.klein()
+_ZERO_POINT = "the zero vector is no point of P^3"
 
 # Columns d1..d6, a g-orthogonal basis with g-values (1,1,1,-1,-1,-1):
 # d_i = e_i + e_{i+3} and d_{i+3} = e_i - e_{i+3} (+ 0.0: no signed zeros)
@@ -129,7 +130,7 @@ class HfdLineSet:
         (``pow2_scaled``), which moves no bit of the line, so that no
         product of the kernel overflows or underflows."""
         A, B = (pow2_scaled(X) for X in np.atleast_2d(A, B))
-        rows, sin2 = col_rows(_h_line, A, B, divide="ignore", invalid="ignore")
+        rows, sin2 = col_rows(_h_line, A, B)
         # a zero or non-finite endpoint fails the rank test too; one chord's
         # test is a bool, which np.asarray takes at a third of np.all's cost
         if not np.asarray(sin2 > _RANK_RTOL * _RANK_RTOL).all():
@@ -206,7 +207,7 @@ def _secant_ratio(spans):
     eigenvalue; a span of Klein points orthogonal under g gives two, and a
     NaN ratio."""
     S = np.asarray(spans, float)
-    return col_rows(_ratio, S[:, 0], S[:, 1], divide="ignore", invalid="ignore")
+    return col_rows(_ratio, S[:, 0], S[:, 1])
 
 
 def class_from_hfd_line(h) -> ParallelClass:
@@ -221,8 +222,8 @@ def class_from_hfd_line(h) -> ParallelClass:
         raise NotZeroSecant("span does not describe a line of P^5")
     ratio = _secant_ratio(S.basis[None])
     if not ratio > SIGNATURE_CUTOFF:
-        raise NotZeroSecant("line meets the Klein quadric (eigenvalue ratio "
-                            f"{np.min(ratio):.3g})")
+        raise NotZeroSecant(
+            f"line meets the Klein quadric (eigenvalue ratio {ratio:.3g})")
     return ParallelClass(S.basis)
 
 
@@ -232,10 +233,12 @@ def spread_line_through(cls: ParallelClass, p) -> PLine:
     a power of two (``pow2_scaled``), so that neither a huge nor a tiny
     point overflows or underflows the planes' products.  A zero p raises
     InvalidInput."""
-    pv = _point(pow2_scaled(p.coords if isinstance(p, HPoint) else p))
+    pv = pow2_scaled(p.coords if isinstance(p, HPoint) else p)
     planes = plucker_matrix(cls.h_span[:, _SWAP]) @ pv
     k = join_batch(planes[0], planes[1])[_SWAP]
     if not np.linalg.norm(k) > 1e-12 * float(pv @ pv):  # h_span orthonormal
+        if not pv.any():
+            raise InvalidInput(_ZERO_POINT)
         raise DegenerateMeet(
             "the two planes of the spread line through p are dependent")
     return PLine(k)
@@ -263,12 +266,6 @@ def _finite(v, what: str) -> np.ndarray:
     v = np.asarray(v, float)
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what} has non-finite coordinates")
-    return v
-
-
-def _point(v) -> np.ndarray:
-    if not v.any():
-        raise InvalidInput("the zero vector is no point of P^3")
     return v
 
 
@@ -306,12 +303,15 @@ def parallel_through(par: Parallelism, p, L) -> PLine:
     (``pow2_scaled``), which is exact, so that no product of their
     coordinates overflows or underflows, however large or small they are.
     A zero or non-finite p, or a non-finite L, raises InvalidInput."""
-    pv = _point(pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
-                                    "point")))
+    pv = pow2_scaled(_finite(p.coords if isinstance(p, HPoint) else p,
+                             "point"))
+    norm = np.linalg.norm(pv)
+    if not norm:
+        raise InvalidInput(_ZERO_POINT)
     k = _finite(L.p if isinstance(L, PLine) else L, "line")
     L = L if isinstance(L, PLine) else PLine(k)
     k = pow2_scaled(k)
-    if col_line_distance(k.tolist(), pv.tolist()) < 1e-9 * np.linalg.norm(pv):
+    if col_line_distance(k.tolist(), pv.tolist()) < 1e-9 * norm:
         return L
     return spread_line_through(parallel_class_of(par, k), pv)
 

@@ -136,9 +136,10 @@ def col_ufunc(f, x, *args):
 
 def _floats(v):
     """A one-element batch's answer in a float's form: a float of one
-    value, a tuple of floats of one row, and a tuple entry by entry."""
-    if type(v) is tuple:
-        return tuple(map(_floats, v))
+    value, a tuple of floats of one row, and a tuple or list entry by
+    entry."""
+    if type(v) in (tuple, list):
+        return type(v)(map(_floats, v))
     v = np.ravel(v)
     return v.item() if v.size == 1 else tuple(v.tolist())
 
@@ -164,19 +165,22 @@ def col_quiet(**kwargs):
     return decorate
 
 
-def col_rows(kernel, *rows, **kwargs):
+def col_rows(kernel, *rows):
     """The rows runner: kernel of aligned rows, arrays (n, k) or (n,).  A
-    single row runs in its ``tolist()`` floats, and its answer is the
-    kernel's floats; a batch, or a single row that raises
-    (``_COL_RAISES``), runs on the arrays with the row axis moved last,
-    under np.errstate(**kwargs)."""
-    if rows[0].shape[0] == 1:
+    single row runs in its ``tolist()`` floats, and a single row that
+    raises (``_COL_RAISES``) again as a one-element batch: either way its
+    answer is floats (``_floats``).  A batch runs on the arrays with the
+    row axis moved last.  An array runs under np.errstate, its divisions
+    by zero and invalid values ignored."""
+    one = rows[0].shape[0] == 1
+    if one:
         try:
-            return kernel(*(X[0].tolist() for X in rows))
+            return kernel(*[X[0].tolist() for X in rows])
         except _COL_RAISES:
             pass
-    with np.errstate(**kwargs):
-        return kernel(*(X.T for X in rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = kernel(*[X.T for X in rows])
+    return _floats(v) if one else v
 
 
 def projective_distance(u, v):

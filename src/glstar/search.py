@@ -293,8 +293,7 @@ class StarLineSearch:
         else:
             owner, t, theta = self._profile_params(U)
         A, B = self.star.chord(t, theta)
-        res = np.atleast_1d(col_rows(_residual, U[owner], A, B,
-                                     invalid="ignore", divide="ignore"))
+        res = np.atleast_1d(col_rows(_residual, U[owner], A, B))
         # Python numbers, taken in order of residual (NaN last, ties by root)
         owners, ts, thetas, residuals = (
             v.tolist() for v in (owner, t, theta, res))

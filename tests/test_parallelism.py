@@ -5,7 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from glstar.constructions import builtin_example, clifford, symmetric_star
+from glstar.constructions import (
+    builtin_example,
+    clifford,
+    fg_star,
+    symmetric_star,
+)
 from glstar.errors import (
     DegenerateMeet,
     EvalError,
@@ -14,7 +19,7 @@ from glstar.errors import (
     NotZeroSecant,
     SearchFailed,
 )
-from glstar.functions import moebius01
+from glstar.functions import identity, moebius01, neg_circle
 from glstar.parallelism import (
     _D,
     EmbeddedStar,
@@ -547,6 +552,26 @@ def test_queries_reject_the_zero_point():
             parallel_through(PAR_BUILTIN, p, Z_AXIS)
         with pytest.raises(InvalidInput, match="zero vector is no point"):
             spread_line_through(cls, p)
+
+
+def test_parallel_through_calls_a_sign_callable_with_a_float():
+    # a regulus-sign callable is called with one Python float t on the
+    # single-point path, as the builders' docstrings say; np.asarray makes
+    # this one, written for arrays, take it.  All chords of this fg star are
+    # cones, so its eps may switch, and its lines are clifford's.
+    seen = []
+
+    def eps(t):
+        seen.append(type(t))
+        return np.where(np.asarray(t) < 0.5, -1.0, 1.0)
+
+    par = make_parallelism(fg_star(identity(), neg_circle(), eps=eps))
+    seen.clear()
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        p, L = rng.normal(size=4), join(*rng.normal(size=(2, 4)))
+        assert parallel_through(par, p, L) == parallel_through(PAR_CLIFF, p, L)
+    assert float in seen
 
 
 def test_parallel_through_clifford():

@@ -513,9 +513,9 @@ ROW_KERNELS = {
 @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
 @given(data=st.data())
 def test_rows_runner_of_one_row_is_its_batch_row(name, data):
-    # col_rows gives a single row its floats, or the one-element batch where
-    # the floats raise, and a batch its columns: each row's answer is the
-    # batch's row bit for bit (any NaN as any NaN)
+    # col_rows gives a single row its floats, or the one-element batch's
+    # answer as floats where the floats raise, and a batch its columns: each
+    # row's answer is floats, the batch's row bit for bit (any NaN as any NaN)
     kernel, widths = ROW_KERNELS[name]
     n = data.draw(st.integers(1, 4))
     rows = [np.array(data.draw(st.lists(
@@ -526,26 +526,26 @@ def test_rows_runner_of_one_row_is_its_batch_row(name, data):
         for j in range(n):
             one = _leaves(col_rows(kernel, *(X[j:j + 1] for X in rows)))
             assert len(one) == len(batch)
+            assert all(type(x) is float for x in one), (name, j, one)
             for x, column in zip(one, batch):
                 assert _same_bits(np.ravel(x), np.ravel(column)[j:j + 1]), (
                     name, j, x, column)
 
 
 def test_runners_answer_a_raise_by_a_quiet_batch():
-    # a float that raises gets the one-element batch's answer, as floats from
-    # col_quiet and as an array from col_rows, and an array that divides by
-    # zero warns of nothing (tier-1 turns warnings into errors)
+    # a float that raises gets the one-element batch's answer as floats, from
+    # col_quiet and from col_rows, and an array that divides by zero warns of
+    # nothing (tier-1 turns warnings into errors)
     ones = _PARABOLA_SEQUENCE.coefficients_at(0.0)  # 1 / a^2 raises at 0.0
     batch = _PARABOLA_SEQUENCE.coefficients_at(np.array([0.0, 1.0]))
     assert all(type(v) is float for v in ones) and ones[0] == np.inf
     assert _same_bits(ones, [v[0] for v in batch])
     # the chord of row 0 has B = A and spans no line: 0 / 0 in _residual
     W, A, B = np.full((2, 4), 0.5), np.eye(4)[[0, 0]], np.eye(4)[[0, 1]]
-    quiet = {"invalid": "ignore", "divide": "ignore"}
-    res = col_rows(_residual, W, A, B, **quiet)
-    one = col_rows(_residual, W[:1], A[:1], B[:1], **quiet)
+    res = col_rows(_residual, W, A, B)
+    one = col_rows(_residual, W[:1], A[:1], B[:1])
     assert np.isnan(res[0]) and np.isfinite(res[1])
-    assert type(one) is np.ndarray and _same_bits(one, res[:1])
+    assert type(one) is float and _same_bits(one, res[0])
 
 
 # coordinates in [-1, 1], those below 2^-60 taken to 0, so that no square
